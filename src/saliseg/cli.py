@@ -32,7 +32,6 @@ logger = logging.getLogger("saliseg")
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, default=None, help="pipeline config JSON")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--jobs", type=int, default=1, help="parallel videos")
     p.add_argument("--fail-fast", action="store_true",
                    help="abort on the first failing video instead of skipping it")
     p.add_argument("--log-level", default="warning", choices=["debug", "info", "warning", "error"])
@@ -136,31 +135,31 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     cfg = _load_cfg(args)
     if args.command == "refine":
-        stage_refine(args.features_dir, args.out_dir, cfg, args.jobs, args.fail_fast)
+        stage_refine(args.features_dir, args.out_dir, cfg, args.fail_fast)
     elif args.command == "train-saliency":
         result = train_saliency_from_files(
             args.features_dir, args.annotations, cfg, args.out_head,
-            epochs=args.epochs, learning_rate=args.lr, seed=args.seed, jobs=args.jobs,
+            epochs=args.epochs, learning_rate=args.lr, seed=args.seed,
+            fail_fast=args.fail_fast,
         )
         if result.loss_curve:
             logger.info("final mean loss %.6f", result.loss_curve[-1])
     elif args.command == "score-saliency":
-        stage_score_saliency(args.features_dir, args.head, args.out, args.jobs, args.fail_fast)
+        stage_score_saliency(args.features_dir, args.head, args.out, args.fail_fast)
     elif args.command == "segment":
         stage_segment(
             args.features_dir, args.saliency, cfg, args.out,
-            baseline=args.baseline, dump_plan_dir=args.dump_plan, jobs=args.jobs,
-            fail_fast=args.fail_fast,
+            baseline=args.baseline, dump_plan_dir=args.dump_plan, fail_fast=args.fail_fast,
         )
     elif args.command == "retrieve":
         stage_retrieve(
             args.features_dir, args.saliency, args.segments, args.datastore,
-            cfg, args.out, args.jobs, args.fail_fast,
+            cfg, args.out, args.fail_fast,
         )
     elif args.command == "assemble":
         stage_assemble(
             args.features_dir, args.saliency, args.retrieval, cfg, args.out_dir,
-            text_dir=args.text_dir, jobs=args.jobs, fail_fast=args.fail_fast,
+            text_dir=args.text_dir, fail_fast=args.fail_fast,
         )
     elif args.command == "eval":
         out = Path(args.out)
@@ -174,7 +173,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         run_pipeline(
             cfg, args.features_dir, args.annotations, args.datastore, args.head,
             args.out_dir, baseline=args.baseline, dump_plan=args.dump_plan,
-            text_dir=args.text_dir, jobs=args.jobs, fail_fast=args.fail_fast,
+            text_dir=args.text_dir, fail_fast=args.fail_fast,
         )
     else:  # pragma: no cover - argparse enforces choices
         raise ConfigError(f"unknown command {args.command!r}")

@@ -250,15 +250,13 @@ def load_annotations(path: str | Path) -> list[EventAnnotation]:
 class PipelineConfig:
     """All tunables of the pipeline, with defaults matching the reference setup.
 
-    ``lambda_`` is the saliency-loss weight (spelled ``lambda`` in JSON),
-    ``rho`` is a reserved marginal-relaxation coefficient that must stay 0.
+    ``lambda_`` is the saliency-loss weight (spelled ``lambda`` in JSON).
     """
 
     tau: float = 0.5
     lambda_: float = 6.0
     mu: float = 0.1
     gamma: float = 0.3
-    rho: float = 0.0
     alpha: float = 0.5
     epsilon: float = 0.1
     K: int = 8
@@ -278,8 +276,6 @@ class PipelineConfig:
             raise ConfigError("alpha must lie in [0, 1]")
         if self.gamma < 0:
             raise ConfigError("gamma must be >= 0")
-        if self.rho != 0.0:
-            raise ConfigError("rho is reserved and must be 0")
         if self.K < 1:
             raise ConfigError("K must be >= 1")
         if not 1 <= self.top_k <= self.K:

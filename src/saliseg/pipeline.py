@@ -3,10 +3,28 @@
 Every stage reads its predecessor's files and writes its own, so the
 subcommands can be chained by hand; :func:`run_pipeline` calls the very same
 functions in order, which makes chained and monolithic execution byte
-identical. All per-video iteration happens in sorted video-id order and all
-randomness is drawn from named substreams of the config seed, so reruns with
-the same inputs produce identical artifact trees. The manifest deliberately
-contains no timings or timestamps for the same reason; timings go to the log.
+identical. Every stage visits the videos one at a time in sorted video-id
+order, and all randomness is drawn from named substreams of the config seed,
+so reruns with the same inputs produce identical artifact trees. The manifest
+deliberately contains no timings or timestamps for the same reason; timings
+go to the log.
+
+A video that fails a stage (a :class:`SalisegError`, including a missing
+upstream record) is logged and skipped, so it is absent from that stage's
+output and from every later one; with ``fail_fast`` the error propagates.
+
+Record files are JSON Lines, one object per video, keys sorted:
+
+- saliency: ``{"video_id": str, "valid_len": int, "scores": [F floats],
+  "prior": [F floats], "prior_norm": [F floats]}``: the head's raw
+  per-frame scores, their sigmoid zeroed beyond ``valid_len``, and that
+  sigmoid normalized to sum to one;
+- retrieval: ``{"video_id": str, "segments": [{"index": int, "neighbors":
+  [[entry_id, similarity], ...]}, ...], "vectors": [[D floats], ...]}``,
+  one entry per selected segment in temporal order (``index`` into the
+  video's segment list) and one retrieval vector per selected segment.
+
+The segments layout is documented in :mod:`saliseg.segments`.
 """
 
 from __future__ import annotations
@@ -15,7 +33,6 @@ import hashlib
 import json
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +46,7 @@ from .data import (
     save_features,
 )
 from .data import derive_highlight_labels
-from .errors import DataError, SalisegError
+from .errors import DataError, NumericalError, SalisegError
 from .metrics import evaluate_corpus, save_report
 from .prompts import assemble_input, init_prompt_map, project_saliency, save_decoder_input
 from .refine import RefineConfig, refine_features
@@ -53,36 +70,58 @@ from .segments import (
     select_topk,
 )
 from .store import load_datastore, retrieval_vectors
-from .transport import SolverOptions, build_problem, init_anchors, solve_fugw
+from .transport import build_problem, init_anchors, solve_fugw
 
 logger = logging.getLogger(__name__)
 
 
-def _sorted_feature_paths(features_dir: str | Path) -> list[Path]:
+def _for_each_video(features_dir: str | Path, work, fail_fast: bool) -> list:
+    """Run ``work`` on every feature file in sorted order; collect the results.
+
+    A :class:`SalisegError` skips that video with a log line, or propagates
+    under ``fail_fast``.
+    """
     paths = sorted(Path(features_dir).glob("*.sfeat"))
     if not paths:
         raise DataError(f"no .sfeat files in {features_dir}")
-    return paths
-
-
-def _map_videos(fn, items, jobs: int, fail_fast: bool = False):
-    """Apply ``fn`` per video; an error skips the video unless fail_fast."""
-
-    def safe(item):
+    results = []
+    for path in paths:
         try:
-            return fn(item)
+            results.append(work(path))
         except SalisegError as exc:
             if fail_fast:
                 raise
-            logger.error("%s: stage failed, video skipped: %s", item, exc)
-            return None
+            logger.error("%s: stage failed, video skipped: %s", path, exc)
+    return results
 
-    if jobs <= 1:
-        results = [safe(item) for item in items]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(safe, items))
-    return [r for r in results if r is not None]
+
+def load_records(path: str | Path) -> dict[str, dict]:
+    """Read a saliency or retrieval JSON Lines file, keyed by ``video_id``."""
+    records = {}
+    for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines()):
+        if not line.strip():
+            continue
+        try:
+            doc = json.loads(line)
+            records[str(doc["video_id"])] = doc
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}:{i + 1}: bad JSON: {exc}") from exc
+        except (KeyError, TypeError) as exc:
+            raise DataError(f"{path}:{i + 1}: record without a video_id") from exc
+    return records
+
+
+def _save_records(docs: list[dict], path: str | Path) -> Path:
+    lines = "".join(json.dumps(doc, sort_keys=True) + "\n" for doc in docs)
+    Path(path).write_text(lines, encoding="utf-8")
+    return Path(path)
+
+
+def _record(records: dict, video_id: str, kind: str):
+    """The upstream ``kind`` record of one video; a gap skips the video."""
+    if video_id not in records:
+        raise DataError(f"{video_id}: missing {kind} record")
+    return records[video_id]
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +132,6 @@ def stage_refine(
     features_dir: str | Path,
     out_dir: str | Path,
     cfg: PipelineConfig,
-    jobs: int = 1,
     fail_fast: bool = False,
 ) -> list[Path]:
     """Refine encoded features; spatial rows pass through untouched."""
@@ -116,49 +154,34 @@ def stage_refine(
         )
         return out_path
 
-    return _map_videos(work, _sorted_feature_paths(features_dir), jobs, fail_fast)
+    return _for_each_video(features_dir, work, fail_fast)
 
 
 def stage_score_saliency(
     refined_dir: str | Path,
     head_path: str | Path,
     out_path: str | Path,
-    jobs: int = 1,
     fail_fast: bool = False,
 ) -> Path:
     """Score refined features; write scores and priors as JSON Lines."""
     head = load_head(head_path)
 
-    def work(path: Path) -> str:
+    def work(path: Path) -> dict:
         f = load_features(path)
         if f.dim != head.dim:
             raise DataError(f"{f.video_id}: feature dim {f.dim} != head dim {head.dim}")
         mask = f.mask()
         scores = saliency_forward(head, f.encoded.astype(np.float64), mask).scores
         p_s, p_hat = saliency_prior(scores, mask)
-        return json.dumps(
-            {
-                "video_id": f.video_id,
-                "valid_len": f.valid_len,
-                "scores": scores.tolist(),
-                "prior": p_s.tolist(),
-                "prior_norm": p_hat.tolist(),
-            },
-            sort_keys=True,
-        )
+        return {
+            "video_id": f.video_id,
+            "valid_len": f.valid_len,
+            "scores": scores.tolist(),
+            "prior": p_s.tolist(),
+            "prior_norm": p_hat.tolist(),
+        }
 
-    lines = _map_videos(work, _sorted_feature_paths(refined_dir), jobs, fail_fast)
-    Path(out_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return Path(out_path)
-
-
-def load_saliency(path: str | Path) -> dict[str, dict]:
-    docs = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            doc = json.loads(line)
-            docs[doc["video_id"]] = doc
-    return docs
+    return _save_records(_for_each_video(refined_dir, work, fail_fast), out_path)
 
 
 def stage_segment(
@@ -168,22 +191,23 @@ def stage_segment(
     out_path: str | Path,
     baseline: str = "none",
     dump_plan_dir: str | Path | None = None,
-    solver: SolverOptions = SolverOptions(),
-    jobs: int = 1,
     fail_fast: bool = False,
 ) -> Path:
-    """Segment each video from its transport plan, or a baseline strategy."""
-    saliency = load_saliency(saliency_path)
+    """Segment each video from its transport plan, or a baseline strategy.
+
+    Under ``fail_fast`` a solve that did not converge raises
+    :class:`NumericalError`; otherwise the solver's warning is the only trace.
+    """
+    saliency = load_records(saliency_path)
     if dump_plan_dir is not None:
         Path(dump_plan_dir).mkdir(parents=True, exist_ok=True)
 
-    def work(path: Path) -> str:
+    def work(path: Path) -> dict:
         f = load_features(path)
-        if f.video_id not in saliency:
-            raise DataError(f"{f.video_id}: missing saliency record")
         n_valid = f.valid_len
         xs = f.spatial[:n_valid].astype(np.float64)
-        p_s = np.asarray(saliency[f.video_id]["prior"], dtype=np.float64)[:n_valid]
+        prior = _record(saliency, f.video_id, "saliency")["prior"]
+        p_s = np.asarray(prior, dtype=np.float64)[:n_valid]
         if baseline == "uniform":
             segs = baseline_uniform(n_valid, cfg.top_k)
         elif baseline == "kmeans":
@@ -191,7 +215,9 @@ def stage_segment(
         elif baseline == "none":
             anchors = init_anchors(xs, cfg.K, cfg.seed, f.video_id)
             prob = build_problem(xs, anchors, p_s, cfg.alpha, cfg.gamma, cfg.epsilon, cfg.mu)
-            plan = solve_fugw(prob, solver)
+            plan = solve_fugw(prob)
+            if fail_fast and not plan.converged:
+                raise NumericalError(f"{f.video_id}: transport solver did not converge")
             segs = select_topk(score_segments(decode_segments(plan), plan), cfg.top_k)
             if dump_plan_dir is not None:
                 doc = {"F_v": n_valid, "K": cfg.K, "T": plan.T.flatten().tolist()}
@@ -200,11 +226,9 @@ def stage_segment(
                 )
         else:
             raise DataError(f"unknown baseline {baseline!r}")
-        return json.dumps(segments_to_doc(f.video_id, segs), sort_keys=True)
+        return segments_to_doc(f.video_id, segs)
 
-    lines = _map_videos(work, _sorted_feature_paths(features_dir), jobs, fail_fast)
-    Path(out_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return Path(out_path)
+    return _save_records(_for_each_video(features_dir, work, fail_fast), out_path)
 
 
 def stage_retrieve(
@@ -214,49 +238,34 @@ def stage_retrieve(
     store_path: str | Path,
     cfg: PipelineConfig,
     out_path: str | Path,
-    jobs: int = 1,
     fail_fast: bool = False,
 ) -> Path:
     """Retrieve top-p captions per selected segment; write vectors + neighbors."""
-    saliency = load_saliency(saliency_path)
+    saliency = load_records(saliency_path)
     segments = load_segments(segments_path)
     store = load_datastore(store_path)
 
-    def work(path: Path) -> str:
+    def work(path: Path) -> dict:
         f = load_features(path)
-        if f.video_id not in segments:
-            raise DataError(f"{f.video_id}: missing segments record")
+        segs = _record(segments, f.video_id, "segments")
         n_valid = f.valid_len
         xs = f.spatial[:n_valid].astype(np.float64)
-        p_s = np.asarray(saliency[f.video_id]["prior"], dtype=np.float64)[:n_valid]
-        result = retrieval_vectors(segments[f.video_id], xs, p_s, store, cfg.top_p)
-        return json.dumps(
-            {
-                "video_id": f.video_id,
-                "segments": [
-                    {
-                        "index": int(idx),
-                        "neighbors": [[eid, sim] for eid, sim in hits],
-                    }
-                    for idx, hits in zip(segments[f.video_id].selected, result.neighbors)
-                ],
-                "vectors": [row.tolist() for row in result.vectors],
-            },
-            sort_keys=True,
-        )
+        prior = _record(saliency, f.video_id, "saliency")["prior"]
+        p_s = np.asarray(prior, dtype=np.float64)[:n_valid]
+        result = retrieval_vectors(segs, xs, p_s, store, cfg.top_p)
+        return {
+            "video_id": f.video_id,
+            "segments": [
+                {
+                    "index": int(idx),
+                    "neighbors": [[eid, sim] for eid, sim in hits],
+                }
+                for idx, hits in zip(segs.selected, result.neighbors)
+            ],
+            "vectors": [row.tolist() for row in result.vectors],
+        }
 
-    lines = _map_videos(work, _sorted_feature_paths(features_dir), jobs, fail_fast)
-    Path(out_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return Path(out_path)
-
-
-def load_retrieval(path: str | Path) -> dict[str, dict]:
-    docs = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            doc = json.loads(line)
-            docs[doc["video_id"]] = doc
-    return docs
+    return _save_records(_for_each_video(features_dir, work, fail_fast), out_path)
 
 
 def stage_assemble(
@@ -266,21 +275,20 @@ def stage_assemble(
     cfg: PipelineConfig,
     out_dir: str | Path,
     text_dir: str | Path | None = None,
-    jobs: int = 1,
     fail_fast: bool = False,
 ) -> list[Path]:
     """Build decoder-input sequences [frames; prompts; retrieval; text]."""
-    saliency = load_saliency(saliency_path)
-    retrieval = load_retrieval(retrieval_path)
+    saliency = load_records(saliency_path)
+    retrieval = load_records(retrieval_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     def work(path: Path) -> Path:
         f = load_features(path)
+        scores = np.asarray(_record(saliency, f.video_id, "saliency")["scores"], dtype=np.float64)
+        vectors = np.asarray(_record(retrieval, f.video_id, "retrieval")["vectors"], dtype=np.float64)
         prompt_map = init_prompt_map(f.dim, cfg.seed)
-        scores = np.asarray(saliency[f.video_id]["scores"], dtype=np.float64)
         prompts = project_saliency(scores, prompt_map)
-        vectors = np.asarray(retrieval[f.video_id]["vectors"], dtype=np.float64)
         if vectors.size == 0:
             vectors = np.zeros((0, f.dim))
         if text_dir is not None:
@@ -293,7 +301,7 @@ def stage_assemble(
         save_decoder_input(d_in, out_path)
         return out_path
 
-    return _map_videos(work, _sorted_feature_paths(refined_dir), jobs, fail_fast)
+    return _for_each_video(refined_dir, work, fail_fast)
 
 
 def stage_eval(
@@ -328,7 +336,7 @@ def train_saliency_from_files(
     epochs: int = 20,
     learning_rate: float = 1e-3,
     seed: int | None = None,
-    jobs: int = 1,
+    fail_fast: bool = False,
 ) -> TrainResult:
     """Refine raw features, derive labels, train the head, save the checkpoint."""
     anns = {a.video_id: a for a in load_annotations(annotations_path)}
@@ -347,8 +355,7 @@ def train_saliency_from_files(
         )
 
     examples = [
-        ex for ex in _map_videos(build_example, _sorted_feature_paths(features_dir), jobs)
-        if ex is not None
+        ex for ex in _for_each_video(features_dir, build_example, fail_fast) if ex is not None
     ]
     state = TrainState(learning_rate=learning_rate)
     result = train_saliency(examples, cfg, state=state, epochs=epochs, seed=seed)
@@ -374,8 +381,6 @@ def run_pipeline(
     baseline: str = "none",
     dump_plan: bool = False,
     text_dir: str | Path | None = None,
-    solver: SolverOptions = SolverOptions(),
-    jobs: int = 1,
     fail_fast: bool = False,
 ):
     """Refine, score, segment, retrieve, assemble, evaluate; write a manifest."""
@@ -383,8 +388,8 @@ def run_pipeline(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    stage_refine(features_dir, out / "refined", cfg, jobs, fail_fast)
-    stage_score_saliency(out / "refined", head_path, out / "saliency.jsonl", jobs, fail_fast)
+    stage_refine(features_dir, out / "refined", cfg, fail_fast)
+    stage_score_saliency(out / "refined", head_path, out / "saliency.jsonl", fail_fast)
     stage_segment(
         features_dir,
         out / "saliency.jsonl",
@@ -392,8 +397,6 @@ def run_pipeline(
         out / "segments.jsonl",
         baseline=baseline,
         dump_plan_dir=(out / "plans") if dump_plan else None,
-        solver=solver,
-        jobs=jobs,
         fail_fast=fail_fast,
     )
     stage_retrieve(
@@ -403,7 +406,6 @@ def run_pipeline(
         store_path,
         cfg,
         out / "retrieval.jsonl",
-        jobs,
         fail_fast,
     )
     stage_assemble(
@@ -413,7 +415,6 @@ def run_pipeline(
         cfg,
         out / "tin",
         text_dir,
-        jobs,
         fail_fast,
     )
     corpus = stage_eval(

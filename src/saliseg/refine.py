@@ -1,6 +1,6 @@
 """Parameter-free feature refinement by multi-scale sliding-window self-attention.
 
-For every window size ``w`` and every start ``i`` (stride 1) the window's rows
+For every window size ``w`` and every start ``i`` the window's rows
 attend to each other with plain scaled dot-product attention, queries, keys
 and values all being the raw rows. Outputs of overlapping windows are
 averaged per frame by the coverage count, layer-normalized (no learnable
@@ -26,7 +26,6 @@ class RefineConfig:
     """Window sizes and normalization constants for the refinement pass."""
 
     windows: tuple[int, ...] = (8, 32, 64)
-    stride: int = 1
     ln_epsilon: float = 1e-5
 
     def __post_init__(self) -> None:
@@ -35,8 +34,6 @@ class RefineConfig:
             raise ConfigError("window sizes must be >= 2")
         if any(w2 <= w1 for w1, w2 in zip(self.windows, self.windows[1:])):
             raise ConfigError("windows must be strictly increasing")
-        if self.stride != 1:
-            raise ConfigError("only stride 1 is supported")
         if self.ln_epsilon <= 0:
             raise ConfigError("ln_epsilon must be > 0")
 

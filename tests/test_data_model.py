@@ -177,6 +177,10 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError, match="unknown config keys"):
             config_from_json('{"tau": 0.5, "bogus": 1}')
 
+    def test_rho_rejected_as_unknown_key(self):
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            config_from_json('{"rho": 0.3}')
+
     @pytest.mark.parametrize(
         "overrides",
         [
@@ -184,7 +188,6 @@ class TestPipelineConfig:
             {"epsilon": -1.0},
             {"K": 0},
             {"top_k": 9},
-            {"rho": 0.3},
             {"alpha": 1.5},
             {"windows": (8, 8, 64)},
             {"windows": (8, 32, 200)},

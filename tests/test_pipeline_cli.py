@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from saliseg.cli import main
-from saliseg.data import PipelineConfig, load_features, save_config
+from saliseg.data import FrameFeatures, PipelineConfig, load_features, save_config, save_features
+from saliseg.errors import DataError
 from saliseg.pipeline import (
     run_pipeline,
     stage_assemble,
@@ -50,6 +51,13 @@ def head_path(corpus_dir, tmp_path_factory):
         epochs=4, seed=13,
     )
     return path
+
+
+@pytest.fixture(scope="module")
+def saliency_path(corpus_dir, head_path, tmp_path_factory):
+    root = tmp_path_factory.mktemp("scored")
+    stage_refine(corpus_dir / "features", root / "refined", CFG)
+    return stage_score_saliency(root / "refined", head_path, root / "saliency.jsonl")
 
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
@@ -159,15 +167,13 @@ class TestPipeline:
         assert d_in.lengths[2] == CFG.top_k
         assert d_in.lengths[3] == 0
 
-    def test_jobs_parallel_matches_serial(self, corpus_dir, head_path, tmp_path):
-        serial = tmp_path / "serial"
-        parallel = tmp_path / "parallel"
-        for out, jobs in ((serial, 1), (parallel, 3)):
-            run_pipeline(
-                CFG, corpus_dir / "features", corpus_dir / "annotations.jsonl",
-                corpus_dir / "datastore.sds", head_path, out, jobs=jobs,
-            )
-        assert tree_bytes(serial) == tree_bytes(parallel)
+
+def copy_features(corpus_dir: Path, tmp_path: Path) -> Path:
+    feats = tmp_path / "features"
+    feats.mkdir()
+    for p in (corpus_dir / "features").glob("*.sfeat"):
+        (feats / p.name).write_bytes(p.read_bytes())
+    return feats
 
 
 class TestFailureIsolation:
@@ -205,6 +211,31 @@ class TestFailureIsolation:
                 CFG, feats, corpus_dir / "annotations.jsonl",
                 corpus_dir / "datastore.sds", head_path, tmp_path / "run",
                 fail_fast=True,
+            )
+
+    def test_video_failing_segment_skipped_downstream(self, corpus_dir, head_path, tmp_path):
+        # A zero spatial row loads fine but fails the matching cost, so the
+        # video has saliency but no segments and no retrieval record.
+        feats = copy_features(corpus_dir, tmp_path)
+        victim = sorted(feats.glob("*.sfeat"))[1]
+        f = load_features(victim)
+        spatial = f.spatial.copy()
+        spatial[0] = 0.0
+        save_features(FrameFeatures(f.video_id, spatial, f.encoded, f.valid_len), victim)
+        out = tmp_path / "run"
+        run_pipeline(
+            CFG, feats, corpus_dir / "annotations.jsonl",
+            corpus_dir / "datastore.sds", head_path, out,
+        )
+        others = sorted(p.stem for p in feats.glob("*.sfeat") if p != victim)
+        for name in ("segments.jsonl", "retrieval.jsonl"):
+            lines = (out / name).read_text().splitlines()
+            assert sorted(json.loads(line)["video_id"] for line in lines) == others
+        assert sorted(p.stem for p in (out / "tin").glob("*.stin")) == others
+        with pytest.raises(DataError, match=f"{f.video_id}: missing retrieval record"):
+            stage_assemble(
+                out / "refined", out / "saliency.jsonl", out / "retrieval.jsonl",
+                CFG, tmp_path / "tin", fail_fast=True,
             )
 
 
@@ -278,3 +309,51 @@ class TestCli:
             "refine", "--features-dir", str(tmp_path / "nowhere"),
             "--out-dir", str(tmp_path / "o"),
         ]) == 3
+
+    def segment_args(self, corpus_dir, saliency, out):
+        return [
+            "segment", "--features-dir", str(corpus_dir / "features"),
+            "--saliency", str(saliency), "--out", str(out),
+        ]
+
+    @pytest.mark.parametrize(
+        "bad_line", ['{"video_id": "v0000", "prior": [0.5', '{"prior": [0.5]}'],
+        ids=["truncated_json", "missing_video_id"],
+    )
+    def test_malformed_record_file_exit_code(self, corpus_dir, tmp_path, caplog, bad_line):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(bad_line + "\n")
+        assert main(self.segment_args(corpus_dir, bad, tmp_path / "segments.jsonl")) == 3
+        assert f"{bad}:1:" in caplog.text
+
+    def test_unconverged_solve_exit_code_under_fail_fast(
+        self, corpus_dir, saliency_path, tmp_path, monkeypatch
+    ):
+        import dataclasses
+
+        import saliseg.pipeline
+
+        real = saliseg.pipeline.solve_fugw
+        monkeypatch.setattr(
+            saliseg.pipeline, "solve_fugw",
+            lambda *a, **kw: dataclasses.replace(real(*a, **kw), converged=False),
+        )
+        out = tmp_path / "segments.jsonl"
+        args = self.segment_args(corpus_dir, saliency_path, out)
+        assert main(args + ["--fail-fast"]) == 4
+        assert main(args) == 0
+        assert len(out.read_text().splitlines()) == SPEC.n_videos
+
+    def test_train_saliency_honours_fail_fast(self, corpus_dir, tmp_path):
+        feats = copy_features(corpus_dir, tmp_path)
+        victim = sorted(feats.glob("*.sfeat"))[0]
+        victim.write_bytes(victim.read_bytes()[:-8])
+        args = [
+            "train-saliency", "--features-dir", str(feats),
+            "--annotations", str(corpus_dir / "annotations.jsonl"),
+            "--out-head", str(tmp_path / "head.shd"), "--epochs", "1",
+        ]
+        assert main(args + ["--fail-fast"]) == 3
+        assert not (tmp_path / "head.shd").exists()
+        assert main(args) == 0
+        assert (tmp_path / "head.shd").exists()

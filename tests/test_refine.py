@@ -129,8 +129,6 @@ class TestRefineFeatures:
             RefineConfig(windows=(1, 4))
         with pytest.raises(ConfigError):
             RefineConfig(windows=(4, 4))
-        with pytest.raises(ConfigError):
-            RefineConfig(windows=(4, 8), stride=2)
 
 
 class TestBoundarySharpening:
