@@ -205,30 +205,51 @@ def load_features(path: str | Path, video_id: str | None = None) -> FrameFeature
 
 
 # ---------------------------------------------------------------------------
-# Annotations JSONL
+# JSON Lines records
 # ---------------------------------------------------------------------------
 
+def save_records(docs: list[dict], path: str | Path) -> Path:
+    """Write one JSON object per line, keys sorted."""
+    lines = "".join(json.dumps(doc, sort_keys=True) + "\n" for doc in docs)
+    Path(path).write_text(lines, encoding="utf-8")
+    return Path(path)
+
+
+def _jsonl_lines(path: str | Path):
+    """Yield ``(line number, object)`` for every non-blank line of ``path``."""
+    for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            yield i, json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}:{i}: bad JSON: {exc}") from exc
+
+
+def load_records(path: str | Path) -> dict[str, dict]:
+    """Read a JSON Lines file of per-video records, keyed by ``video_id``."""
+    records = {}
+    for i, doc in _jsonl_lines(path):
+        try:
+            records[str(doc["video_id"])] = doc
+        except (KeyError, TypeError) as exc:
+            raise DataError(f"{path}:{i}: record without a video_id") from exc
+    return records
+
+
 def save_annotations(anns: list[EventAnnotation], path: str | Path) -> None:
-    lines = []
-    for ann in anns:
-        doc = {
-            "video_id": ann.video_id,
-            "valid_len": ann.valid_len,
-            "events": [[s, e] for s, e in ann.events],
-        }
-        lines.append(json.dumps(doc, sort_keys=True))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    save_records(
+        [
+            {"video_id": a.video_id, "valid_len": a.valid_len, "events": [[s, e] for s, e in a.events]}
+            for a in anns
+        ],
+        path,
+    )
 
 
 def load_annotations(path: str | Path) -> list[EventAnnotation]:
     anns = []
-    for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines()):
-        if not line.strip():
-            continue
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}:{i + 1}: bad JSON: {exc}") from exc
+    for i, doc in _jsonl_lines(path):
         try:
             anns.append(
                 EventAnnotation(
@@ -238,7 +259,7 @@ def load_annotations(path: str | Path) -> list[EventAnnotation]:
                 )
             )
         except KeyError as exc:
-            raise DataError(f"{path}:{i + 1}: missing key {exc}") from exc
+            raise DataError(f"{path}:{i}: missing key {exc}") from exc
     return anns
 
 

@@ -43,7 +43,9 @@ from .data import (
     PipelineConfig,
     load_annotations,
     load_features,
+    load_records,
     save_features,
+    save_records,
 )
 from .data import derive_highlight_labels
 from .errors import DataError, NumericalError, SalisegError
@@ -95,26 +97,9 @@ def _for_each_video(features_dir: str | Path, work, fail_fast: bool) -> list:
     return results
 
 
-def load_records(path: str | Path) -> dict[str, dict]:
-    """Read a saliency or retrieval JSON Lines file, keyed by ``video_id``."""
-    records = {}
-    for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines()):
-        if not line.strip():
-            continue
-        try:
-            doc = json.loads(line)
-            records[str(doc["video_id"])] = doc
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}:{i + 1}: bad JSON: {exc}") from exc
-        except (KeyError, TypeError) as exc:
-            raise DataError(f"{path}:{i + 1}: record without a video_id") from exc
-    return records
-
-
-def _save_records(docs: list[dict], path: str | Path) -> Path:
-    lines = "".join(json.dumps(doc, sort_keys=True) + "\n" for doc in docs)
-    Path(path).write_text(lines, encoding="utf-8")
-    return Path(path)
+# One reader serves both record kinds. The stages call it by kind, so a
+# profile wrapping these module attributes counts the two loads apart.
+load_saliency = load_retrieval = load_records
 
 
 def _record(records: dict, video_id: str, kind: str):
@@ -181,7 +166,7 @@ def stage_score_saliency(
             "prior_norm": p_hat.tolist(),
         }
 
-    return _save_records(_for_each_video(refined_dir, work, fail_fast), out_path)
+    return save_records(_for_each_video(refined_dir, work, fail_fast), out_path)
 
 
 def stage_segment(
@@ -198,7 +183,7 @@ def stage_segment(
     Under ``fail_fast`` a solve that did not converge raises
     :class:`NumericalError`; otherwise the solver's warning is the only trace.
     """
-    saliency = load_records(saliency_path)
+    saliency = load_saliency(saliency_path)
     if dump_plan_dir is not None:
         Path(dump_plan_dir).mkdir(parents=True, exist_ok=True)
 
@@ -228,7 +213,7 @@ def stage_segment(
             raise DataError(f"unknown baseline {baseline!r}")
         return segments_to_doc(f.video_id, segs)
 
-    return _save_records(_for_each_video(features_dir, work, fail_fast), out_path)
+    return save_records(_for_each_video(features_dir, work, fail_fast), out_path)
 
 
 def stage_retrieve(
@@ -241,7 +226,7 @@ def stage_retrieve(
     fail_fast: bool = False,
 ) -> Path:
     """Retrieve top-p captions per selected segment; write vectors + neighbors."""
-    saliency = load_records(saliency_path)
+    saliency = load_saliency(saliency_path)
     segments = load_segments(segments_path)
     store = load_datastore(store_path)
 
@@ -265,7 +250,7 @@ def stage_retrieve(
             "vectors": [row.tolist() for row in result.vectors],
         }
 
-    return _save_records(_for_each_video(features_dir, work, fail_fast), out_path)
+    return save_records(_for_each_video(features_dir, work, fail_fast), out_path)
 
 
 def stage_assemble(
@@ -278,8 +263,8 @@ def stage_assemble(
     fail_fast: bool = False,
 ) -> list[Path]:
     """Build decoder-input sequences [frames; prompts; retrieval; text]."""
-    saliency = load_records(saliency_path)
-    retrieval = load_records(retrieval_path)
+    saliency = load_saliency(saliency_path)
+    retrieval = load_retrieval(retrieval_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -7,7 +7,6 @@ Segments file format: JSON Lines, one object per video,
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -15,6 +14,7 @@ from pathlib import Path
 import numpy as np
 from numpy.typing import NDArray
 
+from .data import load_records, save_records
 from .errors import DataError
 from .rng import substream
 from .transport import TransportPlan
@@ -222,18 +222,13 @@ def segments_to_doc(video_id: str, segs: SegmentSet) -> dict:
     }
 
 
-def save_segments(docs: list[dict], path: str | Path) -> None:
-    lines = [json.dumps(doc, sort_keys=True) for doc in docs]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+save_segments = save_records
 
 
 def load_segments(path: str | Path) -> dict[str, SegmentSet]:
     out: dict[str, SegmentSet] = {}
-    for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines()):
-        if not line.strip():
-            continue
+    for video_id, doc in load_records(path).items():
         try:
-            doc = json.loads(line)
             segments = tuple(
                 Segment(
                     anchor_id=int(s["anchor"]), start=int(s["start"]), end=int(s["end"]),
@@ -241,9 +236,9 @@ def load_segments(path: str | Path) -> dict[str, SegmentSet]:
                 )
                 for s in doc["segments"]
             )
-            out[str(doc["video_id"])] = SegmentSet(
+            out[video_id] = SegmentSet(
                 segments=segments, selected=tuple(int(j) for j in doc["selected"])
             )
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
-            raise DataError(f"{path}:{i + 1}: bad segments line: {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: {video_id}: bad segments record: {exc}") from exc
     return out
