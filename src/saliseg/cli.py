@@ -12,7 +12,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .data import PipelineConfig, load_config
+from .data import PipelineConfig, load_config, read_text
 from .errors import ConfigError, DataError, NumericalError
 from .pipeline import (
     run_pipeline,
@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "synth":
-        spec = spec_from_json(Path(args.spec).read_text(encoding="utf-8"))
+        spec = spec_from_json(read_text(args.spec))
         if args.seed is not None:
             import dataclasses
 
@@ -145,7 +145,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         if result.loss_curve:
             logger.info("final mean loss %.6f", result.loss_curve[-1])
     elif args.command == "score-saliency":
-        stage_score_saliency(args.features_dir, args.head, args.out, args.fail_fast)
+        stage_score_saliency(args.features_dir, args.head, cfg, args.out, args.fail_fast)
     elif args.command == "segment":
         stage_segment(
             args.features_dir, args.saliency, cfg, args.out,

@@ -168,6 +168,26 @@ def lint_annotations(anns: list[EventAnnotation]) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
+# Reading input files
+# ---------------------------------------------------------------------------
+
+def read_file(path: str | Path) -> bytes:
+    """The bytes of ``path``; a file that cannot be read is a :class:`DataError`."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"{path}: {exc.strerror or exc}") from exc
+
+
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of ``path``, read through :func:`read_file`."""
+    try:
+        return read_file(path).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
 # Binary feature files
 # ---------------------------------------------------------------------------
 
@@ -184,7 +204,7 @@ def save_features(f: FrameFeatures, path: str | Path) -> None:
 def load_features(path: str | Path, video_id: str | None = None) -> FrameFeatures:
     """Read a feature file, enforcing header consistency and padding."""
     path = Path(path)
-    raw = path.read_bytes()
+    raw = read_file(path)
     if len(raw) < _HEADER.size:
         raise DataError(f"{path}: truncated header")
     magic, n_frames, dim, valid_len = _HEADER.unpack_from(raw)
@@ -217,7 +237,7 @@ def save_records(docs: list[dict], path: str | Path) -> Path:
 
 def _jsonl_lines(path: str | Path):
     """Yield ``(line number, object)`` for every non-blank line of ``path``."""
-    for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for i, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip():
             continue
         try:
@@ -339,7 +359,7 @@ def config_from_json(text: str) -> PipelineConfig:
 
 
 def load_config(path: str | Path) -> PipelineConfig:
-    return config_from_json(Path(path).read_text(encoding="utf-8"))
+    return config_from_json(read_text(path))
 
 
 def save_config(cfg: PipelineConfig, path: str | Path) -> None:

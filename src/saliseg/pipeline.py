@@ -9,9 +9,10 @@ so reruns with the same inputs produce identical artifact trees. The manifest
 deliberately contains no timings or timestamps for the same reason; timings
 go to the log.
 
-A video that fails a stage (a :class:`SalisegError`, including a missing
-upstream record) is logged and skipped, so it is absent from that stage's
-output and from every later one; with ``fail_fast`` the error propagates.
+A video that fails a stage (a :class:`SalisegError`, including more frames
+than ``F_max`` and a missing upstream record or record field) is logged and
+skipped, so it is absent from that stage's output and from every later one;
+with ``fail_fast`` the error propagates.
 
 Record files are JSON Lines, one object per video, keys sorted:
 
@@ -77,10 +78,14 @@ from .transport import build_problem, init_anchors, solve_fugw
 logger = logging.getLogger(__name__)
 
 
-def _for_each_video(features_dir: str | Path, work, fail_fast: bool) -> list:
-    """Run ``work`` on every feature file in sorted order; collect the results.
+def _for_each_video(
+    features_dir: str | Path, work, cfg: PipelineConfig, fail_fast: bool
+) -> list:
+    """Load every feature file in sorted order, run ``work(path, features)``
+    on it and collect the results.
 
-    A :class:`SalisegError` skips that video with a log line, or propagates
+    A video with more than ``cfg.F_max`` frames is a :class:`DataError`. A
+    :class:`SalisegError` skips that video with a log line, or propagates
     under ``fail_fast``.
     """
     paths = sorted(Path(features_dir).glob("*.sfeat"))
@@ -89,7 +94,10 @@ def _for_each_video(features_dir: str | Path, work, fail_fast: bool) -> list:
     results = []
     for path in paths:
         try:
-            results.append(work(path))
+            f = load_features(path)
+            if f.n_frames > cfg.F_max:
+                raise DataError(f"{f.video_id}: {f.n_frames} frames exceed F_max={cfg.F_max}")
+            results.append(work(path, f))
         except SalisegError as exc:
             if fail_fast:
                 raise
@@ -102,11 +110,16 @@ def _for_each_video(features_dir: str | Path, work, fail_fast: bool) -> list:
 load_saliency = load_retrieval = load_records
 
 
-def _record(records: dict, video_id: str, kind: str):
-    """The upstream ``kind`` record of one video; a gap skips the video."""
+def _record(records: dict, video_id: str, kind: str, field: str | None = None):
+    """The upstream ``kind`` record of one video, or its ``field``; a gap
+    skips the video."""
     if video_id not in records:
         raise DataError(f"{video_id}: missing {kind} record")
-    return records[video_id]
+    if field is None:
+        return records[video_id]
+    if field not in records[video_id]:
+        raise DataError(f"{video_id}: {kind} record lacks '{field}'")
+    return records[video_id][field]
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +137,7 @@ def stage_refine(
     out.mkdir(parents=True, exist_ok=True)
     refine_cfg = RefineConfig(windows=cfg.windows)
 
-    def work(path: Path) -> Path:
-        f = load_features(path)
+    def work(path: Path, f: FrameFeatures) -> Path:
         refined = refine_features(f.encoded.astype(np.float64), refine_cfg, f.mask())
         out_path = out / path.name
         save_features(
@@ -139,20 +151,20 @@ def stage_refine(
         )
         return out_path
 
-    return _for_each_video(features_dir, work, fail_fast)
+    return _for_each_video(features_dir, work, cfg, fail_fast)
 
 
 def stage_score_saliency(
     refined_dir: str | Path,
     head_path: str | Path,
+    cfg: PipelineConfig,
     out_path: str | Path,
     fail_fast: bool = False,
 ) -> Path:
     """Score refined features; write scores and priors as JSON Lines."""
     head = load_head(head_path)
 
-    def work(path: Path) -> dict:
-        f = load_features(path)
+    def work(path: Path, f: FrameFeatures) -> dict:
         if f.dim != head.dim:
             raise DataError(f"{f.video_id}: feature dim {f.dim} != head dim {head.dim}")
         mask = f.mask()
@@ -166,7 +178,7 @@ def stage_score_saliency(
             "prior_norm": p_hat.tolist(),
         }
 
-    return save_records(_for_each_video(refined_dir, work, fail_fast), out_path)
+    return save_records(_for_each_video(refined_dir, work, cfg, fail_fast), out_path)
 
 
 def stage_segment(
@@ -187,11 +199,10 @@ def stage_segment(
     if dump_plan_dir is not None:
         Path(dump_plan_dir).mkdir(parents=True, exist_ok=True)
 
-    def work(path: Path) -> dict:
-        f = load_features(path)
+    def work(path: Path, f: FrameFeatures) -> dict:
         n_valid = f.valid_len
         xs = f.spatial[:n_valid].astype(np.float64)
-        prior = _record(saliency, f.video_id, "saliency")["prior"]
+        prior = _record(saliency, f.video_id, "saliency", "prior")
         p_s = np.asarray(prior, dtype=np.float64)[:n_valid]
         if baseline == "uniform":
             segs = baseline_uniform(n_valid, cfg.top_k)
@@ -213,7 +224,7 @@ def stage_segment(
             raise DataError(f"unknown baseline {baseline!r}")
         return segments_to_doc(f.video_id, segs)
 
-    return save_records(_for_each_video(features_dir, work, fail_fast), out_path)
+    return save_records(_for_each_video(features_dir, work, cfg, fail_fast), out_path)
 
 
 def stage_retrieve(
@@ -230,12 +241,11 @@ def stage_retrieve(
     segments = load_segments(segments_path)
     store = load_datastore(store_path)
 
-    def work(path: Path) -> dict:
-        f = load_features(path)
+    def work(path: Path, f: FrameFeatures) -> dict:
         segs = _record(segments, f.video_id, "segments")
         n_valid = f.valid_len
         xs = f.spatial[:n_valid].astype(np.float64)
-        prior = _record(saliency, f.video_id, "saliency")["prior"]
+        prior = _record(saliency, f.video_id, "saliency", "prior")
         p_s = np.asarray(prior, dtype=np.float64)[:n_valid]
         result = retrieval_vectors(segs, xs, p_s, store, cfg.top_p)
         return {
@@ -250,7 +260,7 @@ def stage_retrieve(
             "vectors": [row.tolist() for row in result.vectors],
         }
 
-    return save_records(_for_each_video(features_dir, work, fail_fast), out_path)
+    return save_records(_for_each_video(features_dir, work, cfg, fail_fast), out_path)
 
 
 def stage_assemble(
@@ -268,10 +278,9 @@ def stage_assemble(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    def work(path: Path) -> Path:
-        f = load_features(path)
-        scores = np.asarray(_record(saliency, f.video_id, "saliency")["scores"], dtype=np.float64)
-        vectors = np.asarray(_record(retrieval, f.video_id, "retrieval")["vectors"], dtype=np.float64)
+    def work(path: Path, f: FrameFeatures) -> Path:
+        scores = np.asarray(_record(saliency, f.video_id, "saliency", "scores"), dtype=np.float64)
+        vectors = np.asarray(_record(retrieval, f.video_id, "retrieval", "vectors"), dtype=np.float64)
         prompt_map = init_prompt_map(f.dim, cfg.seed)
         prompts = project_saliency(scores, prompt_map)
         if vectors.size == 0:
@@ -286,7 +295,7 @@ def stage_assemble(
         save_decoder_input(d_in, out_path)
         return out_path
 
-    return _for_each_video(refined_dir, work, fail_fast)
+    return _for_each_video(refined_dir, work, cfg, fail_fast)
 
 
 def stage_eval(
@@ -327,8 +336,7 @@ def train_saliency_from_files(
     anns = {a.video_id: a for a in load_annotations(annotations_path)}
     refine_cfg = RefineConfig(windows=cfg.windows)
 
-    def build_example(path: Path) -> SaliencyExample | None:
-        f = load_features(path)
+    def build_example(path: Path, f: FrameFeatures) -> SaliencyExample | None:
         if f.video_id not in anns:
             logger.warning("%s: no annotation, skipped", f.video_id)
             return None
@@ -340,7 +348,7 @@ def train_saliency_from_files(
         )
 
     examples = [
-        ex for ex in _for_each_video(features_dir, build_example, fail_fast) if ex is not None
+        ex for ex in _for_each_video(features_dir, build_example, cfg, fail_fast) if ex is not None
     ]
     state = TrainState(learning_rate=learning_rate)
     result = train_saliency(examples, cfg, state=state, epochs=epochs, seed=seed)
@@ -374,7 +382,7 @@ def run_pipeline(
     out.mkdir(parents=True, exist_ok=True)
 
     stage_refine(features_dir, out / "refined", cfg, fail_fast)
-    stage_score_saliency(out / "refined", head_path, out / "saliency.jsonl", fail_fast)
+    stage_score_saliency(out / "refined", head_path, cfg, out / "saliency.jsonl", fail_fast)
     stage_segment(
         features_dir,
         out / "saliency.jsonl",

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 from numpy.typing import NDArray
 
+from .data import read_file
 from .errors import DataError
 from .rng import substream
 
@@ -109,7 +110,7 @@ def save_decoder_input(d: DecoderInput, path: str | Path) -> None:
 
 
 def load_decoder_input(path: str | Path) -> DecoderInput:
-    raw = Path(path).read_bytes()
+    raw = read_file(path)
     if len(raw) < _HEADER.size:
         raise DataError(f"{path}: truncated header")
     magic, dim, n_frames, n_prompts, n_retr, n_text = _HEADER.unpack_from(raw)

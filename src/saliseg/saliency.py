@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 from numpy.typing import NDArray
 
-from .data import PipelineConfig
+from .data import PipelineConfig, read_file
 from .errors import DataError
 from .rng import substream
 
@@ -333,7 +333,7 @@ def save_head(head: SaliencyHead, path: str | Path) -> None:
 
 
 def load_head(path: str | Path) -> SaliencyHead:
-    raw = Path(path).read_bytes()
+    raw = read_file(path)
     nl = raw.find(b"\n")
     if nl < 0:
         raise DataError(f"{path}: missing checkpoint header")

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 from numpy.typing import NDArray
 
+from .data import read_file
 from .errors import DataError
 from .segments import SegmentSet, pool_segment_features
 
@@ -148,7 +149,7 @@ def save_datastore(store: Datastore, path: str | Path) -> None:
 
 
 def load_datastore(path: str | Path) -> Datastore:
-    raw = Path(path).read_bytes()
+    raw = read_file(path)
     if len(raw) < 20 or raw[:4] != _MAGIC:
         raise DataError(f"{path}: bad datastore header")
     n, dim = struct.unpack_from("<QQ", raw, 4)

@@ -6,18 +6,25 @@ The problem couples ``F_v`` valid frames with ``K`` anchors through a plan
 * a Kantorovich cost: cosine distance between frame and anchor, discounted
   per frame by ``mu`` times the sigmoid saliency prior;
 * a quadratic structure term comparing normalized frame-index distances
-  against a 0/1 anchor-disagreement matrix with the squared loss, which
-  rewards temporally contiguous anchor assignments;
+  ``C_v[n, m] = |n - m| / (F_v - 1)`` against the 0/1 anchor-disagreement
+  matrix ``C_a = 1 - I`` with the squared loss, which rewards temporally
+  contiguous anchor assignments;
 * a KL penalty ``gamma * KL(T 1_K || p_hat)`` that pulls the frame marginal
   toward the normalized saliency prior, while the anchor marginal is pinned
   exactly to uniform ``1/K``.
+
+The structure costs are implied by ``F_v`` and ``K``, so no problem stores
+them: the structure operator applies them in closed form, from prefix sums
+along the frame axis, in O(F_v K) time and memory.
+:func:`build_structure_costs` keeps the dense definition as a reference.
 
 The solver alternates two steps until the plan stabilizes: (1) linearize the
 quadratic term at the current plan, giving a local linear cost, and solve the
 resulting KL-relaxed entropic problem with log-domain scaling iterations
 (row exponent ``gamma / (gamma + epsilon)``, exact column scaling); (2) take
 the best point on the segment from the current plan to that solution under
-the exact fused objective. Step (2) makes the recorded objective trace
+the exact fused objective, which along the segment is a quadratic in the
+step plus the KL term. Step (2) makes the recorded objective trace
 non-increasing by construction, and keeps column sums exact because both
 segment endpoints satisfy them.
 """
@@ -62,8 +69,6 @@ class OtProblem:
     """All inputs of one solve, built on valid frames only."""
 
     C_k: NDArray[np.float64]
-    C_v: NDArray[np.float64]
-    C_a: NDArray[np.float64]
     p_hat: NDArray[np.float64]
     q: NDArray[np.float64]
     alpha: float
@@ -130,7 +135,10 @@ def build_kot_cost(
 def build_structure_costs(
     n_frames: int, n_anchors: int
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Normalized index-distance frame cost and 0/1 anchor-disagreement cost."""
+    """Dense normalized index-distance frame cost and 0/1 anchor-disagreement cost.
+
+    The reference definition; the solver applies these costs in closed form.
+    """
     if n_frames < 1 or n_anchors < 1:
         raise DataError("need at least one frame and one anchor")
     idx = np.arange(n_frames, dtype=np.float64)
@@ -139,31 +147,33 @@ def build_structure_costs(
     return c_v, c_a
 
 
-def _gw_operator(
-    t: NDArray[np.float64], c_v: NDArray[np.float64], c_a: NDArray[np.float64]
-) -> NDArray[np.float64]:
-    # (L x T)[n,j] = sum_{m,k} (C_v[n,m] - C_a[j,k])^2 T[m,k], expanded so the
-    # squared loss never materializes the 4-index tensor. The marginal-weighted
-    # squares use T's own (possibly relaxed) marginals.
-    rows = t.sum(axis=1)
-    cols = t.sum(axis=0)
-    term_v = (c_v**2) @ rows
-    term_a = (c_a**2) @ cols
-    return term_v[:, None] + term_a[None, :] - 2.0 * (c_v @ t @ c_a.T)
+def _gw_operator(t: NDArray[np.float64]) -> NDArray[np.float64]:
+    # (L x T)[n,j] = sum_{m,k} (C_v[n,m] - C_a[j,k])^2 T[m,k]
+    #             = ((C_v∘C_v) rows)[n] + ((C_a∘C_a) cols)[j] - 2 (C_v T C_aᵀ)[n,j],
+    # with T's own (possibly relaxed) marginals. Frame n sits at u[n], so
+    # C_v[n,m] = |u[n] - u[m]|: C_v T = u (2P - P_F) + Q_F - 2Q from the prefix
+    # sums P of T and Q of u T, and (C_v∘C_v) rows = u² Σrows - 2u (u·rows)
+    # + u²·rows. C_a = 1 - I gives (C_a∘C_a) cols = Σcols - cols and
+    # C_v T C_aᵀ = rowsum(C_v T) 1ᵀ - C_v T.
+    u = np.arange(t.shape[0], dtype=np.float64) / max(t.shape[0] - 1, 1)
+    p = np.cumsum(t, axis=0)
+    q = np.cumsum(u[:, None] * t, axis=0)
+    cols, u_cols = p[-1], q[-1]  # P_F and Q_F: plain and u-weighted column sums
+    cv_t = u[:, None] * (2.0 * p - cols) + (u_cols - 2.0 * q)
+    mass = cols.sum()
+    u2 = u * u
+    term_v = u2 * mass - 2.0 * u * u_cols.sum() + u2 @ t.sum(axis=1)
+    return (term_v + mass - 2.0 * cv_t.sum(axis=1))[:, None] - cols + 2.0 * cv_t
 
 
-def gw_value(
-    t: NDArray[np.float64], c_v: NDArray[np.float64], c_a: NDArray[np.float64]
-) -> float:
-    """Quadratic structure objective via the square-loss decomposition."""
-    return float(np.sum(_gw_operator(t, c_v, c_a) * t))
+def gw_value(t: NDArray[np.float64]) -> float:
+    """Quadratic structure objective of an ``F_v x K`` plan, in O(F_v K)."""
+    return float(np.sum(_gw_operator(t) * t))
 
 
-def gw_gradient(
-    t: NDArray[np.float64], c_v: NDArray[np.float64], c_a: NDArray[np.float64]
-) -> NDArray[np.float64]:
+def gw_gradient(t: NDArray[np.float64]) -> NDArray[np.float64]:
     """Gradient of :func:`gw_value`; twice the operator by symmetry of C_v, C_a."""
-    return 2.0 * _gw_operator(t, c_v, c_a)
+    return 2.0 * _gw_operator(t)
 
 
 def kl_divergence(m: NDArray[np.float64], ref: NDArray[np.float64]) -> float:
@@ -180,7 +190,7 @@ def fused_objective(prob: OtProblem, t: NDArray[np.float64]) -> float:
     """alpha * GW + (1 - alpha) * <C_k, T> + gamma * KL(T 1 || p_hat)."""
     val = (1.0 - prob.alpha) * float(np.sum(prob.C_k * t))
     if prob.alpha > 0:
-        val += prob.alpha * gw_value(t, prob.C_v, prob.C_a)
+        val += prob.alpha * gw_value(t)
     if prob.gamma > 0:
         val += prob.gamma * kl_divergence(t.sum(axis=1), prob.p_hat)
     return val
@@ -235,10 +245,12 @@ def _scaling_iterations(
 def solve_fugw(prob: OtProblem, options: SolverOptions = SolverOptions()) -> TransportPlan:
     """Minimize the fused objective; see the module docstring for the scheme.
 
-    The returned trace holds the exact fused objective at the initial plan
-    and after every outer step; it is non-increasing. ``converged`` is set
-    once the plan moves less than ``plan_tol`` in L1 between outer steps and
-    the inner scaling loop itself reported convergence.
+    The returned trace holds :func:`fused_objective` at the initial plan,
+    then after every outer step the line search's exact value at the chosen
+    step (the same objective, evaluated along the segment); it is
+    non-increasing. ``converged`` is set once the plan moves less than
+    ``plan_tol`` in L1 between outer steps and the inner scaling loop itself
+    reported convergence.
     """
     p_hat = prob.p_hat
     q = prob.q
@@ -254,13 +266,16 @@ def solve_fugw(prob: OtProblem, options: SolverOptions = SolverOptions()) -> Tra
     for _outer in range(options.max_outer):
         iterations += 1
         local_cost = (1.0 - prob.alpha) * prob.C_k
+        op_t = None
         if prob.alpha > 0:
-            local_cost = local_cost + prob.alpha * gw_gradient(t, prob.C_v, prob.C_a)
+            grad = gw_gradient(t)
+            local_cost = local_cost + prob.alpha * grad
+            op_t = 0.5 * grad
         cand, f, g, inner_ok = _scaling_iterations(
             local_cost, log_p, log_q, prob.gamma, prob.epsilon, f, g, options
         )
-        _, t_next = _segment_search(prob, t, cand, options.line_search_points)
-        trace.append(fused_objective(prob, t_next))
+        value, t_next = _segment_search(prob, t, op_t, cand, options.line_search_points)
+        trace.append(value)
         moved = float(np.abs(t_next - t).sum())
         t = t_next
         if moved < options.plan_tol and inner_ok:
@@ -275,14 +290,18 @@ def solve_fugw(prob: OtProblem, options: SolverOptions = SolverOptions()) -> Tra
 def _segment_search(
     prob: OtProblem,
     t: NDArray[np.float64],
+    op_t: NDArray[np.float64] | None,
     cand: NDArray[np.float64],
     n_points: int,
 ) -> tuple[float, NDArray[np.float64]]:
     """Exact fused objective minimized over the segment t -> cand.
 
-    The quadratic term restricted to the segment is a polynomial in the step
-    size, so only the KL term needs per-point evaluation. Step 0 is always a
-    candidate, which makes the outer objective monotone.
+    ``op_t`` is the structure operator at ``t`` (half the gradient the outer
+    step already computed), or None when ``alpha`` is 0. The quadratic term
+    restricted to the segment is a polynomial in the step size, so only the
+    KL term needs per-point evaluation. Step 0 is always a candidate, which
+    makes the outer objective monotone. Returns the objective at the chosen
+    step and the plan there.
     """
     delta = cand - t
     steps = np.linspace(0.0, 1.0, n_points)
@@ -290,8 +309,7 @@ def _segment_search(
     kot_d = float(np.sum(prob.C_k * delta))
     values = (1.0 - prob.alpha) * (kot_t + steps * kot_d)
     if prob.alpha > 0:
-        op_t = _gw_operator(t, prob.C_v, prob.C_a)
-        op_d = _gw_operator(delta, prob.C_v, prob.C_a)
+        op_d = _gw_operator(delta)
         a0 = float(np.sum(op_t * t))
         a1 = 2.0 * float(np.sum(op_t * delta))
         a2 = float(np.sum(op_d * delta))
@@ -302,8 +320,7 @@ def _segment_search(
         kl = np.array([kl_divergence(rows_t + s * rows_d, prob.p_hat) for s in steps])
         values = values + prob.gamma * kl
     best = int(len(values) - 1 - np.argmin(values[::-1]))  # prefer larger step on ties
-    s = float(steps[best])
-    return s, t + s * delta
+    return float(values[best]), t + float(steps[best]) * delta
 
 
 def init_anchors(
@@ -345,13 +362,12 @@ def build_problem(
     """Assemble an :class:`OtProblem` from valid-frame features and the prior."""
     f_v = xs_valid.shape[0]
     c_k = build_kot_cost(xs_valid, anchors, p_s_valid, mu)
-    c_v, c_a = build_structure_costs(f_v, anchors.count)
     total = float(np.sum(p_s_valid))
     if total <= 0:
         raise DataError("saliency prior has no mass on valid frames")
     p_hat = np.asarray(p_s_valid, dtype=np.float64) / total
     q = np.full(anchors.count, 1.0 / anchors.count)
     return OtProblem(
-        C_k=c_k, C_v=c_v, C_a=c_a, p_hat=p_hat, q=q,
+        C_k=c_k, p_hat=p_hat, q=q,
         alpha=alpha, gamma=gamma, epsilon=epsilon, F_v=f_v,
     )

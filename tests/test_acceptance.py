@@ -252,12 +252,11 @@ class TestCriterion05BalancedOracle:
         start = time.monotonic()
         rng = np.random.default_rng(42)
         options = SolverOptions(max_outer=20)
-        c_v, c_a = build_structure_costs(6, 2)
         worst = 0.0
         for _ in range(50):
             cost = rng.uniform(0, 1, (6, 2))
             prob = OtProblem(
-                C_k=cost, C_v=c_v, C_a=c_a, p_hat=np.full(6, 1 / 6),
+                C_k=cost, p_hat=np.full(6, 1 / 6),
                 q=np.full(2, 0.5), alpha=0.0, gamma=1e6, epsilon=1e-3, F_v=6,
             )
             plan = solve_fugw(prob, options)
@@ -332,8 +331,8 @@ class TestCriterion07GwMachinery:
                             for l in range(k):
                                 acc += (c_v[a, m] - c_a[b, l]) ** 2 * t[m, l]
                         grad[a, b] = 2 * acc
-                worst = max(worst, abs(gw_value(t, c_v, c_a) - value))
-                worst = max(worst, float(np.max(np.abs(gw_gradient(t, c_v, c_a) - grad))))
+                worst = max(worst, abs(gw_value(t) - value))
+                worst = max(worst, float(np.max(np.abs(gw_gradient(t) - grad))))
         assert worst < 1e-10, f"worst deviation {worst:.2e}"
         announce(7, f"structure value and gradient match 4-index contraction (worst {worst:.1e})")
 
@@ -528,7 +527,7 @@ class TestCriterion12PipelineDeterminism:
         chained = tmp_path / "chained"
         chained.mkdir()
         stage_refine(data / "features", chained / "refined", cfg)
-        stage_score_saliency(chained / "refined", head, chained / "saliency.jsonl")
+        stage_score_saliency(chained / "refined", head, cfg, chained / "saliency.jsonl")
         stage_segment(data / "features", chained / "saliency.jsonl", cfg, chained / "segments.jsonl")
         stage_retrieve(
             data / "features", chained / "saliency.jsonl", chained / "segments.jsonl",

@@ -1,6 +1,7 @@
 """Data model: feature files, labels, annotations, config."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -13,11 +14,17 @@ from saliseg.data import (
     derive_highlight_labels,
     lint_annotations,
     load_annotations,
+    load_config,
     load_features,
+    load_records,
     save_annotations,
     save_features,
 )
 from saliseg.errors import ConfigError, DataError
+from saliseg.prompts import load_decoder_input
+from saliseg.saliency import load_head
+from saliseg.segments import load_segments
+from saliseg.store import load_datastore
 
 
 def make_features(F=4, D=2, valid_len=3, seed=0, video_id="v"):
@@ -160,6 +167,24 @@ class TestAnnotationsIO:
         path.write_text('{"video_id": "a"\n', encoding="utf-8")
         with pytest.raises(DataError):
             load_annotations(path)
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize(
+        "reader",
+        [
+            load_records, load_annotations, load_segments, load_features,
+            load_datastore, load_head, load_decoder_input, load_config,
+        ],
+        ids=lambda fn: fn.__name__,
+    )
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_path_is_a_data_error(self, tmp_path, reader, kind):
+        path = tmp_path / "input"
+        if kind == "directory":
+            path.mkdir()
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: "):
+            reader(path)
 
 
 class TestPipelineConfig:

@@ -57,7 +57,7 @@ def head_path(corpus_dir, tmp_path_factory):
 def saliency_path(corpus_dir, head_path, tmp_path_factory):
     root = tmp_path_factory.mktemp("scored")
     stage_refine(corpus_dir / "features", root / "refined", CFG)
-    return stage_score_saliency(root / "refined", head_path, root / "saliency.jsonl")
+    return stage_score_saliency(root / "refined", head_path, CFG, root / "saliency.jsonl")
 
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
@@ -109,7 +109,7 @@ class TestPipeline:
         chained = tmp_path / "chained"
         chained.mkdir()
         stage_refine(corpus_dir / "features", chained / "refined", CFG)
-        stage_score_saliency(chained / "refined", head_path, chained / "saliency.jsonl")
+        stage_score_saliency(chained / "refined", head_path, CFG, chained / "saliency.jsonl")
         stage_segment(
             corpus_dir / "features", chained / "saliency.jsonl", CFG,
             chained / "segments.jsonl",
@@ -238,6 +238,90 @@ class TestFailureIsolation:
                 CFG, tmp_path / "tin", fail_fast=True,
             )
 
+    def test_video_over_f_max_skipped_or_fatal(self, corpus_dir, head_path, tmp_path):
+        feats = copy_features(corpus_dir, tmp_path)
+        victim = sorted(feats.glob("*.sfeat"))[1]
+        f = load_features(victim)
+        pad = np.zeros((CFG.F_max + 1 - f.n_frames, f.dim), dtype=np.float32)
+        save_features(
+            FrameFeatures(
+                f.video_id, np.vstack([f.spatial, pad]), np.vstack([f.encoded, pad]), f.valid_len
+            ),
+            victim,
+        )
+        out = tmp_path / "run"
+        args = (CFG, feats, corpus_dir / "annotations.jsonl", corpus_dir / "datastore.sds", head_path)
+        run_pipeline(*args, out)
+        others = sorted(p.stem for p in feats.glob("*.sfeat") if p != victim)
+        assert sorted(p.stem for p in (out / "refined").glob("*.sfeat")) == others
+        for name in ("saliency.jsonl", "segments.jsonl", "retrieval.jsonl"):
+            lines = (out / name).read_text().splitlines()
+            assert sorted(json.loads(line)["video_id"] for line in lines) == others
+        message = f"{f.video_id}: {CFG.F_max + 1} frames exceed F_max={CFG.F_max}"
+        with pytest.raises(DataError, match=message):
+            run_pipeline(*args, tmp_path / "fatal", fail_fast=True)
+        with pytest.raises(DataError, match=message):
+            stage_segment(
+                feats, out / "saliency.jsonl", CFG, tmp_path / "segments.jsonl", fail_fast=True
+            )
+
+
+def without_field(src: Path, field: str, dst: Path) -> Path:
+    docs = [json.loads(line) for line in src.read_text().splitlines()]
+    for doc in docs:
+        del doc[field]
+    dst.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+    return dst
+
+
+class TestRecordFields:
+    @pytest.fixture(scope="class")
+    def upstream(self, corpus_dir, saliency_path, tmp_path_factory):
+        root = tmp_path_factory.mktemp("upstream")
+        features = corpus_dir / "features"
+        stage_segment(features, saliency_path, CFG, root / "segments.jsonl")
+        stage_retrieve(
+            features, saliency_path, root / "segments.jsonl", corpus_dir / "datastore.sds",
+            CFG, root / "retrieval.jsonl",
+        )
+        return root
+
+    @pytest.mark.parametrize(
+        "stage, kind, field",
+        [
+            ("segment", "saliency", "prior"),
+            ("retrieve", "saliency", "prior"),
+            ("assemble", "saliency", "scores"),
+            ("assemble", "retrieval", "vectors"),
+        ],
+    )
+    def test_record_without_field_skips_or_fails(
+        self, corpus_dir, saliency_path, upstream, tmp_path, stage, kind, field
+    ):
+        files = {"saliency": saliency_path, "retrieval": upstream / "retrieval.jsonl"}
+        files[kind] = without_field(files[kind], field, tmp_path / f"{kind}.jsonl")
+        features = corpus_dir / "features"
+        out = tmp_path / "out"
+
+        def run(fail_fast):
+            if stage == "segment":
+                stage_segment(features, files["saliency"], CFG, out, fail_fast=fail_fast)
+            elif stage == "retrieve":
+                stage_retrieve(
+                    features, files["saliency"], upstream / "segments.jsonl",
+                    corpus_dir / "datastore.sds", CFG, out, fail_fast,
+                )
+            else:
+                stage_assemble(
+                    saliency_path.parent / "refined", files["saliency"], files["retrieval"],
+                    CFG, out, fail_fast=fail_fast,
+                )
+
+        with pytest.raises(DataError, match=f"v0000: {kind} record lacks '{field}'"):
+            run(True)
+        run(False)  # every video lacks the field, so every video is skipped
+        assert (out.read_text() == "") if stage != "assemble" else not any(out.iterdir())
+
 
 class TestCli:
     def test_full_cli_chain(self, tmp_path):
@@ -325,6 +409,18 @@ class TestCli:
         bad.write_text(bad_line + "\n")
         assert main(self.segment_args(corpus_dir, bad, tmp_path / "segments.jsonl")) == 3
         assert f"{bad}:1:" in caplog.text
+
+    def test_record_without_field_exit_code(self, corpus_dir, tmp_path, caplog):
+        bare = tmp_path / "saliency.jsonl"
+        bare.write_text('{"video_id": "v0000"}\n')
+        args = self.segment_args(corpus_dir, bare, tmp_path / "segments.jsonl")
+        assert main(args + ["--fail-fast"]) == 3
+        assert "v0000: saliency record lacks 'prior'" in caplog.text
+
+    def test_missing_input_file_exit_code(self, corpus_dir, tmp_path, caplog):
+        missing = tmp_path / "missing.jsonl"
+        assert main(self.segment_args(corpus_dir, missing, tmp_path / "segments.jsonl")) == 3
+        assert f"{missing}: No such file or directory" in caplog.text
 
     def test_unconverged_solve_exit_code_under_fail_fast(
         self, corpus_dir, saliency_path, tmp_path, monkeypatch

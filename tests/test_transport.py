@@ -1,10 +1,12 @@
 """Transport solver: costs, quadratic structure term, scaling iterations."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
+from saliseg import transport
 from saliseg.errors import DataError
 from saliseg.transport import (
     AnchorSet,
@@ -46,11 +48,17 @@ def brute_gw_gradient(t, c_v, c_a):
     return g
 
 
+def dense_gw_operator(t, c_v, c_a):
+    """The square-loss expansion of the structure operator with dense costs."""
+    rows = t.sum(axis=1)
+    cols = t.sum(axis=0)
+    return ((c_v**2) @ rows)[:, None] + ((c_a**2) @ cols)[None, :] - 2.0 * (c_v @ t @ c_a.T)
+
+
 def balanced_problem(cost, gamma=1e6, epsilon=1e-3, alpha=0.0):
     f_v, k = cost.shape
-    c_v, c_a = build_structure_costs(f_v, k)
     return OtProblem(
-        C_k=cost, C_v=c_v, C_a=c_a,
+        C_k=cost,
         p_hat=np.full(f_v, 1.0 / f_v), q=np.full(k, 1.0 / k),
         alpha=alpha, gamma=gamma, epsilon=epsilon, F_v=f_v,
     )
@@ -120,15 +128,12 @@ class TestStructureCosts:
 
 class TestGwMachinery:
     def test_zero_plan_zero_gradient(self):
-        c_v, c_a = build_structure_costs(4, 2)
-        np.testing.assert_array_equal(gw_gradient(np.zeros((4, 2)), c_v, c_a), 0.0)
+        np.testing.assert_array_equal(gw_gradient(np.zeros((4, 2))), 0.0)
 
     def test_uniform_2x2_matches_brute_force(self):
         c_v, c_a = build_structure_costs(2, 2)
         t = np.full((2, 2), 0.25)
-        np.testing.assert_allclose(
-            gw_gradient(t, c_v, c_a), brute_gw_gradient(t, c_v, c_a), atol=1e-10
-        )
+        np.testing.assert_allclose(gw_gradient(t), brute_gw_gradient(t, c_v, c_a), atol=1e-10)
 
     @pytest.mark.parametrize("shape", [(3, 2), (5, 3), (4, 4)])
     def test_random_plans_match_brute_force(self, shape):
@@ -137,26 +142,24 @@ class TestGwMachinery:
         for _ in range(5):
             t = rng.random(shape)
             t /= t.sum()
+            np.testing.assert_allclose(gw_value(t), brute_gw_value(t, c_v, c_a), atol=1e-10)
             np.testing.assert_allclose(
-                gw_value(t, c_v, c_a), brute_gw_value(t, c_v, c_a), atol=1e-10
-            )
-            np.testing.assert_allclose(
-                gw_gradient(t, c_v, c_a), brute_gw_gradient(t, c_v, c_a), atol=1e-10
+                gw_gradient(t), brute_gw_gradient(t, c_v, c_a), atol=1e-10
             )
 
-    def test_arbitrary_symmetric_structure_matrices(self):
-        rng = np.random.default_rng(11)
-        c_v = rng.random((4, 4))
-        c_v = (c_v + c_v.T) / 2
-        c_a = rng.random((3, 3))
-        c_a = (c_a + c_a.T) / 2
-        t = rng.random((4, 3))
-        np.testing.assert_allclose(
-            gw_value(t, c_v, c_a), brute_gw_value(t, c_v, c_a), atol=1e-10
-        )
-        np.testing.assert_allclose(
-            gw_gradient(t, c_v, c_a), brute_gw_gradient(t, c_v, c_a), atol=1e-10
-        )
+    @pytest.mark.parametrize("k", [1, 8, 32])
+    @pytest.mark.parametrize("f", [1, 2, 3, 100, 1600])
+    def test_closed_form_matches_dense_costs(self, f, k):
+        rng = np.random.default_rng(f * 100 + k)
+        c_v, c_a = build_structure_costs(f, k)
+        t = rng.random((f, k))
+        t /= t.sum()
+        # A line-search direction: mixed signs, rows and columns not normalized.
+        delta = rng.random((f, k)) / t.size - t
+        for plan in (t, delta):
+            op = dense_gw_operator(plan, c_v, c_a)
+            np.testing.assert_allclose(gw_value(plan), float(np.sum(op * plan)), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(gw_gradient(plan), 2.0 * op, rtol=0, atol=1e-12)
 
 
 class TestKlDivergence:
@@ -216,10 +219,9 @@ class TestSolveFugw:
         for alpha, gamma in ((0.0, 0.3), (0.5, 0.3), (0.8, 3.0)):
             cost = rng.uniform(0, 1, (10, 3))
             p = rng.random(10) + 0.1
-            prob = balanced_problem(cost, gamma=gamma, epsilon=0.05, alpha=alpha)
             prob = OtProblem(
-                C_k=cost, C_v=prob.C_v, C_a=prob.C_a, p_hat=p / p.sum(),
-                q=prob.q, alpha=alpha, gamma=gamma, epsilon=0.05, F_v=10,
+                C_k=cost, p_hat=p / p.sum(), q=np.full(3, 1 / 3),
+                alpha=alpha, gamma=gamma, epsilon=0.05, F_v=10,
             )
             plan = solve_fugw(prob)
             np.testing.assert_allclose(plan.T.sum(axis=0), 1 / 3, atol=1e-6)
@@ -230,15 +232,38 @@ class TestSolveFugw:
         rng = np.random.default_rng(3)
         cost = rng.uniform(0, 1, (12, 4))
         p = rng.random(12) + 0.05
-        c_v, c_a = build_structure_costs(12, 4)
         prob = OtProblem(
-            C_k=cost, C_v=c_v, C_a=c_a, p_hat=p / p.sum(), q=np.full(4, 0.25),
+            C_k=cost, p_hat=p / p.sum(), q=np.full(4, 0.25),
             alpha=0.5, gamma=0.3, epsilon=0.1, F_v=12,
         )
         plan = solve_fugw(prob)
         trace = np.array(plan.objective_trace)
         assert np.all(np.diff(trace) <= 1e-9)
         np.testing.assert_allclose(trace[-1], fused_objective(prob, plan.T), atol=1e-12)
+
+    def test_trace_start_and_operator_calls_per_step(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        xs = rng.normal(size=(50, 6))
+        anchors = init_anchors(xs, 4, seed=0, video_id="t")
+        prob = build_problem(xs, anchors, rng.random(50), alpha=0.5, gamma=0.3, epsilon=0.1, mu=0.1)
+        calls = []
+        operator = transport._gw_operator
+        monkeypatch.setattr(transport, "_gw_operator", lambda t: calls.append(1) or operator(t))
+        plan = solve_fugw(prob)
+        # One call for trace[0], then the gradient and the line-search direction per step.
+        assert len(calls) == 1 + 2 * plan.iterations
+        assert plan.objective_trace[0] == fused_objective(prob, np.outer(prob.p_hat, prob.q))
+
+    def test_problem_holds_no_frame_by_frame_matrix(self):
+        rng = np.random.default_rng(11)
+        f_v, k = 1600, 8
+        xs = rng.normal(size=(f_v, 4))
+        anchors = init_anchors(xs, k, seed=0, video_id="t")
+        prob = build_problem(xs, anchors, rng.random(f_v), alpha=0.5, gamma=0.3, epsilon=0.1, mu=0.1)
+        sizes = {
+            f.name: np.asarray(getattr(prob, f.name)).size for f in dataclasses.fields(prob)
+        }
+        assert max(sizes.values()) <= f_v * k, sizes
 
     def test_kl_pull_monotone_in_gamma(self):
         rng = np.random.default_rng(4)
