@@ -66,7 +66,6 @@ from .synth import SynthCorpus, SynthSpec, generate_corpus, write_corpus
 from .transport import (
     AnchorSet,
     OtProblem,
-    SolverOptions,
     TransportPlan,
     build_kot_cost,
     build_problem,

@@ -8,6 +8,7 @@ error, 3 data error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 from pathlib import Path
@@ -40,14 +41,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _load_cfg(args: argparse.Namespace) -> PipelineConfig:
     cfg = load_config(args.config) if args.config else PipelineConfig()
     if getattr(args, "seed", None) is not None:
-        cfg = PipelineConfig(**{**_cfg_dict(cfg), "seed": args.seed})
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg
-
-
-def _cfg_dict(cfg: PipelineConfig) -> dict:
-    import dataclasses
-
-    return dataclasses.asdict(cfg)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -127,8 +122,6 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "synth":
         spec = spec_from_json(read_text(args.spec))
         if args.seed is not None:
-            import dataclasses
-
             spec = dataclasses.replace(spec, seed=args.seed)
         write_corpus(generate_corpus(spec), args.out_dir)
         return 0

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .errors import DataError
 
-DEFAULT_THRESHOLDS = (0.3, 0.5, 0.7, 0.9)
+THRESHOLDS = (0.3, 0.5, 0.7, 0.9)
 
 Interval = tuple[int, int]
 
@@ -62,12 +62,8 @@ def _max_ious(sources: list[Interval], targets: list[Interval]) -> list[float]:
     return [max((iou(s, t) for t in targets), default=0.0) for s in sources]
 
 
-def localization_prf(
-    pred: list[Interval],
-    gt: list[Interval],
-    thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS,
-) -> LocalizationReport:
-    """Precision/recall/F1 averaged over IoU thresholds for one video.
+def localization_prf(pred: list[Interval], gt: list[Interval]) -> LocalizationReport:
+    """Precision/recall/F1 averaged over the IoU ``THRESHOLDS`` for one video.
 
     Empty predictions give precision 0 with a flag rather than being
     skipped, so degraded runs are penalized. Empty ground truth is flagged
@@ -82,15 +78,15 @@ def localization_prf(
     gt_best = _max_ious(gt, pred)
     per_threshold: dict[float, dict[str, float]] = {}
     p_sum = r_sum = 0.0
-    for t in thresholds:
+    for t in THRESHOLDS:
         p_t = sum(v >= t for v in pred_best) / len(pred) if pred else 0.0
         r_t = sum(v >= t for v in gt_best) / len(gt) if gt else 0.0
         f_t = 2 * p_t * r_t / (p_t + r_t) if p_t + r_t > 0 else 0.0
         per_threshold[t] = {"precision": p_t, "recall": r_t, "f1": f_t}
         p_sum += p_t
         r_sum += r_t
-    precision = p_sum / len(thresholds)
-    recall = r_sum / len(thresholds)
+    precision = p_sum / len(THRESHOLDS)
+    recall = r_sum / len(THRESHOLDS)
     f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
     r05, miou, matched = segment_quality(pred, gt) if gt else (0.0, 0.0, 0)
     return LocalizationReport(
@@ -133,13 +129,12 @@ def segment_quality(pred: list[Interval], gt: list[Interval]) -> tuple[float, fl
 
 def evaluate_corpus(
     per_video: dict[str, tuple[list[Interval], list[Interval]]],
-    thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS,
 ) -> tuple[LocalizationReport, dict[str, LocalizationReport]]:
     """Unweighted per-video mean of every metric, in sorted video order."""
     if not per_video:
         raise DataError("empty corpus")
     reports = {
-        vid: localization_prf(pred, gt, thresholds)
+        vid: localization_prf(pred, gt)
         for vid, (pred, gt) in sorted(per_video.items())
     }
     n = len(reports)
@@ -149,7 +144,7 @@ def evaluate_corpus(
             k: sum(r.per_threshold[t][k] for r in reports.values()) / n
             for k in ("precision", "recall", "f1")
         }
-        for t in thresholds
+        for t in THRESHOLDS
     }
     precision = mean("precision")
     recall = mean("recall")

@@ -56,7 +56,6 @@ from .refine import RefineConfig, refine_features
 from .saliency import (
     SaliencyExample,
     TrainResult,
-    TrainState,
     load_head,
     saliency_forward,
     saliency_prior,
@@ -120,6 +119,19 @@ def _record(records: dict, video_id: str, kind: str, field: str | None = None):
     if field not in records[video_id]:
         raise DataError(f"{video_id}: {kind} record lacks '{field}'")
     return records[video_id][field]
+
+
+def _frame_values(records: dict, f: FrameFeatures, kind: str, field: str) -> np.ndarray:
+    """A per-frame field of one video's upstream record, which must be a
+    list of exactly ``F`` numbers; anything else skips the video."""
+    values = _record(records, f.video_id, kind, field)
+    if not (
+        isinstance(values, list)
+        and len(values) == f.n_frames
+        and all(type(v) in (int, float) for v in values)
+    ):
+        raise DataError(f"{f.video_id}: {kind} '{field}' is not a list of {f.n_frames} numbers")
+    return np.asarray(values, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +214,7 @@ def stage_segment(
     def work(path: Path, f: FrameFeatures) -> dict:
         n_valid = f.valid_len
         xs = f.spatial[:n_valid].astype(np.float64)
-        prior = _record(saliency, f.video_id, "saliency", "prior")
-        p_s = np.asarray(prior, dtype=np.float64)[:n_valid]
+        p_s = _frame_values(saliency, f, "saliency", "prior")[:n_valid]
         if baseline == "uniform":
             segs = baseline_uniform(n_valid, cfg.top_k)
         elif baseline == "kmeans":
@@ -245,8 +256,7 @@ def stage_retrieve(
         segs = _record(segments, f.video_id, "segments")
         n_valid = f.valid_len
         xs = f.spatial[:n_valid].astype(np.float64)
-        prior = _record(saliency, f.video_id, "saliency", "prior")
-        p_s = np.asarray(prior, dtype=np.float64)[:n_valid]
+        p_s = _frame_values(saliency, f, "saliency", "prior")[:n_valid]
         result = retrieval_vectors(segs, xs, p_s, store, cfg.top_p)
         return {
             "video_id": f.video_id,
@@ -279,7 +289,7 @@ def stage_assemble(
     out.mkdir(parents=True, exist_ok=True)
 
     def work(path: Path, f: FrameFeatures) -> Path:
-        scores = np.asarray(_record(saliency, f.video_id, "saliency", "scores"), dtype=np.float64)
+        scores = _frame_values(saliency, f, "saliency", "scores")
         vectors = np.asarray(_record(retrieval, f.video_id, "retrieval", "vectors"), dtype=np.float64)
         prompt_map = init_prompt_map(f.dim, cfg.seed)
         prompts = project_saliency(scores, prompt_map)
@@ -350,8 +360,7 @@ def train_saliency_from_files(
     examples = [
         ex for ex in _for_each_video(features_dir, build_example, cfg, fail_fast) if ex is not None
     ]
-    state = TrainState(learning_rate=learning_rate)
-    result = train_saliency(examples, cfg, state=state, epochs=epochs, seed=seed)
+    result = train_saliency(examples, cfg, epochs=epochs, learning_rate=learning_rate, seed=seed)
     save_head(result.head, out_head)
     return result
 

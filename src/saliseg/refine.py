@@ -20,13 +20,14 @@ from .errors import ConfigError, DataError
 
 logger = logging.getLogger(__name__)
 
+_LN_EPSILON = 1e-5  # variance guard of the layer normalization
+
 
 @dataclass(frozen=True)
 class RefineConfig:
-    """Window sizes and normalization constants for the refinement pass."""
+    """Window sizes of the refinement pass."""
 
     windows: tuple[int, ...] = (8, 32, 64)
-    ln_epsilon: float = 1e-5
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "windows", tuple(int(w) for w in self.windows))
@@ -34,8 +35,6 @@ class RefineConfig:
             raise ConfigError("window sizes must be >= 2")
         if any(w2 <= w1 for w1, w2 in zip(self.windows, self.windows[1:])):
             raise ConfigError("windows must be strictly increasing")
-        if self.ln_epsilon <= 0:
-            raise ConfigError("ln_epsilon must be > 0")
 
 
 def window_attention(x_seg: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -57,11 +56,11 @@ def window_attention(x_seg: NDArray[np.float64]) -> NDArray[np.float64]:
     return weights @ x
 
 
-def _layer_norm(x: NDArray[np.float64], eps: float) -> NDArray[np.float64]:
+def _layer_norm(x: NDArray[np.float64]) -> NDArray[np.float64]:
     # Per-frame normalization over the feature dimension, no learnable scale/shift.
     mean = x.mean(axis=1, keepdims=True)
     var = x.var(axis=1, keepdims=True)
-    return (x - mean) / np.sqrt(var + eps)
+    return (x - mean) / np.sqrt(var + _LN_EPSILON)
 
 
 def refine_features(
@@ -110,6 +109,6 @@ def refine_features(
     if np.any(covered):
         averaged = np.zeros_like(xv)
         averaged[covered] = acc[covered] / count[covered, None]
-        normed = _layer_norm(averaged[covered], cfg.ln_epsilon)
+        normed = _layer_norm(averaged[covered])
         refined[:n_valid][covered] = xv[covered] + normed
     return refined

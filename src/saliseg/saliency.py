@@ -30,6 +30,11 @@ from .rng import substream
 
 logger = logging.getLogger(__name__)
 
+# Adam moment decay rates and denominator guard.
+_BETA1 = 0.9
+_BETA2 = 0.999
+_ADAM_EPSILON = 1e-8
+
 
 @dataclass
 class SaliencyHead:
@@ -219,24 +224,11 @@ def saliency_prior(
 
 @dataclass
 class TrainState:
-    """Adam state: per-parameter first/second moments and hyperparameters."""
+    """Adam state: the step count and per-parameter first/second moments."""
 
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     step: int = 0
     m: dict[str, NDArray[np.float64]] = field(default_factory=dict)
     v: dict[str, NDArray[np.float64]] = field(default_factory=dict)
-
-    def ensure_shapes(self, head: SaliencyHead) -> None:
-        params = {"w_pool": head.w_pool, "W1": head.W1, "W2": head.W2}
-        for name, value in params.items():
-            if name not in self.m:
-                self.m[name] = np.zeros_like(value)
-                self.v[name] = np.zeros_like(value)
-            elif self.m[name].shape != value.shape:
-                raise DataError(f"train state shape mismatch for {name}")
 
 
 @dataclass(frozen=True)
@@ -259,9 +251,8 @@ class TrainResult:
 def train_saliency(
     examples: list[SaliencyExample],
     cfg: PipelineConfig,
-    state: TrainState | None = None,
-    head: SaliencyHead | None = None,
     epochs: int = 20,
+    learning_rate: float = 1e-3,
     seed: int | None = None,
 ) -> TrainResult:
     """Adam over per-video losses ``lambda * L``; deterministic given seed.
@@ -278,14 +269,14 @@ def train_saliency(
             usable.append(ex)
         else:
             logger.warning("%s: no highlight frames, skipped for training", ex.video_id)
-    if head is None:
-        if not usable:
-            raise DataError("no trainable videos")
-        head = init_head(usable[0].features.shape[1], cfg.tau, seed)
-    head = head.copy()
-    if state is None:
-        state = TrainState()
-    state.ensure_shapes(head)
+    if not usable:
+        raise DataError("no trainable videos")
+    head = init_head(usable[0].features.shape[1], cfg.tau, seed)
+    params = {"w_pool": head.w_pool, "W1": head.W1, "W2": head.W2}  # updated in place
+    state = TrainState(
+        m={name: np.zeros_like(p) for name, p in params.items()},
+        v={name: np.zeros_like(p) for name, p in params.items()},
+    )
     rng = substream(seed, "train-saliency")
     loss_curve: list[float] = []
     last_good = head.copy()
@@ -304,14 +295,13 @@ def train_saliency(
             grads = saliency_grad(head, ex.features, ex.mask, ex.labels)
             state.step += 1
             t = state.step
-            params = {"w_pool": head.w_pool, "W1": head.W1, "W2": head.W2}
             for name, g in grads.items():
                 g = cfg.lambda_ * g
-                state.m[name] = state.beta1 * state.m[name] + (1 - state.beta1) * g
-                state.v[name] = state.beta2 * state.v[name] + (1 - state.beta2) * g * g
-                m_hat = state.m[name] / (1 - state.beta1**t)
-                v_hat = state.v[name] / (1 - state.beta2**t)
-                params[name] -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.adam_epsilon)
+                state.m[name] = _BETA1 * state.m[name] + (1 - _BETA1) * g
+                state.v[name] = _BETA2 * state.v[name] + (1 - _BETA2) * g * g
+                m_hat = state.m[name] / (1 - _BETA1**t)
+                v_hat = state.v[name] / (1 - _BETA2**t)
+                params[name] -= learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPSILON)
             epoch_loss += cfg.lambda_ * loss
             last_good = head.copy()
         if usable:

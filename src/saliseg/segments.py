@@ -21,6 +21,8 @@ from .transport import TransportPlan
 
 logger = logging.getLogger(__name__)
 
+_KMEANS_MAX_ITER = 100
+
 
 @dataclass(frozen=True)
 class Segment:
@@ -91,21 +93,17 @@ def score_segments(segs: SegmentSet, plan: TransportPlan) -> SegmentSet:
     return SegmentSet(segments=tuple(scored), selected=segs.selected)
 
 
-def select_topk(segs: SegmentSet, k: int, min_len: int = 1) -> SegmentSet:
+def select_topk(segs: SegmentSet, k: int) -> SegmentSet:
     """Keep the k highest-scoring segments; report them in temporal order.
 
     Ties break toward the earlier segment. If there are fewer than k
-    segments, all are selected. Segments shorter than ``min_len`` stay in
-    the partition but are never selected (default 1: no filtering); if the
-    filter removes everything it is ignored.
+    segments, all are selected.
     """
     if k < 1:
         raise DataError("k must be >= 1")
-    eligible = [i for i, s in enumerate(segs.segments) if s.length >= min_len]
-    if not eligible:
-        eligible = list(range(len(segs.segments)))
     order = sorted(
-        eligible, key=lambda i: (-segs.segments[i].score, segs.segments[i].start)
+        range(len(segs.segments)),
+        key=lambda i: (-segs.segments[i].score, segs.segments[i].start),
     )
     chosen = sorted(order[: min(k, len(order))])
     return SegmentSet(segments=segs.segments, selected=tuple(chosen))
@@ -150,9 +148,7 @@ def baseline_uniform(n_frames: int, k: int) -> SegmentSet:
     return SegmentSet(segments=tuple(segments), selected=tuple(range(k)))
 
 
-def baseline_kmeans(
-    xs: NDArray[np.float64], k: int, seed: int, video_id: str = "", max_iter: int = 100
-) -> SegmentSet:
+def baseline_kmeans(xs: NDArray[np.float64], k: int, seed: int, video_id: str = "") -> SegmentSet:
     """Lloyd's iterations with deterministic farthest-point seeding.
 
     Cluster labels are run-length encoded into contiguous segments, so a
@@ -178,7 +174,7 @@ def baseline_kmeans(
     centers = np.stack(centers)
 
     labels = np.zeros(n, dtype=np.int64)
-    for _ in range(max_iter):
+    for _ in range(_KMEANS_MAX_ITER):
         dists = np.linalg.norm(xs[:, None, :] - centers[None, :, :], axis=2)
         new_labels = np.argmin(dists, axis=1)
         for j in range(k):

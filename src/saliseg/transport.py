@@ -42,6 +42,14 @@ from .rng import substream
 
 logger = logging.getLogger(__name__)
 
+# Fixed solver protocol: scaling iterations per outer step, the L1 plan
+# movement and potential change that count as converged, and the points of
+# the line-search grid on [0, 1].
+_MAX_INNER = 100
+_PLAN_TOL = 1e-7
+_POTENTIAL_TOL = 1e-11
+_LINE_SEARCH_POINTS = 33
+
 
 @dataclass(frozen=True)
 class AnchorSet:
@@ -66,17 +74,20 @@ class AnchorSet:
 
 @dataclass(frozen=True)
 class OtProblem:
-    """All inputs of one solve, built on valid frames only."""
+    """All inputs of one solve, built on valid frames only.
+
+    ``C_k`` is ``F_v x K``; the anchor marginal is uniform ``1/K``.
+    """
 
     C_k: NDArray[np.float64]
     p_hat: NDArray[np.float64]
-    q: NDArray[np.float64]
     alpha: float
     gamma: float
     epsilon: float
-    F_v: int
 
     def __post_init__(self) -> None:
+        if self.C_k.ndim != 2 or self.p_hat.shape != (self.C_k.shape[0],):
+            raise DataError("p_hat length must equal the number of cost rows")
         if self.epsilon <= 0:
             raise DataError("epsilon must be > 0")
         if not 0.0 <= self.alpha <= 1.0:
@@ -85,10 +96,6 @@ class OtProblem:
             raise DataError("gamma must be >= 0")
         if abs(float(self.p_hat.sum()) - 1.0) > 1e-9 or np.any(self.p_hat <= 0):
             raise DataError("p_hat must be strictly positive and sum to 1")
-        if abs(float(self.q.sum()) - 1.0) > 1e-9:
-            raise DataError("q must sum to 1")
-        if self.C_k.shape != (self.F_v, self.q.shape[0]):
-            raise DataError("cost matrix shape mismatch")
 
 
 @dataclass
@@ -99,15 +106,6 @@ class TransportPlan:
     objective_trace: list[float]
     iterations: int
     converged: bool
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    max_outer: int = 200
-    max_inner: int = 100
-    plan_tol: float = 1e-7
-    potential_tol: float = 1e-11
-    line_search_points: int = 33
 
 
 def build_kot_cost(
@@ -210,18 +208,17 @@ def _scaling_iterations(
     epsilon: float,
     f: NDArray[np.float64],
     g: NDArray[np.float64],
-    options: SolverOptions,
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64], bool]:
     """Log-domain scaling for one linearized problem.
 
     Row potentials follow the KL-relaxed update with exponent
     ``gamma / (gamma + epsilon)`` (zero when gamma is 0, which leaves rows
     unconstrained); column potentials are exact, so the anchor marginal of
-    the returned plan matches ``q`` to machine precision..
+    the returned plan matches ``exp(log_q)`` to machine precision.
     """
     fi = gamma / (gamma + epsilon) if gamma > 0 else 0.0
     inner_ok = False
-    for _ in range(options.max_inner):
+    for _ in range(_MAX_INNER):
         f_prev = f
         g_prev = g
         if fi > 0:
@@ -233,7 +230,7 @@ def _scaling_iterations(
         if np.any(~np.isfinite(f)) or np.any(~np.isfinite(g)):
             raise NumericalError("non-finite scaling potentials")
         delta = max(float(np.max(np.abs(f - f_prev))), float(np.max(np.abs(g - g_prev))))
-        if delta < options.potential_tol:
+        if delta < _POTENTIAL_TOL:
             inner_ok = True
             break
     t = np.exp((f[:, None] + g[None, :] - cost) / epsilon)
@@ -242,28 +239,29 @@ def _scaling_iterations(
     return t, f, g, inner_ok
 
 
-def solve_fugw(prob: OtProblem, options: SolverOptions = SolverOptions()) -> TransportPlan:
+def solve_fugw(prob: OtProblem, max_outer: int = 200) -> TransportPlan:
     """Minimize the fused objective; see the module docstring for the scheme.
 
     The returned trace holds :func:`fused_objective` at the initial plan,
     then after every outer step the line search's exact value at the chosen
     step (the same objective, evaluated along the segment); it is
     non-increasing. ``converged`` is set once the plan moves less than
-    ``plan_tol`` in L1 between outer steps and the inner scaling loop itself
+    ``_PLAN_TOL`` in L1 between outer steps and the inner scaling loop itself
     reported convergence.
     """
+    f_v, k = prob.C_k.shape
     p_hat = prob.p_hat
-    q = prob.q
+    q = np.full(k, 1.0 / k)
     t = np.outer(p_hat, q)  # feasible start: exact marginals, zero KL
     log_p = np.log(p_hat)
     log_q = np.log(q)
-    f = np.zeros(prob.F_v)
-    g = np.zeros(q.shape[0])
+    f = np.zeros(f_v)
+    g = np.zeros(k)
     trace = [fused_objective(prob, t)]
     converged = False
     iterations = 0
 
-    for _outer in range(options.max_outer):
+    for _outer in range(max_outer):
         iterations += 1
         local_cost = (1.0 - prob.alpha) * prob.C_k
         op_t = None
@@ -272,18 +270,18 @@ def solve_fugw(prob: OtProblem, options: SolverOptions = SolverOptions()) -> Tra
             local_cost = local_cost + prob.alpha * grad
             op_t = 0.5 * grad
         cand, f, g, inner_ok = _scaling_iterations(
-            local_cost, log_p, log_q, prob.gamma, prob.epsilon, f, g, options
+            local_cost, log_p, log_q, prob.gamma, prob.epsilon, f, g
         )
-        value, t_next = _segment_search(prob, t, op_t, cand, options.line_search_points)
+        value, t_next = _segment_search(prob, t, op_t, cand)
         trace.append(value)
         moved = float(np.abs(t_next - t).sum())
         t = t_next
-        if moved < options.plan_tol and inner_ok:
+        if moved < _PLAN_TOL and inner_ok:
             converged = True
             break
 
     if not converged:
-        logger.warning("transport solver hit max_outer=%d without converging", options.max_outer)
+        logger.warning("transport solver hit max_outer=%d without converging", max_outer)
     return TransportPlan(T=t, objective_trace=trace, iterations=iterations, converged=converged)
 
 
@@ -292,7 +290,6 @@ def _segment_search(
     t: NDArray[np.float64],
     op_t: NDArray[np.float64] | None,
     cand: NDArray[np.float64],
-    n_points: int,
 ) -> tuple[float, NDArray[np.float64]]:
     """Exact fused objective minimized over the segment t -> cand.
 
@@ -304,7 +301,7 @@ def _segment_search(
     step and the plan there.
     """
     delta = cand - t
-    steps = np.linspace(0.0, 1.0, n_points)
+    steps = np.linspace(0.0, 1.0, _LINE_SEARCH_POINTS)
     kot_t = float(np.sum(prob.C_k * t))
     kot_d = float(np.sum(prob.C_k * delta))
     values = (1.0 - prob.alpha) * (kot_t + steps * kot_d)
@@ -334,11 +331,13 @@ def init_anchors(
     repeat only when there are fewer frames than anchors.
     """
     xs = np.asarray(xs, dtype=np.float64)
+    n = xs.shape[0]
+    if n == 0:
+        raise DataError("no feature rows to draw anchors from")
     norms = np.linalg.norm(xs, axis=1)
     if np.any(norms == 0):
         raise DataError("zero-norm feature row")
     unit = xs / norms[:, None]
-    n = xs.shape[0]
     rng = substream(seed, "anchors", video_id)
     first = int(rng.integers(n))
     chosen = [first]
@@ -360,14 +359,9 @@ def build_problem(
     mu: float,
 ) -> OtProblem:
     """Assemble an :class:`OtProblem` from valid-frame features and the prior."""
-    f_v = xs_valid.shape[0]
     c_k = build_kot_cost(xs_valid, anchors, p_s_valid, mu)
     total = float(np.sum(p_s_valid))
     if total <= 0:
         raise DataError("saliency prior has no mass on valid frames")
     p_hat = np.asarray(p_s_valid, dtype=np.float64) / total
-    q = np.full(anchors.count, 1.0 / anchors.count)
-    return OtProblem(
-        C_k=c_k, p_hat=p_hat, q=q,
-        alpha=alpha, gamma=gamma, epsilon=epsilon, F_v=f_v,
-    )
+    return OtProblem(C_k=c_k, p_hat=p_hat, alpha=alpha, gamma=gamma, epsilon=epsilon)

@@ -47,7 +47,6 @@ from saliseg.store import DatastoreEntry, build_datastore, query_topp
 from saliseg.synth import SynthSpec, generate_corpus, write_corpus
 from saliseg.transport import (
     OtProblem,
-    SolverOptions,
     build_problem,
     build_structure_costs,
     gw_gradient,
@@ -251,15 +250,11 @@ class TestCriterion05BalancedOracle:
     def test_enumeration_oracle_50_instances(self):
         start = time.monotonic()
         rng = np.random.default_rng(42)
-        options = SolverOptions(max_outer=20)
         worst = 0.0
         for _ in range(50):
             cost = rng.uniform(0, 1, (6, 2))
-            prob = OtProblem(
-                C_k=cost, p_hat=np.full(6, 1 / 6),
-                q=np.full(2, 0.5), alpha=0.0, gamma=1e6, epsilon=1e-3, F_v=6,
-            )
-            plan = solve_fugw(prob, options)
+            prob = OtProblem(C_k=cost, p_hat=np.full(6, 1 / 6), alpha=0.0, gamma=1e6, epsilon=1e-3)
+            plan = solve_fugw(prob, max_outer=20)
             got = float(np.sum(cost * plan.T))
             best = min(
                 sum(cost[i, 0] for i in chosen) / 6

@@ -322,6 +322,44 @@ class TestRecordFields:
         run(False)  # every video lacks the field, so every video is skipped
         assert (out.read_text() == "") if stage != "assemble" else not any(out.iterdir())
 
+    @pytest.mark.parametrize("fail_fast", [False, True], ids=["default", "fail_fast"])
+    @pytest.mark.parametrize(
+        "stage, field", [("segment", "prior"), ("retrieve", "prior"), ("assemble", "scores")]
+    )
+    @pytest.mark.parametrize("bad", ["short", "non_numeric"])
+    def test_per_frame_field_of_wrong_length_or_type(
+        self, corpus_dir, saliency_path, upstream, tmp_path, caplog, bad, stage, field, fail_fast
+    ):
+        docs = [json.loads(line) for line in saliency_path.read_text().splitlines()]
+        values = docs[0][field]
+        docs[0][field] = values[:3] if bad == "short" else ["abc"] + values[1:]
+        saliency = tmp_path / "saliency.jsonl"
+        saliency.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+        features = str(corpus_dir / "features")
+        out = tmp_path / "out"
+        args = {
+            "segment": ["segment", "--features-dir", features, "--out", str(out)],
+            "retrieve": [
+                "retrieve", "--features-dir", features,
+                "--segments", str(upstream / "segments.jsonl"),
+                "--datastore", str(corpus_dir / "datastore.sds"), "--out", str(out),
+            ],
+            "assemble": [
+                "assemble", "--features-dir", str(saliency_path.parent / "refined"),
+                "--retrieval", str(upstream / "retrieval.jsonl"), "--out-dir", str(out),
+            ],
+        }[stage] + ["--saliency", str(saliency)]
+        if fail_fast:
+            assert main(args + ["--fail-fast"]) == 3
+        else:
+            assert main(args) == 0
+            if stage == "assemble":
+                written = sorted(p.stem for p in out.iterdir())
+            else:
+                written = [json.loads(line)["video_id"] for line in out.read_text().splitlines()]
+            assert written == ["v0001", "v0002", "v0003"]
+        assert f"v0000: saliency '{field}' is not a list of {SPEC.F} numbers" in caplog.text
+
 
 class TestCli:
     def test_full_cli_chain(self, tmp_path):
@@ -421,6 +459,25 @@ class TestCli:
         missing = tmp_path / "missing.jsonl"
         assert main(self.segment_args(corpus_dir, missing, tmp_path / "segments.jsonl")) == 3
         assert f"{missing}: No such file or directory" in caplog.text
+
+    def test_video_without_valid_frames_skipped_or_fatal(
+        self, corpus_dir, saliency_path, tmp_path, caplog
+    ):
+        feats = copy_features(corpus_dir, tmp_path)
+        victim = feats / "v0001.sfeat"
+        f = load_features(victim)
+        empty = np.zeros_like(f.spatial)
+        save_features(FrameFeatures(f.video_id, empty, empty, 0), victim)
+        out = tmp_path / "segments.jsonl"
+        args = [
+            "segment", "--features-dir", str(feats), "--saliency", str(saliency_path),
+            "--out", str(out),
+        ]
+        assert main(args + ["--fail-fast"]) == 3
+        assert "no feature rows to draw anchors from" in caplog.text
+        assert main(args) == 0
+        written = [json.loads(line)["video_id"] for line in out.read_text().splitlines()]
+        assert written == ["v0000", "v0002", "v0003"]
 
     def test_unconverged_solve_exit_code_under_fail_fast(
         self, corpus_dir, saliency_path, tmp_path, monkeypatch

@@ -296,7 +296,7 @@ class TestTraining:
         cfg = PipelineConfig()
         examples = toy_corpus()
         initial = init_head(6, cfg.tau, seed=cfg.seed)
-        result = train_saliency(examples, cfg, head=initial, epochs=0)
+        result = train_saliency(examples, cfg, epochs=0)
         np.testing.assert_array_equal(result.head.W1, initial.W1)
         np.testing.assert_array_equal(result.head.w_pool, initial.w_pool)
 

@@ -128,21 +128,6 @@ class TestSelection:
         segs = select_topk(self.make([0.1] * 5), 8)
         assert segs.selected == (0, 1, 2, 3, 4)
 
-    def test_min_len_filters_short_segments(self):
-        segments = (
-            Segment(0, 0, 1, score=0.9),
-            Segment(1, 1, 5, score=0.5),
-            Segment(2, 5, 6, score=0.8),
-            Segment(3, 6, 10, score=0.4),
-        )
-        segs = select_topk(SegmentSet(segments=segments), 2, min_len=2)
-        assert segs.selected == (1, 3)
-
-    def test_min_len_ignored_when_nothing_qualifies(self):
-        segments = (Segment(0, 0, 1, score=0.9), Segment(1, 1, 2, score=0.5))
-        segs = select_topk(SegmentSet(segments=segments), 1, min_len=10)
-        assert segs.selected == (0,)
-
 
 class TestPooling:
     def test_uniform_weights_mean(self):

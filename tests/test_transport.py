@@ -11,7 +11,6 @@ from saliseg.errors import DataError
 from saliseg.transport import (
     AnchorSet,
     OtProblem,
-    SolverOptions,
     build_kot_cost,
     build_problem,
     build_structure_costs,
@@ -56,11 +55,9 @@ def dense_gw_operator(t, c_v, c_a):
 
 
 def balanced_problem(cost, gamma=1e6, epsilon=1e-3, alpha=0.0):
-    f_v, k = cost.shape
+    f_v = cost.shape[0]
     return OtProblem(
-        C_k=cost,
-        p_hat=np.full(f_v, 1.0 / f_v), q=np.full(k, 1.0 / k),
-        alpha=alpha, gamma=gamma, epsilon=epsilon, F_v=f_v,
+        C_k=cost, p_hat=np.full(f_v, 1.0 / f_v), alpha=alpha, gamma=gamma, epsilon=epsilon
     )
 
 
@@ -188,10 +185,9 @@ class TestSolveFugw:
 
     def test_balanced_enumeration_oracle(self):
         rng = np.random.default_rng(42)
-        options = SolverOptions(max_outer=20)
         for _ in range(10):
             cost = rng.uniform(0, 1, (6, 2))
-            plan = solve_fugw(balanced_problem(cost), options)
+            plan = solve_fugw(balanced_problem(cost), max_outer=20)
             got = float(np.sum(cost * plan.T))
             best = min(
                 sum(cost[i, 0] for i in chosen) / 6
@@ -219,10 +215,7 @@ class TestSolveFugw:
         for alpha, gamma in ((0.0, 0.3), (0.5, 0.3), (0.8, 3.0)):
             cost = rng.uniform(0, 1, (10, 3))
             p = rng.random(10) + 0.1
-            prob = OtProblem(
-                C_k=cost, p_hat=p / p.sum(), q=np.full(3, 1 / 3),
-                alpha=alpha, gamma=gamma, epsilon=0.05, F_v=10,
-            )
+            prob = OtProblem(C_k=cost, p_hat=p / p.sum(), alpha=alpha, gamma=gamma, epsilon=0.05)
             plan = solve_fugw(prob)
             np.testing.assert_allclose(plan.T.sum(axis=0), 1 / 3, atol=1e-6)
             np.testing.assert_allclose(plan.T.sum(), 1.0, atol=1e-9)
@@ -232,10 +225,7 @@ class TestSolveFugw:
         rng = np.random.default_rng(3)
         cost = rng.uniform(0, 1, (12, 4))
         p = rng.random(12) + 0.05
-        prob = OtProblem(
-            C_k=cost, p_hat=p / p.sum(), q=np.full(4, 0.25),
-            alpha=0.5, gamma=0.3, epsilon=0.1, F_v=12,
-        )
+        prob = OtProblem(C_k=cost, p_hat=p / p.sum(), alpha=0.5, gamma=0.3, epsilon=0.1)
         plan = solve_fugw(prob)
         trace = np.array(plan.objective_trace)
         assert np.all(np.diff(trace) <= 1e-9)
@@ -252,7 +242,11 @@ class TestSolveFugw:
         plan = solve_fugw(prob)
         # One call for trace[0], then the gradient and the line-search direction per step.
         assert len(calls) == 1 + 2 * plan.iterations
-        assert plan.objective_trace[0] == fused_objective(prob, np.outer(prob.p_hat, prob.q))
+        assert plan.objective_trace[0] == fused_objective(prob, np.outer(prob.p_hat, np.full(4, 0.25)))
+
+    def test_prior_length_must_match_cost_rows(self):
+        with pytest.raises(DataError, match="p_hat length"):
+            OtProblem(C_k=np.zeros((5, 2)), p_hat=np.full(4, 0.25), alpha=0.5, gamma=0.3, epsilon=0.1)
 
     def test_problem_holds_no_frame_by_frame_matrix(self):
         rng = np.random.default_rng(11)
@@ -322,3 +316,7 @@ class TestInitAnchors:
         # One anchor per cluster: every center has an anchor within 1.0.
         d = np.linalg.norm(anchors.anchors[:, None, :] - centers[None, :, :], axis=2)
         assert np.all(d.min(axis=0) < 1.0)
+
+    def test_no_rows_rejected(self):
+        with pytest.raises(DataError, match="no feature rows"):
+            init_anchors(np.zeros((0, 4)), 3, seed=0, video_id="v")
