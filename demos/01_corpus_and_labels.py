@@ -2,7 +2,7 @@
 """Generate a synthetic corpus and derive highlight labels from annotations.
 
 Walks through the data model end to end: seeded generation, the binary
-feature file format, annotation linting, and the label/mask derivation that
+feature file format, annotation linting, and the label derivation that
 feeds saliency training.
 """
 
@@ -35,8 +35,7 @@ print(f"concepts: {list(corpus.truth[0].concepts)}")
 labels = derive_highlight_labels(ann, f.n_frames, f.valid_len)
 print(f"\nhighlight labels H ({int(labels.n_highlight)} ones):")
 print("".join(str(int(v)) for v in labels.labels))
-print("validity mask M:")
-print("".join(str(int(v)) for v in labels.mask))
+print(f"valid_len: {labels.valid_len} of {f.n_frames} frames (frames from valid_len on are padding)")
 
 warnings = lint_annotations(corpus.annotations)
 print(f"\nlint warnings: {warnings or 'none (events are disjoint)'}")

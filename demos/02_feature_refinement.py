@@ -28,7 +28,7 @@ at_boundary, inside_raw = [], []
 at_boundary_refined, inside_refined = [], []
 for f, ann in zip(corpus.features, corpus.annotations):
     x = f.encoded[: f.valid_len].astype(np.float64)
-    xr = refine_features(f.encoded.astype(np.float64), cfg, f.mask())[: f.valid_len]
+    xr = refine_features(f.encoded.astype(np.float64), cfg, f.valid_len)[: f.valid_len]
     boundary_set = {s for s, _ in ann.events if s > 0} | {e for _, e in ann.events if e < f.valid_len}
     for n in range(1, f.valid_len):
         raw_jump = np.linalg.norm(x[n] - x[n - 1])

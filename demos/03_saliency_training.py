@@ -28,10 +28,9 @@ refine_cfg = RefineConfig(windows=cfg.windows)
 
 examples = []
 for f, ann in zip(corpus.features, corpus.annotations):
-    mask = f.mask()
-    refined = refine_features(f.encoded.astype(np.float64), refine_cfg, mask)
+    refined = refine_features(f.encoded.astype(np.float64), refine_cfg, f.valid_len)
     labels = derive_highlight_labels(ann, f.n_frames, f.valid_len)
-    examples.append(SaliencyExample(f.video_id, refined, mask, labels.labels))
+    examples.append(SaliencyExample(f.video_id, refined, f.valid_len, labels.labels))
 
 train, held = examples[:18], examples[18:]
 result = train_saliency(train, cfg, epochs=10, seed=1)
@@ -42,19 +41,19 @@ for i, loss in enumerate(result.loss_curve):
 
 inside, outside = [], []
 for ex in held:
-    scores = saliency_forward(result.head, ex.features, ex.mask).scores
-    valid = ex.mask > 0
-    inside.extend(scores[(ex.labels > 0) & valid])
-    outside.extend(scores[(ex.labels == 0) & valid])
+    scores = saliency_forward(result.head, ex.features, ex.valid_len).scores[: ex.valid_len]
+    labels = ex.labels[: ex.valid_len]
+    inside.extend(scores[labels > 0])
+    outside.extend(scores[labels == 0])
 inside, outside = np.array(inside), np.array(outside)
 se = np.sqrt(inside.var(ddof=1) / len(inside) + outside.var(ddof=1) / len(outside))
 print(f"\nheld-out scores: events {inside.mean():.3f} vs background {outside.mean():.3f}"
       f" ({(inside.mean() - outside.mean()) / se:.0f} standard errors apart)")
 
 ex = held[0]
-scores = saliency_forward(result.head, ex.features, ex.mask).scores
-p_s, p_hat = saliency_prior(scores, ex.mask)
-n_valid = int(ex.mask.sum())
+n_valid = ex.valid_len
+scores = saliency_forward(result.head, ex.features, n_valid).scores
+p_s, p_hat = saliency_prior(scores, n_valid)
 split = scores[:n_valid].mean()
 line = "".join("#" if s > split else "." for s in scores[:n_valid])
 truth = "".join("E" if l > 0 else " " for l in ex.labels[:n_valid])

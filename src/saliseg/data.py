@@ -77,12 +77,6 @@ class FrameFeatures:
     def dim(self) -> int:
         return self.spatial.shape[1]
 
-    def mask(self) -> NDArray[np.float64]:
-        """Validity mask M: 1.0 for frames below valid_len, else 0.0."""
-        m = np.zeros(self.n_frames, dtype=np.float64)
-        m[: self.valid_len] = 1.0
-        return m
-
 
 @dataclass(frozen=True)
 class EventAnnotation:
@@ -110,36 +104,36 @@ class EventAnnotation:
 
 @dataclass(frozen=True)
 class HighlightLabels:
-    """Binary highlight labels H and validity mask M for one video."""
+    """Binary highlight labels H for one video; frames from ``valid_len`` on
+    are padding and carry no label."""
 
     labels: NDArray[np.float64]
-    mask: NDArray[np.float64]
+    valid_len: int
 
     def __post_init__(self) -> None:
         labels = np.asarray(self.labels, dtype=np.float64)
-        mask = np.asarray(self.mask, dtype=np.float64)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "mask", mask)
-        if labels.shape != mask.shape or labels.ndim != 1:
-            raise DataError("labels and mask must be equal-length vectors")
-        for v in (labels, mask):
-            if not np.all((v == 0) | (v == 1)):
-                raise DataError("labels and mask must be binary")
-        if np.any(labels > mask):
-            raise DataError("highlight label set on a masked frame")
+        if labels.ndim != 1:
+            raise DataError("labels must be a vector")
+        if not (0 <= self.valid_len <= labels.shape[0]):
+            raise DataError(f"valid_len exceeds F ({self.valid_len} > {labels.shape[0]})")
+        if not np.all((labels == 0) | (labels == 1)):
+            raise DataError("labels must be binary")
+        if np.any(labels[self.valid_len :]):
+            raise DataError("highlight label set beyond valid_len")
 
     @property
     def n_highlight(self) -> int:
-        return int(np.sum(self.labels * self.mask))
+        return int(np.sum(self.labels))
 
 
 def derive_highlight_labels(ann: EventAnnotation, n_frames: int, valid_len: int) -> HighlightLabels:
-    """Convert annotated events into binary frame labels plus a validity mask.
+    """Convert annotated events into binary frame labels.
 
     A frame is a highlight (label 1) iff it lies inside the union of the
-    annotated half-open event intervals. Frames at or beyond ``valid_len``
-    are masked out. A video without events yields all-zero labels and is
-    unusable for saliency training; a warning is logged.
+    annotated half-open event intervals. A video without events yields
+    all-zero labels and is unusable for saliency training; a warning is
+    logged.
     """
     if not (0 <= valid_len <= n_frames):
         raise DataError(f"{ann.video_id}: valid_len exceeds F ({valid_len} > {n_frames})")
@@ -148,11 +142,9 @@ def derive_highlight_labels(ann: EventAnnotation, n_frames: int, valid_len: int)
         if e > valid_len:
             raise DataError(f"{ann.video_id}: event exceeds valid_len ({e} > {valid_len})")
         labels[s:e] = 1.0
-    mask = np.zeros(n_frames, dtype=np.float64)
-    mask[:valid_len] = 1.0
     if not ann.events:
         logger.warning("%s: no events, all-zero highlight labels", ann.video_id)
-    return HighlightLabels(labels=labels, mask=mask)
+    return HighlightLabels(labels=labels, valid_len=valid_len)
 
 
 def lint_annotations(anns: list[EventAnnotation]) -> list[str]:
@@ -210,8 +202,8 @@ def load_features(path: str | Path, video_id: str | None = None) -> FrameFeature
     magic, n_frames, dim, valid_len = _HEADER.unpack_from(raw)
     if magic != _MAGIC:
         raise DataError(f"{path}: bad magic {magic!r}")
-    if valid_len > n_frames:
-        raise DataError(f"{path}: valid_len exceeds F ({valid_len} > {n_frames})")
+    if n_frames < 1 or dim < 1:
+        raise DataError(f"{path}: F and D must be >= 1 (F={n_frames}, D={dim})")
     body = raw[_HEADER.size :]
     expected = 2 * n_frames * dim * 4
     if len(body) != expected:

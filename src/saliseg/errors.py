@@ -14,7 +14,7 @@ class ConfigError(SalisegError):
 
 
 class DataError(SalisegError):
-    """Malformed input data: files, annotations, masks, dimensions."""
+    """Malformed input data: files, annotations, valid lengths, dimensions."""
 
 
 class NumericalError(SalisegError):

@@ -121,17 +121,29 @@ def _record(records: dict, video_id: str, kind: str, field: str | None = None):
     return records[video_id][field]
 
 
+def _is_numbers(values, n: int) -> bool:
+    """Whether ``values`` is a JSON list of exactly ``n`` numbers."""
+    return (
+        isinstance(values, list) and len(values) == n and all(type(v) in (int, float) for v in values)
+    )
+
+
 def _frame_values(records: dict, f: FrameFeatures, kind: str, field: str) -> np.ndarray:
     """A per-frame field of one video's upstream record, which must be a
     list of exactly ``F`` numbers; anything else skips the video."""
     values = _record(records, f.video_id, kind, field)
-    if not (
-        isinstance(values, list)
-        and len(values) == f.n_frames
-        and all(type(v) in (int, float) for v in values)
-    ):
+    if not _is_numbers(values, f.n_frames):
         raise DataError(f"{f.video_id}: {kind} '{field}' is not a list of {f.n_frames} numbers")
     return np.asarray(values, dtype=np.float64)
+
+
+def _feature_rows(records: dict, f: FrameFeatures, kind: str, field: str) -> np.ndarray:
+    """A field of one video's upstream record that must be a list of rows of
+    exactly ``D`` numbers each; anything else skips the video."""
+    rows = _record(records, f.video_id, kind, field)
+    if not (isinstance(rows, list) and all(_is_numbers(row, f.dim) for row in rows)):
+        raise DataError(f"{f.video_id}: {kind} '{field}' is not a list of rows of {f.dim} numbers")
+    return np.asarray(rows, dtype=np.float64).reshape(len(rows), f.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +162,7 @@ def stage_refine(
     refine_cfg = RefineConfig(windows=cfg.windows)
 
     def work(path: Path, f: FrameFeatures) -> Path:
-        refined = refine_features(f.encoded.astype(np.float64), refine_cfg, f.mask())
+        refined = refine_features(f.encoded.astype(np.float64), refine_cfg, f.valid_len)
         out_path = out / path.name
         save_features(
             FrameFeatures(
@@ -179,9 +191,8 @@ def stage_score_saliency(
     def work(path: Path, f: FrameFeatures) -> dict:
         if f.dim != head.dim:
             raise DataError(f"{f.video_id}: feature dim {f.dim} != head dim {head.dim}")
-        mask = f.mask()
-        scores = saliency_forward(head, f.encoded.astype(np.float64), mask).scores
-        p_s, p_hat = saliency_prior(scores, mask)
+        scores = saliency_forward(head, f.encoded.astype(np.float64), f.valid_len).scores
+        p_s, p_hat = saliency_prior(scores, f.valid_len)
         return {
             "video_id": f.video_id,
             "valid_len": f.valid_len,
@@ -290,11 +301,9 @@ def stage_assemble(
 
     def work(path: Path, f: FrameFeatures) -> Path:
         scores = _frame_values(saliency, f, "saliency", "scores")
-        vectors = np.asarray(_record(retrieval, f.video_id, "retrieval", "vectors"), dtype=np.float64)
+        vectors = _feature_rows(retrieval, f, "retrieval", "vectors")
         prompt_map = init_prompt_map(f.dim, cfg.seed)
         prompts = project_saliency(scores, prompt_map)
-        if vectors.size == 0:
-            vectors = np.zeros((0, f.dim))
         if text_dir is not None:
             t = load_features(Path(text_dir) / path.name)
             text = t.encoded[: t.valid_len].astype(np.float64)
@@ -350,11 +359,10 @@ def train_saliency_from_files(
         if f.video_id not in anns:
             logger.warning("%s: no annotation, skipped", f.video_id)
             return None
-        mask = f.mask()
-        refined = refine_features(f.encoded.astype(np.float64), refine_cfg, mask)
+        refined = refine_features(f.encoded.astype(np.float64), refine_cfg, f.valid_len)
         labels = derive_highlight_labels(anns[f.video_id], f.n_frames, f.valid_len)
         return SaliencyExample(
-            video_id=f.video_id, features=refined, mask=mask, labels=labels.labels
+            video_id=f.video_id, features=refined, valid_len=f.valid_len, labels=labels.labels
         )
 
     examples = [

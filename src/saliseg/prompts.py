@@ -117,6 +117,8 @@ def load_decoder_input(path: str | Path) -> DecoderInput:
     if magic != _MAGIC:
         raise DataError(f"{path}: bad magic {magic!r}")
     total = n_frames + n_prompts + n_retr + n_text
+    if dim < 1 or total < 1:
+        raise DataError(f"{path}: empty decoder input (D={dim}, {total} rows)")
     body = raw[_HEADER.size :]
     if len(body) != total * dim * 4:
         raise DataError(f"{path}: truncated body")

@@ -66,29 +66,23 @@ def _layer_norm(x: NDArray[np.float64]) -> NDArray[np.float64]:
 def refine_features(
     x: NDArray[np.float64],
     cfg: RefineConfig,
-    mask: NDArray[np.float64] | None = None,
+    valid_len: int | None = None,
 ) -> NDArray[np.float64]:
     """Refine encoded frame features with multi-scale local attention.
 
-    Only valid frames (mask 1) enter windows; window sizes larger than the
-    valid length are skipped with a warning. Frames not covered by any
-    window, and all padded frames, pass through unchanged. Accumulation
-    order is fixed (ascending window size, then start), so the result is
-    deterministic to the bit.
+    Only the first ``valid_len`` frames (all of them when ``None``) enter
+    windows; window sizes larger than ``valid_len`` are skipped with a
+    warning. Frames not covered by any window, and all padded frames, pass
+    through unchanged. Accumulation order is fixed (ascending window size,
+    then start), so the result is deterministic to the bit.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
         raise DataError("features must be an F x D matrix")
-    n_frames, dim = x.shape
-    if mask is None:
-        mask = np.ones(n_frames, dtype=np.float64)
-    mask = np.asarray(mask, dtype=np.float64)
-    if mask.shape != (n_frames,):
-        raise DataError("mask length must equal the number of frames")
-    valid = np.flatnonzero(mask > 0)
-    if valid.size and (valid[0] != 0 or np.any(np.diff(valid) != 1)):
-        raise DataError("mask must select a prefix of frames")
-    n_valid = int(valid.size)
+    n_frames = x.shape[0]
+    n_valid = n_frames if valid_len is None else int(valid_len)
+    if not 0 <= n_valid <= n_frames:
+        raise DataError(f"valid_len must lie in [0, {n_frames}]")
     if n_valid == 0:
         return x.copy()
 

@@ -86,48 +86,47 @@ def init_head(dim: int, tau: float, seed: int) -> SaliencyHead:
     return SaliencyHead(w_pool=np.zeros(dim), W1=w1, W2=w2, tau=tau)
 
 
+def _valid_frames(n_frames: int, valid_len: int) -> NDArray[np.bool_]:
+    """True for the frames below ``valid_len``, which must be in [1, F]."""
+    if not 1 <= valid_len <= n_frames:
+        raise DataError(f"valid_len must lie in [1, {n_frames}], got {valid_len}")
+    return np.arange(n_frames) < valid_len
+
+
 def attention_pool(
-    xp: NDArray[np.float64], mask: NDArray[np.float64], w_pool: NDArray[np.float64]
+    xp: NDArray[np.float64], valid_len: int, w_pool: NDArray[np.float64]
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Pool valid frames with a masked softmax over ``(X w_pool) / sqrt(D)``.
 
-    Returns (pooled vector, weights); weights are zero on masked frames and
-    sum to one over valid ones.
+    Returns (pooled vector, weights); weights are zero from ``valid_len`` on
+    and sum to one over the valid frames.
     """
     xp = np.asarray(xp, dtype=np.float64)
-    mask = np.asarray(mask, dtype=np.float64)
     w_pool = np.asarray(w_pool, dtype=np.float64)
-    if not np.any(mask > 0):
-        raise DataError("all frames masked")
     logits = (xp @ w_pool) / np.sqrt(xp.shape[1])
-    weights = masked_softmax(logits, mask, 1.0)
+    weights = masked_softmax(logits, valid_len, 1.0)
     pooled = weights @ xp
     return pooled, weights
 
 
 def masked_softmax(
-    scores: NDArray[np.float64], mask: NDArray[np.float64], tau: float
+    scores: NDArray[np.float64], valid_len: int, tau: float
 ) -> NDArray[np.float64]:
     """Temperature softmax over valid frames only, max-shifted for stability."""
     scores = np.asarray(scores, dtype=np.float64)
-    mask = np.asarray(mask, dtype=np.float64)
-    valid = mask > 0
-    if not np.any(valid):
-        raise DataError("all frames masked")
+    valid = _valid_frames(scores.shape[0], valid_len)
     z = np.where(valid, scores / tau, -np.inf)
     zmax = np.max(z[valid])
     expz = np.exp(z - zmax)
     return expz / expz.sum()
 
 
-def saliency_forward(
-    head: SaliencyHead, xp: NDArray[np.float64], mask: NDArray[np.float64]
-) -> SaliencyOutput:
-    """Score every frame (masked ones included; masking happens downstream)."""
+def saliency_forward(head: SaliencyHead, xp: NDArray[np.float64], valid_len: int) -> SaliencyOutput:
+    """Score every frame (padded ones included; they are dropped downstream)."""
     xp = np.asarray(xp, dtype=np.float64)
     if xp.ndim != 2 or xp.shape[1] != head.dim:
         raise DataError(f"features must be F x {head.dim}")
-    pooled, weights = attention_pool(xp, mask, head.w_pool)
+    pooled, weights = attention_pool(xp, valid_len, head.w_pool)
     proj = xp @ head.W1.T
     ctx = pooled @ head.W2.T
     scores = (proj @ ctx) / np.sqrt(head.dim)
@@ -137,18 +136,17 @@ def saliency_forward(
 def saliency_loss(
     scores: NDArray[np.float64],
     labels: NDArray[np.float64],
-    mask: NDArray[np.float64],
+    valid_len: int,
     tau: float,
 ) -> float:
     """Masked listwise softmax loss: mean negative log-probability of highlights."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
-    mask = np.asarray(mask, dtype=np.float64)
-    hm = labels * mask
+    valid = _valid_frames(scores.shape[0], valid_len)
+    hm = labels * valid
     n_high = hm.sum()
     if n_high < 1:
         raise DataError("empty highlight set")
-    valid = mask > 0
     z = scores / tau
     zmax = np.max(z[valid])
     zsafe = np.where(valid, z - zmax, -np.inf)
@@ -160,7 +158,7 @@ def saliency_loss(
 def saliency_grad(
     head: SaliencyHead,
     xp: NDArray[np.float64],
-    mask: NDArray[np.float64],
+    valid_len: int,
     labels: NDArray[np.float64],
 ) -> dict[str, NDArray[np.float64]]:
     """Analytic gradients of the saliency loss w.r.t. w_pool, W1 and W2.
@@ -169,18 +167,17 @@ def saliency_grad(
     scores depend on the pooled context through W2.
     """
     xp = np.asarray(xp, dtype=np.float64)
-    mask = np.asarray(mask, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
-    out = saliency_forward(head, xp, mask)
-    hm = labels * mask
+    out = saliency_forward(head, xp, valid_len)
+    hm = labels * _valid_frames(xp.shape[0], valid_len)
     n_high = hm.sum()
     if n_high < 1:
         raise DataError("empty highlight set")
     d = head.dim
     sqrt_d = np.sqrt(d)
 
-    p = masked_softmax(out.scores, mask, head.tau)
-    g_scores = (p - hm / n_high) / head.tau  # zero on masked frames
+    p = masked_softmax(out.scores, valid_len, head.tau)
+    g_scores = (p - hm / n_high) / head.tau  # zero on padded frames
 
     ctx = out.pooled @ head.W2.T
     gx = g_scores @ xp  # sum_n g_n x_n
@@ -197,23 +194,21 @@ def saliency_grad(
 
 
 def saliency_prior(
-    scores: NDArray[np.float64], mask: NDArray[np.float64]
+    scores: NDArray[np.float64], valid_len: int
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Sigmoid saliency prior and its L1-normalized variant.
 
-    Returns ``(p_s, p_hat)``: ``p_s`` is the per-frame sigmoid, zeroed on
-    masked frames; ``p_hat`` sums to one over valid frames and serves as the
-    reference measure of the transport solver's KL term.
+    Returns ``(p_s, p_hat)``: ``p_s`` is the per-frame sigmoid, zeroed from
+    ``valid_len`` on; ``p_hat`` sums to one over valid frames and serves as
+    the reference measure of the transport solver's KL term.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    mask = np.asarray(mask, dtype=np.float64)
-    if not np.any(mask > 0):
-        raise DataError("all frames masked")
+    valid = _valid_frames(scores.shape[0], valid_len)
     if not np.all(np.isfinite(scores)):
         raise DataError("non-finite saliency scores")
     with np.errstate(over="ignore"):
         p_s = np.where(scores >= 0, 1.0 / (1.0 + np.exp(-scores)), np.exp(scores) / (1.0 + np.exp(scores)))
-    p_s = p_s * mask
+    p_s = p_s * valid
     p_hat = p_s / p_s.sum()
     return p_s, p_hat
 
@@ -233,11 +228,11 @@ class TrainState:
 
 @dataclass(frozen=True)
 class SaliencyExample:
-    """One training item: refined features plus labels and mask."""
+    """One training item: refined features, valid length and labels."""
 
     video_id: str
     features: NDArray[np.float64]
-    mask: NDArray[np.float64]
+    valid_len: int
     labels: NDArray[np.float64]
 
 
@@ -265,7 +260,7 @@ def train_saliency(
         seed = cfg.seed
     usable = []
     for ex in examples:
-        if float(np.sum(ex.labels * ex.mask)) >= 1:
+        if np.sum(ex.labels[: ex.valid_len]) >= 1:
             usable.append(ex)
         else:
             logger.warning("%s: no highlight frames, skipped for training", ex.video_id)
@@ -286,13 +281,12 @@ def train_saliency(
         epoch_loss = 0.0
         for idx in order:
             ex = usable[idx]
-            loss = saliency_loss(
-                saliency_forward(head, ex.features, ex.mask).scores, ex.labels, ex.mask, head.tau
-            )
+            scores = saliency_forward(head, ex.features, ex.valid_len).scores
+            loss = saliency_loss(scores, ex.labels, ex.valid_len, head.tau)
             if not np.isfinite(loss):
                 logger.error("training diverged at step %d, restoring last checkpoint", state.step)
                 return TrainResult(head=last_good, state=state, loss_curve=loss_curve)
-            grads = saliency_grad(head, ex.features, ex.mask, ex.labels)
+            grads = saliency_grad(head, ex.features, ex.valid_len, ex.labels)
             state.step += 1
             t = state.step
             for name, g in grads.items():
@@ -331,8 +325,10 @@ def load_head(path: str | Path) -> SaliencyHead:
         header = json.loads(raw[:nl].decode("utf-8"))
         dim = int(header["D"])
         tau = float(header["tau"])
-    except (json.JSONDecodeError, KeyError, UnicodeDecodeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON, UTF-8 or number
         raise DataError(f"{path}: bad checkpoint header: {exc}") from exc
+    if dim < 1:
+        raise DataError(f"{path}: checkpoint dimension D={dim} must be >= 1")
     body = raw[nl + 1 :]
     expected = (dim + 2 * dim * dim) * 4
     if len(body) != expected:

@@ -39,8 +39,9 @@ class Datastore:
         if self.embeddings.ndim != 2 or len(self.entry_ids) != self.embeddings.shape[0]:
             raise DataError("embeddings must be N x D matching the id list")
         norms = np.linalg.norm(self.embeddings.astype(np.float64), axis=1)
-        if self.embeddings.shape[0] and np.any(np.abs(norms - 1.0) > 1e-5):
-            raise DataError("embeddings must be unit norm")
+        # Written so that a NaN norm fails the test too.
+        if self.embeddings.shape[0] and not np.all(np.abs(norms - 1.0) <= 1e-5):
+            raise DataError("embeddings must be finite and unit norm")
         self._index = {entry_id: i for i, entry_id in enumerate(self.entry_ids)}
         self._id_array = np.asarray(self.entry_ids, dtype=object)
 
@@ -153,6 +154,10 @@ def load_datastore(path: str | Path) -> Datastore:
     if len(raw) < 20 or raw[:4] != _MAGIC:
         raise DataError(f"{path}: bad datastore header")
     n, dim = struct.unpack_from("<QQ", raw, 4)
+    # Every record holds at least its two u32 lengths and D f32 values; a D
+    # past the u32 range is a corrupt header even in a store with no records.
+    if dim >= 2**32 or n * (8 + 4 * dim) > len(raw) - 20:
+        raise DataError(f"{path}: header N={n}, D={dim} does not fit in {len(raw)} bytes")
     offset = 20
     ids, captions, vectors = [], [], []
     try:

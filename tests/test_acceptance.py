@@ -69,19 +69,16 @@ def prepare(spec, train_count, epochs=8, train_seed=3):
     refine_cfg = RefineConfig(windows=CFG.windows)
     examples = []
     for f, ann in zip(corpus.features, corpus.annotations):
-        mask = f.mask()
-        refined = refine_features(f.encoded.astype(np.float64), refine_cfg, mask)
+        refined = refine_features(f.encoded.astype(np.float64), refine_cfg, f.valid_len)
         labels = derive_highlight_labels(ann, f.n_frames, f.valid_len)
-        examples.append(
-            SaliencyExample(f.video_id, refined, mask, labels.labels)
-        )
+        examples.append(SaliencyExample(f.video_id, refined, f.valid_len, labels.labels))
     head = train_saliency(examples[:train_count], CFG, epochs=epochs, seed=train_seed).head
     return corpus, examples, head
 
 
 def trained_prior(head, example, n_valid):
-    scores = saliency_forward(head, example.features, example.mask).scores
-    p_s, _ = saliency_prior(scores, example.mask)
+    scores = saliency_forward(head, example.features, example.valid_len).scores
+    p_s, _ = saliency_prior(scores, example.valid_len)
     return p_s[:n_valid]
 
 
@@ -135,8 +132,8 @@ def random_head(rng, dim, tau):
     )
 
 
-def composed_loss(head, xp, mask, labels):
-    return saliency_loss(saliency_forward(head, xp, mask).scores, labels, mask, head.tau)
+def composed_loss(head, xp, valid_len, labels):
+    return saliency_loss(saliency_forward(head, xp, valid_len).scores, labels, valid_len, head.tau)
 
 
 class TestCriterion01GradientCorrectness:
@@ -148,12 +145,11 @@ class TestCriterion01GradientCorrectness:
             rng = np.random.default_rng(1000 + seed)
             head = random_head(rng, 8, tau=0.5)
             xp = rng.normal(size=(12, 8))
-            mask = np.ones(12)
-            mask[int(rng.integers(9, 12)) :] = 0.0
+            valid_len = int(rng.integers(9, 12))
             labels = np.zeros(12)
-            highlight = rng.choice(int(mask.sum()), size=3, replace=False)
+            highlight = rng.choice(valid_len, size=3, replace=False)
             labels[highlight] = 1.0
-            analytic = saliency_grad(head, xp, mask, labels)
+            analytic = saliency_grad(head, xp, valid_len, labels)
             for name in ("w_pool", "W1", "W2"):
                 base = getattr(head, name)
                 fd = np.zeros_like(base)
@@ -165,8 +161,8 @@ class TestCriterion01GradientCorrectness:
                     minus = head.copy()
                     getattr(minus, name)[idx] -= h
                     fd[idx] = (
-                        composed_loss(plus, xp, mask, labels)
-                        - composed_loss(minus, xp, mask, labels)
+                        composed_loss(plus, xp, valid_len, labels)
+                        - composed_loss(minus, xp, valid_len, labels)
                     ) / (2 * h)
                 denom = np.maximum(np.maximum(np.abs(analytic[name]), np.abs(fd)), 1e-6)
                 worst = max(worst, float(np.max(np.abs(analytic[name] - fd) / denom)))
@@ -178,25 +174,25 @@ class TestCriterion01GradientCorrectness:
 
 class TestCriterion02LossClosedForms:
     def test_closed_forms_and_mask_insensitivity(self):
-        loss2 = saliency_loss(np.array([1.7, 1.7]), np.array([1.0, 0]), np.ones(2), 0.9)
+        loss2 = saliency_loss(np.array([1.7, 1.7]), np.array([1.0, 0]), 2, 0.9)
         assert abs(loss2 - np.log(2)) <= 1e-12
-        loss3 = saliency_loss(np.zeros(3), np.array([1.0, 1, 0]), np.ones(3), 1.0)
+        loss3 = saliency_loss(np.zeros(3), np.array([1.0, 1, 0]), 3, 1.0)
         assert abs(loss3 - np.log(3)) <= 1e-12
         rng = np.random.default_rng(7)
         for _ in range(100):
             n = int(rng.integers(4, 16))
             scores = rng.normal(size=n) * 3
-            mask = (rng.random(n) < 0.7).astype(float)
-            mask[0] = 1.0
-            labels = (rng.random(n) < 0.4).astype(float) * mask
+            valid_len = int(rng.integers(1, n + 1))
+            labels = (rng.random(n) < 0.4).astype(float)
+            labels[valid_len:] = 0.0
             labels[0] = 1.0
             tau = float(rng.uniform(0.2, 2.0))
-            base = saliency_loss(scores, labels, mask, tau)
+            base = saliency_loss(scores, labels, valid_len, tau)
             bumped = scores.copy()
-            off = mask == 0
-            bumped[off] += rng.normal(size=int(off.sum())) * 50
-            assert abs(saliency_loss(bumped, labels, mask, tau) - base) <= 1e-12 * max(1, abs(base))
-        announce(2, "ln 2 / ln 3 closed forms exact, masked frames inert on 100 instances")
+            bumped[valid_len:] += rng.normal(size=n - valid_len) * 50
+            loss = saliency_loss(bumped, labels, valid_len, tau)
+            assert abs(loss - base) <= 1e-12 * max(1, abs(base))
+        announce(2, "ln 2 / ln 3 closed forms exact, padded frames inert on 100 instances")
 
 
 class TestCriterion03TemperatureInvariance:
@@ -205,12 +201,11 @@ class TestCriterion03TemperatureInvariance:
         for _ in range(30):
             n = int(rng.integers(3, 12))
             scores = rng.normal(size=n) * 2
-            mask = (rng.random(n) < 0.8).astype(float)
-            mask[0] = 1.0
+            valid_len = int(rng.integers(1, n + 1))
             tau = float(rng.uniform(0.3, 1.5))
-            base = masked_softmax(scores, mask, tau)
+            base = masked_softmax(scores, valid_len, tau)
             for c in (0.1, 1.0, 10.0):
-                scaled = masked_softmax(c * scores, mask, c * tau)
+                scaled = masked_softmax(c * scores, valid_len, c * tau)
                 assert np.max(np.abs(scaled - base)) <= 1e-12
         announce(3, "softmax probabilities invariant under (c*scores, c*tau), c in {0.1, 1, 10}")
 
@@ -378,10 +373,10 @@ class TestCriterion09SaliencyTraining:
         inside, outside = [], []
         for i in held:
             ex = examples[i]
-            scores = saliency_forward(head, ex.features, ex.mask).scores
-            valid = ex.mask > 0
-            inside.extend(scores[(ex.labels > 0) & valid])
-            outside.extend(scores[(ex.labels == 0) & valid])
+            scores = saliency_forward(head, ex.features, ex.valid_len).scores[: ex.valid_len]
+            labels = ex.labels[: ex.valid_len]
+            inside.extend(scores[labels > 0])
+            outside.extend(scores[labels == 0])
         inside = np.array(inside)
         outside = np.array(outside)
         se = np.sqrt(inside.var(ddof=1) / len(inside) + outside.var(ddof=1) / len(outside))

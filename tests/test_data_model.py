@@ -107,7 +107,7 @@ class TestHighlightLabels:
         ann = EventAnnotation(video_id="v", valid_len=5, events=((1, 3),))
         lab = derive_highlight_labels(ann, 5, 5)
         np.testing.assert_array_equal(lab.labels, [0, 1, 1, 0, 0])
-        np.testing.assert_array_equal(lab.mask, [1, 1, 1, 1, 1])
+        assert lab.valid_len == 5 and lab.n_highlight == 2
 
     def test_overlapping_union(self):
         ann = EventAnnotation(video_id="v", valid_len=4, events=((0, 2), (1, 4)))

@@ -1,6 +1,7 @@
 """End-to-end pipeline, stage isolation, CLI contract."""
 
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -360,6 +361,33 @@ class TestRecordFields:
             assert written == ["v0001", "v0002", "v0003"]
         assert f"v0000: saliency '{field}' is not a list of {SPEC.F} numbers" in caplog.text
 
+    @pytest.mark.parametrize("fail_fast", [False, True], ids=["default", "fail_fast"])
+    @pytest.mark.parametrize("bad", ["ragged", "non_numeric"])
+    def test_retrieval_vectors_of_wrong_shape_or_type(
+        self, saliency_path, upstream, tmp_path, caplog, bad, fail_fast
+    ):
+        lines = (upstream / "retrieval.jsonl").read_text().splitlines()
+        docs = [json.loads(line) for line in lines]
+        rows = docs[0]["vectors"]
+        if bad == "ragged":
+            docs[0]["vectors"] = [[1.0, 2.0], [3.0]]
+        else:
+            docs[0]["vectors"] = [["abc"] + rows[0][1:]] + rows[1:]
+        retrieval = tmp_path / "retrieval.jsonl"
+        retrieval.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+        out = tmp_path / "out"
+        args = [
+            "assemble", "--features-dir", str(saliency_path.parent / "refined"),
+            "--saliency", str(saliency_path), "--retrieval", str(retrieval), "--out-dir", str(out),
+        ]
+        if fail_fast:
+            assert main(args + ["--fail-fast"]) == 3
+        else:
+            assert main(args) == 0
+            assert sorted(p.stem for p in out.iterdir()) == ["v0001", "v0002", "v0003"]
+        message = f"v0000: retrieval 'vectors' is not a list of rows of {SPEC.D} numbers"
+        assert message in caplog.text
+
 
 class TestCli:
     def test_full_cli_chain(self, tmp_path):
@@ -454,6 +482,31 @@ class TestCli:
         args = self.segment_args(corpus_dir, bare, tmp_path / "segments.jsonl")
         assert main(args + ["--fail-fast"]) == 3
         assert "v0000: saliency record lacks 'prior'" in caplog.text
+
+    @pytest.mark.parametrize("corruption", ["dim_top_bit", "nan_embedding"])
+    def test_corrupt_datastore_exit_code(
+        self, corpus_dir, saliency_path, tmp_path, caplog, corruption
+    ):
+        features = corpus_dir / "features"
+        stage_segment(features, saliency_path, CFG, tmp_path / "segments.jsonl")
+        raw = bytearray((corpus_dir / "datastore.sds").read_bytes())
+        if corruption == "dim_top_bit":
+            raw[19] |= 0x80  # the last byte of the u64 dimension D
+            message = "does not fit in"
+        else:
+            (id_len,) = struct.unpack_from("<I", raw, 20)
+            (cap_len,) = struct.unpack_from("<I", raw, 24 + id_len)
+            struct.pack_into("<f", raw, 28 + id_len + cap_len, float("nan"))
+            message = "embeddings must be finite and unit norm"
+        store = tmp_path / "datastore.sds"
+        store.write_bytes(bytes(raw))
+        assert main([
+            "retrieve", "--features-dir", str(features), "--saliency", str(saliency_path),
+            "--segments", str(tmp_path / "segments.jsonl"), "--datastore", str(store),
+            "--out", str(tmp_path / "retrieval.jsonl"),
+        ]) == 3
+        assert message in caplog.text
+        assert not (tmp_path / "retrieval.jsonl").exists()
 
     def test_missing_input_file_exit_code(self, corpus_dir, tmp_path, caplog):
         missing = tmp_path / "missing.jsonl"

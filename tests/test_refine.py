@@ -98,11 +98,12 @@ class TestRefineFeatures:
         rng = np.random.default_rng(2)
         x = np.zeros((10, 3))
         x[:6] = rng.normal(size=(6, 3))
-        mask = np.array([1.0] * 6 + [0.0] * 4)
         cfg = RefineConfig(windows=(3,))
-        got = refine_features(x, cfg, mask)
+        got = refine_features(x, cfg, 6)
         np.testing.assert_array_equal(got[6:], 0.0)
         np.testing.assert_allclose(got[:6], brute_force_refine(x[:6], (3,)), atol=1e-10)
+        with pytest.raises(DataError, match="valid_len must lie in"):
+            refine_features(x, cfg, 11)
 
     def test_oversized_window_skipped_with_warning(self, caplog):
         rng = np.random.default_rng(3)
@@ -143,9 +144,7 @@ class TestBoundarySharpening:
         raw_jumps, refined_jumps = [], []
         for f, ann in zip(corpus.features, corpus.annotations):
             x = f.encoded[: f.valid_len].astype(np.float64)
-            xr = refine_features(
-                f.encoded.astype(np.float64), cfg, f.mask()
-            )[: f.valid_len]
+            xr = refine_features(f.encoded.astype(np.float64), cfg, f.valid_len)[: f.valid_len]
             boundaries = set()
             for s, e in ann.events:
                 if s > 0:

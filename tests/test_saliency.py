@@ -31,12 +31,12 @@ def random_head(dim, tau=0.5, seed=0):
     )
 
 
-def composed_loss(head, xp, mask, labels):
-    out = saliency_forward(head, xp, mask)
-    return saliency_loss(out.scores, labels, mask, head.tau)
+def composed_loss(head, xp, valid_len, labels):
+    out = saliency_forward(head, xp, valid_len)
+    return saliency_loss(out.scores, labels, valid_len, head.tau)
 
 
-def fd_gradients(head, xp, mask, labels, h=1e-4):
+def fd_gradients(head, xp, valid_len, labels, h=1e-4):
     """Central finite differences through the full composed loss."""
     grads = {}
     for name in ("w_pool", "W1", "W2"):
@@ -50,8 +50,8 @@ def fd_gradients(head, xp, mask, labels, h=1e-4):
             minus = head.copy()
             getattr(minus, name)[idx] -= h
             g[idx] = (
-                composed_loss(plus, xp, mask, labels)
-                - composed_loss(minus, xp, mask, labels)
+                composed_loss(plus, xp, valid_len, labels)
+                - composed_loss(minus, xp, valid_len, labels)
             ) / (2 * h)
         grads[name] = g
     return grads
@@ -70,16 +70,14 @@ class TestAttentionPool:
     def test_identical_rows_pool_to_row(self):
         v = np.array([0.5, -1.0, 2.0])
         xp = np.tile(v, (4, 1))
-        mask = np.ones(4)
-        pooled, weights = attention_pool(xp, mask, np.array([3.0, 1.0, -2.0]))
+        pooled, weights = attention_pool(xp, 4, np.array([3.0, 1.0, -2.0]))
         np.testing.assert_allclose(pooled, v, atol=1e-12)
         np.testing.assert_allclose(weights, 0.25, atol=1e-12)
 
     def test_zero_query_gives_masked_mean(self):
         rng = np.random.default_rng(0)
         xp = rng.normal(size=(5, 3))
-        mask = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
-        pooled, weights = attention_pool(xp, mask, np.zeros(3))
+        pooled, weights = attention_pool(xp, 3, np.zeros(3))
         np.testing.assert_allclose(pooled, xp[:3].mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(weights[:3], 1 / 3, atol=1e-12)
         np.testing.assert_array_equal(weights[3:], 0.0)
@@ -88,13 +86,15 @@ class TestAttentionPool:
         e1 = np.array([1.0, 0.0])
         e2 = np.array([0.0, 1.0])
         xp = np.stack([e1, e2, e1])
-        pooled, weights = attention_pool(xp, np.ones(3), e1 * 10)
+        pooled, weights = attention_pool(xp, 3, e1 * 10)
         assert weights[0] + weights[2] > 0.99
         np.testing.assert_allclose(pooled, e1, atol=0.01)
 
     def test_all_masked_errors(self):
-        with pytest.raises(DataError, match="all frames masked"):
-            attention_pool(np.ones((2, 2)), np.zeros(2), np.zeros(2))
+        with pytest.raises(DataError, match="valid_len must lie in"):
+            attention_pool(np.ones((2, 2)), 0, np.zeros(2))
+        with pytest.raises(DataError, match="valid_len must lie in"):
+            attention_pool(np.ones((2, 2)), 3, np.zeros(2))
 
 
 class TestSaliencyForward:
@@ -102,14 +102,14 @@ class TestSaliencyForward:
         d = 4
         head = SaliencyHead(np.zeros(d), np.eye(d), np.eye(d), tau=0.5)
         xp = np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (3, 1))
-        out = saliency_forward(head, xp, np.ones(3))
+        out = saliency_forward(head, xp, 3)
         np.testing.assert_allclose(out.scores, 0.5, atol=1e-12)
 
     def test_zero_w1_zeroes_scores(self):
         d = 3
         head = SaliencyHead(np.ones(d), np.zeros((d, d)), np.eye(d), tau=1.0)
         xp = np.random.default_rng(1).normal(size=(4, d))
-        out = saliency_forward(head, xp, np.ones(4))
+        out = saliency_forward(head, xp, 4)
         np.testing.assert_array_equal(out.scores, 0.0)
 
     def test_matches_independent_dot_product_reference(self):
@@ -117,8 +117,7 @@ class TestSaliencyForward:
         d, n = 3, 5
         head = random_head(d, seed=2)
         xp = rng.normal(size=(n, d))
-        mask = np.ones(n)
-        out = saliency_forward(head, xp, mask)
+        out = saliency_forward(head, xp, n)
         # Second implementation: scalar loops, no matrix algebra.
         logits = np.array([float(np.dot(row, head.w_pool)) / np.sqrt(d) for row in xp])
         w = np.exp(logits - logits.max())
@@ -135,29 +134,28 @@ class TestSaliencyForward:
 
 class TestSaliencyLoss:
     def test_symmetric_two_frames(self):
-        loss = saliency_loss(np.array([3.3, 3.3]), np.array([1.0, 0.0]), np.ones(2), 0.7)
+        loss = saliency_loss(np.array([3.3, 3.3]), np.array([1.0, 0.0]), 2, 0.7)
         np.testing.assert_allclose(loss, np.log(2), atol=1e-12)
 
     def test_uniform_three_frames(self):
-        loss = saliency_loss(np.zeros(3), np.array([1, 1, 0.0]), np.ones(3), 1.0)
+        loss = saliency_loss(np.zeros(3), np.array([1, 1, 0.0]), 3, 1.0)
         np.testing.assert_allclose(loss, np.log(3), atol=1e-12)
 
     def test_masked_third_frame_closed_form(self):
         scores = np.array([10.0, 0.0, 0.0])
         labels = np.array([1.0, 0.0, 0.0])
-        mask = np.array([1.0, 1.0, 0.0])
-        loss = saliency_loss(scores, labels, mask, 0.5)
+        loss = saliency_loss(scores, labels, 2, 0.5)
         # The log-sum-exp path loses relative precision near 2e-9; absolute
         # agreement at 1e-14 pins the closed form tightly enough.
         np.testing.assert_allclose(loss, np.log1p(np.exp(-20.0)), rtol=1e-6, atol=1e-14)
 
     def test_empty_highlight_set_errors(self):
         with pytest.raises(DataError, match="empty highlight set"):
-            saliency_loss(np.zeros(3), np.zeros(3), np.ones(3), 1.0)
+            saliency_loss(np.zeros(3), np.zeros(3), 3, 1.0)
 
     def test_loss_nonnegative_and_vanishes_for_dominant_highlight(self):
         scores = np.array([60.0, 0.0, 0.0])
-        loss = saliency_loss(scores, np.array([1.0, 0, 0]), np.ones(3), 1.0)
+        loss = saliency_loss(scores, np.array([1.0, 0, 0]), 3, 1.0)
         assert 0 <= loss < 1e-12
 
     def test_masked_scores_do_not_affect_loss(self):
@@ -165,35 +163,33 @@ class TestSaliencyLoss:
         for _ in range(100):
             n = int(rng.integers(3, 10))
             scores = rng.normal(size=n)
-            mask = (rng.random(n) < 0.7).astype(float)
-            mask[0] = 1.0
-            labels = (rng.random(n) < 0.5).astype(float) * mask
+            valid_len = int(rng.integers(1, n + 1))
+            labels = (rng.random(n) < 0.5).astype(float)
+            labels[valid_len:] = 0.0
             labels[0] = 1.0
             tau = float(rng.uniform(0.2, 2.0))
-            base = saliency_loss(scores, labels, mask, tau)
+            base = saliency_loss(scores, labels, valid_len, tau)
             bumped = scores.copy()
-            bumped[mask == 0] += rng.normal(size=int((mask == 0).sum())) * 100
+            bumped[valid_len:] += rng.normal(size=n - valid_len) * 100
             np.testing.assert_allclose(
-                saliency_loss(bumped, labels, mask, tau), base, rtol=1e-12
+                saliency_loss(bumped, labels, valid_len, tau), base, rtol=1e-12
             )
 
     def test_listwise_competition(self):
         scores = np.array([1.0, 0.0, -1.0])
         labels = np.array([1.0, 0.0, 0.0])
-        mask = np.ones(3)
-        base = saliency_loss(scores, labels, mask, 0.5)
+        base = saliency_loss(scores, labels, 3, 0.5)
         bumped = scores.copy()
         bumped[1] += 0.5
-        assert saliency_loss(bumped, labels, mask, 0.5) > base
+        assert saliency_loss(bumped, labels, 3, 0.5) > base
 
     def test_temperature_scale_invariance(self):
         rng = np.random.default_rng(4)
         scores = rng.normal(size=6)
-        mask = np.array([1, 1, 1, 1, 0, 0.0])
         for c in (0.1, 1.0, 10.0):
             np.testing.assert_allclose(
-                masked_softmax(c * scores, mask, c * 0.5),
-                masked_softmax(scores, mask, 0.5),
+                masked_softmax(c * scores, 4, c * 0.5),
+                masked_softmax(scores, 4, 0.5),
                 atol=1e-12,
             )
 
@@ -203,19 +199,17 @@ class TestSaliencyGrad:
         d = 3
         head = random_head(d, seed=5)
         xp = np.tile(np.array([1.0, 2.0, -1.0]), (4, 1))
-        grads = saliency_grad(head, xp, np.ones(4), np.ones(4))
+        grads = saliency_grad(head, xp, 4, np.ones(4))
         np.testing.assert_allclose(grads["w_pool"], 0.0, atol=1e-12)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(6)
         head = random_head(8, tau=0.5, seed=6)
         xp = rng.normal(size=(12, 8))
-        mask = np.ones(12)
-        mask[10:] = 0.0
         labels = np.zeros(12)
         labels[[1, 4, 7]] = 1.0
-        analytic = saliency_grad(head, xp, mask, labels)
-        numeric = fd_gradients(head, xp, mask, labels)
+        analytic = saliency_grad(head, xp, 10, labels)
+        numeric = fd_gradients(head, xp, 10, labels)
         assert max_rel_error(analytic, numeric) < 1e-4
 
     def test_tau_scaling_consistent_with_finite_differences(self):
@@ -223,14 +217,13 @@ class TestSaliencyGrad:
         rng = np.random.default_rng(7)
         d = 4
         xp = rng.normal(size=(6, d))
-        mask = np.ones(6)
         labels = np.array([1.0, 0, 1, 0, 0, 0])
         w_pool = rng.normal(size=d)
         grads = {}
         for tau in (0.5, 1.0):
             head = SaliencyHead(w_pool.copy(), np.zeros((d, d)), np.eye(d), tau=tau)
-            analytic = saliency_grad(head, xp, mask, labels)
-            numeric = fd_gradients(head, xp, mask, labels)
+            analytic = saliency_grad(head, xp, 6, labels)
+            numeric = fd_gradients(head, xp, 6, labels)
             assert max_rel_error(analytic, numeric) < 1e-4
             grads[tau] = analytic["W1"]
         np.testing.assert_allclose(grads[0.5], 2.0 * grads[1.0], rtol=1e-9)
@@ -239,37 +232,35 @@ class TestSaliencyGrad:
         rng = np.random.default_rng(8)
         head = random_head(5, seed=8)
         xp = rng.normal(size=(7, 5))
-        mask = np.array([1, 1, 1, 1, 1, 0, 0.0])
         labels = np.array([1, 0, 1, 0, 0, 0, 0.0])
-        base = saliency_grad(head, xp, mask, labels)
+        base = saliency_grad(head, xp, 5, labels)
         xp2 = xp.copy()
         xp2[5:] += 100.0
-        bumped = saliency_grad(head, xp2, mask, labels)
+        bumped = saliency_grad(head, xp2, 5, labels)
         for name in base:
             np.testing.assert_allclose(base[name], bumped[name], atol=1e-10)
 
 
 class TestSaliencyPrior:
     def test_zero_scores(self):
-        p_s, p_hat = saliency_prior(np.zeros(4), np.ones(4))
+        p_s, p_hat = saliency_prior(np.zeros(4), 4)
         np.testing.assert_allclose(p_s, 0.5, atol=0)
         np.testing.assert_allclose(p_hat, 0.25, atol=1e-15)
 
     def test_large_negative_score_vanishes(self):
-        p_s, _ = saliency_prior(np.array([-50.0, 0.0]), np.ones(2))
+        p_s, _ = saliency_prior(np.array([-50.0, 0.0]), 2)
         assert p_s[0] < 1e-20
 
     def test_normalized_variant_sums_to_one(self):
         rng = np.random.default_rng(9)
         scores = rng.normal(size=8) * 3
-        mask = np.array([1, 1, 1, 1, 1, 1, 0, 0.0])
-        _, p_hat = saliency_prior(scores, mask)
+        _, p_hat = saliency_prior(scores, 6)
         np.testing.assert_allclose(p_hat.sum(), 1.0, atol=1e-12)
         np.testing.assert_array_equal(p_hat[6:], 0.0)
 
     def test_all_masked_errors(self):
         with pytest.raises(DataError):
-            saliency_prior(np.zeros(3), np.zeros(3))
+            saliency_prior(np.zeros(3), 0)
 
 
 def toy_corpus(n_videos=12, n_frames=20, dim=6, seed=0):
@@ -286,7 +277,7 @@ def toy_corpus(n_videos=12, n_frames=20, dim=6, seed=0):
             np.eye(dim)[1] * 2.0,
         ) + 0.1 * rng.normal(size=(n_frames, dim))
         examples.append(
-            SaliencyExample(f"t{v}", xp, np.ones(n_frames), labels)
+            SaliencyExample(f"t{v}", xp, n_frames, labels)
         )
     return examples
 
@@ -316,7 +307,7 @@ class TestTraining:
         result = train_saliency(train, cfg, epochs=15, seed=1)
         inside, outside = [], []
         for ex in held:
-            scores = saliency_forward(result.head, ex.features, ex.mask).scores
+            scores = saliency_forward(result.head, ex.features, ex.valid_len).scores
             inside.extend(scores[ex.labels > 0])
             outside.extend(scores[ex.labels == 0])
         assert np.mean(inside) > np.mean(outside)
@@ -325,7 +316,7 @@ class TestTraining:
         cfg = PipelineConfig()
         examples = toy_corpus(n_videos=4)
         examples.append(
-            SaliencyExample("empty", np.ones((5, 6)), np.ones(5), np.zeros(5))
+            SaliencyExample("empty", np.ones((5, 6)), 5, np.zeros(5))
         )
         with caplog.at_level("WARNING"):
             train_saliency(examples, cfg, epochs=1, seed=0)

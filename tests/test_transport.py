@@ -54,6 +54,16 @@ def dense_gw_operator(t, c_v, c_a):
     return ((c_v**2) @ rows)[:, None] + ((c_a**2) @ cols)[None, :] - 2.0 * (c_v @ t @ c_a.T)
 
 
+# Shapes (F_v, K) at and near the degenerate ends, crossed with the ends and
+# the middle of alpha and with gamma 0 (no pull towards the prior) and 0.3.
+CORNER_GRID = [
+    (f_v, k, alpha, gamma)
+    for f_v, k in ((1, 1), (1, 4), (3, 8), (2, 2), (12, 3), (40, 8))
+    for alpha in (0.0, 0.5, 1.0)
+    for gamma in (0.0, 0.3)
+]
+
+
 def balanced_problem(cost, gamma=1e6, epsilon=1e-3, alpha=0.0):
     f_v = cost.shape[0]
     return OtProblem(
@@ -212,24 +222,32 @@ class TestSolveFugw:
 
     def test_anchor_marginal_always_exact(self):
         rng = np.random.default_rng(2)
-        for alpha, gamma in ((0.0, 0.3), (0.5, 0.3), (0.8, 3.0)):
-            cost = rng.uniform(0, 1, (10, 3))
-            p = rng.random(10) + 0.1
+        cases = [(10, 3, 0.0, 0.3), (10, 3, 0.5, 0.3), (10, 3, 0.8, 3.0)] + CORNER_GRID
+        for f_v, k, alpha, gamma in cases:
+            cost = rng.uniform(0, 1, (f_v, k))
+            p = rng.random(f_v) + 0.1
             prob = OtProblem(C_k=cost, p_hat=p / p.sum(), alpha=alpha, gamma=gamma, epsilon=0.05)
             plan = solve_fugw(prob)
-            np.testing.assert_allclose(plan.T.sum(axis=0), 1 / 3, atol=1e-6)
-            np.testing.assert_allclose(plan.T.sum(), 1.0, atol=1e-9)
-            assert np.all(plan.T >= 0)
+            case = (f_v, k, alpha, gamma)
+            assert plan.converged, case
+            assert np.all(np.isfinite(plan.T)) and np.all(plan.T >= 0), case
+            np.testing.assert_allclose(plan.T.sum(axis=0), 1 / k, atol=1e-6, err_msg=str(case))
+            np.testing.assert_allclose(plan.T.sum(), 1.0, atol=1e-9, err_msg=str(case))
 
     def test_objective_trace_non_increasing(self):
         rng = np.random.default_rng(3)
-        cost = rng.uniform(0, 1, (12, 4))
-        p = rng.random(12) + 0.05
-        prob = OtProblem(C_k=cost, p_hat=p / p.sum(), alpha=0.5, gamma=0.3, epsilon=0.1)
-        plan = solve_fugw(prob)
-        trace = np.array(plan.objective_trace)
-        assert np.all(np.diff(trace) <= 1e-9)
-        np.testing.assert_allclose(trace[-1], fused_objective(prob, plan.T), atol=1e-12)
+        for f_v, k, alpha, gamma in [(12, 4, 0.5, 0.3)] + CORNER_GRID:
+            cost = rng.uniform(0, 1, (f_v, k))
+            p = rng.random(f_v) + 0.05
+            prob = OtProblem(C_k=cost, p_hat=p / p.sum(), alpha=alpha, gamma=gamma, epsilon=0.1)
+            plan = solve_fugw(prob)
+            case = (f_v, k, alpha, gamma)
+            assert plan.converged, case
+            trace = np.array(plan.objective_trace)
+            assert np.all(np.diff(trace) <= 1e-9), case
+            np.testing.assert_allclose(
+                trace[-1], fused_objective(prob, plan.T), atol=1e-12, err_msg=str(case)
+            )
 
     def test_trace_start_and_operator_calls_per_step(self, monkeypatch):
         rng = np.random.default_rng(10)
