@@ -63,8 +63,9 @@ segs = select_topk(score_segments(decode_segments(plan), plan), cfg.top_k)
 print(f"\ndecoded {len(segs.segments)} segments, selected top {len(segs.selected)}:")
 for i in segs.selected:
     s = segs.segments[i]
+    s_len = np.log1p(s.length)  # S = S_OT * S_len, S_OT the mean plan mass
     print(f"  anchor {s.anchor_id}: [{s.start:3d}, {s.end:3d})  "
-          f"S_OT={s.score_ot:.4f} S_len={s.score_len:.3f} S={s.score:.4f}")
+          f"S_OT={s.score / s_len:.4f} S_len={s_len:.3f} S={s.score:.4f}")
 print(f"ground truth events: {list(ann.events)}")
 
 print("\ncorpus comparison (Recall@0.5 / Mean IoU over ground truth):")

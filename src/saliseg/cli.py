@@ -13,9 +13,10 @@ import logging
 import sys
 from pathlib import Path
 
-from .data import PipelineConfig, load_config, read_text
+from .data import PipelineConfig, dataclass_from_json, load_config, read_text
 from .errors import ConfigError, DataError, NumericalError
 from .pipeline import (
+    BASELINES,
     run_pipeline,
     stage_assemble,
     stage_eval,
@@ -25,7 +26,7 @@ from .pipeline import (
     stage_segment,
     train_saliency_from_files,
 )
-from .synth import generate_corpus, spec_from_json, write_corpus
+from .synth import SynthSpec, generate_corpus, write_corpus
 
 logger = logging.getLogger("saliseg")
 
@@ -77,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features-dir", type=Path, required=True, help="original features")
     p.add_argument("--saliency", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--baseline", choices=["none", "uniform", "kmeans"], default="none")
+    p.add_argument("--baseline", choices=BASELINES, default="none")
     p.add_argument("--dump-plan", type=Path, default=None, help="directory for plan dumps")
     _add_common(p)
 
@@ -110,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--datastore", type=Path, required=True)
     p.add_argument("--head", type=Path, required=True)
     p.add_argument("--out-dir", type=Path, required=True)
-    p.add_argument("--baseline", choices=["none", "uniform", "kmeans"], default="none")
+    p.add_argument("--baseline", choices=BASELINES, default="none")
     p.add_argument("--dump-plan", action="store_true")
     p.add_argument("--text-dir", type=Path, default=None)
     _add_common(p)
@@ -120,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "synth":
-        spec = spec_from_json(read_text(args.spec))
+        spec = dataclass_from_json(SynthSpec, read_text(args.spec))
         if args.seed is not None:
             spec = dataclasses.replace(spec, seed=args.seed)
         write_corpus(generate_corpus(spec), args.out_dir)

@@ -22,16 +22,21 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TypeVar
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ConfigError, DataError
+from .refine import RefineConfig
 
 logger = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 _MAGIC = b"SFT1"
 _HEADER = struct.Struct("<4sQQQ")
@@ -284,10 +289,11 @@ class PipelineConfig:
     """All tunables of the pipeline, with defaults matching the reference setup.
 
     ``lambda_`` is the saliency-loss weight (spelled ``lambda`` in JSON).
+    The window sizes follow :class:`~saliseg.refine.RefineConfig`'s rules.
     """
 
     tau: float = 0.5
-    lambda_: float = 6.0
+    lambda_: float = dataclasses.field(default=6.0, metadata={"json": "lambda"})
     mu: float = 0.1
     gamma: float = 0.3
     alpha: float = 0.5
@@ -300,25 +306,26 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "windows", tuple(int(w) for w in self.windows))
-        if self.tau <= 0:
+        # Every check is written so that NaN fails it.
+        object.__setattr__(self, "windows", RefineConfig(self.windows).windows)
+        if not self.tau > 0:
             raise ConfigError("tau must be > 0")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ConfigError("epsilon must be > 0")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError("alpha must lie in [0, 1]")
-        if self.gamma < 0:
+        if not self.gamma >= 0:
             raise ConfigError("gamma must be >= 0")
-        if self.K < 1:
+        if not (math.isfinite(self.lambda_) and math.isfinite(self.mu)):
+            raise ConfigError("lambda and mu must be finite")
+        if not self.K >= 1:
             raise ConfigError("K must be >= 1")
         if not 1 <= self.top_k <= self.K:
             raise ConfigError("top_k must satisfy 1 <= top_k <= K")
-        if self.top_p < 1:
+        if not self.top_p >= 1:
             raise ConfigError("top_p must be >= 1")
-        if self.F_max < 1:
+        if not self.F_max >= 1:
             raise ConfigError("F_max must be >= 1")
-        if any(w2 <= w1 for w1, w2 in zip(self.windows, self.windows[1:])):
-            raise ConfigError("windows must be strictly increasing")
         if any(w > self.F_max for w in self.windows):
             raise ConfigError("window size exceeds F_max")
 
@@ -329,29 +336,31 @@ class PipelineConfig:
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-_CONFIG_KEYS = {f.name for f in dataclasses.fields(PipelineConfig)} - {"lambda_"} | {"lambda"}
+def dataclass_from_json(cls: type[T], text: str) -> T:
+    """Build the dataclass ``cls`` from a JSON object of its field values.
 
-
-def config_from_json(text: str) -> PipelineConfig:
+    A field is keyed by its name, or by its ``metadata["json"]`` spelling
+    where it has one. Bad JSON, anything but an object, an unknown key and a
+    value that the constructor cannot take are all :class:`ConfigError`.
+    """
+    keys = {f.metadata.get("json", f.name): f.name for f in dataclasses.fields(cls)}
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"bad config JSON: {exc}") from exc
+        raise ConfigError(f"bad {cls.__name__} JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(doc) - _CONFIG_KEYS
+        raise ConfigError(f"{cls.__name__} JSON must be an object")
+    unknown = set(doc) - set(keys)
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if "lambda" in doc:
-        doc["lambda_"] = doc.pop("lambda")
+        raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
     try:
-        return PipelineConfig(**doc)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+        return cls(**{keys[k]: v for k, v in doc.items()})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {cls.__name__} value: {exc}") from exc
 
 
 def load_config(path: str | Path) -> PipelineConfig:
-    return config_from_json(read_text(path))
+    return dataclass_from_json(PipelineConfig, read_text(path))
 
 
 def save_config(cfg: PipelineConfig, path: str | Path) -> None:

@@ -58,6 +58,11 @@ class LocalizationReport:
         }
 
 
+def _f1(precision: float, recall: float) -> float:
+    """Harmonic mean of precision and recall; 0 when both are 0."""
+    return 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+
+
 def _max_ious(sources: list[Interval], targets: list[Interval]) -> list[float]:
     return [max((iou(s, t) for t in targets), default=0.0) for s in sources]
 
@@ -81,18 +86,16 @@ def localization_prf(pred: list[Interval], gt: list[Interval]) -> LocalizationRe
     for t in THRESHOLDS:
         p_t = sum(v >= t for v in pred_best) / len(pred) if pred else 0.0
         r_t = sum(v >= t for v in gt_best) / len(gt) if gt else 0.0
-        f_t = 2 * p_t * r_t / (p_t + r_t) if p_t + r_t > 0 else 0.0
-        per_threshold[t] = {"precision": p_t, "recall": r_t, "f1": f_t}
+        per_threshold[t] = {"precision": p_t, "recall": r_t, "f1": _f1(p_t, r_t)}
         p_sum += p_t
         r_sum += r_t
     precision = p_sum / len(THRESHOLDS)
     recall = r_sum / len(THRESHOLDS)
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
     r05, miou, matched = segment_quality(pred, gt) if gt else (0.0, 0.0, 0)
     return LocalizationReport(
         precision=precision,
         recall=recall,
-        f1=f1,
+        f1=_f1(precision, recall),
         per_threshold=per_threshold,
         recall_at_05=r05,
         mean_iou=miou,
@@ -151,7 +154,7 @@ def evaluate_corpus(
     corpus = LocalizationReport(
         precision=precision,
         recall=recall,
-        f1=2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0,
+        f1=_f1(precision, recall),
         per_threshold=per_threshold,
         recall_at_05=mean("recall_at_05"),
         mean_iou=mean("mean_iou"),
@@ -173,32 +176,25 @@ def report_to_json(corpus: LocalizationReport, per_video: dict[str, Localization
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def report_to_table(corpus: LocalizationReport) -> str:
-    rows = [("metric", "value")]
-    rows += [
-        ("precision", f"{corpus.precision:.4f}"),
-        ("recall", f"{corpus.recall:.4f}"),
-        ("f1", f"{corpus.f1:.4f}"),
-        ("recall_at_05", f"{corpus.recall_at_05:.4f}"),
-        ("mean_iou", f"{corpus.mean_iou:.4f}"),
-        ("matched_segments", f"{corpus.matched_segments:.4f}"),
+def _report_rows(corpus: LocalizationReport) -> list[tuple[str, float]]:
+    """(name, value) of the six corpus scalars, then each threshold's triplet."""
+    rows = [
+        (key, getattr(corpus, key))
+        for key in ("precision", "recall", "f1", "recall_at_05", "mean_iou", "matched_segments")
     ]
     for t, vals in sorted(corpus.per_threshold.items()):
-        rows.append((f"precision@{t}", f"{vals['precision']:.4f}"))
-        rows.append((f"recall@{t}", f"{vals['recall']:.4f}"))
-        rows.append((f"f1@{t}", f"{vals['f1']:.4f}"))
+        rows += [(f"{k}@{t}", vals[k]) for k in ("precision", "recall", "f1")]
+    return rows
+
+
+def report_to_table(corpus: LocalizationReport) -> str:
+    rows = [("metric", "value")] + [(name, f"{v:.4f}") for name, v in _report_rows(corpus)]
     width = max(len(r[0]) for r in rows)
     return "\n".join(f"{name:<{width}}  {value}" for name, value in rows) + "\n"
 
 
 def report_to_csv(corpus: LocalizationReport) -> str:
-    lines = ["metric,value"]
-    doc = corpus.to_doc()
-    for key in ("precision", "recall", "f1", "recall_at_05", "mean_iou", "matched_segments"):
-        lines.append(f"{key},{doc[key]}")
-    for t, vals in sorted(corpus.per_threshold.items()):
-        for k in ("precision", "recall", "f1"):
-            lines.append(f"{k}@{t},{vals[k]}")
+    lines = ["metric,value"] + [f"{name},{v}" for name, v in _report_rows(corpus)]
     return "\n".join(lines) + "\n"
 
 

@@ -49,7 +49,7 @@ from .data import (
     save_records,
 )
 from .data import derive_highlight_labels
-from .errors import DataError, NumericalError, SalisegError
+from .errors import ConfigError, DataError, NumericalError, SalisegError
 from .metrics import evaluate_corpus, save_report
 from .prompts import assemble_input, init_prompt_map, project_saliency, save_decoder_input
 from .refine import RefineConfig, refine_features
@@ -75,6 +75,14 @@ from .store import load_datastore, retrieval_vectors
 from .transport import build_problem, init_anchors, solve_fugw
 
 logger = logging.getLogger(__name__)
+
+# Segmentation strategies: the transport plan, or a heuristic baseline.
+BASELINES = ("none", "uniform", "kmeans")
+
+
+def _check_baseline(baseline: str) -> None:
+    if baseline not in BASELINES:
+        raise ConfigError(f"unknown baseline {baseline!r}; expected one of {BASELINES}")
 
 
 def _for_each_video(
@@ -218,6 +226,7 @@ def stage_segment(
     Under ``fail_fast`` a solve that did not converge raises
     :class:`NumericalError`; otherwise the solver's warning is the only trace.
     """
+    _check_baseline(baseline)
     saliency = load_saliency(saliency_path)
     if dump_plan_dir is not None:
         Path(dump_plan_dir).mkdir(parents=True, exist_ok=True)
@@ -230,7 +239,7 @@ def stage_segment(
             segs = baseline_uniform(n_valid, cfg.top_k)
         elif baseline == "kmeans":
             segs = select_topk(baseline_kmeans(xs, cfg.K, cfg.seed, f.video_id), cfg.top_k)
-        elif baseline == "none":
+        else:  # "none": segment from the transport plan
             anchors = init_anchors(xs, cfg.K, cfg.seed, f.video_id)
             prob = build_problem(xs, anchors, p_s, cfg.alpha, cfg.gamma, cfg.epsilon, cfg.mu)
             plan = solve_fugw(prob)
@@ -242,8 +251,6 @@ def stage_segment(
                 (Path(dump_plan_dir) / f"{f.video_id}.json").write_text(
                     json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8"
                 )
-        else:
-            raise DataError(f"unknown baseline {baseline!r}")
         return segments_to_doc(f.video_id, segs)
 
     return save_records(_for_each_video(features_dir, work, cfg, fail_fast), out_path)
@@ -394,6 +401,7 @@ def run_pipeline(
     fail_fast: bool = False,
 ):
     """Refine, score, segment, retrieve, assemble, evaluate; write a manifest."""
+    _check_baseline(baseline)
     t0 = time.monotonic()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -54,8 +55,11 @@ class DecoderInput:
     """Concatenated sequence and the start offsets of its four sections."""
 
     sequence: NDArray[np.float64]
-    offsets: tuple[int, int, int, int]
     lengths: tuple[int, int, int, int]
+
+    @property
+    def offsets(self) -> tuple[int, int, int, int]:
+        return tuple(accumulate(self.lengths[:3], initial=0))
 
     def section(self, i: int) -> NDArray[np.float64]:
         start = self.offsets[i]
@@ -84,9 +88,7 @@ def assemble_input(
     for name, a in zip(("frames", "prompts", "retrieval", "text"), parts):
         if a.ndim != 2 or a.shape[1] != dim:
             raise DataError(f"{name} section width {a.shape} does not match D={dim}")
-    lengths = tuple(a.shape[0] for a in parts)
-    offsets = (0, lengths[0], lengths[0] + lengths[1], lengths[0] + lengths[1] + lengths[2])
-    return DecoderInput(sequence=np.vstack(parts), offsets=offsets, lengths=lengths)
+    return DecoderInput(sequence=np.vstack(parts), lengths=tuple(a.shape[0] for a in parts))
 
 
 def corrupt_prompt(
@@ -122,7 +124,8 @@ def load_decoder_input(path: str | Path) -> DecoderInput:
     body = raw[_HEADER.size :]
     if len(body) != total * dim * 4:
         raise DataError(f"{path}: truncated body")
-    seq = np.frombuffer(body, dtype="<f4").reshape(total, dim).astype(np.float64)
+    seq = np.frombuffer(body, dtype="<f4").reshape(total, dim)
+    if not np.all(np.isfinite(seq)):
+        raise DataError(f"{path}: non-finite sequence values")
     lengths = (int(n_frames), int(n_prompts), int(n_retr), int(n_text))
-    offsets = (0, lengths[0], lengths[0] + lengths[1], lengths[0] + lengths[1] + lengths[2])
-    return DecoderInput(sequence=seq, offsets=offsets, lengths=lengths)
+    return DecoderInput(sequence=seq.astype(np.float64), lengths=lengths)

@@ -34,6 +34,8 @@ logger = logging.getLogger(__name__)
 _BETA1 = 0.9
 _BETA2 = 0.999
 _ADAM_EPSILON = 1e-8
+# Largest parameter magnitude that the float32 checkpoint payload holds.
+_F32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass
@@ -52,7 +54,7 @@ class SaliencyHead:
         d = self.w_pool.shape[0]
         if self.W1.shape != (d, d) or self.W2.shape != (d, d):
             raise DataError("W1 and W2 must be square D x D matrices")
-        if self.tau <= 0:
+        if not self.tau > 0:  # NaN fails too
             raise DataError("tau must be > 0")
         for p in (self.w_pool, self.W1, self.W2):
             if not np.all(np.isfinite(p)):
@@ -253,8 +255,9 @@ def train_saliency(
     """Adam over per-video losses ``lambda * L``; deterministic given seed.
 
     Videos without any valid highlight frame are skipped with a warning.
-    If the loss turns non-finite, training aborts and the last finite
-    checkpoint is returned.
+    Training diverges when the loss turns non-finite or an update leaves a
+    parameter outside the float32 range of the checkpoint format; it then
+    stops and returns the last head whose loss was finite.
     """
     if seed is None:
         seed = cfg.seed
@@ -284,8 +287,8 @@ def train_saliency(
             scores = saliency_forward(head, ex.features, ex.valid_len).scores
             loss = saliency_loss(scores, ex.labels, ex.valid_len, head.tau)
             if not np.isfinite(loss):
-                logger.error("training diverged at step %d, restoring last checkpoint", state.step)
-                return TrainResult(head=last_good, state=state, loss_curve=loss_curve)
+                return _diverged(last_good, state, loss_curve)
+            last_good = head.copy()
             grads = saliency_grad(head, ex.features, ex.valid_len, ex.labels)
             state.step += 1
             t = state.step
@@ -296,11 +299,17 @@ def train_saliency(
                 m_hat = state.m[name] / (1 - _BETA1**t)
                 v_hat = state.v[name] / (1 - _BETA2**t)
                 params[name] -= learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPSILON)
+            if not all(np.all(np.abs(p) <= _F32_MAX) for p in params.values()):  # NaN too
+                return _diverged(last_good, state, loss_curve)
             epoch_loss += cfg.lambda_ * loss
-            last_good = head.copy()
         if usable:
             loss_curve.append(epoch_loss / len(usable))
     return TrainResult(head=head, state=state, loss_curve=loss_curve)
+
+
+def _diverged(last_good: SaliencyHead, state: TrainState, loss_curve: list[float]) -> TrainResult:
+    logger.error("training diverged at step %d, restoring last checkpoint", state.step)
+    return TrainResult(head=last_good, state=state, loss_curve=loss_curve)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +342,10 @@ def load_head(path: str | Path) -> SaliencyHead:
     expected = (dim + 2 * dim * dim) * 4
     if len(body) != expected:
         raise DataError(f"{path}: truncated checkpoint body")
-    flat = np.frombuffer(body, dtype="<f4").astype(np.float64)
+    flat = np.frombuffer(body, dtype="<f4")
+    if not np.all(np.isfinite(flat)):  # before the cast, which warns on a signalling NaN
+        raise DataError(f"{path}: non-finite head parameters")
+    flat = flat.astype(np.float64)
     w_pool = flat[:dim]
     w1 = flat[dim : dim + dim * dim].reshape(dim, dim)
     w2 = flat[dim + dim * dim :].reshape(dim, dim)

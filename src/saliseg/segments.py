@@ -17,7 +17,7 @@ from numpy.typing import NDArray
 from .data import load_records, save_records
 from .errors import DataError
 from .rng import substream
-from .transport import TransportPlan
+from .transport import TransportPlan, farthest_points
 
 logger = logging.getLogger(__name__)
 
@@ -26,13 +26,11 @@ _KMEANS_MAX_ITER = 100
 
 @dataclass(frozen=True)
 class Segment:
-    """A half-open run of frames assigned to one anchor, with its scores."""
+    """A half-open run of frames assigned to one anchor, with its score."""
 
     anchor_id: int
     start: int
     end: int
-    score_ot: float = 0.0
-    score_len: float = 0.0
     score: float = 0.0
 
     def __post_init__(self) -> None:
@@ -66,30 +64,32 @@ class SegmentSet:
         return [self.segments[i] for i in self.selected]
 
 
+def _runs(labels: NDArray[np.int64]) -> list[Segment]:
+    """Maximal runs of equal per-frame labels as unscored segments."""
+    bounds = [0, *(np.flatnonzero(np.diff(labels)) + 1).tolist(), len(labels)]
+    return [Segment(int(labels[s]), s, e) for s, e in zip(bounds, bounds[1:])]
+
+
+def _length_scored(segments: list[Segment]) -> tuple[Segment, ...]:
+    """Score each segment by log(1 + L) alone, the baselines' only ranking."""
+    return tuple(replace(s, score=float(np.log1p(s.length))) for s in segments)
+
+
 def decode_segments(plan: TransportPlan) -> SegmentSet:
     """Run-length encode the per-frame argmax anchor (ties to lower index)."""
     t = np.asarray(plan.T, dtype=np.float64)
     if t.ndim != 2 or t.shape[0] < 1:
         raise DataError("plan must be F_v x K")
-    assign = np.argmax(t, axis=1)
-    segments = []
-    start = 0
-    for n in range(1, len(assign) + 1):
-        if n == len(assign) or assign[n] != assign[start]:
-            segments.append(Segment(anchor_id=int(assign[start]), start=start, end=n))
-            start = n
-    return SegmentSet(segments=tuple(segments))
+    return SegmentSet(segments=tuple(_runs(np.argmax(t, axis=1))))
 
 
 def score_segments(segs: SegmentSet, plan: TransportPlan) -> SegmentSet:
-    """Attach alignment and length scores: S = mean plan mass * log(1 + L)."""
+    """Score each segment: S = S_OT * S_len = mean plan mass * log(1 + L)."""
     t = np.asarray(plan.T, dtype=np.float64)
     scored = []
     for seg in segs.segments:
         mass = float(t[seg.start : seg.end, seg.anchor_id].sum())
-        s_ot = mass / seg.length
-        s_len = float(np.log1p(seg.length))
-        scored.append(replace(seg, score_ot=s_ot, score_len=s_len, score=s_ot * s_len))
+        scored.append(replace(seg, score=(mass / seg.length) * float(np.log1p(seg.length))))
     return SegmentSet(segments=tuple(scored), selected=segs.selected)
 
 
@@ -137,15 +137,8 @@ def baseline_uniform(n_frames: int, k: int) -> SegmentSet:
     if not 1 <= k <= n_frames:
         raise DataError("need 1 <= k <= F_v")
     base, rem = divmod(n_frames, k)
-    segments = []
-    start = 0
-    for i in range(k):
-        length = base + (1 if i < rem else 0)
-        seg = Segment(anchor_id=i, start=start, end=start + length)
-        seg = replace(seg, score_len=float(np.log1p(seg.length)), score=float(np.log1p(seg.length)))
-        segments.append(seg)
-        start += length
-    return SegmentSet(segments=tuple(segments), selected=tuple(range(k)))
+    labels = np.repeat(np.arange(k), base + (np.arange(k) < rem))
+    return SegmentSet(segments=_length_scored(_runs(labels)), selected=tuple(range(k)))
 
 
 def baseline_kmeans(xs: NDArray[np.float64], k: int, seed: int, video_id: str = "") -> SegmentSet:
@@ -163,15 +156,7 @@ def baseline_kmeans(xs: NDArray[np.float64], k: int, seed: int, video_id: str = 
     n = xs.shape[0]
     if n < k:
         raise DataError("need F_v >= k")
-    rng = substream(seed, "kmeans", video_id)
-    first = int(rng.integers(n))
-    centers = [xs[first]]
-    min_d = np.linalg.norm(xs - xs[first], axis=1)
-    for _ in range(k - 1):
-        nxt = int(np.argmax(min_d))
-        centers.append(xs[nxt])
-        min_d = np.minimum(min_d, np.linalg.norm(xs - xs[nxt], axis=1))
-    centers = np.stack(centers)
+    centers = xs[farthest_points(xs, k, substream(seed, "kmeans", video_id))]
 
     labels = np.zeros(n, dtype=np.int64)
     for _ in range(_KMEANS_MAX_ITER):
@@ -191,16 +176,7 @@ def baseline_kmeans(xs: NDArray[np.float64], k: int, seed: int, video_id: str = 
             labels = new_labels
             break
         labels = new_labels
-
-    segments = []
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or labels[i] != labels[start]:
-            seg = Segment(anchor_id=int(labels[start]), start=start, end=i)
-            length_score = float(np.log1p(seg.length))
-            segments.append(replace(seg, score_len=length_score, score=length_score))
-            start = i
-    return SegmentSet(segments=tuple(segments))
+    return SegmentSet(segments=_length_scored(_runs(labels)))
 
 
 # ---------------------------------------------------------------------------

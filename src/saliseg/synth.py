@@ -11,14 +11,13 @@ segmentation and retrieval quality.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import EventAnnotation, FrameFeatures, save_annotations, save_features
+from .data import EventAnnotation, FrameFeatures, save_annotations, save_features, save_records
 from .errors import ConfigError, DataError
 from .rng import substream
 from .store import Datastore, DatastoreEntry, build_datastore, save_datastore
@@ -41,6 +40,8 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for key in ("events_per_video", "event_len"):
+            object.__setattr__(self, key, tuple(int(x) for x in getattr(self, key)))
         lo, hi = self.events_per_video
         llo, lhi = self.event_len
         if self.n_videos < 1 or self.F < 1 or self.D < 1:
@@ -197,27 +198,6 @@ def generate_corpus(spec: SynthSpec) -> SynthCorpus:
     )
 
 
-def spec_from_json(text: str) -> SynthSpec:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"bad synth spec JSON: {exc}") from exc
-    known = {
-        "n_videos", "F", "D", "events_per_video", "event_len",
-        "noise_sigma", "n_caption_concepts", "background_leak", "seed",
-    }
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown synth spec keys: {sorted(unknown)}")
-    for key in ("events_per_video", "event_len"):
-        if key in doc:
-            doc[key] = tuple(int(x) for x in doc[key])
-    try:
-        return SynthSpec(**doc)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def write_corpus(corpus: SynthCorpus, out_dir: str | Path) -> None:
     """Emit feature files, annotations, datastore and truth records."""
     out = Path(out_dir)
@@ -226,8 +206,7 @@ def write_corpus(corpus: SynthCorpus, out_dir: str | Path) -> None:
         save_features(f, out / "features" / f"{f.video_id}.sfeat")
     save_annotations(corpus.annotations, out / "annotations.jsonl")
     save_datastore(corpus.datastore, out / "datastore.sds")
-    lines = [
-        json.dumps({"video_id": t.video_id, "concepts": list(t.concepts)}, sort_keys=True)
-        for t in corpus.truth
-    ]
-    (out / "truth.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    save_records(
+        [{"video_id": t.video_id, "concepts": list(t.concepts)} for t in corpus.truth],
+        out / "truth.jsonl",
+    )

@@ -323,30 +323,35 @@ def _segment_search(
 def init_anchors(
     xs: NDArray[np.float64], n_anchors: int, seed: int, video_id: str = ""
 ) -> AnchorSet:
-    """Farthest-point anchors from the video's own feature rows.
-
-    Rows are compared after L2 normalization, matching the cosine cost. The
-    first pick is drawn from a seeded substream; each following anchor is the
-    row farthest from the chosen set (ties to the lowest index). Rows may
-    repeat only when there are fewer frames than anchors.
-    """
+    """:func:`farthest_points` anchors from the video's own feature rows,
+    compared after L2 normalization to match the cosine cost."""
     xs = np.asarray(xs, dtype=np.float64)
-    n = xs.shape[0]
-    if n == 0:
+    if xs.shape[0] == 0:
         raise DataError("no feature rows to draw anchors from")
     norms = np.linalg.norm(xs, axis=1)
     if np.any(norms == 0):
         raise DataError("zero-norm feature row")
-    unit = xs / norms[:, None]
-    rng = substream(seed, "anchors", video_id)
+    chosen = farthest_points(xs / norms[:, None], n_anchors, substream(seed, "anchors", video_id))
+    return AnchorSet(anchors=xs[chosen])
+
+
+def farthest_points(rows: NDArray[np.float64], k: int, rng: np.random.Generator) -> NDArray[np.int64]:
+    """Indices of k rows picked by farthest-point traversal.
+
+    The first pick is drawn from ``rng``; each following one is the row
+    farthest (Euclidean) from the picks so far, ties to the lowest index.
+    Once every row is picked, further picks are drawn from ``rng``, so rows
+    repeat only when ``k`` exceeds the row count.
+    """
+    n = rows.shape[0]
     first = int(rng.integers(n))
     chosen = [first]
-    min_d = np.linalg.norm(unit - unit[first], axis=1)
-    while len(chosen) < n_anchors:
+    min_d = np.linalg.norm(rows - rows[first], axis=1)
+    while len(chosen) < k:
         nxt = int(np.argmax(min_d)) if n > len(chosen) else int(rng.integers(n))
         chosen.append(nxt)
-        min_d = np.minimum(min_d, np.linalg.norm(unit - unit[nxt], axis=1))
-    return AnchorSet(anchors=xs[np.array(chosen, dtype=np.int64)].copy())
+        min_d = np.minimum(min_d, np.linalg.norm(rows - rows[nxt], axis=1))
+    return np.array(chosen, dtype=np.int64)
 
 
 def build_problem(

@@ -10,7 +10,7 @@ from saliseg.data import (
     EventAnnotation,
     FrameFeatures,
     PipelineConfig,
-    config_from_json,
+    dataclass_from_json,
     derive_highlight_labels,
     lint_annotations,
     load_annotations,
@@ -196,15 +196,15 @@ class TestPipelineConfig:
         cfg = PipelineConfig(lambda_=2.0)
         doc = json.loads(cfg.to_json())
         assert doc["lambda"] == 2.0
-        assert config_from_json(cfg.to_json()) == cfg
+        assert dataclass_from_json(PipelineConfig, cfg.to_json()) == cfg
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(ConfigError, match="unknown config keys"):
-            config_from_json('{"tau": 0.5, "bogus": 1}')
+        with pytest.raises(ConfigError, match="unknown PipelineConfig keys"):
+            dataclass_from_json(PipelineConfig, '{"tau": 0.5, "bogus": 1}')
 
     def test_rho_rejected_as_unknown_key(self):
-        with pytest.raises(ConfigError, match="unknown config keys"):
-            config_from_json('{"rho": 0.3}')
+        with pytest.raises(ConfigError, match="unknown PipelineConfig keys"):
+            dataclass_from_json(PipelineConfig, '{"rho": 0.3}')
 
     @pytest.mark.parametrize(
         "overrides",
@@ -221,3 +221,26 @@ class TestPipelineConfig:
     def test_invalid_values_rejected(self, overrides):
         with pytest.raises(ConfigError):
             PipelineConfig(**overrides)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"tau": NaN}',
+            '{"epsilon": NaN}',
+            '{"gamma": NaN}',
+            '{"lambda": NaN}',
+            '{"lambda": Infinity}',
+            '{"mu": NaN}',
+            '{"mu": Infinity}',
+            '{"alpha": NaN}',
+            '{"windows": [1, 4]}',
+        ],
+    )
+    def test_nan_infinite_and_short_window_rejected_at_load(self, text):
+        with pytest.raises(ConfigError):
+            dataclass_from_json(PipelineConfig, text)
+
+    @pytest.mark.parametrize("text", ["3", "[1]", '{"K": "x"}', '{"windows": ["a"]}', "{"])
+    def test_malformed_json_is_config_error(self, text):
+        with pytest.raises(ConfigError):
+            dataclass_from_json(PipelineConfig, text)

@@ -40,7 +40,7 @@ def write_head(path):
 
 def write_decoder_input(path):
     seq = np.random.default_rng(3).normal(size=(7, 3))
-    save_decoder_input(DecoderInput(seq, offsets=(0, 4, 6, 7), lengths=(4, 2, 1, 0)), path)
+    save_decoder_input(DecoderInput(seq, lengths=(4, 2, 1, 0)), path)
 
 
 # reader, writer of a valid file, byte offsets of the u64 header fields
@@ -81,9 +81,6 @@ def corruptions(raw: bytes, u64_offsets, seed: int):
         yield f"top bit of the u64 at {offset} flipped", bytes(flipped)
 
 
-# A flipped bit can turn a float32 payload value into a signalling NaN, whose
-# cast to float64 warns before the reader rejects the non-finite value.
-@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
 @pytest.mark.parametrize("kind", sorted(READERS))
 def test_corrupt_file_loads_or_is_data_error(tmp_path, kind):
     reader, writer, u64_offsets = READERS[kind]

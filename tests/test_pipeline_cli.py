@@ -9,7 +9,7 @@ import pytest
 
 from saliseg.cli import main
 from saliseg.data import FrameFeatures, PipelineConfig, load_features, save_config, save_features
-from saliseg.errors import DataError
+from saliseg.errors import ConfigError, DataError
 from saliseg.pipeline import (
     run_pipeline,
     stage_assemble,
@@ -21,6 +21,7 @@ from saliseg.pipeline import (
     train_saliency_from_files,
 )
 from saliseg.prompts import load_decoder_input
+from saliseg.saliency import load_head
 from saliseg.synth import SynthSpec, generate_corpus, write_corpus
 
 
@@ -168,6 +169,21 @@ class TestPipeline:
         assert d_in.lengths[2] == CFG.top_k
         assert d_in.lengths[3] == 0
 
+    def test_unknown_baseline_is_config_error_before_any_work(
+        self, corpus_dir, head_path, saliency_path, tmp_path
+    ):
+        out = tmp_path / "run"
+        with pytest.raises(ConfigError, match="unknown baseline 'kmean'"):
+            run_pipeline(
+                CFG, corpus_dir / "features", corpus_dir / "annotations.jsonl",
+                corpus_dir / "datastore.sds", head_path, out, baseline="kmean",
+            )
+        assert not out.exists()
+        segments = tmp_path / "segments.jsonl"
+        with pytest.raises(ConfigError, match="unknown baseline 'kmean'"):
+            stage_segment(corpus_dir / "features", saliency_path, CFG, segments, baseline="kmean")
+        assert not segments.exists()
+
 
 def copy_features(corpus_dir: Path, tmp_path: Path) -> Path:
     feats = tmp_path / "features"
@@ -205,7 +221,7 @@ class TestFailureIsolation:
             (feats / p.name).write_bytes(p.read_bytes())
         victim = sorted(feats.glob("*.sfeat"))[0]
         victim.write_bytes(victim.read_bytes()[:-8])
-        from saliseg.errors import DataError
+        from saliseg.errors import ConfigError, DataError
 
         with pytest.raises(DataError):
             run_pipeline(
@@ -453,6 +469,45 @@ class TestCli:
             "refine", "--config", str(bad),
             "--features-dir", str(tmp_path), "--out-dir", str(tmp_path / "o"),
         ]) == 2
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"tau": float("nan")},
+            {"epsilon": float("nan")},
+            {"gamma": float("nan")},
+            {"lambda": float("nan")},
+            {"mu": float("nan")},
+            {"mu": float("inf")},
+            {"windows": [1, 4]},
+        ],
+    )
+    def test_segment_rejects_bad_config_before_any_work(
+        self, corpus_dir, saliency_path, tmp_path, bad
+    ):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(bad))  # NaN and Infinity are JSON extensions
+        out = tmp_path / "segments.jsonl"
+        args = self.segment_args(corpus_dir, saliency_path, out)
+        assert main(args + ["--config", str(cfg_path)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec", ["3", '{"event_len": 5}', '{"event_len": [4, 5, 6]}'])
+    def test_bad_synth_spec_exit_code(self, tmp_path, spec):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(spec)
+        out = tmp_path / "data"
+        assert main(["synth", "--spec", str(spec_path), "--out-dir", str(out)]) == 2
+        assert not out.exists()
+
+    def test_diverged_training_writes_a_loadable_head(self, corpus_dir, tmp_path):
+        head = tmp_path / "head.shd"
+        assert main([
+            "train-saliency", "--features-dir", str(corpus_dir / "features"),
+            "--annotations", str(corpus_dir / "annotations.jsonl"),
+            "--out-head", str(head), "--epochs", "1", "--lr", "1e300",
+        ]) == 0
+        assert np.abs(load_head(head).W1).max() < 2.0
 
     def test_data_error_exit_code(self, tmp_path):
         assert main([

@@ -1,5 +1,7 @@
 """Prompt projection and decoder-input assembly."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,16 @@ class TestDecoderInputIO:
         save_decoder_input(out, path)
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(DataError, match="truncated"):
+            load_decoder_input(path)
+
+    # signalling NaN, quiet NaN, +inf as the last float32 value
+    @pytest.mark.parametrize("bits", [0x7F800001, 0x7FC00000, 0x7F800000])
+    def test_non_finite_value_is_data_error(self, tmp_path, bits):
+        out = assemble_input(np.ones((2, 2)), np.ones((2, 2)), np.ones((1, 2)), np.zeros((0, 2)))
+        path = tmp_path / "v.stin"
+        save_decoder_input(out, path)
+        path.write_bytes(path.read_bytes()[:-4] + struct.pack("<I", bits))
+        with pytest.raises(DataError, match="non-finite"):
             load_decoder_input(path)
 
 

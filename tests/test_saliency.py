@@ -1,5 +1,7 @@
 """Saliency head: pooling, scoring, loss, analytic gradients, training."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -327,6 +329,22 @@ class TestTraining:
         result = train_saliency(toy_corpus(), cfg, epochs=10, seed=2)
         assert result.loss_curve[-1] < result.loss_curve[0]
 
+    def test_divergence_returns_last_finite_head_and_it_saves(self, tmp_path, caplog):
+        # The first update moves every weight by about the learning rate, far
+        # beyond the float32 range of the checkpoint: training must hand back
+        # the head before that update, and its checkpoint must load.
+        cfg = PipelineConfig()
+        with caplog.at_level("ERROR"):
+            result = train_saliency(toy_corpus(n_videos=4), cfg, epochs=3, learning_rate=1e300)
+        assert any("diverged" in r.message for r in caplog.records)
+        initial = init_head(6, cfg.tau, seed=cfg.seed)
+        np.testing.assert_array_equal(result.head.W1, initial.W1)
+        np.testing.assert_array_equal(result.head.W2, initial.W2)
+        path = tmp_path / "head.shd"
+        save_head(result.head, path)
+        loaded = load_head(path)
+        np.testing.assert_array_equal(loaded.W1, initial.W1.astype(np.float32))
+
 
 class TestCheckpointIO:
     def test_round_trip_exact_at_f32(self, tmp_path):
@@ -338,6 +356,23 @@ class TestCheckpointIO:
             loaded.W1, head.W1.astype(np.float32).astype(np.float64)
         )
         assert loaded.tau == head.tau and loaded.dim == 5
+
+    # signalling NaN, quiet NaN, +inf as the last float32 weight
+    @pytest.mark.parametrize("bits", [0x7F800001, 0x7FC00000, 0x7F800000])
+    def test_non_finite_weight_is_data_error(self, tmp_path, bits):
+        path = tmp_path / "head.shd"
+        save_head(init_head(3, tau=0.5, seed=0), path)
+        path.write_bytes(path.read_bytes()[:-4] + struct.pack("<I", bits))
+        with pytest.raises(DataError, match="non-finite"):
+            load_head(path)
+
+    def test_nan_tau_is_data_error(self, tmp_path):
+        path = tmp_path / "head.shd"
+        save_head(init_head(3, tau=0.5, seed=0), path)
+        raw = path.read_bytes()
+        path.write_bytes(b'{"D": 3, "tau": NaN}' + raw[raw.index(b"\n") :])
+        with pytest.raises(DataError, match="tau"):
+            load_head(path)
 
     def test_truncated_checkpoint_errors(self, tmp_path):
         head = init_head(4, tau=0.5, seed=4)

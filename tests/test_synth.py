@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from saliseg.data import dataclass_from_json
 from saliseg.errors import ConfigError
-from saliseg.synth import SynthSpec, generate_corpus, spec_from_json, write_corpus
+from saliseg.synth import SynthSpec, generate_corpus, write_corpus
 
 
 def nearest_prototype_accuracy(corpus):
@@ -119,7 +120,8 @@ class TestSpecValidation:
             SynthSpec(D=5, n_caption_concepts=12)
 
     def test_spec_json_round_trip(self):
-        spec = spec_from_json(
+        spec = dataclass_from_json(
+            SynthSpec,
             '{"n_videos": 3, "F": 60, "D": 16, "events_per_video": [2, 3],'
             ' "event_len": [4, 6], "noise_sigma": 0.1, "n_caption_concepts": 6,'
             ' "seed": 12}'
@@ -128,4 +130,4 @@ class TestSpecValidation:
 
     def test_spec_json_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown"):
-            spec_from_json('{"n_videos": 3, "bogus": 1}')
+            dataclass_from_json(SynthSpec, '{"n_videos": 3, "bogus": 1}')
