@@ -22,7 +22,7 @@ from saliseg import (
     train_saliency,
 )
 
-cfg = PipelineConfig()
+cfg = PipelineConfig(seed=1)
 corpus = generate_corpus(SynthSpec(n_videos=24, noise_sigma=0.1, seed=5))
 refine_cfg = RefineConfig(windows=cfg.windows)
 
@@ -33,7 +33,7 @@ for f, ann in zip(corpus.features, corpus.annotations):
     examples.append(SaliencyExample(f.video_id, refined, f.valid_len, labels.labels))
 
 train, held = examples[:18], examples[18:]
-result = train_saliency(train, cfg, epochs=10, seed=1)
+result = train_saliency(train, cfg, epochs=10)
 print("per-epoch mean training loss (saliency term scaled by lambda):")
 for i, loss in enumerate(result.loss_curve):
     bar = "#" * int((loss / result.loss_curve[0]) * 40)
@@ -53,11 +53,11 @@ print(f"\nheld-out scores: events {inside.mean():.3f} vs background {outside.mea
 ex = held[0]
 n_valid = ex.valid_len
 scores = saliency_forward(result.head, ex.features, n_valid).scores
-p_s, p_hat = saliency_prior(scores, n_valid)
+p_s = saliency_prior(scores, n_valid)
 split = scores[:n_valid].mean()
 line = "".join("#" if s > split else "." for s in scores[:n_valid])
 truth = "".join("E" if l > 0 else " " for l in ex.labels[:n_valid])
 print(f"\nframes scoring above the video mean for {ex.video_id} (# = predicted salient):")
 print(f"  pred  {line}")
 print(f"  truth {truth}")
-print(f"normalized prior sums to {p_hat.sum():.6f} over valid frames")
+print(f"sigmoid prior: mass {p_s.sum():.3f} over {n_valid} valid frames")

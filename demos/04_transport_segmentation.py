@@ -8,6 +8,8 @@ ranks them, and compares localization quality against uniform chunking and
 k-means run-length segments.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from saliseg import (
@@ -44,12 +46,12 @@ for f, ann in zip(corpus.features, corpus.annotations):
     refined = refine_features(f.encoded.astype(np.float64), refine_cfg, f.valid_len)
     labels = derive_highlight_labels(ann, f.n_frames, f.valid_len)
     examples.append(SaliencyExample(f.video_id, refined, f.valid_len, labels.labels))
-head = train_saliency(examples, cfg, epochs=8, seed=3).head
+head = train_saliency(examples, replace(cfg, seed=3), epochs=8).head
 
 f, ex, ann = corpus.features[0], examples[0], corpus.annotations[0]
 n = f.valid_len
 xs = f.spatial[:n].astype(np.float64)
-p_s = saliency_prior(saliency_forward(head, ex.features, n).scores, n)[0][:n]
+p_s = saliency_prior(saliency_forward(head, ex.features, n).scores, n)[:n]
 
 anchors = init_anchors(xs, cfg.K, cfg.seed, f.video_id)
 prob = build_problem(xs, anchors, p_s, cfg.alpha, cfg.gamma, cfg.epsilon, cfg.mu)
@@ -73,7 +75,7 @@ stats = {"transport": [], "kmeans": [], "uniform": []}
 for f, ex, ann in zip(corpus.features, examples, corpus.annotations):
     n = f.valid_len
     xs = f.spatial[:n].astype(np.float64)
-    p_s = saliency_prior(saliency_forward(head, ex.features, n).scores, n)[0][:n]
+    p_s = saliency_prior(saliency_forward(head, ex.features, n).scores, n)[:n]
     anchors = init_anchors(xs, cfg.K, cfg.seed, f.video_id)
     prob = build_problem(xs, anchors, p_s, cfg.alpha, cfg.gamma, cfg.epsilon, cfg.mu)
     plan = solve_fugw(prob)

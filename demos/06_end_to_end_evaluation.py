@@ -26,7 +26,7 @@ with tempfile.TemporaryDirectory() as tmp:
 
     head = root / "head.shd"
     result = train_saliency_from_files(
-        data / "features", data / "annotations.jsonl", cfg, head, epochs=8, seed=42
+        data / "features", data / "annotations.jsonl", cfg, head, epochs=8
     )
     print(f"trained saliency head: loss {result.loss_curve[0]:.3f} -> {result.loss_curve[-1]:.3f}")
 

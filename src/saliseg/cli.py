@@ -133,8 +133,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     elif args.command == "train-saliency":
         result = train_saliency_from_files(
             args.features_dir, args.annotations, cfg, args.out_head,
-            epochs=args.epochs, learning_rate=args.lr, seed=args.seed,
-            fail_fast=args.fail_fast,
+            epochs=args.epochs, learning_rate=args.lr, fail_fast=args.fail_fast,
         )
         if result.loss_curve:
             logger.info("final mean loss %.6f", result.loss_curve[-1])

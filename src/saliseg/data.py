@@ -165,7 +165,7 @@ def lint_annotations(anns: list[EventAnnotation]) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Reading input files
+# Reading and writing files
 # ---------------------------------------------------------------------------
 
 def read_file(path: str | Path) -> bytes:
@@ -174,6 +174,17 @@ def read_file(path: str | Path) -> bytes:
         return Path(path).read_bytes()
     except OSError as exc:
         raise DataError(f"{path}: {exc.strerror or exc}") from exc
+
+
+def write_file(path: str | Path, payload: bytes | str) -> Path:
+    """Write ``payload`` (text as UTF-8); a failed write is a :class:`DataError`."""
+    if isinstance(payload, str):
+        payload = payload.encode("utf-8")
+    try:
+        Path(path).write_bytes(payload)
+    except OSError as exc:
+        raise DataError(f"{path}: {exc.strerror or exc}") from exc
+    return Path(path)
 
 
 def read_text(path: str | Path) -> str:
@@ -190,16 +201,16 @@ def read_text(path: str | Path) -> str:
 
 def save_features(f: FrameFeatures, path: str | Path) -> None:
     """Write a feature file; byte output is a pure function of the value."""
-    path = Path(path)
     payload = bytearray()
     payload += _HEADER.pack(_MAGIC, f.n_frames, f.dim, f.valid_len)
     payload += f.spatial.astype("<f4", copy=False).tobytes(order="C")
     payload += f.encoded.astype("<f4", copy=False).tobytes(order="C")
-    path.write_bytes(bytes(payload))
+    write_file(path, bytes(payload))
 
 
-def load_features(path: str | Path, video_id: str | None = None) -> FrameFeatures:
-    """Read a feature file, enforcing header consistency and padding."""
+def load_features(path: str | Path) -> FrameFeatures:
+    """Read a feature file, enforcing header consistency and padding; the
+    video id is the file stem."""
     path = Path(path)
     raw = read_file(path)
     if len(raw) < _HEADER.size:
@@ -216,9 +227,7 @@ def load_features(path: str | Path, video_id: str | None = None) -> FrameFeature
     flat = np.frombuffer(body, dtype="<f4")
     spatial = flat[: n_frames * dim].reshape(n_frames, dim)
     encoded = flat[n_frames * dim :].reshape(n_frames, dim)
-    if video_id is None:
-        video_id = path.stem
-    return FrameFeatures(video_id=video_id, spatial=spatial, encoded=encoded, valid_len=int(valid_len))
+    return FrameFeatures(video_id=path.stem, spatial=spatial, encoded=encoded, valid_len=int(valid_len))
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +237,7 @@ def load_features(path: str | Path, video_id: str | None = None) -> FrameFeature
 def save_records(docs: list[dict], path: str | Path) -> Path:
     """Write one JSON object per line, keys sorted."""
     lines = "".join(json.dumps(doc, sort_keys=True) + "\n" for doc in docs)
-    Path(path).write_text(lines, encoding="utf-8")
-    return Path(path)
+    return write_file(path, lines)
 
 
 def _jsonl_lines(path: str | Path):
@@ -275,8 +283,8 @@ def load_annotations(path: str | Path) -> list[EventAnnotation]:
                     events=tuple((int(s), int(e)) for s, e in doc["events"]),
                 )
             )
-        except KeyError as exc:
-            raise DataError(f"{path}:{i}: missing key {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}:{i}: bad annotation record: {exc}") from exc
     return anns
 
 
@@ -330,20 +338,22 @@ class PipelineConfig:
             raise ConfigError("window size exceeds F_max")
 
     def to_json(self) -> str:
-        doc = dataclasses.asdict(self)
-        doc["lambda"] = doc.pop("lambda_")
-        doc["windows"] = list(self.windows)
+        doc = {key: getattr(self, name) for key, name in _json_keys(type(self)).items()}
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def dataclass_from_json(cls: type[T], text: str) -> T:
-    """Build the dataclass ``cls`` from a JSON object of its field values.
+def _json_keys(cls: type) -> dict[str, str]:
+    """JSON key -> field name; the key is ``metadata["json"]`` or the name."""
+    return {f.metadata.get("json", f.name): f.name for f in dataclasses.fields(cls)}
 
-    A field is keyed by its name, or by its ``metadata["json"]`` spelling
-    where it has one. Bad JSON, anything but an object, an unknown key and a
-    value that the constructor cannot take are all :class:`ConfigError`.
+
+def dataclass_from_json(cls: type[T], text: str) -> T:
+    """Build the dataclass ``cls`` from a JSON object keyed by :func:`_json_keys`.
+
+    Bad JSON, anything but an object, an unknown key and a value that the
+    constructor cannot take are all :class:`ConfigError`.
     """
-    keys = {f.metadata.get("json", f.name): f.name for f in dataclasses.fields(cls)}
+    keys = _json_keys(cls)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -364,4 +374,4 @@ def load_config(path: str | Path) -> PipelineConfig:
 
 
 def save_config(cfg: PipelineConfig, path: str | Path) -> None:
-    Path(path).write_text(cfg.to_json(), encoding="utf-8")
+    write_file(path, cfg.to_json())

@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .data import write_file
 from .errors import DataError
 
 THRESHOLDS = (0.3, 0.5, 0.7, 0.9)
@@ -205,8 +206,8 @@ def save_report(
     table_path: str | Path | None = None,
     csv_path: str | Path | None = None,
 ) -> None:
-    Path(json_path).write_text(report_to_json(corpus, per_video), encoding="utf-8")
+    write_file(json_path, report_to_json(corpus, per_video))
     if table_path is not None:
-        Path(table_path).write_text(report_to_table(corpus), encoding="utf-8")
+        write_file(table_path, report_to_table(corpus))
     if csv_path is not None:
-        Path(csv_path).write_text(report_to_csv(corpus), encoding="utf-8")
+        write_file(csv_path, report_to_csv(corpus))

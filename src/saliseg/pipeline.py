@@ -16,10 +16,10 @@ with ``fail_fast`` the error propagates.
 
 Record files are JSON Lines, one object per video, keys sorted:
 
-- saliency: ``{"video_id": str, "valid_len": int, "scores": [F floats],
-  "prior": [F floats], "prior_norm": [F floats]}``: the head's raw
-  per-frame scores, their sigmoid zeroed beyond ``valid_len``, and that
-  sigmoid normalized to sum to one;
+- saliency: ``{"video_id": str, "scores": [F floats], "prior": [F floats]}``:
+  the head's raw per-frame scores and their sigmoid zeroed from
+  ``valid_len`` on (the feature file holds ``valid_len``; the transport
+  problem normalizes the prior itself);
 - retrieval: ``{"video_id": str, "segments": [{"index": int, "neighbors":
   [[entry_id, similarity], ...]}, ...], "vectors": [[D floats], ...]}``,
   one entry per selected segment in temporal order (``index`` into the
@@ -45,8 +45,10 @@ from .data import (
     load_annotations,
     load_features,
     load_records,
+    read_file,
     save_features,
     save_records,
+    write_file,
 )
 from .data import derive_highlight_labels
 from .errors import ConfigError, DataError, NumericalError, SalisegError
@@ -200,14 +202,8 @@ def stage_score_saliency(
         if f.dim != head.dim:
             raise DataError(f"{f.video_id}: feature dim {f.dim} != head dim {head.dim}")
         scores = saliency_forward(head, f.encoded.astype(np.float64), f.valid_len).scores
-        p_s, p_hat = saliency_prior(scores, f.valid_len)
-        return {
-            "video_id": f.video_id,
-            "valid_len": f.valid_len,
-            "scores": scores.tolist(),
-            "prior": p_s.tolist(),
-            "prior_norm": p_hat.tolist(),
-        }
+        p_s = saliency_prior(scores, f.valid_len)
+        return {"video_id": f.video_id, "scores": scores.tolist(), "prior": p_s.tolist()}
 
     return save_records(_for_each_video(refined_dir, work, cfg, fail_fast), out_path)
 
@@ -248,9 +244,8 @@ def stage_segment(
             segs = select_topk(score_segments(decode_segments(plan), plan), cfg.top_k)
             if dump_plan_dir is not None:
                 doc = {"F_v": n_valid, "K": cfg.K, "T": plan.T.flatten().tolist()}
-                (Path(dump_plan_dir) / f"{f.video_id}.json").write_text(
-                    json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8"
-                )
+                plan_path = Path(dump_plan_dir) / f"{f.video_id}.json"
+                write_file(plan_path, json.dumps(doc, sort_keys=True) + "\n")
         return segments_to_doc(f.video_id, segs)
 
     return save_records(_for_each_video(features_dir, work, cfg, fail_fast), out_path)
@@ -355,7 +350,6 @@ def train_saliency_from_files(
     out_head: str | Path,
     epochs: int = 20,
     learning_rate: float = 1e-3,
-    seed: int | None = None,
     fail_fast: bool = False,
 ) -> TrainResult:
     """Refine raw features, derive labels, train the head, save the checkpoint."""
@@ -375,7 +369,7 @@ def train_saliency_from_files(
     examples = [
         ex for ex in _for_each_video(features_dir, build_example, cfg, fail_fast) if ex is not None
     ]
-    result = train_saliency(examples, cfg, epochs=epochs, learning_rate=learning_rate, seed=seed)
+    result = train_saliency(examples, cfg, epochs=epochs, learning_rate=learning_rate)
     save_head(result.head, out_head)
     return result
 
@@ -383,10 +377,6 @@ def train_saliency_from_files(
 # ---------------------------------------------------------------------------
 # End-to-end runner
 # ---------------------------------------------------------------------------
-
-def _hash_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
 
 def run_pipeline(
     cfg: PipelineConfig,
@@ -440,20 +430,17 @@ def run_pipeline(
     )
 
     files = {
-        str(p.relative_to(out)): _hash_file(p)
+        str(p.relative_to(out)): hashlib.sha256(read_file(p)).hexdigest()
         for p in sorted(out.rglob("*"))
         if p.is_file() and p.name != "manifest.json"
     }
     config_doc = json.loads(cfg.to_json())
     manifest = {
         "config": config_doc,
-        "seed": cfg.seed,
         "baseline": baseline,
         "versions": {"saliseg": __version__, "numpy": np.__version__},
         "files": files,
     }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_file(out / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     logger.info("pipeline finished in %.2fs", time.monotonic() - t0)
     return corpus

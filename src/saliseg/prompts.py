@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 from numpy.typing import NDArray
 
-from .data import read_file
+from .data import read_file, write_file
 from .errors import DataError
 from .rng import substream
 
@@ -108,7 +108,7 @@ def save_decoder_input(d: DecoderInput, path: str | Path) -> None:
     dim = d.sequence.shape[1]
     payload = bytearray(_HEADER.pack(_MAGIC, dim, *d.lengths))
     payload += d.sequence.astype("<f4").tobytes(order="C")
-    Path(path).write_bytes(bytes(payload))
+    write_file(path, bytes(payload))
 
 
 def load_decoder_input(path: str | Path) -> DecoderInput:

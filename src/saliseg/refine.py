@@ -27,7 +27,7 @@ _LN_EPSILON = 1e-5  # variance guard of the layer normalization
 class RefineConfig:
     """Window sizes of the refinement pass."""
 
-    windows: tuple[int, ...] = (8, 32, 64)
+    windows: tuple[int, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "windows", tuple(int(w) for w in self.windows))

@@ -9,9 +9,10 @@ for probability mass and annotated highlight frames are pushed up.
 Gradients are analytic (no autodiff framework); ``saliency_grad`` is checked
 against central finite differences in the test suite.
 
-Checkpoint format: one newline-terminated JSON header line
-``{"D": int, "tau": float}`` followed by little-endian f32 payloads for
-``w_pool`` (D), ``W1`` (D*D row-major) and ``W2`` (D*D row-major).
+Checkpoint format: one newline-terminated JSON header line ``{"D": int}``
+followed by little-endian f32 payloads for ``w_pool`` (D), ``W1`` (D*D
+row-major) and ``W2`` (D*D row-major). Other header keys, such as the
+``tau`` that older checkpoints carry, are ignored.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 from numpy.typing import NDArray
 
-from .data import PipelineConfig, read_file
+from .data import PipelineConfig, read_file, write_file
 from .errors import DataError
 from .rng import substream
 
@@ -45,7 +46,6 @@ class SaliencyHead:
     w_pool: NDArray[np.float64]
     W1: NDArray[np.float64]
     W2: NDArray[np.float64]
-    tau: float
 
     def __post_init__(self) -> None:
         self.w_pool = np.asarray(self.w_pool, dtype=np.float64)
@@ -54,8 +54,6 @@ class SaliencyHead:
         d = self.w_pool.shape[0]
         if self.W1.shape != (d, d) or self.W2.shape != (d, d):
             raise DataError("W1 and W2 must be square D x D matrices")
-        if not self.tau > 0:  # NaN fails too
-            raise DataError("tau must be > 0")
         for p in (self.w_pool, self.W1, self.W2):
             if not np.all(np.isfinite(p)):
                 raise DataError("non-finite head parameters")
@@ -65,7 +63,7 @@ class SaliencyHead:
         return self.w_pool.shape[0]
 
     def copy(self) -> "SaliencyHead":
-        return SaliencyHead(self.w_pool.copy(), self.W1.copy(), self.W2.copy(), self.tau)
+        return SaliencyHead(self.w_pool.copy(), self.W1.copy(), self.W2.copy())
 
 
 @dataclass(frozen=True)
@@ -77,7 +75,7 @@ class SaliencyOutput:
     pool_weights: NDArray[np.float64]
 
 
-def init_head(dim: int, tau: float, seed: int) -> SaliencyHead:
+def init_head(dim: int, seed: int) -> SaliencyHead:
     """Near-identity init: W = I + 0.01 N(0,1), zero pooling query.
 
     Zero query keeps the initial pooling uniform over valid frames.
@@ -85,7 +83,7 @@ def init_head(dim: int, tau: float, seed: int) -> SaliencyHead:
     rng = substream(seed, "head-init")
     w1 = np.eye(dim) + 0.01 * rng.standard_normal((dim, dim))
     w2 = np.eye(dim) + 0.01 * rng.standard_normal((dim, dim))
-    return SaliencyHead(w_pool=np.zeros(dim), W1=w1, W2=w2, tau=tau)
+    return SaliencyHead(w_pool=np.zeros(dim), W1=w1, W2=w2)
 
 
 def _valid_frames(n_frames: int, valid_len: int) -> NDArray[np.bool_]:
@@ -162,8 +160,10 @@ def saliency_grad(
     xp: NDArray[np.float64],
     valid_len: int,
     labels: NDArray[np.float64],
+    tau: float,
 ) -> dict[str, NDArray[np.float64]]:
-    """Analytic gradients of the saliency loss w.r.t. w_pool, W1 and W2.
+    """Analytic gradients of the saliency loss at temperature ``tau`` w.r.t.
+    w_pool, W1 and W2.
 
     Includes the pooling path: the pooled context depends on w_pool, and the
     scores depend on the pooled context through W2.
@@ -178,8 +178,8 @@ def saliency_grad(
     d = head.dim
     sqrt_d = np.sqrt(d)
 
-    p = masked_softmax(out.scores, valid_len, head.tau)
-    g_scores = (p - hm / n_high) / head.tau  # zero on padded frames
+    p = masked_softmax(out.scores, valid_len, tau)
+    g_scores = (p - hm / n_high) / tau  # zero on padded frames
 
     ctx = out.pooled @ head.W2.T
     gx = g_scores @ xp  # sum_n g_n x_n
@@ -195,14 +195,11 @@ def saliency_grad(
     return {"w_pool": d_w_pool, "W1": d_w1, "W2": d_w2}
 
 
-def saliency_prior(
-    scores: NDArray[np.float64], valid_len: int
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Sigmoid saliency prior and its L1-normalized variant.
+def saliency_prior(scores: NDArray[np.float64], valid_len: int) -> NDArray[np.float64]:
+    """Sigmoid saliency prior ``p_s``, zeroed from ``valid_len`` on.
 
-    Returns ``(p_s, p_hat)``: ``p_s`` is the per-frame sigmoid, zeroed from
-    ``valid_len`` on; ``p_hat`` sums to one over valid frames and serves as
-    the reference measure of the transport solver's KL term.
+    :func:`~saliseg.transport.build_problem` normalizes it into the
+    reference measure of the transport solver's KL term.
     """
     scores = np.asarray(scores, dtype=np.float64)
     valid = _valid_frames(scores.shape[0], valid_len)
@@ -210,9 +207,7 @@ def saliency_prior(
         raise DataError("non-finite saliency scores")
     with np.errstate(over="ignore"):
         p_s = np.where(scores >= 0, 1.0 / (1.0 + np.exp(-scores)), np.exp(scores) / (1.0 + np.exp(scores)))
-    p_s = p_s * valid
-    p_hat = p_s / p_s.sum()
-    return p_s, p_hat
+    return p_s * valid
 
 
 # ---------------------------------------------------------------------------
@@ -250,17 +245,15 @@ def train_saliency(
     cfg: PipelineConfig,
     epochs: int = 20,
     learning_rate: float = 1e-3,
-    seed: int | None = None,
 ) -> TrainResult:
-    """Adam over per-video losses ``lambda * L``; deterministic given seed.
+    """Adam over per-video losses ``lambda * L`` at temperature ``cfg.tau``;
+    deterministic given ``cfg.seed``.
 
     Videos without any valid highlight frame are skipped with a warning.
     Training diverges when the loss turns non-finite or an update leaves a
     parameter outside the float32 range of the checkpoint format; it then
     stops and returns the last head whose loss was finite.
     """
-    if seed is None:
-        seed = cfg.seed
     usable = []
     for ex in examples:
         if np.sum(ex.labels[: ex.valid_len]) >= 1:
@@ -269,13 +262,13 @@ def train_saliency(
             logger.warning("%s: no highlight frames, skipped for training", ex.video_id)
     if not usable:
         raise DataError("no trainable videos")
-    head = init_head(usable[0].features.shape[1], cfg.tau, seed)
+    head = init_head(usable[0].features.shape[1], cfg.seed)
     params = {"w_pool": head.w_pool, "W1": head.W1, "W2": head.W2}  # updated in place
     state = TrainState(
         m={name: np.zeros_like(p) for name, p in params.items()},
         v={name: np.zeros_like(p) for name, p in params.items()},
     )
-    rng = substream(seed, "train-saliency")
+    rng = substream(cfg.seed, "train-saliency")
     loss_curve: list[float] = []
     last_good = head.copy()
 
@@ -285,11 +278,11 @@ def train_saliency(
         for idx in order:
             ex = usable[idx]
             scores = saliency_forward(head, ex.features, ex.valid_len).scores
-            loss = saliency_loss(scores, ex.labels, ex.valid_len, head.tau)
+            loss = saliency_loss(scores, ex.labels, ex.valid_len, cfg.tau)
             if not np.isfinite(loss):
                 return _diverged(last_good, state, loss_curve)
             last_good = head.copy()
-            grads = saliency_grad(head, ex.features, ex.valid_len, ex.labels)
+            grads = saliency_grad(head, ex.features, ex.valid_len, ex.labels, cfg.tau)
             state.step += 1
             t = state.step
             for name, g in grads.items():
@@ -317,12 +310,12 @@ def _diverged(last_good: SaliencyHead, state: TrainState, loss_curve: list[float
 # ---------------------------------------------------------------------------
 
 def save_head(head: SaliencyHead, path: str | Path) -> None:
-    header = json.dumps({"D": head.dim, "tau": head.tau}, sort_keys=True) + "\n"
+    header = json.dumps({"D": head.dim}) + "\n"
     payload = bytearray(header.encode("utf-8"))
     payload += head.w_pool.astype("<f4").tobytes()
     payload += head.W1.astype("<f4").tobytes(order="C")
     payload += head.W2.astype("<f4").tobytes(order="C")
-    Path(path).write_bytes(bytes(payload))
+    write_file(path, bytes(payload))
 
 
 def load_head(path: str | Path) -> SaliencyHead:
@@ -333,7 +326,6 @@ def load_head(path: str | Path) -> SaliencyHead:
     try:
         header = json.loads(raw[:nl].decode("utf-8"))
         dim = int(header["D"])
-        tau = float(header["tau"])
     except (KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON, UTF-8 or number
         raise DataError(f"{path}: bad checkpoint header: {exc}") from exc
     if dim < 1:
@@ -349,4 +341,4 @@ def load_head(path: str | Path) -> SaliencyHead:
     w_pool = flat[:dim]
     w1 = flat[dim : dim + dim * dim].reshape(dim, dim)
     w2 = flat[dim + dim * dim :].reshape(dim, dim)
-    return SaliencyHead(w_pool=w_pool, W1=w1, W2=w2, tau=tau)
+    return SaliencyHead(w_pool=w_pool, W1=w1, W2=w2)

@@ -2,7 +2,7 @@
 
 Segments file format: JSON Lines, one object per video,
 ``{"video_id": str, "segments": [{"anchor", "start", "end", "score"}, ...],
-"selected": [segment indices in temporal order]}``.
+"selected": [strictly increasing segment indices]}``.
 """
 
 from __future__ import annotations
@@ -44,7 +44,8 @@ class Segment:
 
 @dataclass(frozen=True)
 class SegmentSet:
-    """Contiguous partition of the valid frames plus the selected indices."""
+    """Contiguous partition of the valid frames plus the selected indices,
+    which are strictly increasing indices into ``segments``."""
 
     segments: tuple[Segment, ...]
     selected: tuple[int, ...] = ()
@@ -55,6 +56,10 @@ class SegmentSet:
             if seg.start != prev_end:
                 raise DataError("segments must partition the frame range")
             prev_end = seg.end
+        bounds = (-1, *self.selected, len(self.segments))
+        if any(a >= b for a, b in zip(bounds, bounds[1:])):
+            raise DataError(f"selected {list(self.selected)} must be strictly increasing"
+                            f" indices into {len(self.segments)} segments")
 
     @property
     def n_frames(self) -> int:

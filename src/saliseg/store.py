@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 from numpy.typing import NDArray
 
-from .data import read_file
+from .data import read_file, write_file
 from .errors import DataError
 from .segments import SegmentSet, pool_segment_features
 
@@ -146,7 +146,7 @@ def save_datastore(store: Datastore, path: str | Path) -> None:
         payload += struct.pack("<I", len(id_bytes)) + id_bytes
         payload += struct.pack("<I", len(cap_bytes)) + cap_bytes
         payload += store.embeddings[i].astype("<f4").tobytes()
-    Path(path).write_bytes(bytes(payload))
+    write_file(path, bytes(payload))
 
 
 def load_datastore(path: str | Path) -> Datastore:

@@ -7,6 +7,7 @@ so reruns are bit-reproducible.
 
 import itertools
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -72,13 +73,13 @@ def prepare(spec, train_count, epochs=8, train_seed=3):
         refined = refine_features(f.encoded.astype(np.float64), refine_cfg, f.valid_len)
         labels = derive_highlight_labels(ann, f.n_frames, f.valid_len)
         examples.append(SaliencyExample(f.video_id, refined, f.valid_len, labels.labels))
-    head = train_saliency(examples[:train_count], CFG, epochs=epochs, seed=train_seed).head
+    head = train_saliency(examples[:train_count], replace(CFG, seed=train_seed), epochs=epochs).head
     return corpus, examples, head
 
 
 def trained_prior(head, example, n_valid):
     scores = saliency_forward(head, example.features, example.valid_len).scores
-    p_s, _ = saliency_prior(scores, example.valid_len)
+    p_s = saliency_prior(scores, example.valid_len)
     return p_s[:n_valid]
 
 
@@ -123,17 +124,16 @@ def corpus_retrieval():
     return prepare(spec, train_count=30)
 
 
-def random_head(rng, dim, tau):
+def random_head(rng, dim):
     return SaliencyHead(
         w_pool=rng.normal(size=dim),
         W1=rng.normal(size=(dim, dim)) * 0.5,
         W2=rng.normal(size=(dim, dim)) * 0.5,
-        tau=tau,
     )
 
 
-def composed_loss(head, xp, valid_len, labels):
-    return saliency_loss(saliency_forward(head, xp, valid_len).scores, labels, valid_len, head.tau)
+def composed_loss(head, xp, valid_len, labels, tau):
+    return saliency_loss(saliency_forward(head, xp, valid_len).scores, labels, valid_len, tau)
 
 
 class TestCriterion01GradientCorrectness:
@@ -143,13 +143,13 @@ class TestCriterion01GradientCorrectness:
         worst = 0.0
         for seed in range(20):
             rng = np.random.default_rng(1000 + seed)
-            head = random_head(rng, 8, tau=0.5)
+            head = random_head(rng, 8)
             xp = rng.normal(size=(12, 8))
             valid_len = int(rng.integers(9, 12))
             labels = np.zeros(12)
             highlight = rng.choice(valid_len, size=3, replace=False)
             labels[highlight] = 1.0
-            analytic = saliency_grad(head, xp, valid_len, labels)
+            analytic = saliency_grad(head, xp, valid_len, labels, 0.5)
             for name in ("w_pool", "W1", "W2"):
                 base = getattr(head, name)
                 fd = np.zeros_like(base)
@@ -161,8 +161,8 @@ class TestCriterion01GradientCorrectness:
                     minus = head.copy()
                     getattr(minus, name)[idx] -= h
                     fd[idx] = (
-                        composed_loss(plus, xp, valid_len, labels)
-                        - composed_loss(minus, xp, valid_len, labels)
+                        composed_loss(plus, xp, valid_len, labels, 0.5)
+                        - composed_loss(minus, xp, valid_len, labels, 0.5)
                     ) / (2 * h)
                 denom = np.maximum(np.maximum(np.abs(analytic[name]), np.abs(fd)), 1e-6)
                 worst = max(worst, float(np.max(np.abs(analytic[name] - fd) / denom)))
@@ -494,7 +494,7 @@ class TestCriterion12PipelineDeterminism:
         write_corpus(generate_corpus(spec), data)
         head = tmp_path / "head.shd"
         train_saliency_from_files(
-            data / "features", data / "annotations.jsonl", cfg, head, epochs=3, seed=17
+            data / "features", data / "annotations.jsonl", cfg, head, epochs=3
         )
 
         def tree(root: Path):

@@ -35,7 +35,7 @@ def write_datastore(path):
 
 
 def write_head(path):
-    save_head(init_head(3, tau=0.5, seed=2), path)
+    save_head(init_head(3, seed=2), path)
 
 
 def write_decoder_input(path):

@@ -50,7 +50,7 @@ def head_path(corpus_dir, tmp_path_factory):
     path = tmp_path_factory.mktemp("head") / "head.shd"
     train_saliency_from_files(
         corpus_dir / "features", corpus_dir / "annotations.jsonl", CFG, path,
-        epochs=4, seed=13,
+        epochs=4,
     )
     return path
 
@@ -618,3 +618,61 @@ class TestCli:
         assert not (tmp_path / "head.shd").exists()
         assert main(args) == 0
         assert (tmp_path / "head.shd").exists()
+
+    def write_segments(self, path: Path, selected=(0, 2)) -> Path:
+        """A segments file with three segments of v0000, ``selected`` as given."""
+        segments = [{"anchor": i, "start": s, "end": s + 10, "score": 1.0}
+                    for i, s in enumerate((0, 10, 20))]
+        path.write_text(json.dumps({"video_id": "v0000", "segments": segments,
+                                    "selected": list(selected)}) + "\n")
+        return path
+
+    def eval_args(self, pred, gt, out):
+        return ["eval", "--pred", str(pred), "--gt", str(gt), "--out", str(out)]
+
+    @pytest.mark.parametrize("command", ["segment", "eval"])
+    def test_unwritable_output_exit_code(
+        self, corpus_dir, saliency_path, tmp_path, caplog, command
+    ):
+        out = tmp_path / "nodir" / "out.json"
+        if command == "segment":
+            args = self.segment_args(corpus_dir, saliency_path, out)
+        else:
+            pred = self.write_segments(tmp_path / "segments.jsonl")
+            args = self.eval_args(pred, corpus_dir / "annotations.jsonl", out)
+        assert main(args) == 3
+        assert f"{out}: No such file or directory" in caplog.text
+
+    @pytest.mark.parametrize(
+        "bad_line",
+        ['{"video_id": "v0000", "valid_len": 30, "events": 5}',
+         '{"video_id": "v0000", "valid_len": "abc", "events": []}',
+         "[1, 2]"],
+        ids=["events_not_a_list", "valid_len_not_a_number", "not_an_object"],
+    )
+    def test_bad_annotation_record_exit_code(self, tmp_path, caplog, bad_line):
+        gt = tmp_path / "annotations.jsonl"
+        gt.write_text(bad_line + "\n")
+        pred = self.write_segments(tmp_path / "segments.jsonl")
+        assert main(self.eval_args(pred, gt, tmp_path / "report.json")) == 3
+        assert f"{gt}:1: bad annotation record" in caplog.text
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "retrieve"])
+    @pytest.mark.parametrize("selected", [(0, 99), (-1,)], ids=["past_the_end", "negative"])
+    def test_bad_selection_exit_code(
+        self, corpus_dir, saliency_path, tmp_path, caplog, command, selected
+    ):
+        pred = self.write_segments(tmp_path / "segments.jsonl", selected)
+        out = tmp_path / "out.json"
+        if command == "eval":
+            args = self.eval_args(pred, corpus_dir / "annotations.jsonl", out)
+        else:
+            args = [
+                "retrieve", "--features-dir", str(corpus_dir / "features"),
+                "--saliency", str(saliency_path), "--segments", str(pred),
+                "--datastore", str(corpus_dir / "datastore.sds"), "--out", str(out),
+            ]
+        assert main(args) == 3
+        assert "strictly increasing indices into 3 segments" in caplog.text
+        assert not out.exists()

@@ -1,0 +1,46 @@
+"""The README's library snippet runs as written and segments like the stages."""
+
+import re
+from pathlib import Path
+
+import numpy as np
+
+from saliseg.data import PipelineConfig, save_features
+from saliseg.pipeline import stage_refine, stage_score_saliency, stage_segment
+from saliseg.saliency import init_head, save_head
+from saliseg.segments import load_segments
+from saliseg.synth import SynthSpec, generate_corpus
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def python_blocks(text: str) -> list[str]:
+    return re.findall(r"^```python\n(.*?)^```$", text, flags=re.DOTALL | re.MULTILINE)
+
+
+def test_library_snippet_runs_and_matches_the_stages(tmp_path, monkeypatch):
+    (snippet,) = python_blocks(README.read_text(encoding="utf-8"))
+    f = generate_corpus(SynthSpec(n_videos=1, seed=3)).features[0]
+    save_features(f, tmp_path / "video-1.sfeat")
+    save_head(init_head(f.dim, seed=3), tmp_path / "head.shd")
+
+    monkeypatch.chdir(tmp_path)
+    namespace: dict = {}
+    exec(compile(snippet, str(README), "exec"), namespace)
+
+    cfg = PipelineConfig()
+    features = tmp_path / "features"
+    features.mkdir()
+    save_features(f, features / "video-1.sfeat")
+    stage_refine(features, tmp_path / "refined", cfg)
+    stage_score_saliency(tmp_path / "refined", tmp_path / "head.shd", cfg, tmp_path / "sal.jsonl")
+    stage_segment(features, tmp_path / "sal.jsonl", cfg, tmp_path / "seg.jsonl")
+    # The stages score the refined features after their float32 round trip,
+    # so scores agree to float32 precision and boundaries exactly.
+    got, want = namespace["segments"], load_segments(tmp_path / "seg.jsonl")["video-1"]
+    assert got.selected == want.selected
+    assert [(s.anchor_id, s.start, s.end) for s in got.segments] == [
+        (s.anchor_id, s.start, s.end) for s in want.segments
+    ]
+    np.testing.assert_allclose([s.score for s in got.segments],
+                               [s.score for s in want.segments], rtol=1e-5)

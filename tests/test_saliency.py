@@ -1,6 +1,7 @@
 """Saliency head: pooling, scoring, loss, analytic gradients, training."""
 
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,24 +22,24 @@ from saliseg.saliency import (
     save_head,
     train_saliency,
 )
+from saliseg.transport import build_problem, init_anchors
 
 
-def random_head(dim, tau=0.5, seed=0):
+def random_head(dim, seed=0):
     rng = np.random.default_rng(seed)
     return SaliencyHead(
         w_pool=rng.normal(size=dim),
         W1=rng.normal(size=(dim, dim)),
         W2=rng.normal(size=(dim, dim)),
-        tau=tau,
     )
 
 
-def composed_loss(head, xp, valid_len, labels):
+def composed_loss(head, xp, valid_len, labels, tau):
     out = saliency_forward(head, xp, valid_len)
-    return saliency_loss(out.scores, labels, valid_len, head.tau)
+    return saliency_loss(out.scores, labels, valid_len, tau)
 
 
-def fd_gradients(head, xp, valid_len, labels, h=1e-4):
+def fd_gradients(head, xp, valid_len, labels, tau, h=1e-4):
     """Central finite differences through the full composed loss."""
     grads = {}
     for name in ("w_pool", "W1", "W2"):
@@ -52,8 +53,8 @@ def fd_gradients(head, xp, valid_len, labels, h=1e-4):
             minus = head.copy()
             getattr(minus, name)[idx] -= h
             g[idx] = (
-                composed_loss(plus, xp, valid_len, labels)
-                - composed_loss(minus, xp, valid_len, labels)
+                composed_loss(plus, xp, valid_len, labels, tau)
+                - composed_loss(minus, xp, valid_len, labels, tau)
             ) / (2 * h)
         grads[name] = g
     return grads
@@ -102,14 +103,14 @@ class TestAttentionPool:
 class TestSaliencyForward:
     def test_identity_head_unit_rows(self):
         d = 4
-        head = SaliencyHead(np.zeros(d), np.eye(d), np.eye(d), tau=0.5)
+        head = SaliencyHead(np.zeros(d), np.eye(d), np.eye(d))
         xp = np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (3, 1))
         out = saliency_forward(head, xp, 3)
         np.testing.assert_allclose(out.scores, 0.5, atol=1e-12)
 
     def test_zero_w1_zeroes_scores(self):
         d = 3
-        head = SaliencyHead(np.ones(d), np.zeros((d, d)), np.eye(d), tau=1.0)
+        head = SaliencyHead(np.ones(d), np.zeros((d, d)), np.eye(d))
         xp = np.random.default_rng(1).normal(size=(4, d))
         out = saliency_forward(head, xp, 4)
         np.testing.assert_array_equal(out.scores, 0.0)
@@ -201,17 +202,17 @@ class TestSaliencyGrad:
         d = 3
         head = random_head(d, seed=5)
         xp = np.tile(np.array([1.0, 2.0, -1.0]), (4, 1))
-        grads = saliency_grad(head, xp, 4, np.ones(4))
+        grads = saliency_grad(head, xp, 4, np.ones(4), 0.5)
         np.testing.assert_allclose(grads["w_pool"], 0.0, atol=1e-12)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(6)
-        head = random_head(8, tau=0.5, seed=6)
+        head = random_head(8, seed=6)
         xp = rng.normal(size=(12, 8))
         labels = np.zeros(12)
         labels[[1, 4, 7]] = 1.0
-        analytic = saliency_grad(head, xp, 10, labels)
-        numeric = fd_gradients(head, xp, 10, labels)
+        analytic = saliency_grad(head, xp, 10, labels, 0.5)
+        numeric = fd_gradients(head, xp, 10, labels, 0.5)
         assert max_rel_error(analytic, numeric) < 1e-4
 
     def test_tau_scaling_consistent_with_finite_differences(self):
@@ -223,9 +224,9 @@ class TestSaliencyGrad:
         w_pool = rng.normal(size=d)
         grads = {}
         for tau in (0.5, 1.0):
-            head = SaliencyHead(w_pool.copy(), np.zeros((d, d)), np.eye(d), tau=tau)
-            analytic = saliency_grad(head, xp, 6, labels)
-            numeric = fd_gradients(head, xp, 6, labels)
+            head = SaliencyHead(w_pool.copy(), np.zeros((d, d)), np.eye(d))
+            analytic = saliency_grad(head, xp, 6, labels, tau)
+            numeric = fd_gradients(head, xp, 6, labels, tau)
             assert max_rel_error(analytic, numeric) < 1e-4
             grads[tau] = analytic["W1"]
         np.testing.assert_allclose(grads[0.5], 2.0 * grads[1.0], rtol=1e-9)
@@ -235,30 +236,33 @@ class TestSaliencyGrad:
         head = random_head(5, seed=8)
         xp = rng.normal(size=(7, 5))
         labels = np.array([1, 0, 1, 0, 0, 0, 0.0])
-        base = saliency_grad(head, xp, 5, labels)
+        base = saliency_grad(head, xp, 5, labels, 0.5)
         xp2 = xp.copy()
         xp2[5:] += 100.0
-        bumped = saliency_grad(head, xp2, 5, labels)
+        bumped = saliency_grad(head, xp2, 5, labels, 0.5)
         for name in base:
             np.testing.assert_allclose(base[name], bumped[name], atol=1e-10)
 
 
 class TestSaliencyPrior:
     def test_zero_scores(self):
-        p_s, p_hat = saliency_prior(np.zeros(4), 4)
+        p_s = saliency_prior(np.zeros(4), 4)
         np.testing.assert_allclose(p_s, 0.5, atol=0)
-        np.testing.assert_allclose(p_hat, 0.25, atol=1e-15)
 
     def test_large_negative_score_vanishes(self):
-        p_s, _ = saliency_prior(np.array([-50.0, 0.0]), 2)
+        p_s = saliency_prior(np.array([-50.0, 0.0]), 2)
         assert p_s[0] < 1e-20
 
     def test_normalized_variant_sums_to_one(self):
         rng = np.random.default_rng(9)
         scores = rng.normal(size=8) * 3
-        _, p_hat = saliency_prior(scores, 6)
-        np.testing.assert_allclose(p_hat.sum(), 1.0, atol=1e-12)
-        np.testing.assert_array_equal(p_hat[6:], 0.0)
+        p_s = saliency_prior(scores, 6)
+        np.testing.assert_array_equal(p_s[6:], 0.0)
+        # The transport problem is the one place that normalizes the prior.
+        xs = rng.normal(size=(6, 3))
+        prob = build_problem(xs, init_anchors(xs, 2, 0, "v"), p_s[:6], 0.5, 0.3, 0.1, 0.1)
+        np.testing.assert_allclose(prob.p_hat.sum(), 1.0, atol=1e-12)
+        np.testing.assert_allclose(prob.p_hat, p_s[:6] / p_s.sum(), rtol=1e-15)
 
     def test_all_masked_errors(self):
         with pytest.raises(DataError):
@@ -288,7 +292,7 @@ class TestTraining:
     def test_zero_epochs_returns_initial_head(self):
         cfg = PipelineConfig()
         examples = toy_corpus()
-        initial = init_head(6, cfg.tau, seed=cfg.seed)
+        initial = init_head(6, seed=cfg.seed)
         result = train_saliency(examples, cfg, epochs=0)
         np.testing.assert_array_equal(result.head.W1, initial.W1)
         np.testing.assert_array_equal(result.head.w_pool, initial.w_pool)
@@ -296,8 +300,8 @@ class TestTraining:
     def test_same_seed_bit_identical(self):
         cfg = PipelineConfig()
         examples = toy_corpus()
-        a = train_saliency(examples, cfg, epochs=3, seed=5)
-        b = train_saliency(examples, cfg, epochs=3, seed=5)
+        a = train_saliency(examples, replace(cfg, seed=5), epochs=3)
+        b = train_saliency(examples, replace(cfg, seed=5), epochs=3)
         assert a.head.W1.tobytes() == b.head.W1.tobytes()
         assert a.head.W2.tobytes() == b.head.W2.tobytes()
         assert a.head.w_pool.tobytes() == b.head.w_pool.tobytes()
@@ -306,7 +310,7 @@ class TestTraining:
         cfg = PipelineConfig()
         examples = toy_corpus(n_videos=16)
         train, held = examples[:12], examples[12:]
-        result = train_saliency(train, cfg, epochs=15, seed=1)
+        result = train_saliency(train, replace(cfg, seed=1), epochs=15)
         inside, outside = [], []
         for ex in held:
             scores = saliency_forward(result.head, ex.features, ex.valid_len).scores
@@ -321,12 +325,12 @@ class TestTraining:
             SaliencyExample("empty", np.ones((5, 6)), 5, np.zeros(5))
         )
         with caplog.at_level("WARNING"):
-            train_saliency(examples, cfg, epochs=1, seed=0)
+            train_saliency(examples, replace(cfg, seed=0), epochs=1)
         assert any("skipped" in r.message for r in caplog.records)
 
     def test_loss_curve_decreases(self):
         cfg = PipelineConfig()
-        result = train_saliency(toy_corpus(), cfg, epochs=10, seed=2)
+        result = train_saliency(toy_corpus(), replace(cfg, seed=2), epochs=10)
         assert result.loss_curve[-1] < result.loss_curve[0]
 
     def test_divergence_returns_last_finite_head_and_it_saves(self, tmp_path, caplog):
@@ -337,7 +341,7 @@ class TestTraining:
         with caplog.at_level("ERROR"):
             result = train_saliency(toy_corpus(n_videos=4), cfg, epochs=3, learning_rate=1e300)
         assert any("diverged" in r.message for r in caplog.records)
-        initial = init_head(6, cfg.tau, seed=cfg.seed)
+        initial = init_head(6, seed=cfg.seed)
         np.testing.assert_array_equal(result.head.W1, initial.W1)
         np.testing.assert_array_equal(result.head.W2, initial.W2)
         path = tmp_path / "head.shd"
@@ -348,34 +352,42 @@ class TestTraining:
 
 class TestCheckpointIO:
     def test_round_trip_exact_at_f32(self, tmp_path):
-        head = init_head(5, tau=0.5, seed=3)
+        head = init_head(5, seed=3)
         path = tmp_path / "head.shd"
         save_head(head, path)
         loaded = load_head(path)
         np.testing.assert_array_equal(
             loaded.W1, head.W1.astype(np.float32).astype(np.float64)
         )
-        assert loaded.tau == head.tau and loaded.dim == 5
+        assert loaded.dim == 5
+        assert path.read_bytes().startswith(b'{"D": 5}\n')
 
     # signalling NaN, quiet NaN, +inf as the last float32 weight
     @pytest.mark.parametrize("bits", [0x7F800001, 0x7FC00000, 0x7F800000])
     def test_non_finite_weight_is_data_error(self, tmp_path, bits):
         path = tmp_path / "head.shd"
-        save_head(init_head(3, tau=0.5, seed=0), path)
+        save_head(init_head(3, seed=0), path)
         path.write_bytes(path.read_bytes()[:-4] + struct.pack("<I", bits))
         with pytest.raises(DataError, match="non-finite"):
             load_head(path)
 
-    def test_nan_tau_is_data_error(self, tmp_path):
+    def test_older_checkpoint_with_tau_scores_identically(self, tmp_path):
+        # Older checkpoints stored the loss temperature in the header; it is
+        # ignored on load, whatever its value.
+        head = init_head(6, seed=7)
         path = tmp_path / "head.shd"
-        save_head(init_head(3, tau=0.5, seed=0), path)
+        save_head(head, path)
         raw = path.read_bytes()
-        path.write_bytes(b'{"D": 3, "tau": NaN}' + raw[raw.index(b"\n") :])
-        with pytest.raises(DataError, match="tau"):
-            load_head(path)
+        body = raw[raw.index(b"\n") :]
+        xp = np.random.default_rng(7).normal(size=(9, 6))
+        expected = saliency_forward(load_head(path), xp, 8).scores
+        for header in (b'{"D": 6, "tau": 0.5}', b'{"D": 6, "tau": NaN}', b'{"D": 6, "tau": "x"}'):
+            path.write_bytes(header + body)
+            loaded = load_head(path)
+            np.testing.assert_array_equal(saliency_forward(loaded, xp, 8).scores, expected)
 
     def test_truncated_checkpoint_errors(self, tmp_path):
-        head = init_head(4, tau=0.5, seed=4)
+        head = init_head(4, seed=4)
         path = tmp_path / "head.shd"
         save_head(head, path)
         path.write_bytes(path.read_bytes()[:-8])

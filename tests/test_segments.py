@@ -262,3 +262,12 @@ class TestSegmentsIO:
         path = tmp_path / "segments.jsonl"
         save_segments([segments_to_doc("v1", segs)], path)
         assert load_segments(path) == {"v1": segs}
+
+    @pytest.mark.parametrize("selected", [[0, 99], [-1], [1, 0], [2, 2]])
+    def test_bad_selection_is_data_error(self, tmp_path, selected):
+        doc = segments_to_doc("v1", baseline_uniform(9, 3))
+        doc["selected"] = selected
+        path = tmp_path / "segments.jsonl"
+        save_segments([doc], path)
+        with pytest.raises(DataError, match="strictly increasing indices into 3 segments"):
+            load_segments(path)
