@@ -24,7 +24,7 @@ from .data import (
     save_config,
     save_features,
 )
-from .errors import ConfigError, DataError, NumericalError, SalisegError
+from .errors import ConfigError, DataError, NumericalError, OutputError, SalisegError
 from .metrics import LocalizationReport, evaluate_corpus, iou, localization_prf, segment_quality
 from .prompts import DecoderInput, PromptMap, assemble_input, corrupt_prompt, project_saliency
 from .refine import RefineConfig, refine_features, window_attention

@@ -31,7 +31,7 @@ from typing import TypeVar
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, OutputError
 from .refine import RefineConfig
 
 logger = logging.getLogger(__name__)
@@ -177,13 +177,23 @@ def read_file(path: str | Path) -> bytes:
 
 
 def write_file(path: str | Path, payload: bytes | str) -> Path:
-    """Write ``payload`` (text as UTF-8); a failed write is a :class:`DataError`."""
+    """Write ``payload`` (text as UTF-8); a failed write is an :class:`OutputError`."""
     if isinstance(payload, str):
         payload = payload.encode("utf-8")
     try:
         Path(path).write_bytes(payload)
     except OSError as exc:
-        raise DataError(f"{path}: {exc.strerror or exc}") from exc
+        raise OutputError(f"{path}: {exc.strerror or exc}") from exc
+    return Path(path)
+
+
+def make_dir(path: str | Path) -> Path:
+    """Create directory ``path`` and its parents if missing; a failure is an
+    :class:`OutputError`."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OutputError(f"{path}: {exc.strerror or exc}") from exc
     return Path(path)
 
 

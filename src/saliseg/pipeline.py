@@ -12,7 +12,8 @@ go to the log.
 A video that fails a stage (a :class:`SalisegError`, including more frames
 than ``F_max`` and a missing upstream record or record field) is logged and
 skipped, so it is absent from that stage's output and from every later one;
-with ``fail_fast`` the error propagates.
+with ``fail_fast`` the error propagates. An output that cannot be written (an
+:class:`OutputError`) is not the video's fault and always ends the run.
 
 Record files are JSON Lines, one object per video, keys sorted:
 
@@ -45,13 +46,14 @@ from .data import (
     load_annotations,
     load_features,
     load_records,
+    make_dir,
     read_file,
     save_features,
     save_records,
     write_file,
 )
 from .data import derive_highlight_labels
-from .errors import ConfigError, DataError, NumericalError, SalisegError
+from .errors import ConfigError, DataError, NumericalError, OutputError, SalisegError
 from .metrics import evaluate_corpus, save_report
 from .prompts import assemble_input, init_prompt_map, project_saliency, save_decoder_input
 from .refine import RefineConfig, refine_features
@@ -95,7 +97,7 @@ def _for_each_video(
 
     A video with more than ``cfg.F_max`` frames is a :class:`DataError`. A
     :class:`SalisegError` skips that video with a log line, or propagates
-    under ``fail_fast``.
+    under ``fail_fast``; an :class:`OutputError` always propagates.
     """
     paths = sorted(Path(features_dir).glob("*.sfeat"))
     if not paths:
@@ -107,6 +109,8 @@ def _for_each_video(
             if f.n_frames > cfg.F_max:
                 raise DataError(f"{f.video_id}: {f.n_frames} frames exceed F_max={cfg.F_max}")
             results.append(work(path, f))
+        except OutputError:
+            raise
         except SalisegError as exc:
             if fail_fast:
                 raise
@@ -167,8 +171,7 @@ def stage_refine(
     fail_fast: bool = False,
 ) -> list[Path]:
     """Refine encoded features; spatial rows pass through untouched."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_dir(out_dir)
     refine_cfg = RefineConfig(windows=cfg.windows)
 
     def work(path: Path, f: FrameFeatures) -> Path:
@@ -225,7 +228,7 @@ def stage_segment(
     _check_baseline(baseline)
     saliency = load_saliency(saliency_path)
     if dump_plan_dir is not None:
-        Path(dump_plan_dir).mkdir(parents=True, exist_ok=True)
+        make_dir(dump_plan_dir)
 
     def work(path: Path, f: FrameFeatures) -> dict:
         n_valid = f.valid_len
@@ -298,8 +301,7 @@ def stage_assemble(
     """Build decoder-input sequences [frames; prompts; retrieval; text]."""
     saliency = load_saliency(saliency_path)
     retrieval = load_retrieval(retrieval_path)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_dir(out_dir)
 
     def work(path: Path, f: FrameFeatures) -> Path:
         scores = _frame_values(saliency, f, "saliency", "scores")
@@ -393,8 +395,7 @@ def run_pipeline(
     """Refine, score, segment, retrieve, assemble, evaluate; write a manifest."""
     _check_baseline(baseline)
     t0 = time.monotonic()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_dir(out_dir)
 
     stage_refine(features_dir, out / "refined", cfg, fail_fast)
     stage_score_saliency(out / "refined", head_path, cfg, out / "saliency.jsonl", fail_fast)

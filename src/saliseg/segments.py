@@ -216,6 +216,6 @@ def load_segments(path: str | Path) -> dict[str, SegmentSet]:
             out[video_id] = SegmentSet(
                 segments=segments, selected=tuple(int(j) for j in doc["selected"])
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, DataError) as exc:
             raise DataError(f"{path}: {video_id}: bad segments record: {exc}") from exc
     return out

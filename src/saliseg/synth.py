@@ -17,7 +17,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import EventAnnotation, FrameFeatures, save_annotations, save_features, save_records
+from .data import (
+    EventAnnotation,
+    FrameFeatures,
+    make_dir,
+    save_annotations,
+    save_features,
+    save_records,
+)
 from .errors import ConfigError, DataError
 from .rng import substream
 from .store import Datastore, DatastoreEntry, build_datastore, save_datastore
@@ -201,7 +208,7 @@ def generate_corpus(spec: SynthSpec) -> SynthCorpus:
 def write_corpus(corpus: SynthCorpus, out_dir: str | Path) -> None:
     """Emit feature files, annotations, datastore and truth records."""
     out = Path(out_dir)
-    (out / "features").mkdir(parents=True, exist_ok=True)
+    make_dir(out / "features")
     for f in corpus.features:
         save_features(f, out / "features" / f"{f.video_id}.sfeat")
     save_annotations(corpus.annotations, out / "annotations.jsonl")

@@ -1,14 +1,15 @@
 """One reader, one writer: file access in the package goes through
-``data.read_file`` and ``data.write_file``, which turn an ``OSError`` into a
-``DataError``."""
+``data.read_file``, which turns an ``OSError`` into a ``DataError``, and
+``data.write_file`` and ``data.make_dir``, which turn it into an
+``OutputError``."""
 
 import ast
 from pathlib import Path
 
 import saliseg
 
-FILE_METHODS = {"read_bytes", "read_text", "write_bytes", "write_text", "open"}
-ALLOWED = {("data.py", "read_file"), ("data.py", "write_file")}
+FILE_METHODS = {"read_bytes", "read_text", "write_bytes", "write_text", "open", "mkdir"}
+ALLOWED = {("data.py", "read_file"), ("data.py", "write_file"), ("data.py", "make_dir")}
 
 
 def file_access_calls(tree: ast.AST):

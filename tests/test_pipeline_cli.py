@@ -643,6 +643,65 @@ class TestCli:
         assert main(args) == 3
         assert f"{out}: No such file or directory" in caplog.text
 
+    @pytest.mark.parametrize("fail_fast", [False, True], ids=["default", "fail_fast"])
+    @pytest.mark.parametrize("command", ["refine", "segment", "assemble"])
+    def test_unwritable_per_video_output_ends_the_run(
+        self, corpus_dir, saliency_path, tmp_path, caplog, command, fail_fast
+    ):
+        """A per-video output that cannot be written is not the video's
+        fault: the run stops with exit 3 instead of skipping the video."""
+        features = corpus_dir / "features"
+        out = tmp_path / "out"
+        if command == "refine":
+            args = ["refine", "--features-dir", str(features), "--out-dir", str(out)]
+            blocker = out / "v0000.sfeat"
+        elif command == "segment":
+            args = self.segment_args(corpus_dir, saliency_path, tmp_path / "segments.jsonl")
+            args += ["--dump-plan", str(out)]
+            blocker = out / "v0000.json"
+        else:
+            segments, retrieval = tmp_path / "segments.jsonl", tmp_path / "retrieval.jsonl"
+            stage_segment(features, saliency_path, CFG, segments)
+            stage_retrieve(
+                features, saliency_path, segments, corpus_dir / "datastore.sds", CFG, retrieval
+            )
+            args = [
+                "assemble", "--features-dir", str(saliency_path.parent / "refined"),
+                "--saliency", str(saliency_path), "--retrieval", str(retrieval),
+                "--out-dir", str(out),
+            ]
+            blocker = out / "v0000.stin"
+        blocker.mkdir(parents=True)  # a directory where the file must go
+        assert main(args + (["--fail-fast"] if fail_fast else [])) == 3
+        assert f"{blocker}: Is a directory" in caplog.text
+        assert "video skipped" not in caplog.text
+        assert sorted(p.name for p in out.iterdir()) == [blocker.name]
+        if command == "segment":
+            assert not (tmp_path / "segments.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["refine", "pipeline"])
+    def test_uncreatable_output_dir_exit_code(
+        self, corpus_dir, head_path, tmp_path, caplog, command
+    ):
+        blocker = tmp_path / "afile"
+        blocker.write_text("")
+        features = str(corpus_dir / "features")
+        if command == "refine":
+            out = blocker / "refined"
+            args = ["refine", "--features-dir", features, "--out-dir", str(out)]
+            reason = "Not a directory"
+        else:
+            out = blocker
+            args = [
+                "pipeline", "--features-dir", features,
+                "--annotations", str(corpus_dir / "annotations.jsonl"),
+                "--datastore", str(corpus_dir / "datastore.sds"),
+                "--head", str(head_path), "--out-dir", str(out),
+            ]
+            reason = "File exists"
+        assert main(args) == 3
+        assert f"{out}: {reason}" in caplog.text
+
     @pytest.mark.parametrize(
         "bad_line",
         ['{"video_id": "v0000", "valid_len": 30, "events": 5}',
@@ -674,5 +733,6 @@ class TestCli:
                 "--datastore", str(corpus_dir / "datastore.sds"), "--out", str(out),
             ]
         assert main(args) == 3
+        assert f"{pred}: v0000: bad segments record: selected" in caplog.text
         assert "strictly increasing indices into 3 segments" in caplog.text
         assert not out.exists()
