@@ -33,9 +33,9 @@ print(f"events: {list(ann.events)}")
 print(f"concepts: {list(corpus.truth[0].concepts)}")
 
 labels = derive_highlight_labels(ann, f.n_frames, f.valid_len)
-print(f"\nhighlight labels H ({int(labels.n_highlight)} ones):")
-print("".join(str(int(v)) for v in labels.labels))
-print(f"valid_len: {labels.valid_len} of {f.n_frames} frames (frames from valid_len on are padding)")
+print(f"\nhighlight labels H ({int(labels.sum())} ones):")
+print("".join(str(int(v)) for v in labels))
+print(f"valid_len: {f.valid_len} of {f.n_frames} frames (frames from valid_len on are padding)")
 
 warnings = lint_annotations(corpus.annotations)
 print(f"\nlint warnings: {warnings or 'none (events are disjoint)'}")

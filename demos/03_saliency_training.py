@@ -30,7 +30,7 @@ examples = []
 for f, ann in zip(corpus.features, corpus.annotations):
     refined = refine_features(f.encoded.astype(np.float64), refine_cfg, f.valid_len)
     labels = derive_highlight_labels(ann, f.n_frames, f.valid_len)
-    examples.append(SaliencyExample(f.video_id, refined, f.valid_len, labels.labels))
+    examples.append(SaliencyExample(f.video_id, refined, f.valid_len, labels))
 
 train, held = examples[:18], examples[18:]
 result = train_saliency(train, cfg, epochs=10)

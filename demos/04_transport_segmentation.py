@@ -45,7 +45,7 @@ examples = []
 for f, ann in zip(corpus.features, corpus.annotations):
     refined = refine_features(f.encoded.astype(np.float64), refine_cfg, f.valid_len)
     labels = derive_highlight_labels(ann, f.n_frames, f.valid_len)
-    examples.append(SaliencyExample(f.video_id, refined, f.valid_len, labels.labels))
+    examples.append(SaliencyExample(f.video_id, refined, f.valid_len, labels))
 head = train_saliency(examples, replace(cfg, seed=3), epochs=8).head
 
 f, ex, ann = corpus.features[0], examples[0], corpus.annotations[0]

@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from .data import (
     EventAnnotation,
     FrameFeatures,
-    HighlightLabels,
     PipelineConfig,
     derive_highlight_labels,
     load_annotations,

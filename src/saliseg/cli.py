@@ -31,81 +31,117 @@ from .synth import SynthSpec, generate_corpus, write_corpus
 logger = logging.getLogger("saliseg")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", type=Path, default=None, help="pipeline config JSON")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--fail-fast", action="store_true",
-                   help="abort on the first failing video instead of skipping it")
-    p.add_argument("--log-level", default="warning", choices=["debug", "info", "warning", "error"])
-
-
 def _load_cfg(args: argparse.Namespace) -> PipelineConfig:
     cfg = load_config(args.config) if args.config else PipelineConfig()
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg
 
 
+def _synth(args: argparse.Namespace) -> None:
+    spec = dataclass_from_json(SynthSpec, read_text(args.spec))
+    if args.seed is not None:
+        spec = dataclasses.replace(spec, seed=args.seed)
+    write_corpus(generate_corpus(spec), args.out_dir)
+
+
+def _train_saliency(args: argparse.Namespace) -> None:
+    result = train_saliency_from_files(
+        args.features_dir, args.annotations, _load_cfg(args), args.out_head,
+        epochs=args.epochs, learning_rate=args.lr, fail_fast=args.fail_fast,
+    )
+    if result.loss_curve:
+        logger.info("final mean loss %.6f", result.loss_curve[-1])
+
+
+def _eval(args: argparse.Namespace) -> None:
+    out = Path(args.out)
+    csv = out.with_suffix(".csv") if args.csv else None
+    corpus = stage_eval(args.pred, args.gt, out, out.with_suffix(".txt"), csv)
+    sys.stdout.write(
+        f"precision={corpus.precision:.4f} recall={corpus.recall:.4f} f1={corpus.f1:.4f}\n"
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per subcommand, carrying its handler as ``run``. The
+    per-video ones read a :class:`PipelineConfig`, so only they take
+    ``--config``, ``--seed`` and ``--fail-fast``."""
     parser = argparse.ArgumentParser(prog="saliseg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    logs = argparse.ArgumentParser(add_help=False)
+    logs.add_argument("--log-level", default="warning",
+                      choices=["debug", "info", "warning", "error"])
 
-    p = sub.add_parser("synth", help="generate a synthetic corpus")
+    def command(name: str, help: str, run, per_video: bool = True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help, parents=[logs])
+        if per_video:
+            p.add_argument("--config", type=Path, default=None, help="pipeline config JSON")
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
+            p.add_argument("--fail-fast", action="store_true",
+                           help="abort on the first failing video instead of skipping it")
+        p.set_defaults(run=run)
+        return p
+
+    p = command("synth", "generate a synthetic corpus", _synth, per_video=False)
     p.add_argument("--spec", type=Path, required=True, help="synth spec JSON")
     p.add_argument("--out-dir", type=Path, required=True)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=None, help="override the spec seed")
 
-    p = sub.add_parser("refine", help="sliding-window self-attention refinement")
+    p = command("refine", "sliding-window self-attention refinement",
+                lambda a: stage_refine(a.features_dir, a.out_dir, _load_cfg(a), a.fail_fast))
     p.add_argument("--features-dir", type=Path, required=True)
     p.add_argument("--out-dir", type=Path, required=True)
-    _add_common(p)
 
-    p = sub.add_parser("train-saliency", help="train the saliency head")
+    p = command("train-saliency", "train the saliency head", _train_saliency)
     p.add_argument("--features-dir", type=Path, required=True)
     p.add_argument("--annotations", type=Path, required=True)
     p.add_argument("--out-head", type=Path, required=True)
     p.add_argument("--epochs", type=int, default=20)
     p.add_argument("--lr", type=float, default=1e-3)
-    _add_common(p)
 
-    p = sub.add_parser("score-saliency", help="score refined features with a head")
+    p = command("score-saliency", "score refined features with a head",
+                lambda a: stage_score_saliency(a.features_dir, a.head, _load_cfg(a), a.out,
+                                               a.fail_fast))
     p.add_argument("--features-dir", type=Path, required=True, help="refined features")
     p.add_argument("--head", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    _add_common(p)
 
-    p = sub.add_parser("segment", help="transport-based segmentation")
+    p = command("segment", "transport-based segmentation", lambda a: stage_segment(
+        a.features_dir, a.saliency, _load_cfg(a), a.out,
+        baseline=a.baseline, dump_plan_dir=a.dump_plan, fail_fast=a.fail_fast))
     p.add_argument("--features-dir", type=Path, required=True, help="original features")
     p.add_argument("--saliency", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--baseline", choices=BASELINES, default="none")
     p.add_argument("--dump-plan", type=Path, default=None, help="directory for plan dumps")
-    _add_common(p)
 
-    p = sub.add_parser("retrieve", help="top-p caption retrieval per segment")
+    p = command("retrieve", "top-p caption retrieval per segment", lambda a: stage_retrieve(
+        a.features_dir, a.saliency, a.segments, a.datastore, _load_cfg(a), a.out, a.fail_fast))
     p.add_argument("--features-dir", type=Path, required=True)
     p.add_argument("--saliency", type=Path, required=True)
     p.add_argument("--segments", type=Path, required=True)
     p.add_argument("--datastore", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    _add_common(p)
 
-    p = sub.add_parser("assemble", help="assemble decoder-input sequences")
+    p = command("assemble", "assemble decoder-input sequences", lambda a: stage_assemble(
+        a.features_dir, a.saliency, a.retrieval, _load_cfg(a), a.out_dir,
+        text_dir=a.text_dir, fail_fast=a.fail_fast))
     p.add_argument("--features-dir", type=Path, required=True, help="refined features")
     p.add_argument("--saliency", type=Path, required=True)
     p.add_argument("--retrieval", type=Path, required=True)
     p.add_argument("--out-dir", type=Path, required=True)
     p.add_argument("--text-dir", type=Path, default=None)
-    _add_common(p)
 
-    p = sub.add_parser("eval", help="localization metrics")
+    p = command("eval", "localization metrics", _eval, per_video=False)
     p.add_argument("--pred", type=Path, required=True, help="segments JSONL")
     p.add_argument("--gt", type=Path, required=True, help="annotations JSONL")
     p.add_argument("--out", type=Path, required=True, help="report JSON path")
     p.add_argument("--csv", action="store_true", help="also write a CSV table")
-    _add_common(p)
 
-    p = sub.add_parser("pipeline", help="run every stage end to end")
+    p = command("pipeline", "run every stage end to end", lambda a: run_pipeline(
+        _load_cfg(a), a.features_dir, a.annotations, a.datastore, a.head, a.out_dir,
+        baseline=a.baseline, dump_plan=a.dump_plan, text_dir=a.text_dir, fail_fast=a.fail_fast))
     p.add_argument("--features-dir", type=Path, required=True)
     p.add_argument("--annotations", type=Path, required=True)
     p.add_argument("--datastore", type=Path, required=True)
@@ -114,70 +150,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline", choices=BASELINES, default="none")
     p.add_argument("--dump-plan", action="store_true")
     p.add_argument("--text-dir", type=Path, default=None)
-    _add_common(p)
 
     return parser
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "synth":
-        spec = dataclass_from_json(SynthSpec, read_text(args.spec))
-        if args.seed is not None:
-            spec = dataclasses.replace(spec, seed=args.seed)
-        write_corpus(generate_corpus(spec), args.out_dir)
-        return 0
-
-    cfg = _load_cfg(args)
-    if args.command == "refine":
-        stage_refine(args.features_dir, args.out_dir, cfg, args.fail_fast)
-    elif args.command == "train-saliency":
-        result = train_saliency_from_files(
-            args.features_dir, args.annotations, cfg, args.out_head,
-            epochs=args.epochs, learning_rate=args.lr, fail_fast=args.fail_fast,
-        )
-        if result.loss_curve:
-            logger.info("final mean loss %.6f", result.loss_curve[-1])
-    elif args.command == "score-saliency":
-        stage_score_saliency(args.features_dir, args.head, cfg, args.out, args.fail_fast)
-    elif args.command == "segment":
-        stage_segment(
-            args.features_dir, args.saliency, cfg, args.out,
-            baseline=args.baseline, dump_plan_dir=args.dump_plan, fail_fast=args.fail_fast,
-        )
-    elif args.command == "retrieve":
-        stage_retrieve(
-            args.features_dir, args.saliency, args.segments, args.datastore,
-            cfg, args.out, args.fail_fast,
-        )
-    elif args.command == "assemble":
-        stage_assemble(
-            args.features_dir, args.saliency, args.retrieval, cfg, args.out_dir,
-            text_dir=args.text_dir, fail_fast=args.fail_fast,
-        )
-    elif args.command == "eval":
-        out = Path(args.out)
-        table = out.with_suffix(".txt")
-        csv = out.with_suffix(".csv") if args.csv else None
-        corpus = stage_eval(args.pred, args.gt, out, table, csv)
-        sys.stdout.write(
-            f"precision={corpus.precision:.4f} recall={corpus.recall:.4f} f1={corpus.f1:.4f}\n"
-        )
-    elif args.command == "pipeline":
-        run_pipeline(
-            cfg, args.features_dir, args.annotations, args.datastore, args.head,
-            args.out_dir, baseline=args.baseline, dump_plan=args.dump_plan,
-            text_dir=args.text_dir, fail_fast=args.fail_fast,
-        )
-    else:  # pragma: no cover - argparse enforces choices
-        raise ConfigError(f"unknown command {args.command!r}")
-    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=getattr(logging, args.log_level.upper()))
     try:
-        return _dispatch(args)
+        args.run(args)
+        return 0
     except ConfigError as exc:
         logger.error("config error: %s", exc)
         return 2

@@ -20,9 +20,11 @@ Config: a single JSON document mirroring :class:`PipelineConfig` field names
 from __future__ import annotations
 
 import dataclasses
+import errno
 import json
 import logging
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -107,38 +109,16 @@ class EventAnnotation:
             prev_start = s
 
 
-@dataclass(frozen=True)
-class HighlightLabels:
-    """Binary highlight labels H for one video; frames from ``valid_len`` on
-    are padding and carry no label."""
-
-    labels: NDArray[np.float64]
-    valid_len: int
-
-    def __post_init__(self) -> None:
-        labels = np.asarray(self.labels, dtype=np.float64)
-        object.__setattr__(self, "labels", labels)
-        if labels.ndim != 1:
-            raise DataError("labels must be a vector")
-        if not (0 <= self.valid_len <= labels.shape[0]):
-            raise DataError(f"valid_len exceeds F ({self.valid_len} > {labels.shape[0]})")
-        if not np.all((labels == 0) | (labels == 1)):
-            raise DataError("labels must be binary")
-        if np.any(labels[self.valid_len :]):
-            raise DataError("highlight label set beyond valid_len")
-
-    @property
-    def n_highlight(self) -> int:
-        return int(np.sum(self.labels))
-
-
-def derive_highlight_labels(ann: EventAnnotation, n_frames: int, valid_len: int) -> HighlightLabels:
-    """Convert annotated events into binary frame labels.
+def derive_highlight_labels(
+    ann: EventAnnotation, n_frames: int, valid_len: int
+) -> NDArray[np.float64]:
+    """Convert annotated events into binary frame labels H, a float vector
+    of length ``n_frames``.
 
     A frame is a highlight (label 1) iff it lies inside the union of the
-    annotated half-open event intervals. A video without events yields
-    all-zero labels and is unusable for saliency training; a warning is
-    logged.
+    annotated half-open event intervals; frames from ``valid_len`` on carry
+    no label. A video without events yields all-zero labels and is unusable
+    for saliency training; a warning is logged.
     """
     if not (0 <= valid_len <= n_frames):
         raise DataError(f"{ann.video_id}: valid_len exceeds F ({valid_len} > {n_frames})")
@@ -149,7 +129,7 @@ def derive_highlight_labels(ann: EventAnnotation, n_frames: int, valid_len: int)
         labels[s:e] = 1.0
     if not ann.events:
         logger.warning("%s: no events, all-zero highlight labels", ann.video_id)
-    return HighlightLabels(labels=labels, valid_len=valid_len)
+    return labels
 
 
 def lint_annotations(anns: list[EventAnnotation]) -> list[str]:
@@ -185,6 +165,24 @@ def write_file(path: str | Path, payload: bytes | str) -> Path:
     except OSError as exc:
         raise OutputError(f"{path}: {exc.strerror or exc}") from exc
     return Path(path)
+
+
+def check_writable(path: str | Path) -> Path:
+    """Raise, without writing, the :class:`OutputError` that :func:`write_file`
+    would raise for ``path``: a missing or non-directory parent, a directory
+    at ``path``, or no write permission."""
+    path = Path(path)
+    try:
+        if not path.parent.is_dir():
+            os.stat(path.parent)  # raises the reason when the parent is missing
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        if not os.access(path if path.exists() else path.parent, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+    except OSError as exc:
+        raise OutputError(f"{path}: {exc.strerror or exc}") from exc
+    return path
 
 
 def make_dir(path: str | Path) -> Path:
@@ -261,14 +259,22 @@ def _jsonl_lines(path: str | Path):
             raise DataError(f"{path}:{i}: bad JSON: {exc}") from exc
 
 
+def _add_record(records: dict, video_id: str, record, path: str | Path, line: int) -> None:
+    if video_id in records:
+        raise DataError(f"{path}:{line}: repeated video_id {video_id}")
+    records[video_id] = record
+
+
 def load_records(path: str | Path) -> dict[str, dict]:
-    """Read a JSON Lines file of per-video records, keyed by ``video_id``."""
-    records = {}
+    """Read a JSON Lines file of per-video records, keyed by ``video_id``;
+    a repeated ``video_id`` is a :class:`DataError`."""
+    records: dict[str, dict] = {}
     for i, doc in _jsonl_lines(path):
         try:
-            records[str(doc["video_id"])] = doc
+            video_id = str(doc["video_id"])
         except (KeyError, TypeError) as exc:
             raise DataError(f"{path}:{i}: record without a video_id") from exc
+        _add_record(records, video_id, doc, path, i)
     return records
 
 
@@ -283,19 +289,20 @@ def save_annotations(anns: list[EventAnnotation], path: str | Path) -> None:
 
 
 def load_annotations(path: str | Path) -> list[EventAnnotation]:
-    anns = []
+    """Read annotations in file order; a repeated ``video_id`` is a
+    :class:`DataError`."""
+    anns: dict[str, EventAnnotation] = {}
     for i, doc in _jsonl_lines(path):
         try:
-            anns.append(
-                EventAnnotation(
-                    video_id=str(doc["video_id"]),
-                    valid_len=int(doc["valid_len"]),
-                    events=tuple((int(s), int(e)) for s, e in doc["events"]),
-                )
+            ann = EventAnnotation(
+                video_id=str(doc["video_id"]),
+                valid_len=int(doc["valid_len"]),
+                events=tuple((int(s), int(e)) for s, e in doc["events"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}:{i}: bad annotation record: {exc}") from exc
-    return anns
+        _add_record(anns, ann.video_id, ann, path, i)
+    return list(anns.values())
 
 
 # ---------------------------------------------------------------------------

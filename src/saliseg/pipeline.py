@@ -13,7 +13,9 @@ A video that fails a stage (a :class:`SalisegError`, including more frames
 than ``F_max`` and a missing upstream record or record field) is logged and
 skipped, so it is absent from that stage's output and from every later one;
 with ``fail_fast`` the error propagates. An output that cannot be written (an
-:class:`OutputError`) is not the video's fault and always ends the run.
+:class:`OutputError`) is not the video's fault and always ends the run; a
+stage that writes one file after its loop checks that file before the first
+video.
 
 Record files are JSON Lines, one object per video, keys sorted:
 
@@ -43,6 +45,8 @@ from . import __version__
 from .data import (
     FrameFeatures,
     PipelineConfig,
+    check_writable,
+    derive_highlight_labels,
     load_annotations,
     load_features,
     load_records,
@@ -52,7 +56,6 @@ from .data import (
     save_records,
     write_file,
 )
-from .data import derive_highlight_labels
 from .errors import ConfigError, DataError, NumericalError, OutputError, SalisegError
 from .metrics import evaluate_corpus, save_report
 from .prompts import assemble_input, init_prompt_map, project_saliency, save_decoder_input
@@ -200,6 +203,7 @@ def stage_score_saliency(
 ) -> Path:
     """Score refined features; write scores and priors as JSON Lines."""
     head = load_head(head_path)
+    check_writable(out_path)
 
     def work(path: Path, f: FrameFeatures) -> dict:
         if f.dim != head.dim:
@@ -227,6 +231,7 @@ def stage_segment(
     """
     _check_baseline(baseline)
     saliency = load_saliency(saliency_path)
+    check_writable(out_path)
     if dump_plan_dir is not None:
         make_dir(dump_plan_dir)
 
@@ -267,6 +272,7 @@ def stage_retrieve(
     saliency = load_saliency(saliency_path)
     segments = load_segments(segments_path)
     store = load_datastore(store_path)
+    check_writable(out_path)
 
     def work(path: Path, f: FrameFeatures) -> dict:
         segs = _record(segments, f.video_id, "segments")
@@ -356,6 +362,7 @@ def train_saliency_from_files(
 ) -> TrainResult:
     """Refine raw features, derive labels, train the head, save the checkpoint."""
     anns = {a.video_id: a for a in load_annotations(annotations_path)}
+    check_writable(out_head)
     refine_cfg = RefineConfig(windows=cfg.windows)
 
     def build_example(path: Path, f: FrameFeatures) -> SaliencyExample | None:
@@ -365,7 +372,7 @@ def train_saliency_from_files(
         refined = refine_features(f.encoded.astype(np.float64), refine_cfg, f.valid_len)
         labels = derive_highlight_labels(anns[f.video_id], f.n_frames, f.valid_len)
         return SaliencyExample(
-            video_id=f.video_id, features=refined, valid_len=f.valid_len, labels=labels.labels
+            video_id=f.video_id, features=refined, valid_len=f.valid_len, labels=labels
         )
 
     examples = [

@@ -30,12 +30,19 @@ class DatastoreEntry:
 
 
 class Datastore:
-    """Immutable set of caption records queried by cosine similarity."""
+    """Immutable set of caption records queried by cosine similarity.
+
+    The constructor is the one place that checks a store: unique ids, an
+    ``N x D`` embedding matrix with one row per id, and finite unit-norm rows.
+    """
 
     def __init__(self, entry_ids: list[str], captions: list[str], embeddings: NDArray[np.float32]):
         self.entry_ids = list(entry_ids)
         self.captions = list(captions)
-        self.embeddings = np.ascontiguousarray(embeddings, dtype=np.float32)
+        try:
+            self.embeddings = np.ascontiguousarray(embeddings, dtype=np.float32)
+        except ValueError as exc:  # rows of different lengths
+            raise DataError("embeddings differ in dimension") from exc
         if self.embeddings.ndim != 2 or len(self.entry_ids) != self.embeddings.shape[0]:
             raise DataError("embeddings must be N x D matching the id list")
         norms = np.linalg.norm(self.embeddings.astype(np.float64), axis=1)
@@ -43,6 +50,9 @@ class Datastore:
         if self.embeddings.shape[0] and not np.all(np.abs(norms - 1.0) <= 1e-5):
             raise DataError("embeddings must be finite and unit norm")
         self._index = {entry_id: i for i, entry_id in enumerate(self.entry_ids)}
+        if len(self._index) != len(self.entry_ids):
+            dup = next(e for i, e in enumerate(self.entry_ids) if self._index[e] != i)
+            raise DataError(f"duplicate entry id {dup!r}")
         self._id_array = np.asarray(self.entry_ids, dtype=object)
 
     def __len__(self) -> int:
@@ -54,29 +64,16 @@ class Datastore:
 
 
 def build_datastore(entries: list[DatastoreEntry]) -> Datastore:
-    """Normalize and index entries; ids must be unique and embeddings nonzero."""
-    seen: set[str] = set()
-    ids, captions, vectors = [], [], []
-    dim = None
+    """Normalize entries to unit norm; :class:`Datastore` checks the rest."""
+    vectors = []
     for e in entries:
-        if e.entry_id in seen:
-            raise DataError(f"duplicate entry id {e.entry_id!r}")
-        seen.add(e.entry_id)
         v = np.asarray(e.embedding, dtype=np.float64)
-        if v.ndim != 1:
-            raise DataError(f"{e.entry_id}: embedding must be a vector")
-        if dim is None:
-            dim = v.shape[0]
-        elif v.shape[0] != dim:
-            raise DataError(f"{e.entry_id}: dimension mismatch ({v.shape[0]} != {dim})")
         norm = float(np.linalg.norm(v))
         if norm == 0:
             raise DataError(f"{e.entry_id}: zero-norm embedding")
-        ids.append(e.entry_id)
-        captions.append(e.caption)
         vectors.append((v / norm).astype(np.float32))
-    emb = np.stack(vectors) if vectors else np.zeros((0, 0), dtype=np.float32)
-    return Datastore(ids, captions, emb)
+    emb = vectors if vectors else np.zeros((0, 0), dtype=np.float32)
+    return Datastore([e.entry_id for e in entries], [e.caption for e in entries], emb)
 
 
 def query_topp(store: Datastore, query: NDArray[np.float64], p: int) -> list[tuple[str, float]]:

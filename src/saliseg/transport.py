@@ -174,24 +174,26 @@ def gw_gradient(t: NDArray[np.float64]) -> NDArray[np.float64]:
     return 2.0 * _gw_operator(t)
 
 
-def kl_divergence(m: NDArray[np.float64], ref: NDArray[np.float64]) -> float:
-    """Generalized KL for nonnegative vectors, with 0 log 0 = 0."""
+def kl_divergence(
+    m: NDArray[np.float64], ref: NDArray[np.float64]
+) -> float | NDArray[np.float64]:
+    """Generalized KL for nonnegative vectors, with 0 log 0 = 0, reduced over
+    the last axis: a float for one vector ``m``, one value per row for an
+    ``S x F`` stack. Mass where ``ref`` is 0 gives inf."""
     m = np.asarray(m, dtype=np.float64)
     ref = np.asarray(ref, dtype=np.float64)
-    if np.any((m > 0) & (ref == 0)):
-        return float("inf")
-    pos = m > 0
-    return float(np.sum(m[pos] * np.log(m[pos] / ref[pos])) - m.sum() + ref.sum())
+    with np.errstate(divide="ignore"):
+        ratio = np.divide(m, ref, out=np.ones_like(m), where=m > 0)
+    return (m * np.log(ratio)).sum(axis=-1) - m.sum(axis=-1) + ref.sum(axis=-1)
 
 
 def fused_objective(prob: OtProblem, t: NDArray[np.float64]) -> float:
     """alpha * GW + (1 - alpha) * <C_k, T> + gamma * KL(T 1 || p_hat)."""
-    val = (1.0 - prob.alpha) * float(np.sum(prob.C_k * t))
-    if prob.alpha > 0:
-        val += prob.alpha * gw_value(t)
-    if prob.gamma > 0:
-        val += prob.gamma * kl_divergence(t.sum(axis=1), prob.p_hat)
-    return val
+    return float(
+        (1.0 - prob.alpha) * float(np.sum(prob.C_k * t))
+        + prob.alpha * gw_value(t)
+        + prob.gamma * kl_divergence(t.sum(axis=1), prob.p_hat)
+    )
 
 
 def _logsumexp(x: NDArray[np.float64], axis: int) -> NDArray[np.float64]:
@@ -216,16 +218,12 @@ def _scaling_iterations(
     unconstrained); column potentials are exact, so the anchor marginal of
     the returned plan matches ``exp(log_q)`` to machine precision.
     """
-    fi = gamma / (gamma + epsilon) if gamma > 0 else 0.0
+    fi = gamma / (gamma + epsilon)
     inner_ok = False
     for _ in range(_MAX_INNER):
         f_prev = f
         g_prev = g
-        if fi > 0:
-            softmin = _logsumexp((g[None, :] - cost) / epsilon, axis=1)
-            f = fi * epsilon * (log_p - softmin)
-        else:
-            f = np.zeros_like(log_p)
+        f = fi * epsilon * (log_p - _logsumexp((g[None, :] - cost) / epsilon, axis=1))
         g = epsilon * (log_q - _logsumexp((f[:, None] - cost) / epsilon, axis=0))
         if np.any(~np.isfinite(f)) or np.any(~np.isfinite(g)):
             raise NumericalError("non-finite scaling potentials")
@@ -263,16 +261,12 @@ def solve_fugw(prob: OtProblem, max_outer: int = 200) -> TransportPlan:
 
     for _outer in range(max_outer):
         iterations += 1
-        local_cost = (1.0 - prob.alpha) * prob.C_k
-        op_t = None
-        if prob.alpha > 0:
-            grad = gw_gradient(t)
-            local_cost = local_cost + prob.alpha * grad
-            op_t = 0.5 * grad
+        grad = gw_gradient(t)
+        local_cost = (1.0 - prob.alpha) * prob.C_k + prob.alpha * grad
         cand, f, g, inner_ok = _scaling_iterations(
             local_cost, log_p, log_q, prob.gamma, prob.epsilon, f, g
         )
-        value, t_next = _segment_search(prob, t, op_t, cand)
+        value, t_next = _segment_search(prob, t, 0.5 * grad, cand)
         trace.append(value)
         moved = float(np.abs(t_next - t).sum())
         t = t_next
@@ -288,34 +282,31 @@ def solve_fugw(prob: OtProblem, max_outer: int = 200) -> TransportPlan:
 def _segment_search(
     prob: OtProblem,
     t: NDArray[np.float64],
-    op_t: NDArray[np.float64] | None,
+    op_t: NDArray[np.float64],
     cand: NDArray[np.float64],
 ) -> tuple[float, NDArray[np.float64]]:
     """Exact fused objective minimized over the segment t -> cand.
 
     ``op_t`` is the structure operator at ``t`` (half the gradient the outer
-    step already computed), or None when ``alpha`` is 0. The quadratic term
-    restricted to the segment is a polynomial in the step size, so only the
-    KL term needs per-point evaluation. Step 0 is always a candidate, which
-    makes the outer objective monotone. Returns the objective at the chosen
-    step and the plan there.
+    step already computed). The linear and quadratic terms restricted to the
+    segment are polynomials in the step size; the KL term is evaluated at
+    every grid point at once, from the row sums along the segment. Step 0 is
+    always a candidate, which makes the outer objective monotone. Returns
+    the objective at the chosen step and the plan there.
     """
     delta = cand - t
     steps = np.linspace(0.0, 1.0, _LINE_SEARCH_POINTS)
     kot_t = float(np.sum(prob.C_k * t))
     kot_d = float(np.sum(prob.C_k * delta))
-    values = (1.0 - prob.alpha) * (kot_t + steps * kot_d)
-    if prob.alpha > 0:
-        op_d = _gw_operator(delta)
-        a0 = float(np.sum(op_t * t))
-        a1 = 2.0 * float(np.sum(op_t * delta))
-        a2 = float(np.sum(op_d * delta))
-        values = values + prob.alpha * (a0 + a1 * steps + a2 * steps**2)
-    if prob.gamma > 0:
-        rows_t = t.sum(axis=1)
-        rows_d = delta.sum(axis=1)
-        kl = np.array([kl_divergence(rows_t + s * rows_d, prob.p_hat) for s in steps])
-        values = values + prob.gamma * kl
+    a0 = float(np.sum(op_t * t))
+    a1 = 2.0 * float(np.sum(op_t * delta))
+    a2 = float(np.sum(_gw_operator(delta) * delta))
+    rows = t.sum(axis=1) + steps[:, None] * delta.sum(axis=1)
+    values = (
+        (1.0 - prob.alpha) * (kot_t + steps * kot_d)
+        + prob.alpha * (a0 + a1 * steps + a2 * steps**2)
+        + prob.gamma * kl_divergence(rows, prob.p_hat)
+    )
     best = int(len(values) - 1 - np.argmin(values[::-1]))  # prefer larger step on ties
     return float(values[best]), t + float(steps[best]) * delta
 

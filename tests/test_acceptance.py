@@ -72,7 +72,7 @@ def prepare(spec, train_count, epochs=8, train_seed=3):
     for f, ann in zip(corpus.features, corpus.annotations):
         refined = refine_features(f.encoded.astype(np.float64), refine_cfg, f.valid_len)
         labels = derive_highlight_labels(ann, f.n_frames, f.valid_len)
-        examples.append(SaliencyExample(f.video_id, refined, f.valid_len, labels.labels))
+        examples.append(SaliencyExample(f.video_id, refined, f.valid_len, labels))
     head = train_saliency(examples[:train_count], replace(CFG, seed=train_seed), epochs=epochs).head
     return corpus, examples, head
 

@@ -106,13 +106,13 @@ class TestHighlightLabels:
     def test_single_event(self):
         ann = EventAnnotation(video_id="v", valid_len=5, events=((1, 3),))
         lab = derive_highlight_labels(ann, 5, 5)
-        np.testing.assert_array_equal(lab.labels, [0, 1, 1, 0, 0])
-        assert lab.valid_len == 5 and lab.n_highlight == 2
+        np.testing.assert_array_equal(lab, [0, 1, 1, 0, 0])
+        assert lab.sum() == 2
 
     def test_overlapping_union(self):
         ann = EventAnnotation(video_id="v", valid_len=4, events=((0, 2), (1, 4)))
         lab = derive_highlight_labels(ann, 4, 4)
-        np.testing.assert_array_equal(lab.labels, [1, 1, 1, 1])
+        np.testing.assert_array_equal(lab, [1, 1, 1, 1])
 
     def test_event_exceeds_valid_len(self):
         with pytest.raises(DataError, match="event exceeds valid_len"):
@@ -122,7 +122,7 @@ class TestHighlightLabels:
         ann = EventAnnotation(video_id="v", valid_len=4, events=())
         with caplog.at_level("WARNING"):
             lab = derive_highlight_labels(ann, 4, 4)
-        assert lab.labels.sum() == 0
+        assert lab.sum() == 0
         assert any("no events" in r.message for r in caplog.records)
 
     def test_monotone_in_events(self):
@@ -138,12 +138,12 @@ class TestHighlightLabels:
                 EventAnnotation("v", 20, tuple(events[:-1])), 20, 20
             )
             more = derive_highlight_labels(EventAnnotation("v", 20, tuple(events)), 20, 20)
-            assert np.all(more.labels >= base.labels)
+            assert np.all(more >= base)
 
     def test_total_highlights_equals_union_size(self):
         ann = EventAnnotation(video_id="v", valid_len=10, events=((0, 3), (5, 8)))
         lab = derive_highlight_labels(ann, 12, 10)
-        assert lab.n_highlight == 6
+        assert lab.sum() == 6
 
     def test_lint_flags_overlaps(self):
         anns = [EventAnnotation(video_id="v", valid_len=6, events=((0, 3), (2, 5)))]

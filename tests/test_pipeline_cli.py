@@ -1,5 +1,6 @@
 """End-to-end pipeline, stage isolation, CLI contract."""
 
+import argparse
 import json
 import struct
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from saliseg.cli import main
+from saliseg.cli import build_parser, main
 from saliseg.data import FrameFeatures, PipelineConfig, load_features, save_config, save_features
 from saliseg.errors import ConfigError, DataError
 from saliseg.pipeline import (
@@ -405,6 +406,71 @@ class TestRecordFields:
         assert message in caplog.text
 
 
+PER_VIDEO = {"--config", "--seed", "--fail-fast", "--log-level"}
+OPTIONS = {
+    "synth": {"--spec", "--out-dir", "--seed", "--log-level"},
+    "refine": PER_VIDEO | {"--features-dir", "--out-dir"},
+    "train-saliency": PER_VIDEO
+    | {"--features-dir", "--annotations", "--out-head", "--epochs", "--lr"},
+    "score-saliency": PER_VIDEO | {"--features-dir", "--head", "--out"},
+    "segment": PER_VIDEO | {"--features-dir", "--saliency", "--out", "--baseline", "--dump-plan"},
+    "retrieve": PER_VIDEO
+    | {"--features-dir", "--saliency", "--segments", "--datastore", "--out"},
+    "assemble": PER_VIDEO
+    | {"--features-dir", "--saliency", "--retrieval", "--out-dir", "--text-dir"},
+    "eval": {"--pred", "--gt", "--out", "--csv", "--log-level"},
+    "pipeline": PER_VIDEO | {
+        "--features-dir", "--annotations", "--datastore", "--head", "--out-dir",
+        "--baseline", "--dump-plan", "--text-dir",
+    },
+}
+
+
+class TestParser:
+    """Each subcommand accepts exactly the options its handler reads."""
+
+    def subparsers(self) -> dict[str, argparse.ArgumentParser]:
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return sub.choices
+
+    def test_option_sets(self):
+        got = {
+            name: {opt for a in p._actions for opt in a.option_strings} - {"-h", "--help"}
+            for name, p in self.subparsers().items()
+        }
+        assert got == OPTIONS
+        assert all(callable(p.get_default("run")) for p in self.subparsers().values())
+
+    def test_training_defaults(self):
+        args = build_parser().parse_args(
+            ["train-saliency", "--features-dir", ".", "--annotations", ".", "--out-head", "."]
+        )
+        assert (args.epochs, args.lr) == (20, 1e-3)
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("synth", ["--config", "/nonexistent.json"]),
+            ("synth", ["--fail-fast"]),
+            ("eval", ["--config", "/nonexistent.json"]),
+            ("eval", ["--seed", "1"]),
+            ("eval", ["--fail-fast"]),
+        ],
+    )
+    def test_removed_flags_are_rejected(self, tmp_path, capsys, command, flag):
+        out = tmp_path / "out"
+        if command == "synth":
+            args = ["synth", "--spec", str(tmp_path / "spec.json"), "--out-dir", str(out)]
+        else:
+            args = ["eval", "--pred", "p", "--gt", "g", "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(args + flag)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCli:
     def test_full_cli_chain(self, tmp_path):
         spec_path = tmp_path / "spec.json"
@@ -642,6 +708,110 @@ class TestCli:
             args = self.eval_args(pred, corpus_dir / "annotations.jsonl", out)
         assert main(args) == 3
         assert f"{out}: No such file or directory" in caplog.text
+
+    @pytest.mark.parametrize("command", ["score-saliency", "segment", "retrieve"])
+    def test_unwritable_output_checked_before_the_first_video(
+        self, corpus_dir, head_path, saliency_path, tmp_path, caplog, monkeypatch, command
+    ):
+        import saliseg.pipeline
+
+        features = corpus_dir / "features"
+        segments = stage_segment(features, saliency_path, CFG, tmp_path / "segments.jsonl")
+
+        def never(*args, **kwargs):
+            raise AssertionError("a video was processed")
+
+        monkeypatch.setattr(saliseg.pipeline, "load_features", never)
+        monkeypatch.setattr(saliseg.pipeline, "solve_fugw", never)
+        out = tmp_path / "nodir" / "out.jsonl"
+        if command == "score-saliency":
+            args = ["score-saliency", "--features-dir", str(saliency_path.parent / "refined"),
+                    "--head", str(head_path), "--out", str(out)]
+        elif command == "segment":
+            args = self.segment_args(corpus_dir, saliency_path, out)
+        else:
+            args = [
+                "retrieve", "--features-dir", str(features), "--saliency", str(saliency_path),
+                "--segments", str(segments), "--datastore", str(corpus_dir / "datastore.sds"),
+                "--out", str(out),
+            ]
+        assert main(args) == 3
+        assert f"{out}: No such file or directory" in caplog.text
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("blocker", ["missing_dir", "file_as_dir", "dir_as_file"])
+    def test_unwritable_head_checked_before_training(
+        self, corpus_dir, tmp_path, caplog, monkeypatch, blocker
+    ):
+        import saliseg.pipeline
+
+        def never(*args, **kwargs):
+            raise AssertionError("training ran")
+
+        monkeypatch.setattr(saliseg.pipeline, "load_features", never)
+        monkeypatch.setattr(saliseg.pipeline, "train_saliency", never)
+        if blocker == "missing_dir":
+            head, reason = tmp_path / "nodir" / "head.shd", "No such file or directory"
+        elif blocker == "file_as_dir":
+            (tmp_path / "afile").write_text("")
+            head, reason = tmp_path / "afile" / "head.shd", "Not a directory"
+        else:
+            head, reason = tmp_path / "head.shd", "Is a directory"
+            head.mkdir()
+        assert main([
+            "train-saliency", "--features-dir", str(corpus_dir / "features"),
+            "--annotations", str(corpus_dir / "annotations.jsonl"), "--out-head", str(head),
+        ]) == 3
+        assert f"{head}: {reason}" in caplog.text
+
+    def test_repeated_annotation_exit_code(self, corpus_dir, tmp_path, caplog):
+        lines = (corpus_dir / "annotations.jsonl").read_text().splitlines()
+        gt = tmp_path / "annotations.jsonl"
+        gt.write_text("\n".join(lines + [lines[0]]) + "\n")
+        pred = self.write_segments(tmp_path / "segments.jsonl")
+        assert main(self.eval_args(pred, gt, tmp_path / "report.json")) == 3
+        assert f"{gt}:{len(lines) + 1}: repeated video_id v0000" in caplog.text
+        assert not (tmp_path / "report.json").exists()
+
+    def test_repeated_saliency_record_exit_code(
+        self, corpus_dir, saliency_path, tmp_path, caplog
+    ):
+        features = corpus_dir / "features"
+        segments = stage_segment(features, saliency_path, CFG, tmp_path / "segments.jsonl")
+        lines = saliency_path.read_text().splitlines()
+        saliency = tmp_path / "saliency.jsonl"
+        saliency.write_text("\n".join([lines[0]] + lines) + "\n")
+        out = tmp_path / "retrieval.jsonl"
+        assert main([
+            "retrieve", "--features-dir", str(features), "--saliency", str(saliency),
+            "--segments", str(segments), "--datastore", str(corpus_dir / "datastore.sds"),
+            "--out", str(out),
+        ]) == 3
+        assert f"{saliency}:2: repeated video_id v0000" in caplog.text
+        assert not out.exists()
+
+    def test_duplicate_datastore_id_exit_code(
+        self, corpus_dir, saliency_path, tmp_path, caplog
+    ):
+        features = corpus_dir / "features"
+        segments = stage_segment(features, saliency_path, CFG, tmp_path / "segments.jsonl")
+        raw = bytearray((corpus_dir / "datastore.sds").read_bytes())
+        (dim,) = struct.unpack_from("<Q", raw, 12)
+        (id_len,) = struct.unpack_from("<I", raw, 20)
+        first = bytes(raw[24 : 24 + id_len])
+        (cap_len,) = struct.unpack_from("<I", raw, 24 + id_len)
+        second = 28 + id_len + cap_len + 4 * dim
+        assert struct.unpack_from("<I", raw, second) == (id_len,)
+        raw[second + 4 : second + 4 + id_len] = first
+        store = tmp_path / "datastore.sds"
+        store.write_bytes(bytes(raw))
+        out = tmp_path / "retrieval.jsonl"
+        assert main([
+            "retrieve", "--features-dir", str(features), "--saliency", str(saliency_path),
+            "--segments", str(segments), "--datastore", str(store), "--out", str(out),
+        ]) == 3
+        assert f"duplicate entry id {first.decode()!r}" in caplog.text
+        assert not out.exists()
 
     @pytest.mark.parametrize("fail_fast", [False, True], ids=["default", "fail_fast"])
     @pytest.mark.parametrize("command", ["refine", "segment", "assemble"])

@@ -171,3 +171,23 @@ class TestDatastoreIO:
         path.write_bytes(b"XXXX" + b"\x00" * 32)
         with pytest.raises(DataError, match="header"):
             load_datastore(path)
+
+    def test_duplicate_id_rejected_on_load(self, tmp_path):
+        """A file may not hold an id twice: retrieval would map both hits to
+        one row."""
+        store = build_datastore(
+            [
+                DatastoreEntry("a", "x", np.array([1.0, 0.0])),
+                DatastoreEntry("b", "y", np.array([0.6, 0.8])),
+            ]
+        )
+        path = tmp_path / "store.sds"
+        save_datastore(store, path)
+        raw = bytearray(path.read_bytes())
+        second_id = 20 + (4 + 1 + 4 + 1 + 4 * 2) + 4  # header, record "a", id length
+        assert raw[second_id : second_id + 1] == b"b"
+        raw[second_id : second_id + 1] = b"a"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match="duplicate entry id 'a'"):
+            load_datastore(path)
+

@@ -186,6 +186,30 @@ class TestKlDivergence:
         expected = float(np.sum(m * np.log(m / ref)) - m.sum() + ref.sum())
         np.testing.assert_allclose(kl_divergence(m, ref), expected, atol=1e-15)
 
+    def test_stack_matches_per_row_calls_bit_for_bit(self):
+        """An S x F stack reduces each row exactly as a call on that row
+        would, the zero cases included, and raises no RuntimeWarning."""
+        rng = np.random.default_rng(8)
+        f = 300  # long enough for pairwise summation to split the rows
+        ref = rng.random(f)
+        ref[:5] = 0.0
+        stack = rng.random((6, f))
+        stack[:, :5] = 0.0
+        stack[1, 10:40] = 0.0  # zeros where ref > 0: 0 log 0 = 0
+        stack[2, 2] = 0.25  # mass where ref is 0
+        stack[3] = 0.0
+        got = kl_divergence(stack, ref)
+        want = np.array([kl_divergence(row, ref) for row in stack])
+        assert got.shape == (6,)
+        assert got.tobytes() == want.tobytes()
+        assert np.isinf(got[2]) and np.all(np.isfinite(np.delete(got, 2)))
+        assert got[3] == ref.sum()
+        pos = stack[1] > 0
+        m, r = stack[1][pos], ref[pos]
+        np.testing.assert_allclose(
+            got[1], np.sum(m * np.log(m / r)) - m.sum() + ref.sum(), rtol=1e-14
+        )
+
 
 class TestSolveFugw:
     def test_zero_cost_uniform_marginals_gives_uniform_plan(self):
