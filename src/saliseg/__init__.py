@@ -63,7 +63,6 @@ from .store import (
 )
 from .synth import SynthCorpus, SynthSpec, generate_corpus, write_corpus
 from .transport import (
-    AnchorSet,
     OtProblem,
     TransportPlan,
     build_kot_cost,

@@ -26,6 +26,7 @@ from .pipeline import (
     stage_segment,
     train_saliency_from_files,
 )
+from .saliency import EPOCHS, LEARNING_RATE
 from .synth import SynthSpec, generate_corpus, write_corpus
 
 logger = logging.getLogger("saliseg")
@@ -56,6 +57,8 @@ def _train_saliency(args: argparse.Namespace) -> None:
 
 def _eval(args: argparse.Namespace) -> None:
     out = Path(args.out)
+    if out.suffix in (".txt", ".csv"):  # the tables' own suffixes
+        raise ConfigError(f"--out {out}: the report table would overwrite it")
     csv = out.with_suffix(".csv") if args.csv else None
     corpus = stage_eval(args.pred, args.gt, out, out.with_suffix(".txt"), csv)
     sys.stdout.write(
@@ -97,8 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features-dir", type=Path, required=True)
     p.add_argument("--annotations", type=Path, required=True)
     p.add_argument("--out-head", type=Path, required=True)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--epochs", type=int, default=EPOCHS)
+    p.add_argument("--lr", type=float, default=LEARNING_RATE)
 
     p = command("score-saliency", "score refined features with a head",
                 lambda a: stage_score_saliency(a.features_dir, a.head, _load_cfg(a), a.out,

@@ -33,7 +33,7 @@ from typing import TypeVar
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ConfigError, DataError, OutputError
+from .errors import ConfigError, DataError, OutputError, config_int
 from .refine import RefineConfig
 
 logger = logging.getLogger(__name__)
@@ -255,7 +255,7 @@ def _jsonl_lines(path: str | Path):
             continue
         try:
             yield i, json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer past the digit limit
             raise DataError(f"{path}:{i}: bad JSON: {exc}") from exc
 
 
@@ -297,9 +297,9 @@ def load_annotations(path: str | Path) -> list[EventAnnotation]:
             ann = EventAnnotation(
                 video_id=str(doc["video_id"]),
                 valid_len=int(doc["valid_len"]),
-                events=tuple((int(s), int(e)) for s, e in doc["events"]),
+                events=doc["events"],
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"{path}:{i}: bad annotation record: {exc}") from exc
         _add_record(anns, ann.video_id, ann, path, i)
     return list(anns.values())
@@ -332,6 +332,8 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         # Every check is written so that NaN fails it.
+        for name in ("K", "top_k", "top_p", "F_max", "seed"):
+            object.__setattr__(self, name, config_int(name, getattr(self, name)))
         object.__setattr__(self, "windows", RefineConfig(self.windows).windows)
         if not self.tau > 0:
             raise ConfigError("tau must be > 0")
@@ -373,7 +375,7 @@ def dataclass_from_json(cls: type[T], text: str) -> T:
     keys = _json_keys(cls)
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past the digit limit
         raise ConfigError(f"bad {cls.__name__} JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{cls.__name__} JSON must be an object")

@@ -5,6 +5,8 @@ DataError -> 3, NumericalError -> 4. OutputError is a DataError, so it exits
 3 as well.
 """
 
+import numbers
+
 
 class SalisegError(Exception):
     """Base class for all errors raised by this package."""
@@ -25,3 +27,10 @@ class NumericalError(SalisegError):
 class OutputError(DataError):
     """An output file or directory could not be written. It is a fault of the
     destination, not of one video, so it always ends the run."""
+
+
+def config_int(name: str, value) -> int:
+    """``value`` as an int; a bool, a float or any non-integer is a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)

@@ -112,23 +112,17 @@ def segment_quality(pred: list[Interval], gt: list[Interval]) -> tuple[float, fl
     gt_best = _max_ious(gt, pred)
     recall_at_05 = sum(v >= 0.5 for v in gt_best) / len(gt)
     mean_iou = sum(gt_best) / len(gt)
-    pairs = [
-        (iou(p, g), i, j)
-        for i, p in enumerate(pred)
-        for j, g in enumerate(gt)
-        if iou(p, g) >= 0.5
-    ]
-    pairs.sort(key=lambda x: (-x[0], x[1], x[2]))
+    # Candidate pairs by IoU descending, then pred and gt index.
+    pairs = sorted(
+        (-v, i, j) for i, p in enumerate(pred) for j, g in enumerate(gt) if (v := iou(p, g)) >= 0.5
+    )
     used_p: set[int] = set()
     used_g: set[int] = set()
-    matched = 0
     for _, i, j in pairs:
-        if i in used_p or j in used_g:
-            continue
-        used_p.add(i)
-        used_g.add(j)
-        matched += 1
-    return recall_at_05, mean_iou, matched
+        if i not in used_p and j not in used_g:
+            used_p.add(i)
+            used_g.add(j)
+    return recall_at_05, mean_iou, len(used_p)
 
 
 def evaluate_corpus(

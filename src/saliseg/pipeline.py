@@ -36,6 +36,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import time
 from pathlib import Path
 
@@ -61,6 +62,8 @@ from .metrics import evaluate_corpus, save_report
 from .prompts import assemble_input, init_prompt_map, project_saliency, save_decoder_input
 from .refine import RefineConfig, refine_features
 from .saliency import (
+    EPOCHS,
+    LEARNING_RATE,
     SaliencyExample,
     TrainResult,
     load_head,
@@ -139,10 +142,12 @@ def _record(records: dict, video_id: str, kind: str, field: str | None = None):
 
 
 def _is_numbers(values, n: int) -> bool:
-    """Whether ``values`` is a JSON list of exactly ``n`` numbers."""
-    return (
-        isinstance(values, list) and len(values) == n and all(type(v) in (int, float) for v in values)
-    )
+    """Whether ``values`` is a JSON list of ``n`` numbers, each finite as a float."""
+    try:
+        return isinstance(values, list) and len(values) == n and all(
+            type(v) in (int, float) and math.isfinite(v) for v in values)
+    except OverflowError:  # an integer past the float range
+        return False
 
 
 def _frame_values(records: dict, f: FrameFeatures, kind: str, field: str) -> np.ndarray:
@@ -356,8 +361,8 @@ def train_saliency_from_files(
     annotations_path: str | Path,
     cfg: PipelineConfig,
     out_head: str | Path,
-    epochs: int = 20,
-    learning_rate: float = 1e-3,
+    epochs: int = EPOCHS,
+    learning_rate: float = LEARNING_RATE,
     fail_fast: bool = False,
 ) -> TrainResult:
     """Refine raw features, derive labels, train the head, save the checkpoint."""
@@ -399,10 +404,15 @@ def run_pipeline(
     text_dir: str | Path | None = None,
     fail_fast: bool = False,
 ):
-    """Refine, score, segment, retrieve, assemble, evaluate; write a manifest."""
+    """Refine, score, segment, retrieve, assemble, evaluate; write a manifest.
+
+    ``out_dir`` must be new or empty, so no earlier run's file passes as this run's.
+    """
     _check_baseline(baseline)
     t0 = time.monotonic()
     out = make_dir(out_dir)
+    if any(out.glob("*")):
+        raise OutputError(f"{out}: not empty; a run starts from a new or empty directory")
 
     stage_refine(features_dir, out / "refined", cfg, fail_fast)
     stage_score_saliency(out / "refined", head_path, cfg, out / "saliency.jsonl", fail_fast)

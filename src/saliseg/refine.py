@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, config_int
 
 logger = logging.getLogger(__name__)
 
@@ -30,7 +30,7 @@ class RefineConfig:
     windows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "windows", tuple(int(w) for w in self.windows))
+        object.__setattr__(self, "windows", tuple(config_int("window size", w) for w in self.windows))
         if any(w < 2 for w in self.windows):
             raise ConfigError("window sizes must be >= 2")
         if any(w2 <= w1 for w1, w2 in zip(self.windows, self.windows[1:])):
@@ -72,8 +72,8 @@ def refine_features(
 
     Only the first ``valid_len`` frames (all of them when ``None``) enter
     windows; window sizes larger than ``valid_len`` are skipped with a
-    warning. Frames not covered by any window, and all padded frames, pass
-    through unchanged. Accumulation order is fixed (ascending window size,
+    warning. Padded frames pass through unchanged, and so do the valid ones
+    when no window fits. Accumulation order is fixed (ascending window size,
     then start), so the result is deterministic to the bit.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -98,11 +98,8 @@ def refine_features(
             acc[start : start + w] += out
             count[start : start + w] += 1
 
+    # The smallest fitting window covers every frame: counts are all > 0 or all 0.
     refined = x.copy()
-    covered = count > 0
-    if np.any(covered):
-        averaged = np.zeros_like(xv)
-        averaged[covered] = acc[covered] / count[covered, None]
-        normed = _layer_norm(averaged[covered])
-        refined[:n_valid][covered] = xv[covered] + normed
+    if count.any():
+        refined[:n_valid] = xv + _layer_norm(acc / count[:, None])
     return refined

@@ -37,6 +37,9 @@ _BETA2 = 0.999
 _ADAM_EPSILON = 1e-8
 # Largest parameter magnitude that the float32 checkpoint payload holds.
 _F32_MAX = float(np.finfo(np.float32).max)
+# Training defaults, also those of the ``train-saliency`` subcommand.
+EPOCHS = 20
+LEARNING_RATE = 1e-3
 
 
 @dataclass
@@ -93,6 +96,16 @@ def _valid_frames(n_frames: int, valid_len: int) -> NDArray[np.bool_]:
     return np.arange(n_frames) < valid_len
 
 
+def _highlights(labels: NDArray[np.float64], valid_len: int) -> tuple[NDArray[np.float64], float]:
+    """The labels of the frames below ``valid_len``, zero from there on, and
+    their sum; a set without a highlight is a :class:`DataError`."""
+    hm = np.asarray(labels, dtype=np.float64) * (np.arange(len(labels)) < valid_len)
+    n_high = hm.sum()
+    if n_high < 1:
+        raise DataError("empty highlight set")
+    return hm, n_high
+
+
 def attention_pool(
     xp: NDArray[np.float64], valid_len: int, w_pool: NDArray[np.float64]
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
@@ -141,12 +154,8 @@ def saliency_loss(
 ) -> float:
     """Masked listwise softmax loss: mean negative log-probability of highlights."""
     scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
     valid = _valid_frames(scores.shape[0], valid_len)
-    hm = labels * valid
-    n_high = hm.sum()
-    if n_high < 1:
-        raise DataError("empty highlight set")
+    hm, n_high = _highlights(labels, valid_len)
     z = scores / tau
     zmax = np.max(z[valid])
     zsafe = np.where(valid, z - zmax, -np.inf)
@@ -161,22 +170,18 @@ def saliency_grad(
     valid_len: int,
     labels: NDArray[np.float64],
     tau: float,
-) -> dict[str, NDArray[np.float64]]:
-    """Analytic gradients of the saliency loss at temperature ``tau`` w.r.t.
-    w_pool, W1 and W2.
+) -> tuple[float, dict[str, NDArray[np.float64]]]:
+    """The saliency loss at temperature ``tau`` and its analytic gradients
+    w.r.t. w_pool, W1 and W2, from one forward pass.
 
     Includes the pooling path: the pooled context depends on w_pool, and the
     scores depend on the pooled context through W2.
     """
     xp = np.asarray(xp, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
     out = saliency_forward(head, xp, valid_len)
-    hm = labels * _valid_frames(xp.shape[0], valid_len)
-    n_high = hm.sum()
-    if n_high < 1:
-        raise DataError("empty highlight set")
-    d = head.dim
-    sqrt_d = np.sqrt(d)
+    loss = saliency_loss(out.scores, labels, valid_len, tau)
+    hm, n_high = _highlights(labels, valid_len)
+    sqrt_d = np.sqrt(head.dim)
 
     p = masked_softmax(out.scores, valid_len, tau)
     g_scores = (p - hm / n_high) / tau  # zero on padded frames
@@ -192,7 +197,7 @@ def saliency_grad(
     a = out.pool_weights
     d_logits = a * (d_weights - a @ d_weights)
     d_w_pool = (xp.T @ d_logits) / sqrt_d
-    return {"w_pool": d_w_pool, "W1": d_w1, "W2": d_w2}
+    return loss, {"w_pool": d_w_pool, "W1": d_w1, "W2": d_w2}
 
 
 def saliency_prior(scores: NDArray[np.float64], valid_len: int) -> NDArray[np.float64]:
@@ -243,8 +248,8 @@ class TrainResult:
 def train_saliency(
     examples: list[SaliencyExample],
     cfg: PipelineConfig,
-    epochs: int = 20,
-    learning_rate: float = 1e-3,
+    epochs: int = EPOCHS,
+    learning_rate: float = LEARNING_RATE,
 ) -> TrainResult:
     """Adam over per-video losses ``lambda * L`` at temperature ``cfg.tau``;
     deterministic given ``cfg.seed``.
@@ -256,9 +261,10 @@ def train_saliency(
     """
     usable = []
     for ex in examples:
-        if np.sum(ex.labels[: ex.valid_len]) >= 1:
+        try:
+            _highlights(ex.labels, ex.valid_len)
             usable.append(ex)
-        else:
+        except DataError:
             logger.warning("%s: no highlight frames, skipped for training", ex.video_id)
     if not usable:
         raise DataError("no trainable videos")
@@ -277,12 +283,10 @@ def train_saliency(
         epoch_loss = 0.0
         for idx in order:
             ex = usable[idx]
-            scores = saliency_forward(head, ex.features, ex.valid_len).scores
-            loss = saliency_loss(scores, ex.labels, ex.valid_len, cfg.tau)
+            loss, grads = saliency_grad(head, ex.features, ex.valid_len, ex.labels, cfg.tau)
             if not np.isfinite(loss):
                 return _diverged(last_good, state, loss_curve)
             last_good = head.copy()
-            grads = saliency_grad(head, ex.features, ex.valid_len, ex.labels, cfg.tau)
             state.step += 1
             t = state.step
             for name, g in grads.items():
@@ -295,8 +299,7 @@ def train_saliency(
             if not all(np.all(np.abs(p) <= _F32_MAX) for p in params.values()):  # NaN too
                 return _diverged(last_good, state, loss_curve)
             epoch_loss += cfg.lambda_ * loss
-        if usable:
-            loss_curve.append(epoch_loss / len(usable))
+        loss_curve.append(epoch_loss / len(usable))
     return TrainResult(head=head, state=state, loss_curve=loss_curve)
 
 
@@ -326,7 +329,7 @@ def load_head(path: str | Path) -> SaliencyHead:
     try:
         header = json.loads(raw[:nl].decode("utf-8"))
         dim = int(header["D"])
-    except (KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON, UTF-8 or number
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # bad JSON, UTF-8 or number
         raise DataError(f"{path}: bad checkpoint header: {exc}") from exc
     if dim < 1:
         raise DataError(f"{path}: checkpoint dimension D={dim} must be >= 1")

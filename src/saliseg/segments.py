@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 from numpy.typing import NDArray
 
-from .data import load_records, save_records
+from .data import load_records
 from .errors import DataError
 from .rng import substream
 from .transport import TransportPlan, farthest_points
@@ -60,10 +60,6 @@ class SegmentSet:
         if any(a >= b for a, b in zip(bounds, bounds[1:])):
             raise DataError(f"selected {list(self.selected)} must be strictly increasing"
                             f" indices into {len(self.segments)} segments")
-
-    @property
-    def n_frames(self) -> int:
-        return self.segments[-1].end if self.segments else 0
 
     def selected_segments(self) -> list[Segment]:
         return [self.segments[i] for i in self.selected]
@@ -199,9 +195,6 @@ def segments_to_doc(video_id: str, segs: SegmentSet) -> dict:
     }
 
 
-save_segments = save_records
-
-
 def load_segments(path: str | Path) -> dict[str, SegmentSet]:
     out: dict[str, SegmentSet] = {}
     for video_id, doc in load_records(path).items():
@@ -216,6 +209,6 @@ def load_segments(path: str | Path) -> dict[str, SegmentSet]:
             out[video_id] = SegmentSet(
                 segments=segments, selected=tuple(int(j) for j in doc["selected"])
             )
-        except (KeyError, TypeError, ValueError, DataError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, DataError) as exc:
             raise DataError(f"{path}: {video_id}: bad segments record: {exc}") from exc
     return out

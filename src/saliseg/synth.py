@@ -25,7 +25,7 @@ from .data import (
     save_features,
     save_records,
 )
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, config_int
 from .rng import substream
 from .store import Datastore, DatastoreEntry, build_datastore, save_datastore
 
@@ -47,8 +47,10 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for key in ("n_videos", "F", "D", "n_caption_concepts", "seed"):
+            object.__setattr__(self, key, config_int(key, getattr(self, key)))
         for key in ("events_per_video", "event_len"):
-            object.__setattr__(self, key, tuple(int(x) for x in getattr(self, key)))
+            object.__setattr__(self, key, tuple(config_int(key, x) for x in getattr(self, key)))
         lo, hi = self.events_per_video
         llo, lhi = self.event_len
         if self.n_videos < 1 or self.F < 1 or self.D < 1:

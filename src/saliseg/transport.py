@@ -52,27 +52,6 @@ _LINE_SEARCH_POINTS = 33
 
 
 @dataclass(frozen=True)
-class AnchorSet:
-    """K anchor vectors acting as semantic prototypes for segmentation."""
-
-    anchors: NDArray[np.float64]
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.anchors, dtype=np.float64)
-        object.__setattr__(self, "anchors", a)
-        if a.ndim != 2 or a.shape[0] < 1:
-            raise DataError("anchors must be a K x D matrix with K >= 1")
-        if not np.all(np.isfinite(a)):
-            raise DataError("non-finite anchors")
-        if np.any(np.linalg.norm(a, axis=1) == 0):
-            raise DataError("zero-norm anchor")
-
-    @property
-    def count(self) -> int:
-        return self.anchors.shape[0]
-
-
-@dataclass(frozen=True)
 class OtProblem:
     """All inputs of one solve, built on valid frames only.
 
@@ -86,15 +65,16 @@ class OtProblem:
     epsilon: float
 
     def __post_init__(self) -> None:
+        # Every check is written so that NaN fails it.
         if self.C_k.ndim != 2 or self.p_hat.shape != (self.C_k.shape[0],):
             raise DataError("p_hat length must equal the number of cost rows")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise DataError("epsilon must be > 0")
         if not 0.0 <= self.alpha <= 1.0:
             raise DataError("alpha must lie in [0, 1]")
-        if self.gamma < 0:
+        if not self.gamma >= 0:
             raise DataError("gamma must be >= 0")
-        if abs(float(self.p_hat.sum()) - 1.0) > 1e-9 or np.any(self.p_hat <= 0):
+        if not (abs(float(self.p_hat.sum()) - 1.0) <= 1e-9 and np.all(self.p_hat > 0)):
             raise DataError("p_hat must be strictly positive and sum to 1")
 
 
@@ -110,22 +90,29 @@ class TransportPlan:
 
 def build_kot_cost(
     xs: NDArray[np.float64],
-    anchors: AnchorSet,
+    anchors: NDArray[np.float64],
     p_s: NDArray[np.float64],
     mu: float,
 ) -> NDArray[np.float64]:
     """Cosine frame-anchor cost with a saliency discount.
 
-    ``C[n, j] = (1 - cos(x_n, a_j)) - mu * p_s[n]``; entries lie in
-    ``[-mu, 2]``. Uses the raw sigmoid prior, not its normalized variant.
+    ``anchors`` is a ``K x D`` matrix of finite, nonzero rows, one prototype
+    per anchor. ``C[n, j] = (1 - cos(x_n, a_j)) - mu * p_s[n]``; entries lie
+    in ``[-mu, 2]``. Uses the raw sigmoid prior, not its normalized variant.
     """
     xs = np.asarray(xs, dtype=np.float64)
     p_s = np.asarray(p_s, dtype=np.float64)
     x_norm = np.linalg.norm(xs, axis=1)
     if np.any(x_norm == 0):
         raise DataError("zero-norm feature row")
-    a = anchors.anchors
+    a = np.asarray(anchors, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] != xs.shape[1]:
+        raise DataError(f"anchors must be a K x {xs.shape[1]} matrix with K >= 1")
+    if not np.all(np.isfinite(a)):
+        raise DataError("non-finite anchors")
     a_norm = np.linalg.norm(a, axis=1)
+    if np.any(a_norm == 0):
+        raise DataError("zero-norm anchor")
     cos = (xs @ a.T) / np.outer(x_norm, a_norm)
     return (1.0 - cos) - mu * p_s[:, None]
 
@@ -197,9 +184,9 @@ def fused_objective(prob: OtProblem, t: NDArray[np.float64]) -> float:
 
 
 def _logsumexp(x: NDArray[np.float64], axis: int) -> NDArray[np.float64]:
-    m = np.max(x, axis=axis, keepdims=True)
-    out = m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True))
-    return np.squeeze(out, axis=axis)
+    # ndarray methods: the same ufuncs as np.max/np.sum, without their dispatch.
+    m = x.max(axis=axis, keepdims=True)
+    return (m + np.log(np.exp(x - m).sum(axis=axis, keepdims=True))).squeeze(axis=axis)
 
 
 def _scaling_iterations(
@@ -225,9 +212,10 @@ def _scaling_iterations(
         g_prev = g
         f = fi * epsilon * (log_p - _logsumexp((g[None, :] - cost) / epsilon, axis=1))
         g = epsilon * (log_q - _logsumexp((f[:, None] - cost) / epsilon, axis=0))
-        if np.any(~np.isfinite(f)) or np.any(~np.isfinite(g)):
+        # f_prev and g_prev are finite, so delta is finite iff f and g are.
+        delta = np.maximum(np.abs(f - f_prev).max(), np.abs(g - g_prev).max())
+        if not np.isfinite(delta):
             raise NumericalError("non-finite scaling potentials")
-        delta = max(float(np.max(np.abs(f - f_prev))), float(np.max(np.abs(g - g_prev))))
         if delta < _POTENTIAL_TOL:
             inner_ok = True
             break
@@ -257,10 +245,8 @@ def solve_fugw(prob: OtProblem, max_outer: int = 200) -> TransportPlan:
     g = np.zeros(k)
     trace = [fused_objective(prob, t)]
     converged = False
-    iterations = 0
 
     for _outer in range(max_outer):
-        iterations += 1
         grad = gw_gradient(t)
         local_cost = (1.0 - prob.alpha) * prob.C_k + prob.alpha * grad
         cand, f, g, inner_ok = _scaling_iterations(
@@ -276,7 +262,7 @@ def solve_fugw(prob: OtProblem, max_outer: int = 200) -> TransportPlan:
 
     if not converged:
         logger.warning("transport solver hit max_outer=%d without converging", max_outer)
-    return TransportPlan(T=t, objective_trace=trace, iterations=iterations, converged=converged)
+    return TransportPlan(T=t, objective_trace=trace, iterations=len(trace) - 1, converged=converged)
 
 
 def _segment_search(
@@ -313,9 +299,9 @@ def _segment_search(
 
 def init_anchors(
     xs: NDArray[np.float64], n_anchors: int, seed: int, video_id: str = ""
-) -> AnchorSet:
-    """:func:`farthest_points` anchors from the video's own feature rows,
-    compared after L2 normalization to match the cosine cost."""
+) -> NDArray[np.float64]:
+    """The ``n_anchors x D`` rows of ``xs`` that :func:`farthest_points`
+    picks, compared after L2 normalization to match the cosine cost."""
     xs = np.asarray(xs, dtype=np.float64)
     if xs.shape[0] == 0:
         raise DataError("no feature rows to draw anchors from")
@@ -323,7 +309,7 @@ def init_anchors(
     if np.any(norms == 0):
         raise DataError("zero-norm feature row")
     chosen = farthest_points(xs / norms[:, None], n_anchors, substream(seed, "anchors", video_id))
-    return AnchorSet(anchors=xs[chosen])
+    return xs[chosen]
 
 
 def farthest_points(rows: NDArray[np.float64], k: int, rng: np.random.Generator) -> NDArray[np.int64]:
@@ -347,7 +333,7 @@ def farthest_points(rows: NDArray[np.float64], k: int, rng: np.random.Generator)
 
 def build_problem(
     xs_valid: NDArray[np.float64],
-    anchors: AnchorSet,
+    anchors: NDArray[np.float64],
     p_s_valid: NDArray[np.float64],
     alpha: float,
     gamma: float,

@@ -149,7 +149,7 @@ class TestCriterion01GradientCorrectness:
             labels = np.zeros(12)
             highlight = rng.choice(valid_len, size=3, replace=False)
             labels[highlight] = 1.0
-            analytic = saliency_grad(head, xp, valid_len, labels, 0.5)
+            _, analytic = saliency_grad(head, xp, valid_len, labels, 0.5)
             for name in ("w_pool", "W1", "W2"):
                 base = getattr(head, name)
                 fd = np.zeros_like(base)

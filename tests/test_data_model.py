@@ -216,11 +216,25 @@ class TestPipelineConfig:
             {"alpha": 1.5},
             {"windows": (8, 8, 64)},
             {"windows": (8, 32, 200)},
+            {"K": 8.5},
+            {"K": True},
+            {"top_k": True},
+            {"top_p": 2.5},
+            {"F_max": 100.0},
+            {"seed": 1.5},
+            {"windows": (8.5, 32, 64)},
         ],
     )
     def test_invalid_values_rejected(self, overrides):
         with pytest.raises(ConfigError):
             PipelineConfig(**overrides)
+
+    def test_numpy_integers_accepted_as_ints(self):
+        cfg = PipelineConfig(K=np.int64(6), top_k=np.int32(3), windows=(np.int64(8), 32),
+                             seed=np.uint8(2))
+        assert (cfg.K, cfg.top_k, cfg.windows, cfg.seed) == (6, 3, (8, 32), 2)
+        assert all(type(v) is int for v in (cfg.K, cfg.top_k, cfg.windows[0], cfg.seed))
+        assert json.loads(cfg.to_json())["K"] == 6
 
     @pytest.mark.parametrize(
         "text",
@@ -240,7 +254,11 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError):
             dataclass_from_json(PipelineConfig, text)
 
-    @pytest.mark.parametrize("text", ["3", "[1]", '{"K": "x"}', '{"windows": ["a"]}', "{"])
+    @pytest.mark.parametrize(
+        "text",
+        ["3", "[1]", '{"K": "x"}', '{"windows": ["a"]}', "{",
+         pytest.param('{"K": ' + "9" * 5000 + "}", id="integer_past_digit_limit")],
+    )
     def test_malformed_json_is_config_error(self, text):
         with pytest.raises(ConfigError):
             dataclass_from_json(PipelineConfig, text)

@@ -62,6 +62,7 @@ CRAFTED = {
         b'{"D": "x", "tau": 0.5}\n',
         b'{"D": -1, "tau": 0.5}\n' + bytes(4),
         b'{"D": 1, "tau": "x"}\n' + bytes(12),
+        b'{"D": 1e999}\n',
     ],
     "stin": [b"STIN" + struct.pack("<5Q", 2**63, 0, 0, 0, 0)],
 }

@@ -344,13 +344,15 @@ class TestRecordFields:
     @pytest.mark.parametrize(
         "stage, field", [("segment", "prior"), ("retrieve", "prior"), ("assemble", "scores")]
     )
-    @pytest.mark.parametrize("bad", ["short", "non_numeric"])
+    @pytest.mark.parametrize("bad", ["short", "non_numeric", "nan", "infinity", "huge_int"])
     def test_per_frame_field_of_wrong_length_or_type(
         self, corpus_dir, saliency_path, upstream, tmp_path, caplog, bad, stage, field, fail_fast
     ):
         docs = [json.loads(line) for line in saliency_path.read_text().splitlines()]
         values = docs[0][field]
-        docs[0][field] = values[:3] if bad == "short" else ["abc"] + values[1:]
+        first = {"non_numeric": "abc", "nan": float("nan"), "infinity": float("inf"),
+                 "huge_int": 10**400}.get(bad)
+        docs[0][field] = values[:3] if bad == "short" else [first] + values[1:]
         saliency = tmp_path / "saliency.jsonl"
         saliency.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
         features = str(corpus_dir / "features")
@@ -379,7 +381,7 @@ class TestRecordFields:
         assert f"v0000: saliency '{field}' is not a list of {SPEC.F} numbers" in caplog.text
 
     @pytest.mark.parametrize("fail_fast", [False, True], ids=["default", "fail_fast"])
-    @pytest.mark.parametrize("bad", ["ragged", "non_numeric"])
+    @pytest.mark.parametrize("bad", ["ragged", "non_numeric", "nan"])
     def test_retrieval_vectors_of_wrong_shape_or_type(
         self, saliency_path, upstream, tmp_path, caplog, bad, fail_fast
     ):
@@ -389,7 +391,8 @@ class TestRecordFields:
         if bad == "ragged":
             docs[0]["vectors"] = [[1.0, 2.0], [3.0]]
         else:
-            docs[0]["vectors"] = [["abc"] + rows[0][1:]] + rows[1:]
+            first = "abc" if bad == "non_numeric" else float("nan")
+            docs[0]["vectors"] = [[first] + rows[0][1:]] + rows[1:]
         retrieval = tmp_path / "retrieval.jsonl"
         retrieval.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
         out = tmp_path / "out"
@@ -546,6 +549,11 @@ class TestCli:
             {"mu": float("nan")},
             {"mu": float("inf")},
             {"windows": [1, 4]},
+            {"K": 8.5},
+            {"K": True, "top_k": True},
+            {"top_p": 2.5},
+            {"seed": 1.5},
+            {"windows": [8.5, 32, 64]},
         ],
     )
     def test_segment_rejects_bad_config_before_any_work(
@@ -558,7 +566,11 @@ class TestCli:
         assert main(args + ["--config", str(cfg_path)]) == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("spec", ["3", '{"event_len": 5}', '{"event_len": [4, 5, 6]}'])
+    @pytest.mark.parametrize(
+        "spec",
+        ["3", '{"event_len": 5}', '{"event_len": [4, 5, 6]}', '{"n_videos": 2.5}',
+         '{"event_len": [8.5, 11]}', '{"seed": true}'],
+    )
     def test_bad_synth_spec_exit_code(self, tmp_path, spec):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(spec)
@@ -588,8 +600,10 @@ class TestCli:
         ]
 
     @pytest.mark.parametrize(
-        "bad_line", ['{"video_id": "v0000", "prior": [0.5', '{"prior": [0.5]}'],
-        ids=["truncated_json", "missing_video_id"],
+        "bad_line",
+        ['{"video_id": "v0000", "prior": [0.5', '{"prior": [0.5]}',
+         '{"video_id": "v0000", "prior": [' + "9" * 5000 + "]}"],
+        ids=["truncated_json", "missing_video_id", "integer_past_digit_limit"],
     )
     def test_malformed_record_file_exit_code(self, corpus_dir, tmp_path, caplog, bad_line):
         bad = tmp_path / "bad.jsonl"
@@ -695,6 +709,16 @@ class TestCli:
 
     def eval_args(self, pred, gt, out):
         return ["eval", "--pred", str(pred), "--gt", str(gt), "--out", str(out)]
+
+    def segments_reader_args(self, command, corpus_dir, saliency, pred, out):
+        """Arguments of ``eval`` or ``retrieve`` reading the segments file ``pred``."""
+        if command == "eval":
+            return self.eval_args(pred, corpus_dir / "annotations.jsonl", out)
+        return [
+            "retrieve", "--features-dir", str(corpus_dir / "features"),
+            "--saliency", str(saliency), "--segments", str(pred),
+            "--datastore", str(corpus_dir / "datastore.sds"), "--out", str(out),
+        ]
 
     @pytest.mark.parametrize("command", ["segment", "eval"])
     def test_unwritable_output_exit_code(
@@ -876,8 +900,10 @@ class TestCli:
         "bad_line",
         ['{"video_id": "v0000", "valid_len": 30, "events": 5}',
          '{"video_id": "v0000", "valid_len": "abc", "events": []}',
-         "[1, 2]"],
-        ids=["events_not_a_list", "valid_len_not_a_number", "not_an_object"],
+         "[1, 2]",
+         '{"video_id": "v0000", "valid_len": 30, "events": [[0, 1e999]]}'],
+        ids=["events_not_a_list", "valid_len_not_a_number", "not_an_object",
+             "event_past_float_range"],
     )
     def test_bad_annotation_record_exit_code(self, tmp_path, caplog, bad_line):
         gt = tmp_path / "annotations.jsonl"
@@ -894,15 +920,42 @@ class TestCli:
     ):
         pred = self.write_segments(tmp_path / "segments.jsonl", selected)
         out = tmp_path / "out.json"
-        if command == "eval":
-            args = self.eval_args(pred, corpus_dir / "annotations.jsonl", out)
-        else:
-            args = [
-                "retrieve", "--features-dir", str(corpus_dir / "features"),
-                "--saliency", str(saliency_path), "--segments", str(pred),
-                "--datastore", str(corpus_dir / "datastore.sds"), "--out", str(out),
-            ]
+        args = self.segments_reader_args(command, corpus_dir, saliency_path, pred, out)
         assert main(args) == 3
         assert f"{pred}: v0000: bad segments record: selected" in caplog.text
         assert "strictly increasing indices into 3 segments" in caplog.text
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "retrieve"])
+    def test_segment_bound_past_float_range_exit_code(
+        self, corpus_dir, saliency_path, tmp_path, caplog, command
+    ):
+        pred = self.write_segments(tmp_path / "segments.jsonl")
+        pred.write_text(pred.read_text().replace('"end": 30', '"end": 1e999'))
+        assert "1e999" in pred.read_text()
+        out = tmp_path / "out.json"
+        args = self.segments_reader_args(command, corpus_dir, saliency_path, pred, out)
+        assert main(args) == 3
+        assert f"{pred}: v0000: bad segments record" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("suffix", [".txt", ".csv"])
+    def test_eval_out_with_a_table_suffix_rejected_before_reading(self, tmp_path, suffix):
+        out = tmp_path / f"report{suffix}"
+        args = self.eval_args(tmp_path / "nowhere.jsonl", tmp_path / "nowhere.jsonl", out)
+        assert main(args + ["--csv"]) == 2
+        assert not out.exists()
+
+    def test_pipeline_refuses_a_used_out_dir(self, corpus_dir, head_path, tmp_path, caplog):
+        out = tmp_path / "run"
+        args = [
+            "pipeline", "--features-dir", str(corpus_dir / "features"),
+            "--annotations", str(corpus_dir / "annotations.jsonl"),
+            "--datastore", str(corpus_dir / "datastore.sds"),
+            "--head", str(head_path), "--out-dir", str(out),
+        ]
+        assert main(args) == 0
+        first = tree_bytes(out)
+        assert main(args) == 3
+        assert f"{out}: not empty" in caplog.text
+        assert tree_bytes(out) == first

@@ -130,6 +130,8 @@ class TestRefineFeatures:
             RefineConfig(windows=(1, 4))
         with pytest.raises(ConfigError):
             RefineConfig(windows=(4, 4))
+        with pytest.raises(ConfigError, match="must be an integer"):
+            RefineConfig(windows=(8.5, 32))
 
 
 class TestBoundarySharpening:

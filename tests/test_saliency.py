@@ -155,6 +155,8 @@ class TestSaliencyLoss:
     def test_empty_highlight_set_errors(self):
         with pytest.raises(DataError, match="empty highlight set"):
             saliency_loss(np.zeros(3), np.zeros(3), 3, 1.0)
+        with pytest.raises(DataError, match="empty highlight set"):  # highlights only past valid_len
+            saliency_grad(init_head(2, seed=0), np.ones((3, 2)), 2, np.array([0.0, 0, 1]), 1.0)
 
     def test_loss_nonnegative_and_vanishes_for_dominant_highlight(self):
         scores = np.array([60.0, 0.0, 0.0])
@@ -202,7 +204,7 @@ class TestSaliencyGrad:
         d = 3
         head = random_head(d, seed=5)
         xp = np.tile(np.array([1.0, 2.0, -1.0]), (4, 1))
-        grads = saliency_grad(head, xp, 4, np.ones(4), 0.5)
+        _, grads = saliency_grad(head, xp, 4, np.ones(4), 0.5)
         np.testing.assert_allclose(grads["w_pool"], 0.0, atol=1e-12)
 
     def test_matches_finite_differences(self):
@@ -211,7 +213,7 @@ class TestSaliencyGrad:
         xp = rng.normal(size=(12, 8))
         labels = np.zeros(12)
         labels[[1, 4, 7]] = 1.0
-        analytic = saliency_grad(head, xp, 10, labels, 0.5)
+        _, analytic = saliency_grad(head, xp, 10, labels, 0.5)
         numeric = fd_gradients(head, xp, 10, labels, 0.5)
         assert max_rel_error(analytic, numeric) < 1e-4
 
@@ -225,21 +227,29 @@ class TestSaliencyGrad:
         grads = {}
         for tau in (0.5, 1.0):
             head = SaliencyHead(w_pool.copy(), np.zeros((d, d)), np.eye(d))
-            analytic = saliency_grad(head, xp, 6, labels, tau)
+            _, analytic = saliency_grad(head, xp, 6, labels, tau)
             numeric = fd_gradients(head, xp, 6, labels, tau)
             assert max_rel_error(analytic, numeric) < 1e-4
             grads[tau] = analytic["W1"]
         np.testing.assert_allclose(grads[0.5], 2.0 * grads[1.0], rtol=1e-9)
+
+    def test_loss_is_the_loss_of_the_same_forward_pass(self):
+        rng = np.random.default_rng(9)
+        head = random_head(5, seed=9)
+        xp = rng.normal(size=(7, 5))
+        labels = np.array([1, 0, 1, 0, 0, 0, 1.0])
+        loss, _ = saliency_grad(head, xp, 6, labels, 0.5)
+        assert loss == composed_loss(head, xp, 6, labels, 0.5)
 
     def test_masked_frame_perturbation_leaves_gradients(self):
         rng = np.random.default_rng(8)
         head = random_head(5, seed=8)
         xp = rng.normal(size=(7, 5))
         labels = np.array([1, 0, 1, 0, 0, 0, 0.0])
-        base = saliency_grad(head, xp, 5, labels, 0.5)
+        _, base = saliency_grad(head, xp, 5, labels, 0.5)
         xp2 = xp.copy()
         xp2[5:] += 100.0
-        bumped = saliency_grad(head, xp2, 5, labels, 0.5)
+        _, bumped = saliency_grad(head, xp2, 5, labels, 0.5)
         for name in base:
             np.testing.assert_allclose(base[name], bumped[name], atol=1e-10)
 
@@ -327,6 +337,44 @@ class TestTraining:
         with caplog.at_level("WARNING"):
             train_saliency(examples, replace(cfg, seed=0), epochs=1)
         assert any("skipped" in r.message for r in caplog.records)
+
+    @pytest.mark.parametrize(
+        "valid_len, labels", [(0, np.ones(5)), (2, np.array([0, 0, 1, 1, 1.0]))],
+        ids=["valid_len_0", "labels_past_valid_len"],
+    )
+    def test_labels_only_past_valid_len_skipped(self, caplog, valid_len, labels):
+        examples = toy_corpus(n_videos=4)
+        skipped = SaliencyExample("empty", np.ones((5, 6)), valid_len, labels)
+        with caplog.at_level("WARNING"):
+            result = train_saliency(examples + [skipped], PipelineConfig(), epochs=2)
+        assert "empty: no highlight frames, skipped for training" in caplog.text
+        assert result.state.step == 2 * len(examples)
+
+    def test_one_forward_pass_per_step(self, monkeypatch):
+        import saliseg.saliency
+
+        calls = []
+        forward = saliseg.saliency.saliency_forward
+        monkeypatch.setattr(
+            saliseg.saliency, "saliency_forward", lambda *a: calls.append(1) or forward(*a)
+        )
+        examples = toy_corpus(n_videos=5)
+        examples.append(SaliencyExample("empty", np.ones((5, 6)), 5, np.zeros(5)))
+        result = train_saliency(examples, PipelineConfig(), epochs=3)
+        assert len(calls) == result.state.step == 3 * 5
+
+    def test_non_finite_loss_returns_last_finite_head(self, caplog):
+        # A NaN feature makes the first loss NaN, quietly: no RuntimeWarning
+        # (an error under this suite's warning filter) and no step taken.
+        x = np.random.default_rng(3).normal(size=(6, 4))
+        x[2, 1] = np.nan
+        example = SaliencyExample("nan", x, 6, np.array([1.0, 0, 0, 1, 0, 0]))
+        cfg = PipelineConfig()
+        with caplog.at_level("ERROR"):
+            result = train_saliency([example], cfg, epochs=2)
+        assert "diverged" in caplog.text
+        assert result.state.step == 0 and result.loss_curve == []
+        np.testing.assert_array_equal(result.head.W1, init_head(4, seed=cfg.seed).W1)
 
     def test_loss_curve_decreases(self):
         cfg = PipelineConfig()

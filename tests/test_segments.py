@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from saliseg.data import save_records
 from saliseg.errors import DataError
 from saliseg.segments import (
     Segment,
@@ -14,7 +15,6 @@ from saliseg.segments import (
     decode_segments,
     load_segments,
     pool_segment_features,
-    save_segments,
     score_segments,
     segments_to_doc,
     select_topk,
@@ -239,7 +239,7 @@ class TestSegmentsIO:
         plan = TransportPlan(T=t, objective_trace=[], iterations=1, converged=True)
         segs = select_topk(score_segments(decode_segments(plan), plan), 2)
         path = tmp_path / "segments.jsonl"
-        save_segments([segments_to_doc("v1", segs)], path)
+        save_records([segments_to_doc("v1", segs)], path)
         loaded = load_segments(path)
         assert set(loaded) == {"v1"}
         assert loaded["v1"].selected == segs.selected
@@ -260,7 +260,7 @@ class TestSegmentsIO:
         else:
             segs = select_topk(baseline_kmeans(rng.normal(size=(12, 4)), 3, seed=1), 2)
         path = tmp_path / "segments.jsonl"
-        save_segments([segments_to_doc("v1", segs)], path)
+        save_records([segments_to_doc("v1", segs)], path)
         assert load_segments(path) == {"v1": segs}
 
     @pytest.mark.parametrize("selected", [[0, 99], [-1], [1, 0], [2, 2]])
@@ -268,6 +268,6 @@ class TestSegmentsIO:
         doc = segments_to_doc("v1", baseline_uniform(9, 3))
         doc["selected"] = selected
         path = tmp_path / "segments.jsonl"
-        save_segments([doc], path)
+        save_records([doc], path)
         with pytest.raises(DataError, match="strictly increasing indices into 3 segments"):
             load_segments(path)

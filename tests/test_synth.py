@@ -128,6 +128,17 @@ class TestSpecValidation:
         )
         assert spec.n_videos == 3 and spec.events_per_video == (2, 3)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"n_videos": 2.5}, {"F": True}, {"D": 32.0}, {"n_caption_concepts": 12.0},
+         {"seed": 1.5}, {"event_len": (8.5, 11)}, {"events_per_video": (6, True)}],
+    )
+    def test_integer_fields_take_integers(self, overrides):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            SynthSpec(**overrides)
+        spec = SynthSpec(n_videos=np.int64(3), event_len=(np.int32(8), 11))
+        assert (spec.n_videos, spec.event_len) == (3, (8, 11))
+
     def test_spec_json_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown"):
             dataclass_from_json(SynthSpec, '{"n_videos": 3, "bogus": 1}')

@@ -2,14 +2,14 @@
 
 import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
 from saliseg import transport
-from saliseg.errors import DataError
+from saliseg.errors import DataError, NumericalError
 from saliseg.transport import (
-    AnchorSet,
     OtProblem,
     build_kot_cost,
     build_problem,
@@ -74,26 +74,26 @@ def balanced_problem(cost, gamma=1e6, epsilon=1e-3, alpha=0.0):
 class TestKotCost:
     def test_matching_anchor_zero_prior(self):
         x = np.array([[1.0, 2.0, 0.0]])
-        anchors = AnchorSet(anchors=x.copy())
+        anchors = x.copy()
         cost = build_kot_cost(x, anchors, np.array([0.0]), mu=0.1)
         np.testing.assert_allclose(cost[0, 0], 0.0, atol=1e-15)
 
     def test_matching_anchor_full_prior(self):
         x = np.array([[0.0, 3.0]])
-        anchors = AnchorSet(anchors=x.copy())
+        anchors = x.copy()
         cost = build_kot_cost(x, anchors, np.array([1.0]), mu=0.1)
         np.testing.assert_allclose(cost[0, 0], -0.1, atol=1e-15)
 
     def test_orthogonal_half_prior(self):
         x = np.array([[1.0, 0.0]])
-        anchors = AnchorSet(anchors=np.array([[0.0, 2.0]]))
+        anchors = np.array([[0.0, 2.0]])
         cost = build_kot_cost(x, anchors, np.array([0.5]), mu=0.2)
         np.testing.assert_allclose(cost[0, 0], 0.9, atol=1e-15)
 
     def test_entries_within_bounds(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(20, 5))
-        anchors = AnchorSet(anchors=rng.normal(size=(4, 5)))
+        anchors = rng.normal(size=(4, 5))
         p_s = rng.random(20)
         mu = 0.3
         cost = build_kot_cost(x, anchors, p_s, mu)
@@ -102,7 +102,7 @@ class TestKotCost:
     def test_mu_discount_is_exactly_linear(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(6, 4))
-        anchors = AnchorSet(anchors=rng.normal(size=(3, 4)))
+        anchors = rng.normal(size=(3, 4))
         p_s = rng.random(6)
         base = build_kot_cost(x, anchors, p_s, mu=0.0)
         more = build_kot_cost(x, anchors, p_s, mu=0.4)
@@ -113,10 +113,24 @@ class TestKotCost:
     def test_zero_norm_rejected(self):
         with pytest.raises(DataError, match="zero-norm"):
             build_kot_cost(
-                np.zeros((1, 2)), AnchorSet(anchors=np.ones((1, 2))), np.zeros(1), 0.1
+                np.zeros((1, 2)), np.ones((1, 2)), np.zeros(1), 0.1
             )
         with pytest.raises(DataError, match="zero-norm"):
-            AnchorSet(anchors=np.zeros((1, 2)))
+            build_kot_cost(np.ones((1, 2)), np.zeros((1, 2)), np.zeros(1), 0.1)
+
+    @pytest.mark.parametrize(
+        "anchors, match",
+        [
+            (np.ones((2, 5)), "K x 4 matrix"),
+            (np.ones(4), "K x 4 matrix"),
+            (np.ones((0, 4)), "K x 4 matrix"),
+            (np.array([[1.0, np.nan, 0, 0]]), "non-finite anchors"),
+        ],
+        ids=["width", "one_dim", "no_rows", "nan"],
+    )
+    def test_bad_anchors_rejected(self, anchors, match):
+        with pytest.raises(DataError, match=match):
+            build_kot_cost(np.ones((3, 4)), anchors, np.ones(3), 0.1)
 
 
 class TestStructureCosts:
@@ -290,6 +304,39 @@ class TestSolveFugw:
         with pytest.raises(DataError, match="p_hat length"):
             OtProblem(C_k=np.zeros((5, 2)), p_hat=np.full(4, 0.25), alpha=0.5, gamma=0.3, epsilon=0.1)
 
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("epsilon", np.nan, "epsilon"),
+            ("gamma", np.nan, "gamma"),
+            ("alpha", np.nan, "alpha"),
+            ("p_hat", np.array([0.5, np.nan]), "p_hat"),
+            ("p_hat", np.array([np.nan, np.nan]), "p_hat"),
+        ],
+    )
+    def test_nan_inputs_rejected(self, field, value, match):
+        args = {"C_k": np.zeros((2, 2)), "p_hat": np.full(2, 0.5), "alpha": 0.5, "gamma": 0.3,
+                "epsilon": 0.1, field: value}
+        with pytest.raises(DataError, match=match):
+            OtProblem(**args)
+
+    def test_non_finite_potentials_raise_without_warning(self):
+        cost = np.random.default_rng(12).uniform(0, 1, (6, 3))
+        cost[2, 1] = np.nan
+        prob = balanced_problem(cost, gamma=0.3, epsilon=0.1, alpha=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="non-finite scaling potentials"):
+                solve_fugw(prob)
+
+    def test_logsumexp_matches_function_form_bit_for_bit(self):
+        x = np.random.default_rng(13).normal(scale=50.0, size=(40, 8))
+        x[3, :4] = -np.inf
+        for axis in (0, 1):
+            m = np.max(x, axis=axis, keepdims=True)
+            want = np.squeeze(m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True)), axis=axis)
+            assert transport._logsumexp(x, axis).tobytes() == want.tobytes()
+
     def test_problem_holds_no_frame_by_frame_matrix(self):
         rng = np.random.default_rng(11)
         f_v, k = 1600, 8
@@ -338,8 +385,8 @@ class TestInitAnchors:
         rng = np.random.default_rng(7)
         xs = rng.normal(size=(25, 4))
         anchors = init_anchors(xs, 6, seed=0, video_id="v")
-        assert anchors.count == 6
-        assert np.all(np.linalg.norm(anchors.anchors, axis=1) > 0)
+        assert anchors.shape[0] == 6
+        assert np.all(np.linalg.norm(anchors, axis=1) > 0)
 
     def test_deterministic_per_video(self):
         rng = np.random.default_rng(8)
@@ -347,8 +394,8 @@ class TestInitAnchors:
         a = init_anchors(xs, 6, seed=3, video_id="v")
         b = init_anchors(xs, 6, seed=3, video_id="v")
         c = init_anchors(xs, 6, seed=3, video_id="w")
-        assert a.anchors.tobytes() == b.anchors.tobytes()
-        assert a.anchors.tobytes() != c.anchors.tobytes()
+        assert a.tobytes() == b.tobytes()
+        assert a.tobytes() != c.tobytes()
 
     def test_covers_separated_clusters(self):
         rng = np.random.default_rng(9)
@@ -356,7 +403,7 @@ class TestInitAnchors:
         xs = np.concatenate([centers[i] + 0.05 * rng.normal(size=(10, 4)) for i in range(4)])
         anchors = init_anchors(xs, 4, seed=0, video_id="v")
         # One anchor per cluster: every center has an anchor within 1.0.
-        d = np.linalg.norm(anchors.anchors[:, None, :] - centers[None, :, :], axis=2)
+        d = np.linalg.norm(anchors[:, None, :] - centers[None, :, :], axis=2)
         assert np.all(d.min(axis=0) < 1.0)
 
     def test_no_rows_rejected(self):
