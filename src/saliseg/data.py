@@ -94,7 +94,12 @@ class EventAnnotation:
     events: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        events = tuple((int(s), int(e)) for s, e in self.events)
+        # Frame bounds follow the config integer rule: a float is not truncated.
+        def frame(name: str, value) -> int:
+            return config_int(f"{self.video_id}: {name}", value, DataError)
+
+        object.__setattr__(self, "valid_len", frame("valid_len", self.valid_len))
+        events = tuple((frame("event start", s), frame("event end", e)) for s, e in self.events)
         object.__setattr__(self, "events", events)
         prev_start = -1
         for s, e in events:
@@ -296,10 +301,10 @@ def load_annotations(path: str | Path) -> list[EventAnnotation]:
         try:
             ann = EventAnnotation(
                 video_id=str(doc["video_id"]),
-                valid_len=int(doc["valid_len"]),
+                valid_len=doc["valid_len"],
                 events=doc["events"],
             )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError, DataError) as exc:
             raise DataError(f"{path}:{i}: bad annotation record: {exc}") from exc
         _add_record(anns, ann.video_id, ann, path, i)
     return list(anns.values())
@@ -337,12 +342,12 @@ class PipelineConfig:
         object.__setattr__(self, "windows", RefineConfig(self.windows).windows)
         if not self.tau > 0:
             raise ConfigError("tau must be > 0")
-        if not self.epsilon > 0:
-            raise ConfigError("epsilon must be > 0")
+        if not 0 < self.epsilon < math.inf:
+            raise ConfigError("epsilon must be finite and > 0")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError("alpha must lie in [0, 1]")
-        if not self.gamma >= 0:
-            raise ConfigError("gamma must be >= 0")
+        if not 0 <= self.gamma < math.inf:
+            raise ConfigError("gamma must be finite and >= 0")
         if not (math.isfinite(self.lambda_) and math.isfinite(self.mu)):
             raise ConfigError("lambda and mu must be finite")
         if not self.K >= 1:

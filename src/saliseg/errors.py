@@ -29,8 +29,9 @@ class OutputError(DataError):
     destination, not of one video, so it always ends the run."""
 
 
-def config_int(name: str, value) -> int:
-    """``value`` as an int; a bool, a float or any non-integer is a ConfigError."""
+def config_int(name: str, value, error: type[SalisegError] = ConfigError) -> int:
+    """``value`` as an int; a bool, a float or any non-integer raises ``error``
+    (a DataError for a value read from a data file)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {value!r}")
     return int(value)

@@ -15,7 +15,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .data import load_records
-from .errors import DataError
+from .errors import DataError, config_int
 from .rng import substream
 from .transport import TransportPlan, farthest_points
 
@@ -196,19 +196,22 @@ def segments_to_doc(video_id: str, segs: SegmentSet) -> dict:
 
 
 def load_segments(path: str | Path) -> dict[str, SegmentSet]:
+    """Read a segments file; a frame bound, anchor or selected index that is
+    not an integer (a float included) is a :class:`DataError`."""
     out: dict[str, SegmentSet] = {}
     for video_id, doc in load_records(path).items():
         try:
             segments = tuple(
                 Segment(
-                    anchor_id=int(s["anchor"]), start=int(s["start"]), end=int(s["end"]),
+                    anchor_id=config_int("anchor", s["anchor"], DataError),
+                    start=config_int("start", s["start"], DataError),
+                    end=config_int("end", s["end"], DataError),
                     score=float(s["score"]),
                 )
                 for s in doc["segments"]
             )
-            out[video_id] = SegmentSet(
-                segments=segments, selected=tuple(int(j) for j in doc["selected"])
-            )
+            selected = tuple(config_int("selected", j, DataError) for j in doc["selected"])
+            out[video_id] = SegmentSet(segments=segments, selected=selected)
         except (KeyError, TypeError, ValueError, OverflowError, DataError) as exc:
             raise DataError(f"{path}: {video_id}: bad segments record: {exc}") from exc
     return out

@@ -20,8 +20,10 @@ along the frame axis, in O(F_v K) time and memory.
 
 The solver alternates two steps until the plan stabilizes: (1) linearize the
 quadratic term at the current plan, giving a local linear cost, and solve the
-resulting KL-relaxed entropic problem with log-domain scaling iterations
-(row exponent ``gamma / (gamma + epsilon)``, exact column scaling); (2) take
+resulting KL-relaxed entropic problem with scaling iterations (row exponent
+``gamma / (gamma + epsilon)``, exact column scaling), run on the kernel
+``exp(-cost / epsilon)`` with two mat-vecs per iterate and in the log domain
+wherever that kernel or its scalings would leave floating-point range; (2) take
 the best point on the segment from the current plan to that solution under
 the exact fused objective, which along the segment is a quadratic in the
 step plus the KL term. Step (2) makes the recorded objective trace
@@ -50,6 +52,12 @@ _PLAN_TOL = 1e-7
 _POTENTIAL_TOL = 1e-11
 _LINE_SEARCH_POINTS = 33
 
+# Kernel-domain scaling runs while every exponent it takes, of the kernel and
+# of both scalings, lies within +-_KERNEL_RANGE: a product of two such factors
+# is then a normal float, and so is a sum of up to e^100 of them, so the
+# mat-vecs neither overflow nor underflow and keep full relative precision.
+_KERNEL_RANGE = 300.0
+
 
 @dataclass(frozen=True)
 class OtProblem:
@@ -68,12 +76,12 @@ class OtProblem:
         # Every check is written so that NaN fails it.
         if self.C_k.ndim != 2 or self.p_hat.shape != (self.C_k.shape[0],):
             raise DataError("p_hat length must equal the number of cost rows")
-        if not self.epsilon > 0:
-            raise DataError("epsilon must be > 0")
+        if not 0 < self.epsilon < np.inf:
+            raise DataError("epsilon must be finite and > 0")
         if not 0.0 <= self.alpha <= 1.0:
             raise DataError("alpha must lie in [0, 1]")
-        if not self.gamma >= 0:
-            raise DataError("gamma must be >= 0")
+        if not 0 <= self.gamma < np.inf:
+            raise DataError("gamma must be finite and >= 0")
         if not (abs(float(self.p_hat.sum()) - 1.0) <= 1e-9 and np.all(self.p_hat > 0)):
             raise DataError("p_hat must be strictly positive and sum to 1")
 
@@ -198,28 +206,63 @@ def _scaling_iterations(
     f: NDArray[np.float64],
     g: NDArray[np.float64],
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64], bool]:
-    """Log-domain scaling for one linearized problem.
+    """Scaling for one linearized problem, warm-started from the potentials ``f, g``.
 
-    Row potentials follow the KL-relaxed update with exponent
-    ``gamma / (gamma + epsilon)`` (zero when gamma is 0, which leaves rows
-    unconstrained); column potentials are exact, so the anchor marginal of
-    the returned plan matches ``exp(log_q)`` to machine precision.
+    Kernel domain: with ``K = exp(-cost / epsilon)`` built once, each iterate
+    is two mat-vecs on the scalings ``a = exp(f / epsilon)`` and
+    ``b = exp(g / epsilon)``: ``a = (p / K b)^(gamma / (gamma + epsilon))``,
+    then ``b = q / Kᵀa``, and the plan is ``a[:, None] * K * b``. The row
+    exponent is zero when gamma is 0, which leaves rows unconstrained; the
+    column update is exact, so the anchor marginal of the plan matches
+    ``exp(log_q)`` to machine precision. Convergence is tested on the
+    potentials ``epsilon log a`` and ``epsilon log b``.
+
+    Once the kernel or a scaling would leave ``exp``'s range (an exponent
+    beyond ``_KERNEL_RANGE``), the iterates left run the same updates on the
+    potentials in the log domain, with logsumexp.
     """
     fi = gamma / (gamma + epsilon)
+    log_k = cost / -epsilon
+    log_a = f / epsilon
+    log_b = g / epsilon
     inner_ok = False
-    for _ in range(_MAX_INNER):
-        f_prev = f
-        g_prev = g
-        f = fi * epsilon * (log_p - _logsumexp((g[None, :] - cost) / epsilon, axis=1))
-        g = epsilon * (log_q - _logsumexp((f[:, None] - cost) / epsilon, axis=0))
-        # f_prev and g_prev are finite, so delta is finite iff f and g are.
-        delta = np.maximum(np.abs(f - f_prev).max(), np.abs(g - g_prev).max())
-        if not np.isfinite(delta):
-            raise NumericalError("non-finite scaling potentials")
-        if delta < _POTENTIAL_TOL:
-            inner_ok = True
-            break
-    t = np.exp((f[:, None] + g[None, :] - cost) / epsilon)
+    done = 0  # iterates completed in the kernel domain
+    t = None
+    # Every range test is written so that NaN fails it.
+    if all(np.abs(x).max() <= _KERNEL_RANGE for x in (log_k, log_a, log_b)):
+        kernel = np.exp(log_k)
+        b = np.exp(log_b)
+        while done < _MAX_INNER and not inner_ok:
+            next_a = fi * (log_p - np.log(kernel.dot(b)))
+            if not np.abs(next_a).max() <= _KERNEL_RANGE:
+                break
+            a = np.exp(next_a)
+            next_b = log_q - np.log(a.dot(kernel))
+            if not np.abs(next_b).max() <= _KERNEL_RANGE:
+                break
+            b = np.exp(next_b)
+            delta = epsilon * max(np.abs(next_a - log_a).max(), np.abs(next_b - log_b).max())
+            log_a, log_b = next_a, next_b
+            inner_ok = delta < _POTENTIAL_TOL
+            done += 1
+        else:  # converged or out of iterates, never out of range
+            t = a[:, None] * kernel * b
+        f = epsilon * log_a
+        g = epsilon * log_b
+    if t is None:
+        for _ in range(done, _MAX_INNER):
+            f_prev = f
+            g_prev = g
+            f = fi * epsilon * (log_p - _logsumexp((g[None, :] - cost) / epsilon, axis=1))
+            g = epsilon * (log_q - _logsumexp((f[:, None] - cost) / epsilon, axis=0))
+            # f_prev and g_prev are finite, so delta is finite iff f and g are.
+            delta = np.maximum(np.abs(f - f_prev).max(), np.abs(g - g_prev).max())
+            if not np.isfinite(delta):
+                raise NumericalError("non-finite scaling potentials")
+            if delta < _POTENTIAL_TOL:
+                inner_ok = True
+                break
+        t = np.exp((f[:, None] + g[None, :] - cost) / epsilon)
     if np.any(~np.isfinite(t)):
         raise NumericalError("non-finite transport plan after scaling")
     return t, f, g, inner_ok

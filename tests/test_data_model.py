@@ -145,6 +145,26 @@ class TestHighlightLabels:
         lab = derive_highlight_labels(ann, 12, 10)
         assert lab.sum() == 6
 
+    @pytest.mark.parametrize(
+        "valid_len, events, match",
+        [
+            (10, ((0.5, 3.7),), "event start must be an integer, got 0.5"),
+            (10, ((0, 3.0),), "event end must be an integer, got 3.0"),
+            (10, ((True, 3),), "event start must be an integer"),
+            (10.0, ((0, 3),), "valid_len must be an integer, got 10.0"),
+            ("10", (), "valid_len must be an integer"),
+        ],
+        ids=["fractional_start", "float_end", "bool_start", "float_valid_len", "str_valid_len"],
+    )
+    def test_fractional_frame_bounds_rejected(self, valid_len, events, match):
+        with pytest.raises(DataError, match=match):
+            EventAnnotation(video_id="v", valid_len=valid_len, events=events)
+
+    def test_numpy_integer_frame_bounds_accepted(self):
+        ann = EventAnnotation("v", np.int64(10), ((np.int32(1), np.uint8(3)),))
+        assert (ann.valid_len, ann.events) == (10, ((1, 3),))
+        assert all(type(v) is int for v in (ann.valid_len, *ann.events[0]))
+
     def test_lint_flags_overlaps(self):
         anns = [EventAnnotation(video_id="v", valid_len=6, events=((0, 3), (2, 5)))]
         warnings = lint_annotations(anns)
@@ -161,6 +181,18 @@ class TestAnnotationsIO:
         save_annotations(anns, path)
         loaded = load_annotations(path)
         assert loaded == anns
+
+    @pytest.mark.parametrize(
+        "record",
+        ['{"video_id": "a", "valid_len": 10, "events": [[0.5, 3.7]]}',
+         '{"video_id": "a", "valid_len": 10.0, "events": []}'],
+        ids=["fractional_event", "float_valid_len"],
+    )
+    def test_fractional_frame_bound_is_data_error(self, tmp_path, record):
+        path = tmp_path / "anns.jsonl"
+        path.write_text(record + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"{path}:1: bad annotation record: a: .* must be an integer"):
+            load_annotations(path)
 
     def test_bad_json_line(self, tmp_path):
         path = tmp_path / "anns.jsonl"
@@ -211,6 +243,8 @@ class TestPipelineConfig:
         [
             {"tau": 0.0},
             {"epsilon": -1.0},
+            {"epsilon": float("inf")},
+            {"gamma": float("inf")},
             {"K": 0},
             {"top_k": 9},
             {"alpha": 1.5},
@@ -242,6 +276,8 @@ class TestPipelineConfig:
             '{"tau": NaN}',
             '{"epsilon": NaN}',
             '{"gamma": NaN}',
+            '{"gamma": Infinity}',
+            '{"epsilon": Infinity}',
             '{"lambda": NaN}',
             '{"lambda": Infinity}',
             '{"mu": NaN}',

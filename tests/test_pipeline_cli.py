@@ -545,6 +545,8 @@ class TestCli:
             {"tau": float("nan")},
             {"epsilon": float("nan")},
             {"gamma": float("nan")},
+            {"gamma": float("inf")},
+            {"epsilon": float("inf")},
             {"lambda": float("nan")},
             {"mu": float("nan")},
             {"mu": float("inf")},
@@ -901,9 +903,11 @@ class TestCli:
         ['{"video_id": "v0000", "valid_len": 30, "events": 5}',
          '{"video_id": "v0000", "valid_len": "abc", "events": []}',
          "[1, 2]",
-         '{"video_id": "v0000", "valid_len": 30, "events": [[0, 1e999]]}'],
+         '{"video_id": "v0000", "valid_len": 30, "events": [[0, 1e999]]}',
+         '{"video_id": "v0000", "valid_len": 30, "events": [[0.5, 3.7]]}',
+         '{"video_id": "v0000", "valid_len": 30.0, "events": []}'],
         ids=["events_not_a_list", "valid_len_not_a_number", "not_an_object",
-             "event_past_float_range"],
+             "event_past_float_range", "fractional_event", "float_valid_len"],
     )
     def test_bad_annotation_record_exit_code(self, tmp_path, caplog, bad_line):
         gt = tmp_path / "annotations.jsonl"
@@ -924,6 +928,19 @@ class TestCli:
         assert main(args) == 3
         assert f"{pred}: v0000: bad segments record: selected" in caplog.text
         assert "strictly increasing indices into 3 segments" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "retrieve"])
+    def test_fractional_segment_bound_exit_code(
+        self, corpus_dir, saliency_path, tmp_path, caplog, command
+    ):
+        pred = self.write_segments(tmp_path / "segments.jsonl")
+        pred.write_text(pred.read_text().replace('"end": 20', '"end": 19.5'))
+        assert "19.5" in pred.read_text()
+        out = tmp_path / "out.json"
+        args = self.segments_reader_args(command, corpus_dir, saliency_path, pred, out)
+        assert main(args) == 3
+        assert f"{pred}: v0000: bad segments record: end must be an integer, got 19.5" in caplog.text
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["eval", "retrieve"])

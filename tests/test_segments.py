@@ -263,6 +263,21 @@ class TestSegmentsIO:
         save_records([segments_to_doc("v1", segs)], path)
         assert load_segments(path) == {"v1": segs}
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("anchor", 1.0), ("start", 2.5), ("end", 6.0), ("end", True), ("selected", 1.0)],
+    )
+    def test_non_integer_bound_is_data_error(self, tmp_path, field, value):
+        doc = segments_to_doc("v1", baseline_uniform(9, 3))
+        if field == "selected":
+            doc["selected"] = [0, value]
+        else:
+            doc["segments"][1][field] = value
+        path = tmp_path / "segments.jsonl"
+        save_records([doc], path)
+        with pytest.raises(DataError, match=f"v1: bad segments record: {field} must be an integer"):
+            load_segments(path)
+
     @pytest.mark.parametrize("selected", [[0, 99], [-1], [1, 0], [2, 2]])
     def test_bad_selection_is_data_error(self, tmp_path, selected):
         doc = segments_to_doc("v1", baseline_uniform(9, 3))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from saliseg import transport
+from saliseg.data import PipelineConfig
 from saliseg.errors import DataError, NumericalError
 from saliseg.transport import (
     OtProblem,
@@ -62,6 +63,32 @@ CORNER_GRID = [
     for alpha in (0.0, 0.5, 1.0)
     for gamma in (0.0, 0.3)
 ]
+
+
+def random_epsilon_cases(rng, n):
+    """``n`` cases (F_v, K, alpha, gamma, epsilon) with epsilon log-uniform in
+    [1e-3, 1]: the small ones put cost/epsilon beyond the kernel range."""
+    return [
+        (int(rng.integers(1, 41)), int(rng.integers(1, 9)), float(rng.uniform()),
+         float(rng.choice([0.0, 0.3, 3.0])), float(np.exp(rng.uniform(np.log(1e-3), 0.0))))
+        for _ in range(n)
+    ]
+
+
+def count_logsumexp(monkeypatch):
+    """A list that grows by one on every log-domain ``_logsumexp`` call."""
+    calls = []
+    logsumexp = transport._logsumexp
+    monkeypatch.setattr(transport, "_logsumexp", lambda x, axis: calls.append(axis) or logsumexp(x, axis))
+    return calls
+
+
+def in_log_domain(monkeypatch, solve, *args, **kwargs):
+    """``solve(*args, **kwargs)`` with no exponent inside the kernel range,
+    so every scaling iterate runs in the log domain."""
+    with monkeypatch.context() as m:
+        m.setattr(transport, "_KERNEL_RANGE", -1.0)
+        return solve(*args, **kwargs)
 
 
 def balanced_problem(cost, gamma=1e6, epsilon=1e-3, alpha=0.0):
@@ -258,34 +285,54 @@ class TestSolveFugw:
         rows = plan.T.sum(axis=1)
         assert np.max(np.abs(rows - prob.p_hat)) > 0.1
 
-    def test_anchor_marginal_always_exact(self):
+    # The random-epsilon cases come after the fixed ones, so those keep their
+    # draws. Near epsilon = 1e-3 the solve may need more than max_outer steps,
+    # so only the fixed cases assert convergence; the marginal and the trace
+    # hold after every step. Both tests see kernel-domain and log-domain solves.
+
+    def test_anchor_marginal_always_exact(self, monkeypatch):
         rng = np.random.default_rng(2)
         cases = [(10, 3, 0.0, 0.3), (10, 3, 0.5, 0.3), (10, 3, 0.8, 3.0)] + CORNER_GRID
-        for f_v, k, alpha, gamma in cases:
+        n_fixed = len(cases)
+        cases = [case + (0.05,) for case in cases] + random_epsilon_cases(rng, 10)
+        calls = count_logsumexp(monkeypatch)
+        log_domain = []
+        for i, (f_v, k, alpha, gamma, epsilon) in enumerate(cases):
             cost = rng.uniform(0, 1, (f_v, k))
             p = rng.random(f_v) + 0.1
-            prob = OtProblem(C_k=cost, p_hat=p / p.sum(), alpha=alpha, gamma=gamma, epsilon=0.05)
+            prob = OtProblem(C_k=cost, p_hat=p / p.sum(), alpha=alpha, gamma=gamma, epsilon=epsilon)
+            calls.clear()
             plan = solve_fugw(prob)
-            case = (f_v, k, alpha, gamma)
-            assert plan.converged, case
+            log_domain.append(bool(calls))
+            case = (f_v, k, alpha, gamma, epsilon)
+            assert plan.converged or i >= n_fixed, case
             assert np.all(np.isfinite(plan.T)) and np.all(plan.T >= 0), case
             np.testing.assert_allclose(plan.T.sum(axis=0), 1 / k, atol=1e-6, err_msg=str(case))
             np.testing.assert_allclose(plan.T.sum(), 1.0, atol=1e-9, err_msg=str(case))
+        assert any(log_domain) and not all(log_domain)
 
-    def test_objective_trace_non_increasing(self):
+    def test_objective_trace_non_increasing(self, monkeypatch):
         rng = np.random.default_rng(3)
-        for f_v, k, alpha, gamma in [(12, 4, 0.5, 0.3)] + CORNER_GRID:
+        cases = [case + (0.1,) for case in [(12, 4, 0.5, 0.3)] + CORNER_GRID]
+        n_fixed = len(cases)
+        cases += random_epsilon_cases(rng, 10)
+        calls = count_logsumexp(monkeypatch)
+        log_domain = []
+        for i, (f_v, k, alpha, gamma, epsilon) in enumerate(cases):
             cost = rng.uniform(0, 1, (f_v, k))
             p = rng.random(f_v) + 0.05
-            prob = OtProblem(C_k=cost, p_hat=p / p.sum(), alpha=alpha, gamma=gamma, epsilon=0.1)
+            prob = OtProblem(C_k=cost, p_hat=p / p.sum(), alpha=alpha, gamma=gamma, epsilon=epsilon)
+            calls.clear()
             plan = solve_fugw(prob)
-            case = (f_v, k, alpha, gamma)
-            assert plan.converged, case
+            log_domain.append(bool(calls))
+            case = (f_v, k, alpha, gamma, epsilon)
+            assert plan.converged or i >= n_fixed, case
             trace = np.array(plan.objective_trace)
             assert np.all(np.diff(trace) <= 1e-9), case
             np.testing.assert_allclose(
                 trace[-1], fused_objective(prob, plan.T), atol=1e-12, err_msg=str(case)
             )
+        assert any(log_domain) and not all(log_domain)
 
     def test_trace_start_and_operator_calls_per_step(self, monkeypatch):
         rng = np.random.default_rng(10)
@@ -308,7 +355,9 @@ class TestSolveFugw:
         "field, value, match",
         [
             ("epsilon", np.nan, "epsilon"),
+            ("epsilon", np.inf, "epsilon must be finite"),
             ("gamma", np.nan, "gamma"),
+            ("gamma", np.inf, "gamma must be finite"),
             ("alpha", np.nan, "alpha"),
             ("p_hat", np.array([0.5, np.nan]), "p_hat"),
             ("p_hat", np.array([np.nan, np.nan]), "p_hat"),
@@ -328,6 +377,106 @@ class TestSolveFugw:
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="non-finite scaling potentials"):
                 solve_fugw(prob)
+
+    def test_kernel_and_log_domain_paths_agree(self, monkeypatch):
+        """Every solve here stays in the kernel domain (no logsumexp call);
+        forced into the log domain it takes the same outer steps to the
+        same convergence flag and a plan within 1e-12. The first scaling
+        solve of each stops at the same iterate in both domains: its
+        potentials agree to 1e-13, where one more or one fewer iterate at
+        the 1e-11 potential test moves them by about 1e-11.
+
+        One corner is exempt from the step count and the plan: at F_v = K = 2
+        with alpha = 1 and gamma = 0 the linearized cost is constant along
+        the whole solve and the objective is 0.5 on every plan it visits, so
+        the line search picks its step from rounding noise. There both paths
+        must converge at that value.
+        """
+        rng = np.random.default_rng(14)
+        probs = []
+        for f_v, k, alpha, gamma in CORNER_GRID:
+            p = rng.random(f_v) + 0.05
+            probs.append(OtProblem(C_k=rng.uniform(0, 1, (f_v, k)), p_hat=p / p.sum(),
+                                   alpha=alpha, gamma=gamma, epsilon=0.1))
+        cfg = PipelineConfig()
+        for f_v in (1, 100, 1600):
+            xs = rng.normal(size=(f_v, 16))
+            anchors = init_anchors(xs, cfg.K, seed=cfg.seed, video_id="t")
+            probs.append(build_problem(xs, anchors, rng.random(f_v), cfg.alpha, cfg.gamma,
+                                       cfg.epsilon, cfg.mu))
+        calls = count_logsumexp(monkeypatch)
+        for prob in probs:
+            case = (prob.C_k.shape, prob.alpha, prob.gamma)
+            f_v, k = prob.C_k.shape
+            t = np.outer(prob.p_hat, np.full(k, 1.0 / k))
+            first = ((1 - prob.alpha) * prob.C_k + prob.alpha * gw_gradient(t), np.log(prob.p_hat),
+                     np.full(k, -np.log(k)), prob.gamma, prob.epsilon, np.zeros(f_v), np.zeros(k))
+            kernel_first = transport._scaling_iterations(*first)
+            kernel = solve_fugw(prob)
+            assert not calls, case
+            log_first = in_log_domain(monkeypatch, transport._scaling_iterations, *first)
+            assert kernel_first[3] == log_first[3], case
+            for got, want in zip(kernel_first[:3], log_first[:3]):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-13, err_msg=str(case))
+            logd = in_log_domain(monkeypatch, solve_fugw, prob)
+            assert calls, case
+            calls.clear()
+            if case == ((2, 2), 1.0, 0.0):
+                assert kernel.converged and logd.converged
+                trace = kernel.objective_trace + logd.objective_trace
+                np.testing.assert_allclose(trace, 0.5, rtol=0, atol=1e-12)
+                continue
+            assert (kernel.converged, kernel.iterations) == (logd.converged, logd.iterations), case
+            np.testing.assert_allclose(kernel.T, logd.T, rtol=0, atol=1e-12, err_msg=str(case))
+
+    def test_small_epsilon_takes_log_domain_without_warning(self, monkeypatch):
+        """At epsilon = 1e-3, cost/epsilon leaves the kernel range, so the
+        solve is the log-domain one bit for bit."""
+        rng = np.random.default_rng(42)
+        calls = count_logsumexp(monkeypatch)
+        for _ in range(3):
+            prob = balanced_problem(rng.uniform(0, 1, (6, 2)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                plan = solve_fugw(prob, max_outer=20)
+            n_calls = len(calls)
+            calls.clear()
+            logd = in_log_domain(monkeypatch, solve_fugw, prob, max_outer=20)
+            assert n_calls == len(calls) > 0
+            calls.clear()
+            assert plan.T.tobytes() == logd.T.tobytes()
+            assert plan.objective_trace == logd.objective_trace
+
+    def test_potentials_leaving_range_fall_back_mid_solve(self, monkeypatch):
+        """One frame's prior mass is about exp(-1.03 * range): its row scaling
+        starts inside the kernel range and leaves it partway through the
+        first outer step, whose iterates then finish in the log domain."""
+        rng = np.random.default_rng(16)
+        p = np.ones(7)
+        p[0] = np.exp(-1.03 * transport._KERNEL_RANGE)
+        prob = OtProblem(C_k=rng.uniform(0, 1, (7, 3)), p_hat=p / p.sum(), alpha=1.0,
+                         gamma=3.0, epsilon=0.1)
+        calls = count_logsumexp(monkeypatch)
+        per_step = []
+        scaling = transport._scaling_iterations
+
+        def counted_scaling(*args):
+            before = len(calls)
+            out = scaling(*args)
+            per_step.append(len(calls) - before)
+            return out
+
+        monkeypatch.setattr(transport, "_scaling_iterations", counted_scaling)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plan = solve_fugw(prob)
+        mixed = per_step[:]
+        per_step.clear()
+        logd = in_log_domain(monkeypatch, solve_fugw, prob)
+        # Kernel iterates first, then log-domain ones, in the same outer step.
+        assert 0 < mixed[0] < per_step[0]
+        assert plan.converged and logd.converged and plan.iterations == logd.iterations
+        np.testing.assert_allclose(plan.T, logd.T, rtol=0, atol=1e-12)
 
     def test_logsumexp_matches_function_form_bit_for_bit(self):
         x = np.random.default_rng(13).normal(scale=50.0, size=(40, 8))
