@@ -26,16 +26,15 @@ spec = SynthSpec(n_videos=4, F=60, D=16, events_per_video=(3, 4), event_len=(5, 
 corpus = generate_corpus(spec)
 
 print(f"generated {len(corpus.features)} videos, {len(corpus.datastore)} caption concepts")
-f = corpus.features[0]
-ann = corpus.annotations[0]
-print(f"\n{f.video_id}: {f.n_frames} frames x {f.dim} dims, valid_len={f.valid_len}")
+f = corpus.features[2]  # every third video is padded
+ann = corpus.annotations[2]
+print(f"\n{f.video_id}: {f.valid_len} valid frames x {f.dim} dims, padded to {f.n_frames} on disk")
 print(f"events: {list(ann.events)}")
-print(f"concepts: {list(corpus.truth[0].concepts)}")
+print(f"concepts: {list(corpus.truth[2].concepts)}")
 
-labels = derive_highlight_labels(ann, f.n_frames, f.valid_len)
-print(f"\nhighlight labels H ({int(labels.sum())} ones):")
+labels = derive_highlight_labels(ann)
+print(f"\nhighlight labels H ({int(labels.sum())} ones, one per valid frame):")
 print("".join(str(int(v)) for v in labels))
-print(f"valid_len: {f.valid_len} of {f.n_frames} frames (frames from valid_len on are padding)")
 
 warnings = lint_annotations(corpus.annotations)
 print(f"\nlint warnings: {warnings or 'none (events are disjoint)'}")
@@ -46,14 +45,15 @@ with tempfile.TemporaryDirectory() as tmp:
     size = path.stat().st_size
     again = load_features(path)
     identical = again.spatial.tobytes() == f.spatial.tobytes()
-    print(f"\nfeature file round trip: {size} bytes, bit-identical={identical}")
+    print(f"\nfeature file round trip: {size} bytes for {f.n_frames} rows, "
+          f"{again.valid_len} valid rows loaded back, bit-identical={identical}")
 
     out = Path(tmp) / "corpus"
     write_corpus(corpus, out)
     names = sorted(p.name for p in out.rglob("*") if p.is_file())[:6]
     print(f"corpus directory holds: {names} ...")
 
-event_rows = corpus.features[0].spatial[ann.events[0][0] : ann.events[0][1]]
-proto = corpus.prototypes[int(corpus.truth[0].concepts[0][1:])]
+event_rows = f.spatial[ann.events[0][0] : ann.events[0][1]]
+proto = corpus.prototypes[int(corpus.truth[2].concepts[0][1:])]
 drift = float(np.linalg.norm(event_rows.mean(axis=0) - proto))
 print(f"\nmean event frame sits {drift:.3f} from its generating prototype (noise sigma 0.05)")

@@ -27,8 +27,8 @@ cfg = RefineConfig(windows=(8, 32, 64))
 at_boundary, inside_raw = [], []
 at_boundary_refined, inside_refined = [], []
 for f, ann in zip(corpus.features, corpus.annotations):
-    x = f.encoded[: f.valid_len].astype(np.float64)
-    xr = refine_features(f.encoded.astype(np.float64), cfg, f.valid_len)[: f.valid_len]
+    x = f.encoded.astype(np.float64)
+    xr = refine_features(x, cfg)
     boundary_set = {s for s, _ in ann.events if s > 0} | {e for _, e in ann.events if e < f.valid_len}
     for n in range(1, f.valid_len):
         raw_jump = np.linalg.norm(x[n] - x[n - 1])

@@ -2,7 +2,7 @@
 """Train the frame-saliency head and inspect what it learned.
 
 The head is supervised with binary labels derived from event annotations and
-a masked listwise softmax loss: all valid frames compete for probability
+a listwise softmax loss: all valid frames compete for probability
 mass, annotated frames are pushed up. On a held-out split the trained scores
 separate event frames from background by a wide margin.
 """
@@ -28,9 +28,8 @@ refine_cfg = RefineConfig(windows=cfg.windows)
 
 examples = []
 for f, ann in zip(corpus.features, corpus.annotations):
-    refined = refine_features(f.encoded.astype(np.float64), refine_cfg, f.valid_len)
-    labels = derive_highlight_labels(ann, f.n_frames, f.valid_len)
-    examples.append(SaliencyExample(f.video_id, refined, f.valid_len, labels))
+    refined = refine_features(f.encoded, refine_cfg)
+    examples.append(SaliencyExample(f.video_id, refined, derive_highlight_labels(ann)))
 
 train, held = examples[:18], examples[18:]
 result = train_saliency(train, cfg, epochs=10)
@@ -41,23 +40,20 @@ for i, loss in enumerate(result.loss_curve):
 
 inside, outside = [], []
 for ex in held:
-    scores = saliency_forward(result.head, ex.features, ex.valid_len).scores[: ex.valid_len]
-    labels = ex.labels[: ex.valid_len]
-    inside.extend(scores[labels > 0])
-    outside.extend(scores[labels == 0])
+    scores = saliency_forward(result.head, ex.features).scores
+    inside.extend(scores[ex.labels > 0])
+    outside.extend(scores[ex.labels == 0])
 inside, outside = np.array(inside), np.array(outside)
 se = np.sqrt(inside.var(ddof=1) / len(inside) + outside.var(ddof=1) / len(outside))
 print(f"\nheld-out scores: events {inside.mean():.3f} vs background {outside.mean():.3f}"
       f" ({(inside.mean() - outside.mean()) / se:.0f} standard errors apart)")
 
 ex = held[0]
-n_valid = ex.valid_len
-scores = saliency_forward(result.head, ex.features, n_valid).scores
-p_s = saliency_prior(scores, n_valid)
-split = scores[:n_valid].mean()
-line = "".join("#" if s > split else "." for s in scores[:n_valid])
-truth = "".join("E" if l > 0 else " " for l in ex.labels[:n_valid])
+scores = saliency_forward(result.head, ex.features).scores
+p_s = saliency_prior(scores)
+line = "".join("#" if s > scores.mean() else "." for s in scores)
+truth = "".join("E" if l > 0 else " " for l in ex.labels)
 print(f"\nframes scoring above the video mean for {ex.video_id} (# = predicted salient):")
 print(f"  pred  {line}")
 print(f"  truth {truth}")
-print(f"sigmoid prior: mass {p_s.sum():.3f} over {n_valid} valid frames")
+print(f"sigmoid prior: mass {p_s.sum():.3f} over {len(p_s)} valid frames")

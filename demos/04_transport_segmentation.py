@@ -43,15 +43,13 @@ corpus = generate_corpus(
 refine_cfg = RefineConfig(windows=cfg.windows)
 examples = []
 for f, ann in zip(corpus.features, corpus.annotations):
-    refined = refine_features(f.encoded.astype(np.float64), refine_cfg, f.valid_len)
-    labels = derive_highlight_labels(ann, f.n_frames, f.valid_len)
-    examples.append(SaliencyExample(f.video_id, refined, f.valid_len, labels))
+    refined = refine_features(f.encoded, refine_cfg)
+    examples.append(SaliencyExample(f.video_id, refined, derive_highlight_labels(ann)))
 head = train_saliency(examples, replace(cfg, seed=3), epochs=8).head
 
 f, ex, ann = corpus.features[0], examples[0], corpus.annotations[0]
-n = f.valid_len
-xs = f.spatial[:n].astype(np.float64)
-p_s = saliency_prior(saliency_forward(head, ex.features, n).scores, n)[:n]
+xs = f.spatial.astype(np.float64)
+p_s = saliency_prior(saliency_forward(head, ex.features).scores)
 
 anchors = init_anchors(xs, cfg.K, cfg.seed, f.video_id)
 prob = build_problem(xs, anchors, p_s, cfg.alpha, cfg.gamma, cfg.epsilon, cfg.mu)
@@ -73,16 +71,15 @@ print(f"ground truth events: {list(ann.events)}")
 print("\ncorpus comparison (Recall@0.5 / Mean IoU over ground truth):")
 stats = {"transport": [], "kmeans": [], "uniform": []}
 for f, ex, ann in zip(corpus.features, examples, corpus.annotations):
-    n = f.valid_len
-    xs = f.spatial[:n].astype(np.float64)
-    p_s = saliency_prior(saliency_forward(head, ex.features, n).scores, n)[:n]
+    xs = f.spatial.astype(np.float64)
+    p_s = saliency_prior(saliency_forward(head, ex.features).scores)
     anchors = init_anchors(xs, cfg.K, cfg.seed, f.video_id)
     prob = build_problem(xs, anchors, p_s, cfg.alpha, cfg.gamma, cfg.epsilon, cfg.mu)
     plan = solve_fugw(prob)
     sets = {
         "transport": select_topk(score_segments(decode_segments(plan), plan), cfg.top_k),
         "kmeans": select_topk(baseline_kmeans(xs, cfg.K, cfg.seed, f.video_id), cfg.top_k),
-        "uniform": baseline_uniform(n, cfg.top_k),
+        "uniform": baseline_uniform(f.valid_len, cfg.top_k),
     }
     for name, segset in sets.items():
         pred = [(s.start, s.end) for s in segset.selected_segments()]

@@ -5,7 +5,10 @@ File formats
 Feature file (``.sfeat``): magic ``b"SFT1"``, three little-endian u64 values
 ``F``, ``D``, ``valid_len``, then ``F * D`` little-endian f32 values for the
 spatial matrix (row-major) followed by ``F * D`` f32 values for the encoded
-matrix. Padding rows (index >= ``valid_len``) must be all zero.
+matrix. Padding rows (index >= ``valid_len``) must be all zero. Padding ends
+at the reader: :func:`load_features` checks those rows and drops them, so a
+loaded video is its ``valid_len`` valid rows plus the file's ``F``, and no
+code past it sees a padded row; :func:`save_features` writes them back.
 
 Annotations: JSON Lines, one object per video,
 ``{"video_id": str, "valid_len": int, "events": [[start, end], ...]}`` with
@@ -48,36 +51,33 @@ _HEADER = struct.Struct("<4sQQQ")
 class FrameFeatures:
     """Per-video feature matrices: spatial rows and temporally encoded rows.
 
-    Both matrices are ``F x D`` float32; rows with index >= ``valid_len``
-    are zero padding and must stay zero.
+    Both matrices are ``valid_len x D`` float32 and hold the valid frames
+    only; ``n_frames`` is the padded length ``F`` of the feature file.
     """
 
     video_id: str
     spatial: NDArray[np.float32]
     encoded: NDArray[np.float32]
-    valid_len: int
+    n_frames: int
 
     def __post_init__(self) -> None:
         spatial = np.ascontiguousarray(self.spatial, dtype=np.float32)
         encoded = np.ascontiguousarray(self.encoded, dtype=np.float32)
         object.__setattr__(self, "spatial", spatial)
         object.__setattr__(self, "encoded", encoded)
-        if spatial.ndim != 2 or spatial.shape[0] < 1 or spatial.shape[1] < 1:
-            raise DataError(f"{self.video_id}: spatial matrix must be F x D with F, D >= 1")
+        if spatial.ndim != 2 or spatial.shape[1] < 1 or self.n_frames < 1:
+            raise DataError(f"{self.video_id}: spatial matrix must be valid_len x D with D, F >= 1")
         if encoded.shape != spatial.shape:
             raise DataError(
                 f"{self.video_id}: spatial {spatial.shape} and encoded {encoded.shape} differ"
             )
-        if not (0 <= self.valid_len <= spatial.shape[0]):
-            raise DataError(f"{self.video_id}: valid_len exceeds F ({self.valid_len} > {spatial.shape[0]})")
-        pad = slice(self.valid_len, None)
-        if np.any(spatial[pad] != 0) or np.any(encoded[pad] != 0):
-            raise DataError(f"{self.video_id}: nonzero padding rows beyond valid_len")
+        if self.valid_len > self.n_frames:
+            raise DataError(f"{self.video_id}: valid_len exceeds F ({self.valid_len} > {self.n_frames})")
         if not (np.all(np.isfinite(spatial)) and np.all(np.isfinite(encoded))):
             raise DataError(f"{self.video_id}: non-finite feature values")
 
     @property
-    def n_frames(self) -> int:
+    def valid_len(self) -> int:
         return self.spatial.shape[0]
 
     @property
@@ -114,23 +114,17 @@ class EventAnnotation:
             prev_start = s
 
 
-def derive_highlight_labels(
-    ann: EventAnnotation, n_frames: int, valid_len: int
-) -> NDArray[np.float64]:
+def derive_highlight_labels(ann: EventAnnotation) -> NDArray[np.float64]:
     """Convert annotated events into binary frame labels H, a float vector
-    of length ``n_frames``.
+    of length ``ann.valid_len``.
 
     A frame is a highlight (label 1) iff it lies inside the union of the
-    annotated half-open event intervals; frames from ``valid_len`` on carry
-    no label. A video without events yields all-zero labels and is unusable
-    for saliency training; a warning is logged.
+    annotated half-open event intervals. A video without events yields
+    all-zero labels and is unusable for saliency training; a warning is
+    logged.
     """
-    if not (0 <= valid_len <= n_frames):
-        raise DataError(f"{ann.video_id}: valid_len exceeds F ({valid_len} > {n_frames})")
-    labels = np.zeros(n_frames, dtype=np.float64)
+    labels = np.zeros(ann.valid_len, dtype=np.float64)
     for s, e in ann.events:
-        if e > valid_len:
-            raise DataError(f"{ann.video_id}: event exceeds valid_len ({e} > {valid_len})")
         labels[s:e] = 1.0
     if not ann.events:
         logger.warning("%s: no events, all-zero highlight labels", ann.video_id)
@@ -213,17 +207,19 @@ def read_text(path: str | Path) -> str:
 # ---------------------------------------------------------------------------
 
 def save_features(f: FrameFeatures, path: str | Path) -> None:
-    """Write a feature file; byte output is a pure function of the value."""
+    """Write a feature file, zero rows padding the valid ones up to
+    ``f.n_frames``; byte output is a pure function of the value."""
+    pad = bytes((f.n_frames - f.valid_len) * f.dim * 4)
     payload = bytearray()
     payload += _HEADER.pack(_MAGIC, f.n_frames, f.dim, f.valid_len)
-    payload += f.spatial.astype("<f4", copy=False).tobytes(order="C")
-    payload += f.encoded.astype("<f4", copy=False).tobytes(order="C")
+    payload += f.spatial.astype("<f4", copy=False).tobytes(order="C") + pad
+    payload += f.encoded.astype("<f4", copy=False).tobytes(order="C") + pad
     write_file(path, bytes(payload))
 
 
 def load_features(path: str | Path) -> FrameFeatures:
-    """Read a feature file, enforcing header consistency and padding; the
-    video id is the file stem."""
+    """Read a feature file, enforcing header consistency and zero padding,
+    and keep its valid rows; the video id is the file stem."""
     path = Path(path)
     raw = read_file(path)
     if len(raw) < _HEADER.size:
@@ -233,14 +229,16 @@ def load_features(path: str | Path) -> FrameFeatures:
         raise DataError(f"{path}: bad magic {magic!r}")
     if n_frames < 1 or dim < 1:
         raise DataError(f"{path}: F and D must be >= 1 (F={n_frames}, D={dim})")
+    if valid_len > n_frames:
+        raise DataError(f"{path.stem}: valid_len exceeds F ({valid_len} > {n_frames})")
     body = raw[_HEADER.size :]
     expected = 2 * n_frames * dim * 4
     if len(body) != expected:
         raise DataError(f"{path}: truncated body ({len(body)} bytes, expected {expected})")
-    flat = np.frombuffer(body, dtype="<f4")
-    spatial = flat[: n_frames * dim].reshape(n_frames, dim)
-    encoded = flat[n_frames * dim :].reshape(n_frames, dim)
-    return FrameFeatures(video_id=path.stem, spatial=spatial, encoded=encoded, valid_len=int(valid_len))
+    spatial, encoded = np.frombuffer(body, dtype="<f4").reshape(2, n_frames, dim)
+    if np.any(spatial[valid_len:] != 0) or np.any(encoded[valid_len:] != 0):
+        raise DataError(f"{path.stem}: nonzero padding rows beyond valid_len")
+    return FrameFeatures(path.stem, spatial[:valid_len], encoded[:valid_len], n_frames)
 
 
 # ---------------------------------------------------------------------------

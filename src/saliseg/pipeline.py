@@ -4,8 +4,10 @@ Every stage reads its predecessor's files and writes its own, so the
 subcommands can be chained by hand; :func:`run_pipeline` calls the very same
 functions in order, which makes chained and monolithic execution byte
 identical. Every stage visits the videos one at a time in sorted video-id
-order, and all randomness is drawn from named substreams of the config seed,
-so reruns with the same inputs produce identical artifact trees. The manifest
+order, each as the valid rows that :func:`~saliseg.data.load_features`
+returns: padding ends at that reader, so no stage slices or masks. All
+randomness is drawn from named substreams of the config seed, so reruns
+with the same inputs produce identical artifact trees. The manifest
 deliberately contains no timings or timestamps for the same reason; timings
 go to the log.
 
@@ -19,10 +21,9 @@ video.
 
 Record files are JSON Lines, one object per video, keys sorted:
 
-- saliency: ``{"video_id": str, "scores": [F floats], "prior": [F floats]}``:
-  the head's raw per-frame scores and their sigmoid zeroed from
-  ``valid_len`` on (the feature file holds ``valid_len``; the transport
-  problem normalizes the prior itself);
+- saliency: ``{"video_id": str, "scores": [valid_len floats], "prior":
+  [valid_len floats]}``: the head's raw per-frame scores and their sigmoid
+  (the transport problem normalizes the prior itself);
 - retrieval: ``{"video_id": str, "segments": [{"index": int, "neighbors":
   [[entry_id, similarity], ...]}, ...], "vectors": [[D floats], ...]}``,
   one entry per selected segment in temporal order (``index`` into the
@@ -33,6 +34,7 @@ The segments layout is documented in :mod:`saliseg.segments`.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import logging
@@ -152,10 +154,10 @@ def _is_numbers(values, n: int) -> bool:
 
 def _frame_values(records: dict, f: FrameFeatures, kind: str, field: str) -> np.ndarray:
     """A per-frame field of one video's upstream record, which must be a
-    list of exactly ``F`` numbers; anything else skips the video."""
+    list of exactly ``valid_len`` numbers; anything else skips the video."""
     values = _record(records, f.video_id, kind, field)
-    if not _is_numbers(values, f.n_frames):
-        raise DataError(f"{f.video_id}: {kind} '{field}' is not a list of {f.n_frames} numbers")
+    if not _is_numbers(values, f.valid_len):
+        raise DataError(f"{f.video_id}: {kind} '{field}' is not a list of {f.valid_len} numbers")
     return np.asarray(values, dtype=np.float64)
 
 
@@ -183,17 +185,9 @@ def stage_refine(
     refine_cfg = RefineConfig(windows=cfg.windows)
 
     def work(path: Path, f: FrameFeatures) -> Path:
-        refined = refine_features(f.encoded.astype(np.float64), refine_cfg, f.valid_len)
+        refined = refine_features(f.encoded, refine_cfg)
         out_path = out / path.name
-        save_features(
-            FrameFeatures(
-                video_id=f.video_id,
-                spatial=f.spatial,
-                encoded=refined.astype(np.float32),
-                valid_len=f.valid_len,
-            ),
-            out_path,
-        )
+        save_features(dataclasses.replace(f, encoded=refined.astype(np.float32)), out_path)
         return out_path
 
     return _for_each_video(features_dir, work, cfg, fail_fast)
@@ -213,8 +207,8 @@ def stage_score_saliency(
     def work(path: Path, f: FrameFeatures) -> dict:
         if f.dim != head.dim:
             raise DataError(f"{f.video_id}: feature dim {f.dim} != head dim {head.dim}")
-        scores = saliency_forward(head, f.encoded.astype(np.float64), f.valid_len).scores
-        p_s = saliency_prior(scores, f.valid_len)
+        scores = saliency_forward(head, f.encoded).scores
+        p_s = saliency_prior(scores)
         return {"video_id": f.video_id, "scores": scores.tolist(), "prior": p_s.tolist()}
 
     return save_records(_for_each_video(refined_dir, work, cfg, fail_fast), out_path)
@@ -241,11 +235,10 @@ def stage_segment(
         make_dir(dump_plan_dir)
 
     def work(path: Path, f: FrameFeatures) -> dict:
-        n_valid = f.valid_len
-        xs = f.spatial[:n_valid].astype(np.float64)
-        p_s = _frame_values(saliency, f, "saliency", "prior")[:n_valid]
+        xs = f.spatial.astype(np.float64)
+        p_s = _frame_values(saliency, f, "saliency", "prior")
         if baseline == "uniform":
-            segs = baseline_uniform(n_valid, cfg.top_k)
+            segs = baseline_uniform(f.valid_len, cfg.top_k)
         elif baseline == "kmeans":
             segs = select_topk(baseline_kmeans(xs, cfg.K, cfg.seed, f.video_id), cfg.top_k)
         else:  # "none": segment from the transport plan
@@ -256,7 +249,7 @@ def stage_segment(
                 raise NumericalError(f"{f.video_id}: transport solver did not converge")
             segs = select_topk(score_segments(decode_segments(plan), plan), cfg.top_k)
             if dump_plan_dir is not None:
-                doc = {"F_v": n_valid, "K": cfg.K, "T": plan.T.flatten().tolist()}
+                doc = {"F_v": f.valid_len, "K": cfg.K, "T": plan.T.flatten().tolist()}
                 plan_path = Path(dump_plan_dir) / f"{f.video_id}.json"
                 write_file(plan_path, json.dumps(doc, sort_keys=True) + "\n")
         return segments_to_doc(f.video_id, segs)
@@ -281,10 +274,8 @@ def stage_retrieve(
 
     def work(path: Path, f: FrameFeatures) -> dict:
         segs = _record(segments, f.video_id, "segments")
-        n_valid = f.valid_len
-        xs = f.spatial[:n_valid].astype(np.float64)
-        p_s = _frame_values(saliency, f, "saliency", "prior")[:n_valid]
-        result = retrieval_vectors(segs, xs, p_s, store, cfg.top_p)
+        p_s = _frame_values(saliency, f, "saliency", "prior")
+        result = retrieval_vectors(segs, f.spatial.astype(np.float64), p_s, store, cfg.top_p)
         return {
             "video_id": f.video_id,
             "segments": [
@@ -320,11 +311,10 @@ def stage_assemble(
         prompt_map = init_prompt_map(f.dim, cfg.seed)
         prompts = project_saliency(scores, prompt_map)
         if text_dir is not None:
-            t = load_features(Path(text_dir) / path.name)
-            text = t.encoded[: t.valid_len].astype(np.float64)
+            text = load_features(Path(text_dir) / path.name).encoded
         else:
             text = np.zeros((0, f.dim))
-        d_in = assemble_input(f.encoded.astype(np.float64), prompts, vectors, text)
+        d_in = assemble_input(f.encoded, prompts, vectors, text)
         out_path = out / f"{f.video_id}.stin"
         save_decoder_input(d_in, out_path)
         return out_path
@@ -365,7 +355,11 @@ def train_saliency_from_files(
     learning_rate: float = LEARNING_RATE,
     fail_fast: bool = False,
 ) -> TrainResult:
-    """Refine raw features, derive labels, train the head, save the checkpoint."""
+    """Refine raw features, derive labels, train the head, save the checkpoint.
+
+    A video whose annotation and feature file disagree on ``valid_len`` is
+    a :class:`DataError`, so it is skipped (or ends the run under ``fail_fast``).
+    """
     anns = {a.video_id: a for a in load_annotations(annotations_path)}
     check_writable(out_head)
     refine_cfg = RefineConfig(windows=cfg.windows)
@@ -374,11 +368,14 @@ def train_saliency_from_files(
         if f.video_id not in anns:
             logger.warning("%s: no annotation, skipped", f.video_id)
             return None
-        refined = refine_features(f.encoded.astype(np.float64), refine_cfg, f.valid_len)
-        labels = derive_highlight_labels(anns[f.video_id], f.n_frames, f.valid_len)
-        return SaliencyExample(
-            video_id=f.video_id, features=refined, valid_len=f.valid_len, labels=labels
-        )
+        ann = anns[f.video_id]
+        if ann.valid_len != f.valid_len:
+            raise DataError(
+                f"{f.video_id}: annotation valid_len {ann.valid_len}"
+                f" != feature valid_len {f.valid_len}"
+            )
+        refined = refine_features(f.encoded, refine_cfg)
+        return SaliencyExample(f.video_id, refined, derive_highlight_labels(ann))
 
     examples = [
         ex for ex in _for_each_video(features_dir, build_example, cfg, fail_fast) if ex is not None

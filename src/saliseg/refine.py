@@ -4,8 +4,10 @@ For every window size ``w`` and every start ``i`` the window's rows
 attend to each other with plain scaled dot-product attention, queries, keys
 and values all being the raw rows. Outputs of overlapping windows are
 averaged per frame by the coverage count, layer-normalized (no learnable
-affine) and added back residually. Two calls on identical inputs are
-bit-identical: there are no parameters and no randomness.
+affine) and added back residually. The input is a video's valid rows, as
+:func:`~saliseg.data.load_features` returns them; there is no padding to
+skip. Two calls on identical inputs are bit-identical: there are no
+parameters and no randomness.
 """
 
 from __future__ import annotations
@@ -40,20 +42,17 @@ class RefineConfig:
 def window_attention(x_seg: NDArray[np.float64]) -> NDArray[np.float64]:
     """Self-attention of one window: softmax(X X^T / sqrt(D)) X.
 
-    Rows of the weight matrix sum to one, so identical input rows map to
-    themselves exactly.
+    ``x_seg`` must be a finite float64 ``w x D`` matrix with ``w >= 1``;
+    :func:`refine_features` checks its whole matrix once, so no window is
+    checked again. Rows of the weight matrix sum to one, so identical input
+    rows map to themselves exactly.
     """
-    x = np.asarray(x_seg, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise DataError("window must be a w x D matrix with w >= 1")
-    if not np.all(np.isfinite(x)):
-        raise DataError("non-finite values in attention window")
-    d = x.shape[1]
-    logits = (x @ x.T) / np.sqrt(d)
+    d = x_seg.shape[1]
+    logits = (x_seg @ x_seg.T) / np.sqrt(d)
     logits -= logits.max(axis=1, keepdims=True)
     weights = np.exp(logits)
     weights /= weights.sum(axis=1, keepdims=True)
-    return weights @ x
+    return weights @ x_seg
 
 
 def _layer_norm(x: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -63,43 +62,32 @@ def _layer_norm(x: NDArray[np.float64]) -> NDArray[np.float64]:
     return (x - mean) / np.sqrt(var + _LN_EPSILON)
 
 
-def refine_features(
-    x: NDArray[np.float64],
-    cfg: RefineConfig,
-    valid_len: int | None = None,
-) -> NDArray[np.float64]:
-    """Refine encoded frame features with multi-scale local attention.
+def refine_features(x: NDArray[np.float64], cfg: RefineConfig) -> NDArray[np.float64]:
+    """Refine the encoded rows of a video's valid frames with multi-scale
+    local attention.
 
-    Only the first ``valid_len`` frames (all of them when ``None``) enter
-    windows; window sizes larger than ``valid_len`` are skipped with a
-    warning. Padded frames pass through unchanged, and so do the valid ones
-    when no window fits. Accumulation order is fixed (ascending window size,
-    then start), so the result is deterministic to the bit.
+    Window sizes larger than the frame count are skipped with a warning;
+    when no window fits, the rows pass through unchanged. Accumulation order
+    is fixed (ascending window size, then start), so the result is
+    deterministic to the bit.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise DataError("features must be an F x D matrix")
+    if x.ndim != 2 or x.shape[1] < 1:
+        raise DataError("features must be a valid_len x D matrix with D >= 1")
+    if not np.all(np.isfinite(x)):
+        raise DataError("non-finite feature values")
     n_frames = x.shape[0]
-    n_valid = n_frames if valid_len is None else int(valid_len)
-    if not 0 <= n_valid <= n_frames:
-        raise DataError(f"valid_len must lie in [0, {n_frames}]")
-    if n_valid == 0:
-        return x.copy()
-
-    xv = x[:n_valid]
-    acc = np.zeros_like(xv)
-    count = np.zeros(n_valid, dtype=np.int64)
+    acc = np.zeros_like(x)
+    count = np.zeros(n_frames, dtype=np.int64)
     for w in cfg.windows:
-        if w > n_valid:
-            logger.warning("window %d exceeds valid length %d, skipped", w, n_valid)
+        if w > n_frames:
+            logger.warning("window %d exceeds valid length %d, skipped", w, n_frames)
             continue
-        for start in range(0, n_valid - w + 1):
-            out = window_attention(xv[start : start + w])
-            acc[start : start + w] += out
+        for start in range(0, n_frames - w + 1):
+            acc[start : start + w] += window_attention(x[start : start + w])
             count[start : start + w] += 1
 
     # The smallest fitting window covers every frame: counts are all > 0 or all 0.
-    refined = x.copy()
-    if count.any():
-        refined[:n_valid] = xv + _layer_norm(acc / count[:, None])
-    return refined
+    if not count.any():
+        return x.copy()
+    return x + _layer_norm(acc / count[:, None])

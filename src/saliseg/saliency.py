@@ -2,9 +2,11 @@
 
 The head scores each frame against a pooled global context vector:
 ``score_n = (x_n W1^T) . (g W2^T) / sqrt(D)`` where ``g`` is an attention
-pooling of the valid frames driven by a learnable query vector. Training
-minimizes a masked listwise softmax loss in which all valid frames compete
-for probability mass and annotated highlight frames are pushed up.
+pooling of the frames driven by a learnable query vector. Training
+minimizes a listwise softmax loss in which all frames compete for
+probability mass and annotated highlight frames are pushed up. Every
+function takes one video's valid frames only, as
+:func:`~saliseg.data.load_features` returns them, so nothing here masks.
 
 Gradients are analytic (no autodiff framework); ``saliency_grad`` is checked
 against central finite differences in the test suite.
@@ -81,7 +83,7 @@ class SaliencyOutput:
 def init_head(dim: int, seed: int) -> SaliencyHead:
     """Near-identity init: W = I + 0.01 N(0,1), zero pooling query.
 
-    Zero query keeps the initial pooling uniform over valid frames.
+    Zero query keeps the initial pooling uniform over the frames.
     """
     rng = substream(seed, "head-init")
     w1 = np.eye(dim) + 0.01 * rng.standard_normal((dim, dim))
@@ -89,17 +91,10 @@ def init_head(dim: int, seed: int) -> SaliencyHead:
     return SaliencyHead(w_pool=np.zeros(dim), W1=w1, W2=w2)
 
 
-def _valid_frames(n_frames: int, valid_len: int) -> NDArray[np.bool_]:
-    """True for the frames below ``valid_len``, which must be in [1, F]."""
-    if not 1 <= valid_len <= n_frames:
-        raise DataError(f"valid_len must lie in [1, {n_frames}], got {valid_len}")
-    return np.arange(n_frames) < valid_len
-
-
-def _highlights(labels: NDArray[np.float64], valid_len: int) -> tuple[NDArray[np.float64], float]:
-    """The labels of the frames below ``valid_len``, zero from there on, and
-    their sum; a set without a highlight is a :class:`DataError`."""
-    hm = np.asarray(labels, dtype=np.float64) * (np.arange(len(labels)) < valid_len)
+def _highlights(labels: NDArray[np.float64]) -> tuple[NDArray[np.float64], float]:
+    """The labels as floats and their sum; a set without a highlight is a
+    :class:`DataError`."""
+    hm = np.asarray(labels, dtype=np.float64)
     n_high = hm.sum()
     if n_high < 1:
         raise DataError("empty highlight set")
@@ -107,39 +102,36 @@ def _highlights(labels: NDArray[np.float64], valid_len: int) -> tuple[NDArray[np
 
 
 def attention_pool(
-    xp: NDArray[np.float64], valid_len: int, w_pool: NDArray[np.float64]
+    xp: NDArray[np.float64], w_pool: NDArray[np.float64]
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Pool valid frames with a masked softmax over ``(X w_pool) / sqrt(D)``.
+    """Pool the frames with a softmax over ``(X w_pool) / sqrt(D)``.
 
-    Returns (pooled vector, weights); weights are zero from ``valid_len`` on
-    and sum to one over the valid frames.
+    Returns (pooled vector, weights); the weights sum to one.
     """
     xp = np.asarray(xp, dtype=np.float64)
     w_pool = np.asarray(w_pool, dtype=np.float64)
     logits = (xp @ w_pool) / np.sqrt(xp.shape[1])
-    weights = masked_softmax(logits, valid_len, 1.0)
+    weights = softmax(logits, 1.0)
     pooled = weights @ xp
     return pooled, weights
 
 
-def masked_softmax(
-    scores: NDArray[np.float64], valid_len: int, tau: float
-) -> NDArray[np.float64]:
-    """Temperature softmax over valid frames only, max-shifted for stability."""
-    scores = np.asarray(scores, dtype=np.float64)
-    valid = _valid_frames(scores.shape[0], valid_len)
-    z = np.where(valid, scores / tau, -np.inf)
-    zmax = np.max(z[valid])
-    expz = np.exp(z - zmax)
+def softmax(scores: NDArray[np.float64], tau: float) -> NDArray[np.float64]:
+    """Temperature softmax over all frames, max-shifted for stability; a
+    video without frames is a :class:`DataError`."""
+    z = np.asarray(scores, dtype=np.float64) / tau
+    if z.size == 0:
+        raise DataError("no valid frames")
+    expz = np.exp(z - np.max(z))
     return expz / expz.sum()
 
 
-def saliency_forward(head: SaliencyHead, xp: NDArray[np.float64], valid_len: int) -> SaliencyOutput:
-    """Score every frame (padded ones included; they are dropped downstream)."""
+def saliency_forward(head: SaliencyHead, xp: NDArray[np.float64]) -> SaliencyOutput:
+    """Score every frame."""
     xp = np.asarray(xp, dtype=np.float64)
     if xp.ndim != 2 or xp.shape[1] != head.dim:
-        raise DataError(f"features must be F x {head.dim}")
-    pooled, weights = attention_pool(xp, valid_len, head.w_pool)
+        raise DataError(f"features must be valid_len x {head.dim}")
+    pooled, weights = attention_pool(xp, head.w_pool)
     proj = xp @ head.W1.T
     ctx = pooled @ head.W2.T
     scores = (proj @ ctx) / np.sqrt(head.dim)
@@ -147,19 +139,15 @@ def saliency_forward(head: SaliencyHead, xp: NDArray[np.float64], valid_len: int
 
 
 def saliency_loss(
-    scores: NDArray[np.float64],
-    labels: NDArray[np.float64],
-    valid_len: int,
-    tau: float,
+    scores: NDArray[np.float64], labels: NDArray[np.float64], tau: float
 ) -> float:
-    """Masked listwise softmax loss: mean negative log-probability of highlights."""
-    scores = np.asarray(scores, dtype=np.float64)
-    valid = _valid_frames(scores.shape[0], valid_len)
-    hm, n_high = _highlights(labels, valid_len)
-    z = scores / tau
-    zmax = np.max(z[valid])
-    zsafe = np.where(valid, z - zmax, -np.inf)
-    log_z = zmax + np.log(np.sum(np.exp(zsafe)))
+    """Listwise softmax loss: mean negative log-probability of highlights."""
+    z = np.asarray(scores, dtype=np.float64) / tau
+    hm, n_high = _highlights(labels)
+    if hm.shape != z.shape:
+        raise DataError(f"{hm.shape[0]} labels for {z.shape[0]} scores")
+    zmax = np.max(z)
+    log_z = zmax + np.log(np.sum(np.exp(z - zmax)))
     log_p = np.where(hm > 0, z - log_z, 0.0)
     return float(-(hm @ log_p) / n_high)
 
@@ -167,7 +155,6 @@ def saliency_loss(
 def saliency_grad(
     head: SaliencyHead,
     xp: NDArray[np.float64],
-    valid_len: int,
     labels: NDArray[np.float64],
     tau: float,
 ) -> tuple[float, dict[str, NDArray[np.float64]]]:
@@ -178,13 +165,13 @@ def saliency_grad(
     scores depend on the pooled context through W2.
     """
     xp = np.asarray(xp, dtype=np.float64)
-    out = saliency_forward(head, xp, valid_len)
-    loss = saliency_loss(out.scores, labels, valid_len, tau)
-    hm, n_high = _highlights(labels, valid_len)
+    out = saliency_forward(head, xp)
+    loss = saliency_loss(out.scores, labels, tau)
+    hm, n_high = _highlights(labels)
     sqrt_d = np.sqrt(head.dim)
 
-    p = masked_softmax(out.scores, valid_len, tau)
-    g_scores = (p - hm / n_high) / tau  # zero on padded frames
+    p = softmax(out.scores, tau)
+    g_scores = (p - hm / n_high) / tau
 
     ctx = out.pooled @ head.W2.T
     gx = g_scores @ xp  # sum_n g_n x_n
@@ -200,19 +187,17 @@ def saliency_grad(
     return loss, {"w_pool": d_w_pool, "W1": d_w1, "W2": d_w2}
 
 
-def saliency_prior(scores: NDArray[np.float64], valid_len: int) -> NDArray[np.float64]:
-    """Sigmoid saliency prior ``p_s``, zeroed from ``valid_len`` on.
+def saliency_prior(scores: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Sigmoid saliency prior ``p_s`` of every frame.
 
     :func:`~saliseg.transport.build_problem` normalizes it into the
     reference measure of the transport solver's KL term.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    valid = _valid_frames(scores.shape[0], valid_len)
     if not np.all(np.isfinite(scores)):
         raise DataError("non-finite saliency scores")
     with np.errstate(over="ignore"):
-        p_s = np.where(scores >= 0, 1.0 / (1.0 + np.exp(-scores)), np.exp(scores) / (1.0 + np.exp(scores)))
-    return p_s * valid
+        return np.where(scores >= 0, 1.0 / (1.0 + np.exp(-scores)), np.exp(scores) / (1.0 + np.exp(scores)))
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +215,10 @@ class TrainState:
 
 @dataclass(frozen=True)
 class SaliencyExample:
-    """One training item: refined features, valid length and labels."""
+    """One training item: refined features and labels of the valid frames."""
 
     video_id: str
     features: NDArray[np.float64]
-    valid_len: int
     labels: NDArray[np.float64]
 
 
@@ -254,7 +238,7 @@ def train_saliency(
     """Adam over per-video losses ``lambda * L`` at temperature ``cfg.tau``;
     deterministic given ``cfg.seed``.
 
-    Videos without any valid highlight frame are skipped with a warning.
+    Videos without any highlight frame are skipped with a warning.
     Training diverges when the loss turns non-finite or an update leaves a
     parameter outside the float32 range of the checkpoint format; it then
     stops and returns the last head whose loss was finite.
@@ -262,7 +246,7 @@ def train_saliency(
     usable = []
     for ex in examples:
         try:
-            _highlights(ex.labels, ex.valid_len)
+            _highlights(ex.labels)
             usable.append(ex)
         except DataError:
             logger.warning("%s: no highlight frames, skipped for training", ex.video_id)
@@ -283,7 +267,7 @@ def train_saliency(
         epoch_loss = 0.0
         for idx in order:
             ex = usable[idx]
-            loss, grads = saliency_grad(head, ex.features, ex.valid_len, ex.labels, cfg.tau)
+            loss, grads = saliency_grad(head, ex.features, ex.labels, cfg.tau)
             if not np.isfinite(loss):
                 return _diverged(last_good, state, loss_curve)
             last_good = head.copy()

@@ -136,8 +136,10 @@ def _place_events(
 def generate_corpus(spec: SynthSpec) -> SynthCorpus:
     """Build features, annotations, datastore and per-event truth, all seeded.
 
-    Every third video is shortened to exercise zero padding; the remaining
-    frames are generated identically for the spatial and encoded matrices.
+    Every third video is shortened to exercise zero padding: it has fewer
+    valid frames than ``spec.F``, the ``n_frames`` its feature file is padded
+    to. The frames are generated identically for the spatial and encoded
+    matrices.
     """
     proto_rng = substream(spec.seed, "synth", "prototypes")
     basis = _orthonormal_prototypes(spec.n_caption_concepts + 1, spec.D, proto_rng)
@@ -154,7 +156,7 @@ def generate_corpus(spec: SynthSpec) -> SynthCorpus:
         events = _place_events(rng, valid_len, spec)
         concepts = rng.choice(spec.n_caption_concepts, size=len(events), replace=False)
 
-        spatial = np.tile(background, (spec.F, 1))
+        spatial = np.tile(background, (valid_len, 1))
         if spec.background_leak > 0:
             # Difficulty knob: each background gap borrows a fraction of one of
             # the video's own event concepts, blurring appearance boundaries.
@@ -167,17 +169,9 @@ def generate_corpus(spec: SynthSpec) -> SynthCorpus:
                     spatial[lo_b:hi_b] = mixed / np.linalg.norm(mixed)
         for (s, e), c in zip(events, concepts):
             spatial[s:e] = prototypes[c]
-        spatial[:valid_len] += spec.noise_sigma * rng.standard_normal((valid_len, spec.D))
-        spatial[valid_len:] = 0.0
+        spatial += spec.noise_sigma * rng.standard_normal((valid_len, spec.D))
         spatial32 = spatial.astype(np.float32)
-        features.append(
-            FrameFeatures(
-                video_id=video_id,
-                spatial=spatial32,
-                encoded=spatial32.copy(),
-                valid_len=valid_len,
-            )
-        )
+        features.append(FrameFeatures(video_id, spatial32, spatial32.copy(), n_frames=spec.F))
         annotations.append(
             EventAnnotation(video_id=video_id, valid_len=valid_len, events=tuple(events))
         )

@@ -74,7 +74,9 @@ class OtProblem:
 
     def __post_init__(self) -> None:
         # Every check is written so that NaN fails it.
-        if self.C_k.ndim != 2 or self.p_hat.shape != (self.C_k.shape[0],):
+        if self.C_k.ndim != 2 or self.C_k.shape[1] < 1:
+            raise DataError("C_k must be an F_v x K matrix with at least one anchor column")
+        if self.p_hat.shape != (self.C_k.shape[0],):
             raise DataError("p_hat length must equal the number of cost rows")
         if not 0 < self.epsilon < np.inf:
             raise DataError("epsilon must be finite and > 0")
@@ -92,8 +94,12 @@ class TransportPlan:
 
     T: NDArray[np.float64]
     objective_trace: list[float]
-    iterations: int
     converged: bool
+
+    @property
+    def iterations(self) -> int:
+        """Outer steps taken: the trace holds one value more."""
+        return len(self.objective_trace) - 1
 
 
 def build_kot_cost(
@@ -305,7 +311,7 @@ def solve_fugw(prob: OtProblem, max_outer: int = 200) -> TransportPlan:
 
     if not converged:
         logger.warning("transport solver hit max_outer=%d without converging", max_outer)
-    return TransportPlan(T=t, objective_trace=trace, iterations=len(trace) - 1, converged=converged)
+    return TransportPlan(T=t, objective_trace=trace, converged=converged)
 
 
 def _segment_search(

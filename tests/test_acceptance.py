@@ -13,7 +13,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from saliseg.data import PipelineConfig, derive_highlight_labels
+from saliseg.data import (
+    FrameFeatures,
+    PipelineConfig,
+    derive_highlight_labels,
+    load_features,
+    save_features,
+)
+from saliseg.errors import DataError
 from saliseg.metrics import iou, localization_prf, segment_quality
 from saliseg.pipeline import (
     run_pipeline,
@@ -29,11 +36,11 @@ from saliseg.refine import RefineConfig, refine_features
 from saliseg.saliency import (
     SaliencyExample,
     SaliencyHead,
-    masked_softmax,
     saliency_forward,
     saliency_grad,
     saliency_loss,
     saliency_prior,
+    softmax,
     train_saliency,
 )
 from saliseg.segments import (
@@ -70,17 +77,14 @@ def prepare(spec, train_count, epochs=8, train_seed=3):
     refine_cfg = RefineConfig(windows=CFG.windows)
     examples = []
     for f, ann in zip(corpus.features, corpus.annotations):
-        refined = refine_features(f.encoded.astype(np.float64), refine_cfg, f.valid_len)
-        labels = derive_highlight_labels(ann, f.n_frames, f.valid_len)
-        examples.append(SaliencyExample(f.video_id, refined, f.valid_len, labels))
+        refined = refine_features(f.encoded, refine_cfg)
+        examples.append(SaliencyExample(f.video_id, refined, derive_highlight_labels(ann)))
     head = train_saliency(examples[:train_count], replace(CFG, seed=train_seed), epochs=epochs).head
     return corpus, examples, head
 
 
-def trained_prior(head, example, n_valid):
-    scores = saliency_forward(head, example.features, example.valid_len).scores
-    p_s = saliency_prior(scores, example.valid_len)
-    return p_s[:n_valid]
+def trained_prior(head, example):
+    return saliency_prior(saliency_forward(head, example.features).scores)
 
 
 def ot_segments(xs, p_s, video_id, cfg=CFG, gamma=None):
@@ -132,8 +136,8 @@ def random_head(rng, dim):
     )
 
 
-def composed_loss(head, xp, valid_len, labels, tau):
-    return saliency_loss(saliency_forward(head, xp, valid_len).scores, labels, valid_len, tau)
+def composed_loss(head, xp, labels, tau):
+    return saliency_loss(saliency_forward(head, xp).scores, labels, tau)
 
 
 class TestCriterion01GradientCorrectness:
@@ -149,7 +153,8 @@ class TestCriterion01GradientCorrectness:
             labels = np.zeros(12)
             highlight = rng.choice(valid_len, size=3, replace=False)
             labels[highlight] = 1.0
-            _, analytic = saliency_grad(head, xp, valid_len, labels, 0.5)
+            xp, labels = xp[:valid_len], labels[:valid_len]
+            _, analytic = saliency_grad(head, xp, labels, 0.5)
             for name in ("w_pool", "W1", "W2"):
                 base = getattr(head, name)
                 fd = np.zeros_like(base)
@@ -161,8 +166,8 @@ class TestCriterion01GradientCorrectness:
                     minus = head.copy()
                     getattr(minus, name)[idx] -= h
                     fd[idx] = (
-                        composed_loss(plus, xp, valid_len, labels, 0.5)
-                        - composed_loss(minus, xp, valid_len, labels, 0.5)
+                        composed_loss(plus, xp, labels, 0.5)
+                        - composed_loss(minus, xp, labels, 0.5)
                     ) / (2 * h)
                 denom = np.maximum(np.maximum(np.abs(analytic[name]), np.abs(fd)), 1e-6)
                 worst = max(worst, float(np.max(np.abs(analytic[name] - fd) / denom)))
@@ -173,12 +178,13 @@ class TestCriterion01GradientCorrectness:
 
 
 class TestCriterion02LossClosedForms:
-    def test_closed_forms_and_mask_insensitivity(self):
-        loss2 = saliency_loss(np.array([1.7, 1.7]), np.array([1.0, 0]), 2, 0.9)
+    def test_closed_forms_and_mask_insensitivity(self, tmp_path):
+        loss2 = saliency_loss(np.array([1.7, 1.7]), np.array([1.0, 0]), 0.9)
         assert abs(loss2 - np.log(2)) <= 1e-12
-        loss3 = saliency_loss(np.zeros(3), np.array([1.0, 1, 0]), 3, 1.0)
+        loss3 = saliency_loss(np.zeros(3), np.array([1.0, 1, 0]), 1.0)
         assert abs(loss3 - np.log(3)) <= 1e-12
         rng = np.random.default_rng(7)
+        path = tmp_path / "v.sfeat"
         for _ in range(100):
             n = int(rng.integers(4, 16))
             scores = rng.normal(size=n) * 3
@@ -187,12 +193,27 @@ class TestCriterion02LossClosedForms:
             labels[valid_len:] = 0.0
             labels[0] = 1.0
             tau = float(rng.uniform(0.2, 2.0))
-            base = saliency_loss(scores, labels, valid_len, tau)
-            bumped = scores.copy()
-            bumped[valid_len:] += rng.normal(size=n - valid_len) * 50
-            loss = saliency_loss(bumped, labels, valid_len, tau)
-            assert abs(loss - base) <= 1e-12 * max(1, abs(base))
-        announce(2, "ln 2 / ln 3 closed forms exact, padded frames inert on 100 instances")
+            base = saliency_loss(scores[:valid_len], labels[:valid_len], tau)
+            assert 0.0 <= base < np.inf
+            # Padding ends at the reader: the valid rows, written padded to n
+            # frames, load back exactly, and a nonzero padding value is a
+            # DataError rather than a frame.
+            rows = np.stack([scores, labels], axis=1)[:valid_len].astype(np.float32)
+            save_features(FrameFeatures("v", rows, 2 * rows, n_frames=n), path)
+            loaded = load_features(path)
+            assert (loaded.n_frames, loaded.valid_len) == (n, valid_len)
+            assert loaded.spatial.tobytes() == rows.tobytes()
+            assert loaded.encoded.tobytes() == (2 * rows).tobytes()
+            bump = rng.normal(size=n - valid_len) * 50
+            if n > valid_len:
+                raw = bytearray(path.read_bytes())
+                first_pad = 28 + valid_len * 2 * 4
+                raw[first_pad : first_pad + 4] = np.float32(bump[0]).tobytes()
+                path.write_bytes(bytes(raw))
+                with pytest.raises(DataError, match="nonzero padding rows"):
+                    load_features(path)
+        announce(2, "ln 2 / ln 3 closed forms exact, padding checked and dropped at the reader "
+                    "on 100 instances")
 
 
 class TestCriterion03TemperatureInvariance:
@@ -203,9 +224,9 @@ class TestCriterion03TemperatureInvariance:
             scores = rng.normal(size=n) * 2
             valid_len = int(rng.integers(1, n + 1))
             tau = float(rng.uniform(0.3, 1.5))
-            base = masked_softmax(scores, valid_len, tau)
+            base = softmax(scores[:valid_len], tau)
             for c in (0.1, 1.0, 10.0):
-                scaled = masked_softmax(c * scores, valid_len, c * tau)
+                scaled = softmax(c * scores[:valid_len], c * tau)
                 assert np.max(np.abs(scaled - base)) <= 1e-12
         announce(3, "softmax probabilities invariant under (c*scores, c*tau), c in {0.1, 1, 10}")
 
@@ -269,9 +290,8 @@ class TestCriterion06SolverConstraints:
         worst_col = 0.0
         worst_rise = -np.inf
         for f, ex in zip(corpus.features, examples):
-            n = f.valid_len
-            xs = f.spatial[:n].astype(np.float64)
-            p_s = trained_prior(head, ex, n)
+            xs = f.spatial.astype(np.float64)
+            p_s = trained_prior(head, ex)
             _, plan, prob = ot_segments(xs, p_s, f.video_id)
             worst_col = max(worst_col, float(np.max(np.abs(plan.T.sum(axis=0) - 1 / CFG.K))))
             trace = np.array(plan.objective_trace)
@@ -281,9 +301,8 @@ class TestCriterion06SolverConstraints:
 
         monotone = True
         for f, ex in zip(corpus.features[:20], examples[:20]):
-            n = f.valid_len
-            xs = f.spatial[:n].astype(np.float64)
-            p_s = trained_prior(head, ex, n)
+            xs = f.spatial.astype(np.float64)
+            p_s = trained_prior(head, ex)
             kls = []
             for gamma in (0.0, 0.3, 3.0, 30.0):
                 _, plan, prob = ot_segments(xs, p_s, f.video_id, gamma=gamma)
@@ -335,8 +354,8 @@ class TestCriterion08SegmentationQuality:
         r05 = {"ot": [], "kmeans": [], "uniform": []}
         for f, ex, ann in zip(corpus.features, examples, corpus.annotations):
             n = f.valid_len
-            xs = f.spatial[:n].astype(np.float64)
-            p_s = trained_prior(head, ex, n)
+            xs = f.spatial.astype(np.float64)
+            p_s = trained_prior(head, ex)
             gt = list(ann.events)
             segs, _, _ = ot_segments(xs, p_s, f.video_id)
             for name, segset in (
@@ -373,8 +392,8 @@ class TestCriterion09SaliencyTraining:
         inside, outside = [], []
         for i in held:
             ex = examples[i]
-            scores = saliency_forward(head, ex.features, ex.valid_len).scores[: ex.valid_len]
-            labels = ex.labels[: ex.valid_len]
+            scores = saliency_forward(head, ex.features).scores
+            labels = ex.labels
             inside.extend(scores[labels > 0])
             outside.extend(scores[labels == 0])
         inside = np.array(inside)
@@ -388,8 +407,8 @@ class TestCriterion09SaliencyTraining:
             for i in held:
                 f, ex, ann = corpus.features[i], examples[i], corpus.annotations[i]
                 n = f.valid_len
-                xs = f.spatial[:n].astype(np.float64)
-                p_s = trained_prior(head, ex, n) if prior_mode == "trained" else np.full(n, 0.5)
+                xs = f.spatial.astype(np.float64)
+                p_s = trained_prior(head, ex) if prior_mode == "trained" else np.full(n, 0.5)
                 segs, _, _ = ot_segments(xs, p_s, f.video_id)
                 pred = [(s.start, s.end) for s in segs.selected_segments()]
                 out.append(segment_quality(pred, list(ann.events))[1])
@@ -430,9 +449,8 @@ class TestCriterion10RetrievalExactness:
         for f, ex, ann, truth in zip(
             corpus.features, examples, corpus.annotations, corpus.truth
         ):
-            n = f.valid_len
-            xs = f.spatial[:n].astype(np.float64)
-            p_s = trained_prior(head, ex, n)
+            xs = f.spatial.astype(np.float64)
+            p_s = trained_prior(head, ex)
             segs, _, _ = ot_segments(xs, p_s, f.video_id)
             for seg in segs.selected_segments():
                 overlaps: dict[str, int] = {}

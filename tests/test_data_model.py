@@ -29,11 +29,9 @@ from saliseg.store import load_datastore
 
 def make_features(F=4, D=2, valid_len=3, seed=0, video_id="v"):
     rng = np.random.default_rng(seed)
-    spatial = np.zeros((F, D), dtype=np.float32)
-    encoded = np.zeros((F, D), dtype=np.float32)
-    spatial[:valid_len] = rng.normal(size=(valid_len, D)).astype(np.float32)
-    encoded[:valid_len] = rng.normal(size=(valid_len, D)).astype(np.float32)
-    return FrameFeatures(video_id=video_id, spatial=spatial, encoded=encoded, valid_len=valid_len)
+    spatial = rng.normal(size=(valid_len, D)).astype(np.float32)
+    encoded = rng.normal(size=(valid_len, D)).astype(np.float32)
+    return FrameFeatures(video_id=video_id, spatial=spatial, encoded=encoded, n_frames=F)
 
 
 class TestFeatureFiles:
@@ -43,7 +41,7 @@ class TestFeatureFiles:
         save_features(f, path)
         g = load_features(path)
         assert g.video_id == "v"
-        assert g.valid_len == 3
+        assert (g.valid_len, g.n_frames) == (3, 4)
         assert g.spatial.tobytes() == f.spatial.tobytes()
         assert g.encoded.tobytes() == f.encoded.tobytes()
 
@@ -93,25 +91,39 @@ class TestFeatureFiles:
                 g.spatial.tobytes() != f.spatial.tobytes()
                 or g.encoded.tobytes() != f.encoded.tobytes()
                 or g.valid_len != f.valid_len
+                or g.n_frames != f.n_frames
             )
             assert changed, f"flip at byte {pos} went undetected"
 
-    def test_nonzero_padding_rejected(self):
-        spatial = np.ones((3, 2), dtype=np.float32)
-        with pytest.raises(DataError, match="padding"):
-            FrameFeatures(video_id="v", spatial=spatial, encoded=spatial, valid_len=2)
+    # Byte offsets of row 2 of each 3 x 2 matrix, after the 28-byte header.
+    @pytest.mark.parametrize("offset", [28 + 16, 28 + 24 + 16], ids=["spatial", "encoded"])
+    def test_nonzero_padding_rejected(self, tmp_path, offset):
+        # The reader checks the zero rows that it drops: one padding value of
+        # 1.0 in either matrix is a DataError.
+        path = tmp_path / "v.sfeat"
+        save_features(make_features(F=3, D=2, valid_len=2), path)
+        raw = bytearray(path.read_bytes())
+        raw[offset : offset + 4] = np.float32(1.0).tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match="v: nonzero padding rows beyond valid_len"):
+            load_features(path)
+
+    def test_more_rows_than_frames_rejected(self):
+        rows = np.ones((3, 2), dtype=np.float32)
+        with pytest.raises(DataError, match=re.escape("valid_len exceeds F (3 > 2)")):
+            FrameFeatures(video_id="v", spatial=rows, encoded=rows, n_frames=2)
 
 
 class TestHighlightLabels:
     def test_single_event(self):
         ann = EventAnnotation(video_id="v", valid_len=5, events=((1, 3),))
-        lab = derive_highlight_labels(ann, 5, 5)
+        lab = derive_highlight_labels(ann)
         np.testing.assert_array_equal(lab, [0, 1, 1, 0, 0])
         assert lab.sum() == 2
 
     def test_overlapping_union(self):
         ann = EventAnnotation(video_id="v", valid_len=4, events=((0, 2), (1, 4)))
-        lab = derive_highlight_labels(ann, 4, 4)
+        lab = derive_highlight_labels(ann)
         np.testing.assert_array_equal(lab, [1, 1, 1, 1])
 
     def test_event_exceeds_valid_len(self):
@@ -121,7 +133,7 @@ class TestHighlightLabels:
     def test_empty_events_warns(self, caplog):
         ann = EventAnnotation(video_id="v", valid_len=4, events=())
         with caplog.at_level("WARNING"):
-            lab = derive_highlight_labels(ann, 4, 4)
+            lab = derive_highlight_labels(ann)
         assert lab.sum() == 0
         assert any("no events" in r.message for r in caplog.records)
 
@@ -134,16 +146,14 @@ class TestHighlightLabels:
                 for s in rng.integers(0, 16, size=n)
             )
             events = [(s, min(e, 20)) for s, e in events]
-            base = derive_highlight_labels(
-                EventAnnotation("v", 20, tuple(events[:-1])), 20, 20
-            )
-            more = derive_highlight_labels(EventAnnotation("v", 20, tuple(events)), 20, 20)
+            base = derive_highlight_labels(EventAnnotation("v", 20, tuple(events[:-1])))
+            more = derive_highlight_labels(EventAnnotation("v", 20, tuple(events)))
             assert np.all(more >= base)
 
     def test_total_highlights_equals_union_size(self):
         ann = EventAnnotation(video_id="v", valid_len=10, events=((0, 3), (5, 8)))
-        lab = derive_highlight_labels(ann, 12, 10)
-        assert lab.sum() == 6
+        lab = derive_highlight_labels(ann)
+        assert lab.shape == (10,) and lab.sum() == 6
 
     @pytest.mark.parametrize(
         "valid_len, events, match",

@@ -23,9 +23,8 @@ N_FLIPS = 300
 
 def write_features(path):
     rng = np.random.default_rng(0)
-    spatial = np.zeros((6, 3), dtype=np.float32)
-    spatial[:5] = rng.normal(size=(5, 3))
-    save_features(FrameFeatures("v", spatial, 2 * spatial, valid_len=5), path)
+    spatial = rng.normal(size=(5, 3)).astype(np.float32)
+    save_features(FrameFeatures("v", spatial, 2 * spatial, n_frames=6), path)
 
 
 def write_datastore(path):

@@ -239,7 +239,7 @@ class TestFailureIsolation:
         f = load_features(victim)
         spatial = f.spatial.copy()
         spatial[0] = 0.0
-        save_features(FrameFeatures(f.video_id, spatial, f.encoded, f.valid_len), victim)
+        save_features(FrameFeatures(f.video_id, spatial, f.encoded, f.n_frames), victim)
         out = tmp_path / "run"
         run_pipeline(
             CFG, feats, corpus_dir / "annotations.jsonl",
@@ -260,13 +260,7 @@ class TestFailureIsolation:
         feats = copy_features(corpus_dir, tmp_path)
         victim = sorted(feats.glob("*.sfeat"))[1]
         f = load_features(victim)
-        pad = np.zeros((CFG.F_max + 1 - f.n_frames, f.dim), dtype=np.float32)
-        save_features(
-            FrameFeatures(
-                f.video_id, np.vstack([f.spatial, pad]), np.vstack([f.encoded, pad]), f.valid_len
-            ),
-            victim,
-        )
+        save_features(FrameFeatures(f.video_id, f.spatial, f.encoded, CFG.F_max + 1), victim)
         out = tmp_path / "run"
         args = (CFG, feats, corpus_dir / "annotations.jsonl", corpus_dir / "datastore.sds", head_path)
         run_pipeline(*args, out)
@@ -650,24 +644,66 @@ class TestCli:
         assert main(self.segment_args(corpus_dir, missing, tmp_path / "segments.jsonl")) == 3
         assert f"{missing}: No such file or directory" in caplog.text
 
+    @pytest.mark.parametrize("command", ["score-saliency", "segment"])
     def test_video_without_valid_frames_skipped_or_fatal(
-        self, corpus_dir, saliency_path, tmp_path, caplog
+        self, corpus_dir, head_path, saliency_path, tmp_path, caplog, command
     ):
         feats = copy_features(corpus_dir, tmp_path)
         victim = feats / "v0001.sfeat"
         f = load_features(victim)
-        empty = np.zeros_like(f.spatial)
-        save_features(FrameFeatures(f.video_id, empty, empty, 0), victim)
-        out = tmp_path / "segments.jsonl"
-        args = [
-            "segment", "--features-dir", str(feats), "--saliency", str(saliency_path),
-            "--out", str(out),
-        ]
+        empty = np.zeros((0, f.dim), dtype=np.float32)
+        save_features(FrameFeatures(f.video_id, empty, empty, f.n_frames), victim)
+        out = tmp_path / "out.jsonl"
+        if command == "score-saliency":
+            args = ["score-saliency", "--head", str(head_path)]
+            message = "no valid frames"
+        else:
+            # The saliency record that fits a video without valid frames.
+            docs = [json.loads(line) for line in saliency_path.read_text().splitlines()]
+            docs[1]["scores"] = docs[1]["prior"] = []
+            saliency = tmp_path / "saliency.jsonl"
+            saliency.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+            args = ["segment", "--saliency", str(saliency)]
+            message = "no feature rows to draw anchors from"
+        args += ["--features-dir", str(feats), "--out", str(out)]
         assert main(args + ["--fail-fast"]) == 3
-        assert "no feature rows to draw anchors from" in caplog.text
+        assert message in caplog.text
         assert main(args) == 0
         written = [json.loads(line)["video_id"] for line in out.read_text().splitlines()]
         assert written == ["v0000", "v0002", "v0003"]
+
+    def test_padded_file_scores_and_assembles_as_its_unpadded_twin(
+        self, corpus_dir, head_path, tmp_path
+    ):
+        # Padding ends at the reader: a padded refined file and its twin
+        # without padding give the same saliency record and decoder input.
+        run = tmp_path / "run"
+        run_pipeline(
+            CFG, corpus_dir / "features", corpus_dir / "annotations.jsonl",
+            corpus_dir / "datastore.sds", head_path, run,
+        )
+        for line in (run / "saliency.jsonl").read_text().splitlines():
+            doc = json.loads(line)
+            n = load_features(run / "refined" / f"{doc['video_id']}.sfeat").valid_len
+            assert len(doc["scores"]) == len(doc["prior"]) == n
+        f = load_features(run / "refined" / "v0002.sfeat")
+        assert f.valid_len < f.n_frames  # every third synthetic video is padded
+        outputs = {}
+        for name, n_frames in (("padded", f.n_frames), ("twin", f.valid_len)):
+            features = tmp_path / name
+            features.mkdir()
+            twin = FrameFeatures(f.video_id, f.spatial, f.encoded, n_frames)
+            save_features(twin, features / "v0002.sfeat")
+            saliency = stage_score_saliency(features, head_path, CFG, tmp_path / f"{name}.jsonl")
+            (stin,) = stage_assemble(
+                features, saliency, run / "retrieval.jsonl", CFG, tmp_path / f"{name}_tin"
+            )
+            outputs[name] = (saliency.read_bytes(), stin.read_bytes())
+        assert outputs["padded"] == outputs["twin"]
+        assert (run / "tin" / "v0002.stin").read_bytes() == outputs["padded"][1]
+        d_in = load_decoder_input(tmp_path / "padded_tin" / "v0002.stin")
+        assert d_in.lengths[:2] == (f.valid_len, f.valid_len)
+        np.testing.assert_array_equal(d_in.section(0), f.encoded)
 
     def test_unconverged_solve_exit_code_under_fail_fast(
         self, corpus_dir, saliency_path, tmp_path, monkeypatch
@@ -700,6 +736,31 @@ class TestCli:
         assert not (tmp_path / "head.shd").exists()
         assert main(args) == 0
         assert (tmp_path / "head.shd").exists()
+
+    @pytest.mark.parametrize("fail_fast", [False, True], ids=["default", "fail_fast"])
+    def test_annotation_and_feature_valid_len_must_agree(
+        self, corpus_dir, tmp_path, caplog, fail_fast
+    ):
+        # v0002's feature file holds 32 valid frames of 40; its annotation
+        # claims all 40, which its events still fit.
+        lines = (corpus_dir / "annotations.jsonl").read_text().splitlines()
+        docs = [json.loads(line) for line in lines]
+        docs[2]["valid_len"] = SPEC.F
+        annotations = tmp_path / "annotations.jsonl"
+        annotations.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+        head = tmp_path / "head.shd"
+        args = [
+            "train-saliency", "--features-dir", str(corpus_dir / "features"),
+            "--annotations", str(annotations), "--out-head", str(head), "--epochs", "1",
+        ]
+        if fail_fast:
+            assert main(args + ["--fail-fast"]) == 3
+            assert not head.exists()
+        else:
+            assert main(args) == 0
+            assert head.exists()
+            assert "v0002.sfeat: stage failed, video skipped" in caplog.text
+        assert "v0002: annotation valid_len 40 != feature valid_len 32" in caplog.text
 
     def write_segments(self, path: Path, selected=(0, 2)) -> Path:
         """A segments file with three segments of v0000, ``selected`` as given."""

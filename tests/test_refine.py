@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from saliseg.data import FrameFeatures, PipelineConfig, save_features
 from saliseg.errors import ConfigError, DataError
+from saliseg.pipeline import stage_refine
 from saliseg.refine import RefineConfig, refine_features, window_attention
 from saliseg.synth import SynthSpec, generate_corpus
 
@@ -53,10 +55,6 @@ class TestWindowAttention:
         np.testing.assert_allclose(window_attention(x), expected, rtol=1e-12)
         np.testing.assert_allclose(window_attention(x), x, atol=1e-6)
 
-    def test_rejects_non_finite(self):
-        with pytest.raises(DataError):
-            window_attention(np.array([[np.nan, 1.0]]))
-
 
 class TestRefineFeatures:
     def test_constant_features_pass_through_exactly(self):
@@ -94,16 +92,31 @@ class TestRefineFeatures:
         want = brute_force_refine(x, (2,))
         np.testing.assert_allclose(got, want, atol=1e-12)
 
-    def test_padded_rows_unchanged_and_excluded(self):
-        rng = np.random.default_rng(2)
-        x = np.zeros((10, 3))
-        x[:6] = rng.normal(size=(6, 3))
-        cfg = RefineConfig(windows=(3,))
-        got = refine_features(x, cfg, 6)
-        np.testing.assert_array_equal(got[6:], 0.0)
-        np.testing.assert_allclose(got[:6], brute_force_refine(x[:6], (3,)), atol=1e-10)
-        with pytest.raises(DataError, match="valid_len must lie in"):
-            refine_features(x, cfg, 11)
+    def test_padded_rows_unchanged_and_excluded(self, tmp_path):
+        # Padding ends at the reader: a padded file refines as its valid rows
+        # alone, and the refined file is padded back with zero rows.
+        valid = np.random.default_rng(2).normal(size=(6, 3)).astype(np.float32)
+        (tmp_path / "in").mkdir()
+        save_features(FrameFeatures("v", valid, valid, n_frames=10), tmp_path / "in" / "v.sfeat")
+        (out,) = stage_refine(tmp_path / "in", tmp_path / "out", PipelineConfig(windows=(3,)))
+        body = np.frombuffer(out.read_bytes()[28:], dtype="<f4").reshape(2, 10, 3)
+        np.testing.assert_array_equal(body[:, 6:], 0.0)
+        np.testing.assert_array_equal(body[0, :6], valid)
+        np.testing.assert_allclose(
+            body[1, :6], brute_force_refine(valid.astype(np.float64), (3,)), atol=1e-6
+        )
+
+    def test_rejects_non_finite_once_for_every_window(self):
+        x = np.ones((12, 2))
+        x[7, 1] = np.nan
+        with pytest.raises(DataError, match="non-finite feature values"):
+            refine_features(x, RefineConfig(windows=(2, 4)))
+        with pytest.raises(DataError, match="non-finite feature values"):
+            refine_features(np.array([[np.nan, 1.0]]), RefineConfig(windows=(2,)))
+
+    def test_video_without_valid_frames_passes_through(self):
+        x = np.zeros((0, 3))
+        assert refine_features(x, RefineConfig(windows=(2, 3))).shape == (0, 3)
 
     def test_oversized_window_skipped_with_warning(self, caplog):
         rng = np.random.default_rng(3)
@@ -145,8 +158,8 @@ class TestBoundarySharpening:
         cfg = RefineConfig(windows=(8, 32, 64))
         raw_jumps, refined_jumps = [], []
         for f, ann in zip(corpus.features, corpus.annotations):
-            x = f.encoded[: f.valid_len].astype(np.float64)
-            xr = refine_features(f.encoded.astype(np.float64), cfg, f.valid_len)[: f.valid_len]
+            x = f.encoded.astype(np.float64)
+            xr = refine_features(f.encoded, cfg)
             boundaries = set()
             for s, e in ann.events:
                 if s > 0:

@@ -14,12 +14,12 @@ from saliseg.saliency import (
     attention_pool,
     init_head,
     load_head,
-    masked_softmax,
     saliency_forward,
     saliency_grad,
     saliency_loss,
     saliency_prior,
     save_head,
+    softmax,
     train_saliency,
 )
 from saliseg.transport import build_problem, init_anchors
@@ -34,12 +34,12 @@ def random_head(dim, seed=0):
     )
 
 
-def composed_loss(head, xp, valid_len, labels, tau):
-    out = saliency_forward(head, xp, valid_len)
-    return saliency_loss(out.scores, labels, valid_len, tau)
+def composed_loss(head, xp, labels, tau):
+    out = saliency_forward(head, xp)
+    return saliency_loss(out.scores, labels, tau)
 
 
-def fd_gradients(head, xp, valid_len, labels, tau, h=1e-4):
+def fd_gradients(head, xp, labels, tau, h=1e-4):
     """Central finite differences through the full composed loss."""
     grads = {}
     for name in ("w_pool", "W1", "W2"):
@@ -53,8 +53,8 @@ def fd_gradients(head, xp, valid_len, labels, tau, h=1e-4):
             minus = head.copy()
             getattr(minus, name)[idx] -= h
             g[idx] = (
-                composed_loss(plus, xp, valid_len, labels, tau)
-                - composed_loss(minus, xp, valid_len, labels, tau)
+                composed_loss(plus, xp, labels, tau)
+                - composed_loss(minus, xp, labels, tau)
             ) / (2 * h)
         grads[name] = g
     return grads
@@ -73,31 +73,30 @@ class TestAttentionPool:
     def test_identical_rows_pool_to_row(self):
         v = np.array([0.5, -1.0, 2.0])
         xp = np.tile(v, (4, 1))
-        pooled, weights = attention_pool(xp, 4, np.array([3.0, 1.0, -2.0]))
+        pooled, weights = attention_pool(xp, np.array([3.0, 1.0, -2.0]))
         np.testing.assert_allclose(pooled, v, atol=1e-12)
         np.testing.assert_allclose(weights, 0.25, atol=1e-12)
 
-    def test_zero_query_gives_masked_mean(self):
+    def test_zero_query_gives_mean(self):
         rng = np.random.default_rng(0)
-        xp = rng.normal(size=(5, 3))
-        pooled, weights = attention_pool(xp, 3, np.zeros(3))
-        np.testing.assert_allclose(pooled, xp[:3].mean(axis=0), atol=1e-12)
-        np.testing.assert_allclose(weights[:3], 1 / 3, atol=1e-12)
-        np.testing.assert_array_equal(weights[3:], 0.0)
+        xp = rng.normal(size=(5, 3))[:3]
+        pooled, weights = attention_pool(xp, np.zeros(3))
+        np.testing.assert_allclose(pooled, xp.mean(axis=0), atol=1e-12)
+        np.testing.assert_allclose(weights, 1 / 3, atol=1e-12)
 
     def test_strong_query_concentrates(self):
         e1 = np.array([1.0, 0.0])
         e2 = np.array([0.0, 1.0])
         xp = np.stack([e1, e2, e1])
-        pooled, weights = attention_pool(xp, 3, e1 * 10)
+        pooled, weights = attention_pool(xp, e1 * 10)
         assert weights[0] + weights[2] > 0.99
         np.testing.assert_allclose(pooled, e1, atol=0.01)
 
-    def test_all_masked_errors(self):
-        with pytest.raises(DataError, match="valid_len must lie in"):
-            attention_pool(np.ones((2, 2)), 0, np.zeros(2))
-        with pytest.raises(DataError, match="valid_len must lie in"):
-            attention_pool(np.ones((2, 2)), 3, np.zeros(2))
+    def test_no_frames_errors(self):
+        with pytest.raises(DataError, match="no valid frames"):
+            attention_pool(np.ones((0, 2)), np.zeros(2))
+        with pytest.raises(DataError, match="no valid frames"):
+            saliency_forward(init_head(2, seed=0), np.ones((0, 2)))
 
 
 class TestSaliencyForward:
@@ -105,14 +104,14 @@ class TestSaliencyForward:
         d = 4
         head = SaliencyHead(np.zeros(d), np.eye(d), np.eye(d))
         xp = np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (3, 1))
-        out = saliency_forward(head, xp, 3)
+        out = saliency_forward(head, xp)
         np.testing.assert_allclose(out.scores, 0.5, atol=1e-12)
 
     def test_zero_w1_zeroes_scores(self):
         d = 3
         head = SaliencyHead(np.ones(d), np.zeros((d, d)), np.eye(d))
         xp = np.random.default_rng(1).normal(size=(4, d))
-        out = saliency_forward(head, xp, 4)
+        out = saliency_forward(head, xp)
         np.testing.assert_array_equal(out.scores, 0.0)
 
     def test_matches_independent_dot_product_reference(self):
@@ -120,7 +119,7 @@ class TestSaliencyForward:
         d, n = 3, 5
         head = random_head(d, seed=2)
         xp = rng.normal(size=(n, d))
-        out = saliency_forward(head, xp, n)
+        out = saliency_forward(head, xp)
         # Second implementation: scalar loops, no matrix algebra.
         logits = np.array([float(np.dot(row, head.w_pool)) / np.sqrt(d) for row in xp])
         w = np.exp(logits - logits.max())
@@ -137,64 +136,51 @@ class TestSaliencyForward:
 
 class TestSaliencyLoss:
     def test_symmetric_two_frames(self):
-        loss = saliency_loss(np.array([3.3, 3.3]), np.array([1.0, 0.0]), 2, 0.7)
+        loss = saliency_loss(np.array([3.3, 3.3]), np.array([1.0, 0.0]), 0.7)
         np.testing.assert_allclose(loss, np.log(2), atol=1e-12)
 
     def test_uniform_three_frames(self):
-        loss = saliency_loss(np.zeros(3), np.array([1, 1, 0.0]), 3, 1.0)
+        loss = saliency_loss(np.zeros(3), np.array([1, 1, 0.0]), 1.0)
         np.testing.assert_allclose(loss, np.log(3), atol=1e-12)
 
-    def test_masked_third_frame_closed_form(self):
-        scores = np.array([10.0, 0.0, 0.0])
-        labels = np.array([1.0, 0.0, 0.0])
-        loss = saliency_loss(scores, labels, 2, 0.5)
+    def test_two_frame_closed_form(self):
+        scores = np.array([10.0, 0.0])
+        labels = np.array([1.0, 0.0])
+        loss = saliency_loss(scores, labels, 0.5)
         # The log-sum-exp path loses relative precision near 2e-9; absolute
         # agreement at 1e-14 pins the closed form tightly enough.
         np.testing.assert_allclose(loss, np.log1p(np.exp(-20.0)), rtol=1e-6, atol=1e-14)
 
     def test_empty_highlight_set_errors(self):
         with pytest.raises(DataError, match="empty highlight set"):
-            saliency_loss(np.zeros(3), np.zeros(3), 3, 1.0)
-        with pytest.raises(DataError, match="empty highlight set"):  # highlights only past valid_len
-            saliency_grad(init_head(2, seed=0), np.ones((3, 2)), 2, np.array([0.0, 0, 1]), 1.0)
+            saliency_loss(np.zeros(3), np.zeros(3), 1.0)
+        with pytest.raises(DataError, match="empty highlight set"):
+            saliency_grad(init_head(2, seed=0), np.ones((2, 2)), np.array([0.0, 0]), 1.0)
 
     def test_loss_nonnegative_and_vanishes_for_dominant_highlight(self):
         scores = np.array([60.0, 0.0, 0.0])
-        loss = saliency_loss(scores, np.array([1.0, 0, 0]), 3, 1.0)
+        loss = saliency_loss(scores, np.array([1.0, 0, 0]), 1.0)
         assert 0 <= loss < 1e-12
 
-    def test_masked_scores_do_not_affect_loss(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            n = int(rng.integers(3, 10))
-            scores = rng.normal(size=n)
-            valid_len = int(rng.integers(1, n + 1))
-            labels = (rng.random(n) < 0.5).astype(float)
-            labels[valid_len:] = 0.0
-            labels[0] = 1.0
-            tau = float(rng.uniform(0.2, 2.0))
-            base = saliency_loss(scores, labels, valid_len, tau)
-            bumped = scores.copy()
-            bumped[valid_len:] += rng.normal(size=n - valid_len) * 100
-            np.testing.assert_allclose(
-                saliency_loss(bumped, labels, valid_len, tau), base, rtol=1e-12
-            )
+    def test_labels_must_match_scores(self):
+        with pytest.raises(DataError, match="3 labels for 2 scores"):
+            saliency_loss(np.zeros(2), np.array([1.0, 0, 0]), 1.0)
 
     def test_listwise_competition(self):
         scores = np.array([1.0, 0.0, -1.0])
         labels = np.array([1.0, 0.0, 0.0])
-        base = saliency_loss(scores, labels, 3, 0.5)
+        base = saliency_loss(scores, labels, 0.5)
         bumped = scores.copy()
         bumped[1] += 0.5
-        assert saliency_loss(bumped, labels, 3, 0.5) > base
+        assert saliency_loss(bumped, labels, 0.5) > base
 
     def test_temperature_scale_invariance(self):
         rng = np.random.default_rng(4)
-        scores = rng.normal(size=6)
+        scores = rng.normal(size=6)[:4]
         for c in (0.1, 1.0, 10.0):
             np.testing.assert_allclose(
-                masked_softmax(c * scores, 4, c * 0.5),
-                masked_softmax(scores, 4, 0.5),
+                softmax(c * scores, c * 0.5),
+                softmax(scores, 0.5),
                 atol=1e-12,
             )
 
@@ -204,7 +190,7 @@ class TestSaliencyGrad:
         d = 3
         head = random_head(d, seed=5)
         xp = np.tile(np.array([1.0, 2.0, -1.0]), (4, 1))
-        _, grads = saliency_grad(head, xp, 4, np.ones(4), 0.5)
+        _, grads = saliency_grad(head, xp, np.ones(4), 0.5)
         np.testing.assert_allclose(grads["w_pool"], 0.0, atol=1e-12)
 
     def test_matches_finite_differences(self):
@@ -213,8 +199,8 @@ class TestSaliencyGrad:
         xp = rng.normal(size=(12, 8))
         labels = np.zeros(12)
         labels[[1, 4, 7]] = 1.0
-        _, analytic = saliency_grad(head, xp, 10, labels, 0.5)
-        numeric = fd_gradients(head, xp, 10, labels, 0.5)
+        _, analytic = saliency_grad(head, xp[:10], labels[:10], 0.5)
+        numeric = fd_gradients(head, xp[:10], labels[:10], 0.5)
         assert max_rel_error(analytic, numeric) < 1e-4
 
     def test_tau_scaling_consistent_with_finite_differences(self):
@@ -227,8 +213,8 @@ class TestSaliencyGrad:
         grads = {}
         for tau in (0.5, 1.0):
             head = SaliencyHead(w_pool.copy(), np.zeros((d, d)), np.eye(d))
-            _, analytic = saliency_grad(head, xp, 6, labels, tau)
-            numeric = fd_gradients(head, xp, 6, labels, tau)
+            _, analytic = saliency_grad(head, xp, labels, tau)
+            numeric = fd_gradients(head, xp, labels, tau)
             assert max_rel_error(analytic, numeric) < 1e-4
             grads[tau] = analytic["W1"]
         np.testing.assert_allclose(grads[0.5], 2.0 * grads[1.0], rtol=1e-9)
@@ -238,45 +224,32 @@ class TestSaliencyGrad:
         head = random_head(5, seed=9)
         xp = rng.normal(size=(7, 5))
         labels = np.array([1, 0, 1, 0, 0, 0, 1.0])
-        loss, _ = saliency_grad(head, xp, 6, labels, 0.5)
-        assert loss == composed_loss(head, xp, 6, labels, 0.5)
-
-    def test_masked_frame_perturbation_leaves_gradients(self):
-        rng = np.random.default_rng(8)
-        head = random_head(5, seed=8)
-        xp = rng.normal(size=(7, 5))
-        labels = np.array([1, 0, 1, 0, 0, 0, 0.0])
-        _, base = saliency_grad(head, xp, 5, labels, 0.5)
-        xp2 = xp.copy()
-        xp2[5:] += 100.0
-        _, bumped = saliency_grad(head, xp2, 5, labels, 0.5)
-        for name in base:
-            np.testing.assert_allclose(base[name], bumped[name], atol=1e-10)
+        loss, _ = saliency_grad(head, xp[:6], labels[:6], 0.5)
+        assert loss == composed_loss(head, xp[:6], labels[:6], 0.5)
 
 
 class TestSaliencyPrior:
     def test_zero_scores(self):
-        p_s = saliency_prior(np.zeros(4), 4)
+        p_s = saliency_prior(np.zeros(4))
         np.testing.assert_allclose(p_s, 0.5, atol=0)
 
     def test_large_negative_score_vanishes(self):
-        p_s = saliency_prior(np.array([-50.0, 0.0]), 2)
+        p_s = saliency_prior(np.array([-50.0, 0.0]))
         assert p_s[0] < 1e-20
 
     def test_normalized_variant_sums_to_one(self):
         rng = np.random.default_rng(9)
         scores = rng.normal(size=8) * 3
-        p_s = saliency_prior(scores, 6)
-        np.testing.assert_array_equal(p_s[6:], 0.0)
+        p_s = saliency_prior(scores[:6])
         # The transport problem is the one place that normalizes the prior.
         xs = rng.normal(size=(6, 3))
-        prob = build_problem(xs, init_anchors(xs, 2, 0, "v"), p_s[:6], 0.5, 0.3, 0.1, 0.1)
+        prob = build_problem(xs, init_anchors(xs, 2, 0, "v"), p_s, 0.5, 0.3, 0.1, 0.1)
         np.testing.assert_allclose(prob.p_hat.sum(), 1.0, atol=1e-12)
-        np.testing.assert_allclose(prob.p_hat, p_s[:6] / p_s.sum(), rtol=1e-15)
+        np.testing.assert_allclose(prob.p_hat, p_s / p_s.sum(), rtol=1e-15)
 
-    def test_all_masked_errors(self):
-        with pytest.raises(DataError):
-            saliency_prior(np.zeros(3), 0)
+    def test_non_finite_scores_error(self):
+        with pytest.raises(DataError, match="non-finite saliency scores"):
+            saliency_prior(np.array([0.0, np.nan]))
 
 
 def toy_corpus(n_videos=12, n_frames=20, dim=6, seed=0):
@@ -293,7 +266,7 @@ def toy_corpus(n_videos=12, n_frames=20, dim=6, seed=0):
             np.eye(dim)[1] * 2.0,
         ) + 0.1 * rng.normal(size=(n_frames, dim))
         examples.append(
-            SaliencyExample(f"t{v}", xp, n_frames, labels)
+            SaliencyExample(f"t{v}", xp, labels)
         )
     return examples
 
@@ -323,7 +296,7 @@ class TestTraining:
         result = train_saliency(train, replace(cfg, seed=1), epochs=15)
         inside, outside = [], []
         for ex in held:
-            scores = saliency_forward(result.head, ex.features, ex.valid_len).scores
+            scores = saliency_forward(result.head, ex.features).scores
             inside.extend(scores[ex.labels > 0])
             outside.extend(scores[ex.labels == 0])
         assert np.mean(inside) > np.mean(outside)
@@ -332,19 +305,16 @@ class TestTraining:
         cfg = PipelineConfig()
         examples = toy_corpus(n_videos=4)
         examples.append(
-            SaliencyExample("empty", np.ones((5, 6)), 5, np.zeros(5))
+            SaliencyExample("empty", np.ones((5, 6)), np.zeros(5))
         )
         with caplog.at_level("WARNING"):
             train_saliency(examples, replace(cfg, seed=0), epochs=1)
         assert any("skipped" in r.message for r in caplog.records)
 
-    @pytest.mark.parametrize(
-        "valid_len, labels", [(0, np.ones(5)), (2, np.array([0, 0, 1, 1, 1.0]))],
-        ids=["valid_len_0", "labels_past_valid_len"],
-    )
-    def test_labels_only_past_valid_len_skipped(self, caplog, valid_len, labels):
+    @pytest.mark.parametrize("valid_len", [0, 2], ids=["valid_len_0", "no_valid_highlight"])
+    def test_no_valid_highlight_skipped(self, caplog, valid_len):
         examples = toy_corpus(n_videos=4)
-        skipped = SaliencyExample("empty", np.ones((5, 6)), valid_len, labels)
+        skipped = SaliencyExample("empty", np.ones((valid_len, 6)), np.zeros(valid_len))
         with caplog.at_level("WARNING"):
             result = train_saliency(examples + [skipped], PipelineConfig(), epochs=2)
         assert "empty: no highlight frames, skipped for training" in caplog.text
@@ -359,7 +329,7 @@ class TestTraining:
             saliseg.saliency, "saliency_forward", lambda *a: calls.append(1) or forward(*a)
         )
         examples = toy_corpus(n_videos=5)
-        examples.append(SaliencyExample("empty", np.ones((5, 6)), 5, np.zeros(5)))
+        examples.append(SaliencyExample("empty", np.ones((5, 6)), np.zeros(5)))
         result = train_saliency(examples, PipelineConfig(), epochs=3)
         assert len(calls) == result.state.step == 3 * 5
 
@@ -368,7 +338,7 @@ class TestTraining:
         # (an error under this suite's warning filter) and no step taken.
         x = np.random.default_rng(3).normal(size=(6, 4))
         x[2, 1] = np.nan
-        example = SaliencyExample("nan", x, 6, np.array([1.0, 0, 0, 1, 0, 0]))
+        example = SaliencyExample("nan", x, np.array([1.0, 0, 0, 1, 0, 0]))
         cfg = PipelineConfig()
         with caplog.at_level("ERROR"):
             result = train_saliency([example], cfg, epochs=2)
@@ -427,12 +397,12 @@ class TestCheckpointIO:
         save_head(head, path)
         raw = path.read_bytes()
         body = raw[raw.index(b"\n") :]
-        xp = np.random.default_rng(7).normal(size=(9, 6))
-        expected = saliency_forward(load_head(path), xp, 8).scores
+        xp = np.random.default_rng(7).normal(size=(9, 6))[:8]
+        expected = saliency_forward(load_head(path), xp).scores
         for header in (b'{"D": 6, "tau": 0.5}', b'{"D": 6, "tau": NaN}', b'{"D": 6, "tau": "x"}'):
             path.write_bytes(header + body)
             loaded = load_head(path)
-            np.testing.assert_array_equal(saliency_forward(loaded, xp, 8).scores, expected)
+            np.testing.assert_array_equal(saliency_forward(loaded, xp).scores, expected)
 
     def test_truncated_checkpoint_errors(self, tmp_path):
         head = init_head(4, seed=4)

@@ -76,6 +76,7 @@ class TestGeneration:
         corpus = generate_corpus(SynthSpec(n_videos=6, F=50, seed=5))
         lens = {f.valid_len for f in corpus.features}
         assert 50 in lens and 40 in lens
+        assert {f.n_frames for f in corpus.features} == {50}
 
     def test_nearest_prototype_accuracy_high_at_low_noise(self):
         corpus = generate_corpus(SynthSpec(n_videos=10, noise_sigma=0.05, seed=6))

@@ -361,6 +361,7 @@ class TestSolveFugw:
             ("alpha", np.nan, "alpha"),
             ("p_hat", np.array([0.5, np.nan]), "p_hat"),
             ("p_hat", np.array([np.nan, np.nan]), "p_hat"),
+            ("C_k", np.zeros((2, 0)), "at least one anchor column"),
         ],
     )
     def test_nan_inputs_rejected(self, field, value, match):
