@@ -38,6 +38,7 @@ from numpy.typing import NDArray
 
 from .errors import ConfigError, DataError, OutputError, config_int
 from .refine import RefineConfig
+from .transport import check_solver_weights
 
 logger = logging.getLogger(__name__)
 
@@ -340,12 +341,7 @@ class PipelineConfig:
         object.__setattr__(self, "windows", RefineConfig(self.windows).windows)
         if not self.tau > 0:
             raise ConfigError("tau must be > 0")
-        if not 0 < self.epsilon < math.inf:
-            raise ConfigError("epsilon must be finite and > 0")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError("alpha must lie in [0, 1]")
-        if not 0 <= self.gamma < math.inf:
-            raise ConfigError("gamma must be finite and >= 0")
+        check_solver_weights(self.epsilon, self.alpha, self.gamma, ConfigError)
         if not (math.isfinite(self.lambda_) and math.isfinite(self.mu)):
             raise ConfigError("lambda and mu must be finite")
         if not self.K >= 1:

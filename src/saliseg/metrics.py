@@ -3,8 +3,9 @@
 Precision at a threshold counts predictions whose best IoU against any
 ground-truth event reaches the threshold; recall counts ground-truth events
 covered likewise (many-to-one matching on both sides). The headline F1 is
-the harmonic mean of threshold-averaged precision and recall; per-threshold
-F1 values are reported alongside. Matched Segments uses a greedy one-to-one
+the harmonic mean of threshold-averaged precision and recall; each
+per-threshold F1, reported alongside, is the harmonic mean of that
+threshold's precision and recall. Matched Segments uses a greedy one-to-one
 matching instead: candidate pairs sorted by IoU descending, each side used
 at most once, pairs below IoU 0.5 ignored.
 """
@@ -128,7 +129,9 @@ def segment_quality(pred: list[Interval], gt: list[Interval]) -> tuple[float, fl
 def evaluate_corpus(
     per_video: dict[str, tuple[list[Interval], list[Interval]]],
 ) -> tuple[LocalizationReport, dict[str, LocalizationReport]]:
-    """Unweighted per-video mean of every metric, in sorted video order."""
+    """Unweighted per-video mean of every metric, in sorted video order, except
+    F1: at each threshold and overall it is the harmonic mean of the corpus
+    precision and recall, so every row of a report obeys one F1 rule."""
     if not per_video:
         raise DataError("empty corpus")
     reports = {
@@ -137,13 +140,11 @@ def evaluate_corpus(
     }
     n = len(reports)
     mean = lambda key: sum(getattr(r, key) for r in reports.values()) / n  # noqa: E731
-    per_threshold = {
-        t: {
-            k: sum(r.per_threshold[t][k] for r in reports.values()) / n
-            for k in ("precision", "recall", "f1")
-        }
-        for t in THRESHOLDS
-    }
+    per_threshold: dict[float, dict[str, float]] = {}
+    for t in THRESHOLDS:
+        p_t = sum(r.per_threshold[t]["precision"] for r in reports.values()) / n
+        r_t = sum(r.per_threshold[t]["recall"] for r in reports.values()) / n
+        per_threshold[t] = {"precision": p_t, "recall": r_t, "f1": _f1(p_t, r_t)}
     precision = mean("precision")
     recall = mean("recall")
     corpus = LocalizationReport(

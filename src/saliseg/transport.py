@@ -20,15 +20,15 @@ along the frame axis, in O(F_v K) time and memory.
 
 The solver alternates two steps until the plan stabilizes: (1) linearize the
 quadratic term at the current plan, giving a local linear cost, and solve the
-resulting KL-relaxed entropic problem with scaling iterations (row exponent
-``gamma / (gamma + epsilon)``, exact column scaling), run on the kernel
-``exp(-cost / epsilon)`` with two mat-vecs per iterate and in the log domain
-wherever that kernel or its scalings would leave floating-point range; (2) take
-the best point on the segment from the current plan to that solution under
-the exact fused objective, which along the segment is a quadratic in the
-step plus the KL term. Step (2) makes the recorded objective trace
-non-increasing by construction, and keeps column sums exact because both
-segment endpoints satisfy them.
+resulting KL-relaxed entropic problem with one loop of scaling iterations on
+the log scalings (row exponent ``gamma / (gamma + epsilon)``, exact column
+scaling), each iterate two mat-vecs with the kernel ``exp(-cost / epsilon)``
+until the first one that would leave floating-point range, and logsumexp
+over the log kernel from there on; (2) take the best point on the segment
+from the current plan to that solution under the exact fused objective,
+which along the segment is a quadratic in the step plus the KL term. Step
+(2) makes the recorded objective trace non-increasing by construction, and
+keeps column sums exact because both segment endpoints satisfy them.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, SalisegError
 from .rng import substream
 
 logger = logging.getLogger(__name__)
@@ -57,6 +57,19 @@ _LINE_SEARCH_POINTS = 33
 # is then a normal float, and so is a sum of up to e^100 of them, so the
 # mat-vecs neither overflow nor underflow and keep full relative precision.
 _KERNEL_RANGE = 300.0
+
+
+def check_solver_weights(
+    epsilon: float, alpha: float, gamma: float, error: type[SalisegError]
+) -> None:
+    """Raise ``error`` unless ``0 < epsilon < inf``, ``0 <= alpha <= 1`` and
+    ``0 <= gamma < inf``; every check is written so that NaN fails it."""
+    if not 0 < epsilon < np.inf:
+        raise error("epsilon must be finite and > 0")
+    if not 0.0 <= alpha <= 1.0:
+        raise error("alpha must lie in [0, 1]")
+    if not 0 <= gamma < np.inf:
+        raise error("gamma must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -78,12 +91,7 @@ class OtProblem:
             raise DataError("C_k must be an F_v x K matrix with at least one anchor column")
         if self.p_hat.shape != (self.C_k.shape[0],):
             raise DataError("p_hat length must equal the number of cost rows")
-        if not 0 < self.epsilon < np.inf:
-            raise DataError("epsilon must be finite and > 0")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise DataError("alpha must lie in [0, 1]")
-        if not 0 <= self.gamma < np.inf:
-            raise DataError("gamma must be finite and >= 0")
+        check_solver_weights(self.epsilon, self.alpha, self.gamma, DataError)
         if not (abs(float(self.p_hat.sum()) - 1.0) <= 1e-9 and np.all(self.p_hat > 0)):
             raise DataError("p_hat must be strictly positive and sum to 1")
 
@@ -214,64 +222,55 @@ def _scaling_iterations(
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64], bool]:
     """Scaling for one linearized problem, warm-started from the potentials ``f, g``.
 
-    Kernel domain: with ``K = exp(-cost / epsilon)`` built once, each iterate
-    is two mat-vecs on the scalings ``a = exp(f / epsilon)`` and
-    ``b = exp(g / epsilon)``: ``a = (p / K b)^(gamma / (gamma + epsilon))``,
-    then ``b = q / Kᵀa``, and the plan is ``a[:, None] * K * b``. The row
-    exponent is zero when gamma is 0, which leaves rows unconstrained; the
+    One loop of at most ``_MAX_INNER`` iterates on the log scalings
+    ``log_a = f / epsilon`` and ``log_b = g / epsilon``: each sets
+    ``a = (p / K b)^(gamma / (gamma + epsilon))``, then ``b = q / Kᵀa``, with
+    ``K = exp(-cost / epsilon)``, and the plan is ``a[:, None] * K * b``. The
+    row exponent is zero when gamma is 0, which leaves rows unconstrained; the
     column update is exact, so the anchor marginal of the plan matches
     ``exp(log_q)`` to machine precision. Convergence is tested on the
-    potentials ``epsilon log a`` and ``epsilon log b``.
+    potentials ``epsilon log a`` and ``epsilon log b``, which are returned.
 
-    Once the kernel or a scaling would leave ``exp``'s range (an exponent
-    beyond ``_KERNEL_RANGE``), the iterates left run the same updates on the
-    potentials in the log domain, with logsumexp.
+    An iterate is two mat-vecs with ``K``, built once, while every exponent
+    lies within ``_KERNEL_RANGE``. The first iterate that would leave it drops
+    ``K`` and is redone with logsumexp over ``log K``, as is the rest of the call.
     """
     fi = gamma / (gamma + epsilon)
     log_k = cost / -epsilon
     log_a = f / epsilon
     log_b = g / epsilon
-    inner_ok = False
-    done = 0  # iterates completed in the kernel domain
-    t = None
     # Every range test is written so that NaN fails it.
-    if all(np.abs(x).max() <= _KERNEL_RANGE for x in (log_k, log_a, log_b)):
-        kernel = np.exp(log_k)
-        b = np.exp(log_b)
-        while done < _MAX_INNER and not inner_ok:
-            next_a = fi * (log_p - np.log(kernel.dot(b)))
-            if not np.abs(next_a).max() <= _KERNEL_RANGE:
-                break
-            a = np.exp(next_a)
-            next_b = log_q - np.log(a.dot(kernel))
-            if not np.abs(next_b).max() <= _KERNEL_RANGE:
-                break
-            b = np.exp(next_b)
-            delta = epsilon * max(np.abs(next_a - log_a).max(), np.abs(next_b - log_b).max())
-            log_a, log_b = next_a, next_b
-            inner_ok = delta < _POTENTIAL_TOL
-            done += 1
-        else:  # converged or out of iterates, never out of range
-            t = a[:, None] * kernel * b
-        f = epsilon * log_a
-        g = epsilon * log_b
-    if t is None:
-        for _ in range(done, _MAX_INNER):
-            f_prev = f
-            g_prev = g
-            f = fi * epsilon * (log_p - _logsumexp((g[None, :] - cost) / epsilon, axis=1))
-            g = epsilon * (log_q - _logsumexp((f[:, None] - cost) / epsilon, axis=0))
-            # f_prev and g_prev are finite, so delta is finite iff f and g are.
-            delta = np.maximum(np.abs(f - f_prev).max(), np.abs(g - g_prev).max())
-            if not np.isfinite(delta):
-                raise NumericalError("non-finite scaling potentials")
-            if delta < _POTENTIAL_TOL:
-                inner_ok = True
-                break
-        t = np.exp((f[:, None] + g[None, :] - cost) / epsilon)
+    in_range = all(np.abs(x).max() <= _KERNEL_RANGE for x in (log_k, log_a, log_b))
+    kernel = np.exp(log_k) if in_range else None
+    for _ in range(_MAX_INNER):
+        if kernel is not None:
+            next_a = fi * (log_p - np.log(kernel.dot(np.exp(log_b))))
+            in_range = np.abs(next_a).max() <= _KERNEL_RANGE
+            if in_range:
+                next_b = log_q - np.log(np.exp(next_a).dot(kernel))
+                in_range = np.abs(next_b).max() <= _KERNEL_RANGE
+            if not in_range:
+                kernel = None
+        if kernel is None:
+            next_a = fi * (log_p - _logsumexp(log_k + log_b, axis=1))
+            next_b = log_q - _logsumexp(log_k + next_a[:, None], axis=0)
+        # log_a and log_b are finite, so each change is finite iff its update is.
+        change_a = np.abs(next_a - log_a).max()
+        change_b = np.abs(next_b - log_b).max()
+        if not (change_a < np.inf and change_b < np.inf):
+            raise NumericalError("non-finite scaling potentials")
+        delta = epsilon * max(change_a, change_b)
+        log_a, log_b = next_a, next_b
+        inner_ok = delta < _POTENTIAL_TOL
+        if inner_ok:
+            break
+    if kernel is not None:
+        t = np.exp(log_a)[:, None] * kernel * np.exp(log_b)
+    else:
+        t = np.exp(log_a[:, None] + log_k + log_b)
     if np.any(~np.isfinite(t)):
         raise NumericalError("non-finite transport plan after scaling")
-    return t, f, g, inner_ok
+    return t, epsilon * log_a, epsilon * log_b, inner_ok
 
 
 def solve_fugw(prob: OtProblem, max_outer: int = 200) -> TransportPlan:

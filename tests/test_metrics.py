@@ -193,6 +193,19 @@ class TestCorpusAggregation:
         np.testing.assert_allclose(corpus.mean_iou, 0.5, atol=1e-12)
         assert reports["a"].f1 == 1.0 and reports["b"].f1 == 0.0
 
+    def test_every_corpus_f1_is_the_harmonic_mean_of_its_row(self):
+        # Per video the F1s are 2/3 and 2/3 at every threshold, while the
+        # corpus precision and recall are 0.75 each.
+        per_video = {
+            "a": ([(0, 4)], [(0, 4), (10, 14)]),
+            "b": ([(0, 4), (20, 24)], [(0, 4)]),
+        }
+        corpus, reports = evaluate_corpus(per_video)
+        assert corpus.f1 == 0.75
+        for t in THRESHOLDS:
+            assert corpus.per_threshold[t] == {"precision": 0.75, "recall": 0.75, "f1": 0.75}
+            assert reports["a"].per_threshold[t]["f1"] == pytest.approx(2 / 3)
+
     def test_order_independence(self):
         rng = np.random.default_rng(4)
         items = {

@@ -479,6 +479,43 @@ class TestSolveFugw:
         assert plan.converged and logd.converged and plan.iterations == logd.iterations
         np.testing.assert_allclose(plan.T, logd.T, rtol=0, atol=1e-12)
 
+    def test_column_scaling_leaving_range_falls_back_mid_call(self, monkeypatch):
+        """Column 0 costs about 29.83, so its kernel exponents sit near -298.4,
+        inside the range. The rows are all but balanced (gamma = 1e6): as the
+        row scalings settle, column 0's exponent climbs past the range on the
+        fourth iterate while every row exponent stays below 12. That iterate
+        passes the row test and fails the column one, and the rest of the
+        call runs in the log domain."""
+        rng = np.random.default_rng(13)
+        f_v, epsilon = 7, 0.1
+        cost = np.stack([29.83 + 0.01 * rng.uniform(0, 1, f_v), -rng.uniform(0, 1, f_v)], axis=1)
+        p = rng.random(f_v) + 0.1
+        args = (cost, np.log(p / p.sum()), np.full(2, -np.log(2)), 1e6, epsilon,
+                np.zeros(f_v), np.zeros(2))
+        calls = count_logsumexp(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mixed = transport._scaling_iterations(*args)
+        n_mixed = len(calls)
+        calls.clear()
+        logd = in_log_domain(monkeypatch, transport._scaling_iterations, *args)
+        # Kernel iterates first, then log-domain ones, in the same call.
+        assert 0 < n_mixed < len(calls)
+        n_kernel = (len(calls) - n_mixed) // 2
+        # After the kernel iterates both exponents are in range; the next
+        # iterate takes the column exponent, and only it, out of range.
+        out_of_range = []
+        for n in (n_kernel, n_kernel + 1):
+            monkeypatch.setattr(transport, "_MAX_INNER", n)
+            _, f, g, _ = in_log_domain(monkeypatch, transport._scaling_iterations, *args)
+            out_of_range.append(
+                tuple(bool(np.abs(x / epsilon).max() > transport._KERNEL_RANGE) for x in (f, g))
+            )
+        assert out_of_range == [(False, False), (False, True)]
+        assert mixed[3] == logd[3]
+        for got, want in zip(mixed[:3], logd[:3]):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
     def test_logsumexp_matches_function_form_bit_for_bit(self):
         x = np.random.default_rng(13).normal(scale=50.0, size=(40, 8))
         x[3, :4] = -np.inf
