@@ -22,6 +22,7 @@ Config: a single JSON document mirroring :class:`PipelineConfig` field names
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import errno
 import json
@@ -157,20 +158,28 @@ def read_file(path: str | Path) -> bytes:
 
 
 def write_file(path: str | Path, payload: bytes | str) -> Path:
-    """Write ``payload`` (text as UTF-8); a failed write is an :class:`OutputError`."""
+    """Write ``payload`` (text as UTF-8) to a temp file beside ``path``, then
+    rename it over ``path``, so ``path`` holds its old content or all of
+    ``payload``. A failed write is an :class:`OutputError` and leaves no temp
+    file behind."""
     if isinstance(payload, str):
         payload = payload.encode("utf-8")
+    path = Path(path)
+    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
     try:
-        Path(path).write_bytes(payload)
+        tmp.write_bytes(payload)
+        os.replace(tmp, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
         raise OutputError(f"{path}: {exc.strerror or exc}") from exc
-    return Path(path)
+    return path
 
 
 def check_writable(path: str | Path) -> Path:
     """Raise, without writing, the :class:`OutputError` that :func:`write_file`
     would raise for ``path``: a missing or non-directory parent, a directory
-    at ``path``, or no write permission."""
+    at ``path``, or a parent directory it may not write in."""
     path = Path(path)
     try:
         if not path.parent.is_dir():
@@ -178,7 +187,7 @@ def check_writable(path: str | Path) -> Path:
             raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
         if path.is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-        if not os.access(path if path.exists() else path.parent, os.W_OK):
+        if not os.access(path.parent, os.W_OK):
             raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
     except OSError as exc:
         raise OutputError(f"{path}: {exc.strerror or exc}") from exc

@@ -4,10 +4,18 @@ On-disk format: magic ``b"SDS1"``, little-endian u64 entry count N and
 dimension D, then N records of u32 id length, UTF-8 id bytes, u32 caption
 length, UTF-8 caption bytes, and D little-endian f32 embedding values.
 Embeddings are unit L2 norm; :func:`build_datastore` normalizes on entry.
+
+In memory a :class:`Datastore` holds the embeddings as one ``N x D`` float64
+matrix whose values are rounded through f32, so they are exactly the values a
+file stores, plus the rank of each id in code-point order. Retrieval is
+exact: :func:`query_topp` returns what a full sort of the linear scan
+``embeddings @ (q / |q|)`` by (descending similarity, ascending id) returns,
+bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,16 +44,18 @@ class Datastore:
     ``N x D`` embedding matrix with one row per id, and finite unit-norm rows.
     """
 
-    def __init__(self, entry_ids: list[str], captions: list[str], embeddings: NDArray[np.float32]):
+    def __init__(self, entry_ids: list[str], captions: list[str], embeddings: NDArray[np.floating]):
         self.entry_ids = list(entry_ids)
         self.captions = list(captions)
         try:
-            self.embeddings = np.ascontiguousarray(embeddings, dtype=np.float32)
+            emb = np.asarray(embeddings, dtype=np.float32)
         except ValueError as exc:  # rows of different lengths
             raise DataError("embeddings differ in dimension") from exc
+        # f64 for the scan, holding the f32 values a file stores.
+        self.embeddings = np.ascontiguousarray(emb, dtype=np.float64)
         if self.embeddings.ndim != 2 or len(self.entry_ids) != self.embeddings.shape[0]:
             raise DataError("embeddings must be N x D matching the id list")
-        norms = np.linalg.norm(self.embeddings.astype(np.float64), axis=1)
+        norms = np.linalg.norm(self.embeddings, axis=1)
         # Written so that a NaN norm fails the test too.
         if self.embeddings.shape[0] and not np.all(np.abs(norms - 1.0) <= 1e-5):
             raise DataError("embeddings must be finite and unit norm")
@@ -53,7 +63,9 @@ class Datastore:
         if len(self._index) != len(self.entry_ids):
             dup = next(e for i, e in enumerate(self.entry_ids) if self._index[e] != i)
             raise DataError(f"duplicate entry id {dup!r}")
-        self._id_array = np.asarray(self.entry_ids, dtype=object)
+        by_id = sorted(range(len(self.entry_ids)), key=self.entry_ids.__getitem__)
+        self._rank = np.empty(len(by_id), dtype=np.int64)
+        self._rank[by_id] = np.arange(len(by_id))
 
     def __len__(self) -> int:
         return len(self.entry_ids)
@@ -77,23 +89,32 @@ def build_datastore(entries: list[DatastoreEntry]) -> Datastore:
 
 
 def query_topp(store: Datastore, query: NDArray[np.float64], p: int) -> list[tuple[str, float]]:
-    """Exact top-p by cosine similarity; ties break on lexicographic id.
+    """Exact top-p by cosine similarity; ties break on id in code-point order.
 
-    Equivalent to a full linear scan for every input; ``p`` larger than the
-    store simply returns everything sorted.
+    One matrix-vector product gives every similarity and ``np.partition`` the
+    p-th largest. Every entry at or above that cut, ties included, is then
+    sorted, so the result is a full linear scan's for every input. ``p``
+    larger than the store returns everything sorted.
     """
     if len(store) == 0:
         raise DataError("empty datastore")
+    if p < 1:
+        raise DataError("p must be >= 1")
     q = np.asarray(query, dtype=np.float64)
     if q.shape != (store.dim,):
         raise DataError(f"query must have dimension {store.dim}")
-    norm = float(np.linalg.norm(q))
+    with np.errstate(over="ignore"):  # finite entries can still overflow the norm
+        norm = float(np.linalg.norm(q))
+    if not math.isfinite(norm):
+        raise DataError("query vector and its norm must be finite")
     if norm == 0:
         raise DataError("zero query vector")
-    sims = store.embeddings.astype(np.float64) @ (q / norm)
-    # lexsort: primary key descending similarity, ties by ascending id
-    order = np.lexsort((store._id_array, -sims))
-    return [(store.entry_ids[i], float(sims[i])) for i in order[: min(p, len(store))]]
+    sims = store.embeddings @ (q / norm)
+    kth = len(store) - min(p, len(store))
+    hits = np.flatnonzero(sims >= np.partition(sims, kth)[kth])
+    # lexsort: primary key descending similarity, ties by ascending id rank
+    hits = hits[np.lexsort((store._rank[hits], -sims[hits]))][:p]
+    return [(store.entry_ids[i], float(sims[i])) for i in hits]
 
 
 @dataclass(frozen=True)
@@ -124,7 +145,7 @@ def retrieval_vectors(
         hits = query_topp(store, pooled, p)
         neighbors.append(hits)
         idx = [store._index[h[0]] for h in hits]
-        vectors.append(store.embeddings[idx].astype(np.float64).mean(axis=0))
+        vectors.append(store.embeddings[idx].mean(axis=0))
     mat = np.stack(vectors) if vectors else np.zeros((0, store.dim))
     return RetrievalResult(neighbors=neighbors, vectors=mat)
 
@@ -156,27 +177,27 @@ def load_datastore(path: str | Path) -> Datastore:
     if dim >= 2**32 or n * (8 + 4 * dim) > len(raw) - 20:
         raise DataError(f"{path}: header N={n}, D={dim} does not fit in {len(raw)} bytes")
     offset = 20
-    ids, captions, vectors = [], [], []
+    ids, captions, starts = [], [], []
     try:
         for _ in range(n):
             (id_len,) = struct.unpack_from("<I", raw, offset)
             offset += 4
-            entry_id = raw[offset : offset + id_len].decode("utf-8")
+            ids.append(raw[offset : offset + id_len].decode("utf-8"))
             offset += id_len
             (cap_len,) = struct.unpack_from("<I", raw, offset)
             offset += 4
-            caption = raw[offset : offset + cap_len].decode("utf-8")
+            captions.append(raw[offset : offset + cap_len].decode("utf-8"))
             offset += cap_len
-            vec = np.frombuffer(raw, dtype="<f4", count=dim, offset=offset)
-            if vec.shape[0] != dim:
-                raise DataError(f"{path}: truncated record")
+            starts.append(offset)
             offset += dim * 4
-            ids.append(entry_id)
-            captions.append(caption)
-            vectors.append(vec)
-    except (struct.error, UnicodeDecodeError, ValueError) as exc:
+            if offset > len(raw):
+                raise DataError(f"{path}: truncated record")
+    except (struct.error, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: truncated or corrupt datastore: {exc}") from exc
     if offset != len(raw):
         raise DataError(f"{path}: trailing bytes in datastore")
-    emb = np.stack(vectors) if vectors else np.zeros((0, dim), dtype=np.float32)
-    return Datastore(ids, captions, emb)
+    if not starts:
+        return Datastore([], [], np.zeros((0, dim), dtype=np.float32))
+    # One gather of every record's 4*D embedding bytes, at any alignment.
+    windows = np.lib.stride_tricks.sliding_window_view(np.frombuffer(raw, np.uint8), 4 * dim)
+    return Datastore(ids, captions, windows[starts].view("<f4"))

@@ -1,7 +1,9 @@
-"""Data model: feature files, labels, annotations, config."""
+"""Data model: feature files, labels, annotations, config, file writes."""
 
+import errno
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,8 +21,9 @@ from saliseg.data import (
     load_records,
     save_annotations,
     save_features,
+    write_file,
 )
-from saliseg.errors import ConfigError, DataError
+from saliseg.errors import ConfigError, DataError, OutputError
 from saliseg.prompts import load_decoder_input
 from saliseg.saliency import load_head
 from saliseg.segments import load_segments
@@ -227,6 +230,24 @@ class TestUnreadableInput:
             path.mkdir()
         with pytest.raises(DataError, match=f"^{re.escape(str(path))}: "):
             reader(path)
+
+
+class TestWriteFile:
+    def test_failed_write_keeps_previous_content(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.jsonl"
+        write_file(path, "old\n")
+        real_write_bytes = Path.write_bytes
+
+        def write_half_then_fail(self, data):
+            real_write_bytes(self, data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
+        with pytest.raises(OutputError, match=f"^{re.escape(str(path))}: No space left"):
+            write_file(path, "new content that does not fit\n")
+        monkeypatch.undo()
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
 
 
 class TestPipelineConfig:

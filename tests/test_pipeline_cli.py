@@ -92,6 +92,14 @@ class TestPipeline:
         }
         assert listed == actual
 
+    def test_no_temp_file_left(self, corpus_dir, head_path, tmp_path):
+        out = tmp_path / "run"
+        run_pipeline(
+            CFG, corpus_dir / "features", corpus_dir / "annotations.jsonl",
+            corpus_dir / "datastore.sds", head_path, out,
+        )
+        assert not [p for p in out.rglob("*") if p.name.startswith(".")]
+
     def test_reruns_byte_identical(self, corpus_dir, head_path, tmp_path):
         outs = []
         for name in ("a", "b"):

@@ -1,5 +1,7 @@
 """Caption datastore: exact retrieval and persistence."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,56 @@ class TestQueryTopp:
         with pytest.raises(DataError, match="zero query"):
             query_topp(basis_store(), np.zeros(3), 1)
 
+    @pytest.mark.parametrize(
+        "query",
+        [[np.nan, 0.0, 0.0], [np.inf, -np.inf, 0.0], [1e300, 1e300, 0.0]],
+        ids=["nan", "inf", "norm_overflow"],
+    )
+    def test_non_finite_query_rejected(self, query):
+        with pytest.raises(DataError, match="must be finite"):
+            query_topp(basis_store(), np.array(query), 2)
+
+    def test_p_below_one_rejected(self):
+        with pytest.raises(DataError, match="p must be >= 1"):
+            query_topp(basis_store(), np.ones(3), 0)
+
+    def test_ties_straddling_the_cut_keep_smallest_ids(self):
+        v = np.array([0.6, 0.8], dtype=np.float32)
+        store = build_datastore(
+            [DatastoreEntry(i, "", v.copy()) for i in ("d", "b", "c", "a")]
+        )
+        hits = query_topp(store, np.array([1.0, 1.0]), 2)
+        assert [h[0] for h in hits] == ["a", "b"]
+        assert hits[0][1] == hits[1][1]
+
+    def test_ids_order_by_code_point(self):
+        v = np.array([1.0, 0.0], dtype=np.float32)
+        store = build_datastore([DatastoreEntry(i, "", v.copy()) for i in ("é", "a", "Z")])
+        assert [h[0] for h in query_topp(store, np.array([1.0, 0.0]), 3)] == ["Z", "a", "é"]
+        assert [h[0] for h in query_topp(store, np.array([1.0, 0.0]), 2)] == ["Z", "a"]
+
+    def test_p_equal_to_store_returns_all_sorted(self):
+        hits = query_topp(basis_store(), np.array([0.0, 0.5, 1.0]), 3)
+        assert [h[0] for h in hits] == ["e2", "e1", "e0"]
+
+    def test_duplicated_rows_match_oracle(self):
+        """5k entries drawn from 50 distinct rows: every query has long runs
+        of equal similarities, many of them across the cut."""
+        rng = np.random.default_rng(5)
+        d, n = 6, 5000
+        rows = rng.normal(size=(50, d))
+        ids = [f"k{i}" for i in rng.permutation(n)]
+        pick = rng.integers(0, 50, n)
+        store = build_datastore(
+            [DatastoreEntry(ids[i], "", rows[pick[i]]) for i in range(n)]
+        )
+        for p in (1, 7, 100, 333):
+            q = rng.normal(size=d)
+            got = query_topp(store, q, p)
+            sims = store.embeddings @ (q / np.linalg.norm(q))
+            order = sorted(range(n), key=lambda i: (-sims[i], store.entry_ids[i]))
+            assert got == [(store.entry_ids[i], float(sims[i])) for i in order[:p]]
+
 
 class TestRetrievalVectors:
     def test_self_retrieval(self):
@@ -151,6 +203,51 @@ class TestDatastoreIO:
         assert loaded.entry_ids == store.entry_ids
         assert loaded.captions == store.captions
         assert loaded.embeddings.tobytes() == store.embeddings.tobytes()
+
+    def test_round_trip_unaligned_embeddings(self, tmp_path):
+        """Odd-length multibyte ids and captions put every embedding at an
+        offset that is not a multiple of four."""
+        rng = np.random.default_rng(3)
+        names = [("é", "x")] + [(f"ü{i}", f"日{i}x") for i in range(1, 7)]
+        store = build_datastore(
+            [DatastoreEntry(i, c, rng.normal(size=3)) for i, c in names]
+        )
+        path = tmp_path / "store.sds"
+        save_datastore(store, path)
+        raw = path.read_bytes()
+        offset, starts = 20, []
+        for _ in names:
+            for _field in ("id", "caption"):
+                offset += 4 + struct.unpack_from("<I", raw, offset)[0]
+            starts.append(offset)
+            offset += 4 * 3
+        assert all(start % 4 for start in starts), starts
+        loaded = load_datastore(path)
+        assert loaded.entry_ids == store.entry_ids
+        assert loaded.captions == store.captions
+        assert loaded.embeddings.tobytes() == store.embeddings.tobytes()
+
+    def test_empty_store_with_dimension_loads(self, tmp_path):
+        path = tmp_path / "store.sds"
+        path.write_bytes(b"SDS1" + struct.pack("<QQ", 0, 5))
+        store = load_datastore(path)
+        assert len(store) == 0 and store.dim == 5
+        assert store.embeddings.shape == (0, 5)
+
+    def test_last_record_cut_inside_embedding(self, tmp_path):
+        store = basis_store()
+        path = tmp_path / "store.sds"
+        save_datastore(store, path)
+        path.write_bytes(path.read_bytes()[:-5])
+        with pytest.raises(DataError, match="truncated record"):
+            load_datastore(path)
+
+    def test_embeddings_are_the_stored_f32_values(self):
+        store = build_datastore([DatastoreEntry("a", "", np.array([1.0, 3.0]))])
+        assert store.embeddings.dtype == np.float64
+        np.testing.assert_array_equal(
+            store.embeddings, store.embeddings.astype(np.float32).astype(np.float64)
+        )
 
     def test_two_saves_identical(self, tmp_path):
         store = basis_store()
