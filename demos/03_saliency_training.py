@@ -33,7 +33,7 @@ for f, ann in zip(corpus.features, corpus.annotations):
 
 train, held = examples[:18], examples[18:]
 result = train_saliency(train, cfg, epochs=10)
-print("per-epoch mean training loss (saliency term scaled by lambda):")
+print("per-epoch mean training loss (unweighted listwise loss):")
 for i, loss in enumerate(result.loss_curve):
     bar = "#" * int((loss / result.loss_curve[0]) * 40)
     print(f"  epoch {i:2d}  {loss:8.3f}  {bar}")

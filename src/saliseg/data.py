@@ -16,8 +16,8 @@ half-open integer frame intervals. Frame indices assume the 1 FPS sampling
 convention, i.e. one frame per second of video; callers with sub-second
 timestamps are expected to pre-round (floor the start, ceil the end).
 
-Config: a single JSON document mirroring :class:`PipelineConfig` field names
-(the loss weight is spelled ``lambda`` in JSON). Unknown keys are rejected.
+Config: a single JSON document whose keys are :class:`PipelineConfig` field
+names. Unknown keys are rejected.
 """
 
 from __future__ import annotations
@@ -326,12 +326,10 @@ def load_annotations(path: str | Path) -> list[EventAnnotation]:
 class PipelineConfig:
     """All tunables of the pipeline, with defaults matching the reference setup.
 
-    ``lambda_`` is the saliency-loss weight (spelled ``lambda`` in JSON).
     The window sizes follow :class:`~saliseg.refine.RefineConfig`'s rules.
     """
 
     tau: float = 0.5
-    lambda_: float = dataclasses.field(default=6.0, metadata={"json": "lambda"})
     mu: float = 0.1
     gamma: float = 0.3
     alpha: float = 0.5
@@ -351,8 +349,8 @@ class PipelineConfig:
         if not self.tau > 0:
             raise ConfigError("tau must be > 0")
         check_solver_weights(self.epsilon, self.alpha, self.gamma, ConfigError)
-        if not (math.isfinite(self.lambda_) and math.isfinite(self.mu)):
-            raise ConfigError("lambda and mu must be finite")
+        if not math.isfinite(self.mu):
+            raise ConfigError("mu must be finite")
         if not self.K >= 1:
             raise ConfigError("K must be >= 1")
         if not 1 <= self.top_k <= self.K:
@@ -365,33 +363,26 @@ class PipelineConfig:
             raise ConfigError("window size exceeds F_max")
 
     def to_json(self) -> str:
-        doc = {key: getattr(self, name) for key, name in _json_keys(type(self)).items()}
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def _json_keys(cls: type) -> dict[str, str]:
-    """JSON key -> field name; the key is ``metadata["json"]`` or the name."""
-    return {f.metadata.get("json", f.name): f.name for f in dataclasses.fields(cls)}
+        return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2) + "\n"
 
 
 def dataclass_from_json(cls: type[T], text: str) -> T:
-    """Build the dataclass ``cls`` from a JSON object keyed by :func:`_json_keys`.
+    """Build the dataclass ``cls`` from a JSON object keyed by its field names.
 
     Bad JSON, anything but an object, an unknown key and a value that the
     constructor cannot take are all :class:`ConfigError`.
     """
-    keys = _json_keys(cls)
     try:
         doc = json.loads(text)
     except ValueError as exc:  # also an integer past the digit limit
         raise ConfigError(f"bad {cls.__name__} JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{cls.__name__} JSON must be an object")
-    unknown = set(doc) - set(keys)
+    unknown = set(doc) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
     try:
-        return cls(**{keys[k]: v for k, v in doc.items()})
+        return cls(**doc)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {cls.__name__} value: {exc}") from exc
 

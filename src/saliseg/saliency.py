@@ -196,8 +196,8 @@ def saliency_prior(scores: NDArray[np.float64]) -> NDArray[np.float64]:
     scores = np.asarray(scores, dtype=np.float64)
     if not np.all(np.isfinite(scores)):
         raise DataError("non-finite saliency scores")
-    with np.errstate(over="ignore"):
-        return np.where(scores >= 0, 1.0 / (1.0 + np.exp(-scores)), np.exp(scores) / (1.0 + np.exp(scores)))
+    e = np.exp(-np.abs(scores))
+    return np.where(scores >= 0, 1.0, e) / (1.0 + e)
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +235,9 @@ def train_saliency(
     epochs: int = EPOCHS,
     learning_rate: float = LEARNING_RATE,
 ) -> TrainResult:
-    """Adam over per-video losses ``lambda * L`` at temperature ``cfg.tau``;
-    deterministic given ``cfg.seed``.
+    """Adam over the per-video listwise losses at temperature ``cfg.tau``;
+    deterministic given ``cfg.seed``. The loss curve holds each epoch's mean
+    loss, unweighted.
 
     Videos without any highlight frame are skipped with a warning.
     Training diverges when the loss turns non-finite or an update leaves a
@@ -274,7 +275,6 @@ def train_saliency(
             state.step += 1
             t = state.step
             for name, g in grads.items():
-                g = cfg.lambda_ * g
                 state.m[name] = _BETA1 * state.m[name] + (1 - _BETA1) * g
                 state.v[name] = _BETA2 * state.v[name] + (1 - _BETA2) * g * g
                 m_hat = state.m[name] / (1 - _BETA1**t)
@@ -282,7 +282,7 @@ def train_saliency(
                 params[name] -= learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPSILON)
             if not all(np.all(np.abs(p) <= _F32_MAX) for p in params.values()):  # NaN too
                 return _diverged(last_good, state, loss_curve)
-            epoch_loss += cfg.lambda_ * loss
+            epoch_loss += loss
         loss_curve.append(epoch_loss / len(usable))
     return TrainResult(head=head, state=state, loss_curve=loss_curve)
 

@@ -47,12 +47,8 @@ class Datastore:
     def __init__(self, entry_ids: list[str], captions: list[str], embeddings: NDArray[np.floating]):
         self.entry_ids = list(entry_ids)
         self.captions = list(captions)
-        try:
-            emb = np.asarray(embeddings, dtype=np.float32)
-        except ValueError as exc:  # rows of different lengths
-            raise DataError("embeddings differ in dimension") from exc
         # f64 for the scan, holding the f32 values a file stores.
-        self.embeddings = np.ascontiguousarray(emb, dtype=np.float64)
+        self.embeddings = np.ascontiguousarray(_matrix(embeddings, np.float32), dtype=np.float64)
         if self.embeddings.ndim != 2 or len(self.entry_ids) != self.embeddings.shape[0]:
             raise DataError("embeddings must be N x D matching the id list")
         norms = np.linalg.norm(self.embeddings, axis=1)
@@ -75,16 +71,23 @@ class Datastore:
         return self.embeddings.shape[1]
 
 
+def _matrix(rows, dtype) -> NDArray:
+    try:
+        return np.asarray(rows, dtype=dtype)
+    except ValueError as exc:  # rows of different lengths
+        raise DataError("embeddings differ in dimension") from exc
+
+
 def build_datastore(entries: list[DatastoreEntry]) -> Datastore:
-    """Normalize entries to unit norm; :class:`Datastore` checks the rest."""
-    vectors = []
-    for e in entries:
-        v = np.asarray(e.embedding, dtype=np.float64)
-        norm = float(np.linalg.norm(v))
-        if norm == 0:
-            raise DataError(f"{e.entry_id}: zero-norm embedding")
-        vectors.append((v / norm).astype(np.float32))
-    emb = vectors if vectors else np.zeros((0, 0), dtype=np.float32)
+    """Normalize entries to unit norm in float64; :class:`Datastore` rounds
+    them to float32 and checks the rest."""
+    emb = _matrix([e.embedding for e in entries] or np.zeros((0, 0)), np.float64)
+    if emb.ndim == 2:  # the constructor rejects any other shape
+        norms = np.linalg.norm(emb, axis=1, keepdims=True)
+        zero = np.flatnonzero(norms == 0)
+        if zero.size:
+            raise DataError(f"{entries[zero[0]].entry_id}: zero-norm embedding")
+        emb /= norms
     return Datastore([e.entry_id for e in entries], [e.caption for e in entries], emb)
 
 

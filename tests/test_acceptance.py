@@ -433,12 +433,15 @@ class TestCriterion10RetrievalExactness:
             DatastoreEntry(f"id{i:05d}", "", vecs[i].astype(np.float32)) for i in range(n)
         ]
         store = build_datastore(entries)
+        # Ids ascend with the row index, so a stable sort on descending
+        # similarity breaks ties by id.
+        assert store.entry_ids == sorted(store.entry_ids)
         emb = store.embeddings.astype(np.float64)
         for _ in range(1000):
             q = rng.normal(size=d)
             got = query_topp(store, q, 10)
             sims = emb @ (q / np.linalg.norm(q))
-            order = sorted(range(n), key=lambda i: (-sims[i], store.entry_ids[i]))
+            order = np.argsort(-sims, kind="stable")
             want = [(store.entry_ids[i], float(sims[i])) for i in order[:10]]
             assert got == want
         announce(10, "exact against linear scan on 1000 queries x 10000 entries")

@@ -1,5 +1,6 @@
 """Data model: feature files, labels, annotations, config, file writes."""
 
+import dataclasses
 import errno
 import json
 import re
@@ -255,11 +256,19 @@ class TestPipelineConfig:
         cfg = PipelineConfig()
         assert cfg.tau == 0.5 and cfg.K == 8 and cfg.windows == (8, 32, 64)
 
-    def test_json_round_trip_uses_lambda_key(self):
-        cfg = PipelineConfig(lambda_=2.0)
-        doc = json.loads(cfg.to_json())
-        assert doc["lambda"] == 2.0
+    def test_json_round_trip_over_every_field(self):
+        cfg = PipelineConfig(tau=0.25, mu=0.2, gamma=0.4, alpha=0.6, epsilon=0.05, K=6,
+                             top_k=3, top_p=7, windows=(4, 16), F_max=80, seed=3)
+        names = [f.name for f in dataclasses.fields(PipelineConfig)]
+        assert all(getattr(cfg, n) != getattr(PipelineConfig(), n) for n in names)
+        assert sorted(json.loads(cfg.to_json())) == sorted(names)
         assert dataclass_from_json(PipelineConfig, cfg.to_json()) == cfg
+
+    def test_lambda_rejected_as_unknown_key(self):
+        # The saliency-loss weight only rescaled Adam's epsilon, so it is gone.
+        assert "lambda" not in PipelineConfig().to_json()
+        with pytest.raises(ConfigError, match=r"unknown PipelineConfig keys: \['lambda'\]"):
+            dataclass_from_json(PipelineConfig, '{"lambda": 6.0}')
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown PipelineConfig keys"):

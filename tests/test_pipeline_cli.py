@@ -582,6 +582,22 @@ class TestCli:
         assert main(["synth", "--spec", str(spec_path), "--out-dir", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["pipeline", "train-saliency"])
+    def test_lambda_config_key_exit_code(self, corpus_dir, head_path, tmp_path, caplog, command):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text('{"lambda": 6.0}')
+        out = tmp_path / "out"
+        inputs = ["--features-dir", str(corpus_dir / "features"),
+                  "--annotations", str(corpus_dir / "annotations.jsonl")]
+        if command == "pipeline":
+            inputs += ["--datastore", str(corpus_dir / "datastore.sds"), "--head", str(head_path),
+                       "--out-dir", str(out)]
+        else:
+            inputs += ["--out-head", str(out)]
+        assert main([command, "--config", str(cfg_path)] + inputs) == 2
+        assert "unknown PipelineConfig keys: ['lambda']" in caplog.text
+        assert not out.exists()
+
     def test_diverged_training_writes_a_loadable_head(self, corpus_dir, tmp_path):
         head = tmp_path / "head.shd"
         assert main([

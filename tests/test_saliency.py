@@ -230,12 +230,17 @@ class TestSaliencyGrad:
 
 class TestSaliencyPrior:
     def test_zero_scores(self):
-        p_s = saliency_prior(np.zeros(4))
+        p_s = saliency_prior(np.array([0.0, -0.0, 0.0, -0.0]))
         np.testing.assert_allclose(p_s, 0.5, atol=0)
 
     def test_large_negative_score_vanishes(self):
         p_s = saliency_prior(np.array([-50.0, 0.0]))
         assert p_s[0] < 1e-20
+
+    def test_scores_past_exp_range_saturate_without_warning(self):
+        # exp overflows above 709.78; neither branch may evaluate it there.
+        p_s = saliency_prior(np.array([800.0, -800.0, 1e308, -1e308]))
+        np.testing.assert_array_equal(p_s, [1.0, 0.0, 1.0, 0.0])
 
     def test_normalized_variant_sums_to_one(self):
         rng = np.random.default_rng(9)

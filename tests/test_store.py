@@ -51,14 +51,37 @@ class TestBuildDatastore:
             build_datastore(entries)
 
     def test_zero_norm_rejected(self):
-        with pytest.raises(DataError, match="zero-norm"):
-            build_datastore([DatastoreEntry("a", "x", np.zeros(3))])
+        # The first zero-norm entry in entry order is named.
+        entries = [DatastoreEntry(i, "", v) for i, v in
+                   (("a", np.ones(3)), ("c", np.zeros(3)), ("b", np.zeros(3)))]
+        with pytest.raises(DataError, match="^c: zero-norm embedding$"):
+            build_datastore(entries)
 
     def test_empty_store_valid_but_unqueryable(self):
         store = build_datastore([])
         assert len(store) == 0
         with pytest.raises(DataError, match="empty"):
             query_topp(store, np.ones(3), 1)
+
+    def test_embedding_that_is_not_a_vector_rejected(self):
+        entries = [DatastoreEntry(i, "", np.ones((2, 3))) for i in ("a", "b")]
+        with pytest.raises(DataError, match="embeddings must be N x D matching the id list"):
+            build_datastore(entries)
+
+    def test_matches_per_entry_normalization(self):
+        rng = np.random.default_rng(11)
+        scale = rng.uniform(1e-3, 1e3, size=(2000, 1))
+        entries = [DatastoreEntry(f"e{i}", "", v.astype(np.float32))
+                   for i, v in enumerate(rng.normal(size=(2000, 24)) * scale)]
+        # Reference: normalize each entry on its own in float64, round to float32.
+        want = np.stack([
+            (v / np.linalg.norm(v)).astype(np.float32)
+            for v in (e.embedding.astype(np.float64) for e in entries)
+        ])
+        got = build_datastore(entries).embeddings
+        assert np.array_equal(got, got.astype(np.float32))
+        np.testing.assert_array_max_ulp(got.astype(np.float32), want, maxulp=1)
+        np.testing.assert_allclose(np.linalg.norm(got, axis=1), 1.0, rtol=0, atol=1e-6)
 
 
 class TestQueryTopp:
