@@ -10,10 +10,11 @@ import numpy as np
 
 from saliseg import RefineConfig, SynthSpec, generate_corpus, refine_features, window_attention
 
-# A single window: identical rows attend uniformly and map to themselves.
+# A single window (w = number of rows): identical rows attend uniformly and
+# map to themselves.
 v = np.array([2.0, -1.0, 0.5])
 print("window of identical rows -> unchanged:",
-      np.allclose(window_attention(np.tile(v, (5, 1))), v))
+      np.allclose(window_attention(np.tile(v, (5, 1)), 5), v))
 
 # Constant video: layer norm of a constant vector is zero, so X' == X.
 x_const = np.full((30, 8), 1.7)

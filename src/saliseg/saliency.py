@@ -142,8 +142,11 @@ def saliency_loss(
     scores: NDArray[np.float64], labels: NDArray[np.float64], tau: float
 ) -> float:
     """Listwise softmax loss: mean negative log-probability of highlights."""
-    z = np.asarray(scores, dtype=np.float64) / tau
-    hm, n_high = _highlights(labels)
+    return _listwise_loss(np.asarray(scores, dtype=np.float64) / tau, *_highlights(labels))
+
+
+def _listwise_loss(z: NDArray[np.float64], hm: NDArray[np.float64], n_high: float) -> float:
+    # The loss at tempered scores z, for highlights hm that sum to n_high.
     if hm.shape != z.shape:
         raise DataError(f"{hm.shape[0]} labels for {z.shape[0]} scores")
     zmax = np.max(z)
@@ -166,8 +169,8 @@ def saliency_grad(
     """
     xp = np.asarray(xp, dtype=np.float64)
     out = saliency_forward(head, xp)
-    loss = saliency_loss(out.scores, labels, tau)
     hm, n_high = _highlights(labels)
+    loss = _listwise_loss(out.scores / tau, hm, n_high)
     sqrt_d = np.sqrt(head.dim)
 
     p = softmax(out.scores, tau)

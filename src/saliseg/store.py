@@ -83,7 +83,12 @@ def build_datastore(entries: list[DatastoreEntry]) -> Datastore:
     them to float32 and checks the rest."""
     emb = _matrix([e.embedding for e in entries] or np.zeros((0, 0)), np.float64)
     if emb.ndim == 2:  # the constructor rejects any other shape
-        norms = np.linalg.norm(emb, axis=1, keepdims=True)
+        with np.errstate(over="ignore"):  # finite entries can still overflow the norm
+            norms = np.linalg.norm(emb, axis=1, keepdims=True)
+        # A NaN or infinite entry leaves its norm NaN or infinite too.
+        bad = np.flatnonzero(~np.isfinite(norms))
+        if bad.size:
+            raise DataError(f"{entries[bad[0]].entry_id}: embedding and its norm must be finite")
         zero = np.flatnonzero(norms == 0)
         if zero.size:
             raise DataError(f"{entries[zero[0]].entry_id}: zero-norm embedding")

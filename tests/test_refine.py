@@ -1,29 +1,41 @@
 """Sliding-window self-attention refinement."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from saliseg import refine
 from saliseg.data import FrameFeatures, PipelineConfig, save_features
 from saliseg.errors import ConfigError, DataError
 from saliseg.pipeline import stage_refine
-from saliseg.refine import RefineConfig, refine_features, window_attention
+from saliseg.refine import ROWS, RefineConfig, refine_features, window_attention
 from saliseg.synth import SynthSpec, generate_corpus
+
+
+def brute_force_window_sums(x, w):
+    """Independent reference: every length-w window's attention output, summed per frame."""
+    n, d = x.shape
+    acc = np.zeros_like(x)
+    for i in range(n - w + 1):
+        seg = x[i : i + w]
+        logits = seg @ seg.T / np.sqrt(d)
+        weights = np.exp(logits - logits.max(axis=1, keepdims=True))
+        weights /= weights.sum(axis=1, keepdims=True)
+        acc[i : i + w] += weights @ seg
+    return acc
 
 
 def brute_force_refine(x, windows, ln_eps=1e-5):
     """Independent reference: enumerate every window, average, normalize, add."""
-    n, d = x.shape
+    n = len(x)
     acc = np.zeros_like(x)
     count = np.zeros(n)
     for w in windows:
         if w > n:
             continue
+        acc += brute_force_window_sums(x, w)
         for i in range(n - w + 1):
-            seg = x[i : i + w]
-            logits = seg @ seg.T / np.sqrt(d)
-            weights = np.exp(logits - logits.max(axis=1, keepdims=True))
-            weights /= weights.sum(axis=1, keepdims=True)
-            acc[i : i + w] += weights @ seg
             count[i : i + w] += 1
     out = x.copy()
     covered = count > 0
@@ -38,11 +50,11 @@ class TestWindowAttention:
     def test_identical_rows_map_to_themselves(self):
         v = np.array([1.5, -2.0, 0.25])
         x = np.tile(v, (4, 1))
-        np.testing.assert_allclose(window_attention(x), x, atol=1e-12)
+        np.testing.assert_allclose(window_attention(x, len(x)), x, atol=1e-12)
 
     def test_singleton_window(self):
         v = np.array([[3.0, -1.0]])
-        np.testing.assert_allclose(window_attention(v), v, atol=0)
+        np.testing.assert_allclose(window_attention(v, 1), v, atol=0)
 
     def test_sharpens_to_self_for_scaled_basis_rows(self):
         c = 8.0
@@ -52,8 +64,47 @@ class TestWindowAttention:
         w_off = np.exp(-z) / (1.0 + np.exp(-z))
         w_self = 1.0 / (1.0 + np.exp(-z))
         expected = np.array([[w_self * c, w_off * c], [w_off * c, w_self * c]])
-        np.testing.assert_allclose(window_attention(x), expected, rtol=1e-12)
-        np.testing.assert_allclose(window_attention(x), x, atol=1e-6)
+        np.testing.assert_allclose(window_attention(x, 2), expected, rtol=1e-12)
+        np.testing.assert_allclose(window_attention(x, 2), x, atol=1e-6)
+
+    @pytest.mark.parametrize("w", [0, 6])
+    def test_window_outside_the_rows_rejected(self, w):
+        with pytest.raises(ConfigError, match=f"window size {w} must be between 1 and the row count 5"):
+            window_attention(np.ones((5, 3)), w)
+
+    @pytest.mark.parametrize("scale", [1000.0, 2000.0])
+    def test_underflowing_window_falls_back_to_direct_rows(self, monkeypatch, scale):
+        # Row 3 is e1 and row 3 + w - 1 is scale * e1: row 3's band maximum is
+        # its logit against that far row, so the windows of row 3 that miss it
+        # have normalizers below 2**-900 (exactly 0 at scale 2000).
+        w, n = 4, 12
+        x = np.zeros((n, 2))
+        x[:, 1] = np.random.default_rng(6).normal(size=n)
+        x[3] = [1.0, 0.0]
+        x[3 + w - 1] = [scale, 0.0]
+        direct, original = [], refine._direct_row
+
+        def spy(rows, size, i):
+            direct.append(i)
+            return original(rows, size, i)
+
+        monkeypatch.setattr(refine, "_direct_row", spy)
+        np.testing.assert_allclose(window_attention(x, w), brute_force_window_sums(x, w), rtol=0, atol=1e-12)
+        assert direct == [3]
+        np.testing.assert_allclose(
+            refine_features(x, RefineConfig(windows=(w,))), brute_force_refine(x, (w,)), rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("n", [1600, 6400])
+    def test_temporaries_bounded_independent_of_length(self, n):
+        x = np.random.default_rng(7).normal(size=(n, 32))
+        tracemalloc.start()
+        try:
+            out = window_attention(x, 64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes < 2**20
 
 
 class TestRefineFeatures:
@@ -82,6 +133,15 @@ class TestRefineFeatures:
         np.testing.assert_allclose(
             refine_features(x, cfg), brute_force_refine(x, (2, 5, 9)), atol=1e-10
         )
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 300])
+    def test_matches_brute_force_across_block_edges(self, n):
+        x = np.random.default_rng(n).normal(size=(n, 6))
+        for windows in [(2,), (ROWS - 1,), (ROWS,), (ROWS + 1,), (2, ROWS - 1, ROWS + 1), (n,)]:
+            if windows[0] < 2:
+                continue
+            got = refine_features(x, RefineConfig(windows=windows))
+            np.testing.assert_allclose(got, brute_force_refine(x, windows), rtol=0, atol=1e-12)
 
     def test_coverage_counts_f4_w2(self):
         # Three windows of size 2 over four frames cover with counts 1,2,2,1;

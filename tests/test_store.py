@@ -57,6 +57,16 @@ class TestBuildDatastore:
         with pytest.raises(DataError, match="^c: zero-norm embedding$"):
             build_datastore(entries)
 
+    @pytest.mark.parametrize(
+        "bad", [[np.inf, 0.0, 0.0], [1e200, 1e200, 0.0], [np.nan, 1.0, 0.0]], ids=["inf", "overflow", "nan"]
+    )
+    def test_non_finite_or_overflowing_norm_rejected(self, bad):
+        # The first such entry in entry order is named, with no numpy warning.
+        entries = [DatastoreEntry(i, "", np.array(v)) for i, v in
+                   (("a", [1.0, 0.0, 0.0]), ("c", bad), ("b", bad))]
+        with pytest.raises(DataError, match="^c: embedding and its norm must be finite$"):
+            build_datastore(entries)
+
     def test_empty_store_valid_but_unqueryable(self):
         store = build_datastore([])
         assert len(store) == 0
