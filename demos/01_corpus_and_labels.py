@@ -2,8 +2,7 @@
 """Generate a synthetic corpus and derive highlight labels from annotations.
 
 Walks through the data model end to end: seeded generation, the binary
-feature file format, annotation linting, and the label derivation that
-feeds saliency training.
+feature file format, and the label derivation that feeds saliency training.
 """
 
 import tempfile
@@ -19,7 +18,6 @@ from saliseg import (
     save_features,
     write_corpus,
 )
-from saliseg.data import lint_annotations
 
 spec = SynthSpec(n_videos=4, F=60, D=16, events_per_video=(3, 4), event_len=(5, 9),
                  noise_sigma=0.05, n_caption_concepts=6, seed=7)
@@ -35,9 +33,6 @@ print(f"concepts: {list(corpus.truth[2].concepts)}")
 labels = derive_highlight_labels(ann)
 print(f"\nhighlight labels H ({int(labels.sum())} ones, one per valid frame):")
 print("".join(str(int(v)) for v in labels))
-
-warnings = lint_annotations(corpus.annotations)
-print(f"\nlint warnings: {warnings or 'none (events are disjoint)'}")
 
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "video.sfeat"

@@ -16,7 +16,6 @@ from saliseg import (
     DatastoreEntry,
     PipelineConfig,
     build_datastore,
-    corrupt_prompt,
     assemble_input,
     project_saliency,
     query_topp,
@@ -65,11 +64,6 @@ d_in = assemble_input(xs, prompts, result.vectors, text)
 print(f"\ndecoder input: {d_in.sequence.shape[0]} rows = "
       f"{d_in.lengths[0]} frames + {d_in.lengths[1]} prompts + "
       f"{d_in.lengths[2]} retrieval + {d_in.lengths[3]} text; offsets {d_in.offsets}")
-
-zeroed = corrupt_prompt(prompts, "zero")
-noisy = corrupt_prompt(prompts, "gaussian", sigma=1.0, seed=4)
-print(f"prompt ablations: zero norm={np.linalg.norm(zeroed):.1f}, "
-      f"gaussian departs by {np.linalg.norm(noisy - prompts):.2f}")
 
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "video.stin"

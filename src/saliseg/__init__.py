@@ -20,18 +20,15 @@ from .data import (
     load_config,
     load_features,
     save_annotations,
-    save_config,
     save_features,
 )
 from .errors import ConfigError, DataError, NumericalError, OutputError, SalisegError
 from .metrics import LocalizationReport, evaluate_corpus, iou, localization_prf, segment_quality
-from .prompts import DecoderInput, PromptMap, assemble_input, corrupt_prompt, project_saliency
+from .prompts import DecoderInput, PromptMap, assemble_input, project_saliency
 from .refine import RefineConfig, refine_features, window_attention
 from .saliency import (
     SaliencyExample,
     SaliencyHead,
-    SaliencyOutput,
-    TrainState,
     attention_pool,
     init_head,
     load_head,

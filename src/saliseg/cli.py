@@ -128,13 +128,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, required=True)
 
     p = command("assemble", "assemble decoder-input sequences", lambda a: stage_assemble(
-        a.features_dir, a.saliency, a.retrieval, _load_cfg(a), a.out_dir,
-        text_dir=a.text_dir, fail_fast=a.fail_fast))
+        a.features_dir, a.saliency, a.retrieval, _load_cfg(a), a.out_dir, a.fail_fast))
     p.add_argument("--features-dir", type=Path, required=True, help="refined features")
     p.add_argument("--saliency", type=Path, required=True)
     p.add_argument("--retrieval", type=Path, required=True)
     p.add_argument("--out-dir", type=Path, required=True)
-    p.add_argument("--text-dir", type=Path, default=None)
 
     p = command("eval", "localization metrics", _eval, per_video=False)
     p.add_argument("--pred", type=Path, required=True, help="segments JSONL")
@@ -144,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("pipeline", "run every stage end to end", lambda a: run_pipeline(
         _load_cfg(a), a.features_dir, a.annotations, a.datastore, a.head, a.out_dir,
-        baseline=a.baseline, dump_plan=a.dump_plan, text_dir=a.text_dir, fail_fast=a.fail_fast))
+        baseline=a.baseline, dump_plan=a.dump_plan, fail_fast=a.fail_fast))
     p.add_argument("--features-dir", type=Path, required=True)
     p.add_argument("--annotations", type=Path, required=True)
     p.add_argument("--datastore", type=Path, required=True)
@@ -152,7 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", type=Path, required=True)
     p.add_argument("--baseline", choices=BASELINES, default="none")
     p.add_argument("--dump-plan", action="store_true")
-    p.add_argument("--text-dir", type=Path, default=None)
 
     return parser
 

@@ -133,18 +133,6 @@ def derive_highlight_labels(ann: EventAnnotation) -> NDArray[np.float64]:
     return labels
 
 
-def lint_annotations(anns: list[EventAnnotation]) -> list[str]:
-    """Return human-readable warnings; currently flags overlapping events."""
-    warnings: list[str] = []
-    for ann in anns:
-        for (s1, e1), (s2, e2) in zip(ann.events, ann.events[1:]):
-            if s2 < e1:
-                warnings.append(
-                    f"{ann.video_id}: events ({s1},{e1}) and ({s2},{e2}) overlap"
-                )
-    return warnings
-
-
 # ---------------------------------------------------------------------------
 # Reading and writing files
 # ---------------------------------------------------------------------------
@@ -346,8 +334,8 @@ class PipelineConfig:
         for name in ("K", "top_k", "top_p", "F_max", "seed"):
             object.__setattr__(self, name, config_int(name, getattr(self, name)))
         object.__setattr__(self, "windows", RefineConfig(self.windows).windows)
-        if not self.tau > 0:
-            raise ConfigError("tau must be > 0")
+        if not 0 < self.tau < math.inf:
+            raise ConfigError("tau must be finite and > 0")
         check_solver_weights(self.epsilon, self.alpha, self.gamma, ConfigError)
         if not math.isfinite(self.mu):
             raise ConfigError("mu must be finite")
@@ -389,7 +377,3 @@ def dataclass_from_json(cls: type[T], text: str) -> T:
 
 def load_config(path: str | Path) -> PipelineConfig:
     return dataclass_from_json(PipelineConfig, read_text(path))
-
-
-def save_config(cfg: PipelineConfig, path: str | Path) -> None:
-    write_file(path, cfg.to_json())

@@ -297,10 +297,10 @@ def stage_assemble(
     retrieval_path: str | Path,
     cfg: PipelineConfig,
     out_dir: str | Path,
-    text_dir: str | Path | None = None,
     fail_fast: bool = False,
 ) -> list[Path]:
-    """Build decoder-input sequences [frames; prompts; retrieval; text]."""
+    """Build decoder-input sequences [frames; prompts; retrieval; text] with
+    an empty text section."""
     saliency = load_saliency(saliency_path)
     retrieval = load_retrieval(retrieval_path)
     out = make_dir(out_dir)
@@ -310,11 +310,7 @@ def stage_assemble(
         vectors = _feature_rows(retrieval, f, "retrieval", "vectors")
         prompt_map = init_prompt_map(f.dim, cfg.seed)
         prompts = project_saliency(scores, prompt_map)
-        if text_dir is not None:
-            text = load_features(Path(text_dir) / path.name).encoded
-        else:
-            text = np.zeros((0, f.dim))
-        d_in = assemble_input(f.encoded, prompts, vectors, text)
+        d_in = assemble_input(f.encoded, prompts, vectors, np.zeros((0, f.dim)))
         out_path = out / f"{f.video_id}.stin"
         save_decoder_input(d_in, out_path)
         return out_path
@@ -398,10 +394,11 @@ def run_pipeline(
     out_dir: str | Path,
     baseline: str = "none",
     dump_plan: bool = False,
-    text_dir: str | Path | None = None,
     fail_fast: bool = False,
 ):
     """Refine, score, segment, retrieve, assemble, evaluate; write a manifest.
+
+    The decoder inputs under ``tin/`` hold an empty text section.
 
     ``out_dir`` must be new or empty, so no earlier run's file passes as this run's.
     """
@@ -437,7 +434,6 @@ def run_pipeline(
         out / "retrieval.jsonl",
         cfg,
         out / "tin",
-        text_dir,
         fail_fast,
     )
     corpus = stage_eval(

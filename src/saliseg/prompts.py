@@ -3,7 +3,8 @@
 There is no decoder here; the module realizes the sequence contract only:
 frame scores are mapped affinely to D-dimensional prompt rows and the final
 input is the row concatenation [refined frames; prompts; retrieval vectors;
-text embeddings] with recorded section offsets.
+text] with recorded section offsets. No stage produces text rows, so the
+pipeline writes an empty text section; the format keeps it as the fourth.
 
 Sequence file format (``.stin``): magic ``b"STIN"``, little-endian u64
 values D and the four section lengths (frames, prompts, retrieval, text),
@@ -89,19 +90,6 @@ def assemble_input(
         if a.ndim != 2 or a.shape[1] != dim:
             raise DataError(f"{name} section width {a.shape} does not match D={dim}")
     return DecoderInput(sequence=np.vstack(parts), lengths=tuple(a.shape[0] for a in parts))
-
-
-def corrupt_prompt(
-    prompts: NDArray[np.float64], mode: str, sigma: float = 1.0, seed: int = 0
-) -> NDArray[np.float64]:
-    """Ablation variants: an all-zero prompt or seeded Gaussian noise added."""
-    prompts = np.asarray(prompts, dtype=np.float64)
-    if mode == "zero":
-        return np.zeros_like(prompts)
-    if mode == "gaussian":
-        rng = substream(seed, "prompt-noise")
-        return prompts + rng.normal(0.0, sigma, prompts.shape)
-    raise DataError(f"unknown corruption mode {mode!r}")
 
 
 def save_decoder_input(d: DecoderInput, path: str | Path) -> None:

@@ -51,6 +51,8 @@ class Datastore:
         self.embeddings = np.ascontiguousarray(_matrix(embeddings, np.float32), dtype=np.float64)
         if self.embeddings.ndim != 2 or len(self.entry_ids) != self.embeddings.shape[0]:
             raise DataError("embeddings must be N x D matching the id list")
+        if len(self.captions) != len(self.entry_ids):
+            raise DataError("one caption per id is required")
         norms = np.linalg.norm(self.embeddings, axis=1)
         # Written so that a NaN norm fails the test too.
         if self.embeddings.shape[0] and not np.all(np.abs(norms - 1.0) <= 1e-5):

@@ -57,8 +57,8 @@ class SynthSpec:
             raise ConfigError("n_videos, F and D must be >= 1")
         if not (1 <= lo <= hi) or not (1 <= llo <= lhi):
             raise ConfigError("event count and length ranges must be nonempty and >= 1")
-        if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be >= 0")
+        if not 0 <= self.noise_sigma < np.inf:  # NaN fails too
+            raise ConfigError("noise_sigma must be finite and >= 0")
         if not 0.0 <= self.background_leak < 1.0:
             raise ConfigError("background_leak must lie in [0, 1)")
         if self.n_caption_concepts < hi:

@@ -15,7 +15,6 @@ from saliseg.data import (
     PipelineConfig,
     dataclass_from_json,
     derive_highlight_labels,
-    lint_annotations,
     load_annotations,
     load_config,
     load_features,
@@ -179,11 +178,6 @@ class TestHighlightLabels:
         assert (ann.valid_len, ann.events) == (10, ((1, 3),))
         assert all(type(v) is int for v in (ann.valid_len, *ann.events[0]))
 
-    def test_lint_flags_overlaps(self):
-        anns = [EventAnnotation(video_id="v", valid_len=6, events=((0, 3), (2, 5)))]
-        warnings = lint_annotations(anns)
-        assert len(warnings) == 1 and "overlap" in warnings[0]
-
 
 class TestAnnotationsIO:
     def test_round_trip(self, tmp_path):
@@ -314,6 +308,7 @@ class TestPipelineConfig:
         "text",
         [
             '{"tau": NaN}',
+            '{"tau": Infinity}',
             '{"epsilon": NaN}',
             '{"gamma": NaN}',
             '{"gamma": Infinity}',

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from saliseg.cli import build_parser, main
-from saliseg.data import FrameFeatures, PipelineConfig, load_features, save_config, save_features
+from saliseg.data import FrameFeatures, PipelineConfig, load_features, save_features
 from saliseg.errors import ConfigError, DataError
 from saliseg.pipeline import (
     run_pipeline,
@@ -422,11 +422,11 @@ OPTIONS = {
     "retrieve": PER_VIDEO
     | {"--features-dir", "--saliency", "--segments", "--datastore", "--out"},
     "assemble": PER_VIDEO
-    | {"--features-dir", "--saliency", "--retrieval", "--out-dir", "--text-dir"},
+    | {"--features-dir", "--saliency", "--retrieval", "--out-dir"},
     "eval": {"--pred", "--gt", "--out", "--csv", "--log-level"},
     "pipeline": PER_VIDEO | {
         "--features-dir", "--annotations", "--datastore", "--head", "--out-dir",
-        "--baseline", "--dump-plan", "--text-dir",
+        "--baseline", "--dump-plan",
     },
 }
 
@@ -461,16 +461,22 @@ class TestParser:
             ("eval", ["--config", "/nonexistent.json"]),
             ("eval", ["--seed", "1"]),
             ("eval", ["--fail-fast"]),
+            ("assemble", ["--text-dir", "t"]),
+            ("pipeline", ["--text-dir", "t"]),
         ],
     )
     def test_removed_flags_are_rejected(self, tmp_path, capsys, command, flag):
         out = tmp_path / "out"
-        if command == "synth":
-            args = ["synth", "--spec", str(tmp_path / "spec.json"), "--out-dir", str(out)]
-        else:
-            args = ["eval", "--pred", "p", "--gt", "g", "--out", str(out)]
+        required = {
+            "synth": ["--spec", str(tmp_path / "spec.json"), "--out-dir", str(out)],
+            "eval": ["--pred", "p", "--gt", "g", "--out", str(out)],
+            "assemble": ["--features-dir", "f", "--saliency", "s", "--retrieval", "r",
+                         "--out-dir", str(out)],
+            "pipeline": ["--features-dir", "f", "--annotations", "a", "--datastore", "d",
+                         "--head", "h", "--out-dir", str(out)],
+        }
         with pytest.raises(SystemExit) as exc:
-            main(args + flag)
+            main([command, *required[command], *flag])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
         assert not out.exists()
@@ -485,7 +491,7 @@ class TestCli:
             "n_caption_concepts": 5, "seed": 3,
         }))
         cfg_path = tmp_path / "config.json"
-        save_config(PipelineConfig(windows=(4, 8), K=3, top_k=2, top_p=2, seed=3), cfg_path)
+        cfg_path.write_text(PipelineConfig(windows=(4, 8), K=3, top_k=2, top_p=2, seed=3).to_json())
         data = tmp_path / "data"
         assert main(["synth", "--spec", str(spec_path), "--out-dir", str(data)]) == 0
         head = tmp_path / "head.shd"
@@ -522,7 +528,7 @@ class TestCli:
         data = tmp_path / "data"
         main(["synth", "--spec", str(spec_path), "--out-dir", str(data)])
         cfg_path = tmp_path / "config.json"
-        save_config(PipelineConfig(windows=(2, 4), K=2, top_k=2, top_p=1, seed=4), cfg_path)
+        cfg_path.write_text(PipelineConfig(windows=(2, 4), K=2, top_k=2, top_p=1, seed=4).to_json())
         out = tmp_path / "refined"
         assert main([
             "refine", "--config", str(cfg_path),

@@ -9,7 +9,6 @@ from saliseg.errors import DataError
 from saliseg.prompts import (
     PromptMap,
     assemble_input,
-    corrupt_prompt,
     init_prompt_map,
     load_decoder_input,
     project_saliency,
@@ -80,27 +79,6 @@ class TestAssembleInput:
         out = assemble_input(*parts)
         for i, part in enumerate(parts):
             np.testing.assert_array_equal(out.section(i), part)
-
-
-class TestCorruptPrompt:
-    def test_zero_mode(self):
-        s = np.random.default_rng(2).normal(size=(3, 4))
-        assert np.linalg.norm(corrupt_prompt(s, "zero")) == 0.0
-
-    def test_gaussian_sigma_zero_identity(self):
-        s = np.random.default_rng(3).normal(size=(3, 4))
-        np.testing.assert_array_equal(corrupt_prompt(s, "gaussian", sigma=0.0, seed=1), s)
-
-    def test_gaussian_seeded_deterministic(self):
-        s = np.random.default_rng(4).normal(size=(3, 4))
-        a = corrupt_prompt(s, "gaussian", sigma=1.0, seed=9)
-        b = corrupt_prompt(s, "gaussian", sigma=1.0, seed=9)
-        np.testing.assert_array_equal(a, b)
-        assert not np.array_equal(a, s)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(DataError, match="unknown corruption mode"):
-            corrupt_prompt(np.ones((1, 1)), "blur")
 
 
 class TestDecoderInputIO:

@@ -1,10 +1,13 @@
-"""The README's library snippet runs as written and segments like the stages."""
+"""The README's library snippet runs as written and segments like the stages,
+and every command in its command-line block parses."""
 
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 
+from saliseg.cli import build_parser
 from saliseg.data import PipelineConfig, save_features
 from saliseg.pipeline import stage_refine, stage_score_saliency, stage_segment
 from saliseg.saliency import init_head, save_head
@@ -16,6 +19,21 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 def python_blocks(text: str) -> list[str]:
     return re.findall(r"^```python\n(.*?)^```$", text, flags=re.DOTALL | re.MULTILINE)
+
+
+def cli_commands(text: str) -> list[list[str]]:
+    """The argument lists of the ``saliseg`` lines in the "Command line" bash block."""
+    section = text.split("## Command line", 1)[1]
+    block = re.search(r"^```bash\n(.*?)^```$", section, flags=re.DOTALL | re.MULTILINE)[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("saliseg ")]
+
+
+def test_command_line_block_parses():
+    commands = cli_commands(README.read_text(encoding="utf-8"))
+    assert commands
+    for argv in commands:
+        build_parser().parse_args(argv)  # exits 2 on a flag the parser does not take
 
 
 def test_library_snippet_runs_and_matches_the_stages(tmp_path, monkeypatch):

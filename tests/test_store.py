@@ -67,6 +67,10 @@ class TestBuildDatastore:
         with pytest.raises(DataError, match="^c: embedding and its norm must be finite$"):
             build_datastore(entries)
 
+    def test_caption_count_must_match_ids(self):
+        with pytest.raises(DataError, match="one caption per id"):
+            Datastore(["a", "b"], ["x"], np.eye(2))
+
     def test_empty_store_valid_but_unqueryable(self):
         store = build_datastore([])
         assert len(store) == 0

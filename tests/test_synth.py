@@ -120,6 +120,11 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             SynthSpec(D=5, n_caption_concepts=12)
 
+    @pytest.mark.parametrize("sigma", [-0.1, float("nan"), float("inf")])
+    def test_noise_sigma_must_be_finite_and_non_negative(self, sigma):
+        with pytest.raises(ConfigError, match="noise_sigma"):
+            SynthSpec(noise_sigma=sigma)
+
     def test_spec_json_round_trip(self):
         spec = dataclass_from_json(
             SynthSpec,
