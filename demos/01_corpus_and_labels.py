@@ -28,7 +28,7 @@ f = corpus.features[2]  # every third video is padded
 ann = corpus.annotations[2]
 print(f"\n{f.video_id}: {f.valid_len} valid frames x {f.dim} dims, padded to {f.n_frames} on disk")
 print(f"events: {list(ann.events)}")
-print(f"concepts: {list(corpus.truth[2].concepts)}")
+print(f"concepts: {list(corpus.truth[f.video_id])}")
 
 labels = derive_highlight_labels(ann)
 print(f"\nhighlight labels H ({int(labels.sum())} ones, one per valid frame):")
@@ -49,6 +49,6 @@ with tempfile.TemporaryDirectory() as tmp:
     print(f"corpus directory holds: {names} ...")
 
 event_rows = f.spatial[ann.events[0][0] : ann.events[0][1]]
-proto = corpus.prototypes[int(corpus.truth[2].concepts[0][1:])]
+proto = corpus.prototypes[int(corpus.truth[f.video_id][0][1:])]
 drift = float(np.linalg.norm(event_rows.mean(axis=0) - proto))
 print(f"\nmean event frame sits {drift:.3f} from its generating prototype (noise sigma 0.05)")

@@ -8,7 +8,7 @@ mark event boundaries.
 
 import numpy as np
 
-from saliseg import RefineConfig, SynthSpec, generate_corpus, refine_features, window_attention
+from saliseg import SynthSpec, generate_corpus, refine_features, window_attention
 
 # A single window (w = number of rows): identical rows attend uniformly and
 # map to themselves.
@@ -18,18 +18,16 @@ print("window of identical rows -> unchanged:",
 
 # Constant video: layer norm of a constant vector is zero, so X' == X.
 x_const = np.full((30, 8), 1.7)
-cfg = RefineConfig(windows=(4, 8))
 print("constant video passes through exactly:",
-      np.array_equal(refine_features(x_const, cfg), x_const))
+      np.array_equal(refine_features(x_const, (4, 8)), x_const))
 
 # Event-structured corpus: measure frame-to-frame transition magnitudes.
 corpus = generate_corpus(SynthSpec(n_videos=8, noise_sigma=0.1, seed=3))
-cfg = RefineConfig(windows=(8, 32, 64))
 at_boundary, inside_raw = [], []
 at_boundary_refined, inside_refined = [], []
 for f, ann in zip(corpus.features, corpus.annotations):
     x = f.encoded.astype(np.float64)
-    xr = refine_features(x, cfg)
+    xr = refine_features(x, (8, 32, 64))
     boundary_set = {s for s, _ in ann.events if s > 0} | {e for _, e in ann.events if e < f.valid_len}
     for n in range(1, f.valid_len):
         raw_jump = np.linalg.norm(x[n] - x[n - 1])

@@ -12,7 +12,6 @@ import numpy as np
 from saliseg import (
     PipelineConfig,
     SaliencyExample,
-    RefineConfig,
     SynthSpec,
     derive_highlight_labels,
     generate_corpus,
@@ -24,11 +23,10 @@ from saliseg import (
 
 cfg = PipelineConfig(seed=1)
 corpus = generate_corpus(SynthSpec(n_videos=24, noise_sigma=0.1, seed=5))
-refine_cfg = RefineConfig(windows=cfg.windows)
 
 examples = []
 for f, ann in zip(corpus.features, corpus.annotations):
-    refined = refine_features(f.encoded, refine_cfg)
+    refined = refine_features(f.encoded, cfg.windows)
     examples.append(SaliencyExample(f.video_id, refined, derive_highlight_labels(ann)))
 
 train, held = examples[:18], examples[18:]
@@ -40,7 +38,7 @@ for i, loss in enumerate(result.loss_curve):
 
 inside, outside = [], []
 for ex in held:
-    scores = saliency_forward(result.head, ex.features).scores
+    scores = saliency_forward(result.head, ex.features)
     inside.extend(scores[ex.labels > 0])
     outside.extend(scores[ex.labels == 0])
 inside, outside = np.array(inside), np.array(outside)
@@ -49,7 +47,7 @@ print(f"\nheld-out scores: events {inside.mean():.3f} vs background {outside.mea
       f" ({(inside.mean() - outside.mean()) / se:.0f} standard errors apart)")
 
 ex = held[0]
-scores = saliency_forward(result.head, ex.features).scores
+scores = saliency_forward(result.head, ex.features)
 p_s = saliency_prior(scores)
 line = "".join("#" if s > scores.mean() else "." for s in scores)
 truth = "".join("E" if l > 0 else " " for l in ex.labels)

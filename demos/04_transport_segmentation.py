@@ -15,7 +15,6 @@ import numpy as np
 from saliseg import (
     PipelineConfig,
     SaliencyExample,
-    RefineConfig,
     SynthSpec,
     baseline_kmeans,
     baseline_uniform,
@@ -40,16 +39,15 @@ corpus = generate_corpus(
     SynthSpec(n_videos=12, noise_sigma=0.1, events_per_video=(5, 7),
               event_len=(4, 12), n_caption_concepts=10, seed=11)
 )
-refine_cfg = RefineConfig(windows=cfg.windows)
 examples = []
 for f, ann in zip(corpus.features, corpus.annotations):
-    refined = refine_features(f.encoded, refine_cfg)
+    refined = refine_features(f.encoded, cfg.windows)
     examples.append(SaliencyExample(f.video_id, refined, derive_highlight_labels(ann)))
 head = train_saliency(examples, replace(cfg, seed=3), epochs=8).head
 
 f, ex, ann = corpus.features[0], examples[0], corpus.annotations[0]
 xs = f.spatial.astype(np.float64)
-p_s = saliency_prior(saliency_forward(head, ex.features).scores)
+p_s = saliency_prior(saliency_forward(head, ex.features))
 
 anchors = init_anchors(xs, cfg.K, cfg.seed, f.video_id)
 prob = build_problem(xs, anchors, p_s, cfg.alpha, cfg.gamma, cfg.epsilon, cfg.mu)
@@ -72,7 +70,7 @@ print("\ncorpus comparison (Recall@0.5 / Mean IoU over ground truth):")
 stats = {"transport": [], "kmeans": [], "uniform": []}
 for f, ex, ann in zip(corpus.features, examples, corpus.annotations):
     xs = f.spatial.astype(np.float64)
-    p_s = saliency_prior(saliency_forward(head, ex.features).scores)
+    p_s = saliency_prior(saliency_forward(head, ex.features))
     anchors = init_anchors(xs, cfg.K, cfg.seed, f.video_id)
     prob = build_problem(xs, anchors, p_s, cfg.alpha, cfg.gamma, cfg.epsilon, cfg.mu)
     plan = solve_fugw(prob)

@@ -56,9 +56,9 @@ print(f"retrieval matrix R shape: {result.vectors.shape},"
       f" row norms {np.linalg.norm(result.vectors, axis=1).round(3)}")
 
 # Saliency prompts and the decoder-input sequence.
-pm = init_prompt_map(8, seed=cfg.seed)
+w_map = init_prompt_map(8, seed=cfg.seed)
 scores = rng.normal(size=9)
-prompts = project_saliency(scores, pm)
+prompts = project_saliency(scores, w_map)
 text = np.zeros((0, 8))
 d_in = assemble_input(xs, prompts, result.vectors, text)
 print(f"\ndecoder input: {d_in.sequence.shape[0]} rows = "

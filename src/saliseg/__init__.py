@@ -24,8 +24,8 @@ from .data import (
 )
 from .errors import ConfigError, DataError, NumericalError, OutputError, SalisegError
 from .metrics import LocalizationReport, evaluate_corpus, iou, localization_prf, segment_quality
-from .prompts import DecoderInput, PromptMap, assemble_input, project_saliency
-from .refine import RefineConfig, refine_features, window_attention
+from .prompts import DecoderInput, assemble_input, project_saliency
+from .refine import refine_features, window_attention
 from .saliency import (
     SaliencyExample,
     SaliencyHead,

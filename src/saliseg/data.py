@@ -38,7 +38,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ConfigError, DataError, OutputError, config_int
-from .refine import RefineConfig
+from .refine import check_windows
 from .transport import check_solver_weights
 
 logger = logging.getLogger(__name__)
@@ -314,7 +314,7 @@ def load_annotations(path: str | Path) -> list[EventAnnotation]:
 class PipelineConfig:
     """All tunables of the pipeline, with defaults matching the reference setup.
 
-    The window sizes follow :class:`~saliseg.refine.RefineConfig`'s rules.
+    The window sizes follow :func:`~saliseg.refine.check_windows`.
     """
 
     tau: float = 0.5
@@ -333,7 +333,7 @@ class PipelineConfig:
         # Every check is written so that NaN fails it.
         for name in ("K", "top_k", "top_p", "F_max", "seed"):
             object.__setattr__(self, name, config_int(name, getattr(self, name)))
-        object.__setattr__(self, "windows", RefineConfig(self.windows).windows)
+        object.__setattr__(self, "windows", check_windows(self.windows))
         if not 0 < self.tau < math.inf:
             raise ConfigError("tau must be finite and > 0")
         check_solver_weights(self.epsilon, self.alpha, self.gamma, ConfigError)

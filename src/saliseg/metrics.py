@@ -198,11 +198,10 @@ def save_report(
     corpus: LocalizationReport,
     per_video: dict[str, LocalizationReport],
     json_path: str | Path,
-    table_path: str | Path | None = None,
+    table_path: str | Path,
     csv_path: str | Path | None = None,
 ) -> None:
     write_file(json_path, report_to_json(corpus, per_video))
-    if table_path is not None:
-        write_file(table_path, report_to_table(corpus))
+    write_file(table_path, report_to_table(corpus))
     if csv_path is not None:
         write_file(csv_path, report_to_csv(corpus))

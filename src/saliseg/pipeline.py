@@ -62,12 +62,13 @@ from .data import (
 from .errors import ConfigError, DataError, NumericalError, OutputError, SalisegError
 from .metrics import evaluate_corpus, save_report
 from .prompts import assemble_input, init_prompt_map, project_saliency, save_decoder_input
-from .refine import RefineConfig, refine_features
+from .refine import refine_features
 from .saliency import (
     EPOCHS,
     LEARNING_RATE,
     SaliencyExample,
     TrainResult,
+    check_training,
     load_head,
     saliency_forward,
     saliency_prior,
@@ -182,10 +183,9 @@ def stage_refine(
 ) -> list[Path]:
     """Refine encoded features; spatial rows pass through untouched."""
     out = make_dir(out_dir)
-    refine_cfg = RefineConfig(windows=cfg.windows)
 
     def work(path: Path, f: FrameFeatures) -> Path:
-        refined = refine_features(f.encoded, refine_cfg)
+        refined = refine_features(f.encoded, cfg.windows)
         out_path = out / path.name
         save_features(dataclasses.replace(f, encoded=refined.astype(np.float32)), out_path)
         return out_path
@@ -207,7 +207,7 @@ def stage_score_saliency(
     def work(path: Path, f: FrameFeatures) -> dict:
         if f.dim != head.dim:
             raise DataError(f"{f.video_id}: feature dim {f.dim} != head dim {head.dim}")
-        scores = saliency_forward(head, f.encoded).scores
+        scores = saliency_forward(head, f.encoded)
         p_s = saliency_prior(scores)
         return {"video_id": f.video_id, "scores": scores.tolist(), "prior": p_s.tolist()}
 
@@ -308,8 +308,7 @@ def stage_assemble(
     def work(path: Path, f: FrameFeatures) -> Path:
         scores = _frame_values(saliency, f, "saliency", "scores")
         vectors = _feature_rows(retrieval, f, "retrieval", "vectors")
-        prompt_map = init_prompt_map(f.dim, cfg.seed)
-        prompts = project_saliency(scores, prompt_map)
+        prompts = project_saliency(scores, init_prompt_map(f.dim, cfg.seed))
         d_in = assemble_input(f.encoded, prompts, vectors, np.zeros((0, f.dim)))
         out_path = out / f"{f.video_id}.stin"
         save_decoder_input(d_in, out_path)
@@ -322,10 +321,11 @@ def stage_eval(
     segments_path: str | Path,
     annotations_path: str | Path,
     out_json: str | Path,
-    out_table: str | Path | None = None,
+    out_table: str | Path,
     out_csv: str | Path | None = None,
 ):
-    """Evaluate selected segments against annotated events."""
+    """Evaluate selected segments against annotated events; write the JSON
+    report, its text table and, given ``out_csv``, a CSV table."""
     segments = load_segments(segments_path)
     anns = load_annotations(annotations_path)
     per_video = {}
@@ -355,10 +355,11 @@ def train_saliency_from_files(
 
     A video whose annotation and feature file disagree on ``valid_len`` is
     a :class:`DataError`, so it is skipped (or ends the run under ``fail_fast``).
+    A bad ``epochs`` or ``learning_rate`` fails before any file is read.
     """
+    check_training(epochs, learning_rate)
     anns = {a.video_id: a for a in load_annotations(annotations_path)}
     check_writable(out_head)
-    refine_cfg = RefineConfig(windows=cfg.windows)
 
     def build_example(path: Path, f: FrameFeatures) -> SaliencyExample | None:
         if f.video_id not in anns:
@@ -370,7 +371,7 @@ def train_saliency_from_files(
                 f"{f.video_id}: annotation valid_len {ann.valid_len}"
                 f" != feature valid_len {f.valid_len}"
             )
-        refined = refine_features(f.encoded, refine_cfg)
+        refined = refine_features(f.encoded, cfg.windows)
         return SaliencyExample(f.video_id, refined, derive_highlight_labels(ann))
 
     examples = [

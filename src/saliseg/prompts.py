@@ -1,10 +1,11 @@
 """Saliency prompt projection and decoder-input sequence assembly.
 
 There is no decoder here; the module realizes the sequence contract only:
-frame scores are mapped affinely to D-dimensional prompt rows and the final
-input is the row concatenation [refined frames; prompts; retrieval vectors;
-text] with recorded section offsets. No stage produces text rows, so the
-pipeline writes an empty text section; the format keeps it as the fourth.
+each frame's score times a D-dimensional weight vector is its prompt row,
+and the final input is the row concatenation [refined frames; prompts;
+retrieval vectors; text] with recorded section offsets. No stage produces
+text rows, so the pipeline writes an empty text section; the format keeps
+it as the fourth.
 
 Sequence file format (``.stin``): magic ``b"STIN"``, little-endian u64
 values D and the four section lengths (frames, prompts, retrieval, text),
@@ -29,26 +30,10 @@ _MAGIC = b"STIN"
 _HEADER = struct.Struct("<4sQQQQQ")
 
 
-@dataclass(frozen=True)
-class PromptMap:
-    """Affine map from a scalar score to a prompt row: s * w_map + b_map."""
-
-    w_map: NDArray[np.float64]
-    b_map: NDArray[np.float64]
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.w_map, dtype=np.float64)
-        b = np.asarray(self.b_map, dtype=np.float64)
-        object.__setattr__(self, "w_map", w)
-        object.__setattr__(self, "b_map", b)
-        if w.shape != b.shape or w.ndim != 1:
-            raise DataError("w_map and b_map must be equal-length vectors")
-
-
-def init_prompt_map(dim: int, seed: int) -> PromptMap:
-    """Seeded N(0, 1/D) weight and zero bias; a stand-in for trained values."""
+def init_prompt_map(dim: int, seed: int) -> NDArray[np.float64]:
+    """Seeded N(0, 1/D) prompt weight vector; a stand-in for trained values."""
     rng = substream(seed, "prompt-map")
-    return PromptMap(w_map=rng.normal(0.0, 1.0 / np.sqrt(dim), dim), b_map=np.zeros(dim))
+    return rng.normal(0.0, 1.0 / np.sqrt(dim), dim)
 
 
 @dataclass(frozen=True)
@@ -68,13 +53,13 @@ class DecoderInput:
 
 
 def project_saliency(
-    p_s: NDArray[np.float64], prompt_map: PromptMap
+    p_s: NDArray[np.float64], w_map: NDArray[np.float64]
 ) -> NDArray[np.float64]:
-    """One prompt row per frame: score times weight vector, plus bias."""
+    """One prompt row per frame: the frame's score times the weight vector."""
     p_s = np.asarray(p_s, dtype=np.float64)
     if not np.all(np.isfinite(p_s)):
         raise DataError("non-finite saliency scores")
-    return p_s[:, None] * prompt_map.w_map[None, :] + prompt_map.b_map[None, :]
+    return p_s[:, None] * w_map
 
 
 def assemble_input(

@@ -28,7 +28,6 @@ window-by-window sum to rounding (about 1e-15 relative), not to the bit.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -43,18 +42,15 @@ ROWS = 64  # rows per block of window_attention: its temporaries stay under 128 
 _Z_FLOOR = 2.0**-900  # a window normalizer below this lost its entries to underflow
 
 
-@dataclass(frozen=True)
-class RefineConfig:
-    """Window sizes of the refinement pass."""
-
-    windows: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "windows", tuple(config_int("window size", w) for w in self.windows))
-        if any(w < 2 for w in self.windows):
-            raise ConfigError("window sizes must be >= 2")
-        if any(w2 <= w1 for w1, w2 in zip(self.windows, self.windows[1:])):
-            raise ConfigError("windows must be strictly increasing")
+def check_windows(windows) -> tuple[int, ...]:
+    """The window sizes as a tuple of ints; raise :class:`ConfigError` unless
+    each is an integer >= 2 and they strictly increase."""
+    windows = tuple(config_int("window size", w) for w in windows)
+    if any(w < 2 for w in windows):
+        raise ConfigError("window sizes must be >= 2")
+    if any(w2 <= w1 for w1, w2 in zip(windows, windows[1:])):
+        raise ConfigError("windows must be strictly increasing")
+    return windows
 
 
 def window_attention(x: NDArray[np.float64], w: int) -> NDArray[np.float64]:
@@ -126,9 +122,10 @@ def _layer_norm(x: NDArray[np.float64]) -> NDArray[np.float64]:
     return (x - mean) / np.sqrt(var + _LN_EPSILON)
 
 
-def refine_features(x: NDArray[np.float64], cfg: RefineConfig) -> NDArray[np.float64]:
+def refine_features(x: NDArray[np.float64], windows: tuple[int, ...]) -> NDArray[np.float64]:
     """Refine the encoded rows of a video's valid frames with multi-scale
-    local attention.
+    local attention at the window sizes ``windows``, which follow
+    :func:`check_windows`.
 
     Window sizes larger than the frame count are skipped with a warning;
     when no window fits, the rows pass through unchanged. Each fitting
@@ -136,6 +133,7 @@ def refine_features(x: NDArray[np.float64], cfg: RefineConfig) -> NDArray[np.flo
     order and divided by the frame's closed-form coverage count, so the
     result is deterministic to the bit.
     """
+    windows = check_windows(windows)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] < 1:
         raise DataError("features must be a valid_len x D matrix with D >= 1")
@@ -145,7 +143,7 @@ def refine_features(x: NDArray[np.float64], cfg: RefineConfig) -> NDArray[np.flo
     acc = np.zeros_like(x)
     count = np.zeros(n_frames, dtype=np.int64)
     i = np.arange(n_frames)
-    for w in cfg.windows:
+    for w in windows:
         if w > n_frames:
             logger.warning("window %d exceeds valid length %d, skipped", w, n_frames)
             continue

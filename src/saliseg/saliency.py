@@ -28,7 +28,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .data import PipelineConfig, read_file, write_file
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .rng import substream
 
 logger = logging.getLogger(__name__)
@@ -69,15 +69,6 @@ class SaliencyHead:
 
     def copy(self) -> "SaliencyHead":
         return SaliencyHead(self.w_pool.copy(), self.W1.copy(), self.W2.copy())
-
-
-@dataclass(frozen=True)
-class SaliencyOutput:
-    """Forward results: per-frame scores, pooled context, pooling weights."""
-
-    scores: NDArray[np.float64]
-    pooled: NDArray[np.float64]
-    pool_weights: NDArray[np.float64]
 
 
 def init_head(dim: int, seed: int) -> SaliencyHead:
@@ -126,16 +117,22 @@ def softmax(scores: NDArray[np.float64], tau: float) -> NDArray[np.float64]:
     return expz / expz.sum()
 
 
-def saliency_forward(head: SaliencyHead, xp: NDArray[np.float64]) -> SaliencyOutput:
+def saliency_forward(head: SaliencyHead, xp: NDArray[np.float64]) -> NDArray[np.float64]:
     """Score every frame."""
-    xp = np.asarray(xp, dtype=np.float64)
+    return _forward(head, np.asarray(xp, dtype=np.float64))[0]
+
+
+def _forward(
+    head: SaliencyHead, xp: NDArray[np.float64]
+) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
+    # The scores, the pooled context and the pooling weights of float64 rows xp.
     if xp.ndim != 2 or xp.shape[1] != head.dim:
         raise DataError(f"features must be valid_len x {head.dim}")
     pooled, weights = attention_pool(xp, head.w_pool)
     proj = xp @ head.W1.T
     ctx = pooled @ head.W2.T
     scores = (proj @ ctx) / np.sqrt(head.dim)
-    return SaliencyOutput(scores=scores, pooled=pooled, pool_weights=weights)
+    return scores, pooled, weights
 
 
 def saliency_loss(
@@ -168,23 +165,22 @@ def saliency_grad(
     scores depend on the pooled context through W2.
     """
     xp = np.asarray(xp, dtype=np.float64)
-    out = saliency_forward(head, xp)
+    scores, pooled, a = _forward(head, xp)
     hm, n_high = _highlights(labels)
-    loss = _listwise_loss(out.scores / tau, hm, n_high)
+    loss = _listwise_loss(scores / tau, hm, n_high)
     sqrt_d = np.sqrt(head.dim)
 
-    p = softmax(out.scores, tau)
+    p = softmax(scores, tau)
     g_scores = (p - hm / n_high) / tau
 
-    ctx = out.pooled @ head.W2.T
+    ctx = pooled @ head.W2.T
     gx = g_scores @ xp  # sum_n g_n x_n
     d_w1 = np.outer(ctx, gx) / sqrt_d
-    d_w2 = np.outer(head.W1 @ gx, out.pooled) / sqrt_d
+    d_w2 = np.outer(head.W1 @ gx, pooled) / sqrt_d
 
     # Pooling path: scores depend on pooled through W2.
     d_pooled = (head.W2.T @ (head.W1 @ gx)) / sqrt_d
     d_weights = xp @ d_pooled
-    a = out.pool_weights
     d_logits = a * (d_weights - a @ d_weights)
     d_w_pool = (xp.T @ d_logits) / sqrt_d
     return loss, {"w_pool": d_w_pool, "W1": d_w1, "W2": d_w2}
@@ -232,6 +228,15 @@ class TrainResult:
     loss_curve: list[float]
 
 
+def check_training(epochs: int, learning_rate: float) -> None:
+    """Raise :class:`ConfigError` unless ``epochs >= 0`` and ``0 <
+    learning_rate < inf``; both checks are written so that NaN fails them."""
+    if not epochs >= 0:
+        raise ConfigError("epochs must be >= 0")
+    if not 0 < learning_rate < np.inf:
+        raise ConfigError("learning_rate must be finite and > 0")
+
+
 def train_saliency(
     examples: list[SaliencyExample],
     cfg: PipelineConfig,
@@ -245,8 +250,10 @@ def train_saliency(
     Videos without any highlight frame are skipped with a warning.
     Training diverges when the loss turns non-finite or an update leaves a
     parameter outside the float32 range of the checkpoint format; it then
-    stops and returns the last head whose loss was finite.
+    stops and returns the last head whose loss was finite. Bad ``epochs``
+    or ``learning_rate`` values fail :func:`check_training`.
     """
+    check_training(epochs, learning_rate)
     usable = []
     for ex in examples:
         try:

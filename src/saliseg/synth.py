@@ -70,19 +70,14 @@ class SynthSpec:
 
 
 @dataclass(frozen=True)
-class SynthVideoTruth:
-    """Per-event generating concept ids, parallel to the annotation events."""
-
-    video_id: str
-    concepts: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class SynthCorpus:
+    """The generated corpus. ``truth`` maps each video id, in video order, to
+    the generating concept ids of its events, parallel to its annotation."""
+
     features: list[FrameFeatures]
     annotations: list[EventAnnotation]
     datastore: Datastore
-    truth: list[SynthVideoTruth]
+    truth: dict[str, tuple[str, ...]]
     prototypes: np.ndarray
     background: np.ndarray
 
@@ -148,7 +143,7 @@ def generate_corpus(spec: SynthSpec) -> SynthCorpus:
 
     features: list[FrameFeatures] = []
     annotations: list[EventAnnotation] = []
-    truth: list[SynthVideoTruth] = []
+    truth: dict[str, tuple[str, ...]] = {}
     for v in range(spec.n_videos):
         video_id = f"v{v:04d}"
         rng = substream(spec.seed, "synth", video_id)
@@ -175,12 +170,7 @@ def generate_corpus(spec: SynthSpec) -> SynthCorpus:
         annotations.append(
             EventAnnotation(video_id=video_id, valid_len=valid_len, events=tuple(events))
         )
-        truth.append(
-            SynthVideoTruth(
-                video_id=video_id,
-                concepts=tuple(concept_id(int(c)) for c in concepts),
-            )
-        )
+        truth[video_id] = tuple(concept_id(int(c)) for c in concepts)
 
     entries = [
         DatastoreEntry(
@@ -210,6 +200,6 @@ def write_corpus(corpus: SynthCorpus, out_dir: str | Path) -> None:
     save_annotations(corpus.annotations, out / "annotations.jsonl")
     save_datastore(corpus.datastore, out / "datastore.sds")
     save_records(
-        [{"video_id": t.video_id, "concepts": list(t.concepts)} for t in corpus.truth],
+        [{"video_id": v, "concepts": list(c)} for v, c in corpus.truth.items()],
         out / "truth.jsonl",
     )

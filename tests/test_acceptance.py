@@ -32,7 +32,7 @@ from saliseg.pipeline import (
     stage_segment,
     train_saliency_from_files,
 )
-from saliseg.refine import RefineConfig, refine_features
+from saliseg.refine import refine_features
 from saliseg.saliency import (
     SaliencyExample,
     SaliencyHead,
@@ -74,17 +74,16 @@ def announce(num, message):
 def prepare(spec, train_count, epochs=8, train_seed=3):
     """Generate a corpus, refine features, train the head on a prefix."""
     corpus = generate_corpus(spec)
-    refine_cfg = RefineConfig(windows=CFG.windows)
     examples = []
     for f, ann in zip(corpus.features, corpus.annotations):
-        refined = refine_features(f.encoded, refine_cfg)
+        refined = refine_features(f.encoded, CFG.windows)
         examples.append(SaliencyExample(f.video_id, refined, derive_highlight_labels(ann)))
     head = train_saliency(examples[:train_count], replace(CFG, seed=train_seed), epochs=epochs).head
     return corpus, examples, head
 
 
 def trained_prior(head, example):
-    return saliency_prior(saliency_forward(head, example.features).scores)
+    return saliency_prior(saliency_forward(head, example.features))
 
 
 def ot_segments(xs, p_s, video_id, cfg=CFG, gamma=None):
@@ -137,7 +136,7 @@ def random_head(rng, dim):
 
 
 def composed_loss(head, xp, labels, tau):
-    return saliency_loss(saliency_forward(head, xp).scores, labels, tau)
+    return saliency_loss(saliency_forward(head, xp), labels, tau)
 
 
 class TestCriterion01GradientCorrectness:
@@ -234,12 +233,11 @@ class TestCriterion03TemperatureInvariance:
 class TestCriterion04RefineIdentity:
     def test_identity_oracle_determinism(self):
         x_const = np.full((20, 6), 3.25)
-        got = refine_features(x_const, RefineConfig(windows=(2, 5)))
+        got = refine_features(x_const, (2, 5))
         assert np.max(np.abs(got - x_const)) < 1e-6
 
         rng = np.random.default_rng(9)
         x = rng.normal(size=(4, 2))
-        cfg = RefineConfig(windows=(2,))
         acc = np.zeros_like(x)
         count = np.zeros(4)
         for i in range(3):
@@ -254,11 +252,10 @@ class TestCriterion04RefineIdentity:
         normed = (avg - avg.mean(axis=1, keepdims=True)) / np.sqrt(
             avg.var(axis=1, keepdims=True) + 1e-5
         )
-        assert np.max(np.abs(refine_features(x, cfg) - (x + normed))) < 1e-10
+        assert np.max(np.abs(refine_features(x, (2,)) - (x + normed))) < 1e-10
 
         y = rng.normal(size=(40, 8))
-        cfg2 = RefineConfig(windows=(4, 9))
-        assert refine_features(y, cfg2).tobytes() == refine_features(y, cfg2).tobytes()
+        assert refine_features(y, (4, 9)).tobytes() == refine_features(y, (4, 9)).tobytes()
         announce(4, "constant identity, 4-frame overlap oracle at 1e-10, bit-exact reruns")
 
 
@@ -392,7 +389,7 @@ class TestCriterion09SaliencyTraining:
         inside, outside = [], []
         for i in held:
             ex = examples[i]
-            scores = saliency_forward(head, ex.features).scores
+            scores = saliency_forward(head, ex.features)
             labels = ex.labels
             inside.extend(scores[labels > 0])
             outside.extend(scores[labels == 0])
@@ -449,15 +446,13 @@ class TestCriterion10RetrievalExactness:
     def test_synthetic_concept_match(self, corpus_retrieval):
         corpus, examples, head = corpus_retrieval
         match = total = 0
-        for f, ex, ann, truth in zip(
-            corpus.features, examples, corpus.annotations, corpus.truth
-        ):
+        for f, ex, ann in zip(corpus.features, examples, corpus.annotations):
             xs = f.spatial.astype(np.float64)
             p_s = trained_prior(head, ex)
             segs, _, _ = ot_segments(xs, p_s, f.video_id)
             for seg in segs.selected_segments():
                 overlaps: dict[str, int] = {}
-                for (s, e), cid in zip(ann.events, truth.concepts):
+                for (s, e), cid in zip(ann.events, corpus.truth[f.video_id]):
                     ov = max(0, min(e, seg.end) - max(s, seg.start))
                     if ov > 0:
                         overlaps[cid] = overlaps.get(cid, 0) + ov

@@ -33,9 +33,18 @@ def test_every_public_definition_has_a_caller():
             uses.append((path.name, node, names_in(node)))
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
                 definitions.append((path.name, node.name, node))
+    called = {
+        name
+        for _, name, node in definitions
+        if any(name in read for _, n, read in uses if n is not node)
+    }
     uncalled = [
         f"{module}:{name}"
-        for module, name, node in definitions
-        if name not in EXEMPT and not any(name in read for _, n, read in uses if n is not node)
+        for module, name, _ in definitions
+        if name not in EXEMPT and name not in called
     ]
     assert not uncalled, uncalled
+    # An exemption whose name is gone or has gained a caller would only hide one.
+    defined = {name for _, name, _ in definitions}
+    assert EXEMPT <= defined, sorted(EXEMPT - defined)
+    assert not EXEMPT & called, sorted(EXEMPT & called)

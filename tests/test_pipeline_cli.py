@@ -613,6 +613,28 @@ class TestCli:
         ]) == 0
         assert np.abs(load_head(head).W1).max() < 2.0
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--lr", "nan"), ("--lr", "inf"), ("--lr", "-0.001"), ("--lr", "0"), ("--epochs", "-3"),
+    ])
+    def test_untrainable_settings_exit_2_before_reading(
+        self, corpus_dir, tmp_path, caplog, monkeypatch, flag, value
+    ):
+        import saliseg.pipeline
+
+        def never(*args, **kwargs):
+            raise AssertionError("input read")
+
+        monkeypatch.setattr(saliseg.pipeline, "load_annotations", never)
+        monkeypatch.setattr(saliseg.pipeline, "load_features", never)
+        head = tmp_path / "head.shd"
+        assert main([
+            "train-saliency", "--features-dir", str(corpus_dir / "features"),
+            "--annotations", str(corpus_dir / "annotations.jsonl"),
+            "--out-head", str(head), flag, value,
+        ]) == 2
+        assert "config error" in caplog.text
+        assert not head.exists()
+
     def test_data_error_exit_code(self, tmp_path):
         assert main([
             "refine", "--features-dir", str(tmp_path / "nowhere"),

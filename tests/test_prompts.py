@@ -7,7 +7,6 @@ import pytest
 
 from saliseg.errors import DataError
 from saliseg.prompts import (
-    PromptMap,
     assemble_input,
     init_prompt_map,
     load_decoder_input,
@@ -17,34 +16,18 @@ from saliseg.prompts import (
 
 
 class TestProjectSaliency:
-    def test_zero_scores_give_bias_rows(self):
-        pm = PromptMap(w_map=np.array([1.0, 2.0]), b_map=np.array([3.0, 4.0]))
-        out = project_saliency(np.zeros(3), pm)
-        np.testing.assert_array_equal(out, np.tile([3.0, 4.0], (3, 1)))
-
-    def test_zero_weight_ignores_scores(self):
-        pm = PromptMap(w_map=np.zeros(2), b_map=np.array([1.0, -1.0]))
-        out = project_saliency(np.array([5.0, -7.0]), pm)
-        np.testing.assert_array_equal(out, np.tile([1.0, -1.0], (2, 1)))
-
     def test_linear_map(self):
-        pm = PromptMap(w_map=np.array([1.0, 0.0]), b_map=np.zeros(2))
-        out = project_saliency(np.array([1.0, 2.0]), pm)
+        out = project_saliency(np.array([1.0, 2.0]), np.array([1.0, 0.0]))
         np.testing.assert_array_equal(out, [[1.0, 0.0], [2.0, 0.0]])
 
-    def test_affine_combination_identity(self):
+    def test_linear_combination_identity(self):
         rng = np.random.default_rng(0)
-        pm = PromptMap(w_map=rng.normal(size=4), b_map=rng.normal(size=4))
+        w_map = rng.normal(size=4)
         p = rng.normal(size=6)
         q = rng.normal(size=6)
-        bias = np.tile(pm.b_map, (6, 1))
         for a, b in ((0.3, 0.7), (2.0, -1.0), (0.0, 1.0)):
-            lhs = project_saliency(a * p + b * q, pm)
-            rhs = (
-                a * project_saliency(p, pm)
-                + b * project_saliency(q, pm)
-                - (a + b - 1) * bias
-            )
+            lhs = project_saliency(a * p + b * q, w_map)
+            rhs = a * project_saliency(p, w_map) + b * project_saliency(q, w_map)
             np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
@@ -115,5 +98,5 @@ class TestDecoderInputIO:
 def test_init_prompt_map_deterministic():
     a = init_prompt_map(8, seed=3)
     b = init_prompt_map(8, seed=3)
-    np.testing.assert_array_equal(a.w_map, b.w_map)
-    np.testing.assert_array_equal(a.b_map, 0.0)
+    np.testing.assert_array_equal(a, b)
+    assert a.shape == (8,)

@@ -9,7 +9,7 @@ from saliseg import refine
 from saliseg.data import FrameFeatures, PipelineConfig, save_features
 from saliseg.errors import ConfigError, DataError
 from saliseg.pipeline import stage_refine
-from saliseg.refine import ROWS, RefineConfig, refine_features, window_attention
+from saliseg.refine import ROWS, check_windows, refine_features, window_attention
 from saliseg.synth import SynthSpec, generate_corpus
 
 
@@ -92,7 +92,7 @@ class TestWindowAttention:
         np.testing.assert_allclose(window_attention(x, w), brute_force_window_sums(x, w), rtol=0, atol=1e-12)
         assert direct == [3]
         np.testing.assert_allclose(
-            refine_features(x, RefineConfig(windows=(w,))), brute_force_refine(x, (w,)), rtol=0, atol=1e-12
+            refine_features(x, (w,)), brute_force_refine(x, (w,)), rtol=0, atol=1e-12
         )
 
     @pytest.mark.parametrize("n", [1600, 6400])
@@ -110,28 +110,24 @@ class TestWindowAttention:
 class TestRefineFeatures:
     def test_constant_features_pass_through_exactly(self):
         x = np.full((12, 3), 2.5)
-        cfg = RefineConfig(windows=(2, 4))
-        np.testing.assert_array_equal(refine_features(x, cfg), x)
+        np.testing.assert_array_equal(refine_features(x, (2, 4)), x)
 
     def test_single_frame_video_unchanged(self):
         x = np.array([[1.0, -2.0, 3.0]])
-        cfg = RefineConfig(windows=(2, 3))
-        np.testing.assert_array_equal(refine_features(x, cfg), x)
+        np.testing.assert_array_equal(refine_features(x, (2, 3)), x)
 
     def test_matches_brute_force_overlap_enumeration(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(4, 2))
-        cfg = RefineConfig(windows=(2,))
-        got = refine_features(x, cfg)
+        got = refine_features(x, (2,))
         want = brute_force_refine(x, (2,))
         np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_matches_brute_force_multiscale(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(17, 5))
-        cfg = RefineConfig(windows=(2, 5, 9))
         np.testing.assert_allclose(
-            refine_features(x, cfg), brute_force_refine(x, (2, 5, 9)), atol=1e-10
+            refine_features(x, (2, 5, 9)), brute_force_refine(x, (2, 5, 9)), atol=1e-10
         )
 
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 300])
@@ -140,15 +136,14 @@ class TestRefineFeatures:
         for windows in [(2,), (ROWS - 1,), (ROWS,), (ROWS + 1,), (2, ROWS - 1, ROWS + 1), (n,)]:
             if windows[0] < 2:
                 continue
-            got = refine_features(x, RefineConfig(windows=windows))
+            got = refine_features(x, windows)
             np.testing.assert_allclose(got, brute_force_refine(x, windows), rtol=0, atol=1e-12)
 
     def test_coverage_counts_f4_w2(self):
         # Three windows of size 2 over four frames cover with counts 1,2,2,1;
         # verified implicitly by the brute-force match, explicitly here.
         x = np.eye(4)
-        cfg = RefineConfig(windows=(2,))
-        got = refine_features(x, cfg)
+        got = refine_features(x, (2,))
         want = brute_force_refine(x, (2,))
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -170,41 +165,42 @@ class TestRefineFeatures:
         x = np.ones((12, 2))
         x[7, 1] = np.nan
         with pytest.raises(DataError, match="non-finite feature values"):
-            refine_features(x, RefineConfig(windows=(2, 4)))
+            refine_features(x, (2, 4))
         with pytest.raises(DataError, match="non-finite feature values"):
-            refine_features(np.array([[np.nan, 1.0]]), RefineConfig(windows=(2,)))
+            refine_features(np.array([[np.nan, 1.0]]), (2,))
 
     def test_video_without_valid_frames_passes_through(self):
         x = np.zeros((0, 3))
-        assert refine_features(x, RefineConfig(windows=(2, 3))).shape == (0, 3)
+        assert refine_features(x, (2, 3)).shape == (0, 3)
 
     def test_oversized_window_skipped_with_warning(self, caplog):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(5, 3))
         with caplog.at_level("WARNING"):
-            got = refine_features(x, RefineConfig(windows=(3, 8)))
+            got = refine_features(x, (3, 8))
         assert any("skipped" in r.message for r in caplog.records)
-        np.testing.assert_allclose(got, refine_features(x, RefineConfig(windows=(3,))), atol=0)
+        np.testing.assert_allclose(got, refine_features(x, (3,)), atol=0)
 
     def test_bit_exact_determinism(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(30, 6))
-        cfg = RefineConfig(windows=(4, 8))
-        a = refine_features(x, cfg)
-        b = refine_features(x, cfg)
+        a = refine_features(x, (4, 8))
+        b = refine_features(x, (4, 8))
         assert a.tobytes() == b.tobytes()
 
     def test_output_shape_matches_input(self):
         x = np.random.default_rng(5).normal(size=(9, 4))
-        assert refine_features(x, RefineConfig(windows=(2, 3))).shape == x.shape
+        assert refine_features(x, (2, 3)).shape == x.shape
 
     def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            RefineConfig(windows=(1, 4))
-        with pytest.raises(ConfigError):
-            RefineConfig(windows=(4, 4))
-        with pytest.raises(ConfigError, match="must be an integer"):
-            RefineConfig(windows=(8.5, 32))
+        x = np.ones((40, 2))
+        for windows, message in (((1, 4), ">= 2"), ((4, 4), "strictly increasing"),
+                                 ((8.5, 32), "must be an integer")):
+            with pytest.raises(ConfigError, match=message):
+                check_windows(windows)
+            with pytest.raises(ConfigError, match=message):
+                refine_features(x, windows)
+        assert check_windows([2, np.int64(5)]) == (2, 5)
 
 
 class TestBoundarySharpening:
@@ -215,11 +211,10 @@ class TestBoundarySharpening:
         boundary should not shrink after refinement.
         """
         corpus = generate_corpus(SynthSpec(n_videos=6, noise_sigma=0.1, seed=9))
-        cfg = RefineConfig(windows=(8, 32, 64))
         raw_jumps, refined_jumps = [], []
         for f, ann in zip(corpus.features, corpus.annotations):
             x = f.encoded.astype(np.float64)
-            xr = refine_features(f.encoded, cfg)
+            xr = refine_features(f.encoded, (8, 32, 64))
             boundaries = set()
             for s, e in ann.events:
                 if s > 0:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from saliseg.data import PipelineConfig
-from saliseg.errors import DataError
+from saliseg.errors import ConfigError, DataError
 from saliseg.saliency import (
     SaliencyExample,
     SaliencyHead,
@@ -35,8 +35,7 @@ def random_head(dim, seed=0):
 
 
 def composed_loss(head, xp, labels, tau):
-    out = saliency_forward(head, xp)
-    return saliency_loss(out.scores, labels, tau)
+    return saliency_loss(saliency_forward(head, xp), labels, tau)
 
 
 def fd_gradients(head, xp, labels, tau, h=1e-4):
@@ -104,22 +103,20 @@ class TestSaliencyForward:
         d = 4
         head = SaliencyHead(np.zeros(d), np.eye(d), np.eye(d))
         xp = np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (3, 1))
-        out = saliency_forward(head, xp)
-        np.testing.assert_allclose(out.scores, 0.5, atol=1e-12)
+        np.testing.assert_allclose(saliency_forward(head, xp), 0.5, atol=1e-12)
 
     def test_zero_w1_zeroes_scores(self):
         d = 3
         head = SaliencyHead(np.ones(d), np.zeros((d, d)), np.eye(d))
         xp = np.random.default_rng(1).normal(size=(4, d))
-        out = saliency_forward(head, xp)
-        np.testing.assert_array_equal(out.scores, 0.0)
+        np.testing.assert_array_equal(saliency_forward(head, xp), 0.0)
 
     def test_matches_independent_dot_product_reference(self):
         rng = np.random.default_rng(2)
         d, n = 3, 5
         head = random_head(d, seed=2)
         xp = rng.normal(size=(n, d))
-        out = saliency_forward(head, xp)
+        scores = saliency_forward(head, xp)
         # Second implementation: scalar loops, no matrix algebra.
         logits = np.array([float(np.dot(row, head.w_pool)) / np.sqrt(d) for row in xp])
         w = np.exp(logits - logits.max())
@@ -131,7 +128,7 @@ class TestSaliencyForward:
                 for i in range(n)
             ]
         )
-        np.testing.assert_allclose(out.scores, expected, atol=1e-12)
+        np.testing.assert_allclose(scores, expected, atol=1e-12)
 
 
 class TestSaliencyLoss:
@@ -285,6 +282,14 @@ class TestTraining:
         np.testing.assert_array_equal(result.head.W1, initial.W1)
         np.testing.assert_array_equal(result.head.w_pool, initial.w_pool)
 
+    @pytest.mark.parametrize("epochs, learning_rate, message", [
+        (1, np.nan, "learning_rate"), (1, np.inf, "learning_rate"), (1, -1e-3, "learning_rate"),
+        (1, 0.0, "learning_rate"), (-3, 1e-3, "epochs"),
+    ])
+    def test_untrainable_settings_are_config_errors(self, epochs, learning_rate, message):
+        with pytest.raises(ConfigError, match=message):
+            train_saliency(toy_corpus(), PipelineConfig(), epochs=epochs, learning_rate=learning_rate)
+
     def test_same_seed_bit_identical(self):
         cfg = PipelineConfig()
         examples = toy_corpus()
@@ -301,7 +306,7 @@ class TestTraining:
         result = train_saliency(train, replace(cfg, seed=1), epochs=15)
         inside, outside = [], []
         for ex in held:
-            scores = saliency_forward(result.head, ex.features).scores
+            scores = saliency_forward(result.head, ex.features)
             inside.extend(scores[ex.labels > 0])
             outside.extend(scores[ex.labels == 0])
         assert np.mean(inside) > np.mean(outside)
@@ -329,9 +334,9 @@ class TestTraining:
         import saliseg.saliency
 
         calls = []
-        forward = saliseg.saliency.saliency_forward
+        forward = saliseg.saliency._forward
         monkeypatch.setattr(
-            saliseg.saliency, "saliency_forward", lambda *a: calls.append(1) or forward(*a)
+            saliseg.saliency, "_forward", lambda *a: calls.append(1) or forward(*a)
         )
         examples = toy_corpus(n_videos=5)
         examples.append(SaliencyExample("empty", np.ones((5, 6)), np.zeros(5)))
@@ -403,11 +408,11 @@ class TestCheckpointIO:
         raw = path.read_bytes()
         body = raw[raw.index(b"\n") :]
         xp = np.random.default_rng(7).normal(size=(9, 6))[:8]
-        expected = saliency_forward(load_head(path), xp).scores
+        expected = saliency_forward(load_head(path), xp)
         for header in (b'{"D": 6, "tau": 0.5}', b'{"D": 6, "tau": NaN}', b'{"D": 6, "tau": "x"}'):
             path.write_bytes(header + body)
             loaded = load_head(path)
-            np.testing.assert_array_equal(saliency_forward(loaded, xp).scores, expected)
+            np.testing.assert_array_equal(saliency_forward(loaded, xp), expected)
 
     def test_truncated_checkpoint_errors(self, tmp_path):
         head = init_head(4, seed=4)

@@ -12,8 +12,8 @@ def nearest_prototype_accuracy(corpus):
     """Fraction of event frames whose nearest prototype is the generating one."""
     protos = corpus.prototypes
     correct = total = 0
-    for f, ann, truth in zip(corpus.features, corpus.annotations, corpus.truth):
-        for (s, e), cid in zip(ann.events, truth.concepts):
+    for f, ann in zip(corpus.features, corpus.annotations):
+        for (s, e), cid in zip(ann.events, corpus.truth[f.video_id]):
             want = int(cid[1:])
             rows = f.spatial[s:e].astype(np.float64)
             d = np.linalg.norm(rows[:, None, :] - protos[None, :, :], axis=2)
@@ -39,8 +39,8 @@ class TestGeneration:
 
     def test_noiseless_event_frames_equal_prototypes(self):
         corpus = generate_corpus(SynthSpec(n_videos=2, noise_sigma=0.0, seed=1))
-        for f, ann, truth in zip(corpus.features, corpus.annotations, corpus.truth):
-            for (s, e), cid in zip(ann.events, truth.concepts):
+        for f, ann in zip(corpus.features, corpus.annotations):
+            for (s, e), cid in zip(ann.events, corpus.truth[f.video_id]):
                 proto = corpus.prototypes[int(cid[1:])].astype(np.float32)
                 np.testing.assert_array_equal(f.spatial[s:e], np.tile(proto, (e - s, 1)))
 
@@ -57,8 +57,8 @@ class TestGeneration:
 
     def test_distinct_concepts_within_video(self):
         corpus = generate_corpus(SynthSpec(n_videos=8, seed=3))
-        for truth in corpus.truth:
-            assert len(set(truth.concepts)) == len(truth.concepts)
+        for concepts in corpus.truth.values():
+            assert len(set(concepts)) == len(concepts)
 
     def test_datastore_has_one_entry_per_concept(self):
         spec = SynthSpec(n_videos=2, n_caption_concepts=9, events_per_video=(3, 5),
