@@ -52,7 +52,8 @@ p_s = saliency_prior(saliency_forward(head, ex.features))
 anchors = init_anchors(xs, cfg.K, cfg.seed, f.video_id)
 prob = build_problem(xs, anchors, p_s, cfg.alpha, cfg.gamma, cfg.epsilon, cfg.mu)
 plan = solve_fugw(prob)
-print(f"{f.video_id}: solver converged={plan.converged} after {plan.iterations} outer steps")
+print(f"{f.video_id}: solver converged={plan.converged} after {plan.iterations} outer steps "
+      f"and {plan.scaling_iterates} scaling iterates")
 print(f"objective trace head: {[round(v, 4) for v in plan.objective_trace[:6]]}")
 print(f"anchor marginal error: {np.max(np.abs(plan.T.sum(axis=0) - 1 / cfg.K)):.2e}")
 print(f"KL(frame marginal || saliency prior): {kl_divergence(plan.T.sum(axis=1), prob.p_hat):.4f}")

@@ -21,14 +21,26 @@ along the frame axis, in O(F_v K) time and memory.
 The solver alternates two steps until the plan stabilizes: (1) linearize the
 quadratic term at the current plan, giving a local linear cost, and solve the
 resulting KL-relaxed entropic problem with one loop of scaling iterations on
-the log scalings (row exponent ``gamma / (gamma + epsilon)``, exact column
-scaling), each iterate two mat-vecs with the kernel ``exp(-cost / epsilon)``
-until the first one that would leave floating-point range, and logsumexp
-over the log kernel from there on; (2) take the best point on the segment
-from the current plan to that solution under the exact fused objective,
-which along the segment is a quadratic in the step plus the KL term. Step
-(2) makes the recorded objective trace non-increasing by construction, and
-keeps column sums exact because both segment endpoints satisfy them.
+the log scalings (row exponent ``gamma / (gamma + epsilon)``), each iterate
+two mat-vecs with the kernel ``exp(-cost / epsilon)`` until the first one
+that would leave floating-point range, and logsumexp over the log kernel
+from there on; (2) take the best point on the segment from the current plan
+to that solution under the exact fused objective, which along the segment is
+a quadratic in the step plus the KL term. Step (2) makes the recorded
+objective trace non-increasing by construction, and keeps column sums exact
+because both segment endpoints satisfy them.
+
+The scaling iterates are over-relaxed: each moves the log scalings
+``_OMEGA`` times the plain Sinkhorn step (Thibault, Chizat, Dossal and
+Papadakis, "Overrelaxed Sinkhorn-Knopp algorithm for regularized optimal
+transport", Algorithms 2021), for about half the iterates of plain steps.
+Once an iterate moves the potentials more than the one before it, the rest
+of that loop takes plain steps (the safeguard of Lehmann, von Renesse,
+Sambale and Uschmajew, "A note on overrelaxation in the Sinkhorn algorithm",
+Optim. Lett. 2022), and one exact column update closes the loop, so the
+candidate's column sums are exact. The structure operator is linear in the
+plan, so step (2) also returns the gradient at the plan it picks, from the
+operators its line search already holds, and the next step (1) uses it.
 """
 
 from __future__ import annotations
@@ -51,6 +63,11 @@ _MAX_INNER = 100
 _PLAN_TOL = 1e-7
 _POTENTIAL_TOL = 1e-11
 _LINE_SEARCH_POINTS = 33
+
+# Over-relaxation factor of the scaling iterates, chosen on a held-out corpus
+# seed: about half the iterates of plain Sinkhorn (omega = 1) at the default
+# configuration.
+_OMEGA = 1.3
 
 # Kernel-domain scaling runs while every exponent it takes, of the kernel and
 # of both scalings, lies within +-_KERNEL_RANGE: a product of two such factors
@@ -103,6 +120,7 @@ class TransportPlan:
     T: NDArray[np.float64]
     objective_trace: list[float]
     converged: bool
+    scaling_iterates: int = 0  # summed over outer steps
 
     @property
     def iterations(self) -> int:
@@ -219,21 +237,35 @@ def _scaling_iterations(
     epsilon: float,
     f: NDArray[np.float64],
     g: NDArray[np.float64],
-) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64], bool]:
+) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64], bool, int]:
     """Scaling for one linearized problem, warm-started from the potentials ``f, g``.
 
-    One loop of at most ``_MAX_INNER`` iterates on the log scalings
-    ``log_a = f / epsilon`` and ``log_b = g / epsilon``: each sets
-    ``a = (p / K b)^(gamma / (gamma + epsilon))``, then ``b = q / Kᵀa``, with
-    ``K = exp(-cost / epsilon)``, and the plan is ``a[:, None] * K * b``. The
-    row exponent is zero when gamma is 0, which leaves rows unconstrained; the
-    column update is exact, so the anchor marginal of the plan matches
-    ``exp(log_q)`` to machine precision. Convergence is tested on the
-    potentials ``epsilon log a`` and ``epsilon log b``, which are returned.
+    One loop of at most ``_MAX_INNER`` over-relaxed iterates on the log
+    scalings ``log_a = f / epsilon`` and ``log_b = g / epsilon``, with
+    ``K = exp(-cost / epsilon)``. Each iterate takes the Sinkhorn update
+    ``new_a = (gamma / (gamma + epsilon)) * (log p - log K b)`` and moves
+    ``log_a`` to ``log_a + omega * (new_a - log_a)``, then does the same for
+    ``log_b`` with ``new_b = log q - log Kᵀa`` (Thibault, Chizat, Dossal and
+    Papadakis, "Overrelaxed Sinkhorn-Knopp algorithm for regularized optimal
+    transport", Algorithms 2021). The row exponent is zero when gamma is 0,
+    which leaves rows unconstrained. ``omega`` starts at ``_OMEGA``; once an
+    iterate moves the potentials more than the one before it, the rest of the
+    call runs plain updates, ``omega = 1`` (the safeguard of Lehmann, von
+    Renesse, Sambale and Uschmajew, "A note on overrelaxation in the Sinkhorn
+    algorithm", Optim. Lett. 2022). Convergence is tested on the potentials
+    ``epsilon log a`` and ``epsilon log b``, whose change in an iterate is
+    ``epsilon * omega * max|new - old|``.
+
+    A relaxed column update leaves the column sums off their target, so after
+    the loop one exact column update ``log_b = log q - log Kᵀa`` runs before
+    the plan ``a[:, None] * K * b`` is formed: the anchor marginal matches
+    ``exp(log_q)`` to machine precision. Returns the plan, the potentials,
+    whether the loop converged and the number of iterates it ran.
 
     An iterate is two mat-vecs with ``K``, built once, while every exponent
-    lies within ``_KERNEL_RANGE``. The first iterate that would leave it drops
-    ``K`` and is redone with logsumexp over ``log K``, as is the rest of the call.
+    lies within ``_KERNEL_RANGE``. The first iterate, or the closing column
+    update, that would leave it drops ``K`` and is redone with logsumexp over
+    ``log K``, as is the rest of the call.
     """
     fi = gamma / (gamma + epsilon)
     log_k = cost / -epsilon
@@ -242,35 +274,49 @@ def _scaling_iterations(
     # Every range test is written so that NaN fails it.
     in_range = all(np.abs(x).max() <= _KERNEL_RANGE for x in (log_k, log_a, log_b))
     kernel = np.exp(log_k) if in_range else None
-    for _ in range(_MAX_INNER):
+    omega = _OMEGA
+    last = np.inf
+    for iterates in range(1, _MAX_INNER + 1):
         if kernel is not None:
-            next_a = fi * (log_p - np.log(kernel.dot(np.exp(log_b))))
+            d_a = fi * (log_p - np.log(kernel.dot(np.exp(log_b)))) - log_a
+            next_a = log_a + omega * d_a
             in_range = np.abs(next_a).max() <= _KERNEL_RANGE
             if in_range:
-                next_b = log_q - np.log(np.exp(next_a).dot(kernel))
+                d_b = log_q - np.log(np.exp(next_a).dot(kernel)) - log_b
+                next_b = log_b + omega * d_b
                 in_range = np.abs(next_b).max() <= _KERNEL_RANGE
             if not in_range:
                 kernel = None
         if kernel is None:
-            next_a = fi * (log_p - _logsumexp(log_k + log_b, axis=1))
-            next_b = log_q - _logsumexp(log_k + next_a[:, None], axis=0)
+            d_a = fi * (log_p - _logsumexp(log_k + log_b, axis=1)) - log_a
+            next_a = log_a + omega * d_a
+            d_b = log_q - _logsumexp(log_k + next_a[:, None], axis=0) - log_b
+            next_b = log_b + omega * d_b
         # log_a and log_b are finite, so each change is finite iff its update is.
-        change_a = np.abs(next_a - log_a).max()
-        change_b = np.abs(next_b - log_b).max()
+        change_a = np.abs(d_a).max()
+        change_b = np.abs(d_b).max()
         if not (change_a < np.inf and change_b < np.inf):
             raise NumericalError("non-finite scaling potentials")
-        delta = epsilon * max(change_a, change_b)
+        delta = epsilon * omega * max(change_a, change_b)
+        if delta > last:
+            omega = 1.0
+        last = delta
         log_a, log_b = next_a, next_b
         inner_ok = delta < _POTENTIAL_TOL
         if inner_ok:
             break
     if kernel is not None:
-        t = np.exp(log_a)[:, None] * kernel * np.exp(log_b)
-    else:
+        log_b = log_q - np.log(np.exp(log_a).dot(kernel))
+        if not np.abs(log_b).max() <= _KERNEL_RANGE:
+            kernel = None
+    if kernel is None:
+        log_b = log_q - _logsumexp(log_k + log_a[:, None], axis=0)
         t = np.exp(log_a[:, None] + log_k + log_b)
+    else:
+        t = np.exp(log_a)[:, None] * kernel * np.exp(log_b)
     if np.any(~np.isfinite(t)):
         raise NumericalError("non-finite transport plan after scaling")
-    return t, epsilon * log_a, epsilon * log_b, inner_ok
+    return t, epsilon * log_a, epsilon * log_b, inner_ok, iterates
 
 
 def solve_fugw(prob: OtProblem, max_outer: int = 200) -> TransportPlan:
@@ -281,7 +327,8 @@ def solve_fugw(prob: OtProblem, max_outer: int = 200) -> TransportPlan:
     step (the same objective, evaluated along the segment); it is
     non-increasing. ``converged`` is set once the plan moves less than
     ``_PLAN_TOL`` in L1 between outer steps and the inner scaling loop itself
-    reported convergence.
+    reported convergence. :func:`gw_gradient` runs once, at the start plan;
+    each line search returns the gradient at the plan it picks.
     """
     f_v, k = prob.C_k.shape
     p_hat = prob.p_hat
@@ -292,15 +339,17 @@ def solve_fugw(prob: OtProblem, max_outer: int = 200) -> TransportPlan:
     f = np.zeros(f_v)
     g = np.zeros(k)
     trace = [fused_objective(prob, t)]
+    grad = gw_gradient(t)
     converged = False
+    iterates = 0
 
     for _outer in range(max_outer):
-        grad = gw_gradient(t)
         local_cost = (1.0 - prob.alpha) * prob.C_k + prob.alpha * grad
-        cand, f, g, inner_ok = _scaling_iterations(
+        cand, f, g, inner_ok, n = _scaling_iterations(
             local_cost, log_p, log_q, prob.gamma, prob.epsilon, f, g
         )
-        value, t_next = _segment_search(prob, t, 0.5 * grad, cand)
+        iterates += n
+        value, t_next, grad = _segment_search(prob, t, grad, cand)
         trace.append(value)
         moved = float(np.abs(t_next - t).sum())
         t = t_next
@@ -310,31 +359,35 @@ def solve_fugw(prob: OtProblem, max_outer: int = 200) -> TransportPlan:
 
     if not converged:
         logger.warning("transport solver hit max_outer=%d without converging", max_outer)
-    return TransportPlan(T=t, objective_trace=trace, converged=converged)
+    return TransportPlan(T=t, objective_trace=trace, converged=converged,
+                         scaling_iterates=iterates)
 
 
 def _segment_search(
     prob: OtProblem,
     t: NDArray[np.float64],
-    op_t: NDArray[np.float64],
+    grad: NDArray[np.float64],
     cand: NDArray[np.float64],
-) -> tuple[float, NDArray[np.float64]]:
+) -> tuple[float, NDArray[np.float64], NDArray[np.float64]]:
     """Exact fused objective minimized over the segment t -> cand.
 
-    ``op_t`` is the structure operator at ``t`` (half the gradient the outer
-    step already computed). The linear and quadratic terms restricted to the
-    segment are polynomials in the step size; the KL term is evaluated at
-    every grid point at once, from the row sums along the segment. Step 0 is
-    always a candidate, which makes the outer objective monotone. Returns
-    the objective at the chosen step and the plan there.
+    ``grad`` is the structure gradient at ``t``, twice the operator ``op_t``.
+    The linear and quadratic terms restricted to the segment are polynomials
+    in the step size; the KL term is evaluated at every grid point at once,
+    from the row sums along the segment. Step 0 is always a candidate, which
+    makes the outer objective monotone. Returns the objective at the chosen
+    step ``s``, the plan there, and the gradient there,
+    ``2 * (op_t + s * op(cand - t))``.
     """
     delta = cand - t
+    op_t = 0.5 * grad
+    op_d = _gw_operator(delta)
     steps = np.linspace(0.0, 1.0, _LINE_SEARCH_POINTS)
     kot_t = float(np.sum(prob.C_k * t))
     kot_d = float(np.sum(prob.C_k * delta))
     a0 = float(np.sum(op_t * t))
     a1 = 2.0 * float(np.sum(op_t * delta))
-    a2 = float(np.sum(_gw_operator(delta) * delta))
+    a2 = float(np.sum(op_d * delta))
     rows = t.sum(axis=1) + steps[:, None] * delta.sum(axis=1)
     values = (
         (1.0 - prob.alpha) * (kot_t + steps * kot_d)
@@ -342,7 +395,8 @@ def _segment_search(
         + prob.gamma * kl_divergence(rows, prob.p_hat)
     )
     best = int(len(values) - 1 - np.argmin(values[::-1]))  # prefer larger step on ties
-    return float(values[best]), t + float(steps[best]) * delta
+    s = float(steps[best])
+    return float(values[best]), t + s * delta, 2.0 * (op_t + s * op_d)
 
 
 def init_anchors(

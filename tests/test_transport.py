@@ -98,6 +98,24 @@ def balanced_problem(cost, gamma=1e6, epsilon=1e-3, alpha=0.0):
     )
 
 
+def default_problem(seed):
+    """A seeded problem with F_v = 100 frames at the default configuration
+    (K = 8 anchors)."""
+    rng = np.random.default_rng(seed)
+    cfg = PipelineConfig()
+    xs = rng.normal(size=(100, 16))
+    anchors = init_anchors(xs, cfg.K, seed=cfg.seed, video_id="t")
+    return build_problem(xs, anchors, rng.random(100), cfg.alpha, cfg.gamma, cfg.epsilon, cfg.mu)
+
+
+def first_scaling_args(prob):
+    """The arguments of a solve's first scaling call, from the product plan."""
+    f_v, k = prob.C_k.shape
+    t = np.outer(prob.p_hat, np.full(k, 1.0 / k))
+    return ((1 - prob.alpha) * prob.C_k + prob.alpha * gw_gradient(t), np.log(prob.p_hat),
+            np.full(k, -np.log(k)), prob.gamma, prob.epsilon, np.zeros(f_v), np.zeros(k))
+
+
 class TestKotCost:
     def test_matching_anchor_zero_prior(self):
         x = np.array([[1.0, 2.0, 0.0]])
@@ -343,9 +361,75 @@ class TestSolveFugw:
         operator = transport._gw_operator
         monkeypatch.setattr(transport, "_gw_operator", lambda t: calls.append(1) or operator(t))
         plan = solve_fugw(prob)
-        # One call for trace[0], then the gradient and the line-search direction per step.
-        assert len(calls) == 1 + 2 * plan.iterations
+        # One call for trace[0], one for the start plan's gradient, then the
+        # line-search direction per step: later gradients are carried.
+        assert len(calls) == 2 + plan.iterations
         assert plan.objective_trace[0] == fused_objective(prob, np.outer(prob.p_hat, np.full(4, 0.25)))
+
+    def test_carried_gradient_matches_recomputed(self, monkeypatch):
+        """Each outer step after the first takes its structure gradient from
+        the previous line search; it equals the gradient recomputed at that
+        plan."""
+        prob = default_problem(17)
+        steps = []
+        search = transport._segment_search
+
+        def checked_search(prob, t, grad, cand):
+            steps.append(1)
+            np.testing.assert_allclose(grad, gw_gradient(t), rtol=1e-12, atol=0)
+            return search(prob, t, grad, cand)
+
+        monkeypatch.setattr(transport, "_segment_search", checked_search)
+        plan = solve_fugw(prob)
+        assert plan.converged and len(steps) == plan.iterations > 1
+
+    def test_relaxation_saves_iterates_for_the_same_plan(self, monkeypatch):
+        for seed in (20, 21, 22):
+            prob = default_problem(seed)
+            relaxed = solve_fugw(prob)
+            with monkeypatch.context() as m:
+                m.setattr(transport, "_OMEGA", 1.0)
+                plain = solve_fugw(prob)
+            assert relaxed.converged and plain.converged
+            assert relaxed.iterations == plain.iterations
+            assert 0 < relaxed.scaling_iterates < plain.scaling_iterates
+            np.testing.assert_allclose(relaxed.T, plain.T, rtol=0, atol=1e-9)
+
+    def test_safeguard_falls_back_to_plain_updates(self, monkeypatch):
+        """Relaxed scaling converges for omega in (0, 2). At omega = 2.5 the
+        first call's potential change grows from one iterate to the next;
+        the safeguard then runs plain updates, and the solve reaches the
+        omega = 1 plan."""
+        prob = default_problem(20)
+        with monkeypatch.context() as m:
+            m.setattr(transport, "_OMEGA", 1.0)
+            plain = solve_fugw(prob)
+        monkeypatch.setattr(transport, "_OMEGA", 2.5)
+        first = first_scaling_args(prob)
+        rows = [first[5]]  # the row potentials after 0, 1, 2, ... iterates
+        for n in range(1, 6):
+            with monkeypatch.context() as m:
+                m.setattr(transport, "_MAX_INNER", n)
+                rows.append(transport._scaling_iterations(*first)[1])
+        changes = np.abs(np.diff(rows, axis=0)).max(axis=1)
+        assert np.any(changes[1:] > changes[:-1])
+        plan = solve_fugw(prob)
+        assert plan.converged and plan.iterations == plain.iterations
+        np.testing.assert_allclose(plan.T, plain.T, rtol=0, atol=1e-9)
+
+    def test_exhausted_scaling_reports_not_converged_with_exact_columns(self, monkeypatch):
+        """Cut at two iterates, the scaling call reports no convergence; its
+        closing column update still pins the anchor marginal, and so does
+        every outer step of a solve made of such calls."""
+        prob = default_problem(23)
+        monkeypatch.setattr(transport, "_MAX_INNER", 2)
+        t, _, _, inner_ok, iterates = transport._scaling_iterations(*first_scaling_args(prob))
+        assert (inner_ok, iterates) == (False, 2)
+        np.testing.assert_allclose(t.sum(axis=0), 1 / 8, rtol=1e-13, atol=0)
+        plan = solve_fugw(prob, max_outer=5)
+        assert not plan.converged
+        assert (plan.iterations, plan.scaling_iterates) == (5, 10)
+        np.testing.assert_allclose(plan.T.sum(axis=0), 1 / 8, rtol=1e-13, atol=0)
 
     def test_prior_length_must_match_cost_rows(self):
         with pytest.raises(DataError, match="p_hat length"):
@@ -408,10 +492,7 @@ class TestSolveFugw:
         calls = count_logsumexp(monkeypatch)
         for prob in probs:
             case = (prob.C_k.shape, prob.alpha, prob.gamma)
-            f_v, k = prob.C_k.shape
-            t = np.outer(prob.p_hat, np.full(k, 1.0 / k))
-            first = ((1 - prob.alpha) * prob.C_k + prob.alpha * gw_gradient(t), np.log(prob.p_hat),
-                     np.full(k, -np.log(k)), prob.gamma, prob.epsilon, np.zeros(f_v), np.zeros(k))
+            first = first_scaling_args(prob)
             kernel_first = transport._scaling_iterations(*first)
             kernel = solve_fugw(prob)
             assert not calls, case
@@ -449,13 +530,16 @@ class TestSolveFugw:
             assert plan.objective_trace == logd.objective_trace
 
     def test_potentials_leaving_range_fall_back_mid_solve(self, monkeypatch):
-        """One frame's prior mass is about exp(-1.03 * range): its row scaling
-        starts inside the kernel range and leaves it partway through the
-        first outer step, whose iterates then finish in the log domain."""
+        """Every cost sits near 20, so the first step's kernel exponents lie
+        near -105 and its column scalings climb from 0 towards +100. One
+        frame's prior mass is about exp(-1.1 * range): its row scaling starts
+        inside the kernel range (the first relaxed iterate puts it near -287)
+        and follows the columns out of it partway through the first outer
+        step, whose iterates then finish in the log domain."""
         rng = np.random.default_rng(16)
         p = np.ones(7)
-        p[0] = np.exp(-1.03 * transport._KERNEL_RANGE)
-        prob = OtProblem(C_k=rng.uniform(0, 1, (7, 3)), p_hat=p / p.sum(), alpha=1.0,
+        p[0] = np.exp(-1.1 * transport._KERNEL_RANGE)
+        prob = OtProblem(C_k=20.0 + rng.uniform(0, 1, (7, 3)), p_hat=p / p.sum(), alpha=0.5,
                          gamma=3.0, epsilon=0.1)
         calls = count_logsumexp(monkeypatch)
         per_step = []
@@ -480,15 +564,15 @@ class TestSolveFugw:
         np.testing.assert_allclose(plan.T, logd.T, rtol=0, atol=1e-12)
 
     def test_column_scaling_leaving_range_falls_back_mid_call(self, monkeypatch):
-        """Column 0 costs about 29.83, so its kernel exponents sit near -298.4,
+        """Column 0 costs about 20.45, so its kernel exponents sit near -204.5,
         inside the range. The rows are all but balanced (gamma = 1e6): as the
-        row scalings settle, column 0's exponent climbs past the range on the
-        fourth iterate while every row exponent stays below 12. That iterate
-        passes the row test and fails the column one, and the rest of the
-        call runs in the log domain."""
+        row scalings settle, column 0's exponent climbs from about 206 past
+        the range on the fourth iterate while every row exponent stays below
+        110. That iterate passes the row test and fails the column one, and
+        the rest of the call runs in the log domain."""
         rng = np.random.default_rng(13)
         f_v, epsilon = 7, 0.1
-        cost = np.stack([29.83 + 0.01 * rng.uniform(0, 1, f_v), -rng.uniform(0, 1, f_v)], axis=1)
+        cost = np.stack([20.45 + 0.01 * rng.uniform(0, 1, f_v), -rng.uniform(0, 1, f_v)], axis=1)
         p = rng.random(f_v) + 0.1
         args = (cost, np.log(p / p.sum()), np.full(2, -np.log(2)), 1e6, epsilon,
                 np.zeros(f_v), np.zeros(2))
@@ -507,7 +591,7 @@ class TestSolveFugw:
         out_of_range = []
         for n in (n_kernel, n_kernel + 1):
             monkeypatch.setattr(transport, "_MAX_INNER", n)
-            _, f, g, _ = in_log_domain(monkeypatch, transport._scaling_iterations, *args)
+            _, f, g, _, _ = in_log_domain(monkeypatch, transport._scaling_iterations, *args)
             out_of_range.append(
                 tuple(bool(np.abs(x / epsilon).max() > transport._KERNEL_RANGE) for x in (f, g))
             )
