@@ -105,8 +105,9 @@ def _for_each_video(
     on it and collect the results.
 
     A video with more than ``cfg.F_max`` frames is a :class:`DataError`. A
-    :class:`SalisegError` skips that video with a log line, or propagates
-    under ``fail_fast``; an :class:`OutputError` always propagates.
+    :class:`SalisegError` skips that video with a log line, or under
+    ``fail_fast`` propagates after a log line naming the file; an
+    :class:`OutputError` always propagates.
     """
     paths = sorted(Path(features_dir).glob("*.sfeat"))
     if not paths:
@@ -122,6 +123,7 @@ def _for_each_video(
             raise
         except SalisegError as exc:
             if fail_fast:
+                logger.error("%s: stage failed", path)
                 raise
             logger.error("%s: stage failed, video skipped: %s", path, exc)
     return results
@@ -225,8 +227,9 @@ def stage_segment(
 ) -> Path:
     """Segment each video from its transport plan, or a baseline strategy.
 
-    Under ``fail_fast`` a solve that did not converge raises
-    :class:`NumericalError`; otherwise the solver's warning is the only trace.
+    A solve that did not converge raises :class:`NumericalError` under
+    ``fail_fast``; otherwise it logs one warning naming the video and its
+    outer steps, and the video keeps its segments.
     """
     _check_baseline(baseline)
     saliency = load_saliency(saliency_path)
@@ -245,8 +248,12 @@ def stage_segment(
             anchors = init_anchors(xs, cfg.K, cfg.seed, f.video_id)
             prob = build_problem(xs, anchors, p_s, cfg.alpha, cfg.gamma, cfg.epsilon, cfg.mu)
             plan = solve_fugw(prob)
-            if fail_fast and not plan.converged:
-                raise NumericalError(f"{f.video_id}: transport solver did not converge")
+            if not plan.converged:
+                message = (f"{f.video_id}: transport solver did not converge"
+                           f" in {plan.iterations} outer steps")
+                if fail_fast:
+                    raise NumericalError(message)
+                logger.warning("%s", message)
             segs = select_topk(score_segments(decode_segments(plan), plan), cfg.top_k)
             if dump_plan_dir is not None:
                 doc = {"F_v": f.valid_len, "K": cfg.K, "T": plan.T.flatten().tolist()}

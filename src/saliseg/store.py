@@ -7,16 +7,20 @@ Embeddings are unit L2 norm; :func:`build_datastore` normalizes on entry.
 
 In memory a :class:`Datastore` holds the embeddings as one ``N x D`` float64
 matrix whose values are rounded through f32, so they are exactly the values a
-file stores, plus the rank of each id in code-point order. Retrieval is
-exact: :func:`query_topp` returns what a full sort of the linear scan
-``embeddings @ (q / |q|)`` by (descending similarity, ascending id) returns,
-bit for bit.
+file stores, plus the rank of each id in code-point order. The matrix is the
+one copy of each embedding: :func:`load_datastore` fills it in row chunks
+straight from the file's bytes and drops the file before the constructor
+checks it, and the constructor keeps a float64 matrix that already holds
+f32 values as it is. Retrieval is exact: :func:`query_topp` returns what a
+full sort of the linear scan ``embeddings @ (q / |q|)`` by (descending
+similarity, ascending id) returns, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,6 +32,9 @@ from .errors import DataError
 from .segments import SegmentSet, pool_segment_features
 
 _MAGIC = b"SDS1"
+# Every N x D pass works in row chunks of at most this many bytes of f64, so
+# no temporary reaches glibc's 128 KiB mmap threshold.
+_CHUNK_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -42,21 +49,31 @@ class Datastore:
 
     The constructor is the one place that checks a store: unique ids, an
     ``N x D`` embedding matrix with one row per id, and finite unit-norm rows.
+    It rounds the embeddings through f32 into a new matrix unless they are a
+    C-contiguous float64 matrix that already holds f32 values; that one the
+    store keeps without a copy, so the caller should not change it later.
+    The caller's values are never changed.
     """
 
     def __init__(self, entry_ids: list[str], captions: list[str], embeddings: NDArray[np.floating]):
         self.entry_ids = list(entry_ids)
         self.captions = list(captions)
-        # f64 for the scan, holding the f32 values a file stores.
-        self.embeddings = np.ascontiguousarray(_matrix(embeddings, np.float32), dtype=np.float64)
-        if self.embeddings.ndim != 2 or len(self.entry_ids) != self.embeddings.shape[0]:
+        emb = _matrix(embeddings, np.float64)
+        if emb.ndim != 2 or len(self.entry_ids) != emb.shape[0]:
             raise DataError("embeddings must be N x D matching the id list")
         if len(self.captions) != len(self.entry_ids):
             raise DataError("one caption per id is required")
-        norms = np.linalg.norm(self.embeddings, axis=1)
+        # An entry past the f32 range rounds to inf, and so fails the norm test.
+        with np.errstate(over="ignore"):
+            if not all(np.array_equal(emb[rows].astype(np.float32), emb[rows])
+                       for rows in _row_chunks(emb.shape)):
+                emb = emb.astype(np.float32).astype(np.float64)
+            norms = np.sqrt(np.einsum("ij,ij->i", emb, emb))
         # Written so that a NaN norm fails the test too.
-        if self.embeddings.shape[0] and not np.all(np.abs(norms - 1.0) <= 1e-5):
+        if emb.shape[0] and not np.all(np.abs(norms - 1.0) <= 1e-5):
             raise DataError("embeddings must be finite and unit norm")
+        # f64 for the scan, holding the f32 values a file stores.
+        self.embeddings = np.ascontiguousarray(emb)
         self._index = {entry_id: i for i, entry_id in enumerate(self.entry_ids)}
         if len(self._index) != len(self.entry_ids):
             dup = next(e for i, e in enumerate(self.entry_ids) if self._index[e] != i)
@@ -71,6 +88,13 @@ class Datastore:
     @property
     def dim(self) -> int:
         return self.embeddings.shape[1]
+
+
+def _row_chunks(shape: tuple[int, int]):
+    """Slices of at most ``_CHUNK_BYTES`` of f64 rows each, and at least one row."""
+    n, dim = shape
+    step = max(1, _CHUNK_BYTES // (8 * max(dim, 1)))
+    return (slice(lo, lo + step) for lo in range(0, n, step))
 
 
 def _matrix(rows, dtype) -> NDArray:
@@ -187,7 +211,7 @@ def load_datastore(path: str | Path) -> Datastore:
     if dim >= 2**32 or n * (8 + 4 * dim) > len(raw) - 20:
         raise DataError(f"{path}: header N={n}, D={dim} does not fit in {len(raw)} bytes")
     offset = 20
-    ids, captions, starts = [], [], []
+    ids, captions, starts = [], [], array("q")
     try:
         for _ in range(n):
             (id_len,) = struct.unpack_from("<I", raw, offset)
@@ -208,6 +232,11 @@ def load_datastore(path: str | Path) -> Datastore:
         raise DataError(f"{path}: trailing bytes in datastore")
     if not starts:
         return Datastore([], [], np.zeros((0, dim), dtype=np.float32))
-    # One gather of every record's 4*D embedding bytes, at any alignment.
+    # One f64 matrix filled in row chunks from every record's 4*D embedding
+    # bytes, at any alignment; the file is freed before the store is checked.
+    emb = np.empty((n, dim))
     windows = np.lib.stride_tricks.sliding_window_view(np.frombuffer(raw, np.uint8), 4 * dim)
-    return Datastore(ids, captions, windows[starts].view("<f4"))
+    for rows in _row_chunks(emb.shape):
+        emb[rows] = windows[np.frombuffer(starts[rows], np.int64)].view("<f4")
+    del raw, windows, starts
+    return Datastore(ids, captions, emb)

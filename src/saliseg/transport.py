@@ -45,7 +45,6 @@ operators its line search already holds, and the next step (1) uses it.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +52,6 @@ from numpy.typing import NDArray
 
 from .errors import DataError, NumericalError, SalisegError
 from .rng import substream
-
-logger = logging.getLogger(__name__)
 
 # Fixed solver protocol: scaling iterations per outer step, the L1 plan
 # movement and potential change that count as converged, and the points of
@@ -357,8 +354,6 @@ def solve_fugw(prob: OtProblem, max_outer: int = 200) -> TransportPlan:
             converged = True
             break
 
-    if not converged:
-        logger.warning("transport solver hit max_outer=%d without converging", max_outer)
     return TransportPlan(T=t, objective_trace=trace, converged=converged,
                          scaling_iterates=iterates)
 

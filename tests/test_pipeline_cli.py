@@ -758,9 +758,10 @@ class TestCli:
         np.testing.assert_array_equal(d_in.section(0), f.encoded)
 
     def test_unconverged_solve_exit_code_under_fail_fast(
-        self, corpus_dir, saliency_path, tmp_path, monkeypatch
+        self, corpus_dir, saliency_path, tmp_path, monkeypatch, caplog
     ):
         import dataclasses
+        import re
 
         import saliseg.pipeline
 
@@ -772,8 +773,55 @@ class TestCli:
         out = tmp_path / "segments.jsonl"
         args = self.segment_args(corpus_dir, saliency_path, out)
         assert main(args + ["--fail-fast"]) == 4
+        assert "v0000.sfeat: stage failed" in caplog.text
+        caplog.clear()
         assert main(args) == 0
         assert len(out.read_text().splitlines()) == SPEC.n_videos
+        # One warning per video, naming it and its outer steps.
+        warned = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warned) == SPEC.n_videos
+        for i, message in enumerate(warned):
+            assert re.fullmatch(
+                rf"v{i:04d}: transport solver did not converge in [1-9]\d* outer steps", message
+            ), message
+
+    def test_solver_error_skips_only_its_video(
+        self, corpus_dir, saliency_path, tmp_path, monkeypatch, caplog
+    ):
+        import saliseg.pipeline
+        from saliseg.errors import NumericalError
+
+        clean = tmp_path / "clean.jsonl"
+        assert main(self.segment_args(corpus_dir, saliency_path, clean)) == 0
+        real = saliseg.pipeline.solve_fugw
+        solved = []
+
+        def fails_on_v0001(prob, *args, **kwargs):
+            # Videos are solved one at a time in sorted order: v0001 is second.
+            solved.append(prob)
+            if len(solved) == 2:
+                raise NumericalError("non-finite transport plan after scaling")
+            return real(prob, *args, **kwargs)
+
+        monkeypatch.setattr(saliseg.pipeline, "solve_fugw", fails_on_v0001)
+        out = tmp_path / "segments.jsonl"
+        args = self.segment_args(corpus_dir, saliency_path, out)
+        assert main(args) == 0
+        assert len(solved) == SPEC.n_videos
+        assert "v0001.sfeat: stage failed, video skipped: non-finite transport plan" in caplog.text
+        want = [line for line in clean.read_bytes().splitlines(keepends=True)
+                if json.loads(line)["video_id"] != "v0001"]
+        assert len(want) == SPEC.n_videos - 1
+        assert out.read_bytes().splitlines(keepends=True) == want
+
+        solved.clear()
+        caplog.clear()
+        out.unlink()
+        assert main(args + ["--fail-fast"]) == 4
+        assert len(solved) == 2
+        assert "v0001.sfeat: stage failed" in caplog.text
+        assert "numerical failure: non-finite transport plan after scaling" in caplog.text
+        assert not out.exists()
 
     def test_train_saliency_honours_fail_fast(self, corpus_dir, tmp_path):
         feats = copy_features(corpus_dir, tmp_path)

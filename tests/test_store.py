@@ -1,6 +1,8 @@
 """Caption datastore: exact retrieval and persistence."""
 
 import struct
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -67,9 +69,23 @@ class TestBuildDatastore:
         with pytest.raises(DataError, match="^c: embedding and its norm must be finite$"):
             build_datastore(entries)
 
-    def test_caption_count_must_match_ids(self):
-        with pytest.raises(DataError, match="one caption per id"):
-            Datastore(["a", "b"], ["x"], np.eye(2))
+    @pytest.mark.parametrize(
+        "ids, embeddings, message",
+        [
+            (["a", "b"], np.eye(2), "^one caption per id is required$"),
+            (["a"], np.array([[1e200, 0.0, 0.0]]), "^embeddings must be finite and unit norm$"),
+            (["a"], np.array([[-3.5e38, 0.0]]), "^embeddings must be finite and unit norm$"),
+            (["a"], np.array([[np.nan, 1.0]]), "^embeddings must be finite and unit norm$"),
+            (["a"], np.array([[0.5, 0.5]]), "^embeddings must be finite and unit norm$"),
+        ],
+        ids=["caption_count", "past_f32_range", "past_f32_range_negative", "nan", "not_unit"],
+    )
+    def test_constructor_rejects(self, ids, embeddings, message):
+        # With no numpy warning on the way, whatever the warning filter.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=message):
+                Datastore(ids, ["x"], embeddings)
 
     def test_empty_store_valid_but_unqueryable(self):
         store = build_datastore([])
@@ -325,3 +341,57 @@ class TestDatastoreIO:
         with pytest.raises(DataError, match="duplicate entry id 'a'"):
             load_datastore(path)
 
+
+class TestHeldOnce:
+    """A store holds each embedding once, and so does loading it."""
+
+    N, D = 20_000, 32
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        rng = np.random.default_rng(19)
+        vecs = rng.normal(size=(self.N, self.D))
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        ids = [f"d{i:06d}" for i in range(self.N)]
+        store = Datastore(ids, [f"distractor {i}" for i in range(self.N)], vecs)
+        path = tmp_path_factory.mktemp("wide") / "store.sds"
+        save_datastore(store, path)
+        return store, path
+
+    @staticmethod
+    def traced(call):
+        """``call()``, with the bytes it leaves allocated and its peak, both
+        over what was allocated before it."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = call()
+            size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, size - base, peak - base
+
+    def test_load_peak_within_store_plus_file(self, saved):
+        store, path = saved
+        loaded, size, peak = self.traced(lambda: load_datastore(path))
+        assert loaded.embeddings.tobytes() == store.embeddings.tobytes()
+        assert size >= loaded.embeddings.nbytes
+        assert peak <= size + path.stat().st_size, (peak, size)
+
+    def test_f32_valued_matrix_is_kept_without_a_copy(self, saved):
+        store, _ = saved
+        emb = store.embeddings.copy()
+        built, _, peak = self.traced(lambda: Datastore(store.entry_ids, store.captions, emb))
+        assert peak < emb.nbytes, peak
+        assert built.embeddings is emb
+        assert emb.tobytes() == store.embeddings.tobytes()
+
+    def test_caller_values_are_not_rounded_in_place(self, saved):
+        store, _ = saved
+        rng = np.random.default_rng(7)
+        vecs = rng.normal(size=(100, self.D))
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        before = vecs.copy()
+        built = Datastore(store.entry_ids[:100], store.captions[:100], vecs)
+        assert vecs.tobytes() == before.tobytes()
+        assert built.embeddings.tobytes() == before.astype(np.float32).astype(np.float64).tobytes()
