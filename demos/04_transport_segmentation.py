@@ -58,7 +58,7 @@ print(f"objective trace head: {[round(v, 4) for v in plan.objective_trace[:6]]}"
 print(f"anchor marginal error: {np.max(np.abs(plan.T.sum(axis=0) - 1 / cfg.K)):.2e}")
 print(f"KL(frame marginal || saliency prior): {kl_divergence(plan.T.sum(axis=1), prob.p_hat):.4f}")
 
-segs = select_topk(score_segments(decode_segments(plan), plan), cfg.top_k)
+segs = select_topk(score_segments(decode_segments(plan.T), plan.T), cfg.top_k)
 print(f"\ndecoded {len(segs.segments)} segments, selected top {len(segs.selected)}:")
 for i in segs.selected:
     s = segs.segments[i]
@@ -76,7 +76,7 @@ for f, ex, ann in zip(corpus.features, examples, corpus.annotations):
     prob = build_problem(xs, anchors, p_s, cfg.alpha, cfg.gamma, cfg.epsilon, cfg.mu)
     plan = solve_fugw(prob)
     sets = {
-        "transport": select_topk(score_segments(decode_segments(plan), plan), cfg.top_k),
+        "transport": select_topk(score_segments(decode_segments(plan.T), plan.T), cfg.top_k),
         "kmeans": select_topk(baseline_kmeans(xs, cfg.K, cfg.seed, f.video_id), cfg.top_k),
         "uniform": baseline_uniform(f.valid_len, cfg.top_k),
     }

@@ -48,19 +48,19 @@ xs = np.vstack([
 ])
 p_s = np.array([0.9, 0.8, 0.95, 0.85, 0.9, 0.7, 0.8, 0.75, 0.9])
 segs = SegmentSet(segments=(Segment(0, 0, 5), Segment(1, 5, 9)), selected=(0, 1))
-result = retrieval_vectors(segs, xs, p_s, store, p=2)
+neighbors, vectors = retrieval_vectors(segs, xs, p_s, store, p=2)
 print("\nper-segment retrieval (id, cosine):")
-for i, hits in enumerate(result.neighbors):
+for i, hits in enumerate(neighbors):
     print(f"  segment {i}: {[(h[0], round(h[1], 3)) for h in hits]}")
-print(f"retrieval matrix R shape: {result.vectors.shape},"
-      f" row norms {np.linalg.norm(result.vectors, axis=1).round(3)}")
+print(f"retrieval matrix R shape: {vectors.shape},"
+      f" row norms {np.linalg.norm(vectors, axis=1).round(3)}")
 
 # Saliency prompts and the decoder-input sequence.
 w_map = init_prompt_map(8, seed=cfg.seed)
 scores = rng.normal(size=9)
 prompts = project_saliency(scores, w_map)
 text = np.zeros((0, 8))
-d_in = assemble_input(xs, prompts, result.vectors, text)
+d_in = assemble_input(xs, prompts, vectors, text)
 print(f"\ndecoder input: {d_in.sequence.shape[0]} rows = "
       f"{d_in.lengths[0]} frames + {d_in.lengths[1]} prompts + "
       f"{d_in.lengths[2]} retrieval + {d_in.lengths[3]} text; offsets {d_in.offsets}")

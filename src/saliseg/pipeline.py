@@ -254,7 +254,7 @@ def stage_segment(
                 if fail_fast:
                     raise NumericalError(message)
                 logger.warning("%s", message)
-            segs = select_topk(score_segments(decode_segments(plan), plan), cfg.top_k)
+            segs = select_topk(score_segments(decode_segments(plan.T), plan.T), cfg.top_k)
             if dump_plan_dir is not None:
                 doc = {"F_v": f.valid_len, "K": cfg.K, "T": plan.T.flatten().tolist()}
                 plan_path = Path(dump_plan_dir) / f"{f.video_id}.json"
@@ -282,7 +282,8 @@ def stage_retrieve(
     def work(path: Path, f: FrameFeatures) -> dict:
         segs = _record(segments, f.video_id, "segments")
         p_s = _frame_values(saliency, f, "saliency", "prior")
-        result = retrieval_vectors(segs, f.spatial.astype(np.float64), p_s, store, cfg.top_p)
+        neighbors, vectors = retrieval_vectors(
+            segs, f.spatial.astype(np.float64), p_s, store, cfg.top_p)
         return {
             "video_id": f.video_id,
             "segments": [
@@ -290,9 +291,9 @@ def stage_retrieve(
                     "index": int(idx),
                     "neighbors": [[eid, sim] for eid, sim in hits],
                 }
-                for idx, hits in zip(segs.selected, result.neighbors)
+                for idx, hits in zip(segs.selected, neighbors)
             ],
-            "vectors": [row.tolist() for row in result.vectors],
+            "vectors": [row.tolist() for row in vectors],
         }
 
     return save_records(_for_each_video(features_dir, work, cfg, fail_fast), out_path)

@@ -28,7 +28,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .data import PipelineConfig, read_file, write_file
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, config_int
 from .rng import substream
 
 logger = logging.getLogger(__name__)
@@ -321,9 +321,8 @@ def load_head(path: str | Path) -> SaliencyHead:
     if nl < 0:
         raise DataError(f"{path}: missing checkpoint header")
     try:
-        header = json.loads(raw[:nl].decode("utf-8"))
-        dim = int(header["D"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # bad JSON, UTF-8 or number
+        dim = config_int("D", json.loads(raw[:nl].decode("utf-8"))["D"], DataError)
+    except (KeyError, TypeError, ValueError, DataError) as exc:  # bad JSON, UTF-8 or D
         raise DataError(f"{path}: bad checkpoint header: {exc}") from exc
     if dim < 1:
         raise DataError(f"{path}: checkpoint dimension D={dim} must be >= 1")

@@ -1,5 +1,7 @@
 """Plan decoding, segment scoring and selection, pooling, and baselines.
 
+A plan here is the solver's ``F_v x K`` array, ``TransportPlan.T``.
+
 Segments file format: JSON Lines, one object per video,
 ``{"video_id": str, "segments": [{"anchor", "start", "end", "score"}, ...],
 "selected": [strictly increasing segment indices]}``.
@@ -17,7 +19,7 @@ from numpy.typing import NDArray
 from .data import load_records
 from .errors import DataError, config_int
 from .rng import substream
-from .transport import TransportPlan, farthest_points
+from .transport import farthest_points
 
 logger = logging.getLogger(__name__)
 
@@ -76,17 +78,17 @@ def _length_scored(segments: list[Segment]) -> tuple[Segment, ...]:
     return tuple(replace(s, score=float(np.log1p(s.length))) for s in segments)
 
 
-def decode_segments(plan: TransportPlan) -> SegmentSet:
-    """Run-length encode the per-frame argmax anchor (ties to lower index)."""
-    t = np.asarray(plan.T, dtype=np.float64)
+def decode_segments(t: NDArray[np.float64]) -> SegmentSet:
+    """Run-length encode the per-frame argmax anchor of plan ``t`` (ties to lower index)."""
+    t = np.asarray(t, dtype=np.float64)
     if t.ndim != 2 or t.shape[0] < 1:
         raise DataError("plan must be F_v x K")
     return SegmentSet(segments=tuple(_runs(np.argmax(t, axis=1))))
 
 
-def score_segments(segs: SegmentSet, plan: TransportPlan) -> SegmentSet:
-    """Score each segment: S = S_OT * S_len = mean plan mass * log(1 + L)."""
-    t = np.asarray(plan.T, dtype=np.float64)
+def score_segments(segs: SegmentSet, t: NDArray[np.float64]) -> SegmentSet:
+    """Score each segment from plan ``t``: S = S_OT * S_len = mean plan mass * log(1 + L)."""
+    t = np.asarray(t, dtype=np.float64)
     scored = []
     for seg in segs.segments:
         mass = float(t[seg.start : seg.end, seg.anchor_id].sum())

@@ -7,13 +7,12 @@ Embeddings are unit L2 norm; :func:`build_datastore` normalizes on entry.
 
 In memory a :class:`Datastore` holds the embeddings as one ``N x D`` float64
 matrix whose values are rounded through f32, so they are exactly the values a
-file stores, plus the rank of each id in code-point order. The matrix is the
-one copy of each embedding: :func:`load_datastore` fills it in row chunks
-straight from the file's bytes and drops the file before the constructor
-checks it, and the constructor keeps a float64 matrix that already holds
-f32 values as it is. Retrieval is exact: :func:`query_topp` returns what a
-full sort of the linear scan ``embeddings @ (q / |q|)`` by (descending
-similarity, ascending id) returns, bit for bit.
+file stores. The matrix is the one copy of each embedding: :func:`load_datastore`
+fills it in row chunks straight from the file's bytes and drops the file
+before the constructor checks it, and the constructor keeps a float64 matrix
+that already holds f32 values as it is. Retrieval is exact: :func:`query_topp`
+returns what a full sort of the linear scan ``embeddings @ (q / |q|)`` by
+(descending similarity, ascending id) returns, bit for bit.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ class DatastoreEntry:
 class Datastore:
     """Immutable set of caption records queried by cosine similarity.
 
-    The constructor is the one place that checks a store: unique ids, an
+    The constructor is the one place that checks a store: unique ids, a real
     ``N x D`` embedding matrix with one row per id, and finite unit-norm rows.
     It rounds the embeddings through f32 into a new matrix unless they are a
     C-contiguous float64 matrix that already holds f32 values; that one the
@@ -58,7 +57,7 @@ class Datastore:
     def __init__(self, entry_ids: list[str], captions: list[str], embeddings: NDArray[np.floating]):
         self.entry_ids = list(entry_ids)
         self.captions = list(captions)
-        emb = _matrix(embeddings, np.float64)
+        emb = _matrix(embeddings)
         if emb.ndim != 2 or len(self.entry_ids) != emb.shape[0]:
             raise DataError("embeddings must be N x D matching the id list")
         if len(self.captions) != len(self.entry_ids):
@@ -78,9 +77,6 @@ class Datastore:
         if len(self._index) != len(self.entry_ids):
             dup = next(e for i, e in enumerate(self.entry_ids) if self._index[e] != i)
             raise DataError(f"duplicate entry id {dup!r}")
-        by_id = sorted(range(len(self.entry_ids)), key=self.entry_ids.__getitem__)
-        self._rank = np.empty(len(by_id), dtype=np.int64)
-        self._rank[by_id] = np.arange(len(by_id))
 
     def __len__(self) -> int:
         return len(self.entry_ids)
@@ -97,17 +93,20 @@ def _row_chunks(shape: tuple[int, int]):
     return (slice(lo, lo + step) for lo in range(0, n, step))
 
 
-def _matrix(rows, dtype) -> NDArray:
+def _matrix(rows) -> NDArray[np.float64]:
     try:
-        return np.asarray(rows, dtype=dtype)
+        emb = np.asarray(rows)
     except ValueError as exc:  # rows of different lengths
         raise DataError("embeddings differ in dimension") from exc
+    if emb.dtype.kind not in "iuf":
+        raise DataError(f"embeddings must be real numbers, not {emb.dtype}")
+    return emb.astype(np.float64, copy=False)
 
 
 def build_datastore(entries: list[DatastoreEntry]) -> Datastore:
     """Normalize entries to unit norm in float64; :class:`Datastore` rounds
     them to float32 and checks the rest."""
-    emb = _matrix([e.embedding for e in entries] or np.zeros((0, 0)), np.float64)
+    emb = _matrix([e.embedding for e in entries] or np.zeros((0, 0)))
     if emb.ndim == 2:  # the constructor rejects any other shape
         with np.errstate(over="ignore"):  # finite entries can still overflow the norm
             norms = np.linalg.norm(emb, axis=1, keepdims=True)
@@ -146,17 +145,9 @@ def query_topp(store: Datastore, query: NDArray[np.float64], p: int) -> list[tup
     sims = store.embeddings @ (q / norm)
     kth = len(store) - min(p, len(store))
     hits = np.flatnonzero(sims >= np.partition(sims, kth)[kth])
-    # lexsort: primary key descending similarity, ties by ascending id rank
-    hits = hits[np.lexsort((store._rank[hits], -sims[hits]))][:p]
-    return [(store.entry_ids[i], float(sims[i])) for i in hits]
-
-
-@dataclass(frozen=True)
-class RetrievalResult:
-    """Per selected segment: ranked neighbors and the mean retrieval vector."""
-
-    neighbors: list[list[tuple[str, float]]]
-    vectors: NDArray[np.float64]
+    # Descending similarity, ties by ascending id; negation is exact.
+    ranked = sorted((-float(sims[i]), store.entry_ids[i]) for i in hits)[:p]
+    return [(entry_id, -neg) for neg, entry_id in ranked]
 
 
 def retrieval_vectors(
@@ -165,12 +156,13 @@ def retrieval_vectors(
     p_s: NDArray[np.float64],
     store: Datastore,
     p: int,
-) -> RetrievalResult:
+) -> tuple[list[list[tuple[str, float]]], NDArray[np.float64]]:
     """Pool each selected segment, retrieve top-p captions, average embeddings.
 
-    Selected segments are processed in temporal order; the stacked result is
-    one row per selected segment. The mean of unit vectors can have norm
-    below one and is intentionally left un-normalized.
+    Selected segments are processed in temporal order. Returns each one's
+    ranked neighbors and the stacked mean embeddings, one row per selected
+    segment. The mean of unit vectors can have norm below one and is
+    intentionally left un-normalized.
     """
     neighbors = []
     vectors = []
@@ -181,7 +173,7 @@ def retrieval_vectors(
         idx = [store._index[h[0]] for h in hits]
         vectors.append(store.embeddings[idx].mean(axis=0))
     mat = np.stack(vectors) if vectors else np.zeros((0, store.dim))
-    return RetrievalResult(neighbors=neighbors, vectors=mat)
+    return neighbors, mat
 
 
 # ---------------------------------------------------------------------------

@@ -53,9 +53,10 @@ from numpy.typing import NDArray
 from .errors import DataError, NumericalError, SalisegError
 from .rng import substream
 
-# Fixed solver protocol: scaling iterations per outer step, the L1 plan
-# movement and potential change that count as converged, and the points of
-# the line-search grid on [0, 1].
+# Fixed solver protocol: outer steps per solve, scaling iterations per outer
+# step, the L1 plan movement and potential change that count as converged, and
+# the points of the line-search grid on [0, 1].
+_MAX_OUTER = 200
 _MAX_INNER = 100
 _PLAN_TOL = 1e-7
 _POTENTIAL_TOL = 1e-11
@@ -316,7 +317,7 @@ def _scaling_iterations(
     return t, epsilon * log_a, epsilon * log_b, inner_ok, iterates
 
 
-def solve_fugw(prob: OtProblem, max_outer: int = 200) -> TransportPlan:
+def solve_fugw(prob: OtProblem) -> TransportPlan:
     """Minimize the fused objective; see the module docstring for the scheme.
 
     The returned trace holds :func:`fused_objective` at the initial plan,
@@ -340,7 +341,7 @@ def solve_fugw(prob: OtProblem, max_outer: int = 200) -> TransportPlan:
     converged = False
     iterates = 0
 
-    for _outer in range(max_outer):
+    for _outer in range(_MAX_OUTER):
         local_cost = (1.0 - prob.alpha) * prob.C_k + prob.alpha * grad
         cand, f, g, inner_ok, n = _scaling_iterations(
             local_cost, log_p, log_q, prob.gamma, prob.epsilon, f, g

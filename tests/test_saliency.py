@@ -1,5 +1,7 @@
 """Saliency head: pooling, scoring, loss, analytic gradients, training."""
 
+import json
+import re
 import struct
 from dataclasses import replace
 
@@ -413,6 +415,17 @@ class TestCheckpointIO:
             path.write_bytes(header + body)
             loaded = load_head(path)
             np.testing.assert_array_equal(saliency_forward(loaded, xp), expected)
+
+    @pytest.mark.parametrize("dim", [2.9, "2", True], ids=["float", "string", "bool"])
+    def test_header_dimension_must_be_an_integer(self, tmp_path, dim):
+        # The body fits D = 2, so only the header's type can fail the load.
+        path = tmp_path / "head.shd"
+        save_head(init_head(2, seed=0), path)
+        raw = path.read_bytes()
+        path.write_bytes(json.dumps({"D": dim}).encode() + raw[raw.index(b"\n") :])
+        message = f"bad checkpoint header: D must be an integer, got {dim!r}"
+        with pytest.raises(DataError, match=re.escape(message) + "$"):
+            load_head(path)
 
     def test_truncated_checkpoint_errors(self, tmp_path):
         head = init_head(4, seed=4)

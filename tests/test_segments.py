@@ -19,14 +19,13 @@ from saliseg.segments import (
     segments_to_doc,
     select_topk,
 )
-from saliseg.transport import TransportPlan
 
 
 def plan_from_assignments(assign, k):
     t = np.zeros((len(assign), k))
     t[np.arange(len(assign)), assign] = 1.0
     t /= t.sum()
-    return TransportPlan(T=t, objective_trace=[], converged=True)
+    return t
 
 
 def spans(segs):
@@ -48,7 +47,7 @@ class TestDecode:
 
     def test_argmax_ties_break_low(self):
         t = np.full((3, 2), 0.25)
-        segs = decode_segments(TransportPlan(T=t, objective_trace=[], converged=True))
+        segs = decode_segments(t)
         assert spans(segs) == [(0, 0, 3)]
 
     def test_matches_reference_run_length(self):
@@ -67,9 +66,7 @@ class TestDecode:
         for _ in range(20):
             f, k = int(rng.integers(1, 30)), int(rng.integers(1, 6))
             t = rng.random((f, k))
-            segs = decode_segments(
-                TransportPlan(T=t, objective_trace=[], converged=True)
-            )
+            segs = decode_segments(t)
             assert segs.segments[0].start == 0
             assert segs.segments[-1].end == f
             for a, b in zip(segs.segments, segs.segments[1:]):
@@ -80,25 +77,22 @@ class TestScoring:
     def test_uniform_plan_arithmetic(self):
         # S_OT = (3 * 1/6) / 3 = 1/6 and S_len = log(1 + 3) = log 4.
         t = np.full((6, 1), 1 / 6)
-        plan = TransportPlan(T=t, objective_trace=[], converged=True)
         segs = SegmentSet(segments=(Segment(0, 0, 3), Segment(0, 3, 6)))
-        scored = score_segments(segs, plan)
+        scored = score_segments(segs, t)
         np.testing.assert_allclose(scored.segments[0].score, np.log(4) / 6, atol=1e-15)
         np.testing.assert_allclose(scored.segments[1].score, np.log(4) / 6, atol=1e-15)
 
     def test_singleton_length_score(self):
         # A one-frame segment carrying all the mass scores 1 * log 2.
         t = np.array([[1.0]])
-        plan = TransportPlan(T=t, objective_trace=[], converged=True)
-        scored = score_segments(SegmentSet(segments=(Segment(0, 0, 1),)), plan)
+        scored = score_segments(SegmentSet(segments=(Segment(0, 0, 1),)), t)
         np.testing.assert_allclose(scored.segments[0].score, np.log(2), atol=1e-15)
 
     def test_matches_independent_summation(self):
         rng = np.random.default_rng(1)
         t = rng.random((8, 3))
-        plan = TransportPlan(T=t, objective_trace=[], converged=True)
-        segs = decode_segments(plan)
-        scored = score_segments(segs, plan)
+        segs = decode_segments(t)
+        scored = score_segments(segs, t)
         for seg in scored.segments:
             mass = 0.0
             for i in range(seg.start, seg.end):
@@ -109,13 +103,11 @@ class TestScoring:
 
     def test_monotone_in_own_mass(self):
         t = np.random.default_rng(2).random((6, 2))
-        plan = TransportPlan(T=t, objective_trace=[], converged=True)
-        segs = score_segments(decode_segments(plan), plan)
+        segs = score_segments(decode_segments(t), t)
         seg = segs.segments[0]
         t2 = t.copy()
         t2[seg.start : seg.end, seg.anchor_id] += 0.5
-        plan2 = TransportPlan(T=t2, objective_trace=[], converged=True)
-        rescored = score_segments(segs, plan2)
+        rescored = score_segments(segs, t2)
         assert rescored.segments[0].score > seg.score
 
 
@@ -236,8 +228,7 @@ def spans_equal(a, b):
 class TestSegmentsIO:
     def test_round_trip(self, tmp_path):
         t = np.random.default_rng(6).random((9, 3))
-        plan = TransportPlan(T=t, objective_trace=[], converged=True)
-        segs = select_topk(score_segments(decode_segments(plan), plan), 2)
+        segs = select_topk(score_segments(decode_segments(t), t), 2)
         path = tmp_path / "segments.jsonl"
         save_records([segments_to_doc("v1", segs)], path)
         loaded = load_segments(path)
@@ -252,8 +243,8 @@ class TestSegmentsIO:
         # Every field of every segment survives the file, scores included.
         rng = np.random.default_rng(7)
         if baseline == "plan":
-            plan = TransportPlan(T=rng.random((12, 3)), objective_trace=[], converged=True)
-            segs = select_topk(score_segments(decode_segments(plan), plan), 2)
+            t = rng.random((12, 3))
+            segs = select_topk(score_segments(decode_segments(t), t), 2)
         elif baseline == "uniform":
             segs = baseline_uniform(11, 3)
         else:

@@ -77,8 +77,12 @@ class TestBuildDatastore:
             (["a"], np.array([[-3.5e38, 0.0]]), "^embeddings must be finite and unit norm$"),
             (["a"], np.array([[np.nan, 1.0]]), "^embeddings must be finite and unit norm$"),
             (["a"], np.array([[0.5, 0.5]]), "^embeddings must be finite and unit norm$"),
+            (["a"], np.array([["x", "y"]]), "^embeddings must be real numbers, not <U1$"),
+            (["a"], np.array([[1 + 0j, 0]]), "^embeddings must be real numbers, not complex128$"),
+            (["a"], np.array([[True, False]]), "^embeddings must be real numbers, not bool$"),
         ],
-        ids=["caption_count", "past_f32_range", "past_f32_range_negative", "nan", "not_unit"],
+        ids=["caption_count", "past_f32_range", "past_f32_range_negative", "nan", "not_unit",
+             "strings", "complex", "bool"],
     )
     def test_constructor_rejects(self, ids, embeddings, message):
         # With no numpy warning on the way, whatever the warning filter.
@@ -86,6 +90,13 @@ class TestBuildDatastore:
             warnings.simplefilter("error")
             with pytest.raises(DataError, match=message):
                 Datastore(ids, ["x"], embeddings)
+
+    def test_complex_entry_rejected(self):
+        # Not cast to its real part with a numpy warning on the way.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="^embeddings must be real numbers, not complex128$"):
+                build_datastore([DatastoreEntry("a", "c", np.array([1 + 0j, 0]))])
 
     def test_empty_store_valid_but_unqueryable(self):
         store = build_datastore([])
@@ -212,9 +223,9 @@ class TestRetrievalVectors:
         store = basis_store()
         xs = np.tile(np.array([0.0, 0.0, 1.0]), (4, 1))
         segs = SegmentSet(segments=(Segment(0, 0, 4),), selected=(0,))
-        result = retrieval_vectors(segs, xs, np.ones(4), store, p=1)
-        np.testing.assert_allclose(result.vectors[0], [0, 0, 1], atol=1e-6)
-        assert result.neighbors[0][0][0] == "e2"
+        neighbors, vectors = retrieval_vectors(segs, xs, np.ones(4), store, p=1)
+        np.testing.assert_allclose(vectors[0], [0, 0, 1], atol=1e-6)
+        assert neighbors[0][0][0] == "e2"
 
     def test_antipodal_mean_cancels(self):
         store = build_datastore(
@@ -225,8 +236,8 @@ class TestRetrievalVectors:
         )
         xs = np.tile(np.array([1.0, 1e-9]), (2, 1))
         segs = SegmentSet(segments=(Segment(0, 0, 2),), selected=(0,))
-        result = retrieval_vectors(segs, xs, np.ones(2), store, p=2)
-        np.testing.assert_allclose(result.vectors[0], [0.0, 0.0], atol=1e-9)
+        _, vectors = retrieval_vectors(segs, xs, np.ones(2), store, p=2)
+        np.testing.assert_allclose(vectors[0], [0.0, 0.0], atol=1e-9)
 
     def test_mean_norm_at_most_one(self):
         rng = np.random.default_rng(1)
@@ -237,8 +248,8 @@ class TestRetrievalVectors:
         store = build_datastore(entries)
         xs = rng.normal(size=(10, 4))
         segs = SegmentSet(segments=(Segment(0, 0, 5), Segment(1, 5, 10)), selected=(0, 1))
-        result = retrieval_vectors(segs, xs, rng.random(10), store, p=7)
-        norms = np.linalg.norm(result.vectors, axis=1)
+        _, vectors = retrieval_vectors(segs, xs, rng.random(10), store, p=7)
+        norms = np.linalg.norm(vectors, axis=1)
         assert np.all(norms <= 1.0 + 1e-9)
 
 

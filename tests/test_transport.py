@@ -83,12 +83,12 @@ def count_logsumexp(monkeypatch):
     return calls
 
 
-def in_log_domain(monkeypatch, solve, *args, **kwargs):
-    """``solve(*args, **kwargs)`` with no exponent inside the kernel range,
-    so every scaling iterate runs in the log domain."""
+def in_log_domain(monkeypatch, solve, *args):
+    """``solve(*args)`` with no exponent inside the kernel range, so every
+    scaling iterate runs in the log domain."""
     with monkeypatch.context() as m:
         m.setattr(transport, "_KERNEL_RANGE", -1.0)
-        return solve(*args, **kwargs)
+        return solve(*args)
 
 
 def balanced_problem(cost, gamma=1e6, epsilon=1e-3, alpha=0.0):
@@ -276,11 +276,12 @@ class TestSolveFugw:
         plan = solve_fugw(prob)
         np.testing.assert_allclose(plan.T, 1.0 / 8, atol=1e-9)
 
-    def test_balanced_enumeration_oracle(self):
+    def test_balanced_enumeration_oracle(self, monkeypatch):
+        monkeypatch.setattr(transport, "_MAX_OUTER", 20)
         rng = np.random.default_rng(42)
         for _ in range(10):
             cost = rng.uniform(0, 1, (6, 2))
-            plan = solve_fugw(balanced_problem(cost), max_outer=20)
+            plan = solve_fugw(balanced_problem(cost))
             got = float(np.sum(cost * plan.T))
             best = min(
                 sum(cost[i, 0] for i in chosen) / 6
@@ -304,7 +305,7 @@ class TestSolveFugw:
         assert np.max(np.abs(rows - prob.p_hat)) > 0.1
 
     # The random-epsilon cases come after the fixed ones, so those keep their
-    # draws. Near epsilon = 1e-3 the solve may need more than max_outer steps,
+    # draws. Near epsilon = 1e-3 the solve may need more than _MAX_OUTER steps,
     # so only the fixed cases assert convergence; the marginal and the trace
     # hold after every step. Both tests see kernel-domain and log-domain solves.
 
@@ -426,7 +427,8 @@ class TestSolveFugw:
         t, _, _, inner_ok, iterates = transport._scaling_iterations(*first_scaling_args(prob))
         assert (inner_ok, iterates) == (False, 2)
         np.testing.assert_allclose(t.sum(axis=0), 1 / 8, rtol=1e-13, atol=0)
-        plan = solve_fugw(prob, max_outer=5)
+        monkeypatch.setattr(transport, "_MAX_OUTER", 5)
+        plan = solve_fugw(prob)
         assert not plan.converged
         assert (plan.iterations, plan.scaling_iterates) == (5, 10)
         np.testing.assert_allclose(plan.T.sum(axis=0), 1 / 8, rtol=1e-13, atol=0)
@@ -514,16 +516,17 @@ class TestSolveFugw:
     def test_small_epsilon_takes_log_domain_without_warning(self, monkeypatch):
         """At epsilon = 1e-3, cost/epsilon leaves the kernel range, so the
         solve is the log-domain one bit for bit."""
+        monkeypatch.setattr(transport, "_MAX_OUTER", 20)
         rng = np.random.default_rng(42)
         calls = count_logsumexp(monkeypatch)
         for _ in range(3):
             prob = balanced_problem(rng.uniform(0, 1, (6, 2)))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                plan = solve_fugw(prob, max_outer=20)
+                plan = solve_fugw(prob)
             n_calls = len(calls)
             calls.clear()
-            logd = in_log_domain(monkeypatch, solve_fugw, prob, max_outer=20)
+            logd = in_log_domain(monkeypatch, solve_fugw, prob)
             assert n_calls == len(calls) > 0
             calls.clear()
             assert plan.T.tobytes() == logd.T.tobytes()
