@@ -5,6 +5,11 @@ Pools each selected segment with saliency weights, queries the caption
 datastore by exact cosine top-p, averages the retrieved embeddings into one
 retrieval vector per segment, projects frame saliency into prompt rows, and
 concatenates everything into the decoder-input sequence.
+
+Retrieval is exact: each similarity is the correctly rounded value of the
+exact dot product of a stored float32 embedding with the normalized query,
+so every machine prints the same digits. One ``query_topp`` call answers a
+whole matrix of queries, one ranked list per row.
 """
 
 import tempfile
@@ -20,6 +25,7 @@ from saliseg import (
     project_saliency,
     query_topp,
     retrieval_vectors,
+    segment_queries,
 )
 from saliseg.prompts import init_prompt_map, load_decoder_input, save_decoder_input
 from saliseg.segments import Segment, SegmentSet
@@ -37,9 +43,10 @@ store = build_datastore(
 print(f"datastore: {len(store)} captions, dim {store.dim}")
 
 q = basis[2] + 0.1 * rng.normal(size=8)
-hits = query_topp(store, q, p=2)
+(hits,) = query_topp(store, [q], p=2)
 print(f"query near concept 2 -> top-2: {[(h[0], round(h[1], 3)) for h in hits]}")
 print(f"  captions: {[store.captions[store.entry_ids.index(h[0])] for h in hits]}")
+print(f"  exact similarity of the best hit: {hits[0][1].hex()}")
 
 # Two segments whose frames were generated from concepts 1 and 2.
 xs = np.vstack([
@@ -48,7 +55,8 @@ xs = np.vstack([
 ])
 p_s = np.array([0.9, 0.8, 0.95, 0.85, 0.9, 0.7, 0.8, 0.75, 0.9])
 segs = SegmentSet(segments=(Segment(0, 0, 5), Segment(1, 5, 9)), selected=(0, 1))
-neighbors, vectors = retrieval_vectors(segs, xs, p_s, store, p=2)
+queries = segment_queries(segs, xs, p_s, store)  # one pooled row per selected segment
+neighbors, vectors = retrieval_vectors(queries, store, p=2)
 print("\nper-segment retrieval (id, cosine):")
 for i, hits in enumerate(neighbors):
     print(f"  segment {i}: {[(h[0], round(h[1], 3)) for h in hits]}")

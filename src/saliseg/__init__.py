@@ -57,6 +57,7 @@ from .store import (
     query_topp,
     retrieval_vectors,
     save_datastore,
+    segment_queries,
 )
 from .synth import SynthCorpus, SynthSpec, generate_corpus, write_corpus
 from .transport import (

@@ -5,7 +5,9 @@ subcommands can be chained by hand; :func:`run_pipeline` calls the very same
 functions in order, which makes chained and monolithic execution byte
 identical. Every stage visits the videos one at a time in sorted video-id
 order, each as the valid rows that :func:`~saliseg.data.load_features`
-returns: padding ends at that reader, so no stage slices or masks. All
+returns: padding ends at that reader, so no stage slices or masks. The
+retrieve stage visits them to pool and check their queries, then answers
+every query of the corpus in one call. All
 randomness is drawn from named substreams of the config seed, so reruns
 with the same inputs produce identical artifact trees. The manifest
 deliberately contains no timings or timestamps for the same reason; timings
@@ -84,7 +86,7 @@ from .segments import (
     segments_to_doc,
     select_topk,
 )
-from .store import load_datastore, retrieval_vectors
+from .store import load_datastore, retrieval_vectors, segment_queries
 from .transport import build_problem, init_anchors, solve_fugw
 
 logger = logging.getLogger(__name__)
@@ -273,30 +275,36 @@ def stage_retrieve(
     out_path: str | Path,
     fail_fast: bool = False,
 ) -> Path:
-    """Retrieve top-p captions per selected segment; write vectors + neighbors."""
+    """Retrieve top-p captions per selected segment; write vectors + neighbors.
+
+    Each video's pooled queries are built and checked per video, so a bad
+    one skips that video alone; one :func:`retrieval_vectors` call then
+    answers every query of the corpus, and the records follow from it.
+    """
     saliency = load_saliency(saliency_path)
     segments = load_segments(segments_path)
     store = load_datastore(store_path)
     check_writable(out_path)
 
-    def work(path: Path, f: FrameFeatures) -> dict:
+    def prepare(path: Path, f: FrameFeatures) -> tuple:
         segs = _record(segments, f.video_id, "segments")
         p_s = _frame_values(saliency, f, "saliency", "prior")
-        neighbors, vectors = retrieval_vectors(
-            segs, f.spatial.astype(np.float64), p_s, store, cfg.top_p)
-        return {
-            "video_id": f.video_id,
-            "segments": [
-                {
-                    "index": int(idx),
-                    "neighbors": [[eid, sim] for eid, sim in hits],
-                }
-                for idx, hits in zip(segs.selected, neighbors)
-            ],
-            "vectors": [row.tolist() for row in vectors],
-        }
+        return f.video_id, segs, segment_queries(segs, f.spatial.astype(np.float64), p_s, store)
 
-    return save_records(_for_each_video(features_dir, work, cfg, fail_fast), out_path)
+    videos = _for_each_video(features_dir, prepare, cfg, fail_fast)
+    queries = np.concatenate([q for _, _, q in videos] or [np.zeros((0, store.dim))])
+    neighbors, vectors = retrieval_vectors(queries, store, cfg.top_p)
+    records, start = [], 0
+    for video_id, segs, q in videos:
+        end = start + len(q)
+        records.append({
+            "video_id": video_id,
+            "segments": [{"index": int(idx), "neighbors": hits}
+                         for idx, hits in zip(segs.selected, neighbors[start:end])],
+            "vectors": vectors[start:end].tolist(),
+        })
+        start = end
+    return save_records(records, out_path)
 
 
 def stage_assemble(

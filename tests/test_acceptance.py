@@ -52,6 +52,7 @@ from saliseg.segments import (
     score_segments,
     select_topk,
 )
+from exact_retrieval import exact_topp
 from saliseg.store import DatastoreEntry, build_datastore, query_topp
 from saliseg.synth import SynthSpec, generate_corpus, write_corpus
 from saliseg.transport import (
@@ -432,18 +433,15 @@ class TestCriterion10RetrievalExactness:
             DatastoreEntry(f"id{i:05d}", "", vecs[i].astype(np.float32)) for i in range(n)
         ]
         store = build_datastore(entries)
-        # Ids ascend with the row index, so a stable sort on descending
-        # similarity breaks ties by id.
+        # Ids ascend with the row index, so ties by id are ties by row.
         assert store.entry_ids == sorted(store.entry_ids)
-        emb = store.embeddings.astype(np.float64)
-        for _ in range(1000):
-            q = rng.normal(size=d)
-            got = query_topp(store, q, 10)
-            sims = emb @ (q / np.linalg.norm(q))
-            order = np.argsort(-sims, kind="stable")
-            want = [(store.entry_ids[i], float(sims[i])) for i in order[:10]]
+        queries = rng.normal(size=(1000, d))
+        for q, got in zip(queries, query_topp(store, queries, 10)):
+            # Exact arithmetic over the entries within 1e-9 of the cut of a
+            # float64 scan, whose own error is below 1e-15.
+            want = exact_topp(store, q, 10)
             assert got == want
-        announce(10, "exact against linear scan on 1000 queries x 10000 entries")
+        announce(10, "exact against exact arithmetic on 1000 queries x 10000 entries")
 
     def test_synthetic_concept_match(self, corpus_retrieval):
         corpus, examples, head = corpus_retrieval

@@ -286,6 +286,62 @@ class TestFailureIsolation:
             )
 
 
+    @pytest.mark.parametrize(
+        "defect, message",
+        [("segment_past_frames", "segment exceeds feature rows"), ("zero_query", "zero query vector")],
+    )
+    def test_bad_query_skips_only_its_video(
+        self, corpus_dir, saliency_path, tmp_path, caplog, defect, message
+    ):
+        # The other videos' records are byte-identical to a run without the
+        # bad one, and --fail-fast names its file.
+        features = copy_features(corpus_dir, tmp_path)
+        segments = tmp_path / "segments.jsonl"
+        stage_segment(features, saliency_path, CFG, segments)
+        store = corpus_dir / "datastore.sds"
+        stage_retrieve(features, saliency_path, segments, store, CFG, tmp_path / "clean.jsonl")
+        victim = sorted(features.glob("*.sfeat"))[1]
+        f = load_features(victim)
+        if defect == "segment_past_frames":
+            docs = [json.loads(line) for line in segments.read_text().splitlines()]
+            doc = next(d for d in docs if d["video_id"] == f.video_id)
+            doc["segments"][-1]["end"] += 5
+            doc["selected"] = sorted({*doc["selected"], len(doc["segments"]) - 1})
+            segments.write_text("".join(json.dumps(d) + "\n" for d in docs))
+        else:
+            zero = np.zeros_like(f.spatial)
+            save_features(FrameFeatures(f.video_id, zero, f.encoded, f.n_frames), victim)
+        out = tmp_path / "retrieval.jsonl"
+        with caplog.at_level("ERROR"):
+            stage_retrieve(features, saliency_path, segments, store, CFG, out)
+        clean = (tmp_path / "clean.jsonl").read_text().splitlines()
+        assert out.read_text().splitlines() == [
+            line for line in clean if json.loads(line)["video_id"] != f.video_id]
+        assert f"{victim}: stage failed, video skipped: {message}" in caplog.text
+        caplog.clear()
+        with caplog.at_level("ERROR"), pytest.raises(DataError, match=message):
+            stage_retrieve(features, saliency_path, segments, store, CFG, out, fail_fast=True)
+        assert f"{victim}: stage failed" in caplog.text
+
+    def test_empty_store_skips_every_video_or_fails(
+        self, corpus_dir, saliency_path, tmp_path, caplog
+    ):
+        features = corpus_dir / "features"
+        segments = tmp_path / "segments.jsonl"
+        stage_segment(features, saliency_path, CFG, segments)
+        empty = tmp_path / "empty.sds"
+        empty.write_bytes(b"SDS1" + struct.pack("<QQ", 0, SPEC.D))
+        out = tmp_path / "retrieval.jsonl"
+        with caplog.at_level("ERROR"):
+            stage_retrieve(features, saliency_path, segments, empty, CFG, out)
+        assert out.read_text() == ""
+        assert caplog.text.count("video skipped: empty datastore") == SPEC.n_videos
+        caplog.clear()
+        with caplog.at_level("ERROR"), pytest.raises(DataError, match="empty datastore"):
+            stage_retrieve(features, saliency_path, segments, empty, CFG, out, fail_fast=True)
+        assert f"{sorted(features.glob('*.sfeat'))[0]}: stage failed" in caplog.text
+
+
 def without_field(src: Path, field: str, dst: Path) -> Path:
     docs = [json.loads(line) for line in src.read_text().splitlines()]
     for doc in docs:

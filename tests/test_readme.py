@@ -1,5 +1,5 @@
-"""The README's library snippet runs as written and segments like the stages,
-and every command in its command-line block parses."""
+"""The README's library snippet runs as written and segments and retrieves
+like the stages, and every command in its command-line block parses."""
 
 import re
 import shlex
@@ -8,10 +8,11 @@ from pathlib import Path
 import numpy as np
 
 from saliseg.cli import build_parser
-from saliseg.data import PipelineConfig, save_features
-from saliseg.pipeline import stage_refine, stage_score_saliency, stage_segment
+from saliseg.data import PipelineConfig, load_records, save_features
+from saliseg.pipeline import stage_refine, stage_retrieve, stage_score_saliency, stage_segment
 from saliseg.saliency import init_head, save_head
 from saliseg.segments import load_segments
+from saliseg.store import save_datastore
 from saliseg.synth import SynthSpec, generate_corpus
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -38,10 +39,12 @@ def test_command_line_block_parses():
 
 def test_library_snippet_runs_and_matches_the_stages(tmp_path, monkeypatch):
     (snippet,) = python_blocks(README.read_text(encoding="utf-8"))
-    f = generate_corpus(SynthSpec(n_videos=3, seed=3)).features[2]
+    corpus = generate_corpus(SynthSpec(n_videos=3, seed=3))
+    f = corpus.features[2]
     assert f.valid_len < f.n_frames  # a padded file: the snippet slices nothing
     save_features(f, tmp_path / "video-1.sfeat")
     save_head(init_head(f.dim, seed=3), tmp_path / "head.shd")
+    save_datastore(corpus.datastore, tmp_path / "datastore.sds")
 
     monkeypatch.chdir(tmp_path)
     namespace: dict = {}
@@ -63,3 +66,12 @@ def test_library_snippet_runs_and_matches_the_stages(tmp_path, monkeypatch):
     ]
     np.testing.assert_allclose([s.score for s in got.segments],
                                [s.score for s in want.segments], rtol=1e-5)
+    stage_retrieve(features, tmp_path / "sal.jsonl", tmp_path / "seg.jsonl",
+                   tmp_path / "datastore.sds", cfg, tmp_path / "ret.jsonl")
+    record = load_records(tmp_path / "ret.jsonl")["video-1"]
+    want_hits = [s["neighbors"] for s in record["segments"]]
+    assert [[h[0] for h in hits] for hits in namespace["neighbors"]] == [
+        [h[0] for h in hits] for hits in want_hits]
+    np.testing.assert_allclose([[h[1] for h in hits] for hits in namespace["neighbors"]],
+                               [[h[1] for h in hits] for hits in want_hits], rtol=1e-5)
+    np.testing.assert_allclose(namespace["vectors"], record["vectors"], rtol=1e-12)

@@ -1,5 +1,6 @@
 """Caption datastore: exact retrieval and persistence."""
 
+import json
 import struct
 import tracemalloc
 import warnings
@@ -7,6 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
+from exact_retrieval import FIXTURE, exact_dot, exact_topp, unit
+from saliseg import store as store_module
 from saliseg.errors import DataError
 from saliseg.segments import Segment, SegmentSet
 from saliseg.store import (
@@ -17,6 +20,7 @@ from saliseg.store import (
     query_topp,
     retrieval_vectors,
     save_datastore,
+    segment_queries,
 )
 
 
@@ -149,10 +153,8 @@ class TestQueryTopp:
         store = build_datastore(entries)
         for _ in range(20):
             q = rng.normal(size=d)
-            got = query_topp(store, q, 10)
-            sims = store.embeddings.astype(np.float64) @ (q / np.linalg.norm(q))
-            order = sorted(range(n), key=lambda i: (-sims[i], store.entry_ids[i]))
-            want = [(store.entry_ids[i], float(sims[i])) for i in order[:10]]
+            got = query_topp(store, [q], 10)[0]
+            want = exact_topp(store, q, 10, preselect=False)
             assert got == want
 
     def test_tie_break_lexicographic(self):
@@ -212,10 +214,117 @@ class TestQueryTopp:
         )
         for p in (1, 7, 100, 333):
             q = rng.normal(size=d)
-            got = query_topp(store, q, p)
-            sims = store.embeddings @ (q / np.linalg.norm(q))
-            order = sorted(range(n), key=lambda i: (-sims[i], store.entry_ids[i]))
-            assert got == [(store.entry_ids[i], float(sims[i])) for i in order[:p]]
+            got = query_topp(store, [q], p)[0]
+            assert got == exact_topp(store, q, p)
+
+    def test_one_vector_is_one_row(self):
+        rng = np.random.default_rng(6)
+        store = build_datastore(
+            [DatastoreEntry(f"e{i}", "", v) for i, v in enumerate(rng.normal(size=(40, 5)))])
+        q = rng.normal(size=5)
+        assert query_topp(store, q, 4) == query_topp(store, [q], 4)[0]
+        assert query_topp(store, np.zeros((0, 5)), 4) == []
+
+    @staticmethod
+    def bits(hits):
+        return [[(entry_id, sim.hex()) for entry_id, sim in row] for row in hits]
+
+    def test_rows_do_not_depend_on_their_block(self, monkeypatch):
+        """A query's hits are bit-identical alone and in blocks of 1, 7 or
+        every query."""
+        rng = np.random.default_rng(12)
+        n, d = 300, 8
+        store = build_datastore(
+            [DatastoreEntry(f"e{i:03d}", "", v) for i, v in enumerate(rng.normal(size=(n, d)))])
+        queries = rng.normal(size=(23, d))
+        alone = self.bits([query_topp(store, q, 9) for q in queries])
+        for rows in (1, 7, len(queries)):
+            monkeypatch.setattr(store_module, "_SCREEN_BYTES", 4 * n * rows)
+            assert self.bits(query_topp(store, queries, 9)) == alone
+        assert alone == self.bits([exact_topp(store, q, 9) for q in queries])
+
+    def test_margin_holds_for_rows_one_ulp_apart(self):
+        """Rows one to a few float32 units apart put many entries within the
+        screen's margin of the cut, where the float32 screen alone orders
+        them wrong; the result is still the exact one."""
+        rng = np.random.default_rng(14)
+        d = 16
+        base = rng.normal(size=d)
+        base = (base / np.linalg.norm(base)).astype(np.float32)
+        rows = []
+        for k in range(240):
+            row = base.copy()
+            row.view(np.int32)[k % d] += k // d - 7
+            rows.append(row)
+        far = rng.normal(size=(60, d))
+        rows += list((far / np.linalg.norm(far, axis=1, keepdims=True)).astype(np.float32))
+        emb = np.stack(rows)
+        ids = [f"r{i:03d}" for i in rng.permutation(len(rows))]
+        store = Datastore(ids, [""] * len(ids), emb)
+        margin = store_module._screen_margin(d)
+        screen_differs = 0
+        for _ in range(10):
+            q = base + 1e-3 * rng.normal(size=d)
+            want = exact_topp(store, q, 25)
+            assert query_topp(store, q, 25) == want
+            exact = np.array([exact_dot(e, unit(q)) for e in emb])
+            assert np.sum(np.abs(exact - want[-1][1]) <= margin) >= 100
+            screen = emb @ np.asarray(unit(q), dtype=np.float32)
+            by_screen = sorted(range(len(ids)), key=lambda i: (-screen[i], ids[i]))[:25]
+            screen_differs += [ids[i] for i in by_screen] != [h[0] for h in want]
+        assert screen_differs
+
+    def test_subnormal_products_summed_exactly(self):
+        """Subnormal float32 values against tiny query values give products
+        below float64's normal range; the sums still equal exact arithmetic."""
+        rng = np.random.default_rng(15)
+        d = 6
+        a = np.float32(2.0**-140)  # a float32 subnormal
+        emb = [np.array([0, 1, a, a, 0, 0], np.float32), np.array([0, 1, a, -a, a, 0], np.float32)]
+        tiny = rng.normal(size=(40, d)).astype(np.float32)
+        tiny[:, 1:] *= np.float32(2.0**-130)  # subnormal tails
+        emb += list(tiny / np.linalg.norm(tiny, axis=1, keepdims=True).astype(np.float32))
+        ids = [f"s{i:02d}" for i in range(len(emb))]
+        store = Datastore(ids, [""] * len(ids), np.stack(emb))
+        t = 0.6 * 2.0**-934  # a * t = 0.6 * 2**-1074, which float64 rounds up to 2**-1074
+        queries = [np.array([1.0, 0, t, t, 0, 0]), np.array([-1.0, 0, t, t, t, 0])]
+        queries += [np.concatenate([[v], 1e-300 * rng.normal(size=d - 1)])
+                    for v in rng.normal(size=6)]
+        queries += [rng.normal(size=d) * np.array([1, 3e-310, 1e-320, 1, 2e-305, 1])
+                    for _ in range(6)]
+        got = query_topp(store, queries, len(emb))
+        assert got == [exact_topp(store, q, len(emb), preselect=False) for q in queries]
+        # The first row sums to 1.2 * 2**-1074, which rounds to 2**-1074; a
+        # float64 dot product that rounds each product gives twice that.
+        first = dict(got[0])["s00"]
+        assert first == 2.0**-1074 != float(emb[0].astype(np.float64) @ queries[0])
+
+    def test_screen_memory_within_block_budget(self):
+        """The screen holds one block of scores at a time: 300 queries against
+        20k entries would take 24 MB at once, the budget allows 8 MiB."""
+        rng = np.random.default_rng(16)
+        n, d = 20_000, 32
+        vecs = rng.normal(size=(n, d))
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        store = Datastore([f"d{i:05d}" for i in range(n)], [""] * n, vecs)
+        queries = rng.normal(size=(300, d))
+        _, _, peak = TestHeldOnce.traced(lambda: query_topp(store, queries, 10))
+        assert peak <= store_module._SCREEN_BYTES + 2**20, peak
+        assert 4 * n * len(queries) > 2 * store_module._SCREEN_BYTES
+
+    def test_cross_machine_fixture(self):
+        """The exact similarities of a committed store and its queries, as
+        float hex: every platform writes the same bits."""
+        doc = json.loads(FIXTURE.read_text(encoding="utf-8"))
+        ids = [e["id"] for e in doc["store"]]
+        emb = np.array([[float.fromhex(v) for v in e["embedding"]] for e in doc["store"]])
+        store = Datastore(ids, [""] * len(ids), emb)
+        assert np.array_equal(store.embeddings, emb)  # float32 values, kept exactly
+        for case in doc["queries"]:
+            q = np.array([float.fromhex(v) for v in case["query"]])
+            want = [(entry_id, float.fromhex(sim)) for entry_id, sim in case["hits"]]
+            assert exact_topp(store, q, case["p"], preselect=False) == want
+            assert self.bits([query_topp(store, q, case["p"])]) == self.bits([want])
 
 
 class TestRetrievalVectors:
@@ -223,7 +332,8 @@ class TestRetrievalVectors:
         store = basis_store()
         xs = np.tile(np.array([0.0, 0.0, 1.0]), (4, 1))
         segs = SegmentSet(segments=(Segment(0, 0, 4),), selected=(0,))
-        neighbors, vectors = retrieval_vectors(segs, xs, np.ones(4), store, p=1)
+        queries = segment_queries(segs, xs, np.ones(4), store)
+        neighbors, vectors = retrieval_vectors(queries, store, p=1)
         np.testing.assert_allclose(vectors[0], [0, 0, 1], atol=1e-6)
         assert neighbors[0][0][0] == "e2"
 
@@ -236,7 +346,7 @@ class TestRetrievalVectors:
         )
         xs = np.tile(np.array([1.0, 1e-9]), (2, 1))
         segs = SegmentSet(segments=(Segment(0, 0, 2),), selected=(0,))
-        _, vectors = retrieval_vectors(segs, xs, np.ones(2), store, p=2)
+        _, vectors = retrieval_vectors(segment_queries(segs, xs, np.ones(2), store), store, p=2)
         np.testing.assert_allclose(vectors[0], [0.0, 0.0], atol=1e-9)
 
     def test_mean_norm_at_most_one(self):
@@ -248,9 +358,49 @@ class TestRetrievalVectors:
         store = build_datastore(entries)
         xs = rng.normal(size=(10, 4))
         segs = SegmentSet(segments=(Segment(0, 0, 5), Segment(1, 5, 10)), selected=(0, 1))
-        _, vectors = retrieval_vectors(segs, xs, rng.random(10), store, p=7)
+        queries = segment_queries(segs, xs, rng.random(10), store)
+        _, vectors = retrieval_vectors(queries, store, p=7)
         norms = np.linalg.norm(vectors, axis=1)
         assert np.all(norms <= 1.0 + 1e-9)
+
+    def test_vectors_are_float64_means_of_the_stored_rows(self):
+        rng = np.random.default_rng(2)
+        store = build_datastore(
+            [DatastoreEntry(f"e{i:02d}", "", v) for i, v in enumerate(rng.normal(size=(50, 6)))])
+        queries = rng.normal(size=(4, 6))
+        neighbors, vectors = retrieval_vectors(queries, store, p=5)
+        assert neighbors == query_topp(store, queries, 5)
+        for hits, vector in zip(neighbors, vectors):
+            rows = store.embeddings[[store.entry_ids.index(e) for e, _ in hits]]
+            assert vector.tobytes() == rows.astype(np.float64).mean(axis=0).tobytes()
+        neighbors, vectors = retrieval_vectors(np.zeros((0, 6)), store, p=5)
+        assert neighbors == [] and vectors.shape == (0, 6)
+
+    @pytest.mark.parametrize(
+        "segment, xs, message",
+        [
+            (Segment(0, 0, 5), np.ones((4, 3)), "segment exceeds feature rows"),
+            (Segment(0, 0, 4), np.zeros((4, 3)), "zero query vector"),
+            (Segment(0, 0, 4), np.full((4, 3), np.inf), "must be finite"),
+            (Segment(0, 0, 4), np.ones((4, 2)), "query must have dimension 3"),
+        ],
+        ids=["past_frames", "zero", "not_finite", "dimension"],
+    )
+    def test_segment_queries_check_each_query(self, segment, xs, message):
+        segs = SegmentSet(segments=(segment,), selected=(0,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the infinite rows' pooling
+            with pytest.raises(DataError, match=message):
+                segment_queries(segs, xs, np.ones(len(xs)), basis_store())
+
+    def test_segment_queries_on_an_empty_store(self):
+        segs = SegmentSet(segments=(Segment(0, 0, 4),), selected=(0,))
+        empty = build_datastore([])
+        with pytest.raises(DataError, match="empty datastore"):
+            segment_queries(segs, np.ones((4, 3)), np.ones(4), empty)
+        # Nothing selected queries nothing, as before.
+        none = SegmentSet(segments=(Segment(0, 0, 4),))
+        assert segment_queries(none, np.ones((4, 3)), np.ones(4), empty).shape == (0, 0)
 
 
 class TestDatastoreIO:
@@ -308,9 +458,10 @@ class TestDatastoreIO:
 
     def test_embeddings_are_the_stored_f32_values(self):
         store = build_datastore([DatastoreEntry("a", "", np.array([1.0, 3.0]))])
-        assert store.embeddings.dtype == np.float64
+        assert store.embeddings.dtype == np.float32
+        assert store.embeddings.flags.c_contiguous
         np.testing.assert_array_equal(
-            store.embeddings, store.embeddings.astype(np.float32).astype(np.float64)
+            store.embeddings, [(np.array([1.0, 3.0]) / np.sqrt(10.0)).astype(np.float32)]
         )
 
     def test_two_saves_identical(self, tmp_path):
@@ -386,12 +537,14 @@ class TestHeldOnce:
         store, path = saved
         loaded, size, peak = self.traced(lambda: load_datastore(path))
         assert loaded.embeddings.tobytes() == store.embeddings.tobytes()
+        assert loaded.embeddings.nbytes == 4 * self.N * self.D
         assert size >= loaded.embeddings.nbytes
         assert peak <= size + path.stat().st_size, (peak, size)
 
-    def test_f32_valued_matrix_is_kept_without_a_copy(self, saved):
+    def test_f32_matrix_is_kept_without_a_copy(self, saved):
         store, _ = saved
         emb = store.embeddings.copy()
+        assert emb.dtype == np.float32
         built, _, peak = self.traced(lambda: Datastore(store.entry_ids, store.captions, emb))
         assert peak < emb.nbytes, peak
         assert built.embeddings is emb
@@ -405,4 +558,4 @@ class TestHeldOnce:
         before = vecs.copy()
         built = Datastore(store.entry_ids[:100], store.captions[:100], vecs)
         assert vecs.tobytes() == before.tobytes()
-        assert built.embeddings.tobytes() == before.astype(np.float32).astype(np.float64).tobytes()
+        assert built.embeddings.tobytes() == before.astype(np.float32).tobytes()
