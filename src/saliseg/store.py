@@ -12,7 +12,9 @@ and drops the file before the constructor checks it, and the constructor
 keeps a C-contiguous float32 matrix as it is.
 
 Retrieval is exact and the same on every machine. A query ``q`` is scaled to
-``q̂ = q / sqrt(fsum(q_i²))`` in float64, and the similarity of a stored
+``q̂ = q / sqrt(fsum(q_i²))`` in float64 (a query whose largest value is
+below ``1/2`` is first scaled up by a power of two, exactly, so that its
+squares stay in the normal range), and the similarity of a stored
 embedding ``e`` is the correctly rounded value of the exact dot product
 ``Σ e_i q̂_i``; results rank by descending similarity, then by id in
 code-point order. :func:`query_topp` answers a matrix of queries per call:
@@ -144,12 +146,26 @@ def build_datastore(entries: list[DatastoreEntry]) -> Datastore:
 def _unit_rows(store: Datastore, queries: NDArray[np.float64]) -> NDArray[np.float64]:
     """Each row of the ``Q x D`` ``queries`` over its norm, the square root
     of ``math.fsum`` of its squares, so no BLAS build enters; a bad row is a
-    :class:`DataError`."""
+    :class:`DataError`.
+
+    A row whose largest ``|q_i|`` is below ``1/2`` is first scaled up by the
+    power of two that brings it into ``[1/2, 1)``. That is exact, and leaves
+    the result of every row whose squares are normal as it was, but the
+    squares that count can no longer fall below float64's normal range, so
+    ``q̂`` has unit norm to within a few units of float64 rounding for every
+    finite nonzero query, as :func:`_screen_margin` assumes.
+    """
     if len(store) == 0:
         raise DataError("empty datastore")
     q = np.asarray(queries, dtype=np.float64)
     if q.ndim != 2 or q.shape[1] != store.dim:
         raise DataError(f"query must have dimension {store.dim}")
+    top = np.max(np.abs(q), axis=1, keepdims=True)
+    if not np.all(np.isfinite(top)):
+        raise DataError("query vector and its norm must be finite")
+    if np.any(top == 0):
+        raise DataError("zero query vector")
+    q = np.ldexp(q, -np.minimum(np.frexp(top)[1], 0))
     with np.errstate(over="ignore"):  # finite entries can still overflow the norm
         squares = (q * q).tolist()
     try:
@@ -158,8 +174,6 @@ def _unit_rows(store: Datastore, queries: NDArray[np.float64]) -> NDArray[np.flo
         norms = np.array([[math.inf]])
     if not np.all(np.isfinite(norms)):
         raise DataError("query vector and its norm must be finite")
-    if np.any(norms == 0):
-        raise DataError("zero query vector")
     return q / norms
 
 
@@ -253,12 +267,10 @@ def query_topp(store: Datastore, queries: NDArray[np.float64], p: int) -> list:
     float32 screen fits ``_SCREEN_BYTES``; each row's result is exact, so it
     does not depend on the block it shares.
     """
-    if len(store) == 0:
-        raise DataError("empty datastore")
-    if p < 1:
-        raise DataError("p must be >= 1")
     q = np.asarray(queries, dtype=np.float64)
     unit = _unit_rows(store, q[None] if q.ndim == 1 else q)
+    if p < 1:
+        raise DataError("p must be >= 1")
     p = min(p, len(store))
     block = max(1, _SCREEN_BYTES // (4 * len(store)))
     hits = []
@@ -281,6 +293,8 @@ def segment_queries(
     if not rows:
         return np.zeros((0, store.dim))
     queries = np.stack(rows)
+    # Checked here, but returned as pooled: query_topp scales them itself,
+    # and scaling an already scaled row again could change its last bits.
     _unit_rows(store, queries)
     return queries
 

@@ -2,8 +2,10 @@
 ``tests/data/retrieval_exact.json`` that it writes.
 
 The reference follows the retrieval contract with no floating-point sum: a
-query is scaled to ``q̂ = q / sqrt(fsum(q_i²))``, and each similarity is
-``Σ e_i q̂_i`` summed as fractions, then rounded to the nearest float once.
+query is scaled to ``q̂ = q / sqrt(fsum(q_i²))``, after an exact power-of-two
+scaling that brings a largest ``|q_i|`` below ``1/2`` into ``[1/2, 1)``, and
+each similarity is ``Σ e_i q̂_i`` summed as fractions, then rounded to the
+nearest float once.
 Results rank by descending similarity, then by id.
 
 The fixture holds a small store and its queries as float hex, with the
@@ -31,8 +33,11 @@ PRESELECT_MARGIN = 1e-9
 
 
 def unit(q) -> list[float]:
-    """The query over its norm, the square root of ``fsum`` of its squares."""
+    """The query over its norm, the square root of ``fsum`` of its squares,
+    after scaling a largest value below ``1/2`` up into ``[1/2, 1)``."""
     q = [float(x) for x in q]
+    _, exp = math.frexp(max(abs(x) for x in q))
+    q = [math.ldexp(x, -min(exp, 0)) for x in q]
     norm = math.sqrt(math.fsum(x * x for x in q))
     return [x / norm for x in q]
 

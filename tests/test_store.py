@@ -1,6 +1,7 @@
 """Caption datastore: exact retrieval and persistence."""
 
 import json
+import math
 import struct
 import tracemalloc
 import warnings
@@ -267,12 +268,23 @@ class TestQueryTopp:
             q = base + 1e-3 * rng.normal(size=d)
             want = exact_topp(store, q, 25)
             assert query_topp(store, q, 25) == want
+            # Squares below float64's normal range: the query is scaled up
+            # exactly first, so it keeps its unit vector and its hits.
+            assert query_topp(store, q * 2.0**-600, 25) == want
             exact = np.array([exact_dot(e, unit(q)) for e in emb])
             assert np.sum(np.abs(exact - want[-1][1]) <= margin) >= 100
             screen = emb @ np.asarray(unit(q), dtype=np.float32)
             by_screen = sorted(range(len(ids)), key=lambda i: (-screen[i], ids[i]))[:25]
             screen_differs += [ids[i] for i in by_screen] != [h[0] for h in want]
         assert screen_differs
+
+    def test_tiny_query_has_unit_norm(self):
+        """A query whose squares fall below float64's normal range: scaled
+        by its norm alone, (2.6e-162, 0, 0) would read 1.17 against e0."""
+        assert query_topp(basis_store(), np.array([2.6e-162, 0.0, 0.0]), 1) == [("e0", 1.0)]
+        q = np.array([3e-170, -4e-170, 5e-321])
+        assert query_topp(basis_store(), q, 3) == exact_topp(basis_store(), q, 3, preselect=False)
+        assert abs(math.fsum(x * x for x in unit(q)) - 1) < 1e-15
 
     def test_subnormal_products_summed_exactly(self):
         """Subnormal float32 values against tiny query values give products
