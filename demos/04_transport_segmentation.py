@@ -51,7 +51,7 @@ p_s = saliency_prior(saliency_forward(head, ex.features))
 
 anchors = init_anchors(xs, cfg.K, cfg.seed, f.video_id)
 prob = build_problem(xs, anchors, p_s, cfg.alpha, cfg.gamma, cfg.epsilon, cfg.mu)
-plan = solve_fugw(prob)
+(plan,) = solve_fugw([prob])  # a list of problems in, one plan (or error) per problem out
 print(f"{f.video_id}: solver converged={plan.converged} after {plan.iterations} outer steps "
       f"and {plan.scaling_iterates} scaling iterates")
 print(f"objective trace head: {[round(v, 4) for v in plan.objective_trace[:6]]}")
@@ -68,13 +68,16 @@ for i in segs.selected:
 print(f"ground truth events: {list(ann.events)}")
 
 print("\ncorpus comparison (Recall@0.5 / Mean IoU over ground truth):")
-stats = {"transport": [], "kmeans": [], "uniform": []}
-for f, ex, ann in zip(corpus.features, examples, corpus.annotations):
+problems = []
+for f, ex in zip(corpus.features, examples):
     xs = f.spatial.astype(np.float64)
     p_s = saliency_prior(saliency_forward(head, ex.features))
     anchors = init_anchors(xs, cfg.K, cfg.seed, f.video_id)
-    prob = build_problem(xs, anchors, p_s, cfg.alpha, cfg.gamma, cfg.epsilon, cfg.mu)
-    plan = solve_fugw(prob)
+    problems.append(build_problem(xs, anchors, p_s, cfg.alpha, cfg.gamma, cfg.epsilon, cfg.mu))
+plans = solve_fugw(problems)  # one call solves the corpus
+stats = {"transport": [], "kmeans": [], "uniform": []}
+for f, ann, plan in zip(corpus.features, corpus.annotations, plans):
+    xs = f.spatial.astype(np.float64)
     sets = {
         "transport": select_topk(score_segments(decode_segments(plan.T), plan.T), cfg.top_k),
         "kmeans": select_topk(baseline_kmeans(xs, cfg.K, cfg.seed, f.video_id), cfg.top_k),

@@ -65,7 +65,6 @@ from .transport import (
     TransportPlan,
     build_kot_cost,
     build_problem,
-    build_structure_costs,
     gw_gradient,
     gw_value,
     init_anchors,

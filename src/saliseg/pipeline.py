@@ -5,13 +5,15 @@ subcommands can be chained by hand; :func:`run_pipeline` calls the very same
 functions in order, which makes chained and monolithic execution byte
 identical. Every stage visits the videos one at a time in sorted video-id
 order, each as the valid rows that :func:`~saliseg.data.load_features`
-returns: padding ends at that reader, so no stage slices or masks. The
-retrieve stage visits them to pool and check their queries, then answers
-every query of the corpus in one call. All
-randomness is drawn from named substreams of the config seed, so reruns
-with the same inputs produce identical artifact trees. The manifest
-deliberately contains no timings or timestamps for the same reason; timings
-go to the log.
+returns: padding ends at that reader, so no stage slices or masks. Two
+stages run one corpus kernel between two visits: segment builds each
+video's transport problem, solves every problem of the corpus in one call
+and then decodes each video from its plan; retrieve pools and checks each
+video's queries, answers every query of the corpus in one call and then
+writes each video's record. All randomness is drawn from named substreams
+of the config seed, so reruns with the same inputs produce identical
+artifact trees. The manifest deliberately contains no timings or timestamps
+for the same reason; timings go to the log.
 
 A video that fails a stage (a :class:`SalisegError`, including more frames
 than ``F_max`` and a missing upstream record or record field) is logged and
@@ -36,8 +38,10 @@ The segments layout is documented in :mod:`saliseg.segments`.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -100,35 +104,67 @@ def _check_baseline(baseline: str) -> None:
         raise ConfigError(f"unknown baseline {baseline!r}; expected one of {BASELINES}")
 
 
+@contextlib.contextmanager
+def _video_errors(path: Path, fail_fast: bool):
+    """Skip the video of ``path`` on a :class:`SalisegError` with a log line,
+    or under ``fail_fast`` propagate it after a log line naming the file; an
+    :class:`OutputError` always propagates."""
+    try:
+        yield
+    except OutputError:
+        raise
+    except SalisegError as exc:
+        if fail_fast:
+            logger.error("%s: stage failed", path)
+            raise
+        logger.error("%s: stage failed, video skipped: %s", path, exc)
+
+
+def _take(items: list):
+    """Yield the items of ``items`` in order, dropping each from the list as
+    it is yielded, so that the consumer alone decides how long it lives."""
+    items.reverse()
+    while items:
+        yield items.pop()
+
+
 def _for_each_video(
-    features_dir: str | Path, work, cfg: PipelineConfig, fail_fast: bool
+    features_dir: str | Path, work, cfg: PipelineConfig, fail_fast: bool,
+    kernel=None, finish=None,
 ) -> list:
     """Load every feature file in sorted order, run ``work(path, features)``
     on it and collect the results.
 
+    A stage with a corpus kernel also passes ``kernel`` and ``finish``:
+    ``work`` then prepares each video as a pair ``(context, input)``,
+    ``kernel`` runs once on an iterator over the inputs and returns one
+    result per input, and ``finish(context, result)`` runs per video in the
+    same order; its values are returned. No input the kernel has taken
+    stays referenced here, so the kernel may free each one once it is done.
+
     A video with more than ``cfg.F_max`` frames is a :class:`DataError`. A
-    :class:`SalisegError` skips that video with a log line, or under
-    ``fail_fast`` propagates after a log line naming the file; an
-    :class:`OutputError` always propagates.
+    :class:`SalisegError` in ``work`` or ``finish`` skips that video with a
+    log line, or under ``fail_fast`` propagates after a log line naming the
+    file; an :class:`OutputError` always propagates.
     """
     paths = sorted(Path(features_dir).glob("*.sfeat"))
     if not paths:
         raise DataError(f"no .sfeat files in {features_dir}")
-    results = []
+    done = []  # (path, value) of each video that has not failed
     for path in paths:
-        try:
+        with _video_errors(path, fail_fast):
             f = load_features(path)
             if f.n_frames > cfg.F_max:
                 raise DataError(f"{f.video_id}: {f.n_frames} frames exceed F_max={cfg.F_max}")
-            results.append(work(path, f))
-        except OutputError:
-            raise
-        except SalisegError as exc:
-            if fail_fast:
-                logger.error("%s: stage failed", path)
-                raise
-            logger.error("%s: stage failed, video skipped: %s", path, exc)
-    return results
+            done.append((path, work(path, f)))
+    if kernel is not None:
+        inputs = [value for _, (_, value) in done]
+        contexts = [(path, context) for path, (context, _) in done]
+        done = []
+        for (path, context), result in zip(contexts, kernel(_take(inputs)), strict=True):
+            with _video_errors(path, fail_fast):
+                done.append((path, finish(context, result)))
+    return [value for _, value in done]
 
 
 # One reader serves both record kinds. The stages call it by kind, so a
@@ -229,9 +265,13 @@ def stage_segment(
 ) -> Path:
     """Segment each video from its transport plan, or a baseline strategy.
 
-    A solve that did not converge raises :class:`NumericalError` under
-    ``fail_fast``; otherwise it logs one warning naming the video and its
-    outer steps, and the video keeps its segments.
+    Each video's transport problem is built per video, one
+    :func:`solve_fugw` call solves the problems of the whole corpus, and
+    each video is then decoded from its plan. A solve that failed skips its
+    video alone. A solve that did not converge raises
+    :class:`NumericalError` under ``fail_fast``; otherwise it logs one
+    warning naming the video and its outer steps, and the video keeps its
+    segments.
     """
     _check_baseline(baseline)
     saliency = load_saliency(saliency_path)
@@ -239,31 +279,44 @@ def stage_segment(
     if dump_plan_dir is not None:
         make_dir(dump_plan_dir)
 
-    def work(path: Path, f: FrameFeatures) -> dict:
-        xs = f.spatial.astype(np.float64)
-        p_s = _frame_values(saliency, f, "saliency", "prior")
+    def work(path: Path, f: FrameFeatures) -> dict:  # a baseline strategy
+        _frame_values(saliency, f, "saliency", "prior")  # checked as for the transport
         if baseline == "uniform":
             segs = baseline_uniform(f.valid_len, cfg.top_k)
-        elif baseline == "kmeans":
+        else:
+            xs = f.spatial.astype(np.float64)
             segs = select_topk(baseline_kmeans(xs, cfg.K, cfg.seed, f.video_id), cfg.top_k)
-        else:  # "none": segment from the transport plan
-            anchors = init_anchors(xs, cfg.K, cfg.seed, f.video_id)
-            prob = build_problem(xs, anchors, p_s, cfg.alpha, cfg.gamma, cfg.epsilon, cfg.mu)
-            plan = solve_fugw(prob)
-            if not plan.converged:
-                message = (f"{f.video_id}: transport solver did not converge"
-                           f" in {plan.iterations} outer steps")
-                if fail_fast:
-                    raise NumericalError(message)
-                logger.warning("%s", message)
-            segs = select_topk(score_segments(decode_segments(plan.T), plan.T), cfg.top_k)
-            if dump_plan_dir is not None:
-                doc = {"F_v": f.valid_len, "K": cfg.K, "T": plan.T.flatten().tolist()}
-                plan_path = Path(dump_plan_dir) / f"{f.video_id}.json"
-                write_file(plan_path, json.dumps(doc, sort_keys=True) + "\n")
         return segments_to_doc(f.video_id, segs)
 
-    return save_records(_for_each_video(features_dir, work, cfg, fail_fast), out_path)
+    def prepare(path: Path, f: FrameFeatures) -> tuple:
+        xs = f.spatial.astype(np.float64)
+        p_s = _frame_values(saliency, f, "saliency", "prior")
+        anchors = init_anchors(xs, cfg.K, cfg.seed, f.video_id)
+        prob = build_problem(xs, anchors, p_s, cfg.alpha, cfg.gamma, cfg.epsilon, cfg.mu)
+        return (f.video_id, f.valid_len), prob
+
+    def finish(video: tuple, plan) -> dict:
+        video_id, valid_len = video
+        if isinstance(plan, NumericalError):
+            raise plan
+        if not plan.converged:
+            message = (f"{video_id}: transport solver did not converge"
+                       f" in {plan.iterations} outer steps")
+            if fail_fast:
+                raise NumericalError(message)
+            logger.warning("%s", message)
+        segs = select_topk(score_segments(decode_segments(plan.T), plan.T), cfg.top_k)
+        if dump_plan_dir is not None:
+            doc = {"F_v": valid_len, "K": cfg.K, "T": plan.T.flatten().tolist()}
+            write_file(Path(dump_plan_dir) / f"{video_id}.json", json.dumps(doc, sort_keys=True) + "\n")
+        return segments_to_doc(video_id, segs)
+
+    if baseline == "none":
+        # The solver frees each problem once its batch is solved.
+        records = _for_each_video(features_dir, prepare, cfg, fail_fast, solve_fugw, finish)
+    else:
+        records = _for_each_video(features_dir, work, cfg, fail_fast)
+    return save_records(records, out_path)
 
 
 def stage_retrieve(
@@ -289,22 +342,26 @@ def stage_retrieve(
     def prepare(path: Path, f: FrameFeatures) -> tuple:
         segs = _record(segments, f.video_id, "segments")
         p_s = _frame_values(saliency, f, "saliency", "prior")
-        return f.video_id, segs, segment_queries(segs, f.spatial.astype(np.float64), p_s, store)
+        return (f.video_id, segs), segment_queries(segs, f.spatial.astype(np.float64), p_s, store)
 
-    videos = _for_each_video(features_dir, prepare, cfg, fail_fast)
-    queries = np.concatenate([q for _, _, q in videos] or [np.zeros((0, store.dim))])
-    neighbors, vectors = retrieval_vectors(queries, store, cfg.top_p)
-    records, start = [], 0
-    for video_id, segs, q in videos:
-        end = start + len(q)
-        records.append({
+    def answer(queries) -> list:
+        queries = list(queries)
+        everything = np.concatenate(queries or [np.zeros((0, store.dim))])
+        neighbors, vectors = retrieval_vectors(everything, store, cfg.top_p)
+        bounds = [0, *itertools.accumulate(map(len, queries))]
+        return [(neighbors[lo:hi], vectors[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+    def finish(video: tuple, answered: tuple) -> dict:
+        (video_id, segs), (neighbors, vectors) = video, answered
+        return {
             "video_id": video_id,
             "segments": [{"index": int(idx), "neighbors": hits}
-                         for idx, hits in zip(segs.selected, neighbors[start:end])],
-            "vectors": vectors[start:end].tolist(),
-        })
-        start = end
-    return save_records(records, out_path)
+                         for idx, hits in zip(segs.selected, neighbors)],
+            "vectors": vectors.tolist(),
+        }
+
+    return save_records(
+        _for_each_video(features_dir, prepare, cfg, fail_fast, answer, finish), out_path)
 
 
 def stage_assemble(

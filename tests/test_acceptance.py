@@ -53,12 +53,12 @@ from saliseg.segments import (
     select_topk,
 )
 from exact_retrieval import exact_topp
+from structure_costs import build_structure_costs
 from saliseg.store import DatastoreEntry, build_datastore, query_topp
 from saliseg.synth import SynthSpec, generate_corpus, write_corpus
 from saliseg.transport import (
     OtProblem,
     build_problem,
-    build_structure_costs,
     gw_gradient,
     gw_value,
     init_anchors,
@@ -94,7 +94,7 @@ def ot_segments(xs, p_s, video_id, cfg=CFG, gamma=None):
         xs, anchors, p_s, cfg.alpha, cfg.gamma if gamma is None else gamma,
         cfg.epsilon, cfg.mu,
     )
-    plan = solve_fugw(prob)
+    (plan,) = solve_fugw([prob])
     segs = select_topk(score_segments(decode_segments(plan.T), plan.T), cfg.top_k)
     return segs, plan, prob
 
@@ -270,7 +270,7 @@ class TestCriterion05BalancedOracle:
         for _ in range(50):
             cost = rng.uniform(0, 1, (6, 2))
             prob = OtProblem(C_k=cost, p_hat=np.full(6, 1 / 6), alpha=0.0, gamma=1e6, epsilon=1e-3)
-            plan = solve_fugw(prob)
+            (plan,) = solve_fugw([prob])
             got = float(np.sum(cost * plan.T))
             best = min(
                 sum(cost[i, 0] for i in chosen) / 6

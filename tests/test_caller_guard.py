@@ -8,7 +8,7 @@ from pathlib import Path
 import saliseg
 
 # References that tests compare the package against.
-EXEMPT = {"build_structure_costs", "saliency_loss", "load_decoder_input"}
+EXEMPT = {"saliency_loss", "load_decoder_input"}
 
 
 def names_in(node: ast.AST) -> set[str]:

@@ -824,7 +824,7 @@ class TestCli:
         real = saliseg.pipeline.solve_fugw
         monkeypatch.setattr(
             saliseg.pipeline, "solve_fugw",
-            lambda *a, **kw: dataclasses.replace(real(*a, **kw), converged=False),
+            lambda problems: [dataclasses.replace(plan, converged=False) for plan in real(problems)],
         )
         out = tmp_path / "segments.jsonl"
         args = self.segment_args(corpus_dir, saliency_path, out)
@@ -841,43 +841,120 @@ class TestCli:
                 rf"v{i:04d}: transport solver did not converge in [1-9]\d* outer steps", message
             ), message
 
-    def test_solver_error_skips_only_its_video(
-        self, corpus_dir, saliency_path, tmp_path, monkeypatch, caplog
-    ):
+    @staticmethod
+    def fail_solves(monkeypatch, failing):
+        """Make the corpus solve return a NumericalError in the slots of the
+        ``failing`` video indices. Returns the problem count of each solve
+        call and the ids of the videos whose records were finished."""
         import saliseg.pipeline
         from saliseg.errors import NumericalError
 
+        real = saliseg.pipeline.solve_fugw
+        to_doc = saliseg.pipeline.segments_to_doc
+        calls, finished = [], []
+
+        def solve(problems):
+            problems = list(problems)
+            calls.append(len(problems))
+            plans = real(problems)
+            for i in failing:
+                plans[i] = NumericalError("non-finite transport plan after scaling")
+            return plans
+
+        def record(video_id, segs):
+            finished.append(video_id)
+            return to_doc(video_id, segs)
+
+        monkeypatch.setattr(saliseg.pipeline, "solve_fugw", solve)
+        monkeypatch.setattr(saliseg.pipeline, "segments_to_doc", record)
+        return calls, finished
+
+    def clean_lines_without(self, corpus_dir, saliency_path, tmp_path, skipped):
         clean = tmp_path / "clean.jsonl"
         assert main(self.segment_args(corpus_dir, saliency_path, clean)) == 0
-        real = saliseg.pipeline.solve_fugw
-        solved = []
+        return [line for line in clean.read_bytes().splitlines(keepends=True)
+                if json.loads(line)["video_id"] not in skipped]
 
-        def fails_on_v0001(prob, *args, **kwargs):
-            # Videos are solved one at a time in sorted order: v0001 is second.
-            solved.append(prob)
-            if len(solved) == 2:
-                raise NumericalError("non-finite transport plan after scaling")
-            return real(prob, *args, **kwargs)
-
-        monkeypatch.setattr(saliseg.pipeline, "solve_fugw", fails_on_v0001)
+    def test_solver_error_skips_only_its_video(
+        self, corpus_dir, saliency_path, tmp_path, monkeypatch, caplog
+    ):
+        want = self.clean_lines_without(corpus_dir, saliency_path, tmp_path, {"v0001"})
+        # One call solves the corpus, in sorted order: v0001 is second.
+        calls, finished = self.fail_solves(monkeypatch, [1])
         out = tmp_path / "segments.jsonl"
         args = self.segment_args(corpus_dir, saliency_path, out)
         assert main(args) == 0
-        assert len(solved) == SPEC.n_videos
+        assert calls == [SPEC.n_videos]
         assert "v0001.sfeat: stage failed, video skipped: non-finite transport plan" in caplog.text
-        want = [line for line in clean.read_bytes().splitlines(keepends=True)
-                if json.loads(line)["video_id"] != "v0001"]
         assert len(want) == SPEC.n_videos - 1
         assert out.read_bytes().splitlines(keepends=True) == want
 
-        solved.clear()
+        calls.clear()
+        finished.clear()
         caplog.clear()
         out.unlink()
         assert main(args + ["--fail-fast"]) == 4
-        assert len(solved) == 2
+        # The corpus is solved in one call, so the stage stops at v0001's
+        # finish step: v0000's record was built, no later one.
+        assert calls == [SPEC.n_videos]
+        assert finished == ["v0000"]
         assert "v0001.sfeat: stage failed" in caplog.text
         assert "numerical failure: non-finite transport plan after scaling" in caplog.text
         assert not out.exists()
+
+    def test_two_solver_errors_in_one_batch_skip_only_their_videos(
+        self, corpus_dir, saliency_path, tmp_path, monkeypatch, caplog
+    ):
+        """v0001 and v0003 hold 40 valid frames, as v0000 does, so the three
+        share one batch; v0002 is padded to 32 and solves apart."""
+        want = self.clean_lines_without(corpus_dir, saliency_path, tmp_path, {"v0001", "v0003"})
+        calls, finished = self.fail_solves(monkeypatch, [1, 3])
+        out = tmp_path / "segments.jsonl"
+        assert main(self.segment_args(corpus_dir, saliency_path, out)) == 0
+        assert calls == [SPEC.n_videos]
+        assert finished == ["v0000", "v0002"]
+        for video in ("v0001", "v0003"):
+            assert f"{video}.sfeat: stage failed, video skipped: non-finite transport plan" in caplog.text
+        assert len(want) == SPEC.n_videos - 2
+        assert out.read_bytes().splitlines(keepends=True) == want
+
+    def test_no_problem_outlives_its_batch(self, corpus_dir, saliency_path, tmp_path, monkeypatch):
+        """The stage hands the solver each problem without keeping it, and
+        the solver frees a batch's problems once the batch is solved: v0002,
+        padded to 32 frames, is solved after the batch of the three 40-frame
+        videos, when only its own problem is still alive, and none is once
+        the solve returns. The stage holds plans, not problems."""
+        import weakref
+
+        import saliseg.pipeline
+        from saliseg import transport
+
+        real, solve_batch = saliseg.pipeline.solve_fugw, transport._solve_batch
+        refs, alive = [], []
+
+        def count_alive():
+            alive.append(sum(ref() is not None for ref in refs))
+
+        def solve(problems):
+            def watched():
+                for prob in problems:
+                    refs.append(weakref.ref(prob))
+                    yield prob
+
+            plans = real(watched())
+            count_alive()
+            return plans
+
+        def batch(probs):
+            count_alive()
+            return solve_batch(probs)
+
+        monkeypatch.setattr(saliseg.pipeline, "solve_fugw", solve)
+        monkeypatch.setattr(transport, "_solve_batch", batch)
+        out = tmp_path / "segments.jsonl"
+        assert main(self.segment_args(corpus_dir, saliency_path, out)) == 0
+        assert len(refs) == SPEC.n_videos
+        assert alive == [SPEC.n_videos, 1, 0]
 
     def test_train_saliency_honours_fail_fast(self, corpus_dir, tmp_path):
         feats = copy_features(corpus_dir, tmp_path)
@@ -964,8 +1041,11 @@ class TestCli:
         def never(*args, **kwargs):
             raise AssertionError("a video was processed")
 
+        def never_solved(problems):
+            raise AssertionError("a problem was solved")
+
         monkeypatch.setattr(saliseg.pipeline, "load_features", never)
-        monkeypatch.setattr(saliseg.pipeline, "solve_fugw", never)
+        monkeypatch.setattr(saliseg.pipeline, "solve_fugw", never_solved)
         out = tmp_path / "nodir" / "out.jsonl"
         if command == "score-saliency":
             args = ["score-saliency", "--features-dir", str(saliency_path.parent / "refined"),

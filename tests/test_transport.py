@@ -14,7 +14,6 @@ from saliseg.transport import (
     OtProblem,
     build_kot_cost,
     build_problem,
-    build_structure_costs,
     fused_objective,
     gw_gradient,
     gw_value,
@@ -22,6 +21,7 @@ from saliseg.transport import (
     kl_divergence,
     solve_fugw,
 )
+from structure_costs import build_structure_costs
 
 
 def brute_gw_value(t, c_v, c_a):
@@ -83,6 +83,14 @@ def count_logsumexp(monkeypatch):
     return calls
 
 
+def solve(prob):
+    """One problem through the corpus solver; its NumericalError is raised."""
+    (plan,) = solve_fugw([prob])
+    if isinstance(plan, NumericalError):
+        raise plan
+    return plan
+
+
 def in_log_domain(monkeypatch, solve, *args):
     """``solve(*args)`` with no exponent inside the kernel range, so every
     scaling iterate runs in the log domain."""
@@ -98,22 +106,33 @@ def balanced_problem(cost, gamma=1e6, epsilon=1e-3, alpha=0.0):
     )
 
 
-def default_problem(seed):
-    """A seeded problem with F_v = 100 frames at the default configuration
-    (K = 8 anchors)."""
+def default_problem(seed, f_v=100, **weights):
+    """A seeded problem with ``f_v`` frames at the default configuration
+    (K = 8 anchors), with any solver weight replaced by ``weights``."""
     rng = np.random.default_rng(seed)
     cfg = PipelineConfig()
-    xs = rng.normal(size=(100, 16))
+    xs = rng.normal(size=(f_v, 16))
     anchors = init_anchors(xs, cfg.K, seed=cfg.seed, video_id="t")
-    return build_problem(xs, anchors, rng.random(100), cfg.alpha, cfg.gamma, cfg.epsilon, cfg.mu)
+    args = {"alpha": cfg.alpha, "gamma": cfg.gamma, "epsilon": cfg.epsilon, "mu": cfg.mu, **weights}
+    return build_problem(xs, anchors, rng.random(f_v), **args)
 
 
 def first_scaling_args(prob):
-    """The arguments of a solve's first scaling call, from the product plan."""
+    """The arguments of a solve's first scaling call, from the product plan,
+    as a stack of one problem."""
     f_v, k = prob.C_k.shape
     t = np.outer(prob.p_hat, np.full(k, 1.0 / k))
-    return ((1 - prob.alpha) * prob.C_k + prob.alpha * gw_gradient(t), np.log(prob.p_hat),
-            np.full(k, -np.log(k)), prob.gamma, prob.epsilon, np.zeros(f_v), np.zeros(k))
+    return ((1 - prob.alpha) * prob.C_k[None] + prob.alpha * gw_gradient(t)[None],
+            np.log(prob.p_hat)[None], np.full((1, k), -np.log(k)), np.array([prob.gamma]),
+            np.array([prob.epsilon]), np.zeros((1, f_v)), np.zeros((1, k)))
+
+
+def scale_one(*args):
+    """A scaling call on a stack of one problem: its plan, potentials,
+    convergence flag and iterate count."""
+    t, f, g, inner_ok, iterates, errors = transport._scaling_iterations(*args)
+    assert not errors, errors
+    return t[0], f[0], g[0], bool(inner_ok[0]), int(iterates[0])
 
 
 class TestKotCost:
@@ -273,7 +292,7 @@ class TestKlDivergence:
 class TestSolveFugw:
     def test_zero_cost_uniform_marginals_gives_uniform_plan(self):
         prob = balanced_problem(np.zeros((4, 2)))
-        plan = solve_fugw(prob)
+        plan = solve(prob)
         np.testing.assert_allclose(plan.T, 1.0 / 8, atol=1e-9)
 
     def test_balanced_enumeration_oracle(self, monkeypatch):
@@ -281,7 +300,7 @@ class TestSolveFugw:
         rng = np.random.default_rng(42)
         for _ in range(10):
             cost = rng.uniform(0, 1, (6, 2))
-            plan = solve_fugw(balanced_problem(cost))
+            plan = solve(balanced_problem(cost))
             got = float(np.sum(cost * plan.T))
             best = min(
                 sum(cost[i, 0] for i in chosen) / 6
@@ -298,7 +317,7 @@ class TestSolveFugw:
         cost = rng.uniform(0, 1, (8, 2))
         cost[0, 0] = -0.5  # one very cheap cell attracts the whole column
         prob = balanced_problem(cost, gamma=0.0, epsilon=0.01)
-        plan = solve_fugw(prob)
+        plan = solve(prob)
         col_err = np.max(np.abs(plan.T.sum(axis=0) - 0.5))
         assert col_err < 1e-6
         rows = plan.T.sum(axis=1)
@@ -321,7 +340,7 @@ class TestSolveFugw:
             p = rng.random(f_v) + 0.1
             prob = OtProblem(C_k=cost, p_hat=p / p.sum(), alpha=alpha, gamma=gamma, epsilon=epsilon)
             calls.clear()
-            plan = solve_fugw(prob)
+            plan = solve(prob)
             log_domain.append(bool(calls))
             case = (f_v, k, alpha, gamma, epsilon)
             assert plan.converged or i >= n_fixed, case
@@ -342,7 +361,7 @@ class TestSolveFugw:
             p = rng.random(f_v) + 0.05
             prob = OtProblem(C_k=cost, p_hat=p / p.sum(), alpha=alpha, gamma=gamma, epsilon=epsilon)
             calls.clear()
-            plan = solve_fugw(prob)
+            plan = solve(prob)
             log_domain.append(bool(calls))
             case = (f_v, k, alpha, gamma, epsilon)
             assert plan.converged or i >= n_fixed, case
@@ -361,7 +380,7 @@ class TestSolveFugw:
         calls = []
         operator = transport._gw_operator
         monkeypatch.setattr(transport, "_gw_operator", lambda t: calls.append(1) or operator(t))
-        plan = solve_fugw(prob)
+        plan = solve(prob)
         # One call for trace[0], one for the start plan's gradient, then the
         # line-search direction per step: later gradients are carried.
         assert len(calls) == 2 + plan.iterations
@@ -375,22 +394,22 @@ class TestSolveFugw:
         steps = []
         search = transport._segment_search
 
-        def checked_search(prob, t, grad, cand):
+        def checked_search(c_k, p_hat, alpha, gamma, t, grad, cand):
             steps.append(1)
             np.testing.assert_allclose(grad, gw_gradient(t), rtol=1e-12, atol=0)
-            return search(prob, t, grad, cand)
+            return search(c_k, p_hat, alpha, gamma, t, grad, cand)
 
         monkeypatch.setattr(transport, "_segment_search", checked_search)
-        plan = solve_fugw(prob)
+        plan = solve(prob)
         assert plan.converged and len(steps) == plan.iterations > 1
 
     def test_relaxation_saves_iterates_for_the_same_plan(self, monkeypatch):
         for seed in (20, 21, 22):
             prob = default_problem(seed)
-            relaxed = solve_fugw(prob)
+            relaxed = solve(prob)
             with monkeypatch.context() as m:
                 m.setattr(transport, "_OMEGA", 1.0)
-                plain = solve_fugw(prob)
+                plain = solve(prob)
             assert relaxed.converged and plain.converged
             assert relaxed.iterations == plain.iterations
             assert 0 < relaxed.scaling_iterates < plain.scaling_iterates
@@ -404,17 +423,17 @@ class TestSolveFugw:
         prob = default_problem(20)
         with monkeypatch.context() as m:
             m.setattr(transport, "_OMEGA", 1.0)
-            plain = solve_fugw(prob)
+            plain = solve(prob)
         monkeypatch.setattr(transport, "_OMEGA", 2.5)
         first = first_scaling_args(prob)
-        rows = [first[5]]  # the row potentials after 0, 1, 2, ... iterates
+        rows = [first[5][0]]  # the row potentials after 0, 1, 2, ... iterates
         for n in range(1, 6):
             with monkeypatch.context() as m:
                 m.setattr(transport, "_MAX_INNER", n)
-                rows.append(transport._scaling_iterations(*first)[1])
+                rows.append(scale_one(*first)[1])
         changes = np.abs(np.diff(rows, axis=0)).max(axis=1)
         assert np.any(changes[1:] > changes[:-1])
-        plan = solve_fugw(prob)
+        plan = solve(prob)
         assert plan.converged and plan.iterations == plain.iterations
         np.testing.assert_allclose(plan.T, plain.T, rtol=0, atol=1e-9)
 
@@ -424,11 +443,11 @@ class TestSolveFugw:
         every outer step of a solve made of such calls."""
         prob = default_problem(23)
         monkeypatch.setattr(transport, "_MAX_INNER", 2)
-        t, _, _, inner_ok, iterates = transport._scaling_iterations(*first_scaling_args(prob))
+        t, _, _, inner_ok, iterates = scale_one(*first_scaling_args(prob))
         assert (inner_ok, iterates) == (False, 2)
         np.testing.assert_allclose(t.sum(axis=0), 1 / 8, rtol=1e-13, atol=0)
         monkeypatch.setattr(transport, "_MAX_OUTER", 5)
-        plan = solve_fugw(prob)
+        plan = solve(prob)
         assert not plan.converged
         assert (plan.iterations, plan.scaling_iterates) == (5, 10)
         np.testing.assert_allclose(plan.T.sum(axis=0), 1 / 8, rtol=1e-13, atol=0)
@@ -463,7 +482,7 @@ class TestSolveFugw:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="non-finite scaling potentials"):
-                solve_fugw(prob)
+                solve(prob)
 
     def test_kernel_and_log_domain_paths_agree(self, monkeypatch):
         """Every solve here stays in the kernel domain (no logsumexp call);
@@ -495,14 +514,14 @@ class TestSolveFugw:
         for prob in probs:
             case = (prob.C_k.shape, prob.alpha, prob.gamma)
             first = first_scaling_args(prob)
-            kernel_first = transport._scaling_iterations(*first)
-            kernel = solve_fugw(prob)
+            kernel_first = scale_one(*first)
+            kernel = solve(prob)
             assert not calls, case
-            log_first = in_log_domain(monkeypatch, transport._scaling_iterations, *first)
+            log_first = in_log_domain(monkeypatch, scale_one, *first)
             assert kernel_first[3] == log_first[3], case
             for got, want in zip(kernel_first[:3], log_first[:3]):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-13, err_msg=str(case))
-            logd = in_log_domain(monkeypatch, solve_fugw, prob)
+            logd = in_log_domain(monkeypatch, solve, prob)
             assert calls, case
             calls.clear()
             if case == ((2, 2), 1.0, 0.0):
@@ -523,10 +542,10 @@ class TestSolveFugw:
             prob = balanced_problem(rng.uniform(0, 1, (6, 2)))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                plan = solve_fugw(prob)
+                plan = solve(prob)
             n_calls = len(calls)
             calls.clear()
-            logd = in_log_domain(monkeypatch, solve_fugw, prob)
+            logd = in_log_domain(monkeypatch, solve, prob)
             assert n_calls == len(calls) > 0
             calls.clear()
             assert plan.T.tobytes() == logd.T.tobytes()
@@ -557,10 +576,10 @@ class TestSolveFugw:
         monkeypatch.setattr(transport, "_scaling_iterations", counted_scaling)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            plan = solve_fugw(prob)
+            plan = solve(prob)
         mixed = per_step[:]
         per_step.clear()
-        logd = in_log_domain(monkeypatch, solve_fugw, prob)
+        logd = in_log_domain(monkeypatch, solve, prob)
         # Kernel iterates first, then log-domain ones, in the same outer step.
         assert 0 < mixed[0] < per_step[0]
         assert plan.converged and logd.converged and plan.iterations == logd.iterations
@@ -577,15 +596,15 @@ class TestSolveFugw:
         f_v, epsilon = 7, 0.1
         cost = np.stack([20.45 + 0.01 * rng.uniform(0, 1, f_v), -rng.uniform(0, 1, f_v)], axis=1)
         p = rng.random(f_v) + 0.1
-        args = (cost, np.log(p / p.sum()), np.full(2, -np.log(2)), 1e6, epsilon,
-                np.zeros(f_v), np.zeros(2))
+        args = (cost[None], np.log(p / p.sum())[None], np.full((1, 2), -np.log(2)),
+                np.array([1e6]), np.array([epsilon]), np.zeros((1, f_v)), np.zeros((1, 2)))
         calls = count_logsumexp(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            mixed = transport._scaling_iterations(*args)
+            mixed = scale_one(*args)
         n_mixed = len(calls)
         calls.clear()
-        logd = in_log_domain(monkeypatch, transport._scaling_iterations, *args)
+        logd = in_log_domain(monkeypatch, scale_one, *args)
         # Kernel iterates first, then log-domain ones, in the same call.
         assert 0 < n_mixed < len(calls)
         n_kernel = (len(calls) - n_mixed) // 2
@@ -594,7 +613,7 @@ class TestSolveFugw:
         out_of_range = []
         for n in (n_kernel, n_kernel + 1):
             monkeypatch.setattr(transport, "_MAX_INNER", n)
-            _, f, g, _, _ = in_log_domain(monkeypatch, transport._scaling_iterations, *args)
+            _, f, g, _, _ = in_log_domain(monkeypatch, scale_one, *args)
             out_of_range.append(
                 tuple(bool(np.abs(x / epsilon).max() > transport._KERNEL_RANGE) for x in (f, g))
             )
@@ -630,7 +649,7 @@ class TestSolveFugw:
         kls = []
         for gamma in (0.0, 0.3, 3.0, 30.0):
             prob = build_problem(xs, anchors, p_s, alpha=0.5, gamma=gamma, epsilon=0.1, mu=0.1)
-            plan = solve_fugw(prob)
+            plan = solve(prob)
             kls.append(kl_divergence(plan.T.sum(axis=1), prob.p_hat))
         assert all(b <= a + 1e-9 for a, b in zip(kls, kls[1:]))
 
@@ -638,8 +657,8 @@ class TestSolveFugw:
         rng = np.random.default_rng(5)
         cost = rng.uniform(0, 1, (7, 3))
         prob = balanced_problem(cost, gamma=0.3, epsilon=0.1, alpha=0.5)
-        a = solve_fugw(prob)
-        b = solve_fugw(prob)
+        a = solve(prob)
+        b = solve(prob)
         assert a.T.tobytes() == b.T.tobytes()
         assert a.objective_trace == b.objective_trace
 
@@ -649,9 +668,102 @@ class TestSolveFugw:
         anchors = init_anchors(xs, 5, seed=1, video_id="t")
         p_s = rng.random(40)
         prob = build_problem(xs, anchors, p_s, alpha=0.5, gamma=0.3, epsilon=0.1, mu=0.1)
-        plan = solve_fugw(prob)
+        plan = solve(prob)
         assert plan.converged
         assert plan.iterations <= 200
+
+
+def result_bits(result):
+    """Everything a solve returns, bit for bit: the plan, the trace, the
+    convergence flag and both counts, or the error's message."""
+    if isinstance(result, NumericalError):
+        return "error", str(result)
+    return (result.T.tobytes(), [v.hex() for v in result.objective_trace], result.converged,
+            result.iterations, result.scaling_iterates)
+
+
+def mixed_batch():
+    """Problems that share batches across two lengths and two anchor counts:
+    gamma = 0 (row exponent 0), alpha = 0 and alpha = 1 beside the default
+    weights, a 7 x 3 problem whose potentials leave the kernel range
+    partway through its first outer step while its 7 x 3 batch-mate stays
+    in the kernel domain, and a 6 x 3 problem whose NaN cost ends its solve
+    in a NumericalError beside a 6 x 3 mate that solves."""
+    rng = np.random.default_rng(16)
+    p = np.ones(7)
+    p[0] = np.exp(-1.1 * transport._KERNEL_RANGE)
+    handover = OtProblem(C_k=20.0 + rng.uniform(0, 1, (7, 3)), p_hat=p / p.sum(), alpha=0.5,
+                         gamma=3.0, epsilon=0.1)
+    q = rng.random(7) + 0.1
+    mate = OtProblem(C_k=rng.uniform(0, 1, (7, 3)), p_hat=q / q.sum(), alpha=0.5, gamma=3.0,
+                     epsilon=0.1)
+    nan_cost = rng.uniform(0, 1, (6, 3))
+    nan_cost[2, 1] = np.nan
+    failing = balanced_problem(nan_cost, gamma=0.3, epsilon=0.1, alpha=0.5)
+    solvable = balanced_problem(rng.uniform(0, 1, (6, 3)), gamma=0.3, epsilon=0.1, alpha=0.5)
+    return [
+        default_problem(20), default_problem(21, f_v=40, gamma=0.0), default_problem(22),
+        default_problem(23, f_v=40, alpha=0.0), default_problem(24, f_v=40, alpha=1.0),
+        handover, failing, mate, solvable,
+    ]
+
+
+class TestCorpusSolve:
+    @pytest.mark.parametrize("cut", [False, True], ids=["full", "cut_at_10_steps"])
+    def test_batch_results_match_solving_alone(self, monkeypatch, cut):
+        """Each result is bit-identical solved alone or in a batch, in any
+        order. Cut at 10 outer steps, some solves end unconverged while
+        their batch-mates converge."""
+        if cut:
+            monkeypatch.setattr(transport, "_MAX_OUTER", 10)
+        probs = mixed_batch()
+        calls = count_logsumexp(monkeypatch)
+        alone, log_domain = [], []
+        for prob in probs:
+            calls.clear()
+            alone.append(result_bits(solve_fugw([prob])[0]))
+            log_domain.append(bool(calls))
+        assert [result_bits(r) for r in solve_fugw(probs)] == alone
+        assert [result_bits(r) for r in solve_fugw(probs[::-1])] == alone[::-1]
+        # The hand-over and the NaN cost take the log domain; their mates do not.
+        assert log_domain == [False] * 5 + [True, True, False, False]
+        assert alone[6] == ("error", "non-finite scaling potentials")
+        converged = [bits[2] for bits in alone if bits[0] != "error"]
+        assert any(converged) and all(converged) != cut
+
+    def test_batches_split_under_the_byte_budget(self, monkeypatch):
+        """With the budget cut to one, two or three problems of 100 frames,
+        the batches split, no line-search grid exceeds the budget, and every
+        result is unchanged."""
+        probs = [default_problem(seed) for seed in range(30, 35)]
+        probs += [default_problem(seed, f_v=40) for seed in range(35, 40)]
+        want = [result_bits(r) for r in solve_fugw(probs)]
+        grids = []
+        kl = transport.kl_divergence
+
+        def recorded(m, ref):
+            if np.ndim(m) == 3:  # a line search's stack of grids
+                grids.append(m.shape)
+            return kl(m, ref)
+
+        monkeypatch.setattr(transport, "kl_divergence", recorded)
+        for per_batch in (1, 2, 3):
+            budget = per_batch * 8 * transport._LINE_SEARCH_POINTS * 100
+            monkeypatch.setattr(transport, "_BATCH_BYTES", budget)
+            grids.clear()
+            assert [result_bits(r) for r in solve_fugw(probs)] == want
+            assert max(8 * int(np.prod(shape)) for shape in grids) <= budget
+            assert max(shape[0] for shape in grids if shape[2] == 100) == per_batch
+        assert 8 * transport._LINE_SEARCH_POINTS * 100 * len(probs) > 3 * budget
+
+    def test_one_problem_over_budget_is_solved_alone(self, monkeypatch):
+        monkeypatch.setattr(transport, "_BATCH_BYTES", 1)
+        probs = [default_problem(41), default_problem(42)]
+        want = [result_bits(solve_fugw([prob])[0]) for prob in probs]
+        assert [result_bits(r) for r in solve_fugw(probs)] == want
+
+    def test_no_problems_no_results(self):
+        assert solve_fugw([]) == []
 
 
 class TestInitAnchors:
