@@ -67,7 +67,6 @@ for i in segs.selected:
           f"S_OT={s.score / s_len:.4f} S_len={s_len:.3f} S={s.score:.4f}")
 print(f"ground truth events: {list(ann.events)}")
 
-print("\ncorpus comparison (Recall@0.5 / Mean IoU over ground truth):")
 problems = []
 for f, ex in zip(corpus.features, examples):
     xs = f.spatial.astype(np.float64)
@@ -75,6 +74,9 @@ for f, ex in zip(corpus.features, examples):
     anchors = init_anchors(xs, cfg.K, cfg.seed, f.video_id)
     problems.append(build_problem(xs, anchors, p_s, cfg.alpha, cfg.gamma, cfg.epsilon, cfg.mu))
 plans = solve_fugw(problems)  # one call solves the corpus
+print(f"\n{len(plans)} videos solved in one call: {plans.iterations} outer steps in all, "
+      f"all converged={plans.converged}")
+print("corpus comparison (Recall@0.5 / Mean IoU over ground truth):")
 stats = {"transport": [], "kmeans": [], "uniform": []}
 for f, ann, plan in zip(corpus.features, corpus.annotations, plans):
     xs = f.spatial.astype(np.float64)

@@ -62,6 +62,7 @@ from .store import (
 from .synth import SynthCorpus, SynthSpec, generate_corpus, write_corpus
 from .transport import (
     OtProblem,
+    SolveResults,
     TransportPlan,
     build_kot_cost,
     build_problem,

@@ -104,6 +104,16 @@ def _check_baseline(baseline: str) -> None:
         raise ConfigError(f"unknown baseline {baseline!r}; expected one of {BASELINES}")
 
 
+def _skips(path: Path, exc: SalisegError, fail_fast: bool) -> bool:
+    """Whether ``exc`` only skips the video of ``path``, which is logged: a
+    :class:`SalisegError` does unless ``fail_fast``; an :class:`OutputError`
+    never does."""
+    if fail_fast or isinstance(exc, OutputError):
+        return False
+    logger.error("%s: stage failed, video skipped: %s", path, exc)
+    return True
+
+
 @contextlib.contextmanager
 def _video_errors(path: Path, fail_fast: bool):
     """Skip the video of ``path`` on a :class:`SalisegError` with a log line,
@@ -111,13 +121,11 @@ def _video_errors(path: Path, fail_fast: bool):
     :class:`OutputError` always propagates."""
     try:
         yield
-    except OutputError:
-        raise
     except SalisegError as exc:
-        if fail_fast:
-            logger.error("%s: stage failed", path)
+        if not _skips(path, exc, fail_fast):
+            if not isinstance(exc, OutputError):
+                logger.error("%s: stage failed", path)
             raise
-        logger.error("%s: stage failed, video skipped: %s", path, exc)
 
 
 def _take(items: list):
@@ -145,18 +153,27 @@ def _for_each_video(
     A video with more than ``cfg.F_max`` frames is a :class:`DataError`. A
     :class:`SalisegError` in ``work`` or ``finish`` skips that video with a
     log line, or under ``fail_fast`` propagates after a log line naming the
-    file; an :class:`OutputError` always propagates.
+    file; an :class:`OutputError` always propagates. Either way the error
+    that ends the run is the first in sorted video order, as in a loop that
+    finishes each video before it prepares the next: an error in ``work``
+    stops the preparing, and the videos before it go through the kernel and
+    ``finish`` before it propagates.
     """
     paths = sorted(Path(features_dir).glob("*.sfeat"))
     if not paths:
         raise DataError(f"no .sfeat files in {features_dir}")
     done = []  # (path, value) of each video that has not failed
+    stop = None  # (path, error) that ends the run once the videos before it are done
     for path in paths:
-        with _video_errors(path, fail_fast):
+        try:
             f = load_features(path)
             if f.n_frames > cfg.F_max:
                 raise DataError(f"{f.video_id}: {f.n_frames} frames exceed F_max={cfg.F_max}")
             done.append((path, work(path, f)))
+        except SalisegError as exc:
+            if not _skips(path, exc, fail_fast):
+                stop = path, exc
+                break
     if kernel is not None:
         inputs = [value for _, (_, value) in done]
         contexts = [(path, context) for path, (context, _) in done]
@@ -164,6 +181,10 @@ def _for_each_video(
         for (path, context), result in zip(contexts, kernel(_take(inputs)), strict=True):
             with _video_errors(path, fail_fast):
                 done.append((path, finish(context, result)))
+    if stop is not None:
+        path, exc = stop
+        with _video_errors(path, fail_fast):
+            raise exc
     return [value for _, value in done]
 
 

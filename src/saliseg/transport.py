@@ -88,10 +88,14 @@ _KERNEL_RANGE = 300.0
 
 # Problems of one shape are solved together in batches whose largest stack,
 # the B x _LINE_SEARCH_POINTS x F_v line-search grid, holds at most this many
-# bytes (at least one problem): 9 problems at F_v = 100, 1 at F_v = 1600. A
-# batch's other stacks are B x F_v x K; the working set of a batch is a few
-# grids, and a larger budget buys no speed but holds more memory.
-_BATCH_BYTES = 2**18
+# bytes (at least one problem): 19 problems at F_v = 100, 1 at F_v >= 994. A
+# batch's other stacks are B x F_v x K; its working set is a few grids.
+# Chosen from benchmark runs against 256 KiB (2-core VM; 10 rounds at
+# F_v = 100, 5 at 1280 and 1600): at F_v = 100, 512 KiB ran 8% faster for
+# 0.7 MB more peak RSS and 1 MiB 11% faster for 2.7 MB more; at 1280 and
+# 1600, which 512 KiB still solves one problem at a time, 1 MiB ran 7%
+# faster for 3.7 MB more.
+_BATCH_BYTES = 2**19
 
 
 def check_solver_weights(
@@ -144,6 +148,23 @@ class TransportPlan:
     def iterations(self) -> int:
         """Outer steps taken: the trace holds one value more."""
         return len(self.objective_trace) - 1
+
+
+class SolveResults(list):
+    """What one :func:`solve_fugw` call returns: one result per problem, in
+    order, each its :class:`TransportPlan` or the :class:`NumericalError`
+    that stopped its solve. ``iterations`` and ``converged`` read the plans
+    of the call as a plan's own fields read one solve."""
+
+    @property
+    def iterations(self) -> int:
+        """Outer steps taken, summed over the plans."""
+        return sum(r.iterations for r in self if isinstance(r, TransportPlan))
+
+    @property
+    def converged(self) -> bool:
+        """Whether every plan converged; a failed solve has no plan."""
+        return all(r.converged for r in self if isinstance(r, TransportPlan))
 
 
 def build_kot_cost(
@@ -423,7 +444,7 @@ def _scaling_iterations(
     closing[list(errors)] = False
     in_kernel &= closing
     if in_kernel.any():
-        r = slice(None) if in_kernel.all() else np.flatnonzero(in_kernel)  # a slice takes no copy
+        r = np.flatnonzero(in_kernel)
         log_b[r] = log_q[r] - np.log(np.matmul(np.exp(log_a[r])[:, None, :], kernel[r])[:, 0])
         in_kernel[r] = _within_range(log_b[r])
     if in_kernel.all():
@@ -441,12 +462,13 @@ def _scaling_iterations(
     return t, eps * log_a, eps * log_b, inner_ok, iterates, errors
 
 
-def solve_fugw(problems: Iterable[OtProblem]) -> list[TransportPlan | NumericalError]:
+def solve_fugw(problems: Iterable[OtProblem]) -> SolveResults:
     """Minimize the fused objective of each problem; see the module
     docstring for the scheme and the batching.
 
-    Returns one result per problem, in order: its plan, or the
-    :class:`NumericalError` that stopped its solve, which stops no other.
+    Returns one result per problem, in order, as :class:`SolveResults`:
+    its plan, or the :class:`NumericalError` that stopped its solve, which
+    stops no other.
     The solver holds a problem only until its batch is solved, so a problem
     that the caller does not keep (one from an iterator) is freed then.
     A plan's trace holds :func:`fused_objective` at the initial plan, then
@@ -458,7 +480,7 @@ def solve_fugw(problems: Iterable[OtProblem]) -> list[TransportPlan | NumericalE
     plans; each line search returns the gradients at the plans it picks.
     """
     problems = list(problems)
-    results: list[TransportPlan | NumericalError | None] = [None] * len(problems)
+    results = SolveResults([None] * len(problems))
     groups: dict[tuple[int, int], list[int]] = {}
     for i, shape in enumerate([prob.C_k.shape for prob in problems]):
         groups.setdefault(shape, []).append(i)

@@ -841,6 +841,54 @@ class TestCli:
                 rf"v{i:04d}: transport solver did not converge in [1-9]\d* outer steps", message
             ), message
 
+    def test_fail_fast_reports_the_first_failing_video(
+        self, corpus_dir, saliency_path, tmp_path, monkeypatch, caplog
+    ):
+        """v0000's solve does not converge, a failure of its finish step, and
+        v0003 holds more frames than F_max, a failure of its preparation.
+        --fail-fast reports v0000 with exit code 4, as a loop that finishes
+        each video before it loads the next does; once v0000 converges it
+        reports v0003 with exit code 3."""
+        import dataclasses
+
+        import saliseg.pipeline
+
+        feats = copy_features(corpus_dir, tmp_path)
+        victim = feats / "v0003.sfeat"
+        f = load_features(victim)
+        save_features(FrameFeatures(f.video_id, f.spatial, f.encoded, CFG.F_max + 1), victim)
+        real = saliseg.pipeline.solve_fugw
+        solved, unconverged = [], [True]
+
+        def solve(problems):
+            plans = real(problems)
+            solved.append(len(plans))
+            if unconverged[0]:
+                plans[0] = dataclasses.replace(plans[0], converged=False)
+            return plans
+
+        monkeypatch.setattr(saliseg.pipeline, "solve_fugw", solve)
+        out = tmp_path / "segments.jsonl"
+        args = [
+            "segment", "--features-dir", str(feats), "--saliency", str(saliency_path),
+            "--out", str(out), "--fail-fast",
+        ]
+        assert main(args) == 4
+        assert solved == [3]  # v0000 to v0002; v0003 stopped the first pass
+        assert "v0000.sfeat: stage failed" in caplog.text
+        assert "v0003.sfeat: stage failed" not in caplog.text
+        assert not out.exists()
+
+        solved.clear()
+        caplog.clear()
+        unconverged[0] = False
+        assert main(args) == 3
+        assert solved == [3]
+        assert "v0003.sfeat: stage failed" in caplog.text
+        assert f"v0003: {CFG.F_max + 1} frames exceed F_max={CFG.F_max}" in caplog.text
+        assert "v0000.sfeat: stage failed" not in caplog.text
+        assert not out.exists()
+
     @staticmethod
     def fail_solves(monkeypatch, failing):
         """Make the corpus solve return a NumericalError in the slots of the

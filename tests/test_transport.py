@@ -723,8 +723,12 @@ class TestCorpusSolve:
             calls.clear()
             alone.append(result_bits(solve_fugw([prob])[0]))
             log_domain.append(bool(calls))
-        assert [result_bits(r) for r in solve_fugw(probs)] == alone
+        results = solve_fugw(probs)
+        assert [result_bits(r) for r in results] == alone
         assert [result_bits(r) for r in solve_fugw(probs[::-1])] == alone[::-1]
+        # The call's totals read its plans alone; the failed solve has none.
+        assert results.iterations == sum(bits[3] for bits in alone if bits[0] != "error")
+        assert results.converged is not cut
         # The hand-over and the NaN cost take the log domain; their mates do not.
         assert log_domain == [False] * 5 + [True, True, False, False]
         assert alone[6] == ("error", "non-finite scaling potentials")
