@@ -69,13 +69,19 @@ def window_attention(x: NDArray[np.float64], w: int) -> NDArray[np.float64]:
     band = 2 * w - 1
     t = np.arange(w)
     out = np.empty_like(x)
+    buffer = np.empty((min(ROWS, n), min(ROWS, n) + band - 1))
     for a in range(0, n, ROWS):
         b = min(a + ROWS, n)
         lo, hi = max(a - w + 1, 0), min(b + w - 1, n)
         ctx = x[lo:hi]
         # Column c of the block matrix is frame a - w + 1 + c, so row r's
         # band starts at column r: a view with row stride one row plus one.
-        block = np.full((b - a, b - a + band - 1), -np.inf)
+        block = buffer[: b - a, : b - a + band - 1]
+        # Every window of an inner block lies inside the video, and its band
+        # covers the whole block.
+        inner = a >= w - 1 and b <= n - w + 1
+        if not inner:
+            block.fill(-np.inf)
         cols = slice(lo - (a - w + 1), hi - (a - w + 1))
         logits = np.matmul(x[a:b], ctx.T, out=block[:, cols])
         logits /= np.sqrt(d)
@@ -86,10 +92,14 @@ def window_attention(x: NDArray[np.float64], w: int) -> NDArray[np.float64]:
         # entries t .. t + w - 1: Z_t is a suffix sum plus a prefix sum.
         z = np.cumsum(e[:, w - 1 :: -1], axis=1)[:, ::-1]
         z[:, 1:] += np.cumsum(e[:, w:], axis=1)
-        rows = np.arange(a, b)[:, None]
-        held = (t >= w - 1 - rows) & (t <= n - 1 - rows)  # window t lies inside the video
-        fallback = np.any(held & (z < _Z_FLOOR), axis=1)
-        z[~held | fallback[:, None]] = np.inf
+        if inner and z.min() >= _Z_FLOOR:
+            redo = ()
+        else:
+            rows = np.arange(a, b)[:, None]
+            held = (t >= w - 1 - rows) & (t <= n - 1 - rows)  # window t lies inside the video
+            fallback = np.any(held & (z < _Z_FLOOR), axis=1)
+            z[~held | fallback[:, None]] = np.inf
+            redo = a + np.flatnonzero(fallback)
         r = 1.0 / z
         # Entry k < w lies in windows 0 .. k, entry w + k in windows k + 1 .. w - 1.
         e[:, :w] *= np.cumsum(r, axis=1)
@@ -97,7 +107,7 @@ def window_attention(x: NDArray[np.float64], w: int) -> NDArray[np.float64]:
         block.fill(0.0)
         view[...] = e
         out[a:b] = block[:, cols] @ ctx
-        for i in a + np.flatnonzero(fallback):
+        for i in redo:
             out[i] = _direct_row(x, w, i)
     return out
 

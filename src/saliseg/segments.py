@@ -117,8 +117,11 @@ def pool_segment_features(
 ) -> NDArray[np.float64]:
     """Saliency-weighted average of the segment's feature rows.
 
-    Falls back to the uniform mean when the segment carries zero prior mass,
-    which keeps the result inside the convex hull of its rows either way.
+    The weighted rows are summed frame by frame, a running sum in every
+    memory layout, so the result does not depend on a BLAS kernel or on
+    pairwise grouping. Falls back to the uniform mean when the segment
+    carries zero prior mass, which keeps the result inside the convex hull
+    of its rows either way.
     """
     xs = np.asarray(xs, dtype=np.float64)
     p_s = np.asarray(p_s, dtype=np.float64)
@@ -132,7 +135,7 @@ def pool_segment_features(
             "segment [%d, %d) has zero saliency mass, uniform pooling", seg.start, seg.end
         )
         return rows.mean(axis=0)
-    return (weights @ rows) / total
+    return np.add.accumulate(weights[:, None] * rows, axis=0)[-1] / total
 
 
 def baseline_uniform(n_frames: int, k: int) -> SegmentSet:

@@ -5,11 +5,16 @@ dimension D, then N records of u32 id length, UTF-8 id bytes, u32 caption
 length, UTF-8 caption bytes, and D little-endian f32 embedding values.
 Embeddings are unit L2 norm; :func:`build_datastore` normalizes on entry.
 
-In memory a :class:`Datastore` holds the embeddings as one ``N x D`` float32
-matrix of exactly the values a file stores, and holds each once:
-:func:`load_datastore` fills it in row chunks straight from the file's bytes
-and drops the file before the constructor checks it, and the constructor
-keeps a C-contiguous float32 matrix as it is.
+In memory a :class:`Datastore` holds no Python object per entry. The
+embeddings are one ``N x D`` float32 matrix of exactly the values a file
+stores. The ids and the captions are each one UTF-8 buffer plus ``N + 1``
+int64 offsets, Apache Arrow's variable-size binary layout, read through a
+sequence of ``str`` that decodes one string per access; a hit names its row,
+and only the ids a query returns are decoded. :func:`load_datastore` walks
+the records once to read their lengths, then gathers the embeddings and the
+two buffers in row chunks straight from the file's bytes with numpy, and
+drops the file before the strings and the matrix are checked; the
+constructor keeps a C-contiguous float32 matrix as it is.
 
 Retrieval is exact and the same on every machine. A query ``q`` is scaled to
 ``q̂ = q / sqrt(fsum(q_i²))`` in float64 (a query whose largest value is
@@ -32,10 +37,12 @@ from __future__ import annotations
 import math
 import struct
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 
 from .data import read_file, write_file
@@ -43,6 +50,7 @@ from .errors import DataError
 from .segments import SegmentSet, pool_segment_features
 
 _MAGIC = b"SDS1"
+_U32_AT = struct.Struct("<I").unpack_from
 # Every N x D pass works in row chunks of at most this many bytes of f64, so
 # no temporary reaches glibc's 128 KiB mmap threshold.
 _CHUNK_BYTES = 64 * 1024
@@ -65,25 +73,117 @@ class DatastoreEntry:
     embedding: NDArray[np.float32]
 
 
+class _Strings(Sequence):
+    """A read-only sequence of ``str`` held as one UTF-8 buffer and the
+    ``N + 1`` int64 offsets that bound its strings: string ``i`` is
+    ``buf[offsets[i] : offsets[i + 1]]``, decoded when it is read. It equals
+    another such sequence, or a list, with the same strings."""
+
+    def __init__(self, buf: bytes, offsets: NDArray[np.int64]):
+        self.buf = buf
+        self.offsets = offsets
+
+    @classmethod
+    def of(cls, strings) -> _Strings:
+        """``strings`` as they are if already a :class:`_Strings`, else encoded."""
+        if isinstance(strings, _Strings):
+            return strings
+        try:
+            parts = [s.encode("utf-8") for s in strings]
+        except UnicodeEncodeError as exc:
+            raise DataError(f"entry ids and captions must be UTF-8 text: {exc}") from exc
+        return cls(b"".join(parts), _offsets([len(b) for b in parts]))
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]
+        return self.buf[self.offsets[i] : self.offsets[i + 1]].decode("utf-8")
+
+    def __iter__(self):
+        bounds = self.offsets.tolist()
+        return (self.buf[lo:hi].decode("utf-8") for lo, hi in zip(bounds, bounds[1:]))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _Strings):
+            return self.buf == other.buf and np.array_equal(self.offsets, other.offsets)
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+    def encoded(self, rows: NDArray[np.int64]) -> list[bytes]:
+        """The UTF-8 bytes of the string of each row in ``rows``."""
+        pairs = zip(self.offsets[rows].tolist(), self.offsets[rows + 1].tolist())
+        return [self.buf[lo:hi] for lo, hi in pairs]
+
+    def first_duplicate(self) -> int | None:
+        """The first row whose string occurs again later, or ``None``.
+
+        Exact: the strings of each byte length are rows of a fixed-width
+        ``uint8`` matrix, and ``np.unique`` over those rows gives each
+        repeated string's first occurrence.
+        """
+        lengths = np.diff(self.offsets)
+        data = np.frombuffer(self.buf, np.uint8)
+        first = len(self)
+        for length in np.unique(lengths).tolist():
+            rows = np.flatnonzero(lengths == length)
+            if len(rows) < 2:
+                continue
+            if length == 0:
+                first = min(first, rows[0])
+                continue
+            keys = sliding_window_view(data, length)[self.offsets[rows]]
+            _, index, counts = np.unique(keys, axis=0, return_index=True, return_counts=True)
+            if np.any(counts > 1):
+                first = min(first, rows[index[counts > 1]].min())
+        return int(first) if first < len(self) else None
+
+    def utf8_ok(self) -> bool:
+        """Whether each string is valid UTF-8 on its own: the buffer decodes,
+        and no non-empty string starts with a continuation byte, so every
+        boundary falls between two characters."""
+        try:
+            self.buf.decode("utf-8")
+        except UnicodeDecodeError:
+            return False
+        heads = self.offsets[:-1][np.diff(self.offsets) > 0]
+        return not np.any((np.frombuffer(self.buf, np.uint8)[heads] & 0xC0) == 0x80)
+
+
+def _offsets(lengths) -> NDArray[np.int64]:
+    """The ``N + 1`` int64 offsets of strings of the given byte lengths."""
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, dtype=np.int64, out=offsets[1:])
+    return offsets
+
+
 class Datastore:
     """Immutable set of caption records queried by cosine similarity.
 
     The constructor is the one place that checks a store: unique ids, a real
     ``N x D`` embedding matrix with one row per id, and finite unit-norm rows
-    (checked in float64, row chunk by row chunk). ``embeddings`` is a
-    C-contiguous float32 matrix: any other input is rounded to float32 once,
-    into a new matrix, and a C-contiguous float32 input is kept without a
-    copy, so the caller should not change it later. The caller's values are
-    never changed.
+    (checked in float64, row chunk by row chunk). ``entry_ids`` and
+    ``captions`` are read-only sequences of ``str`` over one UTF-8 buffer
+    each. ``embeddings`` is a C-contiguous float32 matrix: any other input is
+    rounded to float32 once, into a new matrix, and a C-contiguous float32
+    input is kept without a copy, so the caller should not change it later.
+    The caller's values are never changed.
     """
 
-    def __init__(self, entry_ids: list[str], captions: list[str], embeddings: NDArray[np.floating]):
-        self.entry_ids = list(entry_ids)
-        self.captions = list(captions)
+    def __init__(self, entry_ids: Sequence[str], captions: Sequence[str], embeddings: NDArray[np.floating]):
+        ids = _Strings.of(entry_ids)
+        caps = _Strings.of(captions)
         emb = _matrix(embeddings)
-        if emb.ndim != 2 or len(self.entry_ids) != emb.shape[0]:
+        if emb.ndim != 2 or len(ids) != emb.shape[0]:
             raise DataError("embeddings must be N x D matching the id list")
-        if len(self.captions) != len(self.entry_ids):
+        if len(caps) != len(ids):
             raise DataError("one caption per id is required")
         # An entry past the f32 range rounds to inf, and so fails the norm test.
         with np.errstate(over="ignore"):
@@ -94,11 +194,12 @@ class Datastore:
             # Written so that a NaN norm fails the test too.
             if not np.all(np.abs(norms - 1.0) <= 1e-5):
                 raise DataError("embeddings must be finite and unit norm")
+        dup = ids.first_duplicate()
+        if dup is not None:
+            raise DataError(f"duplicate entry id {ids[dup]!r}")
+        self.entry_ids = ids
+        self.captions = caps
         self.embeddings = emb
-        self._index = {entry_id: i for i, entry_id in enumerate(self.entry_ids)}
-        if len(self._index) != len(self.entry_ids):
-            dup = next(e for i, e in enumerate(self.entry_ids) if self._index[e] != i)
-            raise DataError(f"duplicate entry id {dup!r}")
 
     def __len__(self) -> int:
         return len(self.entry_ids)
@@ -112,7 +213,7 @@ def _row_chunks(shape: tuple[int, int]):
     """Slices of at most ``_CHUNK_BYTES`` of f64 rows each, and at least one row."""
     n, dim = shape
     step = max(1, _CHUNK_BYTES // (8 * max(dim, 1)))
-    return (slice(lo, lo + step) for lo in range(0, n, step))
+    return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
 def _matrix(rows) -> np.ndarray:
@@ -226,8 +327,9 @@ def _exact_dots(emb: NDArray[np.float32], unit: NDArray[np.float64]) -> list[flo
     return sims
 
 
-def _block_topp(store: Datastore, unit: NDArray[np.float64], p: int) -> list[list[tuple[str, float]]]:
-    """Exact top-p of each unit query row of one block against the store."""
+def _block_topp(store: Datastore, unit: NDArray[np.float64], p: int) -> list[list[tuple[int, float]]]:
+    """Exact top-p ``(row, similarity)`` pairs of each unit query row of one
+    block against the store."""
     screen = unit.astype(np.float32) @ store.embeddings.T  # B x N, |ŝ − s| <= b
     n = screen.shape[1]
     margin = _screen_margin(store.dim)
@@ -247,25 +349,28 @@ def _block_topp(store: Datastore, unit: NDArray[np.float64], p: int) -> list[lis
     sims = []
     for pairs in _row_chunks((len(flat), 2 * store.dim)):  # small float lists
         sims += _exact_dots(store.embeddings[col[pairs]], unit[row[pairs]])
-    ids = [store.entry_ids[j] for j in col.tolist()]
+    # UTF-8 bytes order as their code points do.
+    keys = store.entry_ids.encoded(col)
+    cols = col.tolist()
     bounds = np.searchsorted(row, np.arange(len(unit) + 1)).tolist()
     hits = []
     for lo, hi in zip(bounds, bounds[1:]):
         # Descending similarity, ties by ascending id; negation is exact.
-        ranked = sorted(zip([-s for s in sims[lo:hi]], ids[lo:hi]))[:p]
-        hits.append([(entry_id, -neg) for neg, entry_id in ranked])
+        ranked = sorted(zip([-s for s in sims[lo:hi]], keys[lo:hi], cols[lo:hi]))[:p]
+        hits.append([(j, -neg) for neg, _, j in ranked])
     return hits
 
 
-def query_topp(store: Datastore, queries: NDArray[np.float64], p: int) -> list:
+def query_topp(store: Datastore, queries: NDArray[np.float64], p: int, *, rows: bool = False) -> list:
     """Exact top-p by cosine similarity of each row of the ``Q x D``
     ``queries``; ties break on id in code-point order.
 
-    Returns one ranked ``[(entry_id, similarity), ...]`` list per row; a
-    single D-vector query returns its one list. ``p`` larger than the store
-    returns everything sorted. The rows go through in blocks whose ``B x N``
-    float32 screen fits ``_SCREEN_BYTES``; each row's result is exact, so it
-    does not depend on the block it shares.
+    Returns one ranked ``[(entry_id, similarity), ...]`` list per row, or
+    with ``rows=True`` ``[(row, similarity), ...]``, naming each hit by its
+    row of the store; a single D-vector query returns its one list. ``p``
+    larger than the store returns everything sorted. The rows go through in
+    blocks whose ``B x N`` float32 screen fits ``_SCREEN_BYTES``; each row's
+    result is exact, so it does not depend on the block it shares.
     """
     q = np.asarray(queries, dtype=np.float64)
     unit = _unit_rows(store, q[None] if q.ndim == 1 else q)
@@ -276,6 +381,8 @@ def query_topp(store: Datastore, queries: NDArray[np.float64], p: int) -> list:
     hits = []
     for lo in range(0, len(unit), block):
         hits += _block_topp(store, unit[lo : lo + block], p)
+    if not rows:
+        hits = [[(store.entry_ids[j], sim) for j, sim in ranked] for ranked in hits]
     return hits[0] if q.ndim == 1 else hits
 
 
@@ -311,8 +418,9 @@ def retrieval_vectors(
     """
     if not len(queries):
         return [], np.zeros((0, store.dim))
-    neighbors = query_topp(store, queries, p)
-    rows = [[store._index[entry_id] for entry_id, _ in hits] for hits in neighbors]
+    hits = query_topp(store, queries, p, rows=True)
+    neighbors = [[(store.entry_ids[j], sim) for j, sim in ranked] for ranked in hits]
+    rows = [[j for j, _ in ranked] for ranked in hits]
     return neighbors, store.embeddings[rows].astype(np.float64).mean(axis=1)
 
 
@@ -320,17 +428,44 @@ def retrieval_vectors(
 # Datastore file IO
 # ---------------------------------------------------------------------------
 
+def _layout(lengths: NDArray, pos: int, dim: int):
+    """The file offsets of the ids, captions and embeddings of consecutive
+    records with these ``(id, caption)`` byte lengths, the first of them at
+    ``pos``, and the offset past the last."""
+    id_len = lengths[:, 0].astype(np.int64)
+    cap_len = lengths[:, 1].astype(np.int64)
+    ends = pos + np.cumsum(id_len + cap_len + (8 + 4 * dim))
+    emb_at = ends - 4 * dim
+    cap_at = emb_at - cap_len
+    return cap_at - 4 - id_len, cap_at, emb_at, int(ends[-1])
+
+
+def _runs(starts: NDArray[np.int64], lengths) -> NDArray[np.int64]:
+    """The position of every byte of the runs ``[s, s + l)``, run after run."""
+    lengths = np.broadcast_to(np.asarray(lengths, dtype=np.int64), starts.shape)
+    ends = np.cumsum(lengths)
+    index = np.repeat(starts - ends + lengths, lengths)
+    index += np.arange(len(index))
+    return index
+
+
 def save_datastore(store: Datastore, path: str | Path) -> None:
-    payload = bytearray()
-    payload += _MAGIC
-    payload += struct.pack("<QQ", len(store), store.dim)
-    for i in range(len(store)):
-        id_bytes = store.entry_ids[i].encode("utf-8")
-        cap_bytes = store.captions[i].encode("utf-8")
-        payload += struct.pack("<I", len(id_bytes)) + id_bytes
-        payload += struct.pack("<I", len(cap_bytes)) + cap_bytes
-        payload += store.embeddings[i].astype("<f4").tobytes()
-    write_file(path, bytes(payload))
+    """Write ``store`` as an SDS1 file, assembled row chunk by row chunk."""
+    ids, caps, emb = store.entry_ids, store.captions, store.embeddings
+    lengths = np.stack([np.diff(ids.offsets), np.diff(caps.offsets)], axis=1)
+    out = np.empty(20 + 8 * len(store) + len(ids.buf) + len(caps.buf) + emb.nbytes, np.uint8)
+    out[:20] = np.frombuffer(_MAGIC + struct.pack("<QQ", len(store), store.dim), np.uint8)
+    id_bytes, cap_bytes = np.frombuffer(ids.buf, np.uint8), np.frombuffer(caps.buf, np.uint8)
+    pos = 20
+    for rows in _row_chunks(emb.shape):
+        part = lengths[rows]
+        id_at, cap_at, emb_at, pos = _layout(part, pos, store.dim)
+        out[_runs(id_at - 4, 4)] = part[:, 0].astype("<u4").view(np.uint8)
+        out[_runs(id_at, part[:, 0])] = id_bytes[ids.offsets[rows.start] : ids.offsets[rows.stop]]
+        out[_runs(cap_at - 4, 4)] = part[:, 1].astype("<u4").view(np.uint8)
+        out[_runs(cap_at, part[:, 1])] = cap_bytes[caps.offsets[rows.start] : caps.offsets[rows.stop]]
+        out[_runs(emb_at, 4 * store.dim)] = emb[rows].astype("<f4").view(np.uint8).reshape(-1)
+    write_file(path, memoryview(out))
 
 
 def load_datastore(path: str | Path) -> Datastore:
@@ -342,33 +477,53 @@ def load_datastore(path: str | Path) -> Datastore:
     # past the u32 range is a corrupt header even in a store with no records.
     if dim >= 2**32 or n * (8 + 4 * dim) > len(raw) - 20:
         raise DataError(f"{path}: header N={n}, D={dim} does not fit in {len(raw)} bytes")
-    offset = 20
-    ids, captions, starts = [], [], array("q")
+    # The one per-record loop reads each record's id and caption lengths.
+    offset, size, fixed, lengths = 20, len(raw), 8 + 4 * dim, array("I")
+    put = lengths.append
     try:
         for _ in range(n):
-            (id_len,) = struct.unpack_from("<I", raw, offset)
-            offset += 4
-            ids.append(raw[offset : offset + id_len].decode("utf-8"))
-            offset += id_len
-            (cap_len,) = struct.unpack_from("<I", raw, offset)
-            offset += 4
-            captions.append(raw[offset : offset + cap_len].decode("utf-8"))
-            offset += cap_len
-            starts.append(offset)
-            offset += dim * 4
-            if offset > len(raw):
+            (id_len,) = _U32_AT(raw, offset)
+            (cap_len,) = _U32_AT(raw, offset + 4 + id_len)
+            offset += fixed + id_len + cap_len
+            if offset > size:
                 raise DataError(f"{path}: truncated record")
-    except (struct.error, UnicodeDecodeError) as exc:
+            put(id_len)
+            put(cap_len)
+    except struct.error as exc:
         raise DataError(f"{path}: truncated or corrupt datastore: {exc}") from exc
     if offset != len(raw):
         raise DataError(f"{path}: trailing bytes in datastore")
-    if not starts:
+    if not n:
         return Datastore([], [], np.zeros((0, dim), dtype=np.float32))
-    # One f32 matrix filled in row chunks from every record's 4*D embedding
-    # bytes, at any alignment; the file is freed before the store is checked.
+    # The f32 matrix and the two string buffers are gathered in row chunks
+    # from the file's bytes, at any alignment. Until the file is freed the
+    # u32 lengths stand in for the int64 offsets made from them after it,
+    # and the difference holds the chunks' temporaries.
+    lengths = np.frombuffer(lengths, np.uint32).reshape(n, 2)
+    id_buf, cap_buf = (np.empty(int(lengths[:, k].sum(dtype=np.int64)), np.uint8) for k in (0, 1))
     emb = np.empty((n, dim), dtype=np.float32)
-    windows = np.lib.stride_tricks.sliding_window_view(np.frombuffer(raw, np.uint8), 4 * dim)
+    data = np.frombuffer(raw, np.uint8)
+    windows = sliding_window_view(data, 4 * dim)
+    pos, id_done, cap_done = 20, 0, 0
     for rows in _row_chunks(emb.shape):
-        emb[rows] = windows[np.frombuffer(starts[rows], np.int64)].view("<f4")
-    del raw, windows, starts
-    return Datastore(ids, captions, emb)
+        part = lengths[rows]
+        id_at, cap_at, emb_at, pos = _layout(part, pos, dim)
+        emb[rows] = windows[emb_at].view("<f4")
+        index = _runs(id_at, part[:, 0])
+        np.take(data, index, out=id_buf[id_done : id_done + len(index)])
+        id_done += len(index)
+        index = _runs(cap_at, part[:, 1])
+        np.take(data, index, out=cap_buf[cap_done : cap_done + len(index)])
+        cap_done += len(index)
+    del raw, data, windows, index
+    ids = _Strings(id_buf.tobytes(), _offsets(lengths[:, 0]))
+    del id_buf
+    caps = _Strings(cap_buf.tobytes(), _offsets(lengths[:, 1]))
+    del cap_buf, lengths
+    if not (ids.utf8_ok() and caps.utf8_ok()):
+        try:  # the first string in file order that does not decode alone
+            for _ in zip(ids, caps):
+                pass
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: truncated or corrupt datastore: {exc}") from exc
+    return Datastore(ids, caps, emb)

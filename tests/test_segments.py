@@ -162,6 +162,22 @@ class TestPooling:
         assert xs.min(axis=0)[0] - 1e-12 <= got[0] <= xs.max(axis=0)[0] + 1e-12
         assert xs.min(axis=0)[1] - 1e-12 <= got[1] <= xs.max(axis=0)[1] + 1e-12
 
+    @pytest.mark.parametrize("d", [1, 2, 32])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bits_equal_a_python_row_loop(self, d, order):
+        """The weighted rows are summed frame by frame in float64, whatever
+        the BLAS build, the feature dimension or the memory layout."""
+        rng = np.random.default_rng(8)
+        xs = np.asarray(rng.normal(size=(300, d)) * rng.uniform(0, 1e3, size=(300, 1)), order=order)
+        p = rng.random(300)
+        for seg in (Segment(0, 0, 300), Segment(0, 17, 183), Segment(0, 5, 6)):
+            acc = [0.0] * d
+            for weight, row in zip(p[seg.start : seg.end].tolist(), xs[seg.start : seg.end].tolist()):
+                acc = [a + weight * v for a, v in zip(acc, row)]
+            total = float(p[seg.start : seg.end].sum())
+            want = np.array([a / total for a in acc])
+            assert pool_segment_features(seg, xs, p).tobytes() == want.tobytes()
+
 
 class TestBaselineUniform:
     def test_exact_division(self):

@@ -1,8 +1,10 @@
 """Caption datastore: exact retrieval and persistence."""
 
+import gc
 import json
 import math
 import struct
+import sys
 import tracemalloc
 import warnings
 
@@ -95,6 +97,11 @@ class TestBuildDatastore:
             warnings.simplefilter("error")
             with pytest.raises(DataError, match=message):
                 Datastore(ids, ["x"], embeddings)
+
+    def test_id_that_is_not_utf8_text_rejected(self):
+        # A lone surrogate has no UTF-8 form, so no file could hold it.
+        with pytest.raises(DataError, match="^entry ids and captions must be UTF-8 text: "):
+            Datastore(["\ud800"], ["x"], np.array([[1.0, 0.0]]))
 
     def test_complex_entry_rejected(self):
         # Not cast to its real part with a numpy warning on the way.
@@ -515,6 +522,71 @@ class TestDatastoreIO:
         with pytest.raises(DataError, match="duplicate entry id 'a'"):
             load_datastore(path)
 
+    @staticmethod
+    def sds(records, dim=2):
+        """The bytes of an SDS1 file of ``(id bytes, caption bytes)``
+        records, each with the embedding ``e0``."""
+        raw = b"SDS1" + struct.pack("<QQ", len(records), dim)
+        row = np.eye(dim, dtype="<f4")[0].tobytes()
+        for entry_id, caption in records:
+            raw += struct.pack("<I", len(entry_id)) + entry_id + struct.pack("<I", len(caption)) + caption + row
+        return raw
+
+    def test_ids_valid_only_when_concatenated_rejected(self, tmp_path):
+        """Each id decodes alone or the file is rejected, although the two
+        ids together read "éx"."""
+        path = tmp_path / "store.sds"
+        path.write_bytes(self.sds([(b"\xc3", b"c"), (b"\xa9x", b"d")]))
+        with pytest.raises(DataError, match="corrupt datastore: 'utf-8' codec can't decode byte 0xc3 "
+                                            "in position 0: unexpected end of data$"):
+            load_datastore(path)
+
+    def test_caption_starting_with_a_continuation_byte_rejected(self, tmp_path):
+        path = tmp_path / "store.sds"
+        path.write_bytes(self.sds([(b"a", b"x\xc3"), (b"b", b"\xa9"), (b"c", b"")]))
+        with pytest.raises(DataError, match="corrupt datastore: 'utf-8' codec can't decode byte 0xc3 "
+                                            "in position 1: unexpected end of data$"):
+            load_datastore(path)
+
+    def test_ids_differing_in_a_nul_byte_are_distinct(self, tmp_path):
+        path = tmp_path / "store.sds"
+        ids = ["a", "a\x00", "\x00a", "\x00", "", "ab"]
+        path.write_bytes(self.sds([(i.encode(), b"c") for i in ids]))
+        assert load_datastore(path).entry_ids == ids
+        path.write_bytes(self.sds([(i.encode(), b"c") for i in ids + ["a"]]))
+        with pytest.raises(DataError, match="^duplicate entry id 'a'$"):
+            load_datastore(path)
+
+    def test_first_repeated_id_named(self, tmp_path):
+        """The id named is the first, in file order, that occurs again."""
+        path = tmp_path / "store.sds"
+        path.write_bytes(self.sds([(i, b"") for i in (b"xy", b"a", b"", b"a", b"", b"xy")]))
+        with pytest.raises(DataError, match="^duplicate entry id 'xy'$"):
+            load_datastore(path)
+        path.write_bytes(self.sds([(i, b"") for i in (b"q", b"", b"a", b"", b"a")]))
+        with pytest.raises(DataError, match="^duplicate entry id ''$"):
+            load_datastore(path)
+
+    def test_empty_ids_and_captions_round_trip(self, tmp_path):
+        store = build_datastore([DatastoreEntry("", "", np.array([1.0, 0.0])),
+                                 DatastoreEntry("b", "", np.array([0.0, 1.0])),
+                                 DatastoreEntry("c", "é", np.array([0.6, 0.8]))])
+        path = tmp_path / "store.sds"
+        save_datastore(store, path)
+        loaded = load_datastore(path)
+        assert loaded.entry_ids == ["", "b", "c"]
+        assert loaded.captions == ["", "", "é"]
+        assert query_topp(loaded, np.array([1.0, 0.0]), 1) == [("", 1.0)]
+
+    def test_ids_and_captions_read_as_sequences(self):
+        store = build_datastore([DatastoreEntry(i, f"caption {i}", np.ones(2)) for i in ("x", "ü", "日本")])
+        ids = store.entry_ids
+        assert len(ids) == 3 and ids[-1] == "日本" and ids[1:] == ["ü", "日本"]
+        assert list(ids) == ["x", "ü", "日本"] and ids.index("ü") == 1 and "x" in ids
+        assert ids != ["x", "ü"] and store.captions[2] == "caption 日本"
+        with pytest.raises(IndexError):
+            ids[3]
+
 
 class TestHeldOnce:
     """A store holds each embedding once, and so does loading it."""
@@ -552,6 +624,18 @@ class TestHeldOnce:
         assert loaded.embeddings.nbytes == 4 * self.N * self.D
         assert size >= loaded.embeddings.nbytes
         assert peak <= size + path.stat().st_size, (peak, size)
+
+    def test_no_python_object_per_entry(self, saved):
+        """A loaded store holds a few Python objects in all, not one or more
+        per entry, as lists of ids and captions and an id dict did."""
+        store, path = saved
+        load_datastore(path)  # first-call caches
+        gc.collect()
+        before = sys.getallocatedblocks()
+        loaded = load_datastore(path)
+        held = sys.getallocatedblocks() - before
+        assert loaded.entry_ids == store.entry_ids
+        assert held < 1000, held
 
     def test_f32_matrix_is_kept_without_a_copy(self, saved):
         store, _ = saved
