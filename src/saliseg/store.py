@@ -89,10 +89,10 @@ class _Strings(Sequence):
         if isinstance(strings, _Strings):
             return strings
         try:
-            parts = [s.encode("utf-8") for s in strings]
+            parts = list(map(str.encode, strings))
         except UnicodeEncodeError as exc:
             raise DataError(f"entry ids and captions must be UTF-8 text: {exc}") from exc
-        return cls(b"".join(parts), _offsets([len(b) for b in parts]))
+        return cls(b"".join(parts), _offsets(np.fromiter(map(len, parts), np.int64, len(parts))))
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
@@ -125,9 +125,10 @@ class _Strings(Sequence):
     def first_duplicate(self) -> int | None:
         """The first row whose string occurs again later, or ``None``.
 
-        Exact: the strings of each byte length are rows of a fixed-width
-        ``uint8`` matrix, and ``np.unique`` over those rows gives each
-        repeated string's first occurrence.
+        Exact: the strings of each byte length are read as one fixed-width
+        bytes array, whose elements of equal length compare as their bytes
+        do, and ``np.unique`` over it gives each repeated string's first
+        occurrence.
         """
         lengths = np.diff(self.offsets)
         data = np.frombuffer(self.buf, np.uint8)
@@ -139,8 +140,8 @@ class _Strings(Sequence):
             if length == 0:
                 first = min(first, rows[0])
                 continue
-            keys = sliding_window_view(data, length)[self.offsets[rows]]
-            _, index, counts = np.unique(keys, axis=0, return_index=True, return_counts=True)
+            keys = sliding_window_view(data, length)[self.offsets[rows]].view(f"S{length}").ravel()
+            _, index, counts = np.unique(keys, return_index=True, return_counts=True)
             if np.any(counts > 1):
                 first = min(first, rows[index[counts > 1]].min())
         return int(first) if first < len(self) else None

@@ -556,6 +556,9 @@ class TestDatastoreIO:
         path.write_bytes(self.sds([(i.encode(), b"c") for i in ids + ["a"]]))
         with pytest.raises(DataError, match="^duplicate entry id 'a'$"):
             load_datastore(path)
+        path.write_bytes(self.sds([(i.encode(), b"c") for i in ids + ["a\x00"]]))
+        with pytest.raises(DataError, match="^duplicate entry id 'a\\\\x00'$"):
+            load_datastore(path)
 
     def test_first_repeated_id_named(self, tmp_path):
         """The id named is the first, in file order, that occurs again."""
