@@ -125,25 +125,28 @@ class _Strings(Sequence):
     def first_duplicate(self) -> int | None:
         """The first row whose string occurs again later, or ``None``.
 
-        Exact: the strings of each byte length are read as one fixed-width
-        bytes array, whose elements of equal length compare as their bytes
-        do, and ``np.unique`` over it gives each repeated string's first
-        occurrence.
+        Exact: rows are grouped by byte length, the strings of one length
+        are read as one fixed-width bytes array, whose elements compare as
+        their bytes do, and a stable sort puts the first occurrence of each
+        string first among its copies.
         """
         lengths = np.diff(self.offsets)
+        by_length = np.argsort(lengths, kind="stable")
         data = np.frombuffer(self.buf, np.uint8)
         first = len(self)
-        for length in np.unique(lengths).tolist():
-            rows = np.flatnonzero(lengths == length)
+        for rows in np.split(by_length, np.flatnonzero(np.diff(lengths[by_length])) + 1):
             if len(rows) < 2:
                 continue
-            if length == 0:
+            length = int(lengths[rows[0]])
+            if length == 0:  # every empty string equals the first
                 first = min(first, rows[0])
                 continue
             keys = sliding_window_view(data, length)[self.offsets[rows]].view(f"S{length}").ravel()
-            _, index, counts = np.unique(keys, return_index=True, return_counts=True)
-            if np.any(counts > 1):
-                first = min(first, rows[index[counts > 1]].min())
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            repeated = order[:-1][keys[1:] == keys[:-1]]
+            if repeated.size:
+                first = min(first, rows[repeated].min())
         return int(first) if first < len(self) else None
 
     def utf8_ok(self) -> bool:
