@@ -74,14 +74,12 @@ class TestWindowAttention:
 
     @pytest.mark.parametrize("scale", [1000.0, 2000.0])
     def test_underflowing_window_falls_back_to_direct_rows(self, monkeypatch, scale):
-        # Row 3 is e1 and row 3 + w - 1 is scale * e1: row 3's band maximum is
-        # its logit against that far row, so the windows of row 3 that miss it
-        # have normalizers below 2**-900 (exactly 0 at scale 2000).
-        w, n = 4, 12
-        x = np.zeros((n, 2))
-        x[:, 1] = np.random.default_rng(6).normal(size=n)
-        x[3] = [1.0, 0.0]
-        x[3 + w - 1] = [scale, 0.0]
+        # Row `row` is e1 and row `row` + w - 1 is scale * e1: its band
+        # maximum is its logit against that far row, so its windows that miss
+        # it have normalizers below 2**-900 (exactly 0 at scale 2000). The
+        # row sits in a video shorter than one block, then in a block whose
+        # windows all lie inside the video.
+        w = 4
         direct, original = [], refine._direct_row
 
         def spy(rows, size, i):
@@ -89,11 +87,17 @@ class TestWindowAttention:
             return original(rows, size, i)
 
         monkeypatch.setattr(refine, "_direct_row", spy)
-        np.testing.assert_allclose(window_attention(x, w), brute_force_window_sums(x, w), rtol=0, atol=1e-12)
-        assert direct == [3]
-        np.testing.assert_allclose(
-            refine_features(x, (w,)), brute_force_refine(x, (w,)), rtol=0, atol=1e-12
-        )
+        for n, row in ((12, 3), (3 * ROWS, ROWS + 10)):
+            x = np.zeros((n, 2))
+            x[:, 1] = np.random.default_rng(6).normal(size=n)
+            x[row] = [1.0, 0.0]
+            x[row + w - 1] = [scale, 0.0]
+            direct.clear()
+            np.testing.assert_allclose(window_attention(x, w), brute_force_window_sums(x, w), rtol=0, atol=1e-12)
+            assert direct == [row]
+            np.testing.assert_allclose(
+                refine_features(x, (w,)), brute_force_refine(x, (w,)), rtol=0, atol=1e-12
+            )
 
     @pytest.mark.parametrize("n", [1600, 6400])
     def test_temporaries_bounded_independent_of_length(self, n):
