@@ -418,8 +418,10 @@ def retrieval_vectors(
 
     The mean is taken in float64 over the float32 rows. The mean of unit
     vectors can have norm below one and is intentionally left
-    un-normalized.
+    un-normalized. Queries that are not a matrix are a :class:`DataError`.
     """
+    if np.ndim(queries) != 2:
+        raise DataError("queries must be a Q x D matrix")
     if not len(queries):
         return [], np.zeros((0, store.dim))
     hits = query_topp(store, queries, p, rows=True)

@@ -21,13 +21,13 @@ The solver alternates two steps until the plan stabilizes: (1) linearize the
 quadratic term at the current plan, giving a local linear cost, and solve the
 resulting KL-relaxed entropic problem with one loop of scaling iterations on
 the log scalings (row exponent ``gamma / (gamma + epsilon)``), each iterate
-two mat-vecs with the kernel ``exp(-cost / epsilon)`` until the first one
-that would leave floating-point range, and logsumexp over the log kernel
-from there on; (2) take the best point on the segment from the current plan
-to that solution under the exact fused objective, which along the segment is
-a quadratic in the step plus the KL term. Step (2) makes the recorded
-objective trace non-increasing by construction, and keeps column sums exact
-because both segment endpoints satisfy them.
+two mat-vecs with the kernel ``exp(-cost / epsilon)``, or, for a loop that
+would leave floating-point range, logsumexp over the log kernel; (2) take the
+best point on the segment from the current plan to that solution under the
+exact fused objective, which along the segment is a quadratic in the step
+plus the KL term. Step (2) makes the recorded objective trace non-increasing
+by construction, and keeps column sums exact because both segment endpoints
+satisfy them.
 
 The scaling iterates are over-relaxed: each moves the log scalings
 ``_OMEGA`` times the plain Sinkhorn step (Thibault, Chizat, Dossal and
@@ -50,7 +50,8 @@ reduction is a per-item stacked matmul or a last-axis sum, so a problem's
 result is bit-identical whichever problems share its batch, and alone. Each
 problem keeps its own state: it leaves the scaling loop at its own inner
 convergence and the batch at its own outer convergence, with its own
-over-relaxation safeguard and its own hand-over to the log domain, and a
+over-relaxation safeguard and its own domain: a problem whose scaling call
+would leave the kernel range reruns that call in the log domain, and a
 :class:`NumericalError` ends its solve alone, in its own result slot. The
 solver holds a problem only until its batch is solved.
 """
@@ -142,7 +143,7 @@ class TransportPlan:
     T: NDArray[np.float64]
     objective_trace: list[float]
     converged: bool
-    scaling_iterates: int = 0  # summed over outer steps
+    scaling_iterates: int = 0  # summed over outer steps, and over both runs of a rerun call
 
     @property
     def iterations(self) -> int:
@@ -298,43 +299,79 @@ def _kernel_step(kernel, log_p, log_q, fi, log_a, log_b, omega_a, omega_b):
 
 
 def _log_step(log_k, log_p, log_q, fi, log_a, log_b, omega_a, omega_b):
-    """One iterate of each problem of a stack by logsumexp over ``log_k``."""
+    """One iterate of each problem of a stack by logsumexp over ``log_k``,
+    returned as :func:`_kernel_step` returns it: every exponent is in range."""
     d_a = fi * (log_p - _logsumexp(log_k + log_b[:, None, :], axis=2)) - log_a
     next_a = log_a + omega_a * d_a
     d_b = log_q - _logsumexp(log_k + next_a[:, :, None], axis=1) - log_b
     next_b = log_b + omega_b * d_b
-    return d_a, next_a, d_b, next_b
+    return d_a, next_a, d_b, next_b, True
 
 
-def _scaling_step(log_k, kernel, in_kernel, *args):
-    """One over-relaxed iterate of each problem of a stack: with its kernel
-    while it is in the kernel domain, by logsumexp otherwise.
-
-    ``in_kernel`` flags the problems in the kernel domain, or is None while
-    all of them are. A problem whose new row or column exponent leaves the
-    kernel range is redone by logsumexp and leaves the kernel domain.
-    ``args`` are ``log_p, log_q, fi, log_a, log_b, omega_a, omega_b``, each
-    with one row per problem. Returns both updates, both relaxed scalings and
-    the new ``in_kernel``.
-    """
-    if in_kernel is None:
-        *out, in_range = _kernel_step(kernel, *args)
-        if in_range is True:
-            return *out, None
-        in_kernel = in_range
-    elif not in_kernel.any():
-        return *_log_step(log_k, *args), in_kernel
+def _scaling_loop(in_kernel, log_k, log_p, log_q, fi, epsilon, log_a, log_b):
+    """:func:`_scaling_iterations` for a stack of problems in one domain:
+    with the kernels ``exp(log_k)`` if ``in_kernel``, by logsumexp over
+    ``log_k`` if not. Returns the plans, the log scalings, and per problem
+    whether its loop converged, the iterates it completed, and whether an
+    iterate went non-finite or, in the kernel domain, it or the closing
+    column update left the kernel range. Such a problem stops there with
+    zero row scalings, which keep the closing update in range, and
+    meaningless results."""
+    n = len(log_k)
+    ops, step = (np.exp(log_k), _kernel_step) if in_kernel else (log_k, _log_step)
+    out_a = np.zeros_like(log_a)
+    inner_ok = np.zeros(n, dtype=bool)
+    iterates = np.full(n, _MAX_INNER)
+    failed = np.zeros(n, dtype=bool)
+    # The problems still iterating and their rows, compacted as they leave.
+    live = np.arange(n)
+    omega_a = np.full(log_a.shape, _OMEGA)
+    omega_b = np.full(log_b.shape, _OMEGA)
+    eps_omega = epsilon * _OMEGA  # the potentials' change per unit of scaling update
+    last = [np.inf] * n
+    op, lp, lq, fi_l, eps_l, la, lb = ops, log_p, log_q, fi, epsilon, log_a, log_b
+    for count in range(1, _MAX_INNER + 1):
+        d_a, la, d_b, lb, in_range = step(op, lp, lq, fi_l, la, lb, omega_a, omega_b)
+        change = np.maximum(np.abs(d_a).max(axis=1), np.abs(d_b).max(axis=1))
+        delta = eps_omega * change
+        previous, last = last, delta.tolist()
+        # Most iterates change no problem's state: tested on floats, which
+        # costs less than reductions over a few values.
+        if in_range is True and all(_POTENTIAL_TOL <= x <= y and x < np.inf
+                                    for x, y in zip(last, previous)):
+            continue
+        grown = delta > np.array(previous)
+        if grown.any():
+            omega_a[grown], omega_b[grown] = 1.0, 1.0
+            eps_omega = eps_l * omega_b[:, 0]
+        # The scalings were finite, so each change is finite iff its update is.
+        stay = (change < np.inf) & in_range
+        done = stay & (delta < _POTENTIAL_TOL)
+        if done.any() or not stay.all():
+            failed[live[~stay]], iterates[live[~stay]] = True, count - 1
+            rows = live[done]
+            out_a[rows], inner_ok[rows], iterates[rows] = la[done], True, count
+            keep = stay & ~done
+            if not keep.any():
+                break
+            op, lp, lq, fi_l, eps_l, la, lb, omega_a, omega_b, eps_omega, live = (
+                x[keep] for x in (op, lp, lq, fi_l, eps_l, la, lb, omega_a, omega_b, eps_omega,
+                                  live))
+            last = delta[keep].tolist()
     else:
-        in_kernel = in_kernel.copy()
-        out = [np.empty_like(x) for x in args[3:5] for _ in range(2)]
-        r = np.flatnonzero(in_kernel)
-        *part, in_kernel[r] = _kernel_step(kernel[r], *(x[r] for x in args))
-        for whole, x in zip(out, part):
-            whole[r] = x
-    r = np.flatnonzero(~in_kernel)
-    for whole, x in zip(out, _log_step(log_k[r], *(x[r] for x in args))):
-        whole[r] = x
-    return *out, in_kernel
+        out_a[live] = la
+
+    if in_kernel:
+        log_b = log_q - np.log(np.matmul(np.exp(out_a)[:, None, :], ops)[:, 0])
+        in_range = _within_range(log_b)
+        if in_range is not True:
+            failed |= ~in_range
+            log_b[failed] = 0.0
+        t = np.exp(out_a)[:, :, None] * ops * np.exp(log_b)[:, None, :]
+    else:
+        log_b = log_q - _logsumexp(log_k + out_a[:, :, None], axis=1)
+        t = np.exp(out_a[:, :, None] + log_k + log_b[:, None, :])
+    return t, out_a, log_b, inner_ok, iterates, failed
 
 
 def _scaling_iterations(
@@ -374,10 +411,13 @@ def _scaling_iterations(
     the plan ``a[:, None] * K * b`` is formed: the anchor marginal matches
     ``exp(log_q)`` to machine precision.
 
-    An iterate is two mat-vecs with ``K``, built once, while every exponent
-    lies within ``_KERNEL_RANGE``. The first iterate, or the closing column
-    update, that would leave it drops that problem's ``K`` and is redone with
-    logsumexp over ``log K``, as is the rest of its call.
+    Each problem runs the call in one domain. It takes the kernel domain,
+    two mat-vecs with ``K`` per iterate, if every exponent of ``K`` and of
+    its warm start lies within ``_KERNEL_RANGE``, and the log domain,
+    logsumexp over ``log K``, if not. A problem whose kernel-domain iterate
+    or closing column update would leave that range or turn non-finite reruns
+    the whole call in the log domain from its warm start, and counts the
+    kernel iterates it completed before that one with its log-domain ones.
 
     Returns the plans, the potentials, per problem whether its loop converged
     and the number of iterates it ran, and the problems whose potentials or
@@ -389,76 +429,31 @@ def _scaling_iterations(
     # Per row and per column, so that no iterate broadcasts a per-problem value.
     fi = np.repeat((gamma / (gamma + epsilon))[:, None], cost.shape[1], axis=1)
     log_k = cost / -epsilon[:, None, None]
-    log_a = f / eps
-    log_b = g / eps
-    in_kernel = np.zeros(n, dtype=bool)
-    in_kernel[:] = _within_range(log_k) & _within_range(log_a) & _within_range(log_b)
-    kernel = (np.exp(log_k) if in_kernel.all()
-              else np.exp(log_k, out=np.zeros_like(log_k), where=in_kernel[:, None, None]))
-    inner_ok = np.zeros(n, dtype=bool)
-    iterates = np.full(n, _MAX_INNER)
+    log_a, log_b = f / eps, g / eps
+    args = (log_k, log_p, log_q, fi, epsilon, log_a, log_b)
+    kernel = np.zeros(n, dtype=bool)
+    kernel[:] = _within_range(log_k) & _within_range(log_a) & _within_range(log_b)
+    out = [np.zeros_like(x) for x in (cost, f, g)] + [np.zeros(n, dtype=bool),
+                                                      np.zeros(n, dtype=np.int64)]
+    rerun = ~kernel
+    if kernel.any():
+        r = slice(None) if kernel.all() else np.flatnonzero(kernel)  # views, not copies
+        *part, rerun[r] = _scaling_loop(True, *(x[r] for x in args))
+        for whole, x in zip(out, part):
+            whole[r] = x
+    t, log_a, log_b, inner_ok, iterates = out
     errors: dict[int, str] = {}
-    # The problems still iterating and their rows, compacted as they leave.
-    live = np.arange(n)
-    ink = None if in_kernel.all() else in_kernel
-    omega_a = np.full(log_a.shape, _OMEGA)
-    omega_b = np.full(log_b.shape, _OMEGA)
-    eps_omega = epsilon * _OMEGA  # the potentials' change per unit of scaling update
-    last = [np.inf] * n
-    lk, ker, lp, lq, fi_l, eps_l, la, lb = log_k, kernel, log_p, log_q, fi, epsilon, log_a, log_b
-    for step in range(1, _MAX_INNER + 1):
-        d_a, next_a, d_b, next_b, ink = _scaling_step(lk, ker, ink, lp, lq, fi_l, la, lb,
-                                                      omega_a, omega_b)
-        change = np.maximum(np.abs(d_a).max(axis=1), np.abs(d_b).max(axis=1))
-        delta = eps_omega * change
-        la, lb, previous, last = next_a, next_b, last, delta.tolist()
-        # Most iterates change no problem's state: tested on floats, which
-        # costs less than reductions over a few values.
-        if all(_POTENTIAL_TOL <= x <= y and x < np.inf for x, y in zip(last, previous)):
-            continue
-        grown = delta > np.array(previous)
-        if grown.any():
-            omega_a[grown], omega_b[grown] = 1.0, 1.0
-            eps_omega = eps_l * omega_b[:, 0]
-        # log_a and log_b are finite, so each change is finite iff its update is.
-        finite = change < np.inf
-        done = delta < _POTENTIAL_TOL
-        if done.any() or not finite.all():
-            errors.update((int(i), "non-finite scaling potentials") for i in live[~finite])
-            rows = live[done]
-            log_a[rows], log_b[rows], inner_ok[rows], iterates[rows] = la[done], lb[done], True, step
-            in_kernel[rows] = True if ink is None else ink[done]
-            keep = finite & ~done
-            if not keep.any():
-                break
-            lk, ker, lp, lq, fi_l, eps_l, la, lb, omega_a, omega_b, eps_omega, live = (
-                x[keep] for x in (lk, ker, lp, lq, fi_l, eps_l, la, lb, omega_a, omega_b,
-                                  eps_omega, live))
-            last = delta[keep].tolist()
-            ink = None if ink is None or ink[keep].all() else ink[keep]
-    else:
-        log_a[live], log_b[live] = la, lb
-        in_kernel[live] = True if ink is None else ink
-
-    closing = np.ones(n, dtype=bool)
-    closing[list(errors)] = False
-    in_kernel &= closing
-    if in_kernel.any():
-        r = np.flatnonzero(in_kernel)
-        log_b[r] = log_q[r] - np.log(np.matmul(np.exp(log_a[r])[:, None, :], kernel[r])[:, 0])
-        in_kernel[r] = _within_range(log_b[r])
-    if in_kernel.all():
-        t = np.exp(log_a)[:, :, None] * kernel * np.exp(log_b)[:, None, :]
-    else:
-        t = np.zeros_like(cost)
-        r = np.flatnonzero(in_kernel)
-        t[r] = np.exp(log_a[r])[:, :, None] * kernel[r] * np.exp(log_b[r])[:, None, :]
-        r = np.flatnonzero(closing & ~in_kernel)
-        log_b[r] = log_q[r] - _logsumexp(log_k[r] + log_a[r][:, :, None], axis=1)
-        t[r] = np.exp(log_a[r][:, :, None] + log_k[r] + log_b[r][:, None, :])
+    if rerun.any():
+        r = np.flatnonzero(rerun)
+        t[r], log_a[r], log_b[r], inner_ok[r], count, failed = _scaling_loop(
+            False, *(x[r] for x in args))
+        iterates[r] += count
+        errors = {int(i): "non-finite scaling potentials" for i in r[failed]}
     if not t.max() < np.inf:  # t >= 0, so this fails on inf and on NaN
-        bad = closing & ~np.isfinite(t).reshape(n, -1).all(axis=1)
-        errors.update((int(i), "non-finite transport plan after scaling") for i in np.flatnonzero(bad))
+        bad = ~np.isfinite(t).reshape(n, -1).all(axis=1)
+        bad[list(errors)] = False
+        errors.update((int(i), "non-finite transport plan after scaling")
+                      for i in np.flatnonzero(bad))
     return t, eps * log_a, eps * log_b, inner_ok, iterates, errors
 
 

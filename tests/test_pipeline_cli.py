@@ -1,6 +1,7 @@
 """End-to-end pipeline, stage isolation, CLI contract."""
 
 import argparse
+import dataclasses
 import json
 import struct
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from saliseg import transport
 from saliseg.cli import build_parser, main
 from saliseg.data import FrameFeatures, PipelineConfig, load_features, save_features
 from saliseg.errors import ConfigError, DataError
@@ -110,6 +112,32 @@ class TestPipeline:
             )
             outs.append(tree_bytes(out))
         assert outs[0] == outs[1]
+
+    def test_small_epsilon_runs_the_log_domain_end_to_end(
+        self, corpus_dir, head_path, tmp_path, monkeypatch
+    ):
+        """At epsilon = 1e-3 the costs over epsilon leave the kernel range,
+        so every scaling iterate runs by logsumexp; the run still writes a
+        segments record per video, and reruns to the same manifest."""
+        cfg = dataclasses.replace(CFG, epsilon=1e-3)
+        steps = []  # the name of every scaling iterate's step function
+        for name in ("_kernel_step", "_log_step"):
+            step = getattr(transport, name)
+            monkeypatch.setattr(transport, name,
+                                lambda *a, name=name, step=step: steps.append(name) or step(*a))
+        manifests = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            run_pipeline(
+                cfg, corpus_dir / "features", corpus_dir / "annotations.jsonl",
+                corpus_dir / "datastore.sds", head_path, out,
+            )
+            records = (out / "segments.jsonl").read_text().splitlines()
+            assert [json.loads(line)["video_id"] for line in records] == [
+                f"v{i:04d}" for i in range(SPEC.n_videos)]
+            manifests.append((out / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
+        assert set(steps) == {"_log_step"}
 
     def test_stagewise_equals_monolithic(self, corpus_dir, head_path, tmp_path):
         mono = tmp_path / "mono"

@@ -396,6 +396,18 @@ class TestRetrievalVectors:
         assert neighbors == [] and vectors.shape == (0, 6)
 
     @pytest.mark.parametrize(
+        "queries",
+        [np.array([0.0, 1.0, 0.0]), [0.0, 1.0, 0.0], np.zeros(0), np.ones((1, 1, 3)), 1.0],
+        ids=["vector", "list", "empty_vector", "three_axes", "scalar"],
+    )
+    def test_queries_that_are_not_a_matrix(self, queries):
+        with pytest.raises(DataError, match="queries must be a Q x D matrix"):
+            retrieval_vectors(queries, basis_store(), p=1)
+        # query_topp keeps its one-vector form.
+        if np.ndim(queries) == 1 and len(queries):
+            assert query_topp(basis_store(), queries, 1) == [("e1", 1.0)]
+
+    @pytest.mark.parametrize(
         "segment, xs, message",
         [
             (Segment(0, 0, 5), np.ones((4, 3)), "segment exceeds feature rows"),

@@ -557,31 +557,53 @@ class TestSolveFugw:
         frame's prior mass is about exp(-1.1 * range): its row scaling starts
         inside the kernel range (the first relaxed iterate puts it near -287)
         and follows the columns out of it partway through the first outer
-        step, whose iterates then finish in the log domain."""
+        step. That scaling call reruns in the log domain from its warm start:
+        every call that takes logsumexp returns what the same call returns in
+        the log domain, bit for bit, and counts the kernel iterates it
+        completed before the leave beside its log-domain ones. The solve
+        agrees with the log-domain solve to 1e-12."""
         rng = np.random.default_rng(16)
         p = np.ones(7)
         p[0] = np.exp(-1.1 * transport._KERNEL_RANGE)
         prob = OtProblem(C_k=20.0 + rng.uniform(0, 1, (7, 3)), p_hat=p / p.sum(), alpha=0.5,
                          gamma=3.0, epsilon=0.1)
         calls = count_logsumexp(monkeypatch)
-        per_step = []
-        scaling = transport._scaling_iterations
+        in_range = []  # per kernel iterate of the current call: whether it stayed in range
+        kernel_step = transport._kernel_step
 
-        def counted_scaling(*args):
-            before = len(calls)
-            out = scaling(*args)
-            per_step.append(len(calls) - before)
+        def spied_step(*args):
+            out = kernel_step(*args)
+            in_range.append(bool(np.all(out[-1])))
             return out
 
-        monkeypatch.setattr(transport, "_scaling_iterations", counted_scaling)
+        scaling = transport._scaling_iterations
+        records = []
+
+        def recorded_scaling(*args):
+            del calls[:], in_range[:]
+            out = scaling(*args)
+            records.append((args, out, bool(calls), in_range[:]))
+            return out
+
+        monkeypatch.setattr(transport, "_kernel_step", spied_step)
+        monkeypatch.setattr(transport, "_scaling_iterations", recorded_scaling)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             plan = solve(prob)
-        mixed = per_step[:]
-        per_step.clear()
+        monkeypatch.setattr(transport, "_scaling_iterations", scaling)
+        # The first call leaves the kernel range after some kernel iterates.
+        assert records[0][2] and 0 < records[0][3].index(False)
+        for args, (t, f, g, inner_ok, iterates, _), rerun, steps in records:
+            completed = steps.index(False) if False in steps else len(steps)
+            if not rerun:
+                assert int(iterates[0]) == completed
+                continue
+            logd = in_log_domain(monkeypatch, scaling, *args)
+            for got, want in zip((t, f, g, inner_ok), logd[:4]):
+                assert got.tobytes() == want.tobytes()
+            assert int(iterates[0]) == completed + int(logd[4][0])
+        assert plan.scaling_iterates == sum(int(out[4][0]) for _, out, _, _ in records)
         logd = in_log_domain(monkeypatch, solve, prob)
-        # Kernel iterates first, then log-domain ones, in the same outer step.
-        assert 0 < mixed[0] < per_step[0]
         assert plan.converged and logd.converged and plan.iterations == logd.iterations
         np.testing.assert_allclose(plan.T, logd.T, rtol=0, atol=1e-12)
 
@@ -591,7 +613,9 @@ class TestSolveFugw:
         row scalings settle, column 0's exponent climbs from about 206 past
         the range on the fourth iterate while every row exponent stays below
         110. That iterate passes the row test and fails the column one, and
-        the rest of the call runs in the log domain."""
+        the whole call reruns in the log domain from its warm start: it
+        returns the log-domain call's plan, potentials and convergence flag
+        bit for bit, and counts the three kernel iterates it completed."""
         rng = np.random.default_rng(13)
         f_v, epsilon = 7, 0.1
         cost = np.stack([20.45 + 0.01 * rng.uniform(0, 1, f_v), -rng.uniform(0, 1, f_v)], axis=1)
@@ -599,28 +623,35 @@ class TestSolveFugw:
         args = (cost[None], np.log(p / p.sum())[None], np.full((1, 2), -np.log(2)),
                 np.array([1e6]), np.array([epsilon]), np.zeros((1, f_v)), np.zeros((1, 2)))
         calls = count_logsumexp(monkeypatch)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            mixed = scale_one(*args)
+        kernel_steps = []
+        kernel_step = transport._kernel_step
+        with monkeypatch.context() as m:
+            m.setattr(transport, "_kernel_step",
+                      lambda *a: kernel_steps.append(1) or kernel_step(*a))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                mixed = scale_one(*args)
         n_mixed = len(calls)
         calls.clear()
         logd = in_log_domain(monkeypatch, scale_one, *args)
-        # Kernel iterates first, then log-domain ones, in the same call.
-        assert 0 < n_mixed < len(calls)
-        n_kernel = (len(calls) - n_mixed) // 2
+        # The kernel iterates completed before the leave, then the whole call
+        # again by logsumexp.
+        n_kernel = len(kernel_steps) - 1
+        assert n_kernel == 3 and n_mixed == len(calls) > 0
         # After the kernel iterates both exponents are in range; the next
         # iterate takes the column exponent, and only it, out of range.
         out_of_range = []
         for n in (n_kernel, n_kernel + 1):
-            monkeypatch.setattr(transport, "_MAX_INNER", n)
-            _, f, g, _, _ = in_log_domain(monkeypatch, scale_one, *args)
+            with monkeypatch.context() as m:
+                m.setattr(transport, "_MAX_INNER", n)
+                _, f, g, _, _ = in_log_domain(monkeypatch, scale_one, *args)
             out_of_range.append(
                 tuple(bool(np.abs(x / epsilon).max() > transport._KERNEL_RANGE) for x in (f, g))
             )
         assert out_of_range == [(False, False), (False, True)]
-        assert mixed[3] == logd[3]
+        assert mixed[3] == logd[3] and mixed[4] == n_kernel + logd[4]
         for got, want in zip(mixed[:3], logd[:3]):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            assert got.tobytes() == want.tobytes()
 
     def test_logsumexp_matches_function_form_bit_for_bit(self):
         x = np.random.default_rng(13).normal(scale=50.0, size=(40, 8))
@@ -686,9 +717,10 @@ def mixed_batch():
     """Problems that share batches across two lengths and two anchor counts:
     gamma = 0 (row exponent 0), alpha = 0 and alpha = 1 beside the default
     weights, a 7 x 3 problem whose potentials leave the kernel range
-    partway through its first outer step while its 7 x 3 batch-mate stays
-    in the kernel domain, and a 6 x 3 problem whose NaN cost ends its solve
-    in a NumericalError beside a 6 x 3 mate that solves."""
+    partway through its first scaling call, which then reruns in the log
+    domain, while its 7 x 3 batch-mate stays in the kernel domain, and a
+    6 x 3 problem whose NaN cost ends its solve in a NumericalError beside a
+    6 x 3 mate that solves."""
     rng = np.random.default_rng(16)
     p = np.ones(7)
     p[0] = np.exp(-1.1 * transport._KERNEL_RANGE)
