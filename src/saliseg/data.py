@@ -29,6 +29,7 @@ import json
 import logging
 import math
 import os
+import stat
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -141,6 +142,36 @@ def read_file(path: str | Path) -> bytes:
     """The bytes of ``path``; a file that cannot be read is a :class:`DataError`."""
     try:
         return Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"{path}: {exc.strerror or exc}") from exc
+
+
+# read_pieces reads at most this many bytes at a time.
+_PIECE_BYTES = 256 * 1024
+
+
+@contextlib.contextmanager
+def read_pieces(path: str | Path):
+    """Open ``path`` and yield its size in bytes and an iterator over its
+    bytes in pieces of ``_PIECE_BYTES``, or of the whole file if that is
+    smaller (the last piece may be shorter), so a reader holds one piece at
+    a time. A pipe or other file that is not regular has no size until it
+    is read to its end, so it is read whole, as one piece. As with
+    :func:`read_file`, a file that cannot be opened or read is a
+    :class:`DataError` naming ``path``."""
+
+    def pieces(step):
+        while piece := file.read(step):
+            yield piece
+
+    try:
+        with open(path, "rb") as file:
+            info = os.fstat(file.fileno())
+            if not stat.S_ISREG(info.st_mode):
+                whole = file.read()
+                yield len(whole), iter([whole] if whole else [])
+            else:  # a read allocates the whole step before it fills it
+                yield info.st_size, pieces(max(1, min(info.st_size, _PIECE_BYTES)))
     except OSError as exc:
         raise DataError(f"{path}: {exc.strerror or exc}") from exc
 

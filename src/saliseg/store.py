@@ -10,11 +10,13 @@ embeddings are one ``N x D`` float32 matrix of exactly the values a file
 stores. The ids and the captions are each one UTF-8 buffer plus ``N + 1``
 int64 offsets, Apache Arrow's variable-size binary layout, read through a
 sequence of ``str`` that decodes one string per access; a hit names its row,
-and only the ids a query returns are decoded. :func:`load_datastore` walks
-the records once to read their lengths, then gathers the embeddings and the
-two buffers in row chunks straight from the file's bytes with numpy, and
-drops the file before the strings and the matrix are checked; the
-constructor keeps a C-contiguous float32 matrix as it is.
+and only the ids a query returns are decoded. :func:`load_datastore` reads
+the file in fixed pieces (``data.read_pieces``) and never holds it whole:
+it walks the lengths of the records each piece completes, carrying a
+partial record over to the next piece, and gathers their embeddings into
+the preallocated ``N x D`` matrix and their ids and captions onto the two
+buffers in row chunks with numpy; the constructor keeps a C-contiguous
+float32 matrix as it is.
 
 Retrieval is exact and the same on every machine. A query ``q`` is scaled to
 ``q̂ = q / sqrt(fsum(q_i²))`` in float64 (a query whose largest value is
@@ -23,17 +25,21 @@ squares stay in the normal range), and the similarity of a stored
 embedding ``e`` is the correctly rounded value of the exact dot product
 ``Σ e_i q̂_i``; results rank by descending similarity, then by id in
 code-point order. :func:`query_topp` answers a matrix of queries per call:
-one float32 GEMM per block of queries screens the whole store with a proven
-error bound, and only the entries the screen cannot rule out are rescored
-exactly. This is the exact re-ranking step of a refine index (Johnson, Douze
-and Jégou, "Billion-scale similarity search with GPUs", 2017) with a
-certified margin in place of a fixed over-fetch, and the rescoring is an
-error-free dot product in the sense of Ogita, Rump and Oishi ("Accurate sum
-and dot product", SIAM J. Sci. Comput. 2005).
+a block of queries screens the store one chunk of entries at a time, one
+float32 GEMM per chunk into one reused buffer, with a proven error bound
+and a running lower bound on each query's p-th screened score, and only the
+entries the screen cannot rule out are rescored exactly. The running bound
+is the streamed k-selection, and the rescoring the exact re-ranking step, of
+a refine index (Johnson, Douze and Jégou, "Billion-scale similarity search
+with GPUs", 2017), with a certified margin in place of a fixed over-fetch;
+the rescoring is an error-free dot product in the sense of Ogita, Rump and
+Oishi ("Accurate sum and dot product", SIAM J. Sci. Comput. 2005).
 """
 
 from __future__ import annotations
 
+import codecs
+import io
 import math
 import struct
 from array import array
@@ -45,7 +51,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 
-from .data import read_file, write_file
+from .data import read_pieces, write_file
 from .errors import DataError
 from .segments import SegmentSet, pool_segment_features
 
@@ -54,9 +60,12 @@ _U32_AT = struct.Struct("<I").unpack_from
 # Every N x D pass works in row chunks of at most this many bytes of f64, so
 # no temporary reaches glibc's 128 KiB mmap threshold.
 _CHUNK_BYTES = 64 * 1024
-# The B x N float32 screen of one block of queries holds at most this many
-# bytes (at least one row): 20 queries against 100k entries.
-_SCREEN_BYTES = 8 * 2**20
+# Queries go through in blocks of at most _BLOCK_ROWS, and a block screens
+# the store in chunks of entries whose B x c float32 scores hold at most
+# _SCREEN_BYTES (at least one entry): 200 queries against 1310 entries, and
+# never fewer than 1024 entries at a time for a full block.
+_BLOCK_ROWS = 256
+_SCREEN_BYTES = 2**20
 # Unit roundoff of float32.
 _U32 = 2.0**-24
 # Veltkamp's splitter for float64: q = hi + lo, each half of at most 26 bits.
@@ -125,40 +134,75 @@ class _Strings(Sequence):
     def first_duplicate(self) -> int | None:
         """The first row whose string occurs again later, or ``None``.
 
-        Exact: rows are grouped by byte length, the strings of one length
-        are read as one fixed-width bytes array, whose elements compare as
-        their bytes do, and a stable sort puts the first occurrence of each
-        string first among its copies.
+        Exact: the strings of one byte length are read as one fixed-width
+        bytes array, whose elements compare as their bytes do: in place when
+        they fill one run of consecutive rows, else gathered from each run.
+        An array not already in strict order is sorted once, and only if two
+        neighbours are then equal does a stable argsort name the first row
+        of a repeated string.
         """
-        lengths = np.diff(self.offsets)
-        by_length = np.argsort(lengths, kind="stable")
+        starts, counts, lengths = self._length_runs()
+        by_length = np.argsort(lengths, kind="stable")  # runs of one length stay in order
         data = np.frombuffer(self.buf, np.uint8)
         first = len(self)
-        for rows in np.split(by_length, np.flatnonzero(np.diff(lengths[by_length])) + 1):
-            if len(rows) < 2:
+        for runs in np.split(by_length, np.flatnonzero(np.diff(lengths[by_length])) + 1):
+            if counts[runs].sum() < 2:
                 continue
-            length = int(lengths[rows[0]])
+            length = int(lengths[runs[0]])
             if length == 0:  # every empty string equals the first
-                first = min(first, rows[0])
+                first = min(first, starts[runs[0]])
                 continue
-            keys = sliding_window_view(data, length)[self.offsets[rows]].view(f"S{length}").ravel()
-            order = np.argsort(keys, kind="stable")
-            keys = keys[order]
-            repeated = order[:-1][keys[1:] == keys[:-1]]
-            if repeated.size:
-                first = min(first, rows[repeated].min())
+            if len(runs) == 1:
+                keys = np.frombuffer(self.buf, f"S{length}", counts[runs[0]], self.offsets[starts[runs[0]]])
+            else:
+                rows = _runs(starts[runs], counts[runs])
+                keys = sliding_window_view(data, length)[self.offsets[rows]].view(f"S{length}").ravel()
+            if np.all(keys[1:] > keys[:-1]):  # in strict order already: no copy to sort
+                continue
+            ranked = np.sort(keys)
+            if np.any(ranked[1:] == ranked[:-1]):
+                order = np.argsort(keys, kind="stable")
+                ranked = keys[order]
+                repeated = order[:-1][ranked[1:] == ranked[:-1]].min()
+                first = min(first, _runs(starts[runs], counts[runs])[repeated])
         return int(first) if first < len(self) else None
 
+    def _length_runs(self) -> tuple[NDArray[np.int64], NDArray[np.int64], NDArray[np.int64]]:
+        """The first row, the number of rows and the byte length of each
+        maximal run of consecutive strings of one byte length, found in row
+        chunks."""
+        n = len(self)
+        starts = [np.zeros(min(n, 1), np.int64)]
+        for rows in _row_chunks((n, 1)):
+            # This chunk's lengths and the next row's, so a run that ends at
+            # the chunk's end is seen.
+            lengths = np.diff(self.offsets[rows.start : rows.stop + 2])
+            starts.append(np.flatnonzero(lengths[1:] != lengths[:-1]) + (rows.start + 1))
+        starts = np.concatenate(starts)
+        counts = np.diff(starts, append=n)
+        return starts, counts, self.offsets[starts + 1] - self.offsets[starts]
+
     def utf8_ok(self) -> bool:
-        """Whether each string is valid UTF-8 on its own: the buffer decodes,
-        and no non-empty string starts with a continuation byte, so every
-        boundary falls between two characters."""
+        """Whether each string is valid UTF-8 on its own: the buffer
+        decodes, and no non-empty string starts with a continuation byte, so
+        every boundary falls between two characters. Both are checked in
+        pieces of at most ``_CHUNK_BYTES`` bytes or rows."""
+        if self.buf.isascii():
+            return True
+        decode = codecs.getincrementaldecoder("utf-8")().decode
+        view = memoryview(self.buf)
         try:
-            self.buf.decode("utf-8")
+            for lo in range(0, len(view), _CHUNK_BYTES):
+                decode(view[lo : lo + _CHUNK_BYTES], lo + _CHUNK_BYTES >= len(view))
         except UnicodeDecodeError:
             return False
-        heads = self.offsets[:-1][np.diff(self.offsets) > 0]
-        return not np.any((np.frombuffer(self.buf, np.uint8)[heads] & 0xC0) == 0x80)
+        data = np.frombuffer(self.buf, np.uint8)
+        for rows in _row_chunks((len(self), 1)):
+            bounds = self.offsets[rows.start : rows.stop + 1]
+            heads = bounds[:-1][np.diff(bounds) > 0]
+            if np.any((data[heads] & 0xC0) == 0x80):
+                return False
+        return True
 
 
 def _offsets(lengths) -> NDArray[np.int64]:
@@ -331,32 +375,65 @@ def _exact_dots(emb: NDArray[np.float32], unit: NDArray[np.float64]) -> list[flo
     return sims
 
 
+def _cut32(kth: NDArray[np.float32], margin: float) -> NDArray[np.float32]:
+    """The least float32 at or above ``kth − margin`` taken in float64: a
+    float32 score passes it exactly when it passes the float64 cut."""
+    cut = kth.astype(np.float64) - margin
+    cut32 = cut.astype(np.float32)
+    return np.where(cut32 < cut, np.nextafter(cut32, np.float32(np.inf)), cut32)
+
+
 def _block_topp(store: Datastore, unit: NDArray[np.float64], p: int) -> list[list[tuple[int, float]]]:
     """Exact top-p ``(row, similarity)`` pairs of each unit query row of one
-    block against the store."""
-    screen = unit.astype(np.float32) @ store.embeddings.T  # B x N, |ŝ − s| <= b
-    n = screen.shape[1]
+    block against the store.
+
+    The store is screened one chunk of entries at a time, each chunk one
+    float32 GEMM into one reused ``B x c`` buffer. Every exact top-p entry
+    has ``ŝ >= ŝ_(p) − 2b``, for ``ŝ_(p)`` the p-th largest screened score of
+    its query. A query holds ``best``, the scores of p distinct entries seen
+    so far, whose least is a lower bound ``L <= ŝ_(p)``: the p largest of the
+    first chunks seed it, and each later chunk's largest score raises it.
+    Every entry with ``ŝ >= cut32(L)`` is kept, so the kept entries hold the
+    p largest scores and ``ŝ_(p)`` among them, and those at or above
+    ``cut32(ŝ_(p))`` are rescored exactly.
+    """
+    emb, n, b = store.embeddings, len(store), len(unit)
     margin = _screen_margin(store.dim)
-    candidates = []
-    # Row chunk by row chunk, so the partition copies at most one chunk.
-    for rows in _row_chunks(screen.shape):
-        part = screen[rows]
-        # Every exact top-p entry has ŝ >= ŝ_(p) − 2b; the cut is taken in
-        # float64, then raised to the least float32 at or above it, which
-        # float32 scores pass exactly when they pass the float64 cut.
-        cut = np.partition(part, n - p, axis=1)[:, n - p].astype(np.float64) - margin
-        cut32 = cut.astype(np.float32)
-        cut32 = np.where(cut32 < cut, np.nextafter(cut32, np.float32(np.inf)), cut32)
-        candidates.append(np.flatnonzero(part >= cut32[:, None]) + rows.start * n)
-    flat = np.concatenate(candidates)  # row-major, so grouped by query row
-    row, col = np.divmod(flat, n)
+    q32 = unit.astype(np.float32)
+    width = min(n, max(1, _SCREEN_BYTES // (4 * b)))
+    scores, passed = np.empty(b * width, np.float32), np.empty(b * width, bool)
+    best = np.full((b, p), -np.inf, np.float32)
+    kept = []
+    for lo in range(0, n, width):
+        screen = scores[: b * min(width, n - lo)].reshape(b, -1)  # |ŝ − s| <= b
+        np.matmul(q32, emb[lo : lo + width].T, out=screen)
+        c = screen.shape[1]
+        k = max(1, min(c, p - lo))  # this chunk's scores that enter best
+        if k == 1:
+            top = screen.max(axis=1, keepdims=True)
+        else:  # row chunk by row chunk, so the partition copies at most one chunk
+            top = np.empty((b, k), np.float32)
+            for rows in _row_chunks(screen.shape):
+                top[rows] = np.partition(screen[rows], c - k, axis=1)[:, c - k :]
+        best = np.partition(np.concatenate([best, top], axis=1), k, axis=1)[:, k:]
+        mask = passed[: screen.size].reshape(screen.shape)
+        flat = np.flatnonzero(np.greater_equal(screen, _cut32(best[:, 0], margin)[:, None], out=mask))
+        row, col = np.divmod(flat, c)
+        kept.append((row, col + lo, screen.reshape(-1)[flat]))
+    del scores, passed, screen, mask  # before the rescoring's float lists
+    row, col, score = (np.concatenate(parts) for parts in zip(*kept))
+    order = np.lexsort((-score, row))  # by query row, descending score
+    row, col, score = row[order], col[order], score[order]
+    kth = score[np.searchsorted(row, np.arange(b)) + p - 1]
+    keep = score >= _cut32(kth, margin)[row]
+    row, col = row[keep], col[keep]
     sims = []
-    for pairs in _row_chunks((len(flat), 2 * store.dim)):  # small float lists
-        sims += _exact_dots(store.embeddings[col[pairs]], unit[row[pairs]])
+    for pairs in _row_chunks((len(row), 2 * store.dim)):  # small float lists
+        sims += _exact_dots(emb[col[pairs]], unit[row[pairs]])
     # UTF-8 bytes order as their code points do.
     keys = store.entry_ids.encoded(col)
     cols = col.tolist()
-    bounds = np.searchsorted(row, np.arange(len(unit) + 1)).tolist()
+    bounds = np.searchsorted(row, np.arange(b + 1)).tolist()
     hits = []
     for lo, hi in zip(bounds, bounds[1:]):
         # Descending similarity, ties by ascending id; negation is exact.
@@ -373,18 +450,19 @@ def query_topp(store: Datastore, queries: NDArray[np.float64], p: int, *, rows: 
     with ``rows=True`` ``[(row, similarity), ...]``, naming each hit by its
     row of the store; a single D-vector query returns its one list. ``p``
     larger than the store returns everything sorted. The rows go through in
-    blocks whose ``B x N`` float32 screen fits ``_SCREEN_BYTES``; each row's
-    result is exact, so it does not depend on the block it shares.
+    blocks of at most ``_BLOCK_ROWS``, and each block screens the store in
+    chunks of entries whose ``B x c`` float32 scores fit ``_SCREEN_BYTES``
+    (one entry at least); each row's result is exact, so it depends on
+    neither its block nor the chunks.
     """
     q = np.asarray(queries, dtype=np.float64)
     unit = _unit_rows(store, q[None] if q.ndim == 1 else q)
     if p < 1:
         raise DataError("p must be >= 1")
     p = min(p, len(store))
-    block = max(1, _SCREEN_BYTES // (4 * len(store)))
     hits = []
-    for lo in range(0, len(unit), block):
-        hits += _block_topp(store, unit[lo : lo + block], p)
+    for lo in range(0, len(unit), _BLOCK_ROWS):
+        hits += _block_topp(store, unit[lo : lo + _BLOCK_ROWS], p)
     if not rows:
         hits = [[(store.entry_ids[j], sim) for j, sim in ranked] for ranked in hits]
     return hits[0] if q.ndim == 1 else hits
@@ -474,58 +552,98 @@ def save_datastore(store: Datastore, path: str | Path) -> None:
     write_file(path, memoryview(out))
 
 
+def _more(buf: bytes, pieces, need: int) -> bytes:
+    """``buf`` followed by as many further pieces as it takes to hold
+    ``need`` bytes, or by all that are left, joined once."""
+    parts, have = [buf], len(buf)
+    if have < need:
+        for piece in pieces:
+            parts.append(piece)
+            have += len(piece)
+            if have >= need:
+                break
+    return b"".join(parts)
+
+
+def _pending(buf: bytes, at: int, fixed: int) -> tuple[int, int | None]:
+    """How many bytes from ``at`` the record there needs in hand before it
+    can be walked, and the offset of the u32 length it misses, or ``None``
+    when both lengths are in hand."""
+    if at + 4 > len(buf):
+        return 4, at
+    (id_len,) = _U32_AT(buf, at)
+    if at + 8 + id_len > len(buf):
+        return 8 + id_len, at + 4 + id_len
+    (cap_len,) = _U32_AT(buf, at + 4 + id_len)
+    return fixed + id_len + cap_len, None
+
+
+def _cut_short(path, field: int | None, size: int) -> DataError:
+    """The error of a record that a file of ``size`` bytes ends inside: at
+    its u32 length at offset ``field``, or past both lengths."""
+    if field is None:
+        return DataError(f"{path}: truncated record")
+    # What struct says of the same read from the whole file.
+    return DataError(
+        f"{path}: truncated or corrupt datastore: unpack_from requires a buffer of at least "
+        f"{field + 4} bytes for unpacking 4 bytes at offset {field} (actual buffer size is {size})"
+    )
+
+
 def load_datastore(path: str | Path) -> Datastore:
-    raw = read_file(path)
-    if len(raw) < 20 or raw[:4] != _MAGIC:
-        raise DataError(f"{path}: bad datastore header")
-    n, dim = struct.unpack_from("<QQ", raw, 4)
-    # Every record holds at least its two u32 lengths and D f32 values; a D
-    # past the u32 range is a corrupt header even in a store with no records.
-    if dim >= 2**32 or n * (8 + 4 * dim) > len(raw) - 20:
-        raise DataError(f"{path}: header N={n}, D={dim} does not fit in {len(raw)} bytes")
-    # The one per-record loop reads each record's id and caption lengths.
-    offset, size, fixed, lengths = 20, len(raw), 8 + 4 * dim, array("I")
-    put = lengths.append
-    try:
-        for _ in range(n):
-            (id_len,) = _U32_AT(raw, offset)
-            (cap_len,) = _U32_AT(raw, offset + 4 + id_len)
-            offset += fixed + id_len + cap_len
-            if offset > size:
-                raise DataError(f"{path}: truncated record")
-            put(id_len)
-            put(cap_len)
-    except struct.error as exc:
-        raise DataError(f"{path}: truncated or corrupt datastore: {exc}") from exc
-    if offset != len(raw):
-        raise DataError(f"{path}: trailing bytes in datastore")
-    if not n:
-        return Datastore([], [], np.zeros((0, dim), dtype=np.float32))
-    # The f32 matrix and the two string buffers are gathered in row chunks
-    # from the file's bytes, at any alignment. Until the file is freed the
-    # u32 lengths stand in for the int64 offsets made from them after it,
-    # and the difference holds the chunks' temporaries.
-    lengths = np.frombuffer(lengths, np.uint32).reshape(n, 2)
-    id_buf, cap_buf = (np.empty(int(lengths[:, k].sum(dtype=np.int64)), np.uint8) for k in (0, 1))
-    emb = np.empty((n, dim), dtype=np.float32)
-    data = np.frombuffer(raw, np.uint8)
-    windows = sliding_window_view(data, 4 * dim)
-    pos, id_done, cap_done = 20, 0, 0
-    for rows in _row_chunks(emb.shape):
-        part = lengths[rows]
-        id_at, cap_at, emb_at, pos = _layout(part, pos, dim)
-        emb[rows] = windows[emb_at].view("<f4")
-        index = _runs(id_at, part[:, 0])
-        np.take(data, index, out=id_buf[id_done : id_done + len(index)])
-        id_done += len(index)
-        index = _runs(cap_at, part[:, 1])
-        np.take(data, index, out=cap_buf[cap_done : cap_done + len(index)])
-        cap_done += len(index)
-    del raw, data, windows, index
-    ids = _Strings(id_buf.tobytes(), _offsets(lengths[:, 0]))
-    del id_buf
-    caps = _Strings(cap_buf.tobytes(), _offsets(lengths[:, 1]))
-    del cap_buf, lengths
+    with read_pieces(path) as (size, pieces):
+        buf = _more(b"", pieces, 20)
+        if len(buf) < 20 or buf[:4] != _MAGIC:
+            raise DataError(f"{path}: bad datastore header")
+        n, dim = struct.unpack_from("<QQ", buf, 4)
+        # Every record holds at least its two u32 lengths and D f32 values; a
+        # D past the u32 range is a corrupt header even in a store with no
+        # records.
+        if dim >= 2**32 or n * (8 + 4 * dim) > size - 20:
+            raise DataError(f"{path}: header N={n}, D={dim} does not fit in {size} bytes")
+        emb = np.empty((n, dim), dtype=np.float32)
+        offsets = np.zeros(n + 1, dtype=np.int64), np.zeros(n + 1, dtype=np.int64)
+        strings = io.BytesIO(), io.BytesIO()
+        # buf holds the file from offset pos on; the next record starts at
+        # buf[at].
+        fixed, pos, at, row = 8 + 4 * dim, 0, 20, 0
+        while True:
+            # The one per-record loop reads the id and caption lengths of
+            # each record that is all in hand.
+            start, end, lengths = at, len(buf), array("I")
+            put = lengths.append
+            try:
+                for _ in range(n - row):
+                    (id_len,) = _U32_AT(buf, at)
+                    (cap_len,) = _U32_AT(buf, at + 4 + id_len)
+                    after = at + fixed + id_len + cap_len
+                    if after > end:
+                        break
+                    at = after
+                    put(id_len)
+                    put(cap_len)
+            except struct.error:
+                pass
+            if lengths:
+                row = _gather(buf, start, np.frombuffer(lengths, np.uint32).reshape(-1, 2),
+                              row, emb, offsets, strings)
+            if row == n:
+                break
+            # Read on until the next record is all in hand: a record may
+            # span any number of pieces.
+            need, field = _pending(buf, at, fixed)
+            field = None if field is None else pos + field
+            buf, pos, at = buf[at:], pos + at, 0
+            if pos + need > size:
+                raise _cut_short(path, field, size)
+            buf = _more(buf, pieces, need)
+            if len(buf) < need:  # the file shrank while it was read
+                size = pos + len(buf)
+        if len(buf) > at or next(pieces, None) is not None:
+            raise DataError(f"{path}: trailing bytes in datastore")
+    ids = _Strings(strings[0].getvalue(), offsets[0])
+    caps = _Strings(strings[1].getvalue(), offsets[1])
+    del strings
     if not (ids.utf8_ok() and caps.utf8_ok()):
         try:  # the first string in file order that does not decode alone
             for _ in zip(ids, caps):
@@ -533,3 +651,24 @@ def load_datastore(path: str | Path) -> Datastore:
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: truncated or corrupt datastore: {exc}") from exc
     return Datastore(ids, caps, emb)
+
+
+def _gather(buf: bytes, pos: int, lengths: NDArray[np.uint32], row: int, emb, offsets, strings) -> int:
+    """Copy the records of these ``(id, caption)`` byte lengths, the first
+    of them at ``buf[pos]``, into the store from row ``row`` on: their
+    lengths into the two offset arrays, and in row chunks their f32 values
+    into ``emb`` (at any alignment) and their bytes onto the two string
+    buffers. Returns the row after the last."""
+    stop = row + len(lengths)
+    for k in (0, 1):
+        offsets[k][row + 1 : stop + 1] = offsets[k][row] + np.cumsum(lengths[:, k], dtype=np.int64)
+    dim = emb.shape[1]
+    data = np.frombuffer(buf, np.uint8)
+    windows = sliding_window_view(data, 4 * dim)
+    for rows in _row_chunks((len(lengths), dim)):
+        part = lengths[rows]
+        id_at, cap_at, emb_at, pos = _layout(part, pos, dim)
+        emb[row + rows.start : row + rows.stop] = windows[emb_at].view("<f4")
+        strings[0].write(np.take(data, _runs(id_at, part[:, 0])))
+        strings[1].write(np.take(data, _runs(cap_at, part[:, 1])))
+    return stop

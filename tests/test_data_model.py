@@ -1,9 +1,12 @@
 """Data model: feature files, labels, annotations, config, file writes."""
 
+import builtins
 import dataclasses
 import errno
 import json
+import os
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -19,15 +22,17 @@ from saliseg.data import (
     load_config,
     load_features,
     load_records,
+    read_pieces,
     save_annotations,
     save_features,
     write_file,
 )
+from saliseg import data as data_module
 from saliseg.errors import ConfigError, DataError, OutputError
 from saliseg.prompts import load_decoder_input
 from saliseg.saliency import load_head
 from saliseg.segments import load_segments
-from saliseg.store import load_datastore
+from saliseg.store import DatastoreEntry, build_datastore, load_datastore, save_datastore
 
 
 def make_features(F=4, D=2, valid_len=3, seed=0, video_id="v"):
@@ -225,6 +230,86 @@ class TestUnreadableInput:
             path.mkdir()
         with pytest.raises(DataError, match=f"^{re.escape(str(path))}: "):
             reader(path)
+
+
+class FailingFile:
+    """A file opened for reading whose reads fail after the first."""
+
+    def __init__(self, path, mode):
+        self.file = builtins.open(path, mode)
+        self.reads = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+    def fileno(self):
+        return self.file.fileno()
+
+    def read(self, size):
+        self.reads += 1
+        if self.reads > 1:
+            raise OSError(errno.EIO, "Input/output error")
+        return self.file.read(size)
+
+
+class TestReadPieces:
+    def test_pieces_are_the_file_in_order(self, tmp_path, monkeypatch):
+        path = tmp_path / "input"
+        path.write_bytes(bytes(range(256)) * 3)
+        monkeypatch.setattr(data_module, "_PIECE_BYTES", 100)
+        with read_pieces(path) as (size, pieces):
+            parts = list(pieces)
+        assert size == 768
+        assert [len(part) for part in parts] == [100] * 7 + [68]
+        assert b"".join(parts) == path.read_bytes()
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_path_is_a_data_error(self, tmp_path, kind):
+        path = tmp_path / "input"
+        if kind == "directory":
+            path.mkdir()
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: "):
+            with read_pieces(path) as (_, pieces):
+                list(pieces)
+
+    def test_failed_read_midway_is_a_data_error(self, tmp_path, monkeypatch):
+        path = tmp_path / "input"
+        path.write_bytes(bytes(64))
+        monkeypatch.setattr(data_module, "_PIECE_BYTES", 16)
+        monkeypatch.setattr(data_module, "open", FailingFile, raising=False)
+        got = []
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: Input/output error$"):
+            with read_pieces(path) as (_, pieces):
+                got.extend(pieces)
+        assert got == [bytes(16)]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_is_read_whole(self, tmp_path):
+        """A pipe has no size until it is read to its end; a store sent
+        through one loads as it does from its file."""
+        saved = tmp_path / "store.sds"
+        store = build_datastore([DatastoreEntry(f"e{i}", "c", np.eye(3)[i]) for i in range(3)])
+        save_datastore(store, saved)
+        path = tmp_path / "pipe"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_bytes, args=(saved.read_bytes(),), daemon=True)
+        writer.start()
+        loaded = load_datastore(path)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert loaded.entry_ids == store.entry_ids
+        assert loaded.embeddings.tobytes() == store.embeddings.tobytes()
+
+    def test_failed_datastore_read_midway_is_a_data_error(self, tmp_path, monkeypatch):
+        path = tmp_path / "store.sds"
+        save_datastore(build_datastore([DatastoreEntry(f"e{i}", "", np.eye(4)[i]) for i in range(4)]), path)
+        monkeypatch.setattr(data_module, "_PIECE_BYTES", 32)
+        monkeypatch.setattr(data_module, "open", FailingFile, raising=False)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: Input/output error$"):
+            load_datastore(path)
 
 
 class TestWriteFile:

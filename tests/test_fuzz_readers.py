@@ -11,6 +11,7 @@ import struct
 import numpy as np
 import pytest
 
+from saliseg import data as data_module
 from saliseg.data import FrameFeatures, load_features, save_features
 from saliseg.errors import DataError
 from saliseg.prompts import DecoderInput, load_decoder_input, save_decoder_input
@@ -99,3 +100,10 @@ def test_corrupt_file_loads_or_is_data_error(tmp_path, kind):
         except Exception as exc:
             failures.append(f"{label}: {type(exc).__name__}: {exc}")
     assert not failures, failures[:5]
+
+
+def test_corrupt_datastore_read_in_small_pieces_loads_or_is_data_error(tmp_path, monkeypatch):
+    """The datastore cases again, read 7 bytes at a time, so that headers,
+    lengths and records straddle the pieces."""
+    monkeypatch.setattr(data_module, "_PIECE_BYTES", 7)
+    test_corrupt_file_loads_or_is_data_error(tmp_path, "sds")

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from exact_retrieval import FIXTURE, exact_dot, exact_topp, unit
+from saliseg import data as data_module
 from saliseg import store as store_module
 from saliseg.errors import DataError
 from saliseg.segments import Segment, SegmentSet
@@ -320,7 +321,7 @@ class TestQueryTopp:
 
     def test_screen_memory_within_block_budget(self):
         """The screen holds one block of scores at a time: 300 queries against
-        20k entries would take 24 MB at once, the budget allows 8 MiB."""
+        20k entries would take 24 MB at once, the budget allows 1 MiB."""
         rng = np.random.default_rng(16)
         n, d = 20_000, 32
         vecs = rng.normal(size=(n, d))
@@ -344,6 +345,65 @@ class TestQueryTopp:
             want = [(entry_id, float.fromhex(sim)) for entry_id, sim in case["hits"]]
             assert exact_topp(store, q, case["p"], preselect=False) == want
             assert self.bits([query_topp(store, q, case["p"])]) == self.bits([want])
+
+
+class TestChunkedScreen:
+    """Screened one chunk of entries at a time, the results are still the
+    exact ones, bit for bit, wherever the top-p lie: a chunk of one entry,
+    of p entries, or of the whole store."""
+
+    N, D, P = 40, 6, 4
+
+    def check(self, monkeypatch, store, queries, p):
+        bits = TestQueryTopp.bits
+        want = bits([exact_topp(store, q, p) for q in queries])
+        for chunk in (1, p, len(store)):
+            monkeypatch.setattr(store_module, "_SCREEN_BYTES", 4 * len(queries) * chunk)
+            assert bits(query_topp(store, queries, p)) == want, chunk
+        return want
+
+    def store_near(self, rows):
+        """A store whose given rows hold the directions nearest to ``e0``;
+        every other row points well away from it."""
+        rng = np.random.default_rng(31)
+        emb = rng.normal(size=(self.N, self.D))
+        emb[:, 0] = -np.abs(emb[:, 0]) - 1
+        emb[rows] = np.eye(self.D)[0] + 0.05 * rng.normal(size=(len(rows), self.D))
+        emb /= np.linalg.norm(emb, axis=1, keepdims=True)
+        return Datastore([f"c{i:02d}" for i in rng.permutation(self.N)], [""] * self.N, emb)
+
+    def queries(self):
+        rng = np.random.default_rng(32)
+        return np.eye(self.D)[0] + 0.01 * rng.normal(size=(3, self.D))
+
+    def test_top_p_in_the_first_chunk(self, monkeypatch):
+        store = self.store_near(list(range(self.P)))
+        want = self.check(monkeypatch, store, self.queries(), self.P)
+        assert {store.entry_ids.index(i) for i, _ in want[0]} == set(range(self.P))
+
+    def test_top_p_in_the_last_chunk(self, monkeypatch):
+        store = self.store_near(list(range(self.N - self.P, self.N)))
+        want = self.check(monkeypatch, store, self.queries(), self.P)
+        assert {store.entry_ids.index(i) for i, _ in want[0]} == set(range(self.N - self.P, self.N))
+
+    def test_ties_straddling_a_chunk_edge(self, monkeypatch):
+        """Eight equal rows at rows 2 to 9 cross the chunk edges at 4 and 8;
+        the ids choose which four of them are hits."""
+        rng = np.random.default_rng(33)
+        emb = rng.normal(size=(self.N, self.D))
+        emb[:, 0] = -np.abs(emb[:, 0]) - 1
+        emb[2:10] = np.eye(self.D)[0] + 0.1
+        emb /= np.linalg.norm(emb, axis=1, keepdims=True)
+        store = Datastore([f"t{i:02d}" for i in rng.permutation(self.N)], [""] * self.N, emb)
+        queries = np.stack([np.eye(self.D)[0], emb[2], emb[2] + 1e-9])
+        want = self.check(monkeypatch, store, queries, self.P)
+        tied = sorted(store.entry_ids[i] for i in range(2, 10))
+        assert [i for i, _ in want[1]] == tied[: self.P]
+
+    def test_p_equal_to_the_store(self, monkeypatch):
+        store = self.store_near([0, 17, 39])
+        want = self.check(monkeypatch, store, self.queries(), self.N)
+        assert len(want[0]) == self.N
 
 
 class TestRetrievalVectors:
@@ -603,6 +663,97 @@ class TestDatastoreIO:
             ids[3]
 
 
+class TestFirstDuplicate:
+    """The first row whose id occurs again later, against a plain scan: ids
+    of one length in one run or in several, in strict order or not, empty
+    or holding NUL bytes."""
+
+    ALPHABET = ["", "a", "b", "\x00", "ab", "a\x00", "\x00a", "ba", "abc", "é", "日"]
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_a_plain_scan(self, seed):
+        rng = np.random.default_rng(seed)
+        ids = [self.ALPHABET[i] for i in rng.integers(0, len(self.ALPHABET), rng.integers(1, 25))]
+        if seed % 3 == 1:
+            ids = sorted(set(ids))  # strict order: no duplicate
+        elif seed % 3 == 2:
+            ids = sorted(ids)  # in order, repeats side by side
+        want = next((i for i, x in enumerate(ids) if x in ids[i + 1 :]), None)
+        assert store_module._Strings.of(ids).first_duplicate() == want
+
+    def test_repeat_in_a_later_run_of_its_length(self):
+        """Ids of length 2 at rows 1, 3 and 4: the repeat is named by its own
+        row, not by its place among the ids of its length."""
+        ids = ["q", "zz", "x", "ab", "ab"]
+        assert store_module._Strings.of(ids).first_duplicate() == 3
+
+
+class TestPieceBoundaries:
+    """Read in pieces of any size, a file loads as one read in a single
+    piece does, and a malformed one fails with the same message."""
+
+    SIZES = (1, 3, 20, 21)
+
+    @staticmethod
+    def outcome(path, size, monkeypatch):
+        monkeypatch.setattr(data_module, "_PIECE_BYTES", size)
+        try:
+            store = load_datastore(path)
+        except DataError as exc:
+            return str(exc)
+        return list(store.entry_ids), list(store.captions), store.embeddings.tobytes()
+
+    def test_store_equals_one_piece_load(self, tmp_path, monkeypatch):
+        """Multibyte and empty strings at every alignment, and a record far
+        longer than a piece."""
+        rng = np.random.default_rng(34)
+        names = [("é", ""), ("", "x"), ("日本", "caption é")] + [(f"id{i}", "ü" * i) for i in range(9)]
+        names.append(("long", "l" * 200))
+        store = build_datastore([DatastoreEntry(i, c, rng.normal(size=5)) for i, c in names])
+        path = tmp_path / "store.sds"
+        save_datastore(store, path)
+        whole = self.outcome(path, path.stat().st_size, monkeypatch)
+        assert whole == (list(store.entry_ids), list(store.captions), store.embeddings.tobytes())
+        for size in self.SIZES:
+            assert self.outcome(path, size, monkeypatch) == whole, size
+
+    def test_record_longer_than_a_default_piece(self, tmp_path):
+        store = build_datastore([DatastoreEntry("a", "x", np.ones(3)),
+                                 DatastoreEntry("b", "y" * (data_module._PIECE_BYTES + 5), np.ones(3)),
+                                 DatastoreEntry("c", "z", np.arange(3.0))])
+        path = tmp_path / "store.sds"
+        save_datastore(store, path)
+        loaded = load_datastore(path)
+        assert loaded.captions == store.captions
+        assert loaded.embeddings.tobytes() == store.embeddings.tobytes()
+
+    def malformed(self):
+        """Files that fail to load, each with a part of its message."""
+        sds = TestDatastoreIO.sds
+        good = sds([(b"ab", b"cap"), (b"c", b""), (b"de", b"x")], dim=3)
+        return {
+            "truncated record": (good[:-5], "truncated record"),
+            "length past the end": (good[:20] + struct.pack("<I", 1000) + good[24:],
+                                    "requires a buffer of at least 1028 bytes"),
+            "trailing bytes": (good + b"\x00", "trailing bytes"),
+            "bad header": (b"SDT1" + good[4:], "bad datastore header"),
+            "short header": (good[:19], "bad datastore header"),
+            "too many records": (good[:4] + struct.pack("<Q", 40) + good[12:], "does not fit"),
+            "bad UTF-8 id": (sds([(b"\xc3", b"c"), (b"\xa9x", b"d")]), "can't decode byte 0xc3"),
+            "bad UTF-8 caption": (sds([(b"a", b"x\xc3"), (b"b", b"\xa9"), (b"c", b"")]), "can't decode"),
+            "duplicate ids": (sds([(b"ab", b"c"), (b"x", b""), (b"ab", b"d")]), "duplicate entry id 'ab'"),
+        }
+
+    def test_malformed_file_same_message_at_every_size(self, tmp_path, monkeypatch):
+        path = tmp_path / "store.sds"
+        for case, (raw, message) in self.malformed().items():
+            path.write_bytes(raw)
+            whole = self.outcome(path, len(raw) + 1, monkeypatch)
+            assert message in whole, (case, whole)
+            for size in self.SIZES:
+                assert self.outcome(path, size, monkeypatch) == whole, (case, size)
+
+
 class TestHeldOnce:
     """A store holds each embedding once, and so does loading it."""
 
@@ -639,6 +790,14 @@ class TestHeldOnce:
         assert loaded.embeddings.nbytes == 4 * self.N * self.D
         assert size >= loaded.embeddings.nbytes
         assert peak <= size + path.stat().st_size, (peak, size)
+
+    def test_load_peak_within_store_plus_one_piece(self, saved):
+        """The file is read one piece at a time and never held whole."""
+        store, path = saved
+        loaded, size, peak = self.traced(lambda: load_datastore(path))
+        assert loaded.embeddings.tobytes() == store.embeddings.tobytes()
+        assert path.stat().st_size > 4 * data_module._PIECE_BYTES
+        assert peak <= size + data_module._PIECE_BYTES + 2**20, (peak, size)
 
     def test_no_python_object_per_entry(self, saved):
         """A loaded store holds a few Python objects in all, not one or more
