@@ -35,6 +35,8 @@ from saliseg import (
 from saliseg.transport import build_problem
 
 cfg = PipelineConfig()
+# A problem is one video's data; the solver weights go with the solve call.
+weights = {"alpha": cfg.alpha, "gamma": cfg.gamma, "epsilon": cfg.epsilon}
 corpus = generate_corpus(
     SynthSpec(n_videos=12, noise_sigma=0.1, events_per_video=(5, 7),
               event_len=(4, 12), n_caption_concepts=10, seed=11)
@@ -50,8 +52,8 @@ xs = f.spatial.astype(np.float64)
 p_s = saliency_prior(saliency_forward(head, ex.features))
 
 anchors = init_anchors(xs, cfg.K, cfg.seed, f.video_id)
-prob = build_problem(xs, anchors, p_s, cfg.alpha, cfg.gamma, cfg.epsilon, cfg.mu)
-(plan,) = solve_fugw([prob])  # a list of problems in, one plan (or error) per problem out
+prob = build_problem(xs, anchors, p_s, cfg.mu)
+(plan,) = solve_fugw([prob], **weights)  # a list of problems in, one plan (or error) per problem out
 print(f"{f.video_id}: solver converged={plan.converged} after {plan.iterations} outer steps "
       f"and {plan.scaling_iterates} scaling iterates")
 print(f"objective trace head: {[round(v, 4) for v in plan.objective_trace[:6]]}")
@@ -72,8 +74,8 @@ for f, ex in zip(corpus.features, examples):
     xs = f.spatial.astype(np.float64)
     p_s = saliency_prior(saliency_forward(head, ex.features))
     anchors = init_anchors(xs, cfg.K, cfg.seed, f.video_id)
-    problems.append(build_problem(xs, anchors, p_s, cfg.alpha, cfg.gamma, cfg.epsilon, cfg.mu))
-plans = solve_fugw(problems)  # one call solves the corpus
+    problems.append(build_problem(xs, anchors, p_s, cfg.mu))
+plans = solve_fugw(problems, **weights)  # one call solves the corpus under one set of weights
 print(f"\n{len(plans)} videos solved in one call: {plans.iterations} outer steps in all, "
       f"all converged={plans.converged}")
 print("corpus comparison (Recall@0.5 / Mean IoU over ground truth):")

@@ -13,7 +13,7 @@ at most once, pairs below IoU 0.5 ignored.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .data import write_file
@@ -46,18 +46,6 @@ class LocalizationReport:
     mean_iou: float
     matched_segments: float
     flags: list[str] = field(default_factory=list)
-
-    def to_doc(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "per_threshold": {str(t): v for t, v in sorted(self.per_threshold.items())},
-            "recall_at_05": self.recall_at_05,
-            "mean_iou": self.mean_iou,
-            "matched_segments": self.matched_segments,
-            "flags": self.flags,
-        }
 
 
 def _f1(precision: float, recall: float) -> float:
@@ -165,9 +153,10 @@ def evaluate_corpus(
 # ---------------------------------------------------------------------------
 
 def report_to_json(corpus: LocalizationReport, per_video: dict[str, LocalizationReport]) -> str:
+    # json writes a float threshold key as str(t) does; sort_keys orders them.
     doc = {
-        "corpus": corpus.to_doc(),
-        "videos": {vid: r.to_doc() for vid, r in sorted(per_video.items())},
+        "corpus": asdict(corpus),
+        "videos": {vid: asdict(r) for vid, r in per_video.items()},
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 

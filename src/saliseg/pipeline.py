@@ -287,9 +287,9 @@ def stage_segment(
     """Segment each video from its transport plan, or a baseline strategy.
 
     Each video's transport problem is built per video, one
-    :func:`solve_fugw` call solves the problems of the whole corpus, and
-    each video is then decoded from its plan. A solve that failed skips its
-    video alone. A solve that did not converge raises
+    :func:`solve_fugw` call under ``cfg``'s weights solves the problems of
+    the whole corpus, and each video is then decoded from its plan. A solve
+    that failed skips its video alone. A solve that did not converge raises
     :class:`NumericalError` under ``fail_fast``; otherwise it logs one
     warning naming the video and its outer steps, and the video keeps its
     segments.
@@ -313,7 +313,7 @@ def stage_segment(
         xs = f.spatial.astype(np.float64)
         p_s = _frame_values(saliency, f, "saliency", "prior")
         anchors = init_anchors(xs, cfg.K, cfg.seed, f.video_id)
-        prob = build_problem(xs, anchors, p_s, cfg.alpha, cfg.gamma, cfg.epsilon, cfg.mu)
+        prob = build_problem(xs, anchors, p_s, cfg.mu)
         return (f.video_id, f.valid_len), prob
 
     def finish(video: tuple, plan) -> dict:
@@ -332,9 +332,13 @@ def stage_segment(
             write_file(Path(dump_plan_dir) / f"{video_id}.json", json.dumps(doc, sort_keys=True) + "\n")
         return segments_to_doc(video_id, segs)
 
+    def solve(problems) -> list:
+        # solve_fugw is looked up per call, so a wrapper set on this module applies.
+        return solve_fugw(problems, alpha=cfg.alpha, gamma=cfg.gamma, epsilon=cfg.epsilon)
+
     if baseline == "none":
         # The solver frees each problem once its batch is solved.
-        records = _for_each_video(features_dir, prepare, cfg, fail_fast, solve_fugw, finish)
+        records = _for_each_video(features_dir, prepare, cfg, fail_fast, solve, finish)
     else:
         records = _for_each_video(features_dir, work, cfg, fail_fast)
     return save_records(records, out_path)

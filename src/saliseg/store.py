@@ -315,10 +315,9 @@ def _unit_rows(store: Datastore, queries: NDArray[np.float64]) -> NDArray[np.flo
     if np.any(top == 0):
         raise DataError("zero query vector")
     q = np.ldexp(q, -np.minimum(np.frexp(top)[1], 0))
-    with np.errstate(over="ignore"):  # finite entries can still overflow the norm
-        squares = (q * q).tolist()
     try:
-        norms = np.sqrt([math.fsum(row) for row in squares]).reshape(-1, 1)
+        with np.errstate(over="ignore"):  # finite entries can still overflow the norm
+            norms = np.sqrt([math.fsum(row) for row in q * q]).reshape(-1, 1)
     except OverflowError:  # finite squares whose sum overflows
         norms = np.array([[math.inf]])
     if not np.all(np.isfinite(norms)):

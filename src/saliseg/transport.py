@@ -42,10 +42,12 @@ plan, so step (2) also returns the gradient at the plan it picks, from the
 operators its line search already holds, and the next step (1) uses it.
 
 :func:`solve_fugw` solves a list of problems, typically every video of a
-corpus, in one call. Problems of one shape ``(F_v, K)`` run together, so
-nothing is padded, in batches whose largest stack, the ``B x 33 x F_v``
-line-search grid, fits ``_BATCH_BYTES`` (at least one problem per batch).
-Every step above runs on ``B x F_v x K`` stacks, and every per-problem
+corpus, in one call under one set of weights ``alpha``, ``gamma`` and
+``epsilon``: a problem is one video's data, and a caller with several
+weight sets makes one call per set. Problems of one shape ``(F_v, K)`` run
+together, so nothing is padded, in batches whose largest stack, the
+``B x 33 x F_v`` line-search grid, fits ``_BATCH_BYTES`` (at least one
+problem per batch). Every step above runs on ``B x F_v x K`` stacks, and every per-problem
 reduction is a per-item stacked matmul or a last-axis sum, so a problem's
 result is bit-identical whichever problems share its batch, and alone. Each
 problem keeps its own state: it leaves the scaling loop at its own inner
@@ -114,16 +116,14 @@ def check_solver_weights(
 
 @dataclass(frozen=True)
 class OtProblem:
-    """All inputs of one solve, built on valid frames only.
+    """One video's data for a solve, built on valid frames only; the solver
+    weights belong to the :func:`solve_fugw` call.
 
     ``C_k`` is ``F_v x K``; the anchor marginal is uniform ``1/K``.
     """
 
     C_k: NDArray[np.float64]
     p_hat: NDArray[np.float64]
-    alpha: float
-    gamma: float
-    epsilon: float
 
     def __post_init__(self) -> None:
         # Every check is written so that NaN fails it.
@@ -131,7 +131,6 @@ class OtProblem:
             raise DataError("C_k must be an F_v x K matrix with at least one anchor column")
         if self.p_hat.shape != (self.C_k.shape[0],):
             raise DataError("p_hat length must equal the number of cost rows")
-        check_solver_weights(self.epsilon, self.alpha, self.gamma, DataError)
         if not (abs(float(self.p_hat.sum()) - 1.0) <= 1e-9 and np.all(self.p_hat > 0)):
             raise DataError("p_hat must be strictly positive and sum to 1")
 
@@ -250,12 +249,14 @@ def kl_divergence(
     return terms.sum(axis=-1) - m.sum(axis=-1) + ref.sum(axis=-1)
 
 
-def fused_objective(prob: OtProblem, t: NDArray[np.float64]) -> float:
+def fused_objective(
+    prob: OtProblem, t: NDArray[np.float64], *, alpha: float, gamma: float
+) -> float:
     """alpha * GW + (1 - alpha) * <C_k, T> + gamma * KL(T 1 || p_hat)."""
     return float(
-        (1.0 - prob.alpha) * float(np.sum(prob.C_k * t))
-        + prob.alpha * gw_value(t)
-        + prob.gamma * kl_divergence(t.sum(axis=1), prob.p_hat)
+        (1.0 - alpha) * float(np.sum(prob.C_k * t))
+        + alpha * gw_value(t)
+        + gamma * kl_divergence(t.sum(axis=1), prob.p_hat)
     )
 
 
@@ -283,7 +284,8 @@ def _kernel_step(kernel, log_p, log_q, fi, log_a, log_b, omega_a, omega_b):
     """One iterate of each problem of a stack by two stacked mat-vecs with
     its kernel. Returns both updates, both relaxed scalings, and whether the
     new exponents stayed within the kernel range, as :func:`_within_range`
-    gives it. A problem whose did not has meaningless results."""
+    gives it. A problem whose did not has meaningless results. ``log_q`` and
+    the row exponent ``fi`` are scalars, shared by every problem."""
     d_a = fi * (log_p - np.log(np.matmul(kernel, np.exp(log_b)[:, :, None])[:, :, 0])) - log_a
     next_a = log_a + omega_a * d_a
     in_range = _within_range(next_a)
@@ -308,15 +310,15 @@ def _log_step(log_k, log_p, log_q, fi, log_a, log_b, omega_a, omega_b):
     return d_a, next_a, d_b, next_b, True
 
 
-def _scaling_loop(in_kernel, log_k, log_p, log_q, fi, epsilon, log_a, log_b):
+def _scaling_loop(in_kernel, log_k, log_p, log_a, log_b, log_q, fi, epsilon):
     """:func:`_scaling_iterations` for a stack of problems in one domain:
     with the kernels ``exp(log_k)`` if ``in_kernel``, by logsumexp over
-    ``log_k`` if not. Returns the plans, the log scalings, and per problem
-    whether its loop converged, the iterates it completed, and whether an
-    iterate went non-finite or, in the kernel domain, it or the closing
-    column update left the kernel range. Such a problem stops there with
-    zero row scalings, which keep the closing update in range, and
-    meaningless results."""
+    ``log_k`` if not; ``log_q``, ``fi`` and ``epsilon`` are scalars. Returns
+    the plans, the log scalings, and per problem whether its loop converged,
+    the iterates it completed, and whether an iterate went non-finite or, in
+    the kernel domain, it or the closing column update left the kernel
+    range. Such a problem stops there with zero row scalings, which keep the
+    closing update in range, and meaningless results."""
     n = len(log_k)
     ops, step = (np.exp(log_k), _kernel_step) if in_kernel else (log_k, _log_step)
     out_a = np.zeros_like(log_a)
@@ -327,11 +329,11 @@ def _scaling_loop(in_kernel, log_k, log_p, log_q, fi, epsilon, log_a, log_b):
     live = np.arange(n)
     omega_a = np.full(log_a.shape, _OMEGA)
     omega_b = np.full(log_b.shape, _OMEGA)
-    eps_omega = epsilon * _OMEGA  # the potentials' change per unit of scaling update
+    eps_omega = np.full(n, epsilon * _OMEGA)  # the potentials' change per unit of scaling update
     last = [np.inf] * n
-    op, lp, lq, fi_l, eps_l, la, lb = ops, log_p, log_q, fi, epsilon, log_a, log_b
+    op, lp, la, lb = ops, log_p, log_a, log_b
     for count in range(1, _MAX_INNER + 1):
-        d_a, la, d_b, lb, in_range = step(op, lp, lq, fi_l, la, lb, omega_a, omega_b)
+        d_a, la, d_b, lb, in_range = step(op, lp, log_q, fi, la, lb, omega_a, omega_b)
         change = np.maximum(np.abs(d_a).max(axis=1), np.abs(d_b).max(axis=1))
         delta = eps_omega * change
         previous, last = last, delta.tolist()
@@ -343,7 +345,7 @@ def _scaling_loop(in_kernel, log_k, log_p, log_q, fi, epsilon, log_a, log_b):
         grown = delta > np.array(previous)
         if grown.any():
             omega_a[grown], omega_b[grown] = 1.0, 1.0
-            eps_omega = eps_l * omega_b[:, 0]
+            eps_omega = epsilon * omega_b[:, 0]
         # The scalings were finite, so each change is finite iff its update is.
         stay = (change < np.inf) & in_range
         done = stay & (delta < _POTENTIAL_TOL)
@@ -354,9 +356,8 @@ def _scaling_loop(in_kernel, log_k, log_p, log_q, fi, epsilon, log_a, log_b):
             keep = stay & ~done
             if not keep.any():
                 break
-            op, lp, lq, fi_l, eps_l, la, lb, omega_a, omega_b, eps_omega, live = (
-                x[keep] for x in (op, lp, lq, fi_l, eps_l, la, lb, omega_a, omega_b, eps_omega,
-                                  live))
+            op, lp, la, lb, omega_a, omega_b, eps_omega, live = (
+                x[keep] for x in (op, lp, la, lb, omega_a, omega_b, eps_omega, live))
             last = delta[keep].tolist()
     else:
         out_a[live] = la
@@ -377,9 +378,9 @@ def _scaling_loop(in_kernel, log_k, log_p, log_q, fi, epsilon, log_a, log_b):
 def _scaling_iterations(
     cost: NDArray[np.float64],
     log_p: NDArray[np.float64],
-    log_q: NDArray[np.float64],
-    gamma: NDArray[np.float64],
-    epsilon: NDArray[np.float64],
+    log_q: float,
+    gamma: float,
+    epsilon: float,
     f: NDArray[np.float64],
     g: NDArray[np.float64],
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64],
@@ -387,9 +388,10 @@ def _scaling_iterations(
     """Scaling for a stack of linearized problems, warm-started from the
     potentials ``f, g``.
 
-    ``cost`` is ``B x F_v x K``; ``log_p`` and ``f`` are ``B x F_v``,
-    ``log_q`` and ``g`` are ``B x K``, and ``gamma`` and ``epsilon`` hold one
-    value per problem. For each problem, one loop of at most ``_MAX_INNER``
+    ``cost`` is ``B x F_v x K``; ``log_p`` and ``f`` are ``B x F_v`` and
+    ``g`` is ``B x K``. The log anchor marginal ``log_q``, uniform, and the
+    weights ``gamma`` and ``epsilon`` are scalars, the same for every
+    problem of the stack. For each problem, one loop of at most ``_MAX_INNER``
     over-relaxed iterates on the log scalings ``log_a = f / epsilon`` and
     ``log_b = g / epsilon``, with ``K = exp(-cost / epsilon)``. Each iterate
     takes the Sinkhorn update ``new_a = (gamma / (gamma + epsilon)) * (log p
@@ -425,12 +427,10 @@ def _scaling_iterations(
     :class:`NumericalError`; their rows of the other results are meaningless.
     """
     n = len(cost)
-    eps = epsilon[:, None]
-    # Per row and per column, so that no iterate broadcasts a per-problem value.
-    fi = np.repeat((gamma / (gamma + epsilon))[:, None], cost.shape[1], axis=1)
-    log_k = cost / -epsilon[:, None, None]
-    log_a, log_b = f / eps, g / eps
-    args = (log_k, log_p, log_q, fi, epsilon, log_a, log_b)
+    log_k = cost / -epsilon
+    log_a, log_b = f / epsilon, g / epsilon
+    args = (log_k, log_p, log_a, log_b)
+    shared = (log_q, gamma / (gamma + epsilon), epsilon)
     kernel = np.zeros(n, dtype=bool)
     kernel[:] = _within_range(log_k) & _within_range(log_a) & _within_range(log_b)
     out = [np.zeros_like(x) for x in (cost, f, g)] + [np.zeros(n, dtype=bool),
@@ -438,7 +438,7 @@ def _scaling_iterations(
     rerun = ~kernel
     if kernel.any():
         r = slice(None) if kernel.all() else np.flatnonzero(kernel)  # views, not copies
-        *part, rerun[r] = _scaling_loop(True, *(x[r] for x in args))
+        *part, rerun[r] = _scaling_loop(True, *(x[r] for x in args), *shared)
         for whole, x in zip(out, part):
             whole[r] = x
     t, log_a, log_b, inner_ok, iterates = out
@@ -446,7 +446,7 @@ def _scaling_iterations(
     if rerun.any():
         r = np.flatnonzero(rerun)
         t[r], log_a[r], log_b[r], inner_ok[r], count, failed = _scaling_loop(
-            False, *(x[r] for x in args))
+            False, *(x[r] for x in args), *shared)
         iterates[r] += count
         errors = {int(i): "non-finite scaling potentials" for i in r[failed]}
     if not t.max() < np.inf:  # t >= 0, so this fails on inf and on NaN
@@ -454,12 +454,16 @@ def _scaling_iterations(
         bad[list(errors)] = False
         errors.update((int(i), "non-finite transport plan after scaling")
                       for i in np.flatnonzero(bad))
-    return t, eps * log_a, eps * log_b, inner_ok, iterates, errors
+    return t, epsilon * log_a, epsilon * log_b, inner_ok, iterates, errors
 
 
-def solve_fugw(problems: Iterable[OtProblem]) -> SolveResults:
-    """Minimize the fused objective of each problem; see the module
-    docstring for the scheme and the batching.
+def solve_fugw(
+    problems: Iterable[OtProblem], *, alpha: float, gamma: float, epsilon: float
+) -> SolveResults:
+    """Minimize the fused objective of each problem under the one set of
+    weights of the call; see the module docstring for the scheme and the
+    batching. A bad weight is a :class:`DataError`, raised before any
+    problem is read.
 
     Returns one result per problem, in order, as :class:`SolveResults`:
     its plan, or the :class:`NumericalError` that stopped its solve, which
@@ -474,6 +478,7 @@ def solve_fugw(problems: Iterable[OtProblem]) -> SolveResults:
     convergence. :func:`gw_gradient` runs once per batch, at the start
     plans; each line search returns the gradients at the plans it picks.
     """
+    check_solver_weights(epsilon, alpha, gamma, DataError)
     problems = list(problems)
     results = SolveResults([None] * len(problems))
     groups: dict[tuple[int, int], list[int]] = {}
@@ -488,36 +493,36 @@ def solve_fugw(problems: Iterable[OtProblem]) -> SolveResults:
             probs = [problems[i] for i in batch]
             for i in batch:
                 problems[i] = None
-            for i, result in zip(batch, _solve_batch(probs), strict=True):
+            for i, result in zip(batch, _solve_batch(probs, alpha, gamma, epsilon), strict=True):
                 results[i] = result
     return results
 
 
-def _solve_batch(probs: list[OtProblem]) -> list[TransportPlan | NumericalError]:
+def _solve_batch(
+    probs: list[OtProblem], alpha: float, gamma: float, epsilon: float
+) -> list[TransportPlan | NumericalError]:
     """The outer loop of problems of one shape, run in lockstep; a problem
     leaves the batch when its outer loop converges or its scaling fails."""
     n = len(probs)
     c_k = np.stack([prob.C_k for prob in probs])
     p_hat = np.stack([prob.p_hat for prob in probs])
-    alpha, gamma, epsilon = (np.array([getattr(prob, name) for prob in probs])
-                             for name in ("alpha", "gamma", "epsilon"))
     k = c_k.shape[2]
     q = np.full(k, 1.0 / k)
     t = p_hat[:, :, None] * q  # feasible start: exact marginals, zero KL
     log_p = np.log(p_hat)
-    log_q = np.tile(np.log(q), (n, 1))
+    log_q = float(np.log(1.0 / k))
     f = np.zeros(p_hat.shape)
     g = np.zeros((n, k))
-    traces = [[fused_objective(prob, t[i])] for i, prob in enumerate(probs)]
+    traces = [[fused_objective(prob, t[i], alpha=alpha, gamma=gamma)]
+              for i, prob in enumerate(probs)]
     grad = gw_gradient(t)
     iterates = np.zeros(n, dtype=np.int64)
     results: list = [None] * n
     live = np.arange(n)  # the problem of each row; rows leave with their problem
 
     for _outer in range(_MAX_OUTER):
-        a = alpha[:, None, None]
         cand, f, g, inner_ok, count, errors = _scaling_iterations(
-            (1.0 - a) * c_k + a * grad, log_p, log_q, gamma, epsilon, f, g
+            (1.0 - alpha) * c_k + alpha * grad, log_p, log_q, gamma, epsilon, f, g
         )
         iterates[live] += count
         if errors:
@@ -525,9 +530,8 @@ def _solve_batch(probs: list[OtProblem]) -> list[TransportPlan | NumericalError]
                 results[live[i]] = NumericalError(message)
             ok = np.ones(len(live), dtype=bool)
             ok[list(errors)] = False
-            live, c_k, p_hat, alpha, gamma, epsilon, log_p, log_q, t, grad, f, g, cand, inner_ok = (
-                x[ok] for x in (live, c_k, p_hat, alpha, gamma, epsilon, log_p, log_q, t, grad,
-                                f, g, cand, inner_ok))
+            live, c_k, p_hat, log_p, t, grad, f, g, cand, inner_ok = (
+                x[ok] for x in (live, c_k, p_hat, log_p, t, grad, f, g, cand, inner_ok))
             if not len(live):
                 break
         value, t_next, grad = _segment_search(c_k, p_hat, alpha, gamma, t, grad, cand)
@@ -539,9 +543,8 @@ def _solve_batch(probs: list[OtProblem]) -> list[TransportPlan | NumericalError]
             for i, plan in zip(live[done], t[done]):
                 results[i] = TransportPlan(T=plan, objective_trace=traces[i], converged=True,
                                            scaling_iterates=int(iterates[i]))
-            live, c_k, p_hat, alpha, gamma, epsilon, log_p, log_q, t, grad, f, g = (
-                x[~done] for x in (live, c_k, p_hat, alpha, gamma, epsilon, log_p, log_q, t, grad,
-                                   f, g))
+            live, c_k, p_hat, log_p, t, grad, f, g = (
+                x[~done] for x in (live, c_k, p_hat, log_p, t, grad, f, g))
             if not len(live):
                 break
     for i, plan in zip(live, t):
@@ -553,8 +556,8 @@ def _solve_batch(probs: list[OtProblem]) -> list[TransportPlan | NumericalError]
 def _segment_search(
     c_k: NDArray[np.float64],
     p_hat: NDArray[np.float64],
-    alpha: NDArray[np.float64],
-    gamma: NDArray[np.float64],
+    alpha: float,
+    gamma: float,
     t: NDArray[np.float64],
     grad: NDArray[np.float64],
     cand: NDArray[np.float64],
@@ -579,11 +582,10 @@ def _segment_search(
     a2 = _totals(op_d * delta)[:, None]
     rows = steps[:, None] * delta.sum(axis=2)[:, None, :]
     rows += t.sum(axis=2)[:, None, :]
-    a, g = alpha[:, None], gamma[:, None]
     values = (
-        (1.0 - a) * (kot_t + steps * kot_d)
-        + a * (a0 + a1 * steps + a2 * steps**2)
-        + g * kl_divergence(rows, p_hat[:, None, :])
+        (1.0 - alpha) * (kot_t + steps * kot_d)
+        + alpha * (a0 + a1 * steps + a2 * steps**2)
+        + gamma * kl_divergence(rows, p_hat[:, None, :])
     )
     best = _LINE_SEARCH_POINTS - 1 - np.argmin(values[:, ::-1], axis=1)  # prefer larger step on ties
     s = steps[best][:, None, None]
@@ -629,9 +631,6 @@ def build_problem(
     xs_valid: NDArray[np.float64],
     anchors: NDArray[np.float64],
     p_s_valid: NDArray[np.float64],
-    alpha: float,
-    gamma: float,
-    epsilon: float,
     mu: float,
 ) -> OtProblem:
     """Assemble an :class:`OtProblem` from valid-frame features and the prior."""
@@ -640,4 +639,4 @@ def build_problem(
     if total <= 0:
         raise DataError("saliency prior has no mass on valid frames")
     p_hat = np.asarray(p_s_valid, dtype=np.float64) / total
-    return OtProblem(C_k=c_k, p_hat=p_hat, alpha=alpha, gamma=gamma, epsilon=epsilon)
+    return OtProblem(C_k=c_k, p_hat=p_hat)

@@ -90,11 +90,9 @@ def trained_prior(head, example):
 
 def ot_segments(xs, p_s, video_id, cfg=CFG, gamma=None):
     anchors = init_anchors(xs, cfg.K, cfg.seed, video_id)
-    prob = build_problem(
-        xs, anchors, p_s, cfg.alpha, cfg.gamma if gamma is None else gamma,
-        cfg.epsilon, cfg.mu,
-    )
-    (plan,) = solve_fugw([prob])
+    prob = build_problem(xs, anchors, p_s, cfg.mu)
+    (plan,) = solve_fugw([prob], alpha=cfg.alpha, gamma=cfg.gamma if gamma is None else gamma,
+                         epsilon=cfg.epsilon)
     segs = select_topk(score_segments(decode_segments(plan.T), plan.T), cfg.top_k)
     return segs, plan, prob
 
@@ -269,8 +267,8 @@ class TestCriterion05BalancedOracle:
         worst = 0.0
         for _ in range(50):
             cost = rng.uniform(0, 1, (6, 2))
-            prob = OtProblem(C_k=cost, p_hat=np.full(6, 1 / 6), alpha=0.0, gamma=1e6, epsilon=1e-3)
-            (plan,) = solve_fugw([prob])
+            prob = OtProblem(C_k=cost, p_hat=np.full(6, 1 / 6))
+            (plan,) = solve_fugw([prob], alpha=0.0, gamma=1e6, epsilon=1e-3)
             got = float(np.sum(cost * plan.T))
             best = min(
                 sum(cost[i, 0] for i in chosen) / 6

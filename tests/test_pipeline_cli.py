@@ -11,7 +11,14 @@ import pytest
 
 from saliseg import transport
 from saliseg.cli import build_parser, main
-from saliseg.data import FrameFeatures, PipelineConfig, load_features, save_features
+from saliseg.data import (
+    FrameFeatures,
+    PipelineConfig,
+    load_features,
+    load_records,
+    save_features,
+    save_records,
+)
 from saliseg.errors import ConfigError, DataError
 from saliseg.pipeline import (
     run_pipeline,
@@ -25,7 +32,9 @@ from saliseg.pipeline import (
 )
 from saliseg.prompts import load_decoder_input
 from saliseg.saliency import load_head
+from saliseg.segments import decode_segments, score_segments, segments_to_doc, select_topk
 from saliseg.synth import SynthSpec, generate_corpus, write_corpus
+from saliseg.transport import build_problem, init_anchors, solve_fugw
 
 
 CFG = PipelineConfig(windows=(4, 8), K=4, top_k=3, top_p=2, seed=13)
@@ -205,6 +214,35 @@ class TestPipeline:
         assert d_in.lengths[1] == SPEC.F
         assert d_in.lengths[2] == CFG.top_k
         assert d_in.lengths[3] == 0
+
+    def test_segment_stage_gives_each_weight_to_its_parameter(
+        self, corpus_dir, saliency_path, tmp_path
+    ):
+        """At asymmetric weights the stage's segments are those of a direct
+        solve under the same weights, and differ once alpha and gamma swap."""
+        cfg = dataclasses.replace(CFG, alpha=0.2, gamma=0.7, epsilon=0.05)
+        priors = load_records(saliency_path)
+        problems, video_ids = [], []
+        for path in sorted((corpus_dir / "features").glob("*.sfeat")):
+            f = load_features(path)
+            xs = f.spatial.astype(np.float64)
+            anchors = init_anchors(xs, cfg.K, cfg.seed, f.video_id)
+            prior = np.array(priors[f.video_id]["prior"])
+            problems.append(build_problem(xs, anchors, prior, cfg.mu))
+            video_ids.append(f.video_id)
+        plans = solve_fugw(problems, alpha=0.2, gamma=0.7, epsilon=0.05)
+        want = save_records(
+            [segments_to_doc(video_id, select_topk(
+                score_segments(decode_segments(plan.T), plan.T), cfg.top_k))
+             for video_id, plan in zip(video_ids, plans)],
+            tmp_path / "direct.jsonl",
+        )
+        got = stage_segment(corpus_dir / "features", saliency_path, cfg, tmp_path / "stage.jsonl")
+        assert got.read_bytes() == want.read_bytes()
+        swapped = dataclasses.replace(cfg, alpha=0.7, gamma=0.2)
+        other = stage_segment(corpus_dir / "features", saliency_path, swapped,
+                              tmp_path / "swapped.jsonl")
+        assert other.read_bytes() != want.read_bytes()
 
     def test_unknown_baseline_is_config_error_before_any_work(
         self, corpus_dir, head_path, saliency_path, tmp_path
@@ -852,7 +890,8 @@ class TestCli:
         real = saliseg.pipeline.solve_fugw
         monkeypatch.setattr(
             saliseg.pipeline, "solve_fugw",
-            lambda problems: [dataclasses.replace(plan, converged=False) for plan in real(problems)],
+            lambda problems, **weights: [dataclasses.replace(plan, converged=False)
+                                         for plan in real(problems, **weights)],
         )
         out = tmp_path / "segments.jsonl"
         args = self.segment_args(corpus_dir, saliency_path, out)
@@ -888,8 +927,8 @@ class TestCli:
         real = saliseg.pipeline.solve_fugw
         solved, unconverged = [], [True]
 
-        def solve(problems):
-            plans = real(problems)
+        def solve(problems, **weights):
+            plans = real(problems, **weights)
             solved.append(len(plans))
             if unconverged[0]:
                 plans[0] = dataclasses.replace(plans[0], converged=False)
@@ -929,10 +968,10 @@ class TestCli:
         to_doc = saliseg.pipeline.segments_to_doc
         calls, finished = [], []
 
-        def solve(problems):
+        def solve(problems, **weights):
             problems = list(problems)
             calls.append(len(problems))
-            plans = real(problems)
+            plans = real(problems, **weights)
             for i in failing:
                 plans[i] = NumericalError("non-finite transport plan after scaling")
             return plans
@@ -1011,19 +1050,19 @@ class TestCli:
         def count_alive():
             alive.append(sum(ref() is not None for ref in refs))
 
-        def solve(problems):
+        def solve(problems, **weights):
             def watched():
                 for prob in problems:
                     refs.append(weakref.ref(prob))
                     yield prob
 
-            plans = real(watched())
+            plans = real(watched(), **weights)
             count_alive()
             return plans
 
-        def batch(probs):
+        def batch(probs, *weights):
             count_alive()
-            return solve_batch(probs)
+            return solve_batch(probs, *weights)
 
         monkeypatch.setattr(saliseg.pipeline, "solve_fugw", solve)
         monkeypatch.setattr(transport, "_solve_batch", batch)
@@ -1117,7 +1156,7 @@ class TestCli:
         def never(*args, **kwargs):
             raise AssertionError("a video was processed")
 
-        def never_solved(problems):
+        def never_solved(problems, **weights):
             raise AssertionError("a problem was solved")
 
         monkeypatch.setattr(saliseg.pipeline, "load_features", never)

@@ -247,7 +247,7 @@ class TestSaliencyPrior:
         p_s = saliency_prior(scores[:6])
         # The transport problem is the one place that normalizes the prior.
         xs = rng.normal(size=(6, 3))
-        prob = build_problem(xs, init_anchors(xs, 2, 0, "v"), p_s, 0.5, 0.3, 0.1, 0.1)
+        prob = build_problem(xs, init_anchors(xs, 2, 0, "v"), p_s, 0.1)
         np.testing.assert_allclose(prob.p_hat.sum(), 1.0, atol=1e-12)
         np.testing.assert_allclose(prob.p_hat, p_s / p_s.sum(), rtol=1e-15)
 

@@ -332,6 +332,14 @@ class TestQueryTopp:
         assert peak <= store_module._SCREEN_BYTES + 2**20, peak
         assert 4 * n * len(queries) > 2 * store_module._SCREEN_BYTES
 
+    def test_unit_rows_memory_within_four_query_arrays(self):
+        """Normalizing the queries holds a few Q x D float64 arrays at a
+        time, and no Python float per query value."""
+        queries = np.random.default_rng(17).normal(size=(300, 32))
+        store = Datastore(["a"], [""], np.eye(1, 32))
+        _, _, peak = TestHeldOnce.traced(lambda: store_module._unit_rows(store, queries))
+        assert peak <= 4 * queries.nbytes, peak
+
     def test_cross_machine_fixture(self):
         """The exact similarities of a committed store and its queries, as
         float hex: every platform writes the same bits."""

@@ -83,48 +83,51 @@ def count_logsumexp(monkeypatch):
     return calls
 
 
-def solve(prob):
+# The solver weights of the default configuration, and of a balanced
+# problem: rows all but pinned to the prior, no structure term.
+DEFAULT_WEIGHTS = {name: getattr(PipelineConfig(), name) for name in ("alpha", "gamma", "epsilon")}
+BALANCED = {"alpha": 0.0, "gamma": 1e6, "epsilon": 1e-3}
+
+
+def solve(prob, **weights):
     """One problem through the corpus solver; its NumericalError is raised."""
-    (plan,) = solve_fugw([prob])
+    (plan,) = solve_fugw([prob], **weights)
     if isinstance(plan, NumericalError):
         raise plan
     return plan
 
 
-def in_log_domain(monkeypatch, solve, *args):
-    """``solve(*args)`` with no exponent inside the kernel range, so every
-    scaling iterate runs in the log domain."""
+def in_log_domain(monkeypatch, solve, *args, **kwargs):
+    """``solve(*args, **kwargs)`` with no exponent inside the kernel range,
+    so every scaling iterate runs in the log domain."""
     with monkeypatch.context() as m:
         m.setattr(transport, "_KERNEL_RANGE", -1.0)
-        return solve(*args)
+        return solve(*args, **kwargs)
 
 
-def balanced_problem(cost, gamma=1e6, epsilon=1e-3, alpha=0.0):
+def balanced_problem(cost):
     f_v = cost.shape[0]
-    return OtProblem(
-        C_k=cost, p_hat=np.full(f_v, 1.0 / f_v), alpha=alpha, gamma=gamma, epsilon=epsilon
-    )
+    return OtProblem(C_k=cost, p_hat=np.full(f_v, 1.0 / f_v))
 
 
-def default_problem(seed, f_v=100, **weights):
+def default_problem(seed, f_v=100):
     """A seeded problem with ``f_v`` frames at the default configuration
-    (K = 8 anchors), with any solver weight replaced by ``weights``."""
+    (K = 8 anchors)."""
     rng = np.random.default_rng(seed)
     cfg = PipelineConfig()
     xs = rng.normal(size=(f_v, 16))
     anchors = init_anchors(xs, cfg.K, seed=cfg.seed, video_id="t")
-    args = {"alpha": cfg.alpha, "gamma": cfg.gamma, "epsilon": cfg.epsilon, "mu": cfg.mu, **weights}
-    return build_problem(xs, anchors, rng.random(f_v), **args)
+    return build_problem(xs, anchors, rng.random(f_v), cfg.mu)
 
 
-def first_scaling_args(prob):
-    """The arguments of a solve's first scaling call, from the product plan,
-    as a stack of one problem."""
+def first_scaling_args(prob, alpha, gamma, epsilon):
+    """The arguments of a solve's first scaling call under these weights,
+    from the product plan, as a stack of one problem."""
     f_v, k = prob.C_k.shape
     t = np.outer(prob.p_hat, np.full(k, 1.0 / k))
-    return ((1 - prob.alpha) * prob.C_k[None] + prob.alpha * gw_gradient(t)[None],
-            np.log(prob.p_hat)[None], np.full((1, k), -np.log(k)), np.array([prob.gamma]),
-            np.array([prob.epsilon]), np.zeros((1, f_v)), np.zeros((1, k)))
+    return ((1 - alpha) * prob.C_k[None] + alpha * gw_gradient(t)[None],
+            np.log(prob.p_hat)[None], -np.log(k), gamma, epsilon, np.zeros((1, f_v)),
+            np.zeros((1, k)))
 
 
 def scale_one(*args):
@@ -291,8 +294,7 @@ class TestKlDivergence:
 
 class TestSolveFugw:
     def test_zero_cost_uniform_marginals_gives_uniform_plan(self):
-        prob = balanced_problem(np.zeros((4, 2)))
-        plan = solve(prob)
+        plan = solve(balanced_problem(np.zeros((4, 2))), **BALANCED)
         np.testing.assert_allclose(plan.T, 1.0 / 8, atol=1e-9)
 
     def test_balanced_enumeration_oracle(self, monkeypatch):
@@ -300,7 +302,7 @@ class TestSolveFugw:
         rng = np.random.default_rng(42)
         for _ in range(10):
             cost = rng.uniform(0, 1, (6, 2))
-            plan = solve(balanced_problem(cost))
+            plan = solve(balanced_problem(cost), **BALANCED)
             got = float(np.sum(cost * plan.T))
             best = min(
                 sum(cost[i, 0] for i in chosen) / 6
@@ -316,8 +318,8 @@ class TestSolveFugw:
         rng = np.random.default_rng(1)
         cost = rng.uniform(0, 1, (8, 2))
         cost[0, 0] = -0.5  # one very cheap cell attracts the whole column
-        prob = balanced_problem(cost, gamma=0.0, epsilon=0.01)
-        plan = solve(prob)
+        prob = balanced_problem(cost)
+        plan = solve(prob, alpha=0.0, gamma=0.0, epsilon=0.01)
         col_err = np.max(np.abs(plan.T.sum(axis=0) - 0.5))
         assert col_err < 1e-6
         rows = plan.T.sum(axis=1)
@@ -338,9 +340,9 @@ class TestSolveFugw:
         for i, (f_v, k, alpha, gamma, epsilon) in enumerate(cases):
             cost = rng.uniform(0, 1, (f_v, k))
             p = rng.random(f_v) + 0.1
-            prob = OtProblem(C_k=cost, p_hat=p / p.sum(), alpha=alpha, gamma=gamma, epsilon=epsilon)
+            prob = OtProblem(C_k=cost, p_hat=p / p.sum())
             calls.clear()
-            plan = solve(prob)
+            plan = solve(prob, alpha=alpha, gamma=gamma, epsilon=epsilon)
             log_domain.append(bool(calls))
             case = (f_v, k, alpha, gamma, epsilon)
             assert plan.converged or i >= n_fixed, case
@@ -359,16 +361,17 @@ class TestSolveFugw:
         for i, (f_v, k, alpha, gamma, epsilon) in enumerate(cases):
             cost = rng.uniform(0, 1, (f_v, k))
             p = rng.random(f_v) + 0.05
-            prob = OtProblem(C_k=cost, p_hat=p / p.sum(), alpha=alpha, gamma=gamma, epsilon=epsilon)
+            prob = OtProblem(C_k=cost, p_hat=p / p.sum())
             calls.clear()
-            plan = solve(prob)
+            plan = solve(prob, alpha=alpha, gamma=gamma, epsilon=epsilon)
             log_domain.append(bool(calls))
             case = (f_v, k, alpha, gamma, epsilon)
             assert plan.converged or i >= n_fixed, case
             trace = np.array(plan.objective_trace)
             assert np.all(np.diff(trace) <= 1e-9), case
             np.testing.assert_allclose(
-                trace[-1], fused_objective(prob, plan.T), atol=1e-12, err_msg=str(case)
+                trace[-1], fused_objective(prob, plan.T, alpha=alpha, gamma=gamma), atol=1e-12,
+                err_msg=str(case)
             )
         assert any(log_domain) and not all(log_domain)
 
@@ -376,15 +379,16 @@ class TestSolveFugw:
         rng = np.random.default_rng(10)
         xs = rng.normal(size=(50, 6))
         anchors = init_anchors(xs, 4, seed=0, video_id="t")
-        prob = build_problem(xs, anchors, rng.random(50), alpha=0.5, gamma=0.3, epsilon=0.1, mu=0.1)
+        prob = build_problem(xs, anchors, rng.random(50), mu=0.1)
         calls = []
         operator = transport._gw_operator
         monkeypatch.setattr(transport, "_gw_operator", lambda t: calls.append(1) or operator(t))
-        plan = solve(prob)
+        plan = solve(prob, alpha=0.5, gamma=0.3, epsilon=0.1)
         # One call for trace[0], one for the start plan's gradient, then the
         # line-search direction per step: later gradients are carried.
         assert len(calls) == 2 + plan.iterations
-        assert plan.objective_trace[0] == fused_objective(prob, np.outer(prob.p_hat, np.full(4, 0.25)))
+        start = np.outer(prob.p_hat, np.full(4, 0.25))
+        assert plan.objective_trace[0] == fused_objective(prob, start, alpha=0.5, gamma=0.3)
 
     def test_carried_gradient_matches_recomputed(self, monkeypatch):
         """Each outer step after the first takes its structure gradient from
@@ -400,16 +404,16 @@ class TestSolveFugw:
             return search(c_k, p_hat, alpha, gamma, t, grad, cand)
 
         monkeypatch.setattr(transport, "_segment_search", checked_search)
-        plan = solve(prob)
+        plan = solve(prob, **DEFAULT_WEIGHTS)
         assert plan.converged and len(steps) == plan.iterations > 1
 
     def test_relaxation_saves_iterates_for_the_same_plan(self, monkeypatch):
         for seed in (20, 21, 22):
             prob = default_problem(seed)
-            relaxed = solve(prob)
+            relaxed = solve(prob, **DEFAULT_WEIGHTS)
             with monkeypatch.context() as m:
                 m.setattr(transport, "_OMEGA", 1.0)
-                plain = solve(prob)
+                plain = solve(prob, **DEFAULT_WEIGHTS)
             assert relaxed.converged and plain.converged
             assert relaxed.iterations == plain.iterations
             assert 0 < relaxed.scaling_iterates < plain.scaling_iterates
@@ -423,9 +427,9 @@ class TestSolveFugw:
         prob = default_problem(20)
         with monkeypatch.context() as m:
             m.setattr(transport, "_OMEGA", 1.0)
-            plain = solve(prob)
+            plain = solve(prob, **DEFAULT_WEIGHTS)
         monkeypatch.setattr(transport, "_OMEGA", 2.5)
-        first = first_scaling_args(prob)
+        first = first_scaling_args(prob, **DEFAULT_WEIGHTS)
         rows = [first[5][0]]  # the row potentials after 0, 1, 2, ... iterates
         for n in range(1, 6):
             with monkeypatch.context() as m:
@@ -433,7 +437,7 @@ class TestSolveFugw:
                 rows.append(scale_one(*first)[1])
         changes = np.abs(np.diff(rows, axis=0)).max(axis=1)
         assert np.any(changes[1:] > changes[:-1])
-        plan = solve(prob)
+        plan = solve(prob, **DEFAULT_WEIGHTS)
         assert plan.converged and plan.iterations == plain.iterations
         np.testing.assert_allclose(plan.T, plain.T, rtol=0, atol=1e-9)
 
@@ -443,46 +447,77 @@ class TestSolveFugw:
         every outer step of a solve made of such calls."""
         prob = default_problem(23)
         monkeypatch.setattr(transport, "_MAX_INNER", 2)
-        t, _, _, inner_ok, iterates = scale_one(*first_scaling_args(prob))
+        t, _, _, inner_ok, iterates = scale_one(*first_scaling_args(prob, **DEFAULT_WEIGHTS))
         assert (inner_ok, iterates) == (False, 2)
         np.testing.assert_allclose(t.sum(axis=0), 1 / 8, rtol=1e-13, atol=0)
         monkeypatch.setattr(transport, "_MAX_OUTER", 5)
-        plan = solve(prob)
+        plan = solve(prob, **DEFAULT_WEIGHTS)
         assert not plan.converged
         assert (plan.iterations, plan.scaling_iterates) == (5, 10)
         np.testing.assert_allclose(plan.T.sum(axis=0), 1 / 8, rtol=1e-13, atol=0)
 
     def test_prior_length_must_match_cost_rows(self):
         with pytest.raises(DataError, match="p_hat length"):
-            OtProblem(C_k=np.zeros((5, 2)), p_hat=np.full(4, 0.25), alpha=0.5, gamma=0.3, epsilon=0.1)
+            OtProblem(C_k=np.zeros((5, 2)), p_hat=np.full(4, 0.25))
 
     @pytest.mark.parametrize(
         "field, value, match",
         [
-            ("epsilon", np.nan, "epsilon"),
-            ("epsilon", np.inf, "epsilon must be finite"),
-            ("gamma", np.nan, "gamma"),
-            ("gamma", np.inf, "gamma must be finite"),
-            ("alpha", np.nan, "alpha"),
             ("p_hat", np.array([0.5, np.nan]), "p_hat"),
             ("p_hat", np.array([np.nan, np.nan]), "p_hat"),
             ("C_k", np.zeros((2, 0)), "at least one anchor column"),
         ],
     )
     def test_nan_inputs_rejected(self, field, value, match):
-        args = {"C_k": np.zeros((2, 2)), "p_hat": np.full(2, 0.5), "alpha": 0.5, "gamma": 0.3,
-                "epsilon": 0.1, field: value}
+        args = {"C_k": np.zeros((2, 2)), "p_hat": np.full(2, 0.5), field: value}
         with pytest.raises(DataError, match=match):
             OtProblem(**args)
+
+    @pytest.mark.parametrize(
+        "name, value, match",
+        [
+            ("epsilon", np.nan, "epsilon"),
+            ("epsilon", np.inf, "epsilon must be finite"),
+            ("epsilon", -np.inf, "epsilon must be finite and > 0"),
+            ("epsilon", 0.0, "epsilon must be finite and > 0"),
+            ("gamma", np.nan, "gamma"),
+            ("gamma", np.inf, "gamma must be finite"),
+            ("gamma", -np.inf, "gamma must be finite and >= 0"),
+            ("gamma", -0.1, "gamma must be finite and >= 0"),
+            ("alpha", np.nan, "alpha"),
+            ("alpha", np.inf, "alpha must lie in"),
+            ("alpha", -np.inf, "alpha must lie in"),
+            ("alpha", -0.1, "alpha must lie in"),
+            ("alpha", 1.1, "alpha must lie in"),
+        ],
+    )
+    def test_bad_weights_rejected_before_any_problem_is_read(self, name, value, match):
+        def unread():
+            raise AssertionError("a problem was read")
+            yield
+
+        weights = {**DEFAULT_WEIGHTS, name: value}
+        for problems in ([], unread()):
+            with pytest.raises(DataError, match=match):
+                solve_fugw(problems, **weights)
+
+    def test_weights_are_keyword_only(self):
+        prob = balanced_problem(np.zeros((4, 2)))
+        t = np.full((4, 2), 1 / 8)
+        with pytest.raises(TypeError):
+            solve_fugw([prob], 0.5, 0.3, 0.1)
+        with pytest.raises(TypeError):
+            solve_fugw([prob])
+        with pytest.raises(TypeError):
+            fused_objective(prob, t, 0.5, 0.3)
 
     def test_non_finite_potentials_raise_without_warning(self):
         cost = np.random.default_rng(12).uniform(0, 1, (6, 3))
         cost[2, 1] = np.nan
-        prob = balanced_problem(cost, gamma=0.3, epsilon=0.1, alpha=0.5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="non-finite scaling potentials"):
-                solve(prob)
+                solve(balanced_problem(cost), **DEFAULT_WEIGHTS)
 
     def test_kernel_and_log_domain_paths_agree(self, monkeypatch):
         """Every solve here stays in the kernel domain (no logsumexp call);
@@ -499,29 +534,28 @@ class TestSolveFugw:
         must converge at that value.
         """
         rng = np.random.default_rng(14)
-        probs = []
+        cases = []  # (problem, weights)
         for f_v, k, alpha, gamma in CORNER_GRID:
             p = rng.random(f_v) + 0.05
-            probs.append(OtProblem(C_k=rng.uniform(0, 1, (f_v, k)), p_hat=p / p.sum(),
-                                   alpha=alpha, gamma=gamma, epsilon=0.1))
+            cases.append((OtProblem(C_k=rng.uniform(0, 1, (f_v, k)), p_hat=p / p.sum()),
+                          {"alpha": alpha, "gamma": gamma, "epsilon": 0.1}))
         cfg = PipelineConfig()
         for f_v in (1, 100, 1600):
             xs = rng.normal(size=(f_v, 16))
             anchors = init_anchors(xs, cfg.K, seed=cfg.seed, video_id="t")
-            probs.append(build_problem(xs, anchors, rng.random(f_v), cfg.alpha, cfg.gamma,
-                                       cfg.epsilon, cfg.mu))
+            cases.append((build_problem(xs, anchors, rng.random(f_v), cfg.mu), DEFAULT_WEIGHTS))
         calls = count_logsumexp(monkeypatch)
-        for prob in probs:
-            case = (prob.C_k.shape, prob.alpha, prob.gamma)
-            first = first_scaling_args(prob)
+        for prob, weights in cases:
+            case = (prob.C_k.shape, weights["alpha"], weights["gamma"])
+            first = first_scaling_args(prob, **weights)
             kernel_first = scale_one(*first)
-            kernel = solve(prob)
+            kernel = solve(prob, **weights)
             assert not calls, case
             log_first = in_log_domain(monkeypatch, scale_one, *first)
             assert kernel_first[3] == log_first[3], case
             for got, want in zip(kernel_first[:3], log_first[:3]):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-13, err_msg=str(case))
-            logd = in_log_domain(monkeypatch, solve, prob)
+            logd = in_log_domain(monkeypatch, solve, prob, **weights)
             assert calls, case
             calls.clear()
             if case == ((2, 2), 1.0, 0.0):
@@ -542,10 +576,10 @@ class TestSolveFugw:
             prob = balanced_problem(rng.uniform(0, 1, (6, 2)))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                plan = solve(prob)
+                plan = solve(prob, **BALANCED)
             n_calls = len(calls)
             calls.clear()
-            logd = in_log_domain(monkeypatch, solve, prob)
+            logd = in_log_domain(monkeypatch, solve, prob, **BALANCED)
             assert n_calls == len(calls) > 0
             calls.clear()
             assert plan.T.tobytes() == logd.T.tobytes()
@@ -565,8 +599,8 @@ class TestSolveFugw:
         rng = np.random.default_rng(16)
         p = np.ones(7)
         p[0] = np.exp(-1.1 * transport._KERNEL_RANGE)
-        prob = OtProblem(C_k=20.0 + rng.uniform(0, 1, (7, 3)), p_hat=p / p.sum(), alpha=0.5,
-                         gamma=3.0, epsilon=0.1)
+        prob = OtProblem(C_k=20.0 + rng.uniform(0, 1, (7, 3)), p_hat=p / p.sum())
+        weights = {"alpha": 0.5, "gamma": 3.0, "epsilon": 0.1}
         calls = count_logsumexp(monkeypatch)
         in_range = []  # per kernel iterate of the current call: whether it stayed in range
         kernel_step = transport._kernel_step
@@ -589,7 +623,7 @@ class TestSolveFugw:
         monkeypatch.setattr(transport, "_scaling_iterations", recorded_scaling)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            plan = solve(prob)
+            plan = solve(prob, **weights)
         monkeypatch.setattr(transport, "_scaling_iterations", scaling)
         # The first call leaves the kernel range after some kernel iterates.
         assert records[0][2] and 0 < records[0][3].index(False)
@@ -603,7 +637,7 @@ class TestSolveFugw:
                 assert got.tobytes() == want.tobytes()
             assert int(iterates[0]) == completed + int(logd[4][0])
         assert plan.scaling_iterates == sum(int(out[4][0]) for _, out, _, _ in records)
-        logd = in_log_domain(monkeypatch, solve, prob)
+        logd = in_log_domain(monkeypatch, solve, prob, **weights)
         assert plan.converged and logd.converged and plan.iterations == logd.iterations
         np.testing.assert_allclose(plan.T, logd.T, rtol=0, atol=1e-12)
 
@@ -620,8 +654,8 @@ class TestSolveFugw:
         f_v, epsilon = 7, 0.1
         cost = np.stack([20.45 + 0.01 * rng.uniform(0, 1, f_v), -rng.uniform(0, 1, f_v)], axis=1)
         p = rng.random(f_v) + 0.1
-        args = (cost[None], np.log(p / p.sum())[None], np.full((1, 2), -np.log(2)),
-                np.array([1e6]), np.array([epsilon]), np.zeros((1, f_v)), np.zeros((1, 2)))
+        args = (cost[None], np.log(p / p.sum())[None], -np.log(2), 1e6, epsilon,
+                np.zeros((1, f_v)), np.zeros((1, 2)))
         calls = count_logsumexp(monkeypatch)
         kernel_steps = []
         kernel_step = transport._kernel_step
@@ -666,7 +700,7 @@ class TestSolveFugw:
         f_v, k = 1600, 8
         xs = rng.normal(size=(f_v, 4))
         anchors = init_anchors(xs, k, seed=0, video_id="t")
-        prob = build_problem(xs, anchors, rng.random(f_v), alpha=0.5, gamma=0.3, epsilon=0.1, mu=0.1)
+        prob = build_problem(xs, anchors, rng.random(f_v), mu=0.1)
         sizes = {
             f.name: np.asarray(getattr(prob, f.name)).size for f in dataclasses.fields(prob)
         }
@@ -676,20 +710,19 @@ class TestSolveFugw:
         rng = np.random.default_rng(4)
         xs = rng.normal(size=(30, 8))
         anchors = init_anchors(xs, 4, seed=0, video_id="t")
-        p_s = rng.random(30)
+        prob = build_problem(xs, anchors, rng.random(30), mu=0.1)
         kls = []
         for gamma in (0.0, 0.3, 3.0, 30.0):
-            prob = build_problem(xs, anchors, p_s, alpha=0.5, gamma=gamma, epsilon=0.1, mu=0.1)
-            plan = solve(prob)
+            plan = solve(prob, alpha=0.5, gamma=gamma, epsilon=0.1)
             kls.append(kl_divergence(plan.T.sum(axis=1), prob.p_hat))
         assert all(b <= a + 1e-9 for a, b in zip(kls, kls[1:]))
 
     def test_deterministic_given_problem(self):
         rng = np.random.default_rng(5)
         cost = rng.uniform(0, 1, (7, 3))
-        prob = balanced_problem(cost, gamma=0.3, epsilon=0.1, alpha=0.5)
-        a = solve(prob)
-        b = solve(prob)
+        prob = balanced_problem(cost)
+        a = solve(prob, **DEFAULT_WEIGHTS)
+        b = solve(prob, **DEFAULT_WEIGHTS)
         assert a.T.tobytes() == b.T.tobytes()
         assert a.objective_trace == b.objective_trace
 
@@ -698,8 +731,8 @@ class TestSolveFugw:
         xs = rng.normal(size=(40, 6))
         anchors = init_anchors(xs, 5, seed=1, video_id="t")
         p_s = rng.random(40)
-        prob = build_problem(xs, anchors, p_s, alpha=0.5, gamma=0.3, epsilon=0.1, mu=0.1)
-        plan = solve(prob)
+        prob = build_problem(xs, anchors, p_s, mu=0.1)
+        plan = solve(prob, alpha=0.5, gamma=0.3, epsilon=0.1)
         assert plan.converged
         assert plan.iterations <= 200
 
@@ -713,58 +746,65 @@ def result_bits(result):
             result.iterations, result.scaling_iterates)
 
 
-def mixed_batch():
-    """Problems that share batches across two lengths and two anchor counts:
-    gamma = 0 (row exponent 0), alpha = 0 and alpha = 1 beside the default
-    weights, a 7 x 3 problem whose potentials leave the kernel range
-    partway through its first scaling call, which then reruns in the log
-    domain, while its 7 x 3 batch-mate stays in the kernel domain, and a
-    6 x 3 problem whose NaN cost ends its solve in a NumericalError beside a
-    6 x 3 mate that solves."""
+def mixed_batches():
+    """One ``(weights, problems)`` pair per solve call, each with at least
+    two problems that share a batch: gamma = 0 (row exponent 0), alpha = 0
+    and alpha = 1, each at 40 frames; gamma = 3 with a 7 x 3 problem whose
+    potentials leave the kernel range partway through its first scaling
+    call, which then reruns in the log domain, while its 7 x 3 batch-mate
+    stays in the kernel domain; and the default weights across two lengths
+    and two anchor counts, with a 6 x 3 problem whose NaN cost ends its
+    solve in a NumericalError beside a 6 x 3 mate that solves."""
     rng = np.random.default_rng(16)
     p = np.ones(7)
     p[0] = np.exp(-1.1 * transport._KERNEL_RANGE)
-    handover = OtProblem(C_k=20.0 + rng.uniform(0, 1, (7, 3)), p_hat=p / p.sum(), alpha=0.5,
-                         gamma=3.0, epsilon=0.1)
+    handover = OtProblem(C_k=20.0 + rng.uniform(0, 1, (7, 3)), p_hat=p / p.sum())
     q = rng.random(7) + 0.1
-    mate = OtProblem(C_k=rng.uniform(0, 1, (7, 3)), p_hat=q / q.sum(), alpha=0.5, gamma=3.0,
-                     epsilon=0.1)
+    mate = OtProblem(C_k=rng.uniform(0, 1, (7, 3)), p_hat=q / q.sum())
     nan_cost = rng.uniform(0, 1, (6, 3))
     nan_cost[2, 1] = np.nan
-    failing = balanced_problem(nan_cost, gamma=0.3, epsilon=0.1, alpha=0.5)
-    solvable = balanced_problem(rng.uniform(0, 1, (6, 3)), gamma=0.3, epsilon=0.1, alpha=0.5)
+    failing = balanced_problem(nan_cost)
+    solvable = balanced_problem(rng.uniform(0, 1, (6, 3)))
+    def at_40(*seeds):
+        return [default_problem(seed, f_v=40) for seed in seeds]
+
     return [
-        default_problem(20), default_problem(21, f_v=40, gamma=0.0), default_problem(22),
-        default_problem(23, f_v=40, alpha=0.0), default_problem(24, f_v=40, alpha=1.0),
-        handover, failing, mate, solvable,
+        ({**DEFAULT_WEIGHTS, "gamma": 0.0}, at_40(21, 25)),
+        ({**DEFAULT_WEIGHTS, "alpha": 0.0}, at_40(23, 26)),
+        ({**DEFAULT_WEIGHTS, "alpha": 1.0}, at_40(24, 27)),
+        ({**DEFAULT_WEIGHTS, "gamma": 3.0}, [handover, mate]),
+        (DEFAULT_WEIGHTS, [default_problem(20), failing, default_problem(22), solvable]),
     ]
 
 
 class TestCorpusSolve:
     @pytest.mark.parametrize("cut", [False, True], ids=["full", "cut_at_10_steps"])
     def test_batch_results_match_solving_alone(self, monkeypatch, cut):
-        """Each result is bit-identical solved alone or in a batch, in any
-        order. Cut at 10 outer steps, some solves end unconverged while
-        their batch-mates converge."""
+        """Under each set of weights, each result is bit-identical solved
+        alone or in a batch, in any order. Cut at 10 outer steps, some
+        solves end unconverged while their batch-mates converge."""
         if cut:
             monkeypatch.setattr(transport, "_MAX_OUTER", 10)
-        probs = mixed_batch()
         calls = count_logsumexp(monkeypatch)
-        alone, log_domain = [], []
-        for prob in probs:
-            calls.clear()
-            alone.append(result_bits(solve_fugw([prob])[0]))
-            log_domain.append(bool(calls))
-        results = solve_fugw(probs)
-        assert [result_bits(r) for r in results] == alone
-        assert [result_bits(r) for r in solve_fugw(probs[::-1])] == alone[::-1]
-        # The call's totals read its plans alone; the failed solve has none.
-        assert results.iterations == sum(bits[3] for bits in alone if bits[0] != "error")
-        assert results.converged is not cut
+        everyone, log_domain, all_converged = [], [], []
+        for weights, probs in mixed_batches():
+            alone = []
+            for prob in probs:
+                calls.clear()
+                alone.append(result_bits(solve_fugw([prob], **weights)[0]))
+                log_domain.append(bool(calls))
+            results = solve_fugw(probs, **weights)
+            assert [result_bits(r) for r in results] == alone, weights
+            assert [result_bits(r) for r in solve_fugw(probs[::-1], **weights)] == alone[::-1]
+            # The call's totals read its plans alone; the failed solve has none.
+            assert results.iterations == sum(bits[3] for bits in alone if bits[0] != "error")
+            all_converged.append(results.converged)
+            everyone += alone
+        assert all(all_converged) is not cut
         # The hand-over and the NaN cost take the log domain; their mates do not.
-        assert log_domain == [False] * 5 + [True, True, False, False]
-        assert alone[6] == ("error", "non-finite scaling potentials")
-        converged = [bits[2] for bits in alone if bits[0] != "error"]
+        assert log_domain == [False] * 6 + [True, False] + [False, True, False, False]
+        assert everyone[9] == ("error", "non-finite scaling potentials")
+        converged = [bits[2] for bits in everyone if bits[0] != "error"]
         assert any(converged) and all(converged) != cut
 
     def test_batches_split_under_the_byte_budget(self, monkeypatch):
@@ -773,7 +813,7 @@ class TestCorpusSolve:
         result is unchanged."""
         probs = [default_problem(seed) for seed in range(30, 35)]
         probs += [default_problem(seed, f_v=40) for seed in range(35, 40)]
-        want = [result_bits(r) for r in solve_fugw(probs)]
+        want = [result_bits(r) for r in solve_fugw(probs, **DEFAULT_WEIGHTS)]
         grids = []
         kl = transport.kl_divergence
 
@@ -787,7 +827,7 @@ class TestCorpusSolve:
             budget = per_batch * 8 * transport._LINE_SEARCH_POINTS * 100
             monkeypatch.setattr(transport, "_BATCH_BYTES", budget)
             grids.clear()
-            assert [result_bits(r) for r in solve_fugw(probs)] == want
+            assert [result_bits(r) for r in solve_fugw(probs, **DEFAULT_WEIGHTS)] == want
             assert max(8 * int(np.prod(shape)) for shape in grids) <= budget
             assert max(shape[0] for shape in grids if shape[2] == 100) == per_batch
         assert 8 * transport._LINE_SEARCH_POINTS * 100 * len(probs) > 3 * budget
@@ -795,11 +835,11 @@ class TestCorpusSolve:
     def test_one_problem_over_budget_is_solved_alone(self, monkeypatch):
         monkeypatch.setattr(transport, "_BATCH_BYTES", 1)
         probs = [default_problem(41), default_problem(42)]
-        want = [result_bits(solve_fugw([prob])[0]) for prob in probs]
-        assert [result_bits(r) for r in solve_fugw(probs)] == want
+        want = [result_bits(solve_fugw([prob], **DEFAULT_WEIGHTS)[0]) for prob in probs]
+        assert [result_bits(r) for r in solve_fugw(probs, **DEFAULT_WEIGHTS)] == want
 
     def test_no_problems_no_results(self):
-        assert solve_fugw([]) == []
+        assert solve_fugw([], **DEFAULT_WEIGHTS) == []
 
 
 class TestInitAnchors:
