@@ -55,7 +55,7 @@ anchors = init_anchors(xs, cfg.K, cfg.seed, f.video_id)
 prob = build_problem(xs, anchors, p_s, cfg.mu)
 (plan,) = solve_fugw([prob], **weights)  # a list of problems in, one plan (or error) per problem out
 print(f"{f.video_id}: solver converged={plan.converged} after {plan.iterations} outer steps "
-      f"and {plan.scaling_iterates} scaling iterates")
+      f"and {plan.scaling_iterates} Newton steps on the anchor scalings")
 print(f"objective trace head: {[round(v, 4) for v in plan.objective_trace[:6]]}")
 print(f"anchor marginal error: {np.max(np.abs(plan.T.sum(axis=0) - 1 / cfg.K)):.2e}")
 print(f"KL(frame marginal || saliency prior): {kl_divergence(plan.T.sum(axis=1), prob.p_hat):.4f}")

@@ -1,19 +1,24 @@
 """File-level pipeline stages and the end-to-end runner.
 
-Every stage reads its predecessor's files and writes its own, so the
-subcommands can be chained by hand; :func:`run_pipeline` calls the very same
-functions in order, which makes chained and monolithic execution byte
-identical. Every stage visits the videos one at a time in sorted video-id
-order, each as the valid rows that :func:`~saliseg.data.load_features`
-returns: padding ends at that reader, so no stage slices or masks. Two
-stages run one corpus kernel between two visits: segment builds each
-video's transport problem, solves every problem of the corpus in one call
-and then decodes each video from its plan; retrieve pools and checks each
-video's queries, answers every query of the corpus in one call and then
-writes each video's record. All randomness is drawn from named substreams
-of the config seed, so reruns with the same inputs produce identical
-artifact trees. The manifest deliberately contains no timings or timestamps
-for the same reason; timings go to the log.
+Every stage reads its predecessor's files, checking every record, and
+writes its own, so the subcommands can be chained by hand.
+:func:`run_pipeline` calls the very same functions in order and writes every
+file too, but hands each record file to the later stages in memory, as a
+:class:`Handover`: the score and prior arrays, the segment sets and the
+retrieval vectors as the stage that made them kept them. That is what
+parsing the file gives, since a JSON float round-trips exactly, so chained
+and monolithic execution are byte identical, and a run reads back none of
+the record files it writes. Every stage visits the videos one at a time in
+sorted video-id order, each as the valid rows that
+:func:`~saliseg.data.load_features` returns: padding ends at that reader, so
+no stage slices or masks. Two stages run one corpus kernel between two
+visits: segment builds each video's transport problem, solves every problem
+of the corpus in one call and then decodes each video from its plan;
+retrieve pools and checks each video's queries, answers every query of the
+corpus in one call and then writes each video's record. All randomness is
+drawn from named substreams of the config seed, so reruns with the same
+inputs produce identical artifact trees. The manifest deliberately contains
+no timings or timestamps for the same reason; timings go to the log.
 
 A video that fails a stage (a :class:`SalisegError`, including more frames
 than ``F_max`` and a missing upstream record or record field) is logged and
@@ -62,7 +67,6 @@ from .data import (
     make_dir,
     read_file,
     save_features,
-    save_records,
     write_file,
 )
 from .errors import ConfigError, DataError, NumericalError, OutputError, SalisegError
@@ -193,6 +197,47 @@ def _for_each_video(
 load_saliency = load_retrieval = load_records
 
 
+class Handover(dict):
+    """A record file of :func:`run_pipeline` together with its records,
+    kept in memory by video id for the stages after the one that writes it.
+
+    Passed as a stage's output path, it names the file the stage writes, and
+    the stage also keeps each video's record here in the form the next
+    stages use: a saliency record's ``scores`` and ``prior`` and a retrieval
+    record's ``vectors`` as float arrays, a segments record as its
+    :class:`~saliseg.segments.SegmentSet`. That is what parsing the file
+    gives, since a JSON float round-trips exactly. Passed as a later stage's
+    input, it stands for that file, which is then not read back, and its
+    records need no check. A video the writing stage skipped has no record
+    here, as it has none in the file.
+    """
+
+    def __init__(self, path: str | Path):
+        super().__init__()
+        self.path = Path(path)
+
+
+def _path(target: str | Path | Handover) -> Path:
+    return target.path if isinstance(target, Handover) else Path(target)
+
+
+def _records(source: str | Path | Handover, load) -> dict:
+    """The upstream records of ``source``: its own, or ``load`` of the file."""
+    return source if isinstance(source, Handover) else load(source)
+
+
+def _save(entries: list, target: str | Path | Handover) -> Path:
+    """Write the JSON line of each ``(video_id, record, line)`` entry, in
+    order, to ``target``; a :class:`Handover` also keeps each record."""
+    if isinstance(target, Handover):
+        target.update((video_id, record) for video_id, record, _ in entries)
+    return write_file(_path(target), "".join(line + "\n" for *_, line in entries))
+
+
+def _line(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True)
+
+
 def _record(records: dict, video_id: str, kind: str, field: str | None = None):
     """The upstream ``kind`` record of one video, or its ``field``; a gap
     skips the video."""
@@ -216,8 +261,11 @@ def _is_numbers(values, n: int) -> bool:
 
 def _frame_values(records: dict, f: FrameFeatures, kind: str, field: str) -> np.ndarray:
     """A per-frame field of one video's upstream record, which must be a
-    list of exactly ``valid_len`` numbers; anything else skips the video."""
+    list of exactly ``valid_len`` numbers; anything else skips the video.
+    A :class:`Handover` holds the checked array."""
     values = _record(records, f.video_id, kind, field)
+    if isinstance(records, Handover):
+        return values
     if not _is_numbers(values, f.valid_len):
         raise DataError(f"{f.video_id}: {kind} '{field}' is not a list of {f.valid_len} numbers")
     return np.asarray(values, dtype=np.float64)
@@ -225,8 +273,11 @@ def _frame_values(records: dict, f: FrameFeatures, kind: str, field: str) -> np.
 
 def _feature_rows(records: dict, f: FrameFeatures, kind: str, field: str) -> np.ndarray:
     """A field of one video's upstream record that must be a list of rows of
-    exactly ``D`` numbers each; anything else skips the video."""
+    exactly ``D`` numbers each; anything else skips the video. A
+    :class:`Handover` holds the checked array."""
     rows = _record(records, f.video_id, kind, field)
+    if isinstance(records, Handover):
+        return rows
     if not (isinstance(rows, list) and all(_is_numbers(row, f.dim) for row in rows)):
         raise DataError(f"{f.video_id}: {kind} '{field}' is not a list of rows of {f.dim} numbers")
     return np.asarray(rows, dtype=np.float64).reshape(len(rows), f.dim)
@@ -258,28 +309,30 @@ def stage_score_saliency(
     refined_dir: str | Path,
     head_path: str | Path,
     cfg: PipelineConfig,
-    out_path: str | Path,
+    out_path: str | Path | Handover,
     fail_fast: bool = False,
 ) -> Path:
-    """Score refined features; write scores and priors as JSON Lines."""
+    """Score refined features; write scores and priors as JSON Lines, each
+    record serialized as it is scored."""
     head = load_head(head_path)
-    check_writable(out_path)
+    check_writable(_path(out_path))
 
-    def work(path: Path, f: FrameFeatures) -> dict:
+    def work(path: Path, f: FrameFeatures) -> tuple:
         if f.dim != head.dim:
             raise DataError(f"{f.video_id}: feature dim {f.dim} != head dim {head.dim}")
         scores = saliency_forward(head, f.encoded)
         p_s = saliency_prior(scores)
-        return {"video_id": f.video_id, "scores": scores.tolist(), "prior": p_s.tolist()}
+        line = _line({"video_id": f.video_id, "scores": scores.tolist(), "prior": p_s.tolist()})
+        return f.video_id, {"scores": scores, "prior": p_s}, line
 
-    return save_records(_for_each_video(refined_dir, work, cfg, fail_fast), out_path)
+    return _save(_for_each_video(refined_dir, work, cfg, fail_fast), out_path)
 
 
 def stage_segment(
     features_dir: str | Path,
-    saliency_path: str | Path,
+    saliency_path: str | Path | Handover,
     cfg: PipelineConfig,
-    out_path: str | Path,
+    out_path: str | Path | Handover,
     baseline: str = "none",
     dump_plan_dir: str | Path | None = None,
     fail_fast: bool = False,
@@ -295,19 +348,22 @@ def stage_segment(
     segments.
     """
     _check_baseline(baseline)
-    saliency = load_saliency(saliency_path)
-    check_writable(out_path)
+    saliency = _records(saliency_path, load_saliency)
+    check_writable(_path(out_path))
     if dump_plan_dir is not None:
         make_dir(dump_plan_dir)
 
-    def work(path: Path, f: FrameFeatures) -> dict:  # a baseline strategy
+    def record(video_id: str, segs) -> tuple:
+        return video_id, segs, _line(segments_to_doc(video_id, segs))
+
+    def work(path: Path, f: FrameFeatures) -> tuple:  # a baseline strategy
         _frame_values(saliency, f, "saliency", "prior")  # checked as for the transport
         if baseline == "uniform":
             segs = baseline_uniform(f.valid_len, cfg.top_k)
         else:
             xs = f.spatial.astype(np.float64)
             segs = select_topk(baseline_kmeans(xs, cfg.K, cfg.seed, f.video_id), cfg.top_k)
-        return segments_to_doc(f.video_id, segs)
+        return record(f.video_id, segs)
 
     def prepare(path: Path, f: FrameFeatures) -> tuple:
         xs = f.spatial.astype(np.float64)
@@ -316,7 +372,7 @@ def stage_segment(
         prob = build_problem(xs, anchors, p_s, cfg.mu)
         return (f.video_id, f.valid_len), prob
 
-    def finish(video: tuple, plan) -> dict:
+    def finish(video: tuple, plan) -> tuple:
         video_id, valid_len = video
         if isinstance(plan, NumericalError):
             raise plan
@@ -329,8 +385,8 @@ def stage_segment(
         segs = select_topk(score_segments(decode_segments(plan.T), plan.T), cfg.top_k)
         if dump_plan_dir is not None:
             doc = {"F_v": valid_len, "K": cfg.K, "T": plan.T.flatten().tolist()}
-            write_file(Path(dump_plan_dir) / f"{video_id}.json", json.dumps(doc, sort_keys=True) + "\n")
-        return segments_to_doc(video_id, segs)
+            write_file(Path(dump_plan_dir) / f"{video_id}.json", _line(doc) + "\n")
+        return record(video_id, segs)
 
     def solve(problems) -> list:
         # solve_fugw is looked up per call, so a wrapper set on this module applies.
@@ -341,16 +397,16 @@ def stage_segment(
         records = _for_each_video(features_dir, prepare, cfg, fail_fast, solve, finish)
     else:
         records = _for_each_video(features_dir, work, cfg, fail_fast)
-    return save_records(records, out_path)
+    return _save(records, out_path)
 
 
 def stage_retrieve(
     features_dir: str | Path,
-    saliency_path: str | Path,
-    segments_path: str | Path,
+    saliency_path: str | Path | Handover,
+    segments_path: str | Path | Handover,
     store_path: str | Path,
     cfg: PipelineConfig,
-    out_path: str | Path,
+    out_path: str | Path | Handover,
     fail_fast: bool = False,
 ) -> Path:
     """Retrieve top-p captions per selected segment; write vectors + neighbors.
@@ -359,10 +415,10 @@ def stage_retrieve(
     one skips that video alone; one :func:`retrieval_vectors` call then
     answers every query of the corpus, and the records follow from it.
     """
-    saliency = load_saliency(saliency_path)
-    segments = load_segments(segments_path)
+    saliency = _records(saliency_path, load_saliency)
+    segments = _records(segments_path, load_segments)
     store = load_datastore(store_path)
-    check_writable(out_path)
+    check_writable(_path(out_path))
 
     def prepare(path: Path, f: FrameFeatures) -> tuple:
         segs = _record(segments, f.video_id, "segments")
@@ -376,31 +432,32 @@ def stage_retrieve(
         bounds = [0, *itertools.accumulate(map(len, queries))]
         return [(neighbors[lo:hi], vectors[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
-    def finish(video: tuple, answered: tuple) -> dict:
+    def finish(video: tuple, answered: tuple) -> tuple:
         (video_id, segs), (neighbors, vectors) = video, answered
-        return {
+        line = _line({
             "video_id": video_id,
             "segments": [{"index": int(idx), "neighbors": hits}
                          for idx, hits in zip(segs.selected, neighbors)],
             "vectors": vectors.tolist(),
-        }
+        })
+        return video_id, {"vectors": vectors}, line
 
-    return save_records(
+    return _save(
         _for_each_video(features_dir, prepare, cfg, fail_fast, answer, finish), out_path)
 
 
 def stage_assemble(
     refined_dir: str | Path,
-    saliency_path: str | Path,
-    retrieval_path: str | Path,
+    saliency_path: str | Path | Handover,
+    retrieval_path: str | Path | Handover,
     cfg: PipelineConfig,
     out_dir: str | Path,
     fail_fast: bool = False,
 ) -> list[Path]:
     """Build decoder-input sequences [frames; prompts; retrieval; text] with
     an empty text section."""
-    saliency = load_saliency(saliency_path)
-    retrieval = load_retrieval(retrieval_path)
+    saliency = _records(saliency_path, load_saliency)
+    retrieval = _records(retrieval_path, load_retrieval)
     out = make_dir(out_dir)
 
     def work(path: Path, f: FrameFeatures) -> Path:
@@ -416,7 +473,7 @@ def stage_assemble(
 
 
 def stage_eval(
-    segments_path: str | Path,
+    segments_path: str | Path | Handover,
     annotations_path: str | Path,
     out_json: str | Path,
     out_table: str | Path,
@@ -424,7 +481,7 @@ def stage_eval(
 ):
     """Evaluate selected segments against annotated events; write the JSON
     report, its text table and, given ``out_csv``, a CSV table."""
-    segments = load_segments(segments_path)
+    segments = _records(segments_path, load_segments)
     anns = load_annotations(annotations_path)
     per_video = {}
     for ann in anns:
@@ -507,37 +564,23 @@ def run_pipeline(
     if any(out.glob("*")):
         raise OutputError(f"{out}: not empty; a run starts from a new or empty directory")
 
+    saliency = Handover(out / "saliency.jsonl")
+    segments = Handover(out / "segments.jsonl")
+    retrieval = Handover(out / "retrieval.jsonl")
     stage_refine(features_dir, out / "refined", cfg, fail_fast)
-    stage_score_saliency(out / "refined", head_path, cfg, out / "saliency.jsonl", fail_fast)
+    stage_score_saliency(out / "refined", head_path, cfg, saliency, fail_fast)
     stage_segment(
         features_dir,
-        out / "saliency.jsonl",
+        saliency,
         cfg,
-        out / "segments.jsonl",
+        segments,
         baseline=baseline,
         dump_plan_dir=(out / "plans") if dump_plan else None,
         fail_fast=fail_fast,
     )
-    stage_retrieve(
-        features_dir,
-        out / "saliency.jsonl",
-        out / "segments.jsonl",
-        store_path,
-        cfg,
-        out / "retrieval.jsonl",
-        fail_fast,
-    )
-    stage_assemble(
-        out / "refined",
-        out / "saliency.jsonl",
-        out / "retrieval.jsonl",
-        cfg,
-        out / "tin",
-        fail_fast,
-    )
-    corpus = stage_eval(
-        out / "segments.jsonl", annotations_path, out / "report.json", out / "report.txt"
-    )
+    stage_retrieve(features_dir, saliency, segments, store_path, cfg, retrieval, fail_fast)
+    stage_assemble(out / "refined", saliency, retrieval, cfg, out / "tin", fail_fast)
+    corpus = stage_eval(segments, annotations_path, out / "report.json", out / "report.txt")
 
     files = {
         str(p.relative_to(out)): hashlib.sha256(read_file(p)).hexdigest()

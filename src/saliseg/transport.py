@@ -19,27 +19,25 @@ along the frame axis, in O(F_v K) time and memory.
 
 The solver alternates two steps until the plan stabilizes: (1) linearize the
 quadratic term at the current plan, giving a local linear cost, and solve the
-resulting KL-relaxed entropic problem with one loop of scaling iterations on
-the log scalings (row exponent ``gamma / (gamma + epsilon)``), each iterate
-two mat-vecs with the kernel ``exp(-cost / epsilon)``, or, for a loop that
-would leave floating-point range, logsumexp over the log kernel; (2) take the
-best point on the segment from the current plan to that solution under the
-exact fused objective, which along the segment is a quadratic in the step
-plus the KL term. Step (2) makes the recorded objective trace non-increasing
-by construction, and keeps column sums exact because both segment endpoints
-satisfy them.
+resulting KL-relaxed entropic problem by Newton's method on the ``K`` anchor
+log-scalings, from which the frame ones follow in closed form (row exponent
+``gamma / (gamma + epsilon)``), each step one weighted ``K x K`` product of
+the kernel ``exp(-cost / epsilon)`` with itself and one ``K x K`` solve, or,
+for a problem that would leave floating-point range, the same by logsumexp
+over the log kernel; (2) take the best point on the segment from the
+current plan to that solution under the exact fused objective, which along
+the segment is a quadratic in the step plus the KL term. Step (2) makes the
+recorded objective trace non-increasing by construction, and keeps column
+sums exact because both segment endpoints satisfy them.
 
-The scaling iterates are over-relaxed: each moves the log scalings
-``_OMEGA`` times the plain Sinkhorn step (Thibault, Chizat, Dossal and
-Papadakis, "Overrelaxed Sinkhorn-Knopp algorithm for regularized optimal
-transport", Algorithms 2021), for about half the iterates of plain steps.
-Once an iterate moves the potentials more than the one before it, the rest
-of that loop takes plain steps (the safeguard of Lehmann, von Renesse,
-Sambale and Uschmajew, "A note on overrelaxation in the Sinkhorn algorithm",
-Optim. Lett. 2022), and one exact column update closes the loop, so the
-candidate's column sums are exact. The structure operator is linear in the
-plan, so step (2) also returns the gradient at the plan it picks, from the
-operators its line search already holds, and the next step (1) uses it.
+Step (1) is the Sinkhorn-Newton method (Brauer, Clason, Lorenz and Wirth, "A
+Sinkhorn-Newton method for entropic optimal transport", 2017) on the anchor
+side, with a step halved while it raises the residual; one exact column update
+closes it, so the candidate's column sums are exact. A warm-started call
+takes one to three steps where Sinkhorn iterates take about twenty. The
+structure operator is linear in the plan, so step (2) also returns the
+gradient at the plan it picks, from the operators its line search already
+holds, and the next step (1) uses it.
 
 :func:`solve_fugw` solves a list of problems, typically every video of a
 corpus, in one call under one set of weights ``alpha``, ``gamma`` and
@@ -48,11 +46,11 @@ weight sets makes one call per set. Problems of one shape ``(F_v, K)`` run
 together, so nothing is padded, in batches whose largest stack, the
 ``B x 33 x F_v`` line-search grid, fits ``_BATCH_BYTES`` (at least one
 problem per batch). Every step above runs on ``B x F_v x K`` stacks, and every per-problem
-reduction is a per-item stacked matmul or a last-axis sum, so a problem's
+reduction is a per-item stacked matmul or solve or a last-axis sum, so a problem's
 result is bit-identical whichever problems share its batch, and alone. Each
-problem keeps its own state: it leaves the scaling loop at its own inner
-convergence and the batch at its own outer convergence, with its own
-over-relaxation safeguard and its own domain: a problem whose scaling call
+problem keeps its own state: it leaves the Newton loop at its own inner
+convergence and the batch at its own outer convergence, with its own step
+length and its own domain: a problem whose scaling call
 would leave the kernel range reruns that call in the log domain, and a
 :class:`NumericalError` ends its solve alone, in its own result slot. The
 solver holds a problem only until its batch is solved.
@@ -60,6 +58,7 @@ solver holds a problem only until its batch is solved.
 
 from __future__ import annotations
 
+import contextlib
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -69,24 +68,20 @@ from numpy.typing import NDArray
 from .errors import DataError, NumericalError, SalisegError
 from .rng import substream
 
-# Fixed solver protocol: outer steps per solve, scaling iterations per outer
-# step, the L1 plan movement and potential change that count as converged, and
-# the points of the line-search grid on [0, 1].
+# Fixed solver protocol: outer steps per solve, Newton steps per outer step,
+# the L1 plan movement and potential change that count as converged, and the
+# points of the line-search grid on [0, 1].
 _MAX_OUTER = 200
 _MAX_INNER = 100
 _PLAN_TOL = 1e-7
 _POTENTIAL_TOL = 1e-11
 _LINE_SEARCH_POINTS = 33
 
-# Over-relaxation factor of the scaling iterates, chosen on a held-out corpus
-# seed: about half the iterates of plain Sinkhorn (omega = 1) at the default
-# configuration.
-_OMEGA = 1.3
-
 # Kernel-domain scaling runs while every exponent it takes, of the kernel and
-# of both scalings, lies within +-_KERNEL_RANGE: a product of two such factors
-# is then a normal float, and so is a sum of up to e^100 of them, so the
-# mat-vecs neither overflow nor underflow and keep full relative precision.
+# of both scalings, lies within +-_KERNEL_RANGE (a / Kb, which weights the
+# Newton product, within twice that): a product of two such factors is then a
+# normal float, and so is a sum of up to e^100 of them, so the products
+# neither overflow nor underflow and keep full relative precision.
 _KERNEL_RANGE = 300.0
 
 # Problems of one shape are solved together in batches whose largest stack,
@@ -105,13 +100,22 @@ def check_solver_weights(
     epsilon: float, alpha: float, gamma: float, error: type[SalisegError]
 ) -> None:
     """Raise ``error`` unless ``0 < epsilon < inf``, ``0 <= alpha <= 1`` and
-    ``0 <= gamma < inf``; every check is written so that NaN fails it."""
-    if not 0 < epsilon < np.inf:
+    ``0 <= gamma < inf``; every check is written so that NaN fails it, and an
+    integer past the float range is not finite."""
+    if not 0 < _as_float(epsilon) < np.inf:
         raise error("epsilon must be finite and > 0")
     if not 0.0 <= alpha <= 1.0:
         raise error("alpha must lie in [0, 1]")
-    if not 0 <= gamma < np.inf:
+    if not 0 <= _as_float(gamma) < np.inf:
         raise error("gamma must be finite and >= 0")
+
+
+def _as_float(x: float) -> float:
+    """``x`` as a float, an integer past the float range as an infinity."""
+    try:
+        return float(x)
+    except OverflowError:
+        return np.inf if x > 0 else -np.inf
 
 
 @dataclass(frozen=True)
@@ -142,7 +146,7 @@ class TransportPlan:
     T: NDArray[np.float64]
     objective_trace: list[float]
     converged: bool
-    scaling_iterates: int = 0  # summed over outer steps, and over both runs of a rerun call
+    scaling_iterates: int = 0  # Newton steps, summed over outer steps and over both runs of a rerun call
 
     @property
     def iterations(self) -> int:
@@ -280,99 +284,126 @@ def _within_range(x: NDArray[np.float64]) -> NDArray[np.bool_] | bool:
     return np.abs(x).reshape(len(x), -1).max(axis=1) <= _KERNEL_RANGE
 
 
-def _kernel_step(kernel, log_p, log_q, fi, log_a, log_b, omega_a, omega_b):
-    """One iterate of each problem of a stack by two stacked mat-vecs with
-    its kernel. Returns both updates, both relaxed scalings, and whether the
-    new exponents stayed within the kernel range, as :func:`_within_range`
-    gives it. A problem whose did not has meaningless results. ``log_q`` and
-    the row exponent ``fi`` are scalars, shared by every problem."""
-    d_a = fi * (log_p - np.log(np.matmul(kernel, np.exp(log_b)[:, :, None])[:, :, 0])) - log_a
-    next_a = log_a + omega_a * d_a
-    in_range = _within_range(next_a)
-    # A row scaling out of range is not exponentiated: its problem's column
-    # update is discarded anyway.
-    safe_a = next_a if in_range is True else np.where(in_range[:, None], next_a, 0.0)
-    d_b = log_q - np.log(np.matmul(np.exp(safe_a)[:, None, :], kernel)[:, 0]) - log_b
-    next_b = log_b + omega_b * d_b
-    in_range_b = _within_range(next_b)
-    if in_range_b is not True:
-        in_range = in_range_b & in_range
-    return d_a, next_a, d_b, next_b, in_range
+def _evaluate(in_kernel, ops, log_p, fi, log_b):
+    """Each problem of a stack at its column log-scalings ``log_b``: the log
+    row sums ``log K b``, the row log-scalings ``log_a = fi * (log p - log K
+    b)``, the log column sums ``log Kᵀa``, and whether every exponent taken
+    lies within the kernel range, as :func:`_within_range` gives it. ``ops``
+    is the kernel ``exp(log K)`` if ``in_kernel``, two mat-vecs, else ``log
+    K``, logsumexp, and every exponent is in range. A problem out of range
+    has meaningless results."""
+    if not in_kernel:
+        log_rows = _logsumexp(ops + log_b[:, None, :], axis=2)
+        log_a = fi * (log_p - log_rows)
+        return log_rows, log_a, _logsumexp(ops + log_a[:, :, None], axis=1), True
+    in_range = _within_range(log_b)
+    if in_range is not True:  # an exponent out of range is not taken
+        log_b = np.where(in_range[:, None], log_b, 0.0)
+    log_rows = np.log(np.matmul(ops, np.exp(log_b)[:, :, None])[:, :, 0])
+    log_a = fi * (log_p - log_rows)
+    a_in_range = _within_range(log_a) & _within_range(0.5 * (log_a - log_rows))
+    if a_in_range is not True:
+        in_range = a_in_range & in_range
+        log_a = np.where(a_in_range[:, None], log_a, 0.0)
+    return log_rows, log_a, np.log(np.matmul(np.exp(log_a)[:, None, :], ops)[:, 0]), in_range
 
 
-def _log_step(log_k, log_p, log_q, fi, log_a, log_b, omega_a, omega_b):
-    """One iterate of each problem of a stack by logsumexp over ``log_k``,
-    returned as :func:`_kernel_step` returns it: every exponent is in range."""
-    d_a = fi * (log_p - _logsumexp(log_k + log_b[:, None, :], axis=2)) - log_a
-    next_a = log_a + omega_a * d_a
-    d_b = log_q - _logsumexp(log_k + next_a[:, :, None], axis=1) - log_b
-    next_b = log_b + omega_b * d_b
-    return d_a, next_a, d_b, next_b, True
+def _newton_steps(in_kernel, ops, log_b, log_rows, log_a, log_cols, residual, fi):
+    """The Newton step on the column log-scalings of each problem of a stack,
+    modulo the all-ones direction, at a point that :func:`_evaluate` gave:
+    the solution ``d`` of ``(I - fi (M - 1/K)) d = mean(r) - r``. Here ``I -
+    fi M`` is the Jacobian of the log column sums, ``M = Qᵀ P`` with the plan
+    ``diag(a) K diag(b)`` divided by its column sums (``Q``) and by its row
+    sums (``P``), so every entry of ``M`` lies in [0, 1]: one ``K x F_v`` by
+    ``F_v x K`` product. A problem whose matrix is exactly singular takes the
+    plain column update ``d = mean(r) - r``."""
+    if in_kernel:
+        # Kᵀ (K b a / Kb), whose entries are at most the column sums Kᵀa.
+        weighted = ops * np.exp(log_b)[:, None, :]
+        weighted *= np.exp(log_a - log_rows)[:, :, None]
+        m = np.matmul(ops.transpose(0, 2, 1), weighted) / np.exp(log_cols)[:, :, None]
+    else:
+        by_cols = np.exp(ops + (log_a[:, :, None] - log_cols[:, None, :]))
+        by_rows = np.exp(ops + (log_b[:, None, :] - log_rows[:, :, None]))
+        m = np.matmul(by_cols.transpose(0, 2, 1), by_rows)
+    k = residual.shape[1]
+    jac = np.eye(k) - fi * (m - 1.0 / k)
+    rhs = residual.mean(axis=1, keepdims=True) - residual
+    try:
+        return np.linalg.solve(jac, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        steps = rhs.copy()
+        for i in range(len(jac)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                steps[i] = np.linalg.solve(jac[i], rhs[i])
+        return steps
 
 
-def _scaling_loop(in_kernel, log_k, log_p, log_a, log_b, log_q, fi, epsilon):
+def _newton_loop(in_kernel, log_k, log_p, log_b, log_q, fi, epsilon):
     """:func:`_scaling_iterations` for a stack of problems in one domain:
     with the kernels ``exp(log_k)`` if ``in_kernel``, by logsumexp over
     ``log_k`` if not; ``log_q``, ``fi`` and ``epsilon`` are scalars. Returns
-    the plans, the log scalings, and per problem whether its loop converged,
-    the iterates it completed, and whether an iterate went non-finite or, in
-    the kernel domain, it or the closing column update left the kernel
-    range. Such a problem stops there with zero row scalings, which keep the
-    closing update in range, and meaningless results."""
+    the plans, the column log-scalings, and per problem whether its loop
+    converged, the Newton steps it took, and whether its warm start was
+    non-finite or, in the kernel domain, a step left the kernel range. Such
+    a problem stops there with meaningless results."""
     n = len(log_k)
-    ops, step = (np.exp(log_k), _kernel_step) if in_kernel else (log_k, _log_step)
-    out_a = np.zeros_like(log_a)
+    ops = np.exp(log_k) if in_kernel else log_k
+    t = np.zeros(log_k.shape)
+    out_b = np.zeros(log_b.shape)
     inner_ok = np.zeros(n, dtype=bool)
     iterates = np.full(n, _MAX_INNER)
     failed = np.zeros(n, dtype=bool)
     # The problems still iterating and their rows, compacted as they leave.
+    # The state is the last accepted point: its column log-scalings, what
+    # _evaluate gives there and its residual. Pass 0 accepts the warm start.
     live = np.arange(n)
-    omega_a = np.full(log_a.shape, _OMEGA)
-    omega_b = np.full(log_b.shape, _OMEGA)
-    eps_omega = np.full(n, epsilon * _OMEGA)  # the potentials' change per unit of scaling update
-    last = [np.inf] * n
-    op, lp, la, lb = ops, log_p, log_a, log_b
-    for count in range(1, _MAX_INNER + 1):
-        d_a, la, d_b, lb, in_range = step(op, lp, log_q, fi, la, lb, omega_a, omega_b)
-        change = np.maximum(np.abs(d_a).max(axis=1), np.abs(d_b).max(axis=1))
-        delta = eps_omega * change
-        previous, last = last, delta.tolist()
-        # Most iterates change no problem's state: tested on floats, which
-        # costs less than reductions over a few values.
-        if in_range is True and all(_POTENTIAL_TOL <= x <= y and x < np.inf
-                                    for x, y in zip(last, previous)):
-            continue
-        grown = delta > np.array(previous)
-        if grown.any():
-            omega_a[grown], omega_b[grown] = 1.0, 1.0
-            eps_omega = epsilon * omega_b[:, 0]
-        # The scalings were finite, so each change is finite iff its update is.
-        stay = (change < np.inf) & in_range
-        done = stay & (delta < _POTENTIAL_TOL)
-        if done.any() or not stay.all():
-            failed[live[~stay]], iterates[live[~stay]] = True, count - 1
-            rows = live[done]
-            out_a[rows], inner_ok[rows], iterates[rows] = la[done], True, count
-            keep = stay & ~done
+    op, lp, lb = ops, log_p, log_b
+    change = np.full(n, np.inf)
+    steps = np.zeros(log_b.shape)
+    scale = np.ones(n)
+    for count in range(_MAX_INNER + 1):
+        trial = lb + scale[:, None] * steps
+        *point, in_range = _evaluate(in_kernel, op, lp, fi, trial)
+        residual = trial + point[2] - log_q
+        # The change that the exact column update would make to the column
+        # potentials, modulo a shift shared by all columns, which leaves the
+        # plan unchanged.
+        trial_change = epsilon * np.abs(
+            residual - residual.mean(axis=1, keepdims=True)).max(axis=1)
+        fell = trial_change <= change  # NaN fails it
+        if fell.all() or not count:
+            lb, state, change = trial, [*point, residual], trial_change
+        elif fell.any():
+            lb = np.where(fell[:, None], trial, lb)
+            state = [np.where(fell[:, None], new, old) for old, new in zip(state, [*point, residual])]
+            change = np.where(fell, trial_change, change)
+        scale = np.where(fell, np.minimum(2.0 * scale, 1.0), 0.5 * scale)
+        stop = ~np.broadcast_to(in_range, fell.shape)  # out of range
+        if not count:
+            stop = stop | ~fell  # or a non-finite start
+        done = fell & (change < _POTENTIAL_TOL) & ~stop
+        last = count == _MAX_INNER
+        if done.any() or stop.any() or last:
+            failed[live[stop]], iterates[live[stop]] = True, max(count - 1, 0)
+            finish = done | (last & ~stop)
+            rows = live[finish]
+            _, log_a, log_cols, _ = (x[finish] for x in state)
+            # The exact column update b = q / Kᵀa gives the plan a K b, whose
+            # entries a K are at most their column sums Kᵀa.
+            out_b[rows] = log_b = log_q - log_cols
+            t[rows] = (np.exp(log_a)[:, :, None] * op[finish] * np.exp(log_b)[:, None, :]
+                       if in_kernel else np.exp(op[finish] + log_a[:, :, None] + log_b[:, None, :]))
+            inner_ok[rows[done[finish]]] = True
+            iterates[live[done]] = count
+            keep = ~(finish | stop)
             if not keep.any():
                 break
-            op, lp, la, lb, omega_a, omega_b, eps_omega, live = (
-                x[keep] for x in (op, lp, la, lb, omega_a, omega_b, eps_omega, live))
-            last = delta[keep].tolist()
-    else:
-        out_a[live] = la
-
-    if in_kernel:
-        log_b = log_q - np.log(np.matmul(np.exp(out_a)[:, None, :], ops)[:, 0])
-        in_range = _within_range(log_b)
-        if in_range is not True:
-            failed |= ~in_range
-            log_b[failed] = 0.0
-        t = np.exp(out_a)[:, :, None] * ops * np.exp(log_b)[:, None, :]
-    else:
-        log_b = log_q - _logsumexp(log_k + out_a[:, :, None], axis=1)
-        t = np.exp(out_a[:, :, None] + log_k + log_b[:, None, :])
-    return t, out_a, log_b, inner_ok, iterates, failed
+            op, lp, lb, change, scale, live = (
+                x[keep] for x in (op, lp, lb, change, scale, live))
+            state = [x[keep] for x in state]
+        steps = _newton_steps(in_kernel, op, lb, *state, fi)
+    return t, out_b, inner_ok, iterates, failed
 
 
 def _scaling_iterations(
@@ -381,71 +412,75 @@ def _scaling_iterations(
     log_q: float,
     gamma: float,
     epsilon: float,
-    f: NDArray[np.float64],
     g: NDArray[np.float64],
-) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64],
+) -> tuple[NDArray[np.float64], NDArray[np.float64],
            NDArray[np.bool_], NDArray[np.int64], dict[int, str]]:
     """Scaling for a stack of linearized problems, warm-started from the
-    potentials ``f, g``.
+    column potentials ``g``.
 
-    ``cost`` is ``B x F_v x K``; ``log_p`` and ``f`` are ``B x F_v`` and
-    ``g`` is ``B x K``. The log anchor marginal ``log_q``, uniform, and the
-    weights ``gamma`` and ``epsilon`` are scalars, the same for every
-    problem of the stack. For each problem, one loop of at most ``_MAX_INNER``
-    over-relaxed iterates on the log scalings ``log_a = f / epsilon`` and
-    ``log_b = g / epsilon``, with ``K = exp(-cost / epsilon)``. Each iterate
-    takes the Sinkhorn update ``new_a = (gamma / (gamma + epsilon)) * (log p
-    - log K b)`` and moves ``log_a`` to ``log_a + omega * (new_a - log_a)``,
-    then does the same for ``log_b`` with ``new_b = log q - log Kᵀa``
-    (Thibault, Chizat, Dossal and Papadakis, "Overrelaxed Sinkhorn-Knopp
-    algorithm for regularized optimal transport", Algorithms 2021). The row
-    exponent is zero when gamma is 0, which leaves rows unconstrained.
-    ``omega`` starts at ``_OMEGA``; once an iterate moves the potentials more
-    than the one before it, the rest of the call runs plain updates, ``omega
-    = 1`` (the safeguard of Lehmann, von Renesse, Sambale and Uschmajew, "A
-    note on overrelaxation in the Sinkhorn algorithm", Optim. Lett. 2022).
-    Convergence is tested on the potentials ``epsilon log a`` and ``epsilon
-    log b``, whose change in an iterate is ``epsilon * omega * max|new -
-    old|``. A problem leaves the loop at its own convergence; the others go on.
+    ``cost`` is ``B x F_v x K``; ``log_p`` is ``B x F_v`` and ``g`` is ``B x
+    K``. The log anchor marginal ``log_q``, uniform, and the weights
+    ``gamma`` and ``epsilon`` are scalars, the same for every problem of the
+    stack. With ``K = exp(-cost / epsilon)`` and ``fi = gamma / (gamma +
+    epsilon)``, the column log-scalings ``y = log b`` fix the row ones in
+    closed form, ``log a = fi (log p - log K e^y)`` (zero when gamma is 0,
+    which leaves rows unconstrained), so each problem is K equations in K
+    unknowns: the column sums ``c(y) = b * Kᵀa`` equal ``q``. For each
+    problem, one loop of at most ``_MAX_INNER`` Newton steps on ``y`` from
+    ``y = g / epsilon`` (the Sinkhorn-Newton method of Brauer, Clason, Lorenz
+    and Wirth, "A Sinkhorn-Newton method for entropic optimal transport",
+    2017): the Jacobian of ``log c`` is ``I - fi M``, with ``M`` the plan
+    divided by its column sums, transposed, times the plan divided by its
+    row sums, which costs one ``K x F_v`` by ``F_v x K`` product and one
+    ``K x K`` solve. A shift of ``y`` shared by all columns moves ``log c``
+    by ``(1 - fi)`` times the shift and leaves the plan that the exact column
+    update below forms unchanged, so the steps solve the Newton equation
+    modulo that direction, along which the Jacobian is singular at ``fi =
+    1``. A step that raises the residual (the log column sums off ``log q``,
+    modulo that direction) is halved and tried again; the next step starts
+    at twice the length of the last one taken, at most a full step. A
+    problem has converged once the exact column update would move its
+    potentials ``epsilon y`` by less than ``_POTENTIAL_TOL`` modulo that
+    direction; it leaves the loop then, and the others go on. Every trial
+    counts as a step.
 
-    A relaxed column update leaves the column sums off their target, so after
-    the loop one exact column update ``log_b = log q - log Kᵀa`` runs before
-    the plan ``a[:, None] * K * b`` is formed: the anchor marginal matches
+    After the loop one exact column update ``log_b = log q - log Kᵀa`` forms
+    the plan ``a[:, None] * K * b``: the anchor marginal matches
     ``exp(log_q)`` to machine precision.
 
     Each problem runs the call in one domain. It takes the kernel domain,
-    two mat-vecs with ``K`` per iterate, if every exponent of ``K`` and of
-    its warm start lies within ``_KERNEL_RANGE``, and the log domain,
-    logsumexp over ``log K``, if not. A problem whose kernel-domain iterate
-    or closing column update would leave that range or turn non-finite reruns
-    the whole call in the log domain from its warm start, and counts the
-    kernel iterates it completed before that one with its log-domain ones.
+    products with ``K``, if every exponent of ``K`` and of its warm start lies
+    within ``_KERNEL_RANGE``, and the log domain, logsumexp over ``log K``, if
+    not. A problem whose kernel-domain step would take an exponent out of
+    that range reruns the whole call in the log domain from its warm start,
+    and counts the kernel steps it completed before that one with its
+    log-domain ones.
 
-    Returns the plans, the potentials, per problem whether its loop converged
-    and the number of iterates it ran, and the problems whose potentials or
-    plan went non-finite, mapped to the message of their
+    Returns the plans, the column potentials, per problem whether its loop
+    converged and the number of Newton steps it took, and the problems whose
+    potentials or plan went non-finite, mapped to the message of their
     :class:`NumericalError`; their rows of the other results are meaningless.
     """
     n = len(cost)
     log_k = cost / -epsilon
-    log_a, log_b = f / epsilon, g / epsilon
-    args = (log_k, log_p, log_a, log_b)
+    log_b = g / epsilon
+    args = (log_k, log_p, log_b)
     shared = (log_q, gamma / (gamma + epsilon), epsilon)
     kernel = np.zeros(n, dtype=bool)
-    kernel[:] = _within_range(log_k) & _within_range(log_a) & _within_range(log_b)
-    out = [np.zeros_like(x) for x in (cost, f, g)] + [np.zeros(n, dtype=bool),
-                                                      np.zeros(n, dtype=np.int64)]
+    kernel[:] = _within_range(log_k) & _within_range(log_b)
+    out = [np.zeros_like(cost), np.zeros_like(g), np.zeros(n, dtype=bool),
+           np.zeros(n, dtype=np.int64)]
     rerun = ~kernel
     if kernel.any():
         r = slice(None) if kernel.all() else np.flatnonzero(kernel)  # views, not copies
-        *part, rerun[r] = _scaling_loop(True, *(x[r] for x in args), *shared)
+        *part, rerun[r] = _newton_loop(True, *(x[r] for x in args), *shared)
         for whole, x in zip(out, part):
             whole[r] = x
-    t, log_a, log_b, inner_ok, iterates = out
+    t, log_b, inner_ok, iterates = out
     errors: dict[int, str] = {}
     if rerun.any():
         r = np.flatnonzero(rerun)
-        t[r], log_a[r], log_b[r], inner_ok[r], count, failed = _scaling_loop(
+        t[r], log_b[r], inner_ok[r], count, failed = _newton_loop(
             False, *(x[r] for x in args), *shared)
         iterates[r] += count
         errors = {int(i): "non-finite scaling potentials" for i in r[failed]}
@@ -454,7 +489,7 @@ def _scaling_iterations(
         bad[list(errors)] = False
         errors.update((int(i), "non-finite transport plan after scaling")
                       for i in np.flatnonzero(bad))
-    return t, epsilon * log_a, epsilon * log_b, inner_ok, iterates, errors
+    return t, epsilon * log_b, inner_ok, iterates, errors
 
 
 def solve_fugw(
@@ -474,7 +509,7 @@ def solve_fugw(
     after every outer step the line search's exact value at the chosen step
     (the same objective, evaluated along the segment); it is non-increasing.
     ``converged`` is set once the plan moves less than ``_PLAN_TOL`` in L1
-    between outer steps and the inner scaling loop itself reported
+    between outer steps and the inner Newton loop itself reported
     convergence. :func:`gw_gradient` runs once per batch, at the start
     plans; each line search returns the gradients at the plans it picks.
     """
@@ -511,7 +546,6 @@ def _solve_batch(
     t = p_hat[:, :, None] * q  # feasible start: exact marginals, zero KL
     log_p = np.log(p_hat)
     log_q = float(np.log(1.0 / k))
-    f = np.zeros(p_hat.shape)
     g = np.zeros((n, k))
     traces = [[fused_objective(prob, t[i], alpha=alpha, gamma=gamma)]
               for i, prob in enumerate(probs)]
@@ -521,8 +555,8 @@ def _solve_batch(
     live = np.arange(n)  # the problem of each row; rows leave with their problem
 
     for _outer in range(_MAX_OUTER):
-        cand, f, g, inner_ok, count, errors = _scaling_iterations(
-            (1.0 - alpha) * c_k + alpha * grad, log_p, log_q, gamma, epsilon, f, g
+        cand, g, inner_ok, count, errors = _scaling_iterations(
+            (1.0 - alpha) * c_k + alpha * grad, log_p, log_q, gamma, epsilon, g
         )
         iterates[live] += count
         if errors:
@@ -530,8 +564,8 @@ def _solve_batch(
                 results[live[i]] = NumericalError(message)
             ok = np.ones(len(live), dtype=bool)
             ok[list(errors)] = False
-            live, c_k, p_hat, log_p, t, grad, f, g, cand, inner_ok = (
-                x[ok] for x in (live, c_k, p_hat, log_p, t, grad, f, g, cand, inner_ok))
+            live, c_k, p_hat, log_p, t, grad, g, cand, inner_ok = (
+                x[ok] for x in (live, c_k, p_hat, log_p, t, grad, g, cand, inner_ok))
             if not len(live):
                 break
         value, t_next, grad = _segment_search(c_k, p_hat, alpha, gamma, t, grad, cand)
@@ -543,8 +577,8 @@ def _solve_batch(
             for i, plan in zip(live[done], t[done]):
                 results[i] = TransportPlan(T=plan, objective_trace=traces[i], converged=True,
                                            scaling_iterates=int(iterates[i]))
-            live, c_k, p_hat, log_p, t, grad, f, g = (
-                x[~done] for x in (live, c_k, p_hat, log_p, t, grad, f, g))
+            live, c_k, p_hat, log_p, t, grad, g = (
+                x[~done] for x in (live, c_k, p_hat, log_p, t, grad, g))
             if not len(live):
                 break
     for i, plan in zip(live, t):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from saliseg import transport
+from saliseg import data, pipeline, segments, transport
 from saliseg.cli import build_parser, main
 from saliseg.data import (
     FrameFeatures,
@@ -21,6 +21,7 @@ from saliseg.data import (
 )
 from saliseg.errors import ConfigError, DataError
 from saliseg.pipeline import (
+    BASELINES,
     run_pipeline,
     stage_assemble,
     stage_eval,
@@ -126,14 +127,13 @@ class TestPipeline:
         self, corpus_dir, head_path, tmp_path, monkeypatch
     ):
         """At epsilon = 1e-3 the costs over epsilon leave the kernel range,
-        so every scaling iterate runs by logsumexp; the run still writes a
+        so every Newton step runs by logsumexp; the run still writes a
         segments record per video, and reruns to the same manifest."""
         cfg = dataclasses.replace(CFG, epsilon=1e-3)
-        steps = []  # the name of every scaling iterate's step function
-        for name in ("_kernel_step", "_log_step"):
-            step = getattr(transport, name)
-            monkeypatch.setattr(transport, name,
-                                lambda *a, name=name, step=step: steps.append(name) or step(*a))
+        domains = []  # per evaluation of a Newton loop: whether it took the kernel domain
+        evaluate = transport._evaluate
+        monkeypatch.setattr(transport, "_evaluate",
+                            lambda in_kernel, *a: domains.append(in_kernel) or evaluate(in_kernel, *a))
         manifests = []
         for name in ("a", "b"):
             out = tmp_path / name
@@ -146,7 +146,7 @@ class TestPipeline:
                 f"v{i:04d}" for i in range(SPEC.n_videos)]
             manifests.append((out / "manifest.json").read_bytes())
         assert manifests[0] == manifests[1]
-        assert set(steps) == {"_log_step"}
+        assert set(domains) == {False}
 
     def test_stagewise_equals_monolithic(self, corpus_dir, head_path, tmp_path):
         mono = tmp_path / "mono"
@@ -696,6 +696,25 @@ class TestCli:
         out = tmp_path / "segments.jsonl"
         args = self.segment_args(corpus_dir, saliency_path, out)
         assert main(args + ["--config", str(cfg_path)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, message", [("gamma", "gamma must be finite and >= 0"),
+                                               ("epsilon", "epsilon must be finite and > 0")])
+    def test_weight_past_the_float_range_is_a_config_error(
+        self, corpus_dir, head_path, tmp_path, caplog, name, message
+    ):
+        """A solver weight written as an integer past the float range (401
+        digits) fails the config check, so the run exits 2 before any work."""
+        cfg_path = tmp_path / "huge.json"
+        cfg_path.write_text(json.dumps({name: 10**400}))
+        out = tmp_path / "run"
+        assert main([
+            "pipeline", "--config", str(cfg_path), "--features-dir", str(corpus_dir / "features"),
+            "--annotations", str(corpus_dir / "annotations.jsonl"),
+            "--datastore", str(corpus_dir / "datastore.sds"), "--head", str(head_path),
+            "--out-dir", str(out),
+        ]) == 2
+        assert message in caplog.text
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -1388,3 +1407,67 @@ class TestCli:
         assert main(args) == 3
         assert f"{out}: not empty" in caplog.text
         assert tree_bytes(out) == first
+
+
+def chain_stages(features, corpus_dir, head_path, out, baseline="none"):
+    """Run the stages one at a time into ``out``, each reading the files of
+    the stage before it, as the subcommands do."""
+    out.mkdir()
+    stage_refine(features, out / "refined", CFG)
+    stage_score_saliency(out / "refined", head_path, CFG, out / "saliency.jsonl")
+    stage_segment(features, out / "saliency.jsonl", CFG, out / "segments.jsonl",
+                  baseline=baseline)
+    stage_retrieve(features, out / "saliency.jsonl", out / "segments.jsonl",
+                   corpus_dir / "datastore.sds", CFG, out / "retrieval.jsonl")
+    stage_assemble(out / "refined", out / "saliency.jsonl", out / "retrieval.jsonl", CFG,
+                   out / "tin")
+    stage_eval(out / "segments.jsonl", corpus_dir / "annotations.jsonl",
+               out / "report.json", out / "report.txt")
+
+
+class TestHandover:
+    def test_run_reads_back_no_record_file(self, corpus_dir, head_path, tmp_path, monkeypatch):
+        """The runner hands every record file to the later stages in
+        memory: no record reader runs, under any name it goes by."""
+        def unread(*args, **kwargs):
+            raise AssertionError("a record file was read back")
+
+        for module, name in ((data, "load_records"), (segments, "load_records"),
+                             (segments, "load_segments"), (pipeline, "load_records"),
+                             (pipeline, "load_saliency"), (pipeline, "load_retrieval"),
+                             (pipeline, "load_segments")):
+            monkeypatch.setattr(module, name, unread)
+        out = tmp_path / "run"
+        run_pipeline(
+            CFG, corpus_dir / "features", corpus_dir / "annotations.jsonl",
+            corpus_dir / "datastore.sds", head_path, out,
+        )
+        assert len((out / "retrieval.jsonl").read_text().splitlines()) == SPEC.n_videos
+
+    @pytest.mark.parametrize("baseline", BASELINES)
+    def test_chained_files_match_the_run_with_a_video_failing_scoring(
+        self, corpus_dir, head_path, tmp_path, caplog, baseline
+    ):
+        """With each segmentation strategy, the chained stages write the
+        record files, decoder inputs and reports of the run byte for byte. A
+        video without valid frames fails scoring and, in both, is absent
+        from every record file and decoder input after it."""
+        features = copy_features(corpus_dir, tmp_path)
+        victim = features / "v0001.sfeat"
+        f = load_features(victim)
+        empty = np.zeros((0, f.dim), dtype=np.float32)
+        save_features(FrameFeatures(f.video_id, empty, empty, f.n_frames), victim)
+        mono = tmp_path / "mono"
+        with caplog.at_level("ERROR"):
+            run_pipeline(CFG, features, corpus_dir / "annotations.jsonl",
+                         corpus_dir / "datastore.sds", head_path, mono, baseline=baseline)
+            chain_stages(features, corpus_dir, head_path, tmp_path / "chained", baseline)
+        assert f"{victim.name}: stage failed, video skipped: no valid frames" in caplog.text
+        mono_tree = tree_bytes(mono)
+        mono_tree.pop("manifest.json")
+        assert mono_tree == tree_bytes(tmp_path / "chained")
+        others = ["v0000", "v0002", "v0003"]
+        for name in ("saliency.jsonl", "segments.jsonl", "retrieval.jsonl"):
+            lines = (mono / name).read_text().splitlines()
+            assert [json.loads(line)["video_id"] for line in lines] == others
+        assert sorted(p.stem for p in (mono / "tin").glob("*.stin")) == others

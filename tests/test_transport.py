@@ -126,16 +126,60 @@ def first_scaling_args(prob, alpha, gamma, epsilon):
     f_v, k = prob.C_k.shape
     t = np.outer(prob.p_hat, np.full(k, 1.0 / k))
     return ((1 - alpha) * prob.C_k[None] + alpha * gw_gradient(t)[None],
-            np.log(prob.p_hat)[None], -np.log(k), gamma, epsilon, np.zeros((1, f_v)),
-            np.zeros((1, k)))
+            np.log(prob.p_hat)[None], -np.log(k), gamma, epsilon, np.zeros((1, k)))
 
 
 def scale_one(*args):
-    """A scaling call on a stack of one problem: its plan, potentials,
-    convergence flag and iterate count."""
-    t, f, g, inner_ok, iterates, errors = transport._scaling_iterations(*args)
+    """A scaling call on a stack of one problem: its plan, column
+    potentials, convergence flag and Newton step count."""
+    t, g, inner_ok, iterates, errors = transport._scaling_iterations(*args)
     assert not errors, errors
-    return t[0], f[0], g[0], bool(inner_ok[0]), int(iterates[0])
+    return t[0], g[0], bool(inner_ok[0]), int(iterates[0])
+
+
+def sinkhorn_fixed_point(cost, log_p, log_q, gamma, epsilon):
+    """The plan of plain log-domain Sinkhorn iterates on one stacked
+    problem, run until the column scalings stop moving, then closed by the
+    exact column update."""
+    log_k = cost[0] / -epsilon
+    fi = gamma / (gamma + epsilon)
+    log_b = np.zeros(log_k.shape[1])
+    for _ in range(100_000):
+        log_a = fi * (log_p[0] - transport._logsumexp(log_k + log_b, axis=1))
+        new_b = log_q - transport._logsumexp(log_k + log_a[:, None], axis=0)
+        moved, log_b = np.abs(new_b - log_b).max(), new_b
+        if moved < 1e-15:
+            break
+    return np.exp(log_a[:, None] + log_k + log_b)
+
+
+def leaving_problem():
+    """A 7 x 3 problem solved at alpha = 0, gamma = 3 and epsilon = 0.1, and
+    those weights. The column costs sit near 19, -9 and 12, so the kernel
+    exponents span about -220 to +90. Column 1's log-scaling settles just
+    past -300: the first scaling call's fourth Newton step takes it out of
+    the kernel range while every row exponent stays below 225."""
+    rng = np.random.default_rng(0)
+    cost = np.array([19.1, -9.0, 11.9]) + 3.0 * rng.uniform(0, 1, (7, 3))
+    p = rng.random(7) + 0.1
+    weights = {"alpha": 0.0, "gamma": 3.0, "epsilon": 0.1}
+    return OtProblem(C_k=cost, p_hat=p / p.sum()), weights
+
+
+def kernel_evaluations(monkeypatch):
+    """A list that grows on every kernel-domain evaluation of a Newton
+    loop by its log-scalings and whether every exponent stayed in range."""
+    seen = []
+    evaluate = transport._evaluate
+
+    def spied(in_kernel, ops, log_p, fi, log_b):
+        out = evaluate(in_kernel, ops, log_p, fi, log_b)
+        if in_kernel:
+            seen.append((log_b.copy(), bool(np.all(out[-1]))))
+        return out
+
+    monkeypatch.setattr(transport, "_evaluate", spied)
+    return seen
 
 
 class TestKotCost:
@@ -407,39 +451,80 @@ class TestSolveFugw:
         plan = solve(prob, **DEFAULT_WEIGHTS)
         assert plan.converged and len(steps) == plan.iterations > 1
 
-    def test_relaxation_saves_iterates_for_the_same_plan(self, monkeypatch):
-        for seed in (20, 21, 22):
-            prob = default_problem(seed)
-            relaxed = solve(prob, **DEFAULT_WEIGHTS)
-            with monkeypatch.context() as m:
-                m.setattr(transport, "_OMEGA", 1.0)
-                plain = solve(prob, **DEFAULT_WEIGHTS)
-            assert relaxed.converged and plain.converged
-            assert relaxed.iterations == plain.iterations
-            assert 0 < relaxed.scaling_iterates < plain.scaling_iterates
-            np.testing.assert_allclose(relaxed.T, plain.T, rtol=0, atol=1e-9)
+    def test_newton_plan_is_the_sinkhorn_fixed_point(self):
+        """The first scaling call of seeded problems, at the default weights
+        and with gamma at 0 and at 3, gives the plan of plain Sinkhorn
+        iterates run to their fixed point, then the same exact column
+        update, within 1e-12."""
+        for seed, weights in itertools.product(
+                (20, 21, 22), (DEFAULT_WEIGHTS, {**DEFAULT_WEIGHTS, "gamma": 0.0},
+                               {**DEFAULT_WEIGHTS, "gamma": 3.0})):
+            args = first_scaling_args(default_problem(seed), **weights)
+            t, _, inner_ok, _ = scale_one(*args)
+            assert inner_ok
+            np.testing.assert_allclose(t, sinkhorn_fixed_point(*args[:5]), rtol=0, atol=1e-12,
+                                       err_msg=str((seed, weights)))
 
-    def test_safeguard_falls_back_to_plain_updates(self, monkeypatch):
-        """Relaxed scaling converges for omega in (0, 2). At omega = 2.5 the
-        first call's potential change grows from one iterate to the next;
-        the safeguard then runs plain updates, and the solve reaches the
-        omega = 1 plan."""
-        prob = default_problem(20)
-        with monkeypatch.context() as m:
-            m.setattr(transport, "_OMEGA", 1.0)
-            plain = solve(prob, **DEFAULT_WEIGHTS)
-        monkeypatch.setattr(transport, "_OMEGA", 2.5)
-        first = first_scaling_args(prob, **DEFAULT_WEIGHTS)
-        rows = [first[5][0]]  # the row potentials after 0, 1, 2, ... iterates
-        for n in range(1, 6):
-            with monkeypatch.context() as m:
-                m.setattr(transport, "_MAX_INNER", n)
-                rows.append(scale_one(*first)[1])
-        changes = np.abs(np.diff(rows, axis=0)).max(axis=1)
-        assert np.any(changes[1:] > changes[:-1])
-        plan = solve(prob, **DEFAULT_WEIGHTS)
-        assert plan.converged and plan.iterations == plain.iterations
-        np.testing.assert_allclose(plan.T, plain.T, rtol=0, atol=1e-9)
+    def test_newton_steps_per_call_stay_bounded(self, monkeypatch):
+        """From the product plan a call takes at most 5 Newton steps, and a
+        call warm-started from the previous outer step at most 4 (3 and 3 with
+        numpy 2.4 and OpenBLAS), where Sinkhorn iterates take about 20."""
+        steps = []
+        scaling = transport._scaling_iterations
+
+        def counted(*args):
+            out = scaling(*args)
+            steps.append(int(out[3][0]))
+            return out
+
+        monkeypatch.setattr(transport, "_scaling_iterations", counted)
+        for f_v, seed in itertools.product((40, 100, 400), (20, 21, 22)):
+            steps.clear()
+            plan = solve(default_problem(seed, f_v), **DEFAULT_WEIGHTS)
+            assert plan.converged and len(steps) == plan.iterations > 1
+            assert steps[0] <= 5 and max(steps[1:]) <= 4, steps
+            assert plan.scaling_iterates == sum(steps)
+
+    @pytest.mark.parametrize("gamma", [0.0, 1e3, 1e6])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    @pytest.mark.parametrize("epsilon", [1e-3, 10.0])
+    def test_converges_across_weights(self, gamma, alpha, epsilon):
+        """Where a row exponent near 1 makes the Jacobian all but singular
+        along the all-ones direction (gamma much larger than epsilon), the
+        solve still converges, without a warning, to exact anchor marginals."""
+        for seed in (60, 61):
+            prob = default_problem(seed, f_v=40)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                plan = solve(prob, alpha=alpha, gamma=gamma, epsilon=epsilon)
+            assert plan.converged, (seed, plan.iterations)
+            np.testing.assert_allclose(plan.T.sum(axis=0), 1 / 8, rtol=1e-12, atol=0)
+
+    def test_exactly_singular_jacobian_takes_plain_updates(self, monkeypatch):
+        """At gamma / (gamma + epsilon) == 1.0 the rows are pinned to the
+        prior, and two anchors whose kernels share no frame (exp(-1000) is
+        0) make the Newton matrix exactly singular. Those steps fall back to
+        the plain column update, which crosses the flat residual until the
+        couplings carry mass, as Sinkhorn iterates do: the solve converges,
+        without a warning, to the plan that moves the prior's excess on the
+        second frame to the first anchor."""
+        singular = []
+        solve_linear = np.linalg.solve
+
+        def spied(a, b):
+            try:
+                return solve_linear(a, b)
+            except np.linalg.LinAlgError:
+                singular.append(1)
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", spied)
+        prob = OtProblem(C_k=np.array([[0.0, 1e3], [1e3, 0.0]]), p_hat=np.array([0.3, 0.7]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plan = solve(prob, alpha=0.0, gamma=1e17, epsilon=1.0)
+        assert singular and plan.converged
+        np.testing.assert_allclose(plan.T, [[0.3, 0.0], [0.2, 0.5]], rtol=0, atol=1e-12)
 
     def test_exhausted_scaling_reports_not_converged_with_exact_columns(self, monkeypatch):
         """Cut at two iterates, the scaling call reports no convergence; its
@@ -447,7 +532,7 @@ class TestSolveFugw:
         every outer step of a solve made of such calls."""
         prob = default_problem(23)
         monkeypatch.setattr(transport, "_MAX_INNER", 2)
-        t, _, _, inner_ok, iterates = scale_one(*first_scaling_args(prob, **DEFAULT_WEIGHTS))
+        t, _, inner_ok, iterates = scale_one(*first_scaling_args(prob, **DEFAULT_WEIGHTS))
         assert (inner_ok, iterates) == (False, 2)
         np.testing.assert_allclose(t.sum(axis=0), 1 / 8, rtol=1e-13, atol=0)
         monkeypatch.setattr(transport, "_MAX_OUTER", 5)
@@ -484,6 +569,8 @@ class TestSolveFugw:
             ("gamma", np.inf, "gamma must be finite"),
             ("gamma", -np.inf, "gamma must be finite and >= 0"),
             ("gamma", -0.1, "gamma must be finite and >= 0"),
+            ("epsilon", 10**400, "epsilon must be finite and > 0"),
+            ("gamma", 10**400, "gamma must be finite and >= 0"),
             ("alpha", np.nan, "alpha"),
             ("alpha", np.inf, "alpha must lie in"),
             ("alpha", -np.inf, "alpha must lie in"),
@@ -523,9 +610,9 @@ class TestSolveFugw:
         """Every solve here stays in the kernel domain (no logsumexp call);
         forced into the log domain it takes the same outer steps to the
         same convergence flag and a plan within 1e-12. The first scaling
-        solve of each stops at the same iterate in both domains: its
-        potentials agree to 1e-13, where one more or one fewer iterate at
-        the 1e-11 potential test moves them by about 1e-11.
+        call of each takes the same Newton steps to the same convergence
+        flag in both domains, and its plan and column potentials agree to
+        1e-13.
 
         One corner is exempt from the step count and the plan: at F_v = K = 2
         with alpha = 1 and gamma = 0 the linearized cost is constant along
@@ -552,8 +639,8 @@ class TestSolveFugw:
             kernel = solve(prob, **weights)
             assert not calls, case
             log_first = in_log_domain(monkeypatch, scale_one, *first)
-            assert kernel_first[3] == log_first[3], case
-            for got, want in zip(kernel_first[:3], log_first[:3]):
+            assert kernel_first[2:] == log_first[2:], case
+            for got, want in zip(kernel_first[:2], log_first[:2]):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-13, err_msg=str(case))
             logd = in_log_domain(monkeypatch, solve, prob, **weights)
             assert calls, case
@@ -586,105 +673,78 @@ class TestSolveFugw:
             assert plan.objective_trace == logd.objective_trace
 
     def test_potentials_leaving_range_fall_back_mid_solve(self, monkeypatch):
-        """Every cost sits near 20, so the first step's kernel exponents lie
-        near -105 and its column scalings climb from 0 towards +100. One
-        frame's prior mass is about exp(-1.1 * range): its row scaling starts
-        inside the kernel range (the first relaxed iterate puts it near -287)
-        and follows the columns out of it partway through the first outer
-        step. That scaling call reruns in the log domain from its warm start:
-        every call that takes logsumexp returns what the same call returns in
-        the log domain, bit for bit, and counts the kernel iterates it
-        completed before the leave beside its log-domain ones. The solve
-        agrees with the log-domain solve to 1e-12."""
-        rng = np.random.default_rng(16)
-        p = np.ones(7)
-        p[0] = np.exp(-1.1 * transport._KERNEL_RANGE)
-        prob = OtProblem(C_k=20.0 + rng.uniform(0, 1, (7, 3)), p_hat=p / p.sum())
-        weights = {"alpha": 0.5, "gamma": 3.0, "epsilon": 0.1}
+        """The first scaling call of the solve of :func:`leaving_problem`
+        takes three Newton steps in the kernel domain before its fourth
+        takes a column exponent out of range; that call reruns in the log
+        domain from its warm start. Every call that takes logsumexp returns
+        what the same call returns in the log domain, bit for bit, and counts
+        the kernel steps it completed before the leave beside its log-domain
+        ones. The solve agrees with the log-domain solve to 1e-12."""
+        prob, weights = leaving_problem()
         calls = count_logsumexp(monkeypatch)
-        in_range = []  # per kernel iterate of the current call: whether it stayed in range
-        kernel_step = transport._kernel_step
-
-        def spied_step(*args):
-            out = kernel_step(*args)
-            in_range.append(bool(np.all(out[-1])))
-            return out
-
+        seen = kernel_evaluations(monkeypatch)
         scaling = transport._scaling_iterations
         records = []
 
         def recorded_scaling(*args):
-            del calls[:], in_range[:]
+            del calls[:], seen[:]
             out = scaling(*args)
-            records.append((args, out, bool(calls), in_range[:]))
+            records.append((args, out, bool(calls), [ok for _, ok in seen]))
             return out
 
-        monkeypatch.setattr(transport, "_kernel_step", spied_step)
         monkeypatch.setattr(transport, "_scaling_iterations", recorded_scaling)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             plan = solve(prob, **weights)
         monkeypatch.setattr(transport, "_scaling_iterations", scaling)
-        # The first call leaves the kernel range after some kernel iterates.
-        assert records[0][2] and 0 < records[0][3].index(False)
-        for args, (t, f, g, inner_ok, iterates, _), rerun, steps in records:
-            completed = steps.index(False) if False in steps else len(steps)
+        # Pass 0 evaluates the warm start; each later evaluation is a step.
+        assert records[0][2] and records[0][3] == [True] * 4 + [False]
+        for args, (t, g, inner_ok, iterates, _), rerun, in_range in records:
             if not rerun:
-                assert int(iterates[0]) == completed
+                assert int(iterates[0]) == len(in_range) - 1 and all(in_range)
                 continue
+            completed = in_range.index(False) - 1
             logd = in_log_domain(monkeypatch, scaling, *args)
-            for got, want in zip((t, f, g, inner_ok), logd[:4]):
+            for got, want in zip((t, g, inner_ok), logd[:3]):
                 assert got.tobytes() == want.tobytes()
-            assert int(iterates[0]) == completed + int(logd[4][0])
-        assert plan.scaling_iterates == sum(int(out[4][0]) for _, out, _, _ in records)
+            assert int(iterates[0]) == completed + int(logd[3][0])
+        assert plan.scaling_iterates == sum(int(out[3][0]) for _, out, _, _ in records)
         logd = in_log_domain(monkeypatch, solve, prob, **weights)
         assert plan.converged and logd.converged and plan.iterations == logd.iterations
         np.testing.assert_allclose(plan.T, logd.T, rtol=0, atol=1e-12)
 
     def test_column_scaling_leaving_range_falls_back_mid_call(self, monkeypatch):
-        """Column 0 costs about 20.45, so its kernel exponents sit near -204.5,
-        inside the range. The rows are all but balanced (gamma = 1e6): as the
-        row scalings settle, column 0's exponent climbs from about 206 past
-        the range on the fourth iterate while every row exponent stays below
-        110. That iterate passes the row test and fails the column one, and
-        the whole call reruns in the log domain from its warm start: it
+        """In the first scaling call of :func:`leaving_problem`, column 1's
+        log-scaling settles towards about -300.5: the first three Newton
+        steps keep it inside the kernel range, and the fourth takes it, and
+        only it, past -300, while every row exponent stays below 225. The
+        whole call then reruns in the log domain from its warm start: it
         returns the log-domain call's plan, potentials and convergence flag
-        bit for bit, and counts the three kernel iterates it completed."""
-        rng = np.random.default_rng(13)
-        f_v, epsilon = 7, 0.1
-        cost = np.stack([20.45 + 0.01 * rng.uniform(0, 1, f_v), -rng.uniform(0, 1, f_v)], axis=1)
-        p = rng.random(f_v) + 0.1
-        args = (cost[None], np.log(p / p.sum())[None], -np.log(2), 1e6, epsilon,
-                np.zeros((1, f_v)), np.zeros((1, 2)))
+        bit for bit, and counts the three kernel steps it completed."""
+        prob, weights = leaving_problem()
+        args = first_scaling_args(prob, **weights)
         calls = count_logsumexp(monkeypatch)
-        kernel_steps = []
-        kernel_step = transport._kernel_step
         with monkeypatch.context() as m:
-            m.setattr(transport, "_kernel_step",
-                      lambda *a: kernel_steps.append(1) or kernel_step(*a))
+            seen = kernel_evaluations(m)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 mixed = scale_one(*args)
         n_mixed = len(calls)
         calls.clear()
         logd = in_log_domain(monkeypatch, scale_one, *args)
-        # The kernel iterates completed before the leave, then the whole call
-        # again by logsumexp.
-        n_kernel = len(kernel_steps) - 1
-        assert n_kernel == 3 and n_mixed == len(calls) > 0
-        # After the kernel iterates both exponents are in range; the next
-        # iterate takes the column exponent, and only it, out of range.
-        out_of_range = []
-        for n in (n_kernel, n_kernel + 1):
-            with monkeypatch.context() as m:
-                m.setattr(transport, "_MAX_INNER", n)
-                _, f, g, _, _ = in_log_domain(monkeypatch, scale_one, *args)
-            out_of_range.append(
-                tuple(bool(np.abs(x / epsilon).max() > transport._KERNEL_RANGE) for x in (f, g))
-            )
-        assert out_of_range == [(False, False), (False, True)]
-        assert mixed[3] == logd[3] and mixed[4] == n_kernel + logd[4]
-        for got, want in zip(mixed[:3], logd[:3]):
+        # The warm start, three kernel steps, the step that leaves, then the
+        # whole call again by logsumexp.
+        assert [ok for _, ok in seen] == [True] * 4 + [False]
+        assert n_mixed == len(calls) > 0
+        log_b = seen[-1][0]
+        out_of_range = np.abs(log_b[0]) > transport._KERNEL_RANGE
+        assert out_of_range.tolist() == [False, True, False]
+        log_k = args[0] / -weights["epsilon"]
+        fi = weights["gamma"] / (weights["gamma"] + weights["epsilon"])
+        log_a = fi * (args[1] - transport._logsumexp(log_k + log_b[:, None, :], axis=2))
+        assert np.abs(log_a).max() < 225
+        assert mixed[2] == logd[2] and mixed[3] == 3 + logd[3]
+        for got, want in zip(mixed[:2], logd[:2]):
             assert got.tobytes() == want.tobytes()
 
     def test_logsumexp_matches_function_form_bit_for_bit(self):
@@ -749,16 +809,15 @@ def result_bits(result):
 def mixed_batches():
     """One ``(weights, problems)`` pair per solve call, each with at least
     two problems that share a batch: gamma = 0 (row exponent 0), alpha = 0
-    and alpha = 1, each at 40 frames; gamma = 3 with a 7 x 3 problem whose
-    potentials leave the kernel range partway through its first scaling
-    call, which then reruns in the log domain, while its 7 x 3 batch-mate
+    and alpha = 1, each at 40 frames; the weights of :func:`leaving_problem`
+    with that 7 x 3 problem, whose potentials leave the kernel range partway
+    through its first scaling call, which then reruns in the log domain,
+    while its 7 x 3 batch-mate
     stays in the kernel domain; and the default weights across two lengths
     and two anchor counts, with a 6 x 3 problem whose NaN cost ends its
     solve in a NumericalError beside a 6 x 3 mate that solves."""
     rng = np.random.default_rng(16)
-    p = np.ones(7)
-    p[0] = np.exp(-1.1 * transport._KERNEL_RANGE)
-    handover = OtProblem(C_k=20.0 + rng.uniform(0, 1, (7, 3)), p_hat=p / p.sum())
+    handover, handover_weights = leaving_problem()
     q = rng.random(7) + 0.1
     mate = OtProblem(C_k=rng.uniform(0, 1, (7, 3)), p_hat=q / q.sum())
     nan_cost = rng.uniform(0, 1, (6, 3))
@@ -772,7 +831,7 @@ def mixed_batches():
         ({**DEFAULT_WEIGHTS, "gamma": 0.0}, at_40(21, 25)),
         ({**DEFAULT_WEIGHTS, "alpha": 0.0}, at_40(23, 26)),
         ({**DEFAULT_WEIGHTS, "alpha": 1.0}, at_40(24, 27)),
-        ({**DEFAULT_WEIGHTS, "gamma": 3.0}, [handover, mate]),
+        (handover_weights, [handover, mate]),
         (DEFAULT_WEIGHTS, [default_problem(20), failing, default_problem(22), solvable]),
     ]
 
