@@ -274,10 +274,14 @@ def load_features(path: str | Path) -> FrameFeatures:
 # JSON Lines records
 # ---------------------------------------------------------------------------
 
+def record_line(doc: dict) -> str:
+    """One line of a record file: the JSON object, keys sorted."""
+    return json.dumps(doc, sort_keys=True) + "\n"
+
+
 def save_records(docs: list[dict], path: str | Path) -> Path:
     """Write one JSON object per line, keys sorted."""
-    lines = "".join(json.dumps(doc, sort_keys=True) + "\n" for doc in docs)
-    return write_file(path, lines)
+    return write_file(path, "".join(map(record_line, docs)))
 
 
 def _jsonl_lines(path: str | Path):

@@ -66,6 +66,7 @@ from .data import (
     load_records,
     make_dir,
     read_file,
+    record_line,
     save_features,
     write_file,
 )
@@ -231,11 +232,7 @@ def _save(entries: list, target: str | Path | Handover) -> Path:
     order, to ``target``; a :class:`Handover` also keeps each record."""
     if isinstance(target, Handover):
         target.update((video_id, record) for video_id, record, _ in entries)
-    return write_file(_path(target), "".join(line + "\n" for *_, line in entries))
-
-
-def _line(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True)
+    return write_file(_path(target), "".join(line for *_, line in entries))
 
 
 def _record(records: dict, video_id: str, kind: str, field: str | None = None):
@@ -322,7 +319,7 @@ def stage_score_saliency(
             raise DataError(f"{f.video_id}: feature dim {f.dim} != head dim {head.dim}")
         scores = saliency_forward(head, f.encoded)
         p_s = saliency_prior(scores)
-        line = _line({"video_id": f.video_id, "scores": scores.tolist(), "prior": p_s.tolist()})
+        line = record_line({"video_id": f.video_id, "scores": scores.tolist(), "prior": p_s.tolist()})
         return f.video_id, {"scores": scores, "prior": p_s}, line
 
     return _save(_for_each_video(refined_dir, work, cfg, fail_fast), out_path)
@@ -354,7 +351,7 @@ def stage_segment(
         make_dir(dump_plan_dir)
 
     def record(video_id: str, segs) -> tuple:
-        return video_id, segs, _line(segments_to_doc(video_id, segs))
+        return video_id, segs, record_line(segments_to_doc(video_id, segs))
 
     def work(path: Path, f: FrameFeatures) -> tuple:  # a baseline strategy
         _frame_values(saliency, f, "saliency", "prior")  # checked as for the transport
@@ -385,7 +382,7 @@ def stage_segment(
         segs = select_topk(score_segments(decode_segments(plan.T), plan.T), cfg.top_k)
         if dump_plan_dir is not None:
             doc = {"F_v": valid_len, "K": cfg.K, "T": plan.T.flatten().tolist()}
-            write_file(Path(dump_plan_dir) / f"{video_id}.json", _line(doc) + "\n")
+            write_file(Path(dump_plan_dir) / f"{video_id}.json", record_line(doc))
         return record(video_id, segs)
 
     def solve(problems) -> list:
@@ -434,7 +431,7 @@ def stage_retrieve(
 
     def finish(video: tuple, answered: tuple) -> tuple:
         (video_id, segs), (neighbors, vectors) = video, answered
-        line = _line({
+        line = record_line({
             "video_id": video_id,
             "segments": [{"index": int(idx), "neighbors": hits}
                          for idx, hits in zip(segs.selected, neighbors)],

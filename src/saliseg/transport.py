@@ -357,6 +357,8 @@ def _newton_loop(in_kernel, log_k, log_p, log_b, log_q, fi, epsilon):
     # The problems still iterating and their rows, compacted as they leave.
     # The state is the last accepted point: its column log-scalings, what
     # _evaluate gives there and its residual. Pass 0 accepts the warm start.
+    # A problem keeps its Newton step until it accepts a trial, so a
+    # rejected trial only halves the step's length.
     live = np.arange(n)
     op, lp, lb = ops, log_p, log_b
     change = np.full(n, np.inf)
@@ -382,6 +384,7 @@ def _newton_loop(in_kernel, log_k, log_p, log_b, log_q, fi, epsilon):
         stop = ~np.broadcast_to(in_range, fell.shape)  # out of range
         if not count:
             stop = stop | ~fell  # or a non-finite start
+        moved = fell | (count == 0)  # the problems that accepted a trial
         done = fell & (change < _POTENTIAL_TOL) & ~stop
         last = count == _MAX_INNER
         if done.any() or stop.any() or last:
@@ -399,10 +402,14 @@ def _newton_loop(in_kernel, log_k, log_p, log_b, log_q, fi, epsilon):
             keep = ~(finish | stop)
             if not keep.any():
                 break
-            op, lp, lb, change, scale, live = (
-                x[keep] for x in (op, lp, lb, change, scale, live))
+            op, lp, lb, change, scale, live, steps, moved = (
+                x[keep] for x in (op, lp, lb, change, scale, live, steps, moved))
             state = [x[keep] for x in state]
-        steps = _newton_steps(in_kernel, op, lb, *state, fi)
+        if moved.all():
+            steps = _newton_steps(in_kernel, op, lb, *state, fi)
+        elif moved.any():
+            steps[moved] = _newton_steps(
+                in_kernel, op[moved], lb[moved], *(x[moved] for x in state), fi)
     return t, out_b, inner_ok, iterates, failed
 
 

@@ -166,6 +166,29 @@ def leaving_problem():
     return OtProblem(C_k=cost, p_hat=p / p.sum()), weights
 
 
+def row_leaving_problem():
+    """A 7 x 3 problem at the weights of :func:`leaving_problem`. The column
+    costs sit near 28, 26 and 14, so every row sum ``K b`` starts near
+    exp(-140) and the row log-scalings near +135. The first scaling call's
+    third Newton step keeps every column and row log-scaling inside the
+    kernel range but takes some ``log(a / K b)`` past twice the range."""
+    rng = np.random.default_rng(1)
+    cost = np.array([27.0, 25.0, 13.0]) + 3.0 * rng.uniform(0, 1, (7, 3))
+    p = rng.random(7) + 0.1
+    return OtProblem(C_k=cost, p_hat=p / p.sum())
+
+
+def faint_frame_problem():
+    """A 7 x 3 problem at the weights of :func:`leaving_problem` with costs
+    in [0, 1] and one frame of prior mass about exp(-1.5 * range): at every
+    warm start that frame's row log-scaling lies near -436, out of the
+    kernel range, while the column log-scalings lie inside it."""
+    rng = np.random.default_rng(2)
+    p = rng.random(7) + 0.1
+    p[0] = np.exp(-1.5 * transport._KERNEL_RANGE)
+    return OtProblem(C_k=rng.uniform(0, 1, (7, 3)), p_hat=p / p.sum())
+
+
 def kernel_evaluations(monkeypatch):
     """A list that grows on every kernel-domain evaluation of a Newton
     loop by its log-scalings and whether every exponent stayed in range."""
@@ -675,12 +698,15 @@ class TestSolveFugw:
     def test_potentials_leaving_range_fall_back_mid_solve(self, monkeypatch):
         """The first scaling call of the solve of :func:`leaving_problem`
         takes three Newton steps in the kernel domain before its fourth
-        takes a column exponent out of range; that call reruns in the log
+        takes a column exponent out of range; that of
+        :func:`row_leaving_problem` takes two before its third takes a row
+        exponent out; that of :func:`faint_frame_problem` has a row exponent
+        out of range at its warm start. Each such call reruns in the log
         domain from its warm start. Every call that takes logsumexp returns
         what the same call returns in the log domain, bit for bit, and counts
         the kernel steps it completed before the leave beside its log-domain
-        ones. The solve agrees with the log-domain solve to 1e-12."""
-        prob, weights = leaving_problem()
+        ones. Each solve agrees with the log-domain solve to 1e-12."""
+        _, weights = leaving_problem()
         calls = count_logsumexp(monkeypatch)
         seen = kernel_evaluations(monkeypatch)
         scaling = transport._scaling_iterations
@@ -692,26 +718,29 @@ class TestSolveFugw:
             records.append((args, out, bool(calls), [ok for _, ok in seen]))
             return out
 
-        monkeypatch.setattr(transport, "_scaling_iterations", recorded_scaling)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            plan = solve(prob, **weights)
-        monkeypatch.setattr(transport, "_scaling_iterations", scaling)
-        # Pass 0 evaluates the warm start; each later evaluation is a step.
-        assert records[0][2] and records[0][3] == [True] * 4 + [False]
-        for args, (t, g, inner_ok, iterates, _), rerun, in_range in records:
-            if not rerun:
-                assert int(iterates[0]) == len(in_range) - 1 and all(in_range)
-                continue
-            completed = in_range.index(False) - 1
-            logd = in_log_domain(monkeypatch, scaling, *args)
-            for got, want in zip((t, g, inner_ok), logd[:3]):
-                assert got.tobytes() == want.tobytes()
-            assert int(iterates[0]) == completed + int(logd[3][0])
-        assert plan.scaling_iterates == sum(int(out[3][0]) for _, out, _, _ in records)
-        logd = in_log_domain(monkeypatch, solve, prob, **weights)
-        assert plan.converged and logd.converged and plan.iterations == logd.iterations
-        np.testing.assert_allclose(plan.T, logd.T, rtol=0, atol=1e-12)
+        cases = [(leaving_problem()[0], 4), (row_leaving_problem(), 3), (faint_frame_problem(), 0)]
+        for prob, first_in_range in cases:
+            records.clear()
+            monkeypatch.setattr(transport, "_scaling_iterations", recorded_scaling)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                plan = solve(prob, **weights)
+            monkeypatch.setattr(transport, "_scaling_iterations", scaling)
+            # Pass 0 evaluates the warm start; each later evaluation is a step.
+            assert records[0][2] and records[0][3] == [True] * first_in_range + [False]
+            for args, (t, g, inner_ok, iterates, _), rerun, in_range in records:
+                if not rerun:
+                    assert int(iterates[0]) == len(in_range) - 1 and all(in_range)
+                    continue
+                completed = max(in_range.index(False) - 1, 0)
+                logd = in_log_domain(monkeypatch, scaling, *args)
+                for got, want in zip((t, g, inner_ok), logd[:3]):
+                    assert got.tobytes() == want.tobytes()
+                assert int(iterates[0]) == completed + int(logd[3][0])
+            assert plan.scaling_iterates == sum(int(out[3][0]) for _, out, _, _ in records)
+            logd = in_log_domain(monkeypatch, solve, prob, **weights)
+            assert plan.converged and logd.converged and plan.iterations == logd.iterations
+            np.testing.assert_allclose(plan.T, logd.T, rtol=0, atol=1e-12)
 
     def test_column_scaling_leaving_range_falls_back_mid_call(self, monkeypatch):
         """In the first scaling call of :func:`leaving_problem`, column 1's
@@ -744,6 +773,42 @@ class TestSolveFugw:
         log_a = fi * (args[1] - transport._logsumexp(log_k + log_b[:, None, :], axis=2))
         assert np.abs(log_a).max() < 225
         assert mixed[2] == logd[2] and mixed[3] == 3 + logd[3]
+        for got, want in zip(mixed[:2], logd[:2]):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("fixture, in_range", [
+        (row_leaving_problem, 3), (faint_frame_problem, 0)], ids=["a_over_kb", "row_scaling"])
+    def test_row_scaling_leaving_range_reruns_the_call(self, monkeypatch, fixture, in_range):
+        """In the first scaling call of :func:`row_leaving_problem`, the
+        first two Newton steps stay inside the kernel range and the third
+        takes some ``log(a / K b)``, and no column or row log-scaling, out
+        of it; in that of :func:`faint_frame_problem` the warm start has one
+        row log-scaling, and no column one, out of range. The whole call
+        then reruns in the log domain from its warm start: it returns the
+        log-domain call's plan, potentials and convergence flag bit for bit,
+        and counts the kernel steps it completed."""
+        prob = fixture()
+        _, weights = leaving_problem()
+        args = first_scaling_args(prob, **weights)
+        with monkeypatch.context() as m:
+            seen = kernel_evaluations(m)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                mixed = scale_one(*args)
+        logd = in_log_domain(monkeypatch, scale_one, *args)
+        # The warm start and the steps inside the range, then the leave.
+        assert [ok for _, ok in seen] == [True] * in_range + [False]
+        completed = max(in_range - 1, 0)
+        log_b = seen[-1][0]
+        assert np.abs(log_b).max() <= transport._KERNEL_RANGE
+        log_k = args[0] / -weights["epsilon"]
+        fi = weights["gamma"] / (weights["gamma"] + weights["epsilon"])
+        log_rows = transport._logsumexp(log_k + log_b[:, None, :], axis=2)
+        log_a = fi * (args[1] - log_rows)
+        rows_in_range = np.abs(log_a).max() <= transport._KERNEL_RANGE
+        over_kb = np.abs(0.5 * (log_a - log_rows)).max() > transport._KERNEL_RANGE
+        assert (rows_in_range, over_kb) == ((True, True) if in_range else (False, False))
+        assert mixed[2] == logd[2] and mixed[3] == completed + logd[3]
         for got, want in zip(mixed[:2], logd[:2]):
             assert got.tobytes() == want.tobytes()
 
@@ -810,12 +875,14 @@ def mixed_batches():
     """One ``(weights, problems)`` pair per solve call, each with at least
     two problems that share a batch: gamma = 0 (row exponent 0), alpha = 0
     and alpha = 1, each at 40 frames; the weights of :func:`leaving_problem`
-    with that 7 x 3 problem, whose potentials leave the kernel range partway
-    through its first scaling call, which then reruns in the log domain,
-    while its 7 x 3 batch-mate
-    stays in the kernel domain; and the default weights across two lengths
-    and two anchor counts, with a 6 x 3 problem whose NaN cost ends its
-    solve in a NumericalError beside a 6 x 3 mate that solves."""
+    with that 7 x 3 problem and :func:`row_leaving_problem`, whose column
+    and row exponents leave the kernel range partway through their first
+    scaling call, and :func:`faint_frame_problem`, whose row exponents start
+    out of it, so that those calls rerun in the log domain, while their
+    7 x 3 batch-mate stays in the kernel domain; and the default weights
+    across two lengths and two anchor counts, with a 6 x 3 problem whose NaN
+    cost ends its solve in a NumericalError beside a 6 x 3 mate that
+    solves."""
     rng = np.random.default_rng(16)
     handover, handover_weights = leaving_problem()
     q = rng.random(7) + 0.1
@@ -831,7 +898,7 @@ def mixed_batches():
         ({**DEFAULT_WEIGHTS, "gamma": 0.0}, at_40(21, 25)),
         ({**DEFAULT_WEIGHTS, "alpha": 0.0}, at_40(23, 26)),
         ({**DEFAULT_WEIGHTS, "alpha": 1.0}, at_40(24, 27)),
-        (handover_weights, [handover, mate]),
+        (handover_weights, [handover, row_leaving_problem(), faint_frame_problem(), mate]),
         (DEFAULT_WEIGHTS, [default_problem(20), failing, default_problem(22), solvable]),
     ]
 
@@ -860,9 +927,10 @@ class TestCorpusSolve:
             all_converged.append(results.converged)
             everyone += alone
         assert all(all_converged) is not cut
-        # The hand-over and the NaN cost take the log domain; their mates do not.
-        assert log_domain == [False] * 6 + [True, False] + [False, True, False, False]
-        assert everyone[9] == ("error", "non-finite scaling potentials")
+        # The hand-over, the row leaves and the NaN cost take the log domain;
+        # their mates do not.
+        assert log_domain == [False] * 6 + [True] * 3 + [False] + [False, True, False, False]
+        assert everyone[11] == ("error", "non-finite scaling potentials")
         converged = [bits[2] for bits in everyone if bits[0] != "error"]
         assert any(converged) and all(converged) != cut
 
