@@ -14,7 +14,7 @@ from saliseg import SynthSpec, generate_corpus, refine_features, window_attentio
 # map to themselves.
 v = np.array([2.0, -1.0, 0.5])
 print("window of identical rows -> unchanged:",
-      np.allclose(window_attention(np.tile(v, (5, 1)), 5), v))
+      np.allclose(window_attention(np.tile(v, (5, 1)), (5,)), v))
 
 # Constant video: layer norm of a constant vector is zero, so X' == X.
 x_const = np.full((30, 8), 1.7)

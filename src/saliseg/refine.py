@@ -9,20 +9,25 @@ affine) and added back residually. The input is a video's valid rows, as
 skip. Two calls on identical inputs are bit-identical: there are no
 parameters and no randomness.
 
-One window size is one banded pass, the sliding-window pattern of
-Longformer (Beltagy et al., 2020), not one product per start. Frame i's
-summed output over the windows that hold it is ``sum_j e_ij W_ij x_j`` over
-the band ``|i - j| < w``, where ``e_ij = exp(x_i . x_j / sqrt(D) - m_i)``
-with ``m_i`` row i's band maximum, and ``W_ij`` sums ``1 / Z_t`` over the
-windows t that hold both i and j. Each window normalizer ``Z_t`` is a suffix
-sum of the band's first half plus a prefix sum of its second half, and each
-``W_ij`` a prefix or suffix sum of the ``1 / Z_t``: sums of non-negative
-terms, so nothing cancels. The cost is O(n w D) per window size, in two
-matrix products per block of :data:`ROWS` rows, against O(n w^2 D) window
-by window. A window whose entries all lie far below ``m_i`` can underflow
-its normalizer; a row with a normalizer below ``2**-900`` is recomputed
-window by window, at O(w D) per window. The result matches the
-window-by-window sum to rounding (about 1e-15 relative), not to the bit.
+All window sizes share one banded pass per block of :data:`ROWS` rows,
+the sliding-window pattern of Longformer (Beltagy et al., 2020), not one
+product per start. With ``W`` the widest size, frame i's output summed over
+every window of every size that holds it is ``sum_j e_ij W_ij x_j`` over
+the band ``|i - j| < W``, where ``e_ij = exp(x_i . x_j / sqrt(D) - m_i)``
+with ``m_i`` row i's maximum over that band, and ``W_ij`` sums ``1 / Z_t``
+over the windows t, of any size, that hold both i and j. Each window
+normalizer ``Z_t`` is a suffix sum of the band's first half plus a prefix
+sum of its second half, and every size reads the same sums. Each ``W_ij``
+is a prefix or suffix sum of the ``1 / Z_t`` gathered over the sizes: sums
+of non-negative terms, so nothing cancels. A block costs one logits
+product, one ``exp`` and one output product for all sizes together:
+O(n W D) in all, against O(n w^2 D) per size window by window. A window
+whose entries all lie far below ``m_i`` can underflow its normalizer, a
+small window sooner, since ``m_i`` is taken over the widest band. A size
+and row with a normalizer below ``2**-900`` drop out of the band, and that
+row's windows of that size are recomputed one by one, at O(w D) each. The
+result matches the window-by-window sum to rounding (about 1e-15
+relative), not to the bit.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from .errors import ConfigError, DataError, config_int
 logger = logging.getLogger(__name__)
 
 _LN_EPSILON = 1e-5  # variance guard of the layer normalization
-ROWS = 64  # rows per block of window_attention: its temporaries stay under 128 KiB at w <= 64
+ROWS = 128  # rows per block of window_attention: its temporaries take about 0.9 MB at a widest window of 64
 _Z_FLOOR = 2.0**-900  # a window normalizer below this lost its entries to underflow
 
 
@@ -53,62 +58,88 @@ def check_windows(windows) -> tuple[int, ...]:
     return windows
 
 
-def window_attention(x: NDArray[np.float64], w: int) -> NDArray[np.float64]:
-    """Per frame, the summed self-attention outputs of every length-``w``
-    window of ``x`` that holds the frame.
+def window_attention(x: NDArray[np.float64], windows: tuple[int, ...]) -> NDArray[np.float64]:
+    """Per frame, the summed self-attention outputs of every window of ``x``
+    that holds the frame, over every window size in ``windows``.
 
     A window's output is softmax(X X^T / sqrt(D)) X over its rows, so with
-    ``w = len(x)`` this is that one window's output. ``x`` must be a finite
-    float64 ``n x D`` matrix; :func:`refine_features` checks its matrix
-    once, so only ``1 <= w <= n`` is checked here. The banded form and its
-    fallback are in the module docstring.
+    ``windows = (len(x),)`` this is that one window's output. ``x`` must be
+    a finite float64 ``n x D`` matrix; :func:`refine_features` checks its
+    matrix once, so only ``1 <= w <= n`` for each size is checked here. The
+    banded form and its fallback are in the module docstring.
     """
     n, d = x.shape
-    if not 1 <= w <= n:
-        raise ConfigError(f"window size {w} must be between 1 and the row count {n}")
-    band = 2 * w - 1
-    t = np.arange(w)
+    if not windows:
+        raise ConfigError("window_attention needs at least one window size")
+    for w in windows:
+        if not 1 <= w <= n:
+            raise ConfigError(f"window size {w} must be between 1 and the row count {n}")
+    wide = max(windows)
+    band = 2 * wide - 1
+    m = min(ROWS, n)
     out = np.empty_like(x)
-    buffer = np.empty((min(ROWS, n), min(ROWS, n) + band - 1))
+    # Allocated once, sized for the widest band, and reused by every block.
+    buffer = np.empty((m, m + band - 1))
+    exps = np.empty((m, band))
+    sums = np.empty((m, band))
+    recips = np.empty((m, band))
+    norms = np.empty((m, wide))
     for a in range(0, n, ROWS):
         b = min(a + ROWS, n)
-        lo, hi = max(a - w + 1, 0), min(b + w - 1, n)
+        lo, hi = max(a - wide + 1, 0), min(b + wide - 1, n)
         ctx = x[lo:hi]
-        # Column c of the block matrix is frame a - w + 1 + c, so row r's
+        # Column c of the block matrix is frame a - wide + 1 + c, so row r's
         # band starts at column r: a view with row stride one row plus one.
         block = buffer[: b - a, : b - a + band - 1]
-        # Every window of an inner block lies inside the video, and its band
-        # covers the whole block.
-        inner = a >= w - 1 and b <= n - w + 1
+        # Every window of an inner block lies inside the video, and the
+        # widest band covers the whole block.
+        inner = a >= wide - 1 and b <= n - wide + 1
         if not inner:
             block.fill(-np.inf)
-        cols = slice(lo - (a - w + 1), hi - (a - w + 1))
-        logits = np.matmul(x[a:b], ctx.T, out=block[:, cols])
-        logits /= np.sqrt(d)
+        cols = slice(lo - (a - wide + 1), hi - (a - wide + 1))
+        np.matmul(x[a:b], ctx.T, out=block[:, cols])
         view = as_strided(block, (b - a, band), (block.strides[0] + block.strides[1], block.strides[1]))
-        e = view - view.max(axis=1, keepdims=True)
+        e = np.divide(view, np.sqrt(d), out=exps[: b - a])
+        e -= e.max(axis=1, keepdims=True)
         np.exp(e, out=e)
-        # Window t of row i starts at frame i + t - w + 1 and holds band
-        # entries t .. t + w - 1: Z_t is a suffix sum plus a prefix sum.
-        z = np.cumsum(e[:, w - 1 :: -1], axis=1)[:, ::-1]
-        z[:, 1:] += np.cumsum(e[:, w:], axis=1)
-        if inner and z.min() >= _Z_FLOOR:
-            redo = ()
-        else:
-            rows = np.arange(a, b)[:, None]
-            held = (t >= w - 1 - rows) & (t <= n - 1 - rows)  # window t lies inside the video
-            fallback = np.any(held & (z < _Z_FLOOR), axis=1)
-            z[~held | fallback[:, None]] = np.inf
-            redo = a + np.flatnonzero(fallback)
-        r = 1.0 / z
-        # Entry k < w lies in windows 0 .. k, entry w + k in windows k + 1 .. w - 1.
-        e[:, :w] *= np.cumsum(r, axis=1)
-        e[:, w:] *= np.cumsum(r[:, :0:-1], axis=1)[:, ::-1]
+        # Band entry k is frame i + k - wide + 1. The suffix sums of the
+        # first half and the prefix sums of the second serve every size.
+        suffix = sums[: b - a, :wide]
+        np.cumsum(e[:, wide - 1 :: -1], axis=1, out=suffix[:, ::-1])
+        prefix = np.cumsum(e[:, wide:], axis=1, out=sums[: b - a, wide:])
+        r = recips[: b - a]
+        r.fill(0.0)
+        redo = []
+        for w in windows:
+            # Window t of size w starts at frame i + t - w + 1 and holds
+            # entries wide - w + t .. wide + t - 1: Z_t is a suffix sum plus
+            # a prefix sum.
+            z = norms[: b - a, :w]
+            z[:, 0] = suffix[:, wide - w]
+            np.add(suffix[:, wide - w + 1 :], prefix[:, : w - 1], out=z[:, 1:])
+            if not inner or z.min() < _Z_FLOOR:
+                rows = np.arange(a, b)[:, None]
+                t = np.arange(w)
+                held = (t >= w - 1 - rows) & (t <= n - 1 - rows)  # window t lies inside the video
+                fallback = np.any(held & (z < _Z_FLOOR), axis=1)
+                z[~held | fallback[:, None]] = np.inf
+                redo += [(w, a + i) for i in np.flatnonzero(fallback)]
+            np.reciprocal(z, out=z)
+            # Entry wide - w + k lies in windows 0 .. k and entry wide + k in
+            # windows k + 1 .. w - 1, so with 1 / Z_t at entries wide - w + t
+            # and wide + t - 1 the weights of every size at once are the
+            # prefix sums of r's first half and the suffix sums of its second.
+            r[:, wide - w : wide] += z
+            r[:, wide : wide + w - 1] += z[:, 1:]
+        weight = sums[: b - a]  # the sums are spent; their band takes the weights
+        np.cumsum(r[:, :wide], axis=1, out=weight[:, :wide])
+        np.cumsum(r[:, : wide - 1 : -1], axis=1, out=weight[:, : wide - 1 : -1])
+        # The weighted band replaces the logits: one output product.
         block.fill(0.0)
-        view[...] = e
+        np.multiply(e, weight, out=view)
         out[a:b] = block[:, cols] @ ctx
-        for i in redo:
-            out[i] = _direct_row(x, w, i)
+        for w, i in redo:
+            out[i] += _direct_row(x, w, i)
     return out
 
 
@@ -138,10 +169,9 @@ def refine_features(x: NDArray[np.float64], windows: tuple[int, ...]) -> NDArray
     :func:`check_windows`.
 
     Window sizes larger than the frame count are skipped with a warning;
-    when no window fits, the rows pass through unchanged. Each fitting
-    window size is one :func:`window_attention` call, summed in ascending
-    order and divided by the frame's closed-form coverage count, so the
-    result is deterministic to the bit.
+    when no window fits, the rows pass through unchanged. The fitting sizes
+    are one :func:`window_attention` call, divided by the frame's
+    closed-form coverage count, so the result is deterministic to the bit.
     """
     windows = check_windows(windows)
     x = np.asarray(x, dtype=np.float64)
@@ -150,17 +180,11 @@ def refine_features(x: NDArray[np.float64], windows: tuple[int, ...]) -> NDArray
     if not np.all(np.isfinite(x)):
         raise DataError("non-finite feature values")
     n_frames = x.shape[0]
-    acc = np.zeros_like(x)
-    count = np.zeros(n_frames, dtype=np.int64)
-    i = np.arange(n_frames)
-    for w in windows:
-        if w > n_frames:
-            logger.warning("window %d exceeds valid length %d, skipped", w, n_frames)
-            continue
-        acc += window_attention(x, w)
-        count += np.minimum(np.minimum(i + 1, n_frames - i), min(w, n_frames - w + 1))
-
-    # The smallest fitting window covers every frame: counts are all > 0 or all 0.
-    if not count.any():
+    fitting = tuple(w for w in windows if w <= n_frames)
+    for w in windows[len(fitting) :]:
+        logger.warning("window %d exceeds valid length %d, skipped", w, n_frames)
+    if not fitting:
         return x.copy()
-    return x + _layer_norm(acc / count[:, None])
+    i = np.arange(n_frames)
+    count = sum(np.minimum(np.minimum(i + 1, n_frames - i), min(w, n_frames - w + 1)) for w in fitting)
+    return x + _layer_norm(window_attention(x, fitting) / count[:, None])

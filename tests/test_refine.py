@@ -50,11 +50,11 @@ class TestWindowAttention:
     def test_identical_rows_map_to_themselves(self):
         v = np.array([1.5, -2.0, 0.25])
         x = np.tile(v, (4, 1))
-        np.testing.assert_allclose(window_attention(x, len(x)), x, atol=1e-12)
+        np.testing.assert_allclose(window_attention(x, (len(x),)), x, atol=1e-12)
 
     def test_singleton_window(self):
         v = np.array([[3.0, -1.0]])
-        np.testing.assert_allclose(window_attention(v, 1), v, atol=0)
+        np.testing.assert_allclose(window_attention(v, (1,)), v, atol=0)
 
     def test_sharpens_to_self_for_scaled_basis_rows(self):
         c = 8.0
@@ -64,13 +64,13 @@ class TestWindowAttention:
         w_off = np.exp(-z) / (1.0 + np.exp(-z))
         w_self = 1.0 / (1.0 + np.exp(-z))
         expected = np.array([[w_self * c, w_off * c], [w_off * c, w_self * c]])
-        np.testing.assert_allclose(window_attention(x, 2), expected, rtol=1e-12)
-        np.testing.assert_allclose(window_attention(x, 2), x, atol=1e-6)
+        np.testing.assert_allclose(window_attention(x, (2,)), expected, rtol=1e-12)
+        np.testing.assert_allclose(window_attention(x, (2,)), x, atol=1e-6)
 
     @pytest.mark.parametrize("w", [0, 6])
     def test_window_outside_the_rows_rejected(self, w):
         with pytest.raises(ConfigError, match=f"window size {w} must be between 1 and the row count 5"):
-            window_attention(np.ones((5, 3)), w)
+            window_attention(np.ones((5, 3)), (w,))
 
     @pytest.mark.parametrize("scale", [1000.0, 2000.0])
     def test_underflowing_window_falls_back_to_direct_rows(self, monkeypatch, scale):
@@ -93,18 +93,53 @@ class TestWindowAttention:
             x[row] = [1.0, 0.0]
             x[row + w - 1] = [scale, 0.0]
             direct.clear()
-            np.testing.assert_allclose(window_attention(x, w), brute_force_window_sums(x, w), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(window_attention(x, (w,)), brute_force_window_sums(x, w), rtol=0, atol=1e-12)
             assert direct == [row]
             np.testing.assert_allclose(
                 refine_features(x, (w,)), brute_force_refine(x, (w,)), rtol=0, atol=1e-12
             )
+
+    def test_widest_band_maximum_sends_a_small_window_to_direct_rows(self, monkeypatch):
+        # Row `row` is e1, and the rows d before and after it are 1000 * e1.
+        # Its widest band holds them, so their logit is its maximum; no
+        # window of size 2 <= d holds them, so those normalizers underflow,
+        # while every window of size 5 >= 2 * d holds one. Alone, size 2
+        # never falls back. The row sits in a short video, then in a block
+        # whose windows all lie inside the video.
+        small, wide, d = 2, 5, 2
+        direct, original = [], refine._direct_row
+
+        def spy(rows, size, i):
+            direct.append((size, i))
+            return original(rows, size, i)
+
+        monkeypatch.setattr(refine, "_direct_row", spy)
+        for n, row in ((12, 4), (3 * ROWS, ROWS + 10)):
+            x = np.zeros((n, 2))
+            x[:, 1] = np.random.default_rng(8).normal(size=n)
+            x[row] = [1.0, 0.0]
+            x[[row - d, row + d]] = [1000.0, 0.0]
+            direct.clear()
+            window_attention(x, (small,))
+            assert direct == []
+            np.testing.assert_allclose(
+                refine_features(x, (small, wide)), brute_force_refine(x, (small, wide)), rtol=0, atol=1e-12
+            )
+            assert direct == [(small, row)]
+
+    def test_sizes_sum_in_one_pass(self):
+        x = np.random.default_rng(9).normal(size=(40, 5))
+        want = sum(brute_force_window_sums(x, w) for w in (1, 3, 8, 40))
+        np.testing.assert_allclose(window_attention(x, (1, 3, 8, 40)), want, rtol=0, atol=1e-12)
+        with pytest.raises(ConfigError, match="at least one window size"):
+            window_attention(x, ())
 
     @pytest.mark.parametrize("n", [1600, 6400])
     def test_temporaries_bounded_independent_of_length(self, n):
         x = np.random.default_rng(7).normal(size=(n, 32))
         tracemalloc.start()
         try:
-            out = window_attention(x, 64)
+            out = window_attention(x, (8, 32, 64))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -134,14 +169,26 @@ class TestRefineFeatures:
             refine_features(x, (2, 5, 9)), brute_force_refine(x, (2, 5, 9)), atol=1e-10
         )
 
-    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 300])
+    @pytest.mark.parametrize("n", [1, 2, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS - 1, 2 * ROWS + 1, 300])
     def test_matches_brute_force_across_block_edges(self, n):
         x = np.random.default_rng(n).normal(size=(n, 6))
-        for windows in [(2,), (ROWS - 1,), (ROWS,), (ROWS + 1,), (2, ROWS - 1, ROWS + 1), (n,)]:
+        for windows in [(2,), (ROWS - 1,), (ROWS,), (ROWS + 1,), (2, ROWS - 1, ROWS + 1), (8, 32, 64), (n,)]:
             if windows[0] < 2:
                 continue
             got = refine_features(x, windows)
             np.testing.assert_allclose(got, brute_force_refine(x, windows), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n, want", [(100, [(8, 32, 64)]), (40, [(8, 32)]), (8, [(8,)]), (7, [])])
+    def test_one_window_attention_call_per_video(self, monkeypatch, n, want):
+        calls, original = [], refine.window_attention
+
+        def spy(x, windows):
+            calls.append(windows)
+            return original(x, windows)
+
+        monkeypatch.setattr(refine, "window_attention", spy)
+        refine_features(np.random.default_rng(n).normal(size=(n, 4)), (8, 32, 64))
+        assert calls == want
 
     def test_coverage_counts_f4_w2(self):
         # Three windows of size 2 over four frames cover with counts 1,2,2,1;
