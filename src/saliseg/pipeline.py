@@ -1,14 +1,15 @@
 """File-level pipeline stages and the end-to-end runner.
 
 Every stage reads its predecessor's files, checking every record, and
-writes its own, so the subcommands can be chained by hand.
+writes its own, so the subcommands can be chained by hand. The three stages
+that write a record file also return the records they wrote, by video id:
+the score and prior arrays, the segment sets and the retrieval vectors.
+That is what parsing the file gives, since a JSON float round-trips exactly.
+A later stage takes either the file's path or those returned records.
 :func:`run_pipeline` calls the very same functions in order and writes every
-file too, but hands each record file to the later stages in memory, as a
-:class:`Handover`: the score and prior arrays, the segment sets and the
-retrieval vectors as the stage that made them kept them. That is what
-parsing the file gives, since a JSON float round-trips exactly, so chained
-and monolithic execution are byte identical, and a run reads back none of
-the record files it writes. Every stage visits the videos one at a time in
+file too, but passes each stage's returned records on, so chained and
+monolithic execution are byte identical, and a run reads back none of the
+record files it writes. Every stage visits the videos one at a time in
 sorted video-id order, each as the valid rows that
 :func:`~saliseg.data.load_features` returns: padding ends at that reader, so
 no stage slices or masks. Two stages run one corpus kernel between two
@@ -87,6 +88,7 @@ from .saliency import (
     train_saliency,
 )
 from .segments import (
+    SegmentSet,
     baseline_kmeans,
     baseline_uniform,
     decode_segments,
@@ -193,46 +195,17 @@ def _for_each_video(
     return [value for _, value in done]
 
 
-# One reader serves both record kinds. The stages call it by kind, so a
-# profile wrapping these module attributes counts the two loads apart.
-load_saliency = load_retrieval = load_records
+def _records(source: str | Path | dict, load) -> dict:
+    """The upstream records of ``source``: those an earlier stage returned,
+    or ``load`` of the file it wrote."""
+    return source if isinstance(source, dict) else load(source)
 
 
-class Handover(dict):
-    """A record file of :func:`run_pipeline` together with its records,
-    kept in memory by video id for the stages after the one that writes it.
-
-    Passed as a stage's output path, it names the file the stage writes, and
-    the stage also keeps each video's record here in the form the next
-    stages use: a saliency record's ``scores`` and ``prior`` and a retrieval
-    record's ``vectors`` as float arrays, a segments record as its
-    :class:`~saliseg.segments.SegmentSet`. That is what parsing the file
-    gives, since a JSON float round-trips exactly. Passed as a later stage's
-    input, it stands for that file, which is then not read back, and its
-    records need no check. A video the writing stage skipped has no record
-    here, as it has none in the file.
-    """
-
-    def __init__(self, path: str | Path):
-        super().__init__()
-        self.path = Path(path)
-
-
-def _path(target: str | Path | Handover) -> Path:
-    return target.path if isinstance(target, Handover) else Path(target)
-
-
-def _records(source: str | Path | Handover, load) -> dict:
-    """The upstream records of ``source``: its own, or ``load`` of the file."""
-    return source if isinstance(source, Handover) else load(source)
-
-
-def _save(entries: list, target: str | Path | Handover) -> Path:
+def _save(entries: list, out_path: str | Path) -> dict:
     """Write the JSON line of each ``(video_id, record, line)`` entry, in
-    order, to ``target``; a :class:`Handover` also keeps each record."""
-    if isinstance(target, Handover):
-        target.update((video_id, record) for video_id, record, _ in entries)
-    return write_file(_path(target), "".join(line for *_, line in entries))
+    order, to ``out_path``, and return each record by video id."""
+    write_file(out_path, "".join(line for *_, line in entries))
+    return {video_id: record for video_id, record, _ in entries}
 
 
 def _record(records: dict, video_id: str, kind: str, field: str | None = None):
@@ -259,9 +232,10 @@ def _is_numbers(values, n: int) -> bool:
 def _frame_values(records: dict, f: FrameFeatures, kind: str, field: str) -> np.ndarray:
     """A per-frame field of one video's upstream record, which must be a
     list of exactly ``valid_len`` numbers; anything else skips the video.
-    A :class:`Handover` holds the checked array."""
+    A record an earlier stage returned holds the array itself, checked
+    when it was made."""
     values = _record(records, f.video_id, kind, field)
-    if isinstance(records, Handover):
+    if isinstance(values, np.ndarray):
         return values
     if not _is_numbers(values, f.valid_len):
         raise DataError(f"{f.video_id}: {kind} '{field}' is not a list of {f.valid_len} numbers")
@@ -270,10 +244,10 @@ def _frame_values(records: dict, f: FrameFeatures, kind: str, field: str) -> np.
 
 def _feature_rows(records: dict, f: FrameFeatures, kind: str, field: str) -> np.ndarray:
     """A field of one video's upstream record that must be a list of rows of
-    exactly ``D`` numbers each; anything else skips the video. A
-    :class:`Handover` holds the checked array."""
+    exactly ``D`` numbers each; anything else skips the video. A record an
+    earlier stage returned holds the array itself, checked when it was made."""
     rows = _record(records, f.video_id, kind, field)
-    if isinstance(records, Handover):
+    if isinstance(rows, np.ndarray):
         return rows
     if not (isinstance(rows, list) and all(_is_numbers(row, f.dim) for row in rows)):
         raise DataError(f"{f.video_id}: {kind} '{field}' is not a list of rows of {f.dim} numbers")
@@ -306,13 +280,16 @@ def stage_score_saliency(
     refined_dir: str | Path,
     head_path: str | Path,
     cfg: PipelineConfig,
-    out_path: str | Path | Handover,
+    out_path: str | Path,
     fail_fast: bool = False,
-) -> Path:
+) -> dict[str, dict]:
     """Score refined features; write scores and priors as JSON Lines, each
-    record serialized as it is scored."""
+    record serialized as it is scored.
+
+    Returns each written record by video id as ``{"scores": array,
+    "prior": array}``, the float arrays that reading the file gives."""
     head = load_head(head_path)
-    check_writable(_path(out_path))
+    check_writable(out_path)
 
     def work(path: Path, f: FrameFeatures) -> tuple:
         if f.dim != head.dim:
@@ -327,13 +304,13 @@ def stage_score_saliency(
 
 def stage_segment(
     features_dir: str | Path,
-    saliency_path: str | Path | Handover,
+    saliency_path: str | Path | dict,
     cfg: PipelineConfig,
-    out_path: str | Path | Handover,
+    out_path: str | Path,
     baseline: str = "none",
     dump_plan_dir: str | Path | None = None,
     fail_fast: bool = False,
-) -> Path:
+) -> dict[str, SegmentSet]:
     """Segment each video from its transport plan, or a baseline strategy.
 
     Each video's transport problem is built per video, one
@@ -343,10 +320,13 @@ def stage_segment(
     :class:`NumericalError` under ``fail_fast``; otherwise it logs one
     warning naming the video and its outer steps, and the video keeps its
     segments.
+
+    Returns the :class:`~saliseg.segments.SegmentSet` written for each
+    video by video id, as :func:`~saliseg.segments.load_segments` reads it.
     """
     _check_baseline(baseline)
-    saliency = _records(saliency_path, load_saliency)
-    check_writable(_path(out_path))
+    saliency = _records(saliency_path, load_records)
+    check_writable(out_path)
     if dump_plan_dir is not None:
         make_dir(dump_plan_dir)
 
@@ -399,23 +379,25 @@ def stage_segment(
 
 def stage_retrieve(
     features_dir: str | Path,
-    saliency_path: str | Path | Handover,
-    segments_path: str | Path | Handover,
+    saliency_path: str | Path | dict,
+    segments_path: str | Path | dict,
     store_path: str | Path,
     cfg: PipelineConfig,
-    out_path: str | Path | Handover,
+    out_path: str | Path,
     fail_fast: bool = False,
-) -> Path:
+) -> dict[str, dict]:
     """Retrieve top-p captions per selected segment; write vectors + neighbors.
 
     Each video's pooled queries are built and checked per video, so a bad
     one skips that video alone; one :func:`retrieval_vectors` call then
     answers every query of the corpus, and the records follow from it.
+    Returns each written record's vectors by video id as ``{"vectors":
+    array}``, the ``S x D`` float array that reading the file gives.
     """
-    saliency = _records(saliency_path, load_saliency)
+    saliency = _records(saliency_path, load_records)
     segments = _records(segments_path, load_segments)
     store = load_datastore(store_path)
-    check_writable(_path(out_path))
+    check_writable(out_path)
 
     def prepare(path: Path, f: FrameFeatures) -> tuple:
         segs = _record(segments, f.video_id, "segments")
@@ -445,16 +427,16 @@ def stage_retrieve(
 
 def stage_assemble(
     refined_dir: str | Path,
-    saliency_path: str | Path | Handover,
-    retrieval_path: str | Path | Handover,
+    saliency_path: str | Path | dict,
+    retrieval_path: str | Path | dict,
     cfg: PipelineConfig,
     out_dir: str | Path,
     fail_fast: bool = False,
 ) -> list[Path]:
     """Build decoder-input sequences [frames; prompts; retrieval; text] with
     an empty text section."""
-    saliency = _records(saliency_path, load_saliency)
-    retrieval = _records(retrieval_path, load_retrieval)
+    saliency = _records(saliency_path, load_records)
+    retrieval = _records(retrieval_path, load_records)
     out = make_dir(out_dir)
 
     def work(path: Path, f: FrameFeatures) -> Path:
@@ -470,7 +452,7 @@ def stage_assemble(
 
 
 def stage_eval(
-    segments_path: str | Path | Handover,
+    segments_path: str | Path | dict,
     annotations_path: str | Path,
     out_json: str | Path,
     out_table: str | Path,
@@ -561,21 +543,20 @@ def run_pipeline(
     if any(out.glob("*")):
         raise OutputError(f"{out}: not empty; a run starts from a new or empty directory")
 
-    saliency = Handover(out / "saliency.jsonl")
-    segments = Handover(out / "segments.jsonl")
-    retrieval = Handover(out / "retrieval.jsonl")
     stage_refine(features_dir, out / "refined", cfg, fail_fast)
-    stage_score_saliency(out / "refined", head_path, cfg, saliency, fail_fast)
-    stage_segment(
+    saliency = stage_score_saliency(out / "refined", head_path, cfg, out / "saliency.jsonl",
+                                    fail_fast)
+    segments = stage_segment(
         features_dir,
         saliency,
         cfg,
-        segments,
+        out / "segments.jsonl",
         baseline=baseline,
         dump_plan_dir=(out / "plans") if dump_plan else None,
         fail_fast=fail_fast,
     )
-    stage_retrieve(features_dir, saliency, segments, store_path, cfg, retrieval, fail_fast)
+    retrieval = stage_retrieve(features_dir, saliency, segments, store_path, cfg,
+                               out / "retrieval.jsonl", fail_fast)
     stage_assemble(out / "refined", saliency, retrieval, cfg, out / "tin", fail_fast)
     corpus = stage_eval(segments, annotations_path, out / "report.json", out / "report.txt")
 

@@ -551,38 +551,14 @@ def save_datastore(store: Datastore, path: str | Path) -> None:
     write_file(path, memoryview(out))
 
 
-def _more(buf: bytes, pieces, need: int) -> bytes:
-    """``buf`` followed by as many further pieces as it takes to hold
-    ``need`` bytes, or by all that are left, joined once."""
-    parts, have = [buf], len(buf)
-    if have < need:
-        for piece in pieces:
-            parts.append(piece)
-            have += len(piece)
-            if have >= need:
-                break
-    return b"".join(parts)
-
-
-def _pending(buf: bytes, at: int, fixed: int) -> tuple[int, int | None]:
-    """How many bytes from ``at`` the record there needs in hand before it
-    can be walked, and the offset of the u32 length it misses, or ``None``
-    when both lengths are in hand."""
-    if at + 4 > len(buf):
-        return 4, at
-    (id_len,) = _U32_AT(buf, at)
-    if at + 8 + id_len > len(buf):
-        return 8 + id_len, at + 4 + id_len
-    (cap_len,) = _U32_AT(buf, at + 4 + id_len)
-    return fixed + id_len + cap_len, None
-
-
-def _cut_short(path, field: int | None, size: int) -> DataError:
-    """The error of a record that a file of ``size`` bytes ends inside: at
-    its u32 length at offset ``field``, or past both lengths."""
-    if field is None:
+def _truncated(path, carry: bytearray, pos: int) -> DataError:
+    """The error of a file that ends inside the record at the start of
+    ``carry``, file offset ``pos``: inside one of its u32 lengths, named as
+    struct names that read from the whole file, or past both."""
+    size = pos + len(carry)
+    field = pos if len(carry) < 4 else pos + 4 + _U32_AT(carry, 0)[0]
+    if field + 4 <= size:
         return DataError(f"{path}: truncated record")
-    # What struct says of the same read from the whole file.
     return DataError(
         f"{path}: truncated or corrupt datastore: unpack_from requires a buffer of at least "
         f"{field + 4} bytes for unpacking 4 bytes at offset {field} (actual buffer size is {size})"
@@ -591,10 +567,14 @@ def _cut_short(path, field: int | None, size: int) -> DataError:
 
 def load_datastore(path: str | Path) -> Datastore:
     with read_pieces(path) as (size, pieces):
-        buf = _more(b"", pieces, 20)
-        if len(buf) < 20 or buf[:4] != _MAGIC:
+        carry = bytearray()
+        for piece in pieces:
+            carry += piece
+            if len(carry) >= 20:
+                break
+        if len(carry) < 20 or carry[:4] != _MAGIC:
             raise DataError(f"{path}: bad datastore header")
-        n, dim = struct.unpack_from("<QQ", buf, 4)
+        n, dim = struct.unpack_from("<QQ", carry, 4)
         # Every record holds at least its two u32 lengths and D f32 values; a
         # D past the u32 range is a corrupt header even in a store with no
         # records.
@@ -603,18 +583,19 @@ def load_datastore(path: str | Path) -> Datastore:
         emb = np.empty((n, dim), dtype=np.float32)
         offsets = np.zeros(n + 1, dtype=np.int64), np.zeros(n + 1, dtype=np.int64)
         strings = io.BytesIO(), io.BytesIO()
-        # buf holds the file from offset pos on; the next record starts at
-        # buf[at].
-        fixed, pos, at, row = 8 + 4 * dim, 0, 20, 0
+        # carry holds the file from offset pos on, and starts at a record; it
+        # grows in place, so a record that spans many pieces is copied once.
+        del carry[:20]
+        fixed, pos, row = 8 + 4 * dim, 20, 0
         while True:
             # The one per-record loop reads the id and caption lengths of
             # each record that is all in hand.
-            start, end, lengths = at, len(buf), array("I")
+            at, end, lengths = 0, len(carry), array("I")
             put = lengths.append
             try:
                 for _ in range(n - row):
-                    (id_len,) = _U32_AT(buf, at)
-                    (cap_len,) = _U32_AT(buf, at + 4 + id_len)
+                    (id_len,) = _U32_AT(carry, at)
+                    (cap_len,) = _U32_AT(carry, at + 4 + id_len)
                     after = at + fixed + id_len + cap_len
                     if after > end:
                         break
@@ -624,22 +605,20 @@ def load_datastore(path: str | Path) -> Datastore:
             except struct.error:
                 pass
             if lengths:
-                row = _gather(buf, start, np.frombuffer(lengths, np.uint32).reshape(-1, 2),
+                row = _gather(carry, np.frombuffer(lengths, np.uint32).reshape(-1, 2),
                               row, emb, offsets, strings)
+                del carry[:at]
+                pos += at
             if row == n:
+                # The first byte past the last record, in hand or in the next
+                # piece, is one too many.
+                if carry or next(pieces, None) is not None:
+                    raise DataError(f"{path}: trailing bytes in datastore")
                 break
-            # Read on until the next record is all in hand: a record may
-            # span any number of pieces.
-            need, field = _pending(buf, at, fixed)
-            field = None if field is None else pos + field
-            buf, pos, at = buf[at:], pos + at, 0
-            if pos + need > size:
-                raise _cut_short(path, field, size)
-            buf = _more(buf, pieces, need)
-            if len(buf) < need:  # the file shrank while it was read
-                size = pos + len(buf)
-        if len(buf) > at or next(pieces, None) is not None:
-            raise DataError(f"{path}: trailing bytes in datastore")
+            piece = next(pieces, None)
+            if piece is None:
+                raise _truncated(path, carry, pos)
+            carry += piece
     ids = _Strings(strings[0].getvalue(), offsets[0])
     caps = _Strings(strings[1].getvalue(), offsets[1])
     del strings
@@ -652,16 +631,16 @@ def load_datastore(path: str | Path) -> Datastore:
     return Datastore(ids, caps, emb)
 
 
-def _gather(buf: bytes, pos: int, lengths: NDArray[np.uint32], row: int, emb, offsets, strings) -> int:
+def _gather(buf: bytearray, lengths: NDArray[np.uint32], row: int, emb, offsets, strings) -> int:
     """Copy the records of these ``(id, caption)`` byte lengths, the first
-    of them at ``buf[pos]``, into the store from row ``row`` on: their
+    of them at the start of ``buf``, into the store from row ``row`` on: their
     lengths into the two offset arrays, and in row chunks their f32 values
     into ``emb`` (at any alignment) and their bytes onto the two string
     buffers. Returns the row after the last."""
     stop = row + len(lengths)
     for k in (0, 1):
         offsets[k][row + 1 : stop + 1] = offsets[k][row] + np.cumsum(lengths[:, k], dtype=np.int64)
-    dim = emb.shape[1]
+    dim, pos = emb.shape[1], 0
     data = np.frombuffer(buf, np.uint8)
     windows = sliding_window_view(data, 4 * dim)
     for rows in _row_chunks((len(lengths), dim)):

@@ -33,7 +33,13 @@ from saliseg.pipeline import (
 )
 from saliseg.prompts import load_decoder_input
 from saliseg.saliency import load_head
-from saliseg.segments import decode_segments, score_segments, segments_to_doc, select_topk
+from saliseg.segments import (
+    decode_segments,
+    load_segments,
+    score_segments,
+    segments_to_doc,
+    select_topk,
+)
 from saliseg.synth import SynthSpec, generate_corpus, write_corpus
 from saliseg.transport import build_problem, init_anchors, solve_fugw
 
@@ -72,7 +78,8 @@ def head_path(corpus_dir, tmp_path_factory):
 def saliency_path(corpus_dir, head_path, tmp_path_factory):
     root = tmp_path_factory.mktemp("scored")
     stage_refine(corpus_dir / "features", root / "refined", CFG)
-    return stage_score_saliency(root / "refined", head_path, CFG, root / "saliency.jsonl")
+    stage_score_saliency(root / "refined", head_path, CFG, root / "saliency.jsonl")
+    return root / "saliency.jsonl"
 
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
@@ -237,11 +244,12 @@ class TestPipeline:
              for video_id, plan in zip(video_ids, plans)],
             tmp_path / "direct.jsonl",
         )
-        got = stage_segment(corpus_dir / "features", saliency_path, cfg, tmp_path / "stage.jsonl")
+        got = tmp_path / "stage.jsonl"
+        stage_segment(corpus_dir / "features", saliency_path, cfg, got)
         assert got.read_bytes() == want.read_bytes()
         swapped = dataclasses.replace(cfg, alpha=0.7, gamma=0.2)
-        other = stage_segment(corpus_dir / "features", saliency_path, swapped,
-                              tmp_path / "swapped.jsonl")
+        other = tmp_path / "swapped.jsonl"
+        stage_segment(corpus_dir / "features", saliency_path, swapped, other)
         assert other.read_bytes() != want.read_bytes()
 
     def test_unknown_baseline_is_config_error_before_any_work(
@@ -887,7 +895,8 @@ class TestCli:
             features.mkdir()
             twin = FrameFeatures(f.video_id, f.spatial, f.encoded, n_frames)
             save_features(twin, features / "v0002.sfeat")
-            saliency = stage_score_saliency(features, head_path, CFG, tmp_path / f"{name}.jsonl")
+            saliency = tmp_path / f"{name}.jsonl"
+            stage_score_saliency(features, head_path, CFG, saliency)
             (stin,) = stage_assemble(
                 features, saliency, run / "retrieval.jsonl", CFG, tmp_path / f"{name}_tin"
             )
@@ -1170,7 +1179,8 @@ class TestCli:
         import saliseg.pipeline
 
         features = corpus_dir / "features"
-        segments = stage_segment(features, saliency_path, CFG, tmp_path / "segments.jsonl")
+        segments = tmp_path / "segments.jsonl"
+        stage_segment(features, saliency_path, CFG, segments)
 
         def never(*args, **kwargs):
             raise AssertionError("a video was processed")
@@ -1234,7 +1244,8 @@ class TestCli:
         self, corpus_dir, saliency_path, tmp_path, caplog
     ):
         features = corpus_dir / "features"
-        segments = stage_segment(features, saliency_path, CFG, tmp_path / "segments.jsonl")
+        segments = tmp_path / "segments.jsonl"
+        stage_segment(features, saliency_path, CFG, segments)
         lines = saliency_path.read_text().splitlines()
         saliency = tmp_path / "saliency.jsonl"
         saliency.write_text("\n".join([lines[0]] + lines) + "\n")
@@ -1251,7 +1262,8 @@ class TestCli:
         self, corpus_dir, saliency_path, tmp_path, caplog
     ):
         features = corpus_dir / "features"
-        segments = stage_segment(features, saliency_path, CFG, tmp_path / "segments.jsonl")
+        segments = tmp_path / "segments.jsonl"
+        stage_segment(features, saliency_path, CFG, segments)
         raw = bytearray((corpus_dir / "datastore.sds").read_bytes())
         (dim,) = struct.unpack_from("<Q", raw, 12)
         (id_len,) = struct.unpack_from("<I", raw, 20)
@@ -1434,7 +1446,6 @@ class TestHandover:
 
         for module, name in ((data, "load_records"), (segments, "load_records"),
                              (segments, "load_segments"), (pipeline, "load_records"),
-                             (pipeline, "load_saliency"), (pipeline, "load_retrieval"),
                              (pipeline, "load_segments")):
             monkeypatch.setattr(module, name, unread)
         out = tmp_path / "run"
@@ -1443,6 +1454,48 @@ class TestHandover:
             corpus_dir / "datastore.sds", head_path, out,
         )
         assert len((out / "retrieval.jsonl").read_text().splitlines()) == SPEC.n_videos
+
+    def test_returned_records_are_what_the_file_reads_back(
+        self, corpus_dir, head_path, tmp_path, caplog
+    ):
+        """Each record stage returns, bit for bit, the records that a chained
+        stage reads from the file it has just written. A video that fails
+        scoring is in neither."""
+        features = copy_features(corpus_dir, tmp_path)
+        victim = features / "v0001.sfeat"
+        f = load_features(victim)
+        empty = np.zeros((0, f.dim), dtype=np.float32)
+        save_features(FrameFeatures(f.video_id, empty, empty, f.n_frames), victim)
+        out = tmp_path / "run"
+        stage_refine(features, out / "refined", CFG)
+        with caplog.at_level("ERROR"):
+            saliency = stage_score_saliency(out / "refined", head_path, CFG, out / "saliency.jsonl")
+            segs = stage_segment(features, saliency, CFG, out / "segments.jsonl")
+            retrieval = stage_retrieve(features, saliency, segs, corpus_dir / "datastore.sds",
+                                       CFG, out / "retrieval.jsonl")
+        assert f"{victim.name}: stage failed, video skipped: no valid frames" in caplog.text
+        others = ["v0000", "v0002", "v0003"]
+        for returned, name, fields in ((saliency, "saliency.jsonl", ("prior", "scores")),
+                                       (retrieval, "retrieval.jsonl", ("vectors",))):
+            docs = load_records(out / name)
+            assert sorted(returned) == sorted(docs) == others
+            for video_id, doc in docs.items():
+                assert sorted(returned[video_id]) == list(fields)
+                for field in fields:
+                    got, want = returned[video_id][field], np.asarray(doc[field])
+                    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                    assert got.tobytes() == want.tobytes()
+        read = load_segments(out / "segments.jsonl")
+        assert sorted(segs) == sorted(read) == others
+
+        def bits(segment_set):
+            return segment_set.selected, [
+                (s.anchor_id, s.start, s.end, np.float64(s.score).tobytes())
+                for s in segment_set.segments
+            ]
+
+        for video_id, segment_set in read.items():
+            assert bits(segs[video_id]) == bits(segment_set)
 
     @pytest.mark.parametrize("baseline", BASELINES)
     def test_chained_files_match_the_run_with_a_video_failing_scoring(

@@ -1,5 +1,6 @@
 """Caption datastore: exact retrieval and persistence."""
 
+import builtins
 import gc
 import json
 import math
@@ -760,6 +761,47 @@ class TestPieceBoundaries:
             assert message in whole, (case, whole)
             for size in self.SIZES:
                 assert self.outcome(path, size, monkeypatch) == whole, (case, size)
+
+    @pytest.mark.parametrize("size", [1, 7, None])
+    def test_trailing_bytes_found_within_one_piece(self, tmp_path, monkeypatch, size):
+        """A valid store followed by many pieces of garbage fails after at
+        most one read past the piece that ends its last record. The last
+        caption pads the store to whole pieces, so no garbage comes with
+        that piece."""
+        size = size or data_module._PIECE_BYTES
+        records = [(b"ab", b"cap"), (b"c", b""), (b"de", b"x")]
+        pad = -len(TestDatastoreIO.sds(records, dim=3)) % size
+        good = TestDatastoreIO.sds(records[:-1] + [(b"de", b"x" * (1 + pad))], dim=3)
+        assert len(good) % size == 0
+        path = tmp_path / "store.sds"
+        path.write_bytes(good + b"\xff" * (8 * size))
+        opened = []
+
+        class CountingFile:
+            def __init__(self, path, mode):
+                self.file = builtins.open(path, mode)
+                self.reads = 0
+                opened.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.file.close()
+
+            def fileno(self):
+                return self.file.fileno()
+
+            def read(self, n):
+                self.reads += 1
+                return self.file.read(n)
+
+        monkeypatch.setattr(data_module, "_PIECE_BYTES", size)
+        monkeypatch.setattr(data_module, "open", CountingFile, raising=False)
+        with pytest.raises(DataError, match="trailing bytes in datastore$"):
+            load_datastore(path)
+        (file,) = opened
+        assert file.reads <= len(good) // size + 1, file.reads
 
 
 class TestHeldOnce:
