@@ -195,6 +195,11 @@ def _for_each_video(
     return [value for _, value in done]
 
 
+# One reader serves both record kinds. The stages call it by kind, so a
+# profile wrapping these module attributes counts the two loads apart.
+load_saliency = load_retrieval = load_records
+
+
 def _records(source: str | Path | dict, load) -> dict:
     """The upstream records of ``source``: those an earlier stage returned,
     or ``load`` of the file it wrote."""
@@ -325,7 +330,7 @@ def stage_segment(
     video by video id, as :func:`~saliseg.segments.load_segments` reads it.
     """
     _check_baseline(baseline)
-    saliency = _records(saliency_path, load_records)
+    saliency = _records(saliency_path, load_saliency)
     check_writable(out_path)
     if dump_plan_dir is not None:
         make_dir(dump_plan_dir)
@@ -394,7 +399,7 @@ def stage_retrieve(
     Returns each written record's vectors by video id as ``{"vectors":
     array}``, the ``S x D`` float array that reading the file gives.
     """
-    saliency = _records(saliency_path, load_records)
+    saliency = _records(saliency_path, load_saliency)
     segments = _records(segments_path, load_segments)
     store = load_datastore(store_path)
     check_writable(out_path)
@@ -435,8 +440,8 @@ def stage_assemble(
 ) -> list[Path]:
     """Build decoder-input sequences [frames; prompts; retrieval; text] with
     an empty text section."""
-    saliency = _records(saliency_path, load_records)
-    retrieval = _records(retrieval_path, load_records)
+    saliency = _records(saliency_path, load_saliency)
+    retrieval = _records(retrieval_path, load_retrieval)
     out = make_dir(out_dir)
 
     def work(path: Path, f: FrameFeatures) -> Path:

@@ -551,14 +551,22 @@ def save_datastore(store: Datastore, path: str | Path) -> None:
     write_file(path, memoryview(out))
 
 
-def _truncated(path, carry: bytearray, pos: int) -> DataError:
-    """The error of a file that ends inside the record at the start of
-    ``carry``, file offset ``pos``: inside one of its u32 lengths, named as
-    struct names that read from the whole file, or past both."""
-    size = pos + len(carry)
-    field = pos if len(carry) < 4 else pos + 4 + _U32_AT(carry, 0)[0]
+def _cut_short(path, carry: bytearray, pos: int, fixed: int, size: int) -> DataError | None:
+    """The error of a file of ``size`` bytes that ends inside the record at
+    the start of ``carry``, file offset ``pos``: inside one of its u32
+    lengths, named as struct names that read from the whole file, or past
+    both. None while the lengths in hand still fit in ``size``."""
+    field = pos
+    if len(carry) >= 4:
+        (id_len,) = _U32_AT(carry, 0)
+        field = pos + 4 + id_len
+        if field + 4 <= pos + len(carry):
+            (cap_len,) = _U32_AT(carry, 4 + id_len)
+            if pos + fixed + id_len + cap_len > size:
+                return DataError(f"{path}: truncated record")
+            return None
     if field + 4 <= size:
-        return DataError(f"{path}: truncated record")
+        return None
     return DataError(
         f"{path}: truncated or corrupt datastore: unpack_from requires a buffer of at least "
         f"{field + 4} bytes for unpacking 4 bytes at offset {field} (actual buffer size is {size})"
@@ -615,9 +623,13 @@ def load_datastore(path: str | Path) -> Datastore:
                 if carry or next(pieces, None) is not None:
                     raise DataError(f"{path}: trailing bytes in datastore")
                 break
+            # A length that runs past the stat size fails before reading on;
+            # at end of file, the size is what was read.
+            if (error := _cut_short(path, carry, pos, fixed, size)) is not None:
+                raise error
             piece = next(pieces, None)
             if piece is None:
-                raise _truncated(path, carry, pos)
+                raise _cut_short(path, carry, pos, fixed, pos + len(carry))
             carry += piece
     ids = _Strings(strings[0].getvalue(), offsets[0])
     caps = _Strings(strings[1].getvalue(), offsets[1])

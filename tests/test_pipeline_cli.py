@@ -1446,6 +1446,7 @@ class TestHandover:
 
         for module, name in ((data, "load_records"), (segments, "load_records"),
                              (segments, "load_segments"), (pipeline, "load_records"),
+                             (pipeline, "load_saliency"), (pipeline, "load_retrieval"),
                              (pipeline, "load_segments")):
             monkeypatch.setattr(module, name, unread)
         out = tmp_path / "run"

@@ -762,19 +762,10 @@ class TestPieceBoundaries:
             for size in self.SIZES:
                 assert self.outcome(path, size, monkeypatch) == whole, (case, size)
 
-    @pytest.mark.parametrize("size", [1, 7, None])
-    def test_trailing_bytes_found_within_one_piece(self, tmp_path, monkeypatch, size):
-        """A valid store followed by many pieces of garbage fails after at
-        most one read past the piece that ends its last record. The last
-        caption pads the store to whole pieces, so no garbage comes with
-        that piece."""
-        size = size or data_module._PIECE_BYTES
-        records = [(b"ab", b"cap"), (b"c", b""), (b"de", b"x")]
-        pad = -len(TestDatastoreIO.sds(records, dim=3)) % size
-        good = TestDatastoreIO.sds(records[:-1] + [(b"de", b"x" * (1 + pad))], dim=3)
-        assert len(good) % size == 0
-        path = tmp_path / "store.sds"
-        path.write_bytes(good + b"\xff" * (8 * size))
+    @staticmethod
+    def counted_reads(monkeypatch, size):
+        """Read in pieces of ``size`` bytes through an ``open`` that counts
+        the reads; returns the list its one opened file lands in."""
         opened = []
 
         class CountingFile:
@@ -798,10 +789,48 @@ class TestPieceBoundaries:
 
         monkeypatch.setattr(data_module, "_PIECE_BYTES", size)
         monkeypatch.setattr(data_module, "open", CountingFile, raising=False)
+        return opened
+
+    @pytest.mark.parametrize("size", [1, 7, None])
+    def test_trailing_bytes_found_within_one_piece(self, tmp_path, monkeypatch, size):
+        """A valid store followed by many pieces of garbage fails after at
+        most one read past the piece that ends its last record. The last
+        caption pads the store to whole pieces, so no garbage comes with
+        that piece."""
+        size = size or data_module._PIECE_BYTES
+        records = [(b"ab", b"cap"), (b"c", b""), (b"de", b"x")]
+        pad = -len(TestDatastoreIO.sds(records, dim=3)) % size
+        good = TestDatastoreIO.sds(records[:-1] + [(b"de", b"x" * (1 + pad))], dim=3)
+        assert len(good) % size == 0
+        path = tmp_path / "store.sds"
+        path.write_bytes(good + b"\xff" * (8 * size))
+        opened = self.counted_reads(monkeypatch, size)
         with pytest.raises(DataError, match="trailing bytes in datastore$"):
             load_datastore(path)
         (file,) = opened
         assert file.reads <= len(good) // size + 1, file.reads
+
+    @pytest.mark.parametrize("size", [1, 7, None])
+    @pytest.mark.parametrize("field, message", [
+        (20, "requires a buffer of at least 4294967308 bytes"),
+        (26, "truncated record$"),
+    ])
+    def test_length_past_the_file_fails_before_reading_on(
+        self, tmp_path, monkeypatch, size, field, message
+    ):
+        """A corrupt id or caption length that runs past the end of the file
+        fails once that length is read, not after reading the rest of the
+        file: the file's size bounds every record."""
+        size = size or data_module._PIECE_BYTES
+        good = TestDatastoreIO.sds([(b"ab", b"cap")], dim=3)
+        raw = good[:field] + struct.pack("<I", 2**32 - 16) + good[field + 4 :]
+        path = tmp_path / "store.sds"
+        path.write_bytes(raw + b"\xff" * (8 * size))
+        opened = self.counted_reads(monkeypatch, size)
+        with pytest.raises(DataError, match=message):
+            load_datastore(path)
+        (file,) = opened
+        assert file.reads <= (field + 4) // size + 1, file.reads
 
 
 class TestHeldOnce:
