@@ -67,15 +67,14 @@ print(f"retrieval matrix R shape: {vectors.shape},"
 w_map = init_prompt_map(8, seed=cfg.seed)
 scores = rng.normal(size=9)
 prompts = project_saliency(scores, w_map)
-text = np.zeros((0, 8))
-d_in = assemble_input(xs, prompts, vectors, text)
+d_in = assemble_input(xs, prompts, vectors)
 print(f"\ndecoder input: {d_in.sequence.shape[0]} rows = "
       f"{d_in.lengths[0]} frames + {d_in.lengths[1]} prompts + "
-      f"{d_in.lengths[2]} retrieval + {d_in.lengths[3]} text; offsets {d_in.offsets}")
+      f"{d_in.lengths[2]} retrieval; offsets {d_in.offsets}")
 
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "video.stin"
     save_decoder_input(d_in, path)
     again = load_decoder_input(path)
     print(f"sequence file round trip: {path.stat().st_size} bytes, "
-          f"sections recovered={all(np.array_equal(again.section(i), d_in.section(i).astype(np.float32).astype(np.float64)) for i in range(4))}")
+          f"sections recovered={all(np.array_equal(again.section(i), d_in.section(i).astype(np.float32).astype(np.float64)) for i in range(3))}")

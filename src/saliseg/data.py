@@ -176,11 +176,11 @@ def read_pieces(path: str | Path):
         raise DataError(f"{path}: {exc.strerror or exc}") from exc
 
 
-def write_file(path: str | Path, payload: bytes | str) -> Path:
-    """Write ``payload`` (text as UTF-8) to a temp file beside ``path``, then
-    rename it over ``path``, so ``path`` holds its old content or all of
-    ``payload``. A failed write is an :class:`OutputError` and leaves no temp
-    file behind."""
+def write_file(path: str | Path, payload: bytes | memoryview | str) -> Path:
+    """Write ``payload`` (any bytes-like value, or text as UTF-8) to a temp
+    file beside ``path``, then rename it over ``path``, so ``path`` holds its
+    old content or all of ``payload``. A failed write is an
+    :class:`OutputError` and leaves no temp file behind."""
     if isinstance(payload, str):
         payload = payload.encode("utf-8")
     path = Path(path)
@@ -239,11 +239,9 @@ def save_features(f: FrameFeatures, path: str | Path) -> None:
     """Write a feature file, zero rows padding the valid ones up to
     ``f.n_frames``; byte output is a pure function of the value."""
     pad = bytes((f.n_frames - f.valid_len) * f.dim * 4)
-    payload = bytearray()
-    payload += _HEADER.pack(_MAGIC, f.n_frames, f.dim, f.valid_len)
-    payload += f.spatial.astype("<f4", copy=False).tobytes(order="C") + pad
-    payload += f.encoded.astype("<f4", copy=False).tobytes(order="C") + pad
-    write_file(path, bytes(payload))
+    spatial, encoded = (np.ascontiguousarray(a, dtype="<f4") for a in (f.spatial, f.encoded))
+    header = _HEADER.pack(_MAGIC, f.n_frames, f.dim, f.valid_len)
+    write_file(path, b"".join([header, spatial, pad, encoded, pad]))
 
 
 def load_features(path: str | Path) -> FrameFeatures:

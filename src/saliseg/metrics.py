@@ -42,7 +42,6 @@ class LocalizationReport:
     recall: float
     f1: float
     per_threshold: dict[float, dict[str, float]]
-    recall_at_05: float
     mean_iou: float
     matched_segments: float
     flags: list[str] = field(default_factory=list)
@@ -81,13 +80,12 @@ def localization_prf(pred: list[Interval], gt: list[Interval]) -> LocalizationRe
         r_sum += r_t
     precision = p_sum / len(THRESHOLDS)
     recall = r_sum / len(THRESHOLDS)
-    r05, miou, matched = segment_quality(pred, gt) if gt else (0.0, 0.0, 0)
+    _, miou, matched = segment_quality(pred, gt) if gt else (0.0, 0.0, 0)
     return LocalizationReport(
         precision=precision,
         recall=recall,
         f1=_f1(precision, recall),
         per_threshold=per_threshold,
-        recall_at_05=r05,
         mean_iou=miou,
         matched_segments=float(matched),
         flags=flags,
@@ -99,7 +97,7 @@ def segment_quality(pred: list[Interval], gt: list[Interval]) -> tuple[float, fl
     if not gt:
         raise DataError("segment quality needs nonempty ground truth")
     gt_best = _max_ious(gt, pred)
-    recall_at_05 = sum(v >= 0.5 for v in gt_best) / len(gt)
+    r05 = sum(v >= 0.5 for v in gt_best) / len(gt)
     mean_iou = sum(gt_best) / len(gt)
     # Candidate pairs by IoU descending, then pred and gt index.
     pairs = sorted(
@@ -111,7 +109,7 @@ def segment_quality(pred: list[Interval], gt: list[Interval]) -> tuple[float, fl
         if i not in used_p and j not in used_g:
             used_p.add(i)
             used_g.add(j)
-    return recall_at_05, mean_iou, len(used_p)
+    return r05, mean_iou, len(used_p)
 
 
 def evaluate_corpus(
@@ -140,7 +138,6 @@ def evaluate_corpus(
         recall=recall,
         f1=_f1(precision, recall),
         per_threshold=per_threshold,
-        recall_at_05=mean("recall_at_05"),
         mean_iou=mean("mean_iou"),
         matched_segments=mean("matched_segments"),
         flags=sorted({f"{vid}:{fl}" for vid, r in reports.items() for fl in r.flags}),
@@ -162,10 +159,10 @@ def report_to_json(corpus: LocalizationReport, per_video: dict[str, Localization
 
 
 def _report_rows(corpus: LocalizationReport) -> list[tuple[str, float]]:
-    """(name, value) of the six corpus scalars, then each threshold's triplet."""
+    """(name, value) of the five corpus scalars, then each threshold's triplet."""
     rows = [
         (key, getattr(corpus, key))
-        for key in ("precision", "recall", "f1", "recall_at_05", "mean_iou", "matched_segments")
+        for key in ("precision", "recall", "f1", "mean_iou", "matched_segments")
     ]
     for t, vals in sorted(corpus.per_threshold.items()):
         rows += [(f"{k}@{t}", vals[k]) for k in ("precision", "recall", "f1")]

@@ -438,8 +438,7 @@ def stage_assemble(
     out_dir: str | Path,
     fail_fast: bool = False,
 ) -> list[Path]:
-    """Build decoder-input sequences [frames; prompts; retrieval; text] with
-    an empty text section."""
+    """Build decoder-input sequences [frames; prompts; retrieval]."""
     saliency = _records(saliency_path, load_saliency)
     retrieval = _records(retrieval_path, load_retrieval)
     out = make_dir(out_dir)
@@ -448,7 +447,7 @@ def stage_assemble(
         scores = _frame_values(saliency, f, "saliency", "scores")
         vectors = _feature_rows(retrieval, f, "retrieval", "vectors")
         prompts = project_saliency(scores, init_prompt_map(f.dim, cfg.seed))
-        d_in = assemble_input(f.encoded, prompts, vectors, np.zeros((0, f.dim)))
+        d_in = assemble_input(f.encoded, prompts, vectors)
         out_path = out / f"{f.video_id}.stin"
         save_decoder_input(d_in, out_path)
         return out_path
@@ -537,8 +536,6 @@ def run_pipeline(
     fail_fast: bool = False,
 ):
     """Refine, score, segment, retrieve, assemble, evaluate; write a manifest.
-
-    The decoder inputs under ``tin/`` hold an empty text section.
 
     ``out_dir`` must be new or empty, so no earlier run's file passes as this run's.
     """

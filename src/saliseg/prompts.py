@@ -3,13 +3,11 @@
 There is no decoder here; the module realizes the sequence contract only:
 each frame's score times a D-dimensional weight vector is its prompt row,
 and the final input is the row concatenation [refined frames; prompts;
-retrieval vectors; text] with recorded section offsets. No stage produces
-text rows, so the pipeline writes an empty text section; the format keeps
-it as the fourth.
+retrieval vectors] with recorded section offsets.
 
-Sequence file format (``.stin``): magic ``b"STIN"``, little-endian u64
-values D and the four section lengths (frames, prompts, retrieval, text),
-then all rows as little-endian f32, row-major.
+Sequence file format (``.stin``): magic ``b"STI3"``, little-endian u64
+values D and the three section lengths (frames, prompts, retrieval), then
+all rows as little-endian f32, row-major.
 """
 
 from __future__ import annotations
@@ -26,8 +24,8 @@ from .data import read_file, write_file
 from .errors import DataError
 from .rng import substream
 
-_MAGIC = b"STIN"
-_HEADER = struct.Struct("<4sQQQQQ")
+_MAGIC = b"STI3"
+_HEADER = struct.Struct("<4sQQQQ")
 
 
 def init_prompt_map(dim: int, seed: int) -> NDArray[np.float64]:
@@ -38,14 +36,14 @@ def init_prompt_map(dim: int, seed: int) -> NDArray[np.float64]:
 
 @dataclass(frozen=True)
 class DecoderInput:
-    """Concatenated sequence and the start offsets of its four sections."""
+    """Concatenated sequence and the start offsets of its three sections."""
 
     sequence: NDArray[np.float64]
-    lengths: tuple[int, int, int, int]
+    lengths: tuple[int, int, int]
 
     @property
-    def offsets(self) -> tuple[int, int, int, int]:
-        return tuple(accumulate(self.lengths[:3], initial=0))
+    def offsets(self) -> tuple[int, int, int]:
+        return tuple(accumulate(self.lengths[:2], initial=0))
 
     def section(self, i: int) -> NDArray[np.float64]:
         start = self.offsets[i]
@@ -66,32 +64,29 @@ def assemble_input(
     xp: NDArray[np.float64],
     prompts: NDArray[np.float64],
     retrieval: NDArray[np.float64],
-    text: NDArray[np.float64],
 ) -> DecoderInput:
-    """Row-concatenate the four sections; widths must agree."""
-    parts = [np.asarray(a, dtype=np.float64) for a in (xp, prompts, retrieval, text)]
+    """Row-concatenate the three sections; widths must agree."""
+    parts = [np.asarray(a, dtype=np.float64) for a in (xp, prompts, retrieval)]
     dim = parts[0].shape[1]
-    for name, a in zip(("frames", "prompts", "retrieval", "text"), parts):
+    for name, a in zip(("frames", "prompts", "retrieval"), parts):
         if a.ndim != 2 or a.shape[1] != dim:
             raise DataError(f"{name} section width {a.shape} does not match D={dim}")
     return DecoderInput(sequence=np.vstack(parts), lengths=tuple(a.shape[0] for a in parts))
 
 
 def save_decoder_input(d: DecoderInput, path: str | Path) -> None:
-    dim = d.sequence.shape[1]
-    payload = bytearray(_HEADER.pack(_MAGIC, dim, *d.lengths))
-    payload += d.sequence.astype("<f4").tobytes(order="C")
-    write_file(path, bytes(payload))
+    header = _HEADER.pack(_MAGIC, d.sequence.shape[1], *d.lengths)
+    write_file(path, b"".join([header, np.ascontiguousarray(d.sequence, dtype="<f4")]))
 
 
 def load_decoder_input(path: str | Path) -> DecoderInput:
     raw = read_file(path)
     if len(raw) < _HEADER.size:
         raise DataError(f"{path}: truncated header")
-    magic, dim, n_frames, n_prompts, n_retr, n_text = _HEADER.unpack_from(raw)
+    magic, dim, *lengths = _HEADER.unpack_from(raw)
     if magic != _MAGIC:
         raise DataError(f"{path}: bad magic {magic!r}")
-    total = n_frames + n_prompts + n_retr + n_text
+    total = sum(lengths)
     if dim < 1 or total < 1:
         raise DataError(f"{path}: empty decoder input (D={dim}, {total} rows)")
     body = raw[_HEADER.size :]
@@ -100,5 +95,4 @@ def load_decoder_input(path: str | Path) -> DecoderInput:
     seq = np.frombuffer(body, dtype="<f4").reshape(total, dim)
     if not np.all(np.isfinite(seq)):
         raise DataError(f"{path}: non-finite sequence values")
-    lengths = (int(n_frames), int(n_prompts), int(n_retr), int(n_text))
-    return DecoderInput(sequence=seq.astype(np.float64), lengths=lengths)
+    return DecoderInput(sequence=seq.astype(np.float64), lengths=tuple(lengths))

@@ -307,12 +307,9 @@ def _diverged(last_good: SaliencyHead, state: TrainState, loss_curve: list[float
 # ---------------------------------------------------------------------------
 
 def save_head(head: SaliencyHead, path: str | Path) -> None:
-    header = json.dumps({"D": head.dim}) + "\n"
-    payload = bytearray(header.encode("utf-8"))
-    payload += head.w_pool.astype("<f4").tobytes()
-    payload += head.W1.astype("<f4").tobytes(order="C")
-    payload += head.W2.astype("<f4").tobytes(order="C")
-    write_file(path, bytes(payload))
+    header = (json.dumps({"D": head.dim}) + "\n").encode("utf-8")
+    weights = (np.ascontiguousarray(w, dtype="<f4") for w in (head.w_pool, head.W1, head.W2))
+    write_file(path, b"".join([header, *weights]))
 
 
 def load_head(path: str | Path) -> SaliencyHead:

@@ -40,7 +40,7 @@ def write_head(path):
 
 def write_decoder_input(path):
     seq = np.random.default_rng(3).normal(size=(7, 3))
-    save_decoder_input(DecoderInput(seq, lengths=(4, 2, 1, 0)), path)
+    save_decoder_input(DecoderInput(seq, lengths=(4, 2, 1)), path)
 
 
 # reader, writer of a valid file, byte offsets of the u64 header fields
@@ -48,7 +48,7 @@ READERS = {
     "sfeat": (load_features, write_features, (4, 12, 20)),
     "sds": (load_datastore, write_datastore, (4, 12)),
     "head": (load_head, write_head, ()),  # JSON header: no u64 fields
-    "stin": (load_decoder_input, write_decoder_input, (4, 12, 20, 28, 36)),
+    "stin": (load_decoder_input, write_decoder_input, (4, 12, 20, 28)),
 }
 
 # Headers that no single flip of a valid file produces: no rows with a huge
@@ -64,7 +64,7 @@ CRAFTED = {
         b'{"D": 1, "tau": "x"}\n' + bytes(12),
         b'{"D": 1e999}\n',
     ],
-    "stin": [b"STIN" + struct.pack("<5Q", 2**63, 0, 0, 0, 0)],
+    "stin": [b"STI3" + struct.pack("<4Q", 2**63, 0, 0, 0)],
 }
 
 

@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import json
+import shutil
 import struct
 from pathlib import Path
 
@@ -217,10 +218,7 @@ class TestPipeline:
         )
         stin = sorted((out / "tin").glob("*.stin"))[0]
         d_in = load_decoder_input(stin)
-        assert d_in.lengths[0] == SPEC.F
-        assert d_in.lengths[1] == SPEC.F
-        assert d_in.lengths[2] == CFG.top_k
-        assert d_in.lengths[3] == 0
+        assert d_in.lengths == (SPEC.F, SPEC.F, CFG.top_k)
 
     def test_segment_stage_gives_each_weight_to_its_parameter(
         self, corpus_dir, saliency_path, tmp_path
@@ -312,6 +310,31 @@ class TestFailureIsolation:
                 corpus_dir / "datastore.sds", head_path, tmp_path / "run",
                 fail_fast=True,
             )
+
+    def test_refined_file_of_another_dim_skipped_when_scoring(
+        self, saliency_path, head_path, tmp_path, caplog
+    ):
+        """A refined file whose D is not the head's skips its video; the
+        other records are those of the clean run, and under --fail-fast the
+        command exits 3."""
+        refined = tmp_path / "refined"
+        shutil.copytree(saliency_path.parent / "refined", refined)
+        victim = sorted(refined.glob("*.sfeat"))[1]
+        f = load_features(victim)
+        wide = np.ones((f.valid_len, f.dim + 1), np.float32)
+        save_features(FrameFeatures(f.video_id, wide, wide, f.n_frames), victim)
+        out = tmp_path / "saliency.jsonl"
+        with caplog.at_level("ERROR"):
+            stage_score_saliency(refined, head_path, CFG, out)
+        assert (f"{victim}: stage failed, video skipped: {f.video_id}: feature dim"
+                f" {f.dim + 1} != head dim {f.dim}") in caplog.text
+        clean = saliency_path.read_text().splitlines()
+        assert out.read_text().splitlines() == [
+            line for line in clean if json.loads(line)["video_id"] != f.video_id]
+        assert main([
+            "score-saliency", "--features-dir", str(refined), "--head", str(head_path),
+            "--out", str(tmp_path / "fatal.jsonl"), "--fail-fast",
+        ]) == 3
 
     def test_video_failing_segment_skipped_downstream(self, corpus_dir, head_path, tmp_path):
         # A zero spatial row loads fine but fails the matching cost, so the
@@ -1112,6 +1135,43 @@ class TestCli:
         assert not (tmp_path / "head.shd").exists()
         assert main(args) == 0
         assert (tmp_path / "head.shd").exists()
+
+    def test_feature_file_without_annotation_left_out_of_training(
+        self, corpus_dir, tmp_path, caplog
+    ):
+        """A feature file that no annotation names is logged and left out:
+        the head is the one trained without that file."""
+        feats = copy_features(corpus_dir, tmp_path)
+        annotations = corpus_dir / "annotations.jsonl"
+        train_saliency_from_files(feats, annotations, CFG, tmp_path / "clean.shd", epochs=2)
+        (feats / "v9999.sfeat").write_bytes(sorted(feats.glob("*.sfeat"))[0].read_bytes())
+        with caplog.at_level("WARNING"):
+            train_saliency_from_files(feats, annotations, CFG, tmp_path / "extra.shd", epochs=2)
+        assert "v9999: no annotation, skipped" in caplog.text
+        assert (tmp_path / "extra.shd").read_bytes() == (tmp_path / "clean.shd").read_bytes()
+
+    def test_pipeline_seed_flag_overrides_the_config_seed(self, corpus_dir, head_path, tmp_path):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(CFG.to_json())
+        out = tmp_path / "run"
+        assert main([
+            "pipeline", "--config", str(cfg_path), "--seed", "7",
+            "--features-dir", str(corpus_dir / "features"),
+            "--annotations", str(corpus_dir / "annotations.jsonl"),
+            "--datastore", str(corpus_dir / "datastore.sds"),
+            "--head", str(head_path), "--out-dir", str(out),
+        ]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"] == json.loads(dataclasses.replace(CFG, seed=7).to_json())
+
+    def test_synth_seed_flag_overrides_the_spec_seed(self, tmp_path):
+        """``synth --seed 5`` on a spec of seed 13 writes the corpus of a
+        spec that holds seed 5."""
+        for name, seed, flag in (("flag", 13, ["--seed", "5"]), ("spec", 5, [])):
+            spec = tmp_path / f"{name}.json"
+            spec.write_text(json.dumps(dataclasses.asdict(dataclasses.replace(SPEC, seed=seed))))
+            assert main(["synth", "--spec", str(spec), "--out-dir", str(tmp_path / name)] + flag) == 0
+        assert tree_bytes(tmp_path / "flag") == tree_bytes(tmp_path / "spec")
 
     @pytest.mark.parametrize("fail_fast", [False, True], ids=["default", "fail_fast"])
     def test_annotation_and_feature_valid_len_must_agree(

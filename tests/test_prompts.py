@@ -37,28 +37,21 @@ class TestAssembleInput:
         xp = np.ones((2, d))
         prompts = 2 * np.ones((2, d))
         retrieval = 3 * np.ones((1, d))
-        text = 4 * np.ones((1, d))
-        out = assemble_input(xp, prompts, retrieval, text)
-        assert out.sequence.shape == (6, d)
-        assert out.offsets == (0, 2, 4, 5)
+        out = assemble_input(xp, prompts, retrieval)
+        assert out.sequence.shape == (5, d)
+        assert out.lengths == (2, 2, 1)
+        assert out.offsets == (0, 2, 4)
         np.testing.assert_array_equal(out.section(0), xp)
         np.testing.assert_array_equal(out.section(1), prompts)
         np.testing.assert_array_equal(out.section(2), retrieval)
-        np.testing.assert_array_equal(out.section(3), text)
-
-    def test_empty_text_section(self):
-        d = 2
-        out = assemble_input(np.ones((3, d)), np.ones((3, d)), np.ones((2, d)), np.zeros((0, d)))
-        assert out.sequence.shape == (8, d)
-        assert out.lengths == (3, 3, 2, 0)
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(DataError, match="width"):
-            assemble_input(np.ones((2, 3)), np.ones((2, 3)), np.ones((1, 4)), np.zeros((0, 3)))
+            assemble_input(np.ones((2, 3)), np.ones((2, 3)), np.ones((1, 4)))
 
     def test_sections_recover_inputs_exactly(self):
         rng = np.random.default_rng(1)
-        parts = [rng.normal(size=(n, 5)) for n in (4, 4, 2, 3)]
+        parts = [rng.normal(size=(n, 5)) for n in (4, 4, 2)]
         out = assemble_input(*parts)
         for i, part in enumerate(parts):
             np.testing.assert_array_equal(out.section(i), part)
@@ -67,7 +60,7 @@ class TestAssembleInput:
 class TestDecoderInputIO:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
-        parts = [rng.normal(size=(n, 4)).astype(np.float32).astype(np.float64) for n in (5, 5, 2, 1)]
+        parts = [rng.normal(size=(n, 4)).astype(np.float32).astype(np.float64) for n in (5, 5, 2)]
         out = assemble_input(*parts)
         path = tmp_path / "v.stin"
         save_decoder_input(out, path)
@@ -76,8 +69,24 @@ class TestDecoderInputIO:
         assert loaded.offsets == out.offsets
         np.testing.assert_array_equal(loaded.sequence, out.sequence)
 
+    def test_header_holds_three_section_lengths(self, tmp_path):
+        out = assemble_input(np.ones((2, 3)), np.ones((2, 3)), np.ones((1, 3)))
+        path = tmp_path / "v.stin"
+        save_decoder_input(out, path)
+        raw = path.read_bytes()
+        assert raw[:36] == b"STI3" + struct.pack("<4Q", 3, 2, 2, 1)
+        assert len(raw) == 36 + 5 * 3 * 4
+
+    def test_four_section_file_is_bad_magic(self, tmp_path):
+        """A file of the earlier layout, magic STIN and a fourth (text)
+        section length, does not load."""
+        path = tmp_path / "v.stin"
+        path.write_bytes(b"STIN" + struct.pack("<5Q", 2, 2, 2, 1, 0) + bytes(5 * 2 * 4))
+        with pytest.raises(DataError, match="bad magic b'STIN'"):
+            load_decoder_input(path)
+
     def test_truncated_rejected(self, tmp_path):
-        out = assemble_input(np.ones((2, 2)), np.ones((2, 2)), np.ones((1, 2)), np.zeros((0, 2)))
+        out = assemble_input(np.ones((2, 2)), np.ones((2, 2)), np.ones((1, 2)))
         path = tmp_path / "v.stin"
         save_decoder_input(out, path)
         path.write_bytes(path.read_bytes()[:-4])
@@ -87,7 +96,7 @@ class TestDecoderInputIO:
     # signalling NaN, quiet NaN, +inf as the last float32 value
     @pytest.mark.parametrize("bits", [0x7F800001, 0x7FC00000, 0x7F800000])
     def test_non_finite_value_is_data_error(self, tmp_path, bits):
-        out = assemble_input(np.ones((2, 2)), np.ones((2, 2)), np.ones((1, 2)), np.zeros((0, 2)))
+        out = assemble_input(np.ones((2, 2)), np.ones((2, 2)), np.ones((1, 2)))
         path = tmp_path / "v.stin"
         save_decoder_input(out, path)
         path.write_bytes(path.read_bytes()[:-4] + struct.pack("<I", bits))

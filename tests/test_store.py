@@ -763,9 +763,10 @@ class TestPieceBoundaries:
                 assert self.outcome(path, size, monkeypatch) == whole, (case, size)
 
     @staticmethod
-    def counted_reads(monkeypatch, size):
+    def counted_reads(monkeypatch, size, stop=None):
         """Read in pieces of ``size`` bytes through an ``open`` that counts
-        the reads; returns the list its one opened file lands in."""
+        the reads and, given ``stop``, reads nothing past that offset, as if
+        the file ended there; returns the list its one opened file lands in."""
         opened = []
 
         class CountingFile:
@@ -785,6 +786,8 @@ class TestPieceBoundaries:
 
             def read(self, n):
                 self.reads += 1
+                if stop is not None:
+                    n = max(0, min(n, stop - self.file.tell()))
                 return self.file.read(n)
 
         monkeypatch.setattr(data_module, "_PIECE_BYTES", size)
@@ -831,6 +834,25 @@ class TestPieceBoundaries:
             load_datastore(path)
         (file,) = opened
         assert file.reads <= (field + 4) // size + 1, file.reads
+
+    @pytest.mark.parametrize("size", [1, 7, None])
+    @pytest.mark.parametrize("stop, message", [
+        # inside the first record's caption length, at offset 26
+        (28, "truncated or corrupt datastore: unpack_from requires a buffer of at least 30 "
+             r"bytes for unpacking 4 bytes at offset 26 \(actual buffer size is 28\)$"),
+        # inside the first record's embedding
+        (40, ": truncated record$"),
+    ])
+    def test_reads_ending_before_the_stat_size(self, tmp_path, monkeypatch, size, stop, message):
+        """A file whose reads end before the size it had when opened (say,
+        it shrank while being read) fails where the reads end, by the size
+        that was read."""
+        size = size or data_module._PIECE_BYTES
+        path = tmp_path / "store.sds"
+        path.write_bytes(TestDatastoreIO.sds([(b"ab", b"cap"), (b"c", b""), (b"de", b"x")], dim=3))
+        self.counted_reads(monkeypatch, size, stop)
+        with pytest.raises(DataError, match=message):
+            load_datastore(path)
 
 
 class TestHeldOnce:
